@@ -22,7 +22,7 @@ test:
 # and fails over LINT_BUDGET, so the interprocedural passes (call graph,
 # fact propagation) cannot silently bloat `make check`; CI pins the same
 # budget.
-LINT_BUDGET ?= 120s
+LINT_BUDGET ?= 10s
 
 lint:
 	$(GO) build -o bin/itpvet ./cmd/itpvet

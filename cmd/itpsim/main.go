@@ -160,7 +160,7 @@ func main() {
 
 	// Observability: the optional JSONL series export and the pprof/expvar
 	// debug server. attachMetrics instruments one machine per harness job;
-	// with neither flag set it is free (no registry is created).
+	// with neither flag set it is free (no sampler is attached).
 	if *pprofAddr != "" {
 		//itp:daemon pprof/expvar debug server lives for the whole process by design
 		go func() {
@@ -218,7 +218,7 @@ func main() {
 		}
 	}
 	// attachMetrics arms each job's machine: robustness layers (beacons,
-	// auditor) first, then the optional registry/export instrumentation.
+	// auditor) first, then the optional windowed sampler and its export.
 	attachMetrics := func(m *sim.Machine, job string) {
 		if *beaconEvery > 0 {
 			m.EnableBeacons(*beaconEvery)
@@ -229,14 +229,13 @@ func main() {
 		if exporter == nil && *pprofAddr == "" {
 			return
 		}
-		reg := metrics.NewRegistry()
-		w := m.InstrumentMetrics(reg, mWindow)
+		w := m.InstrumentMetrics(mWindow)
 		if exporter != nil {
 			w.SetSink(exporter.WindowSink(job, func(err error) {
 				fmt.Fprintf(os.Stderr, "itpsim: metrics export (%s): %v\n", job, err)
 			}))
 		}
-		reg.PublishExpvar("itpsim." + job)
+		w.PublishExpvar("itpsim." + job)
 	}
 	// faultStream is the -chaos read drill: the first attempt's ingestion
 	// dies mid-stream with a structured fault; retries read clean bytes

@@ -205,14 +205,13 @@ func main() {
 				mw = metrics.DefaultWindow
 			}
 		}
-		reg := metrics.NewRegistry()
-		w := m.InstrumentMetrics(reg, mw)
+		w := m.InstrumentMetrics(mw)
 		if exporter != nil {
 			w.SetSink(exporter.WindowSink(job, func(err error) {
 				fmt.Fprintf(os.Stderr, "itpsweep: metrics export (%s): %v\n", job, err)
 			}))
 		}
-		reg.PublishExpvar("itpsweep." + job)
+		w.PublishExpvar("itpsweep." + job)
 	}
 
 	hopts := harness.Options{

@@ -11,7 +11,6 @@ import (
 
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
-	"itpsim/internal/metrics"
 	"itpsim/internal/prefetch"
 	"itpsim/internal/replacement"
 	"itpsim/internal/stats"
@@ -49,20 +48,14 @@ type Cache struct {
 	writebackFn func(now uint64, addr arch.Addr)
 
 	// Writebacks counts dirty evictions; PrefetchIssued/PrefetchUseful
-	// track prefetcher effectiveness.
+	// track prefetcher effectiveness. EvictPTE/EvictDataPTE count
+	// evictions of PTE-holding and data-PTE-holding blocks — the eviction
+	// pressure xPTP is designed to relieve, read by the windowed metrics.
 	Writebacks     uint64
 	PrefetchIssued uint64
 	PrefetchUseful uint64
-
-	// Observability counters (nil — and therefore free — until
-	// Instrument attaches a registry). The PTE-eviction counters are the
-	// signal xPTP's per-window telemetry is built from.
-	evictionsCtr    *metrics.Counter
-	evictPTECtr     *metrics.Counter
-	evictDataPTECtr *metrics.Counter
-	fillsCtr        *metrics.Counter
-	writebacksCtr   *metrics.Counter
-	demandMissCtr   *metrics.Counter
+	EvictPTE       uint64
+	EvictDataPTE   uint64
 
 	// pfAcc is the scratch access train hands to the prefetch path. Safe
 	// to reuse across the recursive Access call: prefetch-kind accesses
@@ -105,20 +98,6 @@ func (c *Cache) SetPrefetcher(p prefetch.Prefetcher) { c.prefetcher = p }
 // SetWriteback attaches the dirty-eviction sink (normally DRAM bandwidth).
 func (c *Cache) SetWriteback(fn func(now uint64, addr arch.Addr)) { c.writebackFn = fn }
 
-// Instrument attaches observability counters from the registry under the
-// given prefix (e.g. "l2c"): fills, evictions (total, PTE-holding, and
-// data-PTE-holding — the blocks xPTP protects), writebacks, and demand
-// misses (the per-window MPKI numerator the phase classifier clusters
-// on). A nil registry leaves the counters nil and every update a no-op.
-func (c *Cache) Instrument(reg *metrics.Registry, prefix string) {
-	c.fillsCtr = reg.Counter(prefix + ".fills")
-	c.evictionsCtr = reg.Counter(prefix + ".evictions")
-	c.evictPTECtr = reg.Counter(prefix + ".evict.pte")
-	c.evictDataPTECtr = reg.Counter(prefix + ".evict.data_pte")
-	c.writebacksCtr = reg.Counter(prefix + ".writebacks")
-	c.demandMissCtr = reg.Counter(prefix + ".demand_miss")
-}
-
 //itp:hotpath
 func (c *Cache) setFor(block uint64) int { return int(block & c.setMask) }
 
@@ -146,21 +125,12 @@ func (c *Cache) Contains(addr arch.Addr, thread uint8) bool {
 	return w >= 0
 }
 
-// record notes an access outcome in the statistics sink and, when
-// instrumented, the demand-miss counter (same bucket definition as
-// stats.Level.TotalMisses: demand and translation traffic, not
-// prefetches or writebacks).
+// record notes an access outcome in the statistics sink.
 //
 //itp:hotpath
 func (c *Cache) record(acc *arch.Access, hit bool) {
 	if c.stats != nil {
 		c.stats.Record(stats.BucketFor(acc), hit)
-	}
-	if !hit && c.demandMissCtr != nil {
-		switch acc.Kind {
-		case arch.IFetch, arch.Load, arch.Store, arch.PTW:
-			c.demandMissCtr.Inc()
-		}
 	}
 }
 
@@ -204,23 +174,20 @@ func (c *Cache) fill(si int, acc *arch.Access) int {
 	way := c.policy.Victim(si, set, acc)
 	if set[way].Valid {
 		c.policy.OnEvict(si, set, way)
-		c.evictionsCtr.Inc()
 		if set[way].IsPTE {
-			c.evictPTECtr.Inc()
+			c.EvictPTE++
 		}
 		if set[way].IsDataPTE {
-			c.evictDataPTECtr.Inc()
+			c.EvictDataPTE++
 		}
 		if set[way].Dirty {
 			c.Writebacks++
-			c.writebacksCtr.Inc()
 			if c.writebackFn != nil {
 				//itp:nonalloc — bound at construction to DRAM.Writeback, which is allocation-free
 				c.writebackFn(0, arch.Addr(set[way].Tag)<<arch.BlockBits)
 			}
 		}
 	}
-	c.fillsCtr.Inc()
 	line := &set[way]
 	stack := line.Stack // preserve the permutation invariant
 	*line = replacement.Line{

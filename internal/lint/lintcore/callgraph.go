@@ -7,10 +7,10 @@ import (
 )
 
 // This file is the shared interprocedural foundation of the concurrency
-// analyzers (machineown, atomicfield, goroutinelife, lockscope): a
-// per-package call graph with per-function syntactic summaries (call
-// sites, channel operations, go statements, nested closures) plus a
-// bottom-up fixpoint engine for may-properties ("may block", "observes a
+// analyzers (machineown, goroutinelife, lockscope): a per-package call
+// graph with per-function syntactic summaries (call sites, channel
+// operations, go statements, nested closures) plus a bottom-up fixpoint
+// engine for may-properties ("may block", "observes a
 // cancellation signal") that analyzers extend across package boundaries
 // through the existing fact store. Function literals get their own nodes:
 // a closure's body does not run when its enclosing function runs, so its

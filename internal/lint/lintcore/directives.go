@@ -41,9 +41,6 @@ const (
 	DirUnitcast = "unitcast"
 	// DirIgnoreErr permits a discarded error (errpropagation).
 	DirIgnoreErr = "ignore-err"
-	// DirStatWiring marks the function whose registrations statregistry
-	// checks against metrics.RequiredStats.
-	DirStatWiring = "statwiring"
 	// DirOwner marks a reviewed ownership-transfer point: a go statement,
 	// channel send, or package-level variable through which machine-owned
 	// state legally changes its owning goroutine (machineown). The
@@ -52,10 +49,6 @@ const (
 	// DirDaemon marks a reviewed process-lifetime goroutine that is
 	// deliberately never joined or cancelled (goroutinelife).
 	DirDaemon = "daemon"
-	// DirNonatomic marks a reviewed plain access to a field that is
-	// elsewhere accessed through sync/atomic — e.g. initialisation before
-	// the value is published (atomicfield).
-	DirNonatomic = "nonatomic"
 	// DirLockIO marks a reviewed blocking operation performed while a
 	// mutex is held — e.g. a lock whose purpose is to serialise writers of
 	// a shared stream (lockscope).

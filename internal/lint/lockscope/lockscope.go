@@ -3,7 +3,7 @@
 // function that may block inside a critical section turns lock
 // contention into latency for every other goroutine — and, when the
 // blocked operation needs the same lock to make progress (a metrics sink
-// re-entering its registry, a checkpoint writer flushing through a
+// re-entering its sampler, a checkpoint writer flushing through a
 // callback), into a deadlock.
 //
 // Critical sections are tracked syntactically per function body: from a

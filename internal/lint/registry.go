@@ -5,7 +5,6 @@
 package lint
 
 import (
-	"itpsim/internal/lint/atomicfield"
 	"itpsim/internal/lint/cycleunits"
 	"itpsim/internal/lint/errpropagation"
 	"itpsim/internal/lint/goroutinelife"
@@ -14,22 +13,18 @@ import (
 	"itpsim/internal/lint/lockscope"
 	"itpsim/internal/lint/machineown"
 	"itpsim/internal/lint/simdeterminism"
-	"itpsim/internal/lint/statregistry"
 )
 
 // All returns the full itpvet suite, in the order diagnostics are
-// attributed: the five intra-procedural checks from the original suite,
-// then the four interprocedural concurrency checks built on the
-// lintcore call graph.
+// attributed: the four intra-procedural checks, then the three
+// interprocedural concurrency checks built on the lintcore call graph.
 func All() []*lintcore.Analyzer {
 	return []*lintcore.Analyzer{
 		simdeterminism.Analyzer,
 		hotpathalloc.Analyzer,
 		cycleunits.Analyzer,
 		errpropagation.Analyzer,
-		statregistry.Analyzer,
 		machineown.Analyzer,
-		atomicfield.Analyzer,
 		goroutinelife.Analyzer,
 		lockscope.Analyzer,
 	}

@@ -1,12 +1,25 @@
+// Package metrics is the simulator's windowed observability layer: a
+// time-series sampler keyed to retired instructions (the paper's
+// 1000-instruction adaptive window, Section 4.3.1) that turns the
+// simulator's own event counters into per-window deltas, and a JSONL
+// exporter that makes every emitted series self-describing via a run
+// manifest. The sampler counts nothing itself: each tracked counter is a
+// reader of a count the machine already keeps, so every event is counted
+// once.
 package metrics
 
 import (
+	"expvar"
 	"fmt"
 	"strings"
 	"sync"
 
 	"itpsim/internal/arch"
 )
+
+// DefaultWindow is the windowed sampler's default size in retired
+// instructions — the paper's 1000-instruction adaptive window.
+const DefaultWindow = 1000
 
 // WindowRecord is one closed instruction window of the time series. The
 // generic part (retired/cycles/IPC plus tracked-counter deltas) is filled
@@ -53,24 +66,26 @@ func (r *WindowRecord) SetXPTPEnabled(enabled bool) {
 	}
 }
 
-// trackedCounter pairs a counter with its last-sampled value.
+// trackedCounter pairs a counter reader with its last-sampled value and
+// the delta of the window being closed.
 type trackedCounter struct {
-	name string
-	c    *Counter
-	last uint64
+	name        string
+	read        func() uint64
+	last, delta uint64
 }
 
 // Windows samples tracked counters every Size retired instructions and
 // turns the deltas into a WindowRecord series. Closing is the cold path
-// (once per window) and is mutex-protected so a supervisor thread can
-// read recent history race-free while the simulation runs; the per-retire
-// boundary check stays on the caller's side (a single compare against
-// NextBoundary).
+// (once per window). The tracked counters and their baselines belong to
+// the goroutine that drives the run (Track, Close, SkipTo, Rebase); the
+// closed series is mutex-protected so a supervisor thread can read recent
+// history race-free while the simulation runs. The per-retire boundary
+// check stays on the caller's side.
 type Windows struct {
-	size arch.Instr
-
-	mu      sync.Mutex
+	size    arch.Instr
 	tracked []trackedCounter
+
+	mu sync.Mutex
 	// records holds the retained series. Unbounded mode appends; with a
 	// retention cap it is a fixed ring of retain slots addressed by
 	// start/count, so closing a window at steady state overwrites the
@@ -100,12 +115,25 @@ func NewWindows(size arch.Instr) *Windows {
 // Size returns the window size in retired instructions.
 func (w *Windows) Size() arch.Instr { return w.size }
 
-// Track adds a counter to the per-window delta set. Call before the run
-// starts.
-func (w *Windows) Track(name string, c *Counter) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.tracked = append(w.tracked, trackedCounter{name: name, c: c, last: c.Value()})
+// Track adds a counter to the per-window delta set: read returns the
+// counter's cumulative value, which only grows between Rebase calls. Call
+// before the run starts.
+func (w *Windows) Track(name string, read func() uint64) {
+	w.tracked = append(w.tracked, trackedCounter{name: name, read: read, last: read()})
+}
+
+// Rebase runs reset — which may zero the source of any tracked counter,
+// as the warmup→measure statistics reset does — and moves each counter's
+// baseline by however much its value changed across the call, so the open
+// window's deltas still count every event on both sides of the reset.
+func (w *Windows) Rebase(reset func()) {
+	for i := range w.tracked {
+		w.tracked[i].last -= w.tracked[i].read()
+	}
+	reset()
+	for i := range w.tracked {
+		w.tracked[i].last += w.tracked[i].read()
+	}
 }
 
 // SetSink streams every closed window to fn (e.g. a JSONL writer) and
@@ -206,6 +234,14 @@ func (w *Windows) slotLocked() *WindowRecord {
 // Windows are closed by the single run-loop goroutine, so the sink
 // still sees records in order, before the next Close can recycle them.
 func (w *Windows) Close(retired arch.Instr, cycles arch.Cycle, annotate func(*WindowRecord)) {
+	// Sample the counters before taking the lock: the readers are the
+	// run loop's own state, not the published series.
+	for i := range w.tracked {
+		t := &w.tracked[i]
+		v := t.read()
+		t.delta = v - t.last
+		t.last = v
+	}
 	w.mu.Lock()
 	rec := w.slotLocked()
 	scratch := rec.Counters
@@ -226,10 +262,7 @@ func (w *Windows) Close(retired arch.Instr, cycles arch.Cycle, annotate func(*Wi
 		}
 		rec.Counters = scratch
 		for i := range w.tracked {
-			t := &w.tracked[i]
-			v := t.c.Value()
-			rec.Counters[t.name] = v - t.last
-			t.last = v
+			rec.Counters[w.tracked[i].name] = w.tracked[i].delta
 		}
 	}
 	if annotate != nil {
@@ -264,14 +297,14 @@ func (w *Windows) Close(retired arch.Instr, cycles arch.Cycle, annotate func(*Wi
 // baselines re-sampled — instead of reporting the whole skipped span as
 // one giant window. No record is emitted for the skipped region.
 func (w *Windows) SkipTo(retired arch.Instr, cycles arch.Cycle) {
+	for i := range w.tracked {
+		w.tracked[i].last = w.tracked[i].read()
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.index = uint64(retired / w.size)
 	w.lastRetired = retired
 	w.lastCycles = cycles
-	for i := range w.tracked {
-		w.tracked[i].last = w.tracked[i].c.Value()
-	}
 }
 
 // Records returns a copy of the retained window series. Counters maps are
@@ -342,4 +375,18 @@ func (w *Windows) RecentString(n int) string {
 		b.WriteByte('}')
 	}
 	return b.String()
+}
+
+// expvarRecent is how many recent windows the /debug/vars entry shows.
+const expvarRecent = 16
+
+// PublishExpvar exposes the most recent closed windows as an expvar
+// variable, so a long campaign can be inspected over -pprof's debug
+// endpoint (/debug/vars); each read takes the series under its mutex.
+// Publishing the same name twice is a no-op rather than the expvar panic.
+func (w *Windows) PublishExpvar(name string) {
+	if expvar.Get(name) != nil {
+		return
+	}
+	expvar.Publish(name, expvar.Func(func() any { return w.Recent(expvarRecent) }))
 }

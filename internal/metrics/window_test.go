@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"itpsim/internal/arch"
 	"strings"
 	"sync"
@@ -20,16 +21,14 @@ func TestWindowsDefaultSize(t *testing.T) {
 }
 
 func TestWindowsDeltasAndIPC(t *testing.T) {
-	r := NewRegistry()
-	miss := r.Counter("miss")
-	miss.Add(5) // pre-run value must not leak into the first window
+	miss := uint64(5) // pre-run value must not leak into the first window
 
 	w := NewWindows(1000)
-	w.Track("miss", miss)
+	w.Track("miss", func() uint64 { return miss })
 
-	miss.Add(7)
+	miss += 7
 	w.Close(1000, 2000, nil)
-	miss.Add(3)
+	miss += 3
 	w.Close(2000, 2500, nil)
 
 	recs := w.Records()
@@ -165,10 +164,9 @@ func TestWindowsRecent(t *testing.T) {
 // supervisor goroutine reads recent history while the run loop closes
 // windows. Meaningful under -race.
 func TestWindowsConcurrentReaders(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("x")
+	var c uint64
 	w := NewWindows(10)
-	w.Track("x", c)
+	w.Track("x", func() uint64 { return c })
 	w.SetRetain(8)
 
 	var wg sync.WaitGroup
@@ -188,7 +186,7 @@ func TestWindowsConcurrentReaders(t *testing.T) {
 		}
 	}()
 	for i := uint64(1); i <= 500; i++ {
-		c.Add(2)
+		c += 2
 		w.Close(arch.Instr(i*10), arch.Cycle(i*12), nil)
 	}
 	close(stop)
@@ -271,5 +269,88 @@ func TestWindowSinkStopsAfterError(t *testing.T) {
 func TestGitDescribeNeverEmpty(t *testing.T) {
 	if GitDescribe() == "" {
 		t.Fatal("GitDescribe must return a placeholder, not empty")
+	}
+}
+
+// TestRebase: a reset that zeroes one counter's source mid-window (the
+// warmup→measure statistics reset) must leave the open window's delta
+// counting events on both sides of it, and must not disturb a counter
+// whose source the reset leaves alone.
+func TestRebase(t *testing.T) {
+	var zeroed, kept uint64
+	w := NewWindows(100)
+	w.Track("zeroed", func() uint64 { return zeroed })
+	w.Track("kept", func() uint64 { return kept })
+
+	zeroed, kept = 4, 4
+	w.Close(100, 100, nil)
+	zeroed, kept = 10, 10 // 6 events into window 1
+	w.Rebase(func() { zeroed = 0 })
+	zeroed, kept = 5, 15 // 5 more after the reset
+	w.Close(200, 200, nil)
+	zeroed, kept = 7, 17
+	w.Close(300, 300, nil)
+
+	recs := w.Records()
+	for i, want := range []uint64{4, 11, 2} {
+		if got := recs[i].Counters["zeroed"]; got != want {
+			t.Errorf("window %d: zeroed delta %d, want %d", i, got, want)
+		}
+		if got := recs[i].Counters["kept"]; got != want {
+			t.Errorf("window %d: kept delta %d, want %d", i, got, want)
+		}
+	}
+}
+
+func TestPublishExpvarIdempotent(t *testing.T) {
+	w := NewWindows(10)
+	w.Close(10, 20, nil)
+	const name = "itpsim.test.windows"
+	w.PublishExpvar(name)
+	w.PublishExpvar(name) // second publish must not panic
+	v := expvar.Get(name)
+	if v == nil {
+		t.Fatal("expvar not published")
+	}
+	var recent []WindowRecord
+	if err := json.Unmarshal([]byte(v.String()), &recent); err != nil {
+		t.Fatal(err)
+	}
+	if len(recent) != 1 || recent[0].Retired != 10 {
+		t.Fatalf("/debug/vars entry = %s, want the one closed window", v.String())
+	}
+}
+
+// TestWindowsRetainChangeMidRun: changing the retention cap after the
+// ring has wrapped keeps the newest records, in order, under the new cap.
+func TestWindowsRetainChangeMidRun(t *testing.T) {
+	w := NewWindows(10)
+	w.SetRetain(3)
+	for i := uint64(1); i <= 5; i++ { // windows 0..4; the ring has wrapped
+		w.Close(arch.Instr(i*10), arch.Cycle(i*10), nil)
+	}
+	w.SetRetain(2)
+	w.Close(60, 60, nil)
+	if recs := w.Records(); len(recs) != 2 || recs[0].Window != 4 || recs[1].Window != 5 {
+		t.Fatalf("after shrinking to 2: %+v", recs)
+	}
+	w.SetRetain(0) // unbounded from here on
+	w.Close(70, 70, nil)
+	w.Close(80, 80, nil)
+	recs := w.Records()
+	if len(recs) != 4 || recs[0].Window != 4 || recs[3].Window != 7 {
+		t.Fatalf("after lifting the cap: %+v", recs)
+	}
+}
+
+func TestSetXPTPEnabled(t *testing.T) {
+	var a, b WindowRecord
+	a.SetXPTPEnabled(true)
+	b.SetXPTPEnabled(false)
+	if a.XPTPEnabled == nil || !*a.XPTPEnabled || b.XPTPEnabled == nil || *b.XPTPEnabled {
+		t.Fatalf("status bits = %v, %v", a.XPTPEnabled, b.XPTPEnabled)
+	}
+	if got := testing.AllocsPerRun(10, func() { a.SetXPTPEnabled(false) }); got != 0 {
+		t.Fatalf("SetXPTPEnabled allocates %v times", got)
 	}
 }

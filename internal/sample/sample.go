@@ -27,8 +27,8 @@ import (
 )
 
 // featureCounters are the per-window counter deltas that, with IPC, form
-// the phase-classification feature vector. All are registered by
-// sim.InstrumentMetrics and listed in metrics.RequiredStats.
+// the phase-classification feature vector. All are tracked by
+// sim.InstrumentMetrics.
 var featureCounters = []string{
 	"l1i.demand_miss",
 	"stlb.demand_miss.instr",

@@ -171,7 +171,7 @@ func runSegment(cfg Config, seg Segment, s workload.Stream, jc *harness.JobConte
 	}
 	var w *metrics.Windows
 	if cfg.MetricsWindow > 0 {
-		w = m.InstrumentMetrics(metrics.NewRegistry(), cfg.MetricsWindow)
+		w = m.InstrumentMetrics(cfg.MetricsWindow)
 	}
 	if cfg.BeaconInterval > 0 {
 		m.EnableBeacons(cfg.BeaconInterval)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"itpsim/internal/config"
-	"itpsim/internal/metrics"
 	"itpsim/internal/workload"
 )
 
@@ -33,7 +32,7 @@ func newSteadyMachine(b *testing.B, instrument, beacons bool, mutate func(*confi
 		b.Fatal(err)
 	}
 	if instrument {
-		w := m.InstrumentMetrics(metrics.NewRegistry(), 0)
+		w := m.InstrumentMetrics(0)
 		w.SetRetain(64)
 	}
 	if beacons {
@@ -104,11 +103,6 @@ var (
 		"itpsim/internal/prefetch",
 		"itpsim/internal/workload",
 	}
-	// hotpathMetrics adds the observability layer the instrumented twin
-	// drives: counters, the windowed sampler, and the controller hooks.
-	hotpathMetrics = []string{
-		"itpsim/internal/metrics",
-	}
 	// hotpathITPXPTP adds the paper's proposal policies: iTP on the STLB
 	// and adaptive xPTP (controller included) on the L2C.
 	hotpathITPXPTP = []string{
@@ -133,7 +127,7 @@ var (
 	// so keep entries as identifier references to the slices above.
 	hotpathGateManifest = map[string][]string{
 		"BenchmarkSteadyStateStep":           hotpathCommon,
-		"BenchmarkSteadyStateStepMetrics":    hotpathMetrics,
+		"BenchmarkSteadyStateStepMetrics":    hotpathCommon,
 		"BenchmarkSteadyStateStepITPXPTP":    hotpathITPXPTP,
 		"BenchmarkSteadyStateStepCHiRP":      hotpathCHiRP,
 		"BenchmarkSteadyStateStepBeacons":    hotpathBeacons,
@@ -155,10 +149,10 @@ func BenchmarkSteadyStateStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadyStateStepMetrics is the instrumented twin: full registry
-// attached and per-1000-instruction windows closing into a retained ring.
-// It must also run allocation-free — window records and their counter
-// maps recycle in place.
+// BenchmarkSteadyStateStepMetrics is the instrumented twin: the windowed
+// sampler attached and per-1000-instruction windows closing into a
+// retained ring. It must also run allocation-free — window records and
+// their counter maps recycle in place.
 func BenchmarkSteadyStateStepMetrics(b *testing.B) {
 	m, t := newSteadyMachine(b, true, false, nil)
 	b.ReportAllocs()
@@ -170,8 +164,8 @@ func BenchmarkSteadyStateStepMetrics(b *testing.B) {
 
 // BenchmarkSteadyStateStepITPXPTP gates the paper's proposal
 // configuration: iTP on the STLB and adaptive xPTP (with its controller
-// judging every window) on the L2C, instrumented so the xptp.transitions
-// path is live too.
+// judging every window) on the L2C, instrumented so the controller's
+// decision hook is live too.
 func BenchmarkSteadyStateStepITPXPTP(b *testing.B) {
 	m, t := newSteadyMachine(b, true, false, func(cfg *config.SystemConfig) {
 		cfg.STLBPolicy = "itp"

@@ -4,112 +4,69 @@ import (
 	"itpsim/internal/arch"
 	"itpsim/internal/metrics"
 	"itpsim/internal/stats"
-	"itpsim/internal/tlb"
 )
 
 // machineMetrics is the machine's attachment to the observability layer:
-// the registry handles the hot paths increment, the windowed sampler that
-// turns them into a per-1000-instruction time series, and the adaptive
-// controller's last decision so each window record carries the xPTP
-// status bit that governed it.
+// the windowed sampler that turns the machine's own counters into a
+// per-1000-instruction time series, and the adaptive controller's last
+// decision so each window record carries the xPTP status bit that
+// governed it.
 type machineMetrics struct {
-	reg     *metrics.Registry
 	windows *metrics.Windows
 	// next is the retired-instruction count at which the current window
 	// closes; cached here so the per-retire check is one compare.
 	next arch.Instr
 
-	// Demand STLB misses by translation class, incremented at exactly
-	// the site that feeds the adaptive controller (Machine.translate),
-	// so per-window deltas match Controller decisions one for one.
-	stlbMissInstr *metrics.Counter
-	stlbMissData  *metrics.Counter
-
-	// l2cEvictDataPTE mirrors the L2C's data-PTE eviction counter for
-	// per-window annotation.
-	l2cEvictDataPTE *metrics.Counter
-
-	// branchMispred counts branch mispredicts, incremented at the one
-	// resolve site in the step path; with IPC and the demand-miss
-	// counters it completes the per-window phase-feature vector.
-	branchMispred *metrics.Counter
-
-	// xptpTransitions counts enable<->disable flips of the adaptive
-	// controller; xptpEnabled is its most recent decision.
-	xptpTransitions *metrics.Counter
-	xptpEnabled     bool
+	// xptpEnabled is the adaptive controller's most recent decision.
+	xptpEnabled bool
 
 	// annotate decorates each closing window; built once at attach time
 	// so the per-window close does not allocate a closure.
 	annotate func(*metrics.WindowRecord)
 }
 
-// InstrumentMetrics attaches an observability registry to the machine and
-// returns the windowed sampler it will feed. windowInstr is the sampling
-// window in retired instructions (0 selects metrics.DefaultWindow, the
-// paper's 1000-instruction adaptive window). Must be called before Run;
-// the returned sampler is safe to read from other goroutines while the
-// run is in flight.
+// InstrumentMetrics attaches the windowed sampler to the machine and
+// returns it. windowInstr is the sampling window in retired instructions
+// (0 selects metrics.DefaultWindow, the paper's 1000-instruction adaptive
+// window). Must be called before Run; the returned sampler is safe to
+// read from other goroutines while the run is in flight.
 //
-// The registry gains, among others:
+// Each window record carries the deltas of nine counters, read from
+// stats.Sim where it holds them and from three plain component counters
+// where it does not:
 //
-//	stlb.demand_miss.{instr,data}   demand STLB misses by class
-//	{itlb,dtlb,stlb}.{hit,miss,evict}.{instr,data}
-//	{l2c,llc}.{fills,evictions,evict.pte,evict.data_pte,writebacks}
-//	ptw.walk.{instr,data}, ptw.walk_latency, ptw.psc_hits
-//	xptp.transitions                adaptive enable/disable flips
-//
-//itp:statwiring — itpvet proves every metrics.RequiredStats counter is registered here
-func (m *Machine) InstrumentMetrics(reg *metrics.Registry, windowInstr uint64) *metrics.Windows {
-	mm := &machineMetrics{reg: reg, windows: metrics.NewWindows(arch.Instr(windowInstr))}
-
-	mm.stlbMissInstr = reg.Counter("stlb.demand_miss.instr")
-	mm.stlbMissData = reg.Counter("stlb.demand_miss.data")
-	mm.l2cEvictDataPTE = reg.Counter("l2c.evict.data_pte")
-
-	// Every core's first-level TLBs and L1 caches instrument under the
-	// same prefixes: the registry returns the existing counter for a
-	// repeated name, so the exported series stay CMP-wide aggregates with
-	// stable names.
-	for _, c := range m.cores {
-		c.itlb.Instrument(reg, "itlb")
-		c.dtlb.Instrument(reg, "dtlb")
-		c.l1i.Instrument(reg, "l1i")
-		c.l1d.Instrument(reg, "l1d")
-	}
-	switch s := m.stlb.(type) {
-	case *tlb.TLB:
-		s.Instrument(reg, "stlb")
-	case *tlb.Split:
-		s.Instrument(reg, "stlb")
-	}
-	m.l2c.Instrument(reg, "l2c")
-	m.llc.Instrument(reg, "llc")
-	m.walker.Instrument(reg, "ptw")
-
-	mm.branchMispred = reg.Counter("branch.mispredict")
-
-	mm.windows.Track("stlb.demand_miss.instr", mm.stlbMissInstr)
-	mm.windows.Track("stlb.demand_miss.data", mm.stlbMissData)
-	mm.windows.Track("l2c.evict.pte", reg.Counter("l2c.evict.pte"))
-	mm.windows.Track("l2c.evict.data_pte", mm.l2cEvictDataPTE)
-	mm.windows.Track("ptw.walk.instr", reg.Counter("ptw.walk.instr"))
-	mm.windows.Track("ptw.walk.data", reg.Counter("ptw.walk.data"))
+//	stlb.demand_miss.{instr,data}   demand STLB misses by class (all tenants)
+//	l1i.demand_miss                 L1I demand misses (all cores)
+//	l2c.demand_miss                 L2C demand misses
+//	ptw.walk.{instr,data}           completed page walks by class
+//	l2c.evict.{pte,data_pte}        L2C evictions of PTE / data-PTE blocks
+//	branch.mispredict               branch mispredicts
+func (m *Machine) InstrumentMetrics(windowInstr uint64) *metrics.Windows {
+	mm := &machineMetrics{windows: metrics.NewWindows(arch.Instr(windowInstr))}
+	w := mm.windows
+	// The per-tenant views are the live STLB and L1I counts; their
+	// machine-level aggregates are only rebuilt at run end.
+	w.Track("stlb.demand_miss.instr", func() uint64 {
+		return m.tenantSum(func(c *stats.Core) uint64 { return c.STLB.Misses[stats.BInstr] })
+	})
+	w.Track("stlb.demand_miss.data", func() uint64 {
+		return m.tenantSum(func(c *stats.Core) uint64 { return c.STLB.Misses[stats.BData] })
+	})
+	w.Track("l2c.evict.pte", func() uint64 { return m.l2c.EvictPTE })
+	w.Track("l2c.evict.data_pte", func() uint64 { return m.l2c.EvictDataPTE })
+	w.Track("ptw.walk.instr", func() uint64 { return m.Stats.PageWalks[arch.InstrClass] })
+	w.Track("ptw.walk.data", func() uint64 { return m.Stats.PageWalks[arch.DataClass] })
 	// Phase-classification features (internal/sample): per-window L1I and
 	// L2C demand-miss and branch-mispredict deltas.
-	mm.windows.Track("l1i.demand_miss", reg.Counter("l1i.demand_miss"))
-	mm.windows.Track("l2c.demand_miss", reg.Counter("l2c.demand_miss"))
-	mm.windows.Track("branch.mispredict", mm.branchMispred)
+	w.Track("l1i.demand_miss", func() uint64 {
+		return m.tenantSum(func(c *stats.Core) uint64 { return c.L1I.TotalMisses() })
+	})
+	w.Track("l2c.demand_miss", m.Stats.L2C.TotalMisses)
+	w.Track("branch.mispredict", func() uint64 { return m.branchMispredicts })
 
 	if m.ctrl != nil {
-		mm.xptpTransitions = reg.Counter("xptp.transitions")
 		mm.xptpEnabled = m.ctrl.Enabled()
-		m.ctrl.SetDecisionHook(func(enabled bool, _ int) {
-			if enabled != mm.xptpEnabled {
-				mm.xptpTransitions.Inc()
-			}
-			mm.xptpEnabled = enabled
-		})
+		m.ctrl.SetDecisionHook(func(enabled bool, _ int) { mm.xptpEnabled = enabled })
 	}
 
 	mm.annotate = func(rec *metrics.WindowRecord) {
@@ -123,12 +80,18 @@ func (m *Machine) InstrumentMetrics(reg *metrics.Registry, windowInstr uint64) *
 		}
 	}
 
-	mm.next = mm.windows.Size()
-	m.metSTLBMissInstr = mm.stlbMissInstr
-	m.metSTLBMissData = mm.stlbMissData
-	m.metBranchMispred = mm.branchMispred
+	mm.next = w.Size()
 	m.met = mm
-	return mm.windows
+	return w
+}
+
+// tenantSum adds up one counter over every tenant's statistics view.
+func (m *Machine) tenantSum(count func(*stats.Core) uint64) uint64 {
+	var n uint64
+	for i := range m.Stats.Cores {
+		n += count(&m.Stats.Cores[i])
+	}
+	return n
 }
 
 // Metrics returns the attached windowed sampler, or nil.
@@ -139,6 +102,17 @@ func (m *Machine) Metrics() *metrics.Windows {
 	return m.met.windows
 }
 
+// resetMeasured is the warmup→measure statistics reset. An attached
+// sampler rebases its counters across it, so the window that spans the
+// boundary still counts the events on both sides.
+func (m *Machine) resetMeasured() {
+	if m.met == nil {
+		m.Stats.ResetMeasured()
+		return
+	}
+	m.met.windows.Rebase(m.Stats.ResetMeasured)
+}
+
 // closeMetricsWindow ends the current sampling window at the given
 // cumulative retired count, annotating the record with the derived
 // headline series and the adaptive controller's status bit. Called from
@@ -147,16 +121,4 @@ func (m *Machine) closeMetricsWindow(retired arch.Instr) {
 	mm := m.met
 	mm.windows.Close(retired, m.maxRetireCycle, mm.annotate)
 	mm.next += mm.windows.Size()
-}
-
-// recordSTLBDemandMiss feeds the windowed series from the translate path;
-// it mirrors stats.Sim's STLB bucket accounting.
-//
-//itp:hotpath
-func (m *Machine) recordSTLBDemandMiss(bucket stats.Bucket) {
-	if bucket == stats.BInstr {
-		m.metSTLBMissInstr.Inc()
-	} else {
-		m.metSTLBMissData.Inc()
-	}
 }

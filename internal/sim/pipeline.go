@@ -264,7 +264,7 @@ func (m *Machine) step(t *threadCtx) {
 			predictedRight = m.predictBranch(c)
 		}
 		if !predictedRight {
-			m.metBranchMispred.Inc()
+			m.branchMispredicts++
 			// Mispredict: the front end redirects after resolution and
 			// must refetch the target block, wherever it lives (an
 			// address sentinel would miss targets in block 0).

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"itpsim/internal/arch"
-	"itpsim/internal/metrics"
 )
 
 // touch performs the simulator's lookup-then-insert-on-miss protocol for
@@ -91,28 +90,49 @@ func TestTLBStackInvariantUnderRandomOps(t *testing.T) {
 	}
 }
 
-// TestTLBInstrumentCountsDemandTraffic checks the structure-level metrics
-// counters agree with a hand-tracked reference under a random stream.
-func TestTLBInstrumentCountsDemandTraffic(t *testing.T) {
-	tl := New("counted", 2, 4, NewLRU())
-	reg := metrics.NewRegistry()
-	tl.Instrument(reg, "tlb")
+// TestTLBDemandTrafficMatchesReference checks the TLB's hit/miss outcomes
+// under a random mixed-class stream against a hand-kept LRU model of the
+// same geometry, step by step and in total.
+func TestTLBDemandTrafficMatchesReference(t *testing.T) {
+	const sets, ways = 2, 4
+	tl := New("counted", sets, ways, NewLRU())
+	ref := make([][]uint64, sets) // per set, most recent first
 	rng := rand.New(rand.NewSource(5))
-	var hits, misses uint64
+	var hits, misses, refHits, refMisses uint64
 	for step := 0; step < 5000; step++ {
 		vpn := uint64(rng.Intn(40))
 		class := arch.Class(rng.Intn(2))
 		va := arch.Addr(vpn << arch.PageBits4K)
-		if _, _, hit := tl.Lookup(va, 0, class, 0); hit {
+		_, _, hit := tl.Lookup(va, 0, class, 0)
+		if hit {
 			hits++
 		} else {
 			misses++
 			tl.Insert(va, vpn, arch.PageBits4K, class, 0, 0)
 		}
+
+		set := ref[vpn%sets]
+		pos := -1
+		for i, v := range set {
+			if v == vpn {
+				pos = i
+			}
+		}
+		if pos >= 0 {
+			refHits++
+			set = append(set[:pos], set[pos+1:]...)
+		} else {
+			refMisses++
+			if len(set) == ways {
+				set = set[:ways-1]
+			}
+		}
+		ref[vpn%sets] = append([]uint64{vpn}, set...)
+		if hit != (pos >= 0) {
+			t.Fatalf("step %d: vpn %d hit=%v, reference says %v", step, vpn, hit, pos >= 0)
+		}
 	}
-	gotHits := reg.Counter("tlb.hit.instr").Value() + reg.Counter("tlb.hit.data").Value()
-	gotMisses := reg.Counter("tlb.miss.instr").Value() + reg.Counter("tlb.miss.data").Value()
-	if gotHits != hits || gotMisses != misses {
-		t.Fatalf("counters say %d hits/%d misses, reference %d/%d", gotHits, gotMisses, hits, misses)
+	if hits != refHits || misses != refMisses {
+		t.Fatalf("TLB saw %d hits/%d misses, reference %d/%d", hits, misses, refHits, refMisses)
 	}
 }

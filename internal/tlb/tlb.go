@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"itpsim/internal/arch"
-	"itpsim/internal/metrics"
 )
 
 // Entry is one TLB entry plus the metadata iTP adds: the Type bit
@@ -151,13 +150,6 @@ type TLB struct {
 	setMask uint64
 	policy  Policy
 
-	// Observability counters (nil — and therefore free — until
-	// Instrument attaches a registry).
-	hitInstr, hitData   *metrics.Counter
-	missInstr, missData *metrics.Counter
-	evictInstr          *metrics.Counter
-	evictData           *metrics.Counter
-
 	// req is the scratch request record Lookup/Insert hand to the policy.
 	// Policies receive it by pointer through the Policy interface — which
 	// would heap-allocate a stack local on every access — and never retain
@@ -215,19 +207,6 @@ func (t *TLB) lookupSize(vaddr arch.Addr, pageBits uint8, thread uint8) (int, in
 	return si, -1
 }
 
-// Instrument attaches structure-level observability counters from the
-// registry under the given prefix (e.g. "stlb"): hits, misses, and
-// evictions split by translation class. A nil registry detaches nothing
-// and costs nothing — the counters stay nil and every update is a no-op.
-func (t *TLB) Instrument(reg *metrics.Registry, prefix string) {
-	t.hitInstr = reg.Counter(prefix + ".hit.instr")
-	t.hitData = reg.Counter(prefix + ".hit.data")
-	t.missInstr = reg.Counter(prefix + ".miss.instr")
-	t.missData = reg.Counter(prefix + ".miss.data")
-	t.evictInstr = reg.Counter(prefix + ".evict.instr")
-	t.evictData = reg.Counter(prefix + ".evict.data")
-}
-
 // Lookup implements Store. A hit triggers the policy's promotion rule.
 //
 //itp:hotpath
@@ -241,17 +220,7 @@ func (t *TLB) Lookup(vaddr arch.Addr, pc uint64, class arch.Class, thread uint8)
 		req := &t.req
 		*req = Request{VPN: set[w].VPN, PC: pc, Class: class, Thread: thread, PageBits: pageBits}
 		t.policy.OnHit(si, set, w, req)
-		if class == arch.InstrClass {
-			t.hitInstr.Inc()
-		} else {
-			t.hitData.Inc()
-		}
 		return set[w].PPN, pageBits, true
-	}
-	if class == arch.InstrClass {
-		t.missInstr.Inc()
-	} else {
-		t.missData.Inc()
 	}
 	return 0, 0, false
 }
@@ -297,11 +266,6 @@ func (t *TLB) Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Cla
 	w := t.policy.Victim(si, set, req)
 	if set[w].Valid {
 		t.policy.OnEvict(si, set, w)
-		if set[w].Class == arch.InstrClass {
-			t.evictInstr.Inc()
-		} else {
-			t.evictData.Inc()
-		}
 	}
 	set[w] = Entry{
 		Valid:    true,
@@ -355,13 +319,6 @@ func NewSplit(nsets, ways int, instrPolicy, dataPolicy Policy) *Split {
 		instr: New("STLB-I", nsets, ways, instrPolicy),
 		data:  New("STLB-D", nsets, ways, dataPolicy),
 	}
-}
-
-// Instrument attaches observability counters to both halves, suffixed
-// ".i" and ".d".
-func (s *Split) Instrument(reg *metrics.Registry, prefix string) {
-	s.instr.Instrument(reg, prefix+".i")
-	s.data.Instrument(reg, prefix+".d")
 }
 
 // Lookup implements Store, routing by class.
