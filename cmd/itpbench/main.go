@@ -18,8 +18,10 @@ import (
 	"strings"
 	"time"
 
+	"itpsim/internal/config"
 	"itpsim/internal/experiments"
 	"itpsim/internal/plot"
+	"itpsim/internal/run"
 )
 
 // writeSVG renders one experiment as a grouped bar chart. Per-workload
@@ -65,29 +67,21 @@ func main() {
 		warmup  = flag.Uint64("warmup", 0, "override: warmup instructions per thread")
 		measure = flag.Uint64("measure", 0, "override: measured instructions per thread")
 		cores   = flag.Int("cores", 0, "CMP width for the multi-core co-location study (mc1); 0 = its default of 4")
-		par     = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", 1, "split each single-workload simulation into this many parallel segments (1 = serial; error bounds in DESIGN.md §12)")
-
-		samplePhases = flag.Int("sample-phases", 0, "phase-sample each single-workload simulation: K phases from a shared LRU-baseline profile, one representative interval each (0 = off; error bounds in DESIGN.md §14)")
-		sampleWindow = flag.Uint64("sample-window", 0, "phase-classification interval in retired instructions (0 = 50000); warmup and measure must be multiples of it")
-		funcWarmup   = flag.Uint64("func-warmup", 0, "replay this prefix of each segment's warmup functionally (no pipeline); must leave a detailed warmup suffix")
 		csvDir  = flag.String("csv", "", "also write <dir>/<fig>.csv for each experiment")
 		svgDir  = flag.String("svg", "", "also render <dir>/<fig>.svg bar charts")
-
-		retries    = flag.Int("retries", 0, "retry attempts for transiently failed jobs")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none)")
-		checkpoint = flag.String("checkpoint", "", "JSON-lines checkpoint journal; completed jobs are skipped on re-run")
-		wdInterval = flag.Duration("watchdog-interval", 5*time.Second, "forward-progress sampling period (0 disables the watchdog)")
-		wdSamples  = flag.Int("watchdog-samples", 6, "consecutive no-progress samples before a run is killed")
 	)
+	var (
+		sup                      run.Supervision
+		shards, phases           int
+		sampleWindow, funcWarmup uint64
+	)
+	sup.Register(flag.CommandLine)
+	run.RegisterSplit(flag.CommandLine, &shards, &phases, &sampleWindow, &funcWarmup, 0)
 	flag.Parse()
 
 	if *fig == "" {
-		fmt.Fprintf(os.Stderr, "itpbench: -fig required; available: %s, all\n",
-			strings.Join(experiments.All(), " "))
-		os.Exit(2)
+		run.Exit("itpbench", 2, fmt.Errorf("-fig required; available: %s, all", strings.Join(experiments.All(), " ")))
 	}
-
 	o := experiments.Defaults()
 	if *scale == "quick" {
 		o = experiments.Quick()
@@ -101,31 +95,28 @@ func main() {
 	if *pairs > 0 {
 		o.SMTPairsPerCategory = *pairs
 	}
+	if *cores > 0 {
+		o.Cores = *cores
+	}
 	if *warmup > 0 {
 		o.Warmup = *warmup
 	}
 	if *measure > 0 {
 		o.Measure = *measure
 	}
-	if *cores > 0 {
-		o.Cores = *cores
+	o.Shards, o.SamplePhases, o.SampleWindow, o.FuncWarmup = shards, phases, sampleWindow, funcWarmup
+	o.Parallelism, o.Retries, o.JobTimeout, o.Checkpoint = sup.Parallel, sup.Retries, sup.JobTimeout, sup.Checkpoint
+	o.WatchdogInterval, o.WatchdogSamples = sup.WatchdogInterval, sup.WatchdogSamples
+	o.Logf = run.Stderr
+	// Every single-workload simulation takes the split; reject a bad one
+	// before any experiment starts.
+	probe := run.Spec{Tenants: []string{"srv_000"}, System: config.Default(), Warmup: o.Warmup, Measure: o.Measure,
+		Shards: o.Shards, Phases: o.SamplePhases, Window: o.SampleWindow, FuncWarmup: o.FuncWarmup}
+	if probe.Phases > 0 && probe.Window == 0 {
+		probe.Window = 50_000
 	}
-	if *samplePhases > 0 && *shards > 1 {
-		fmt.Fprintln(os.Stderr, "itpbench: -sample-phases and -shards are alternative parallel modes; pick one")
-		os.Exit(2)
-	}
-	o.Parallelism = *par
-	o.Shards = *shards
-	o.SamplePhases = *samplePhases
-	o.SampleWindow = *sampleWindow
-	o.FuncWarmup = *funcWarmup
-	o.Retries = *retries
-	o.JobTimeout = *jobTimeout
-	o.Checkpoint = *checkpoint
-	o.WatchdogInterval = *wdInterval
-	o.WatchdogSamples = *wdSamples
-	o.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
+	if err := probe.Validate(); err != nil {
+		run.Exit("itpbench", 2, err)
 	}
 
 	ids := []string{*fig}
@@ -137,20 +128,17 @@ func main() {
 		start := time.Now()
 		res, err := experiments.Run(id, o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "itpbench: %s: %v\n", id, err)
-			os.Exit(1)
+			run.Exit("itpbench", 1, fmt.Errorf("%s: %w", id, err))
 		}
 		experiments.Print(os.Stdout, res)
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, id, res); err != nil {
-				fmt.Fprintf(os.Stderr, "itpbench: csv: %v\n", err)
-				os.Exit(1)
+				run.Exit("itpbench", 1, fmt.Errorf("csv: %w", err))
 			}
 		}
 		if *svgDir != "" {
 			if err := writeSVG(*svgDir, id, res); err != nil {
-				fmt.Fprintf(os.Stderr, "itpbench: svg: %v\n", err)
-				os.Exit(1)
+				run.Exit("itpbench", 1, fmt.Errorf("svg: %w", err))
 			}
 		}
 		//itp:wallclock — progress reporting only; never feeds the simulation

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"itpsim/internal/config"
+	"itpsim/internal/run"
 	"itpsim/internal/stats"
 )
 
@@ -56,27 +57,16 @@ func MC1(o Options) (Result, error) {
 		cfg := config.Default()
 		q.apply(&cfg)
 
-		// Solo baselines: each distinct tenant workload alone on a 1-core
-		// machine under the same policy quadrant. Distinct names only —
-		// the harness needs unique job keys, and the memo would collapse
-		// duplicates anyway.
-		soloJobs := make([]job, 0, len(set))
-		soloIdx := make(map[string]int, len(set))
-		for _, n := range tenants {
-			if _, ok := soloIdx[n]; ok {
-				continue
-			}
-			soloIdx[n] = len(soloJobs)
-			soloJobs = append(soloJobs, r.newJob([]string{n}, cfg, "mc1solo"))
-		}
-		solos, err := r.runAll(soloJobs)
+		// Solo baselines: each tenant workload alone on a 1-core machine
+		// under the same policy quadrant; repeated tenants share one run.
+		soloRuns, err := r.runAll(r.specs(solos(tenants), cfg))
 		if err != nil {
 			return res, err
 		}
 
 		ccfg := cfg
 		ccfg.Cores = cores
-		colocs, err := r.runAll([]job{r.newJob(tenants, ccfg, "mc1")})
+		colocs, err := r.runAll([]run.Spec{r.spec(tenants, ccfg)})
 		if err != nil {
 			return res, err
 		}
@@ -86,7 +76,7 @@ func MC1(o Options) (Result, error) {
 		for i, n := range tenants {
 			ten := &coloc.Cores[i]
 			ipc := ten.IPC()
-			solo := solos[soloIdx[n]]
+			solo := soloRuns[i]
 			var slow float64
 			if ipc > 0 {
 				slow = solo.IPC() / ipc

@@ -6,24 +6,16 @@
 package experiments
 
 import (
-	"context"
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"itpsim/internal/config"
-	"itpsim/internal/harness"
-	"itpsim/internal/metrics"
-	"itpsim/internal/sample"
-	"itpsim/internal/shard"
-	"itpsim/internal/sim"
+	"itpsim/internal/run"
 	"itpsim/internal/stats"
 	"itpsim/internal/workload"
 )
@@ -177,49 +169,21 @@ func (c Combo) apply(cfg *config.SystemConfig) {
 	cfg.LLCPolicy = c.LLC
 }
 
-// runner executes simulations for one experiment through the harness
-// supervisor, with memoisation so shared baselines are only simulated
-// once.
+// runner executes one experiment's simulations: run.Runner supplies the
+// supervision, the split engines and the memo, so shared baselines are
+// only simulated once.
 type runner struct {
-	o        Options
-	cat      *workload.Catalog
-	ix       *shard.Index     // split-position cache shared by all sharded sweeps
-	profiles *sample.Profiles // profiling pre-passes shared by all sampled sweeps
-
-	mu   sync.Mutex
-	memo map[string]*stats.Sim
+	o Options
+	*run.Runner
 }
 
 func newRunner(o Options) *runner {
-	return &runner{
-		o:        o,
-		cat:      workload.NewCatalog(120, 20),
-		ix:       shard.NewIndex(),
-		profiles: sample.NewProfiles(),
-		memo:     make(map[string]*stats.Sim),
-	}
-}
-
-// harnessOptions maps the experiment options onto the supervisor.
-func (r *runner) harnessOptions() harness.Options {
-	par := r.o.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	return harness.Options{
-		Parallelism:      par,
-		Retries:          r.o.Retries,
-		JobTimeout:       r.o.JobTimeout,
-		WatchdogInterval: r.o.WatchdogInterval,
-		WatchdogSamples:  r.o.WatchdogSamples,
-		Checkpoint:       r.o.Checkpoint,
-		Logf:             r.o.Logf,
-	}
+	return &runner{o: o, Runner: run.NewRunner(workload.NewCatalog(120, 20))}
 }
 
 // serverSet returns the participating server workload names.
 func (r *runner) serverSet() []string {
-	names := r.cat.ServerNames()
+	names := r.Catalog.ServerNames()
 	if r.o.ServerWorkloads < len(names) {
 		names = names[:r.o.ServerWorkloads]
 	}
@@ -228,7 +192,7 @@ func (r *runner) serverSet() []string {
 
 // specSet returns the participating SPEC-like workload names.
 func (r *runner) specSet() []string {
-	names := r.cat.SpecNames()
+	names := r.Catalog.SpecNames()
 	if r.o.SpecWorkloads < len(names) {
 		names = names[:r.o.SpecWorkloads]
 	}
@@ -237,314 +201,81 @@ func (r *runner) specSet() []string {
 
 // pairs returns the SMT co-location pairs.
 func (r *runner) pairs() []workload.Pair {
-	return r.cat.SMTPairs(r.o.SMTPairsPerCategory)
+	return r.Catalog.SMTPairs(r.o.SMTPairsPerCategory)
 }
 
-// job describes one simulation: the workload (or pair) and configuration.
-type job struct {
-	key     string
-	names   []string // 1 or 2 workload names
-	cfg     config.SystemConfig
-	warmup  uint64
-	measure uint64
+// units returns the tenant sets of a thread mode: each server workload
+// alone, or each SMT pair.
+func (r *runner) units(smt bool) [][]string {
+	if !smt {
+		return solos(r.serverSet())
+	}
+	var units [][]string
+	for _, p := range r.pairs() {
+		units = append(units, []string{p.A, p.B})
+	}
+	return units
 }
 
-func (r *runner) newJob(names []string, cfg config.SystemConfig, tag string) job {
-	key := fmt.Sprintf("%s|%s|%s/%s/%s|h%.2f|i%d|s%d|split%v|c%d|%d/%d",
-		tag, strings.Join(names, "+"),
-		cfg.STLBPolicy, cfg.L2CPolicy, cfg.LLCPolicy,
-		cfg.HugePageFraction, cfg.ITLB.Entries(), cfg.STLB.Entries(), cfg.SplitSTLB,
-		cfg.Cores, r.o.Warmup, r.o.Measure)
-	return job{key: key, names: names, cfg: cfg, warmup: r.o.Warmup, measure: r.o.Measure}
+// solos wraps each workload name as a one-tenant set.
+func solos(names []string) [][]string {
+	units := make([][]string, len(names))
+	for i, n := range names {
+		units[i] = []string{n}
+	}
+	return units
 }
 
-// run executes (or recalls) one job under the supervisor's JobContext:
-// the machine is attached so the forward-progress watchdog can sample it
-// and interrupt it.
-func (r *runner) run(jc *harness.JobContext, j job) (*stats.Sim, error) {
-	r.mu.Lock()
-	if s, ok := r.memo[j.key]; ok {
-		r.mu.Unlock()
-		return s, nil
-	}
-	r.mu.Unlock()
-
-	streams := make([]workload.Stream, len(j.names))
-	for i, n := range j.names {
-		spec, err := r.cat.Get(n)
-		if err != nil {
-			// Unknown workloads stay unknown on retry.
-			return nil, harness.Permanent(err)
-		}
-		streams[i] = spec.NewStream()
-	}
-	m, err := sim.NewMachine(j.cfg)
-	if err != nil {
-		return nil, harness.Permanent(err)
-	}
-	if jc != nil {
-		jc.Attach(m)
-		// Context-aware sources (network trace feeds, pipes) unblock when
-		// the supervisor kills the job, so a stalled Next cannot pin the
-		// goroutine past the kill grace period. Bind the originals before
-		// the decode-ahead wrap below hides them.
-		for _, s := range streams {
-			if b, ok := s.(interface{ Bind(context.Context) }); ok {
-				b.Bind(jc.Context())
-			}
-		}
-	}
-	// Decode-ahead ingestion: generation/decode overlaps simulation and
-	// the run loop refills its lookahead from in-memory batches. The
-	// runner owns these streams (fresh per job), so wrapping is safe.
-	for i, s := range streams {
-		p := workload.Prefetch(s)
-		defer p.Close()
-		streams[i] = p
-	}
-	res, err := m.RunWarmup(streams, j.warmup, j.measure)
-	if err != nil {
-		return nil, err
-	}
-
-	r.mu.Lock()
-	r.memo[j.key] = res.Stats
-	r.mu.Unlock()
-	return res.Stats, nil
-}
-
-// runAll executes jobs through the harness supervisor, preserving order.
-// Unlike a fail-fast batch, every healthy job's result is returned even
-// when others fail: failures come back joined into one error (via
-// errors.Join inside the harness) with the corresponding output slots
-// left nil, so callers can keep partial sweeps and report exactly which
-// jobs died.
-func (r *runner) runAll(jobs []job) ([]*stats.Sim, error) {
+// spec describes one simulation at the experiment's scale: two tenants
+// on a single core are an SMT pair, and only single-stream runs take the
+// Options split (pairs and multi-core runs always run whole).
+func (r *runner) spec(tenants []string, cfg config.SystemConfig) run.Spec {
+	s := run.Spec{Tenants: tenants, System: cfg, Warmup: r.o.Warmup, Measure: r.o.Measure}
 	switch {
-	case r.o.SamplePhases > 0 && r.o.Shards > 1:
-		return nil, fmt.Errorf("experiments: SamplePhases and Shards are alternative parallel modes; pick one")
-	case r.o.SamplePhases > 0:
-		return r.runAllSplit(jobs, r.expandSampled)
-	case r.o.Shards > 1 || r.o.FuncWarmup > 0:
-		return r.runAllSplit(jobs, r.expandSharded)
-	}
-	hjobs := make([]harness.Job[*stats.Sim], len(jobs))
-	for i := range jobs {
-		j := jobs[i]
-		hjobs[i] = harness.Job[*stats.Sim]{
-			Key: j.key,
-			Run: func(jc *harness.JobContext) (*stats.Sim, error) { return r.run(jc, j) },
+	case cfg.Cores > 1:
+	case len(tenants) == 2:
+		s.System.SMT = true
+	default:
+		s.Shards, s.Phases, s.Window, s.FuncWarmup = r.o.Shards, r.o.SamplePhases, r.o.SampleWindow, r.o.FuncWarmup
+		if s.Phases > 0 && s.Window == 0 {
+			s.Window = 50_000
 		}
 	}
-	outs, err := harness.RunAll(r.harnessOptions(), hjobs)
+	return s
+}
+
+// specs returns one spec per tenant set under cfg.
+func (r *runner) specs(units [][]string, cfg config.SystemConfig) []run.Spec {
+	specs := make([]run.Spec, len(units))
+	for i, u := range units {
+		specs[i] = r.spec(u, cfg)
+	}
+	return specs
+}
+
+// runAll executes specs through the harness supervisor, preserving
+// order. Unlike a fail-fast batch, every healthy run's result is returned
+// even when others fail: failures come back joined into one error with
+// the corresponding slots left nil, so callers can keep partial sweeps
+// and report exactly which runs died.
+func (r *runner) runAll(specs []run.Spec) ([]*stats.Sim, error) {
+	sup := run.Supervision{
+		Parallel:         r.o.Parallelism,
+		Retries:          r.o.Retries,
+		JobTimeout:       r.o.JobTimeout,
+		Checkpoint:       r.o.Checkpoint,
+		WatchdogInterval: r.o.WatchdogInterval,
+		WatchdogSamples:  r.o.WatchdogSamples,
+	}
+	outs, err := r.Execute(sup.Options(0, r.o.Logf), specs, nil)
 	if outs == nil {
 		return nil, err
 	}
-	out := make([]*stats.Sim, len(jobs))
+	sims := make([]*stats.Sim, len(outs))
 	for i := range outs {
-		if outs[i].Err != nil {
-			continue
-		}
-		out[i] = outs[i].Result
-		if outs[i].Cached {
-			// Results recalled from the checkpoint journal feed the
-			// in-process memo too, so same-key jobs later in the
-			// experiment reuse them.
-			r.mu.Lock()
-			r.memo[outs[i].Key] = outs[i].Result
-			r.mu.Unlock()
-		}
+		sims[i] = outs[i].Stats
 	}
-	return out, err
-}
-
-// stitchFn folds one logical job's flat segment outcomes back into a
-// stats record.
-type stitchFn func([]harness.Outcome[*shard.Payload]) (*stats.Sim, error)
-
-// expandSharded turns one single-workload job into its Options.Shards
-// supervised segment jobs (internal/shard tiling, with any FuncWarmup
-// prefix) plus the matching stitch.
-func (r *runner) expandSharded(j job) ([]harness.Job[*shard.Payload], stitchFn, error) {
-	spec, err := r.cat.Get(j.names[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	shards := r.o.Shards
-	if shards < 1 {
-		shards = 1 // FuncWarmup alone still routes through the segment engine
-	}
-	cfg := shard.Config{System: j.cfg, Plan: shard.Plan{
-		Shards: shards, Warmup: j.warmup, Measure: j.measure, FuncWarmup: r.o.FuncWarmup,
-	}}
-	sjobs, err := shard.Jobs(cfg, j.key, shard.Source{Name: j.names[0], New: spec.NewStream}, r.ix)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", j.key, err)
-	}
-	return sjobs, func(outs []harness.Outcome[*shard.Payload]) (*stats.Sim, error) {
-		res, err := shard.Stitch(cfg, outs)
-		if err != nil {
-			return nil, err
-		}
-		return res.Stats, nil
-	}, nil
-}
-
-// expandSampled turns one single-workload job into its per-representative
-// jobs (internal/sample): the profiling pre-pass runs here, synchronously,
-// through the runner's shared profile cache — every policy combination
-// over the same (workload, geometry) reuses one profile.
-func (r *runner) expandSampled(j job) ([]harness.Job[*shard.Payload], stitchFn, error) {
-	spec, err := r.cat.Get(j.names[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	src := shard.Source{Name: j.names[0], New: spec.NewStream}
-	cfg := sample.Config{
-		System:  j.cfg,
-		Phases:  r.o.SamplePhases,
-		Window:  r.o.SampleWindow,
-		Warmup:  j.warmup,
-		Measure: j.measure,
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 50_000
-	}
-	if r.o.FuncWarmup > 0 {
-		if r.o.FuncWarmup >= j.warmup {
-			return nil, nil, fmt.Errorf("%s: FuncWarmup %d must leave a detailed warmup suffix (warmup %d)", j.key, r.o.FuncWarmup, j.warmup)
-		}
-		cfg.DetailWarmup = j.warmup - r.o.FuncWarmup
-	}
-	var plan *sample.Plan
-	if cfg.Phases == 1 {
-		plan, err = sample.BuildPlan(cfg, nil)
-	} else {
-		var prof []metrics.WindowRecord
-		if prof, err = r.profiles.Get(cfg, src, nil); err == nil {
-			plan, err = sample.BuildPlan(cfg, prof)
-		}
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", j.key, err)
-	}
-	sjobs, err := plan.Jobs(j.key, src, r.ix)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", j.key, err)
-	}
-	return sjobs, func(outs []harness.Outcome[*shard.Payload]) (*stats.Sim, error) {
-		res, err := plan.Stitch(outs)
-		if err != nil {
-			return nil, err
-		}
-		return res.Stats, nil
-	}, nil
-}
-
-// runAllSplit is runAll's segmented path (Shards>1, FuncWarmup, or
-// SamplePhases): every single-workload job expands — via expand — into K
-// supervised segment jobs and every pair or multi-core job wraps into one
-// whole-run job, all flattened into a SINGLE harness.RunAll so a shared
-// checkpoint journal keeps one writer. Afterwards each logical job's
-// segment outcomes are stitched back into one stats record; the error
-// contract matches runAll (partial results, joined failures).
-func (r *runner) runAllSplit(jobs []job, expand func(job) ([]harness.Job[*shard.Payload], stitchFn, error)) ([]*stats.Sim, error) {
-	type span struct {
-		start, n int        // slice of the flat outcome list
-		stitch   stitchFn   // set when expanded (single-workload)
-		memo     *stats.Sim // pre-resolved from the in-process memo
-		dup      int        // >=0: same key as an earlier job in this batch
-		err      error      // expansion failure (unknown workload, bad plan)
-	}
-	spans := make([]span, len(jobs))
-	seen := make(map[string]int, len(jobs))
-	var flat []harness.Job[*shard.Payload]
-	for i := range jobs {
-		j := jobs[i]
-		spans[i].dup = -1
-		r.mu.Lock()
-		s, ok := r.memo[j.key]
-		r.mu.Unlock()
-		if ok {
-			spans[i].memo = s
-			continue
-		}
-		if first, ok := seen[j.key]; ok {
-			spans[i].dup = first
-			continue
-		}
-		seen[j.key] = i
-		if len(j.names) == 1 && j.cfg.Cores <= 1 {
-			sjobs, stitch, err := expand(j)
-			if err != nil {
-				spans[i].err = err
-				continue
-			}
-			spans[i] = span{start: len(flat), n: len(sjobs), stitch: stitch, dup: -1}
-			flat = append(flat, sjobs...)
-			continue
-		}
-		// Pairs and multi-core jobs run whole: segmenting is defined over
-		// one stream, and the whole-run job still gets the supervisor
-		// (retries, watchdog, checkpoint) through the same flat batch.
-		spans[i] = span{start: len(flat), n: 1, dup: -1}
-		flat = append(flat, harness.Job[*shard.Payload]{
-			Key: j.key + "|whole",
-			Run: func(jc *harness.JobContext) (*shard.Payload, error) {
-				s, err := r.run(jc, j)
-				if err != nil {
-					return nil, err
-				}
-				return &shard.Payload{Stats: s}, nil
-			},
-		})
-	}
-
-	outs, runErr := harness.RunAll(r.harnessOptions(), flat)
-	if outs == nil {
-		return nil, runErr
-	}
-	var errs []error
-	if runErr != nil {
-		errs = append(errs, runErr)
-	}
-	out := make([]*stats.Sim, len(jobs))
-	for i := range jobs {
-		sp := spans[i]
-		switch {
-		case sp.memo != nil:
-			out[i] = sp.memo
-		case sp.err != nil:
-			errs = append(errs, sp.err)
-		case sp.dup >= 0:
-			out[i] = out[sp.dup] // nil if the first instance failed
-		case sp.stitch != nil:
-			s, err := sp.stitch(outs[sp.start : sp.start+sp.n])
-			if err != nil {
-				// The failing segments are already in runErr; this adds
-				// which logical job they sank.
-				errs = append(errs, fmt.Errorf("%s: %w", jobs[i].key, err))
-				continue
-			}
-			out[i] = s
-		default:
-			o := outs[sp.start]
-			if o.Err != nil {
-				continue // joined into runErr by the harness
-			}
-			if o.Result == nil || o.Result.Stats == nil {
-				errs = append(errs, fmt.Errorf("%s: empty whole-run payload (stale checkpoint?)", jobs[i].key))
-				continue
-			}
-			out[i] = o.Result.Stats
-		}
-		if out[i] != nil {
-			r.mu.Lock()
-			r.memo[jobs[i].key] = out[i]
-			r.mu.Unlock()
-		}
-	}
-	return out, errors.Join(errs...)
+	return sims, err
 }
 
 // speedup returns the relative IPC improvement in percent.

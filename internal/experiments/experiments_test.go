@@ -12,6 +12,7 @@ import (
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
 	"itpsim/internal/harness"
+	"itpsim/internal/run"
 	"itpsim/internal/stats"
 	"itpsim/internal/workload"
 )
@@ -196,20 +197,20 @@ func TestFig10Shape(t *testing.T) {
 func TestMemoisationSharesBaselines(t *testing.T) {
 	r := newRunner(tiny())
 	cfg := config.Default()
-	j1 := r.newJob([]string{"srv_000"}, cfg, "x")
-	j2 := r.newJob([]string{"srv_000"}, cfg, "x")
-	if j1.key != j2.key {
+	j1 := r.spec([]string{"srv_000"}, cfg)
+	j2 := r.spec([]string{"srv_000"}, cfg)
+	if j1.Key() != j2.Key() {
 		t.Error("identical jobs should share a memo key")
 	}
-	s1, err := r.run(nil, j1)
+	s1, err := r.runAll([]run.Spec{j1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := r.run(nil, j2)
+	s2, err := r.runAll([]run.Spec{j2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
+	if s1[0] != s2[0] {
 		t.Error("memoised run should return the same stats object")
 	}
 }
@@ -223,27 +224,21 @@ func TestRunAllReportsFaultsWithPartialResults(t *testing.T) {
 	o.WatchdogInterval = 10 * time.Millisecond
 	o.WatchdogSamples = 3
 	r := newRunner(o)
-	base, err := r.cat.Get("spec_000")
+	base, err := r.Catalog.Get("spec_000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.cat.Register("fault_panic", workload.HighPressure, func() workload.Stream {
+	r.Catalog.Register("fault_panic", workload.HighPressure, func() workload.Stream {
 		return workload.NewPanicStream(base.NewStream(), 10_000)
 	})
-	r.cat.Register("fault_stall", workload.HighPressure, func() workload.Stream {
+	r.Catalog.Register("fault_stall", workload.HighPressure, func() workload.Stream {
 		// Auto-release only bounds the leak if the kill path were broken;
 		// the supervisor's context cancellation is the real unblock.
 		return workload.NewStallStream(base.NewStream(), 30_000, 5*time.Second)
 	})
 
 	cfg := config.Default()
-	jobs := []job{
-		r.newJob([]string{"srv_000"}, cfg, "fault-sweep"),
-		r.newJob([]string{"fault_panic"}, cfg, "fault-sweep"),
-		r.newJob([]string{"fault_stall"}, cfg, "fault-sweep"),
-		r.newJob([]string{"spec_001"}, cfg, "fault-sweep"),
-	}
-	sims, err := r.runAll(jobs)
+	sims, err := r.runAll(r.specs(solos([]string{"srv_000", "fault_panic", "fault_stall", "spec_001"}), cfg))
 	if err == nil {
 		t.Fatal("sweep with injected faults must report an error")
 	}
@@ -277,19 +272,15 @@ func TestRunAllCheckpointResume(t *testing.T) {
 	cfg := config.Default()
 
 	r1 := newRunner(o)
-	base1, err := r1.cat.Get("spec_000")
+	base1, err := r1.Catalog.Get("spec_000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.cat.Register("flappy", workload.HighPressure, func() workload.Stream {
+	r1.Catalog.Register("flappy", workload.HighPressure, func() workload.Stream {
 		return workload.NewPanicStream(base1.NewStream(), 10_000)
 	})
-	jobs1 := []job{
-		r1.newJob([]string{"srv_000"}, cfg, "resume"),
-		r1.newJob([]string{"flappy"}, cfg, "resume"),
-		r1.newJob([]string{"spec_001"}, cfg, "resume"),
-	}
-	sims1, err := r1.runAll(jobs1)
+	names := solos([]string{"srv_000", "flappy", "spec_001"})
+	sims1, err := r1.runAll(r1.specs(names, cfg))
 	if err == nil {
 		t.Fatal("first pass must report the injected failure")
 	}
@@ -300,23 +291,18 @@ func TestRunAllCheckpointResume(t *testing.T) {
 	// Second pass: poison the completed workloads' generators so any
 	// re-simulation panics (and fails the pass), and heal the flaky one.
 	r2 := newRunner(o)
-	r2.cat.Register("srv_000", workload.HighPressure, func() workload.Stream {
+	r2.Catalog.Register("srv_000", workload.HighPressure, func() workload.Stream {
 		panic("checkpointed job was re-simulated")
 	})
-	r2.cat.Register("spec_001", workload.LowPressure, func() workload.Stream {
+	r2.Catalog.Register("spec_001", workload.LowPressure, func() workload.Stream {
 		panic("checkpointed job was re-simulated")
 	})
-	base2, err := r2.cat.Get("spec_000")
+	base2, err := r2.Catalog.Get("spec_000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.cat.Register("flappy", workload.HighPressure, base2.NewStream)
-	jobs2 := []job{
-		r2.newJob([]string{"srv_000"}, cfg, "resume"),
-		r2.newJob([]string{"flappy"}, cfg, "resume"),
-		r2.newJob([]string{"spec_001"}, cfg, "resume"),
-	}
-	sims2, err := r2.runAll(jobs2)
+	r2.Catalog.Register("flappy", workload.HighPressure, base2.NewStream)
+	sims2, err := r2.runAll(r2.specs(names, cfg))
 	if err != nil {
 		t.Fatalf("resumed pass should recall completed jobs and heal the rest: %v", err)
 	}
@@ -333,17 +319,17 @@ func TestRunAllCheckpointResume(t *testing.T) {
 
 func TestJobKeysDifferAcrossConfigs(t *testing.T) {
 	r := newRunner(tiny())
-	a := r.newJob([]string{"srv_000"}, config.Default(), "x")
+	a := r.spec([]string{"srv_000"}, config.Default())
 	cfg := config.Default()
 	cfg.STLBPolicy = "itp"
-	b := r.newJob([]string{"srv_000"}, cfg, "x")
-	if a.key == b.key {
+	b := r.spec([]string{"srv_000"}, cfg)
+	if a.Key() == b.Key() {
 		t.Error("different policies must not share a memo key")
 	}
 	cfg2 := config.Default()
 	cfg2.HugePageFraction = 0.5
-	c := r.newJob([]string{"srv_000"}, cfg2, "x")
-	if a.key == c.key {
+	c := r.spec([]string{"srv_000"}, cfg2)
+	if a.Key() == c.Key() {
 		t.Error("different huge-page fractions must not share a memo key")
 	}
 }
@@ -402,18 +388,16 @@ func TestShardedRunAllMatchesSerial(t *testing.T) {
 	serial := newRunner(o)
 	cfg := config.Default()
 	names := serial.serverSet()
-	jobs := []job{
-		serial.newJob([]string{names[0]}, cfg, "shardtest"),
-		serial.newJob([]string{names[0], names[1]}, cfg, "shardtest"),
-		serial.newJob([]string{names[0]}, cfg, "shardtest"), // duplicate key
-	}
-	want, err := serial.runAll(jobs)
+	// The last unit repeats the first: a duplicate key.
+	units := [][]string{{names[0]}, {names[0], names[1]}, {names[0]}}
+	want, err := serial.runAll(serial.specs(units, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	o.Shards = 2
 	sharded := newRunner(o)
+	jobs := sharded.specs(units, cfg)
 	got, err := sharded.runAll(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -489,12 +473,9 @@ func TestSampledRunAllMatchesSerial(t *testing.T) {
 	serial := newRunner(o)
 	cfg := config.Default()
 	names := serial.serverSet()
-	jobs := []job{
-		serial.newJob([]string{names[0]}, cfg, "sampletest"),
-		serial.newJob([]string{names[0], names[1]}, cfg, "sampletest"),
-		serial.newJob([]string{names[0]}, cfg, "sampletest"), // duplicate key
-	}
-	want, err := serial.runAll(jobs)
+	// The last unit repeats the first: a duplicate key.
+	units := [][]string{{names[0]}, {names[0], names[1]}, {names[0]}}
+	want, err := serial.runAll(serial.specs(units, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,6 +484,7 @@ func TestSampledRunAllMatchesSerial(t *testing.T) {
 	o.SampleWindow = 10_000
 	o.FuncWarmup = 10_000
 	sampled := newRunner(o)
+	jobs := sampled.specs(units, cfg)
 	got, err := sampled.runAll(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -537,7 +519,8 @@ func TestSampledRunAllMatchesSerial(t *testing.T) {
 	}
 	// SamplePhases and Shards together is a configuration error.
 	o.Shards = 2
-	if _, err := newRunner(o).runAll(jobs); err == nil {
+	both := newRunner(o)
+	if _, err := both.runAll(both.specs(units, cfg)); err == nil {
 		t.Error("SamplePhases+Shards accepted; want an error")
 	}
 }
@@ -549,14 +532,14 @@ func TestFuncWarmupRunAll(t *testing.T) {
 	o := tiny()
 	serial := newRunner(o)
 	cfg := config.Default()
-	names := serial.serverSet()
-	jobs := []job{serial.newJob([]string{names[0]}, cfg, "fwtest")}
-	want, err := serial.runAll(jobs)
+	units := solos(serial.serverSet()[:1])
+	want, err := serial.runAll(serial.specs(units, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.FuncWarmup = 10_000
-	got, err := newRunner(o).runAll(jobs)
+	warmed := newRunner(o)
+	got, err := warmed.runAll(warmed.specs(units, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

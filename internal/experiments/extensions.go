@@ -32,11 +32,7 @@ func Ext1(o Options) (Result, error) {
 		YLabel: "% geomean IPC improvement over LRU baseline",
 	}
 	names := r.serverSet()
-	baseJobs := make([]job, len(names))
-	for i, n := range names {
-		baseJobs[i] = r.newJob([]string{n}, config.Default(), "ext1")
-	}
-	bases, err := r.runAll(baseJobs)
+	bases, err := r.runAll(r.specs(solos(names), config.Default()))
 	if err != nil {
 		return res, err
 	}
@@ -62,15 +58,7 @@ func Ext1(o Options) (Result, error) {
 	for _, v := range variants {
 		cfg := config.Default()
 		v.mod(&cfg)
-		jobs := make([]job, len(names))
-		for i, n := range names {
-			j := r.newJob([]string{n}, cfg, "ext1")
-			// STLBPrefetch and the static/emissary variants share policy
-			// names with other combos; disambiguate the memo key.
-			j.key += "|" + v.name
-			jobs[i] = j
-		}
-		sims, err := r.runAll(jobs)
+		sims, err := r.runAll(r.specs(solos(names), cfg))
 		if err != nil {
 			return res, err
 		}
@@ -97,11 +85,7 @@ func Tab3(o Options) (Result, error) {
 		YLabel: "baseline IPC (extras: MPKIs and translation share)",
 	}
 	names := append(r.serverSet(), r.specSet()...)
-	jobs := make([]job, len(names))
-	for i, n := range names {
-		jobs[i] = r.newJob([]string{n}, config.Default(), "tab3")
-	}
-	sims, err := r.runAll(jobs)
+	sims, err := r.runAll(r.specs(solos(names), config.Default()))
 	if err != nil {
 		return res, err
 	}

@@ -6,7 +6,6 @@ import (
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
 	"itpsim/internal/stats"
-	"itpsim/internal/workload"
 )
 
 // Fig1 reproduces Figure 1: fraction of cycles spent on instruction
@@ -29,11 +28,7 @@ func Fig1(o Options) (Result, error) {
 	} {
 		for _, size := range sizes {
 			cfg := config.Default().WithITLBEntries(size)
-			jobs := make([]job, len(suite.names))
-			for i, n := range suite.names {
-				jobs[i] = r.newJob([]string{n}, cfg, "fig1")
-			}
-			sims, err := r.runAll(jobs)
+			sims, err := r.runAll(r.specs(solos(suite.names), cfg))
 			if err != nil {
 				return res, err
 			}
@@ -70,11 +65,7 @@ func Fig2(o Options) (Result, error) {
 		{"qualcomm-server", r.serverSet()},
 		{"spec", r.specSet()},
 	} {
-		jobs := make([]job, len(suite.names))
-		for i, n := range suite.names {
-			jobs[i] = r.newJob([]string{n}, cfg, "fig2")
-		}
-		sims, err := r.runAll(jobs)
+		sims, err := r.runAll(r.specs(solos(suite.names), cfg))
 		if err != nil {
 			return res, err
 		}
@@ -108,11 +99,7 @@ func Fig3(o Options) (Result, error) {
 		YLabel: "% IPC improvement over LRU",
 	}
 	names := r.serverSet()
-	baseJobs := make([]job, len(names))
-	for i, n := range names {
-		baseJobs[i] = r.newJob([]string{n}, config.Default(), "fig3")
-	}
-	bases, err := r.runAll(baseJobs)
+	bases, err := r.runAll(r.specs(solos(names), config.Default()))
 	if err != nil {
 		return res, err
 	}
@@ -120,11 +107,7 @@ func Fig3(o Options) (Result, error) {
 		cfg := config.Default()
 		cfg.STLBPolicy = "problru"
 		cfg.ProbKeepInstr = p
-		jobs := make([]job, len(names))
-		for i, n := range names {
-			jobs[i] = r.newJob([]string{n}, cfg, fmt.Sprintf("fig3-p%.1f", p))
-		}
-		sims, err := r.runAll(jobs)
+		sims, err := r.runAll(r.specs(solos(names), cfg))
 		if err != nil {
 			return res, err
 		}
@@ -161,11 +144,7 @@ func Fig4(o Options) (Result, error) {
 			return c
 		}()},
 	} {
-		jobs := make([]job, len(names))
-		for i, n := range names {
-			jobs[i] = r.newJob([]string{n}, pol.cfg, "fig4")
-		}
-		sims, err := r.runAll(jobs)
+		sims, err := r.runAll(r.specs(solos(names), pol.cfg))
 		if err != nil {
 			return res, err
 		}
@@ -208,42 +187,26 @@ func fig8(o Options, smt bool) (Result, error) {
 	}
 	res := Result{Figure: which, Title: title, YLabel: "% IPC improvement over LRU baseline"}
 
-	type unit struct {
-		label string
-		names []string
-	}
-	var units []unit
+	units, labels := r.units(smt), r.serverSet()
 	if smt {
+		labels = nil
 		for _, p := range r.pairs() {
-			units = append(units, unit{label: p.Name, names: []string{p.A, p.B}})
-		}
-	} else {
-		for _, n := range r.serverSet() {
-			units = append(units, unit{label: n, names: []string{n}})
+			labels = append(labels, p.Name)
 		}
 	}
-
-	baseJobs := make([]job, len(units))
-	for i, u := range units {
-		baseJobs[i] = r.newJob(u.names, config.Default(), which)
-	}
-	bases, err := r.runAll(baseJobs)
+	bases, err := r.runAll(r.specs(units, config.Default()))
 	if err != nil {
 		return res, err
 	}
 	for _, combo := range PolicyTable() {
 		cfg := config.Default()
 		combo.apply(&cfg)
-		jobs := make([]job, len(units))
-		for i, u := range units {
-			jobs[i] = r.newJob(u.names, cfg, which)
-		}
-		sims, err := r.runAll(jobs)
+		sims, err := r.runAll(r.specs(units, cfg))
 		if err != nil {
 			return res, err
 		}
-		for i, u := range units {
-			res.Rows = append(res.Rows, Row{Series: combo.Name, Label: u.label, Value: speedup(bases[i], sims[i])})
+		for i, label := range labels {
+			res.Rows = append(res.Rows, Row{Series: combo.Name, Label: label, Value: speedup(bases[i], sims[i])})
 		}
 		res.Rows = append(res.Rows, Row{Series: combo.Name, Label: "GEOMEAN", Value: geomeanSpeedup(bases, sims)})
 	}
@@ -275,25 +238,11 @@ func Fig9(o Options) (Result, error) {
 		tag string
 		smt bool
 	}{{"1T", false}, {"2T", true}} {
-		type unit struct{ names []string }
-		var units []unit
-		if mode.smt {
-			for _, p := range r.pairs() {
-				units = append(units, unit{names: []string{p.A, p.B}})
-			}
-		} else {
-			for _, n := range r.serverSet() {
-				units = append(units, unit{names: []string{n}})
-			}
-		}
+		units := r.units(mode.smt)
 		for _, combo := range combos {
 			cfg := config.Default()
 			combo.apply(&cfg)
-			jobs := make([]job, len(units))
-			for i, u := range units {
-				jobs[i] = r.newJob(u.names, cfg, "fig9-"+mode.tag)
-			}
-			sims, err := r.runAll(jobs)
+			sims, err := r.runAll(r.specs(units, cfg))
 			if err != nil {
 				return res, err
 			}
@@ -338,25 +287,11 @@ func Fig10(o Options) (Result, error) {
 		tag string
 		smt bool
 	}{{"1T", false}, {"2T", true}} {
-		type unit struct{ names []string }
-		var units []unit
-		if mode.smt {
-			for _, p := range r.pairs() {
-				units = append(units, unit{names: []string{p.A, p.B}})
-			}
-		} else {
-			for _, n := range r.serverSet() {
-				units = append(units, unit{names: []string{n}})
-			}
-		}
+		units := r.units(mode.smt)
 		for _, pol := range []string{"lru", "itp"} {
 			cfg := config.Default()
 			cfg.STLBPolicy = pol
-			jobs := make([]job, len(units))
-			for i, u := range units {
-				jobs[i] = r.newJob(u.names, cfg, "fig10-"+mode.tag)
-			}
-			sims, err := r.runAll(jobs)
+			sims, err := r.runAll(r.specs(units, cfg))
 			if err != nil {
 				return res, err
 			}
@@ -392,25 +327,11 @@ func Fig11(o Options) (Result, error) {
 		tag string
 		smt bool
 	}{{"1T", false}, {"2T", true}} {
-		type unit struct{ names []string }
-		var units []unit
-		if mode.smt {
-			for _, p := range r.pairs() {
-				units = append(units, unit{names: []string{p.A, p.B}})
-			}
-		} else {
-			for _, n := range r.serverSet() {
-				units = append(units, unit{names: []string{n}})
-			}
-		}
+		units := r.units(mode.smt)
 		for _, llc := range []string{"lru", "ship", "mockingjay"} {
 			baseCfg := config.Default()
 			baseCfg.LLCPolicy = llc
-			baseJobs := make([]job, len(units))
-			for i, u := range units {
-				baseJobs[i] = r.newJob(u.names, baseCfg, "fig11-"+mode.tag)
-			}
-			bases, err := r.runAll(baseJobs)
+			bases, err := r.runAll(r.specs(units, baseCfg))
 			if err != nil {
 				return res, err
 			}
@@ -421,11 +342,7 @@ func Fig11(o Options) (Result, error) {
 				cfg := baseCfg
 				cfg.STLBPolicy = prop.stlb
 				cfg.L2CPolicy = prop.l2c
-				jobs := make([]job, len(units))
-				for i, u := range units {
-					jobs[i] = r.newJob(u.names, cfg, "fig11-"+mode.tag)
-				}
-				sims, err := r.runAll(jobs)
+				sims, err := r.runAll(r.specs(units, cfg))
 				if err != nil {
 					return res, err
 				}
@@ -455,24 +372,10 @@ func Fig12(o Options) (Result, error) {
 		tag string
 		smt bool
 	}{{"1T", false}, {"2T", true}} {
-		type unit struct{ names []string }
-		var units []unit
-		if mode.smt {
-			for _, p := range r.pairs() {
-				units = append(units, unit{names: []string{p.A, p.B}})
-			}
-		} else {
-			for _, n := range r.serverSet() {
-				units = append(units, unit{names: []string{n}})
-			}
-		}
+		units := r.units(mode.smt)
 		for _, size := range []int{1024, 512, 128, 64} {
 			baseCfg := config.Default().WithITLBEntries(size)
-			baseJobs := make([]job, len(units))
-			for i, u := range units {
-				baseJobs[i] = r.newJob(u.names, baseCfg, "fig12-"+mode.tag)
-			}
-			bases, err := r.runAll(baseJobs)
+			bases, err := r.runAll(r.specs(units, baseCfg))
 			if err != nil {
 				return res, err
 			}
@@ -483,11 +386,7 @@ func Fig12(o Options) (Result, error) {
 				cfg := baseCfg
 				cfg.STLBPolicy = prop.stlb
 				cfg.L2CPolicy = prop.l2c
-				jobs := make([]job, len(units))
-				for i, u := range units {
-					jobs[i] = r.newJob(u.names, cfg, "fig12-"+mode.tag)
-				}
-				sims, err := r.runAll(jobs)
+				sims, err := r.runAll(r.specs(units, cfg))
 				if err != nil {
 					return res, err
 				}
@@ -523,25 +422,11 @@ func Fig13(o Options) (Result, error) {
 		tag string
 		smt bool
 	}{{"1T", false}, {"2T", true}} {
-		type unit struct{ names []string }
-		var units []unit
-		if mode.smt {
-			for _, p := range r.pairs() {
-				units = append(units, unit{names: []string{p.A, p.B}})
-			}
-		} else {
-			for _, n := range r.serverSet() {
-				units = append(units, unit{names: []string{n}})
-			}
-		}
+		units := r.units(mode.smt)
 		for _, frac := range []float64{0, 0.1, 0.5, 1.0} {
 			baseCfg := config.Default()
 			baseCfg.HugePageFraction = frac
-			baseJobs := make([]job, len(units))
-			for i, u := range units {
-				baseJobs[i] = r.newJob(u.names, baseCfg, "fig13-"+mode.tag)
-			}
-			bases, err := r.runAll(baseJobs)
+			bases, err := r.runAll(r.specs(units, baseCfg))
 			if err != nil {
 				return res, err
 			}
@@ -549,11 +434,7 @@ func Fig13(o Options) (Result, error) {
 				cfg := baseCfg
 				combo.apply(&cfg)
 				cfg.HugePageFraction = frac
-				jobs := make([]job, len(units))
-				for i, u := range units {
-					jobs[i] = r.newJob(u.names, cfg, "fig13-"+mode.tag)
-				}
-				sims, err := r.runAll(jobs)
+				sims, err := r.runAll(r.specs(units, cfg))
 				if err != nil {
 					return res, err
 				}
@@ -603,31 +484,13 @@ func Fig14(o Options) (Result, error) {
 		tag string
 		smt bool
 	}{{"1T", false}, {"2T", true}} {
-		type unit struct{ names []string }
-		var units []unit
-		if mode.smt {
-			for _, p := range r.pairs() {
-				units = append(units, unit{names: []string{p.A, p.B}})
-			}
-		} else {
-			for _, n := range r.serverSet() {
-				units = append(units, unit{names: []string{n}})
-			}
-		}
-		baseJobs := make([]job, len(units))
-		for i, u := range units {
-			baseJobs[i] = r.newJob(u.names, config.Default(), "fig14-"+mode.tag)
-		}
-		bases, err := r.runAll(baseJobs)
+		units := r.units(mode.smt)
+		bases, err := r.runAll(r.specs(units, config.Default()))
 		if err != nil {
 			return res, err
 		}
 		for _, d := range designs {
-			jobs := make([]job, len(units))
-			for i, u := range units {
-				jobs[i] = r.newJob(u.names, d.cfg, "fig14-"+mode.tag)
-			}
-			sims, err := r.runAll(jobs)
+			sims, err := r.runAll(r.specs(units, d.cfg))
 			if err != nil {
 				return res, err
 			}
@@ -682,6 +545,3 @@ func Tab2(Options) (Result, error) {
 	res.Notes = append(res.Notes, "L1D always uses LRU; value column unused")
 	return res, nil
 }
-
-// ensure workload import is used even if future edits drop other uses.
-var _ = workload.LowPressure

@@ -73,15 +73,14 @@ func TestItpvetCleanTree(t *testing.T) {
 
 // wallClockGolden is the exact per-package census of //itp:wallclock
 // sites. The simulator core must have none: the only permitted wall-clock
-// reads are the CLI tools' export-manifest timestamps and itpbench's
-// progress timer. Adding a site anywhere means updating this table — and
+// reads are the export-manifest timestamps (internal/run's shared CLI
+// helpers, cmd/benchguard) and the tools' progress timers. Adding a site anywhere means updating this table — and
 // justifying it in review.
 var wallClockGolden = map[string]int{
 	"itpsim/cmd/benchguard": 1, // baseline manifest Time field
 	"itpsim/cmd/itpbench":   2, // per-figure progress timer (start + elapsed)
-	"itpsim/cmd/itpsim":     1, // export manifest Time field
-	"itpsim/cmd/itpsweep":   1, // export manifest Time field
 	"itpsim/cmd/itpvet":     4, // -timing/-budget guard: load + per-analyzer (start + elapsed each)
+	"itpsim/internal/run":   1, // itpsim/itpsweep export manifest Time field
 }
 
 func TestWallClockAllowlist(t *testing.T) {
@@ -279,11 +278,8 @@ var ownershipManifest = map[string]map[string]int{
 	"itpsim/internal/harness": {
 		lintcore.DirDaemon: 1, // attempt body abandoned after KillGrace by design
 	},
-	"itpsim/cmd/itpsim": {
-		lintcore.DirDaemon: 1, // pprof/expvar debug server
-	},
-	"itpsim/cmd/itpsweep": {
-		lintcore.DirDaemon: 1, // pprof/expvar debug server
+	"itpsim/internal/run": {
+		lintcore.DirDaemon: 1, // itpsim/itpsweep pprof/expvar debug server
 	},
 }
 
