@@ -10,13 +10,14 @@ import (
 	"sync"
 )
 
-// checkpointVersion is the on-disk journal format. Version 2 adds a
-// header line, per-record CRC-32 checksums, the completed job's beacon
-// stamp, and atomic truncate-at-last-valid-record recovery. Version 1
-// (headerless {"key","result"} lines) is upgraded in place on open.
+// checkpointVersion is the on-disk journal format: a header line, then
+// one CRC-32-checksummed record per completed job carrying its beacon
+// stamp, with atomic truncate-at-last-valid-record recovery. A journal
+// without this header (including the headerless format of builds before
+// version 2) is discarded on open, like one from a different version.
 const checkpointVersion = 2
 
-// checkpointHeader is the first line of a v2 journal.
+// checkpointHeader is the first line of a journal.
 type checkpointHeader struct {
 	Version int `json:"itpsim_checkpoint"`
 }
@@ -30,19 +31,13 @@ type checkpointPayload struct {
 	Beacon *BeaconStamp    `json:"beacon,omitempty"`
 }
 
-// checkpointRecord is one v2 journal line: the payload embedded verbatim
+// checkpointRecord is one journal line: the payload embedded verbatim
 // plus its CRC-32 (IEEE) — json.RawMessage round-trips byte-exactly, so
 // the checksum computed at write time is reproducible at read time, and
 // a torn or bit-flipped line is detected rather than trusted.
 type checkpointRecord struct {
 	P   json.RawMessage `json:"p"`
 	CRC uint32          `json:"crc"`
-}
-
-// v1Entry is the legacy journal line format.
-type v1Entry struct {
-	Key    string          `json:"key"`
-	Result json.RawMessage `json:"result"`
 }
 
 // checkpointEntry is the in-memory view of one completed job.
@@ -63,13 +58,12 @@ type checkpoint struct {
 	done map[string]checkpointEntry
 }
 
-// parseCheckpoint decodes journal bytes in either format. It returns the
-// decoded entries, how many jobs the valid prefix held, and the canonical
-// v2 re-encoding of that prefix (header + records). For v2 input the
-// parse stops at the first unreadable or checksum-failing record — a torn
-// tail must not hide valid records behind it, and a corrupt middle means
-// everything after it is untrustworthy. Legacy v1 input keeps its
-// skip-and-continue semantics, then upgrades wholesale.
+// parseCheckpoint decodes journal bytes. It returns the decoded entries,
+// how many jobs the valid prefix held, and the canonical re-encoding of
+// that prefix (header + records). The parse stops at the first
+// unreadable or checksum-failing record — a torn tail must not hide
+// valid records behind it, and a corrupt middle means everything after
+// it is untrustworthy. A missing or foreign header discards everything.
 func parseCheckpoint(data []byte, logf func(string, ...any)) (map[string]checkpointEntry, int, []byte) {
 	done := make(map[string]checkpointEntry)
 	var canonical bytes.Buffer
@@ -93,60 +87,43 @@ func parseCheckpoint(data []byte, logf func(string, ...any)) (map[string]checkpo
 
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	version := 0
+	header := false
 	line := 0
 	records := 0
-scan:
 	for sc.Scan() {
 		line++
 		b := sc.Bytes()
 		if len(bytes.TrimSpace(b)) == 0 {
 			continue
 		}
-		if version == 0 {
+		if !header {
+			// A foreign version, or no header at all: nothing after it can
+			// be trusted to mean what this reader thinks it means. Start
+			// fresh.
 			var h checkpointHeader
-			if json.Unmarshal(b, &h) == nil && h.Version != 0 {
-				if h.Version != checkpointVersion {
-					// Version skew (a future writer's journal): nothing
-					// after the header can be trusted to mean what this
-					// reader thinks it means. Start fresh.
-					logf("harness: checkpoint header claims version %d, this build writes %d; discarding journal", h.Version, checkpointVersion)
-					break scan
-				}
-				version = h.Version
-				continue
+			if json.Unmarshal(b, &h) != nil || h.Version != checkpointVersion {
+				logf("harness: checkpoint has no version %d header (found version %d); discarding journal", checkpointVersion, h.Version)
+				break
 			}
-			// No header: a legacy v1 journal (or garbage, which the v1
-			// path skips line by line).
-			version = 1
+			header = true
+			continue
 		}
-		switch version {
-		case 1:
-			var e v1Entry
-			if err := json.Unmarshal(b, &e); err != nil || e.Key == "" {
-				logf("harness: checkpoint line %d unreadable (v1), skipping", line)
-				continue
-			}
-			records++
-			keep(checkpointPayload{Key: e.Key, Result: e.Result})
-		default:
-			var rec checkpointRecord
-			if err := json.Unmarshal(b, &rec); err != nil {
-				logf("harness: checkpoint line %d unreadable (%v), truncating journal here", line, err)
-				break scan
-			}
-			if got := crc32.ChecksumIEEE(rec.P); got != rec.CRC {
-				logf("harness: checkpoint line %d checksum mismatch (%08x != %08x), truncating journal here", line, got, rec.CRC)
-				break scan
-			}
-			var p checkpointPayload
-			if err := json.Unmarshal(rec.P, &p); err != nil || p.Key == "" {
-				logf("harness: checkpoint line %d payload invalid, truncating journal here", line)
-				break scan
-			}
-			records++
-			keep(p)
+		var rec checkpointRecord
+		if err := json.Unmarshal(b, &rec); err != nil {
+			logf("harness: checkpoint line %d unreadable (%v), truncating journal here", line, err)
+			break
 		}
+		if got := crc32.ChecksumIEEE(rec.P); got != rec.CRC {
+			logf("harness: checkpoint line %d checksum mismatch (%08x != %08x), truncating journal here", line, got, rec.CRC)
+			break
+		}
+		var p checkpointPayload
+		if err := json.Unmarshal(rec.P, &p); err != nil || p.Key == "" {
+			logf("harness: checkpoint line %d payload invalid, truncating journal here", line)
+			break
+		}
+		records++
+		keep(p)
 	}
 	return done, records, canonical.Bytes()
 }
@@ -179,9 +156,9 @@ func commitCheckpoint(path string, data []byte) error {
 }
 
 // openCheckpoint loads any existing journal at path — recovering from
-// torn tails, corrupt records, and legacy v1 format — and opens the
-// recovered journal for appending, creating a fresh v2 journal when
-// absent.
+// torn tails and corrupt records, discarding a foreign or headerless
+// journal — and opens the recovered journal for appending, creating a
+// fresh one when absent.
 func openCheckpoint(path string, logf func(string, ...any)) (*checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -189,7 +166,7 @@ func openCheckpoint(path string, logf func(string, ...any)) (*checkpoint, error)
 	}
 	done, records, canonical := parseCheckpoint(data, logf)
 	if !bytes.Equal(data, canonical) {
-		// Absent, torn, corrupt, or pre-v2: commit the canonical valid
+		// Absent, torn, corrupt, or foreign: commit the canonical valid
 		// prefix before appending to it.
 		if err := commitCheckpoint(path, canonical); err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -62,52 +63,44 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckpointV1Upgrade(t *testing.T) {
+// TestCheckpointHeaderlessDiscarded: a journal without the version
+// header — the pre-v2 format, or garbage — is discarded with a log line
+// and never trusted, then rewritten as a fresh journal.
+func TestCheckpointHeaderlessDiscarded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	v1 := `{"key":"old-a","result":5}` + "\n" +
-		`{"key":"old-b","result":{"n":6}}` + "\n" +
-		`{"key":"torn","resu` // legacy torn tail: skipped, not fatal
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+	headerless := `{"key":"old-a","result":5}` + "\n" + `{"key":"old-b","result":{"n":6}}` + "\n"
+	if err := os.WriteFile(path, []byte(headerless), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c := mustOpen(t, path)
-	var v int
-	if _, ok, err := c.lookup("old-a", &v); !ok || err != nil || v != 5 {
-		t.Errorf("v1 entry not recalled: ok=%v err=%v v=%d", ok, err, v)
+	var logs []string
+	c, err := openCheckpoint(path, func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) })
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok, _ := c.lookup("torn", &v); ok {
-		t.Error("torn v1 line should not produce an entry")
+	var v int
+	if _, ok, _ := c.lookup("old-a", &v); ok || len(c.done) != 0 {
+		t.Errorf("headerless journal entries must not be trusted, kept %d", len(c.done))
+	}
+	if len(logs) != 1 || !strings.Contains(logs[0], "discarding journal") {
+		t.Errorf("discard should log one line, got %q", logs)
 	}
 	if err := c.record("new", 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.close()
 
-	// The journal on disk is now v2: header first, every line checksummed.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("upgraded journal has %d lines, want header + 3 records:\n%s", len(lines), data)
+	if len(lines) != 2 || !strings.Contains(lines[0], `"itpsim_checkpoint":2`) {
+		t.Fatalf("rewritten journal should hold the header and the new record:\n%s", data)
 	}
-	for i, l := range lines[1:] {
-		var rec checkpointRecord
-		if err := json.Unmarshal([]byte(l), &rec); err != nil {
-			t.Fatalf("record %d not v2: %v", i, err)
-		}
-		if crc32.ChecksumIEEE(rec.P) != rec.CRC {
-			t.Errorf("record %d checksum wrong after upgrade", i)
-		}
-	}
-
 	c2 := mustOpen(t, path)
 	defer c2.close()
-	for key, want := range map[string]int{"old-a": 5, "new": 7} {
-		if _, ok, err := c2.lookup(key, &v); !ok || err != nil || v != want {
-			t.Errorf("%s not recalled after upgrade: ok=%v err=%v v=%d", key, ok, err, v)
-		}
+	if _, ok, err := c2.lookup("new", &v); !ok || err != nil || v != 7 {
+		t.Errorf("record after discard not recalled: ok=%v err=%v v=%d", ok, err, v)
 	}
 }
 
@@ -240,7 +233,7 @@ func FuzzCheckpointReader(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte(`{"itpsim_checkpoint":2}` + "\n"))
 	f.Add([]byte(`{"itpsim_checkpoint":2}` + "\n" + `{"p":{"key":"a","result":1},"crc":0}` + "\n"))
-	f.Add([]byte(`{"key":"v1","result":{"x":1}}` + "\n"))
+	f.Add([]byte("not a journal\n" + `{"itpsim_checkpoint":2}` + "\n"))
 	f.Add([]byte(`{"itpsim_checkpoint":9}` + "\n" + `{"p":{"key":"a","result":1},"crc":123}`))
 	// A genuine record with a correct CRC, then garbage.
 	payload := []byte(`{"key":"real","result":42}`)
