@@ -113,7 +113,7 @@ func main() {
 	probe := run.Spec{Tenants: []string{"srv_000"}, System: config.Default(), Warmup: o.Warmup, Measure: o.Measure,
 		Shards: o.Shards, Phases: o.SamplePhases, Window: o.SampleWindow, FuncWarmup: o.FuncWarmup}
 	if probe.Phases > 0 && probe.Window == 0 {
-		probe.Window = 50_000
+		probe.Window = run.SampleWindow
 	}
 	if err := probe.Validate(); err != nil {
 		run.Exit("itpbench", 2, err)

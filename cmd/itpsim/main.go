@@ -137,11 +137,10 @@ func main() {
 	if *tracePath != "" {
 		series = []string{*tracePath}
 	}
-	arm, closer, err := f.Observe("itpsim", cfg, series, nil, wrap)
+	arm, export, err := f.Observe("itpsim", cfg, series, nil, wrap)
 	if err != nil {
 		run.Exit("itpsim", 1, err)
 	}
-	defer closer.Close()
 	if *chaosKind == "read" {
 		// The first attempt's ingestion dies mid-stream with a structured
 		// fault; retries read clean bytes and must reproduce the
@@ -156,6 +155,9 @@ func main() {
 	}
 
 	outs, err := run.NewRunner(cat).Execute(f.Options(*chaosSeed, run.Stderr), specs, arm)
+	if cerr := export.Close(); cerr != nil {
+		run.Exit("itpsim", 1, fmt.Errorf("metrics export: %w", cerr))
+	}
 	if outs == nil {
 		run.Exit("itpsim", 1, err)
 	}

@@ -123,13 +123,15 @@ func main() {
 
 	// Observability: one shared JSONL series for the whole grid (lines are
 	// tagged with the point label) and an optional pprof/expvar server.
-	arm, closer, err := f.Observe("itpsweep", base, names, map[string]string{"param": *param, "values": *values}, nil)
+	arm, export, err := f.Observe("itpsweep", base, names, map[string]string{"param": *param, "values": *values}, nil)
 	if err != nil {
 		run.Exit("itpsweep", 1, err)
 	}
-	defer closer.Close()
 	arm.Label = func(i int) string { return labels[i] }
 	outs, runErr := run.NewRunner(workload.NewCatalog(120, 20)).Execute(f.Options(0, run.Stderr), specs, arm)
+	if err := export.Close(); err != nil {
+		run.Exit("itpsweep", 1, fmt.Errorf("metrics export: %w", err))
+	}
 	if outs == nil {
 		run.Exit("itpsweep", 1, runErr)
 	}

@@ -238,7 +238,7 @@ func (r *runner) spec(tenants []string, cfg config.SystemConfig) run.Spec {
 	default:
 		s.Shards, s.Phases, s.Window, s.FuncWarmup = r.o.Shards, r.o.SamplePhases, r.o.SampleWindow, r.o.FuncWarmup
 		if s.Phases > 0 && s.Window == 0 {
-			s.Window = 50_000
+			s.Window = run.SampleWindow
 		}
 	}
 	return s

@@ -1,6 +1,7 @@
 package run
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -55,6 +56,10 @@ func (s Supervision) Options(seed uint64, logf func(string, ...any)) harness.Opt
 	}
 }
 
+// SampleWindow is the default phase-classification interval in retired
+// instructions.
+const SampleWindow = 50_000
+
 // Stderr logs supervision events one per line on standard error.
 func Stderr(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 
@@ -75,7 +80,7 @@ type Flags struct {
 // Register binds every shared flag on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	f.Supervision.Register(fs)
-	RegisterSplit(fs, &f.Shards, &f.Phases, &f.Window, &f.FuncWarmup, 50_000)
+	RegisterSplit(fs, &f.Shards, &f.Phases, &f.Window, &f.FuncWarmup, SampleWindow)
 	fs.Uint64Var(&f.BeaconInterval, "beacon-interval", 0, "emit deterministic state beacons every N retired instructions (0 disables); chains print with the report and are journaled with the checkpoint")
 	fs.BoolVar(&f.Audit, "audit", false, "run the structural invariant auditor during simulation; violations fail the run with a diagnosis")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write the per-window metrics series (JSON lines, one file for all runs) to this file")
@@ -103,7 +108,7 @@ func (f *Flags) Check(tool string, specs []Spec) {
 	for i := range specs {
 		err := specs[i].Validate()
 		if err == nil && f.MetricsOut != "" && specs[i].Phases > 0 {
-			err = fmt.Errorf("-metrics-out is not supported with -sample-phases (representatives carry no stitched window series)")
+			err = errors.New("-metrics-out is not supported with -sample-phases (representatives carry no stitched window series)")
 		}
 		if err != nil {
 			Exit(tool, 2, err)
@@ -113,7 +118,8 @@ func (f *Flags) Check(tool string, specs []Spec) {
 
 // Observe starts the -pprof server and opens the -metrics-out export,
 // writing its run manifest for sys. wrap, when set, wraps the export
-// file (fault drills). Close the returned closer after the batch.
+// file (fault drills). Close the returned export after the batch and
+// check its error: window writes are not checked as they happen.
 func (f *Flags) Observe(tool string, sys config.SystemConfig, workloads []string, extra map[string]string, wrap func(io.Writer) io.Writer) (*Arm, io.Closer, error) {
 	arm := &Arm{Tool: tool, Window: f.MetricsWindow, Expvar: f.Pprof != ""}
 	if f.Pprof != "" {

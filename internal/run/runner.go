@@ -340,11 +340,3 @@ func (r *Runner) split(s *Spec, key string, arm *Arm, label string) (segJobs, fu
 		return Result{Stats: sr.Stats, Beacon: sr.Beacon(), Shard: sr}, nil
 	}, err
 }
-
-// name labels the spec's run: its first tenant, or the trace path.
-func (s Spec) name() string {
-	if s.Trace != "" {
-		return s.Trace
-	}
-	return s.Tenants[0]
-}

@@ -64,7 +64,9 @@ func TestExecuteMemoDuplicatesAndFailures(t *testing.T) {
 	unknown.Tenants = []string{"nosuch_999"}
 	unknownSplit := unknown
 	unknownSplit.Shards = 2
-	specs := []Spec{base(), base(), bad, unknown, unknownSplit}
+	badMachine := base()
+	badMachine.System.HugePageFraction = 2
+	specs := []Spec{base(), base(), bad, unknown, unknownSplit, badMachine}
 	res, err := r.Execute(opts(), specs, nil)
 	if err == nil {
 		t.Fatal("a batch with failures must report an error")
@@ -79,6 +81,9 @@ func TestExecuteMemoDuplicatesAndFailures(t *testing.T) {
 		if res[i].Err == nil || !strings.Contains(res[i].Err.Error(), "nosuch_999") || res[i].Stats != nil {
 			t.Errorf("spec %d: unknown workload should fail alone, got %v", i, res[i].Err)
 		}
+	}
+	if res[5].Err == nil || !strings.Contains(res[5].Err.Error(), "HugePageFraction") || res[5].Attempts != 1 {
+		t.Errorf("an invalid machine should fail its run permanently, got %v after %d attempts", res[5].Err, res[5].Attempts)
 	}
 	again, err := r.Execute(opts(), specs[:1], nil)
 	if err != nil || again[0].Stats != res[0].Stats {

@@ -57,12 +57,11 @@ type Spec struct {
 // one whole-run job.
 func (s Spec) Split() bool { return s.Shards > 1 || s.Phases > 0 || s.FuncWarmup > 0 }
 
-// Validate returns the first rule the spec breaks, worded for the
-// command line.
+// Validate returns the first run-mode rule the spec breaks, worded for
+// the command line. An invalid machine is not a mode error: its run
+// fails when sim.NewMachine rejects the config, so a sweep keeps the
+// points that are valid.
 func (s Spec) Validate() error {
-	if err := s.System.Validate(); err != nil {
-		return err
-	}
 	cores := s.System.Cores
 	switch {
 	case s.Trace != "" && len(s.Tenants) > 0:
@@ -73,6 +72,8 @@ func (s Spec) Validate() error {
 		return errors.New("-smt needs catalogue workloads; recorded traces are single-stream")
 	case s.Trace == "" && len(s.Tenants) == 0:
 		return errors.New("no workload to run")
+	case s.System.SMT && cores > 1:
+		return fmt.Errorf("-smt is a single-core mode; it cannot combine with -cores %d", cores)
 	case s.System.SMT && len(s.Tenants) != 2:
 		return errors.New("-smt requires a single -workload")
 	case !s.System.SMT && cores <= 1 && len(s.Tenants) > 1:
@@ -131,6 +132,14 @@ func (s Spec) Key() string {
 	}
 	sys := s.System
 	return fmt.Sprintf("%s|%s/%s/%s|%016x", name, sys.STLBPolicy, sys.L2CPolicy, sys.LLCPolicy, h.Sum64())
+}
+
+// name labels the spec's run: its first tenant, or the trace path.
+func (s Spec) name() string {
+	if s.Trace != "" {
+		return s.Trace
+	}
+	return s.Tenants[0]
 }
 
 // shardConfig maps a sharded or functionally warmed spec onto the shard
