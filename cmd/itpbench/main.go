@@ -82,6 +82,7 @@ func main() {
 	if *fig == "" {
 		run.Exit("itpbench", 2, fmt.Errorf("-fig required; available: %s, all", strings.Join(experiments.All(), " ")))
 	}
+
 	o := experiments.Defaults()
 	if *scale == "quick" {
 		o = experiments.Quick()
@@ -95,14 +96,14 @@ func main() {
 	if *pairs > 0 {
 		o.SMTPairsPerCategory = *pairs
 	}
-	if *cores > 0 {
-		o.Cores = *cores
-	}
 	if *warmup > 0 {
 		o.Warmup = *warmup
 	}
 	if *measure > 0 {
 		o.Measure = *measure
+	}
+	if *cores > 0 {
+		o.Cores = *cores
 	}
 	o.Shards, o.SamplePhases, o.SampleWindow, o.FuncWarmup = shards, phases, sampleWindow, funcWarmup
 	o.Parallelism, o.Retries, o.JobTimeout, o.Checkpoint = sup.Parallel, sup.Retries, sup.JobTimeout, sup.Checkpoint
