@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint staticcheck govulncheck check cover-check fuzz-smoke race-matrix chaos equiv sample-equiv bench bench-figures bench-baseline bench-compare bench-check results quick-results clean
+.PHONY: all build test vet lint staticcheck govulncheck check cover-check fuzz-smoke race-matrix chaos equiv sample-equiv bench-figures results quick-results clean
 
 all: build vet lint test
 
@@ -66,7 +66,7 @@ cover-check:
 # Race-detector matrix over the concurrent surface the machineown/
 # goroutinelife/lockscope analyzers guard statically: sharded runs, the
 # sampling pre-pass, the supervisor, the decode-ahead ring, and the
-# metrics registry. -count=2 reruns each test so per-run state (pools,
+# metrics window sampler. -count=2 reruns each test so per-run state (pools,
 # rings, checkpoints) is exercised twice under the detector.
 race-matrix:
 	$(GO) test -race -count=2 ./internal/shard ./internal/sample ./internal/harness ./internal/workload ./internal/metrics
@@ -102,41 +102,8 @@ equiv:
 sample-equiv:
 	ITPSIM_SAMPLE_SCALE=full $(GO) test -race -count=1 -run 'TestSampledEquivalence|TestOnePhaseExact' ./internal/sample
 
-# Benchmark baseline file: BENCH_<date>.json unless overridden.
-BENCH_BASELINE ?= BENCH_$(shell date +%Y%m%d).json
-
-# Microbenchmarks + ablations + one pass of every figure bench; the
-# parsed results are recorded as a dated JSON baseline via benchguard.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime 1x . | $(GO) run ./cmd/benchguard -record $(BENCH_BASELINE)
-
-# Stable micro-benchmarks only, for regression comparison (3 iterations
-# to damp timer noise), plus the steady-state hot-loop benches whose
-# allocs/op feed benchguard's allocation gate (many iterations: each op is
-# a single simulated instruction). SerialRun/ShardedRun/SampledRun feed the
-# parallel-speedup metric gates; the speedup metrics are reported only on
-# hosts with enough cores.
-bench-baseline:
-	{ $(GO) test -bench 'SimulatorThroughput|CacheAccess|STLBLookup|WorkloadGeneration|SerialRun|ShardedRun|SampledRun|MultiCoreRun' -benchmem -benchtime 3x -run '^$$' . ; \
-	  $(GO) test -bench 'SteadyState' -benchmem -benchtime 20000x -run '^$$' ./internal/sim ; } \
-		| $(GO) run ./cmd/benchguard -record $(BENCH_BASELINE)
-
-# Fail on >10% ns/op or allocs/op growth between two baselines, or on any
-# steady-state benchmark that is no longer allocation-free:
-#   make bench-compare OLD=BENCH_a.json NEW=BENCH_b.json
-# Override THRESHOLD when the baselines come from different hosts (CI's
-# cache-miss fallback compares against the checked-in dated baseline,
-# where only the alloc/metric gates are host-independent).
-THRESHOLD ?= 0.10
-bench-compare:
-	$(GO) run ./cmd/benchguard -compare $(OLD),$(NEW) -threshold $(THRESHOLD) -alloc-gate '^BenchmarkSteadyState'
-
-# Single-baseline gates only (zero-alloc steady state, instrumentation
-# overhead) — what CI runs when no previous baseline is cached:
-#   make bench-check NEW=BENCH_a.json
-bench-check:
-	$(GO) run ./cmd/benchguard -check $(NEW) -alloc-gate '^BenchmarkSteadyState'
-
+# One pass of every figure bench. Performance is measured with bench/
+# (bench/README.md), not with these.
 bench-figures:
 	$(GO) test -bench 'Fig' -benchtime 1x .
 

@@ -212,9 +212,13 @@ func TestWatchdogKillsStalledRun(t *testing.T) {
 
 func TestWatchdogToleratesProgress(t *testing.T) {
 	o := fastOpts()
-	o.WatchdogInterval = 5 * time.Millisecond
-	o.WatchdogSamples = 2
-	// A healthy run longer than several watchdog periods must not be
+	// Progress is published once per 1024 retires. Under the race
+	// detector and GC on a loaded host one such gap can outlast a 10 ms
+	// window, so the kill window is 150 ms; the run still spans several
+	// of them, many under -race.
+	o.WatchdogInterval = 50 * time.Millisecond
+	o.WatchdogSamples = 3
+	// A healthy run longer than several watchdog windows must not be
 	// killed while it keeps retiring.
 	job := machineJob(t, "healthy", specStream(), 3_000_000)
 	outs, err := harness.RunAll(o, []harness.Job[*stats.Sim]{job})

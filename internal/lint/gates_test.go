@@ -7,7 +7,6 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,14 +72,13 @@ func TestItpvetCleanTree(t *testing.T) {
 
 // wallClockGolden is the exact per-package census of //itp:wallclock
 // sites. The simulator core must have none: the only permitted wall-clock
-// reads are the export-manifest timestamps (internal/run's shared CLI
-// helpers, cmd/benchguard) and the tools' progress timers. Adding a site anywhere means updating this table — and
+// reads are the export-manifest timestamp (internal/run's shared CLI
+// helpers) and the tools' progress timers. Adding a site anywhere means updating this table — and
 // justifying it in review.
 var wallClockGolden = map[string]int{
-	"itpsim/cmd/benchguard": 1, // baseline manifest Time field
-	"itpsim/cmd/itpbench":   2, // per-figure progress timer (start + elapsed)
-	"itpsim/cmd/itpvet":     4, // -timing/-budget guard: load + per-analyzer (start + elapsed each)
-	"itpsim/internal/run":   1, // itpsim/itpsweep export manifest Time field
+	"itpsim/cmd/itpbench": 2, // per-figure progress timer (start + elapsed)
+	"itpsim/cmd/itpvet":   4, // -timing/-budget guard: load + per-analyzer (start + elapsed each)
+	"itpsim/internal/run": 1, // itpsim/itpsweep export manifest Time field
 }
 
 func TestWallClockAllowlist(t *testing.T) {
@@ -108,16 +106,16 @@ func TestWallClockAllowlist(t *testing.T) {
 	}
 }
 
-// benchGateFile is where the alloc-gated benchmarks and their coverage
-// manifest live, relative to the module root.
+// benchGateFile is where the steady-state case table lives, relative to
+// the module root.
 const benchGateFile = "internal/sim/bench_test.go"
 
-var benchNameRe = regexp.MustCompile(`^BenchmarkSteadyState`)
-
-// parseGateManifest reads hotpathGateManifest from the benchmark file
-// syntactically: map keys are benchmark-name string literals, values are
-// identifiers naming package-list variables declared in the same file.
-func parseGateManifest(t *testing.T, root string) (manifest map[string][]string, benchFuncs map[string]bool) {
+// parseSteadyStateCases reads steadyStateCases from benchGateFile
+// syntactically and returns each case's hot-path packages by case name.
+// Every element must be a keyed literal whose name is a string literal
+// and whose hotpath is an identifier naming a []string literal declared
+// in the same file.
+func parseSteadyStateCases(t *testing.T, root string) map[string][]string {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, filepath.Join(root, benchGateFile), nil, 0)
@@ -125,105 +123,109 @@ func parseGateManifest(t *testing.T, root string) (manifest map[string][]string,
 		t.Fatal(err)
 	}
 
-	// Collect the []string variables and benchmark funcs.
+	// Collect the []string variables and the case table.
 	lists := map[string][]string{}
-	benchFuncs = map[string]bool{}
-	var manifestLit *ast.CompositeLit
+	var table *ast.CompositeLit
 	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil && strings.HasPrefix(d.Name.Name, "Benchmark") {
-				benchFuncs[d.Name.Name] = true
+		d, ok := decl.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, spec := range d.Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok {
+				continue
 			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				if i >= len(vs.Values) {
+					continue
+				}
+				cl, ok := vs.Values[i].(*ast.CompositeLit)
 				if !ok {
 					continue
 				}
-				for i, name := range vs.Names {
-					if i >= len(vs.Values) {
-						continue
+				if name.Name == "steadyStateCases" {
+					table = cl
+					continue
+				}
+				var elems []string
+				for _, e := range cl.Elts {
+					lit, ok := e.(*ast.BasicLit)
+					if !ok || lit.Kind != token.STRING {
+						elems = nil
+						break
 					}
-					cl, ok := vs.Values[i].(*ast.CompositeLit)
-					if !ok {
-						continue
+					v, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatalf("%s: bad string literal %s", name.Name, lit.Value)
 					}
-					if name.Name == "hotpathGateManifest" {
-						manifestLit = cl
-						continue
-					}
-					var elems []string
-					for _, e := range cl.Elts {
-						lit, ok := e.(*ast.BasicLit)
-						if !ok || lit.Kind != token.STRING {
-							elems = nil
-							break
-						}
-						v, err := strconv.Unquote(lit.Value)
-						if err != nil {
-							t.Fatalf("%s: bad string literal %s", name.Name, lit.Value)
-						}
-						elems = append(elems, v)
-					}
-					if elems != nil {
-						lists[name.Name] = elems
-					}
+					elems = append(elems, v)
+				}
+				if elems != nil {
+					lists[name.Name] = elems
 				}
 			}
 		}
 	}
-	if manifestLit == nil {
-		t.Fatalf("%s: hotpathGateManifest not found", benchGateFile)
+	if table == nil {
+		t.Fatalf("%s: steadyStateCases not found", benchGateFile)
 	}
 
-	manifest = map[string][]string{}
-	for _, e := range manifestLit.Elts {
-		kv, ok := e.(*ast.KeyValueExpr)
+	cases := map[string][]string{}
+	for _, e := range table.Elts {
+		cl, ok := e.(*ast.CompositeLit)
 		if !ok {
-			t.Fatalf("hotpathGateManifest: element %v is not key: value", e)
+			t.Fatalf("steadyStateCases: element %v is not a composite literal", e)
 		}
-		key, ok := kv.Key.(*ast.BasicLit)
-		if !ok || key.Kind != token.STRING {
-			t.Fatalf("hotpathGateManifest: key must be a string literal, got %v", kv.Key)
+		var name, list string
+		for _, fe := range cl.Elts {
+			kv, ok := fe.(*ast.KeyValueExpr)
+			if !ok {
+				t.Fatalf("steadyStateCases: fields must be keyed, got %v", fe)
+			}
+			key, _ := kv.Key.(*ast.Ident)
+			switch {
+			case key == nil:
+				t.Fatalf("steadyStateCases: field key %v is not an identifier", kv.Key)
+			case key.Name == "name":
+				lit, ok := kv.Value.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					t.Fatalf("steadyStateCases: name must be a string literal, got %v", kv.Value)
+				}
+				if name, err = strconv.Unquote(lit.Value); err != nil {
+					t.Fatal(err)
+				}
+			case key.Name == "hotpath":
+				ident, ok := kv.Value.(*ast.Ident)
+				if !ok {
+					t.Fatalf("steadyStateCases: hotpath must reference a package-list variable, got %v", kv.Value)
+				}
+				list = ident.Name
+			}
 		}
-		bench, err := strconv.Unquote(key.Value)
-		if err != nil {
-			t.Fatal(err)
+		pkgsOf, ok := lists[list]
+		if name == "" || !ok {
+			t.Fatalf("steadyStateCases: case %q needs a name and a hotpath naming a []string literal in %s", name, benchGateFile)
 		}
-		ident, ok := kv.Value.(*ast.Ident)
-		if !ok {
-			t.Fatalf("hotpathGateManifest[%s]: value must reference a package-list variable", bench)
-		}
-		pkgsOf, ok := lists[ident.Name]
-		if !ok {
-			t.Fatalf("hotpathGateManifest[%s]: %s is not a []string literal in %s", bench, ident.Name, benchGateFile)
-		}
-		manifest[bench] = pkgsOf
+		cases[name] = pkgsOf
 	}
-	return manifest, benchFuncs
+	return cases
 }
 
 // TestHotpathGateCoverage is itpvet's self-check satellite: every package
 // holding an //itp:hotpath annotation must be claimed by at least one
-// BenchmarkSteadyState* alloc gate in the manifest, every manifest entry
-// must name a benchmark that actually exists, and every claimed package
-// must really carry annotations (no stale rows).
+// steady-state case that TestSteadyStateAllocFree holds at 0 allocs per
+// step, and every claimed package must really carry annotations (no
+// stale rows).
 func TestHotpathGateCoverage(t *testing.T) {
 	root := repoRoot(t)
-	manifest, benchFuncs := parseGateManifest(t, root)
-	if len(manifest) == 0 {
-		t.Fatal("hotpathGateManifest is empty")
+	cases := parseSteadyStateCases(t, root)
+	if len(cases) == 0 {
+		t.Fatal("steadyStateCases is empty")
 	}
 
 	covered := map[string]bool{}
-	for bench, pkgList := range manifest {
-		if !benchNameRe.MatchString(bench) {
-			t.Errorf("manifest key %q does not match %v", bench, benchNameRe)
-		}
-		if !benchFuncs[bench] {
-			t.Errorf("manifest names %s, but no such benchmark exists in %s", bench, benchGateFile)
-		}
+	for _, pkgList := range cases {
 		for _, pkg := range pkgList {
 			covered[pkg] = true
 		}
@@ -259,10 +261,10 @@ func TestHotpathGateCoverage(t *testing.T) {
 	sort.Strings(missing)
 	sort.Strings(stale)
 	for _, pkg := range missing {
-		t.Error(fmt.Errorf("package %s has //itp:hotpath functions but no BenchmarkSteadyState* gate claims it in %s", pkg, benchGateFile))
+		t.Error(fmt.Errorf("package %s has //itp:hotpath functions but no steady-state case in %s claims it", pkg, benchGateFile))
 	}
 	for _, pkg := range stale {
-		t.Error(fmt.Errorf("gate manifest claims %s, which has no //itp:hotpath annotations", pkg))
+		t.Error(fmt.Errorf("steadyStateCases claims %s, which has no //itp:hotpath annotations", pkg))
 	}
 }
 

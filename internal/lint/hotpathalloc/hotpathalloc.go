@@ -1,6 +1,6 @@
 // Package hotpathalloc statically enforces the simulator's
 // allocation-free steady state. Functions annotated //itp:hotpath (the
-// per-step path under BenchmarkSteadyState*'s 0 allocs/op gate) must
+// per-step path TestSteadyStateAllocFree holds at 0 allocs/op) must
 // not:
 //
 //   - take the address of a composite literal (&T{...}) or build a
@@ -27,9 +27,9 @@
 // regions), and //itp:nonalloc on a line vouches for the specific
 // expression on it. Annotations propagate across packages as analysis
 // facts keyed by the function's FullName, so the whole per-step call
-// tree is covered transitively. This is the static complement of the
-// benchguard -alloc-gate: the benchmark proves the measured path, this
-// analyzer pins every branch of it. Test files are exempt.
+// tree is covered transitively. This is the static complement of
+// internal/sim's TestSteadyStateAllocFree: the test proves the measured
+// path, this analyzer pins every branch of it. Test files are exempt.
 package hotpathalloc
 
 import (
@@ -43,7 +43,7 @@ import (
 // Analyzer is the hotpathalloc check.
 var Analyzer = &lintcore.Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "forbid heap allocation in //itp:hotpath functions (static complement of the benchguard alloc gate)",
+	Doc:  "forbid heap allocation in //itp:hotpath functions (static complement of TestSteadyStateAllocFree)",
 	Run:  run,
 }
 

@@ -15,7 +15,7 @@ import (
 //     modified) — present in installed binaries but NOT in `go test` or
 //     `go run` builds;
 //  2. `git describe --always --dirty` against the working tree — the
-//     path test binaries and benchguard baselines actually take;
+//     path test binaries and `go run` tools actually take;
 //  3. the same with GIT_DIR/GIT_WORK_TREE cleared, when a stale
 //     environment (hook contexts, submodule operations) pointed git away
 //     from the tree the process runs in;

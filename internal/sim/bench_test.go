@@ -8,65 +8,65 @@ import (
 	"itpsim/internal/workload"
 )
 
-// newSteadyMachine builds a machine plus a warmed thread context stepping
-// the reference workload, so the benchmark loop measures exactly one
-// steady-state instruction per op. Warm steps populate caches, TLBs, page
+// steadyStep returns a setup that builds a machine plus a warmed thread
+// context stepping the reference workload, so each step call runs exactly
+// one steady-state instruction. Warm steps populate caches, TLBs, page
 // tables, and the allocator-visible buffers (lookahead ring, metrics
 // window ring), leaving the measured loop with the structures the run
 // loop actually touches per instruction. mutate (optional) edits the
-// default configuration before the machine is built, so each benchmark
-// variant exercises its own policy mix.
-func newSteadyMachine(b *testing.B, instrument, beacons bool, mutate func(*config.SystemConfig)) (*Machine, *threadCtx) {
-	b.Helper()
-	cat := workload.NewCatalog(4, 2)
-	spec, err := cat.Get("srv_000")
-	if err != nil {
-		b.Fatal(err)
+// default configuration before the machine is built, so each case
+// exercises its own policy mix.
+func steadyStep(instrument, beacons bool, mutate func(*config.SystemConfig)) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		tb.Helper()
+		spec, err := workload.NewCatalog(4, 2).Get("srv_000")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cfg := config.Default()
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		m, err := NewMachine(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if instrument {
+			w := m.InstrumentMetrics(0)
+			w.SetRetain(64)
+		}
+		if beacons {
+			m.EnableBeacons(0)
+		}
+		t := newThreadCtx(m.cores[0], 0, spec.NewStream(), &m.cfg, 1, math.MaxUint64, 0)
+		m.threads = []*threadCtx{t}
+		m.cores[0].threads = m.threads
+		for i := 0; i < 50_000; i++ {
+			m.step(t)
+		}
+		return func() { m.step(t) }
 	}
-	cfg := config.Default()
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	m, err := NewMachine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if instrument {
-		w := m.InstrumentMetrics(0)
-		w.SetRetain(64)
-	}
-	if beacons {
-		m.EnableBeacons(0)
-	}
-	t := newThreadCtx(m.cores[0], 0, spec.NewStream(), &m.cfg, 1, math.MaxUint64, 0)
-	m.threads = []*threadCtx{t}
-	m.cores[0].threads = m.threads
-	for i := 0; i < 50_000; i++ {
-		m.step(t)
-	}
-	return m, t
 }
 
-// newSteadyMultiCore builds a 4-core CMP with one warmed thread per core,
-// for the multi-core steady-state allocation gate: the measured loop
-// steps the cores round-robin, so every private structure and every
-// shared-hierarchy contention path (STLB, L2C, LLC, walker MSHRs, DRAM)
-// is exercised with zero heap allocations per op.
-func newSteadyMultiCore(b *testing.B) (*Machine, []*threadCtx) {
-	b.Helper()
+// steadyMultiCore builds a 4-core CMP with one warmed thread per core;
+// each step call advances the next core round-robin, so every private
+// structure and every shared-hierarchy contention path (STLB, L2C, LLC,
+// walker MSHRs, DRAM) is exercised.
+func steadyMultiCore(tb testing.TB) func() {
+	tb.Helper()
 	cat := workload.NewCatalog(8, 2)
 	cfg := config.Default()
 	cfg.Cores = 4
 	m, err := NewMachine(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	names := cat.ServerNames()
 	threads := make([]*threadCtx, cfg.Cores)
 	for i := range threads {
 		spec, err := cat.Get(names[i%len(names)])
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		t := newThreadCtx(m.cores[i], uint8(i), spec.NewStream(), &m.cfg, 1, math.MaxUint64, 0)
 		m.cores[i].threads = []*threadCtx{t}
@@ -76,15 +76,48 @@ func newSteadyMultiCore(b *testing.B) (*Machine, []*threadCtx) {
 	for i := 0; i < 200_000; i++ {
 		m.step(threads[i&3])
 	}
-	return m, threads
+	i := 0
+	return func() {
+		m.step(threads[i&3])
+		i++
+	}
 }
 
-// Hot-path gate manifest: which //itp:hotpath functions each
-// BenchmarkSteadyState* alloc gate exercises empirically. itpvet's static
-// hotpathalloc analyzer proves the absence of allocation constructs;
-// these benchmarks prove 0 allocs/op on real instruction streams; and
+// steadyWarmFunctional replays one instruction per step call through
+// warmStep (block-change ifetch, data accesses, predictor training,
+// controller tick) against warmed state.
+func steadyWarmFunctional(tb testing.TB) func() {
+	tb.Helper()
+	spec, err := workload.NewCatalog(4, 2).Get("srv_000")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := NewMachine(config.Default())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const n = 1 << 16
+	buf := make([]workload.Instr, n)
+	if got := workload.FillBatch(spec.NewStream(), buf); got != n {
+		tb.Fatalf("short fill: %d", got)
+	}
+	c := m.cores[0]
+	for i := range buf {
+		m.warmStep(c, &buf[i])
+	}
+	i := 0
+	return func() {
+		m.warmStep(c, &buf[i&(n-1)])
+		i++
+	}
+}
+
+// Hot-path package lists: which //itp:hotpath functions each steady-state
+// case exercises empirically. itpvet's static hotpathalloc analyzer
+// proves the absence of allocation constructs; TestSteadyStateAllocFree
+// proves 0 allocs per step on real instruction streams; and
 // internal/lint's TestHotpathGateCoverage proves every annotation in the
-// tree is claimed by at least one gate below. Keep the three in sync.
+// tree is claimed by at least one case. Keep the three in sync.
 var (
 	// hotpathCommon covers the machinery every configuration steps
 	// through: the pipeline, the TLB/cache/DRAM hierarchy, the page
@@ -115,138 +148,86 @@ var (
 	}
 	// hotpathBeacons covers the state-fingerprint fold: the FNV
 	// substrate in arch and the whole-hierarchy hashState walk in sim,
-	// which the beaconed gate drives at every window boundary.
+	// which the beaconed case drives at every window boundary.
 	hotpathBeacons = []string{
 		"itpsim/internal/arch",
 		"itpsim/internal/sim",
 	}
-
-	// hotpathGateManifest maps each alloc-gated benchmark to the
-	// packages whose //itp:hotpath functions it exercises.
-	// internal/lint's gate-coverage test parses this table syntactically,
-	// so keep entries as identifier references to the slices above.
-	hotpathGateManifest = map[string][]string{
-		"BenchmarkSteadyStateStep":           hotpathCommon,
-		"BenchmarkSteadyStateStepMetrics":    hotpathCommon,
-		"BenchmarkSteadyStateStepITPXPTP":    hotpathITPXPTP,
-		"BenchmarkSteadyStateStepCHiRP":      hotpathCHiRP,
-		"BenchmarkSteadyStateStepBeacons":    hotpathBeacons,
-		"BenchmarkSteadyStateStepMultiCore":  hotpathCommon,
-		"BenchmarkSteadyStateWarmFunctional": hotpathCommon,
-	}
 )
 
-// BenchmarkSteadyStateStep is the allocation gate for the simulation hot
-// loop: one instruction end to end (lookahead pop, front end, TLBs, page
-// walks, caches, retire) with zero heap allocations per op. benchguard's
-// -alloc-gate fails the build if allocs/op ever leaves 0.
-func BenchmarkSteadyStateStep(b *testing.B) {
-	m, t := newSteadyMachine(b, false, false, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.step(t)
-	}
+// steadyStateCase is one steady-state configuration of the simulation
+// hot loop. setup builds and warms a machine and returns a step that
+// advances it by one instruction; hotpath names the packages whose
+// //itp:hotpath functions that step exercises.
+type steadyStateCase struct {
+	name    string
+	setup   func(testing.TB) func()
+	hotpath []string
 }
 
-// BenchmarkSteadyStateStepMetrics is the instrumented twin: the windowed
-// sampler attached and per-1000-instruction windows closing into a
-// retained ring. It must also run allocation-free — window records and
-// their counter maps recycle in place.
-func BenchmarkSteadyStateStepMetrics(b *testing.B) {
-	m, t := newSteadyMachine(b, true, false, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.step(t)
-	}
-}
-
-// BenchmarkSteadyStateStepITPXPTP gates the paper's proposal
-// configuration: iTP on the STLB and adaptive xPTP (with its controller
-// judging every window) on the L2C, instrumented so the controller's
-// decision hook is live too.
-func BenchmarkSteadyStateStepITPXPTP(b *testing.B) {
-	m, t := newSteadyMachine(b, true, false, func(cfg *config.SystemConfig) {
+// steadyStateCases drives BenchmarkSteadyState and
+// TestSteadyStateAllocFree. internal/lint's TestHotpathGateCoverage
+// parses this table syntactically, so keep the fields keyed, name a
+// string literal, and hotpath an identifier naming one of the lists
+// above.
+var steadyStateCases = []steadyStateCase{
+	// One instruction end to end: lookahead pop, front end, TLBs, page
+	// walks, caches, retire.
+	{name: "Step", setup: steadyStep(false, false, nil), hotpath: hotpathCommon},
+	// The windowed sampler attached and per-1000-instruction windows
+	// closing into a retained ring: window records recycle in place.
+	{name: "StepMetrics", setup: steadyStep(true, false, nil), hotpath: hotpathCommon},
+	// The paper's proposal: iTP on the STLB and adaptive xPTP (with its
+	// controller judging every window) on the L2C, instrumented so the
+	// controller's decision hook is live too.
+	{name: "StepITPXPTP", setup: steadyStep(true, false, func(cfg *config.SystemConfig) {
 		cfg.STLBPolicy = "itp"
 		cfg.L2CPolicy = "xptp"
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.step(t)
-	}
-}
-
-// BenchmarkSteadyStateStepCHiRP gates the CHiRP STLB baseline together
-// with the real hashed-perceptron branch predictor, the configuration
-// that drives the control-flow-history and perceptron hot paths.
-// BenchmarkSteadyStateStepBeacons gates the robustness layer's steady
-// state: metrics windows closing and a full-hierarchy state fingerprint
-// folding into the beacon chain at every window boundary. The fixed ring
-// and in-place FNV fold must keep the loop at zero allocations per op
-// even with beacons armed.
-func BenchmarkSteadyStateStepBeacons(b *testing.B) {
-	m, t := newSteadyMachine(b, true, true, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.step(t)
-	}
-}
-
-// BenchmarkSteadyStateStepMultiCore gates the CMP steady state: four
-// cores' threads stepped round-robin through their private front ends
-// into the shared STLB/L2C/LLC/walker/DRAM. Per-tenant stats attribution
-// and shared-MSHR contention must stay at 0 allocs/op per core.
-func BenchmarkSteadyStateStepMultiCore(b *testing.B) {
-	m, threads := newSteadyMultiCore(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.step(threads[i&3])
-	}
-}
-
-// BenchmarkSteadyStateWarmFunctional gates the functional-warmup replay
-// loop: one instruction through warmStep (block-change ifetch, data
-// accesses, predictor training, controller tick) against warmed state.
-// Functional warmup's whole value is replaying instructions at generator
-// speed, so the loop must stay at 0 allocs/op like the detailed step.
-func BenchmarkSteadyStateWarmFunctional(b *testing.B) {
-	cat := workload.NewCatalog(4, 2)
-	spec, err := cat.Get("srv_000")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := NewMachine(config.Default())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 1 << 16
-	buf := make([]workload.Instr, n)
-	if got := workload.FillBatch(spec.NewStream(), buf); got != n {
-		b.Fatalf("short fill: %d", got)
-	}
-	c := m.cores[0]
-	for i := range buf {
-		m.warmStep(c, &buf[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.warmStep(c, &buf[i&(n-1)])
-	}
-}
-
-func BenchmarkSteadyStateStepCHiRP(b *testing.B) {
-	m, t := newSteadyMachine(b, false, false, func(cfg *config.SystemConfig) {
+	}), hotpath: hotpathITPXPTP},
+	// The CHiRP STLB baseline with the real hashed-perceptron branch
+	// predictor: the control-flow-history and perceptron hot paths.
+	{name: "StepCHiRP", setup: steadyStep(false, false, func(cfg *config.SystemConfig) {
 		cfg.STLBPolicy = "chirp"
 		cfg.BranchPredictor = "perceptron"
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.step(t)
+	}), hotpath: hotpathCHiRP},
+	// Metrics windows closing and a full-hierarchy state fingerprint
+	// folding into the beacon chain at every window boundary: the fixed
+	// ring and in-place FNV fold.
+	{name: "StepBeacons", setup: steadyStep(true, true, nil), hotpath: hotpathBeacons},
+	// Four cores stepped round-robin into the shared STLB/L2C/LLC/walker/
+	// DRAM: per-tenant stats attribution and shared-MSHR contention.
+	{name: "StepMultiCore", setup: steadyMultiCore, hotpath: hotpathCommon},
+	// Functional warmup replays at generator speed, so its loop must be
+	// as allocation-free as the detailed step.
+	{name: "WarmFunctional", setup: steadyWarmFunctional, hotpath: hotpathCommon},
+}
+
+// TestSteadyStateAllocFree is the allocation gate for the simulation hot
+// loop: every steady-state case must step with zero heap allocations
+// (AllocsPerRun's per-step average, the same figure as -benchmem's
+// allocs/op).
+func TestSteadyStateAllocFree(t *testing.T) {
+	for _, c := range steadyStateCases {
+		t.Run(c.name, func(t *testing.T) {
+			step := c.setup(t)
+			if n := testing.AllocsPerRun(20_000, step); n != 0 {
+				t.Errorf("%v allocs per step, want 0", n)
+			}
+		})
+	}
+}
+
+// BenchmarkSteadyState times one steady-state instruction per op for each
+// case (`go test -bench SteadyState -benchtime 20000x ./internal/sim`).
+func BenchmarkSteadyState(b *testing.B) {
+	for _, c := range steadyStateCases {
+		b.Run(c.name, func(b *testing.B) {
+			step := c.setup(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }
