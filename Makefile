@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint staticcheck govulncheck check cover-check fuzz-smoke race-matrix chaos equiv sample-equiv bench-figures results quick-results clean
+.PHONY: all build test vet lint staticcheck govulncheck race check cover-check fuzz-smoke race-matrix chaos equiv sample-equiv bench-figures results quick-results clean
 
 all: build vet lint test
 
@@ -49,15 +49,19 @@ govulncheck:
 		echo "govulncheck not on PATH; skipping (CI pins $(GOVULNCHECK_VERSION))" ; \
 	fi
 
-# Full gate: vet + itpvet + optional third-party analyzers + the whole
-# suite under the race detector. The race suite already runs the chaos
-# battery and the equiv and sample-equiv batteries at CI scale, so CI
-# has no separate job for them; the targets below are local shortcuts
-# (equiv and sample-equiv at full scale, which CI's equiv job also runs
-# for the sharding battery).
-check: lint staticcheck govulncheck
+# Vet + the whole suite under the race detector. The race suite already
+# runs the chaos battery and the equiv and sample-equiv batteries at CI
+# scale, so CI has no separate job for them; the targets below are local
+# shortcuts (equiv and sample-equiv at full scale, which CI's equiv job
+# also runs for the sharding battery).
+race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# Full gate: itpvet + optional third-party analyzers + race. CI runs the
+# analyzers in its lint job and `make race` in its check job, so each
+# runs once there.
+check: lint staticcheck govulncheck race
 
 # Per-package coverage floors (scripts/coverage_floors.tsv).
 cover-check:

@@ -279,12 +279,10 @@ func BenchmarkSerialRun(b *testing.B) {
 func BenchmarkShardedRun(b *testing.B) {
 	src := shardBenchSource(b)
 	ix := shard.NewIndex()
-	cfg := shard.Config{
-		System: config.Default(),
-		Plan:   shard.Plan{Shards: shardBenchShards, Warmup: shardBenchWarmup, Measure: shardBenchMeasure},
-	}
+	cfg := shard.Config{System: config.Default()}
+	plan := shard.Plan{Shards: shardBenchShards, Warmup: shardBenchWarmup, Measure: shardBenchMeasure}
 	run := func() {
-		if _, err := shard.Run(cfg, "bench", src, ix, harness.Options{}); err != nil {
+		if _, err := shard.Run(cfg, plan, "bench", src, ix, harness.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,7 +76,7 @@ func main() {
 		sampleWindow, funcWarmup uint64
 	)
 	sup.Register(flag.CommandLine)
-	run.RegisterSplit(flag.CommandLine, &shards, &phases, &sampleWindow, &funcWarmup, 0)
+	run.RegisterSplit(flag.CommandLine, &shards, &phases, &sampleWindow, &funcWarmup)
 	flag.Parse()
 
 	if *fig == "" {
@@ -106,16 +106,11 @@ func main() {
 		o.Cores = *cores
 	}
 	o.Shards, o.SamplePhases, o.SampleWindow, o.FuncWarmup = shards, phases, sampleWindow, funcWarmup
-	o.Parallelism, o.Retries, o.JobTimeout, o.Checkpoint = sup.Parallel, sup.Retries, sup.JobTimeout, sup.Checkpoint
-	o.WatchdogInterval, o.WatchdogSamples = sup.WatchdogInterval, sup.WatchdogSamples
-	o.Logf = run.Stderr
+	o.Supervision, o.Logf = sup, run.Stderr
 	// Every single-workload simulation takes the split; reject a bad one
 	// before any experiment starts.
 	probe := run.Spec{Tenants: []string{"srv_000"}, System: config.Default(), Warmup: o.Warmup, Measure: o.Measure,
 		Shards: o.Shards, Phases: o.SamplePhases, Window: o.SampleWindow, FuncWarmup: o.FuncWarmup}
-	if probe.Phases > 0 && probe.Window == 0 {
-		probe.Window = run.SampleWindow
-	}
 	if err := probe.Validate(); err != nil {
 		run.Exit("itpbench", 2, err)
 	}

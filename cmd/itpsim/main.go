@@ -179,10 +179,10 @@ func main() {
 		run.Exit("itpsim", 1, err)
 	}
 	switch o := outs[0]; {
-	case o.Shard != nil:
-		printSharded(cfg, names[0], f.Shards, *warmup, *measure, o)
-	case o.Sample != nil:
+	case o.Plan != nil:
 		printSampled(cfg, names[0], f.Phases, f.Window, *warmup, f.FuncWarmup, *measure, o)
+	case o.Split != nil:
+		printSharded(cfg, names[0], f.Shards, *warmup, *measure, o)
 	default:
 		labels := series
 		if cfg.Cores > 1 {
@@ -232,7 +232,7 @@ func printSharded(cfg config.SystemConfig, name string, shards int, warmup, meas
 		name, shards, cfg.STLBPolicy, cfg.L2CPolicy, cfg.LLCPolicy, warmup, measure)
 	fmt.Print(o.Stats)
 	fmt.Printf("\n%-6s %12s %12s %9s %s\n", "shard", "offset", "measured", "attempts", "status")
-	for _, sh := range o.Shard.Shards {
+	for _, sh := range o.Split.Segments {
 		fmt.Printf("%-6d %12d %12d %9d %s\n", sh.Segment.Index, sh.Segment.Offset, sh.Segment.Measure, sh.Attempts, status(sh.Cached, sh.Beacon))
 	}
 	if b := o.Beacon; b != nil {
@@ -244,12 +244,13 @@ func printSharded(cfg config.SystemConfig, name string, shards int, warmup, meas
 // and one status row per representative.
 func printSampled(cfg config.SystemConfig, name string, phases int, window, warmup, funcWarmup, measure uint64, o run.Result) {
 	fmt.Printf("workload: %s (%d of %d phases requested; %d-instr windows)\npolicies: STLB=%s L2C=%s LLC=%s\nwarmup=%d per representative (%d functional), measure=%d reconstructed\n\n",
-		name, len(o.Sample.Reps), phases, window, cfg.STLBPolicy, cfg.L2CPolicy, cfg.LLCPolicy, warmup, funcWarmup, measure)
+		name, len(o.Plan.Reps), phases, window, cfg.STLBPolicy, cfg.L2CPolicy, cfg.LLCPolicy, warmup, funcWarmup, measure)
 	fmt.Print(o.Stats)
 	fmt.Printf("\n%-6s %-8s %12s %8s %9s %s\n", "phase", "window", "offset", "weight", "attempts", "status")
-	for _, rp := range o.Sample.Reps {
+	for i, sg := range o.Split.Segments {
+		rep := o.Plan.Reps[i]
 		fmt.Printf("%-6d %-8d %12d %8d %9d %s\n",
-			rp.Rep.Phase, rp.Rep.Window, rp.Segment.Offset, rp.Rep.Weight, rp.Attempts, status(rp.Cached, rp.Beacon))
+			rep.Phase, rep.Window, sg.Segment.Offset, sg.Weight, sg.Attempts, status(sg.Cached, sg.Beacon))
 	}
 	if b := o.Beacon; b != nil {
 		fmt.Printf("\nbeacon chain: %016x over %d beacons (serial-exact: 1 phase, detailed warmup)\n", b.Chain, b.Count)

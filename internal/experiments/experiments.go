@@ -40,8 +40,6 @@ type Options struct {
 	// 0 selects the study's default width (4); the paper-style sweep
 	// runs it at 4, 16, and 64. Other experiments ignore it.
 	Cores int
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
 	// Shards > 1 splits every single-workload simulation into that many
 	// parallel warmup+measure segments (internal/shard), stitched back
 	// into one stats record per job; SMT pair simulations always run
@@ -60,8 +58,8 @@ type Options struct {
 	// DESIGN.md §14. Mutually exclusive with Shards > 1.
 	SamplePhases int
 	// SampleWindow is the phase-classification interval in retired
-	// instructions (0 = 50_000); Warmup and Measure must be multiples of
-	// it when SamplePhases > 1.
+	// instructions (Defaults and Quick set run.SampleWindow); Warmup and
+	// Measure must be multiples of it when SamplePhases > 1.
 	SampleWindow uint64
 	// FuncWarmup replays this prefix of each segment's warmup
 	// functionally (TLB/cache/predictor state only, no pipeline); it must
@@ -69,22 +67,17 @@ type Options struct {
 	// SamplePhases paths.
 	FuncWarmup uint64
 
-	// Fault tolerance: every sweep routes its jobs through the
-	// internal/harness supervisor with these settings.
-	//
-	// Retries re-attempts transiently failed jobs with capped exponential
-	// backoff; JobTimeout is the per-simulation wall-clock deadline
-	// (0 = none). WatchdogInterval/WatchdogSamples arm the
-	// forward-progress watchdog: a simulation that retires no instruction
-	// for that many consecutive samples is killed with a diagnostic
-	// snapshot. Checkpoint names a JSON-lines journal of completed jobs
-	// (keyed like the in-process memo) so an interrupted campaign resumes
-	// without re-running finished work.
-	Retries          int
-	JobTimeout       time.Duration
-	WatchdogInterval time.Duration
-	WatchdogSamples  int
-	Checkpoint       string
+	// Supervision is the fault tolerance every sweep's jobs run under
+	// (internal/harness): Parallel bounds concurrent simulations
+	// (0 = GOMAXPROCS); Retries re-attempts transiently failed jobs with
+	// capped exponential backoff; JobTimeout is the per-simulation
+	// wall-clock deadline (0 = none). WatchdogInterval/WatchdogSamples arm
+	// the forward-progress watchdog: a simulation that retires no
+	// instruction for that many consecutive samples is killed with a
+	// diagnostic snapshot. Checkpoint names a JSON-lines journal of
+	// completed jobs (keyed like the in-process memo) so an interrupted
+	// campaign resumes without re-running finished work.
+	run.Supervision
 	// Logf receives supervision events (retries, kills, resumes);
 	// nil discards them.
 	Logf func(format string, args ...any)
@@ -98,12 +91,12 @@ func Defaults() Options {
 		SMTPairsPerCategory: 2,
 		Warmup:              1_000_000,
 		Measure:             3_000_000,
+		SampleWindow:        run.SampleWindow,
 		// A healthy simulation never stops retiring, so a generous
 		// no-progress watchdog (30s of zero retires) is safe to arm by
 		// default and turns a livelocked job into one structured failure
 		// instead of a hung campaign.
-		WatchdogInterval: 5 * time.Second,
-		WatchdogSamples:  6,
+		Supervision: run.Supervision{WatchdogInterval: 5 * time.Second, WatchdogSamples: 6},
 	}
 }
 
@@ -115,8 +108,8 @@ func Quick() Options {
 		SMTPairsPerCategory: 1,
 		Warmup:              200_000,
 		Measure:             400_000,
-		WatchdogInterval:    5 * time.Second,
-		WatchdogSamples:     6,
+		SampleWindow:        run.SampleWindow,
+		Supervision:         run.Supervision{WatchdogInterval: 5 * time.Second, WatchdogSamples: 6},
 	}
 }
 
@@ -237,9 +230,6 @@ func (r *runner) spec(tenants []string, cfg config.SystemConfig) run.Spec {
 		s.System.SMT = true
 	default:
 		s.Shards, s.Phases, s.Window, s.FuncWarmup = r.o.Shards, r.o.SamplePhases, r.o.SampleWindow, r.o.FuncWarmup
-		if s.Phases > 0 && s.Window == 0 {
-			s.Window = run.SampleWindow
-		}
 	}
 	return s
 }
@@ -259,15 +249,7 @@ func (r *runner) specs(units [][]string, cfg config.SystemConfig) []run.Spec {
 // the corresponding slots left nil, so callers can keep partial sweeps
 // and report exactly which runs died.
 func (r *runner) runAll(specs []run.Spec) ([]*stats.Sim, error) {
-	sup := run.Supervision{
-		Parallel:         r.o.Parallelism,
-		Retries:          r.o.Retries,
-		JobTimeout:       r.o.JobTimeout,
-		Checkpoint:       r.o.Checkpoint,
-		WatchdogInterval: r.o.WatchdogInterval,
-		WatchdogSamples:  r.o.WatchdogSamples,
-	}
-	outs, err := r.Execute(sup.Options(0, r.o.Logf), specs, nil)
+	outs, err := r.Execute(r.o.Supervision.Options(0, r.o.Logf), specs, nil)
 	if outs == nil {
 		return nil, err
 	}

@@ -61,9 +61,9 @@ type BeaconStamp struct {
 
 // Options configure a supervised batch.
 type Options struct {
-	// Parallelism bounds concurrently running jobs (0 = number of CPUs
-	// as decided by the caller; harness defaults to 1 when <= 0 callers
-	// should pass their own default).
+	// Parallelism bounds concurrently running jobs. Values <= 0 run one
+	// job at a time, so callers pass their own default, such as
+	// GOMAXPROCS or a split run's segment count.
 	Parallelism int
 	// Retries is the number of re-attempts after a transient failure
 	// (0 = fail on first error).

@@ -80,7 +80,7 @@ type Flags struct {
 // Register binds every shared flag on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	f.Supervision.Register(fs)
-	RegisterSplit(fs, &f.Shards, &f.Phases, &f.Window, &f.FuncWarmup, SampleWindow)
+	RegisterSplit(fs, &f.Shards, &f.Phases, &f.Window, &f.FuncWarmup)
 	fs.Uint64Var(&f.BeaconInterval, "beacon-interval", 0, "emit deterministic state beacons every N retired instructions (0 disables); chains print with the report and are journaled with the checkpoint")
 	fs.BoolVar(&f.Audit, "audit", false, "run the structural invariant auditor during simulation; violations fail the run with a diagnosis")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write the per-window metrics series (JSON lines, one file for all runs) to this file")
@@ -89,10 +89,10 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 }
 
 // RegisterSplit binds -shards -sample-phases -sample-window -func-warmup.
-func RegisterSplit(fs *flag.FlagSet, shards, phases *int, window, funcWarmup *uint64, defWindow uint64) {
+func RegisterSplit(fs *flag.FlagSet, shards, phases *int, window, funcWarmup *uint64) {
 	fs.IntVar(shards, "shards", 1, "split each single-stream run into this many parallel warmup+measure segments (1 = serial; error bounds in DESIGN.md §12)")
 	fs.IntVar(phases, "sample-phases", 0, "phase-sample each single-stream run: K phases from a shared LRU-baseline profile, one representative interval each (0 = off; error bounds in DESIGN.md §14)")
-	fs.Uint64Var(window, "sample-window", defWindow, "phase-classification interval in retired instructions; -warmup and -n must be multiples of it when -sample-phases > 1")
+	fs.Uint64Var(window, "sample-window", SampleWindow, "phase-classification interval in retired instructions; -warmup and -n must be multiples of it when -sample-phases > 1")
 	fs.Uint64Var(funcWarmup, "func-warmup", 0, "replay this prefix of each segment's warmup functionally (no pipeline); must leave a detailed warmup suffix")
 }
 

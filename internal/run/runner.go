@@ -30,9 +30,11 @@ type Result struct {
 	// Beacon is the final state fingerprint when it is comparable with a
 	// serial run: a whole run's chain, or a 1-shard/1-phase run's.
 	Beacon *harness.BeaconStamp
-	// Shard and Sample carry the per-segment detail of split runs.
-	Shard  *shard.Result
-	Sample *sample.Result
+	// Split carries the per-segment detail of a split run, and Plan the
+	// representatives a phase-sampled run chose (Split.Segments[i] ran
+	// Plan.Reps[i]).
+	Split *shard.Result
+	Plan  *sample.Plan
 }
 
 // Arm is a batch's observability beyond what a Spec pins; nil observes
@@ -299,35 +301,29 @@ func (r *Runner) split(s *Spec, key string, arm *Arm, label string) (segJobs, fu
 		return nil, nil, err
 	}
 	src := shard.Source{Name: s.Tenants[0], New: w.NewStream}
+	var (
+		jobs    segJobs
+		segs    []shard.Segment
+		weights []uint64
+		plan    *sample.Plan
+		window  uint64
+	)
 	if s.Phases > 0 {
-		cfg := s.sampleConfig()
-		var prof []metrics.WindowRecord
-		if cfg.Phases > 1 {
-			if prof, err = r.Profiles.Get(cfg, src, nil); err != nil {
-				return nil, nil, err
-			}
-		}
-		plan, err := sample.BuildPlan(cfg, prof)
-		if err != nil {
+		if plan, err = r.Profiles.Plan(s.sampleConfig(), src); err != nil {
 			return nil, nil, err
 		}
-		jobs, err := plan.Jobs(key, src, r.Index)
-		return jobs, func(outs segOuts) (Result, error) {
-			sr, err := plan.Stitch(outs)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Stats: sr.Stats, Beacon: sr.Beacon(), Sample: sr}, nil
-		}, err
+		segs, weights = plan.Segments(), plan.Weights()
+		jobs, err = plan.Jobs(key, src, r.Index)
+	} else {
+		if arm != nil && arm.Export != nil {
+			window = MetricsWindow(s.System, arm.Window)
+		}
+		tiling := s.shardPlan()
+		segs, weights = tiling.Segments(), tiling.Weights()
+		jobs, err = shard.SegmentJobs(s.segmentConfig(window), segs, key, src, r.Index)
 	}
-	var window uint64
-	if arm != nil && arm.Export != nil {
-		window = MetricsWindow(s.System, arm.Window)
-	}
-	cfg := s.shardConfig(window)
-	jobs, err := shard.Jobs(cfg, key, src, r.Index)
 	return jobs, func(outs segOuts) (Result, error) {
-		sr, err := shard.Stitch(cfg, outs)
+		sr, err := shard.Stitch(segs, weights, outs)
 		if err != nil {
 			return Result{}, err
 		}
@@ -337,6 +333,6 @@ func (r *Runner) split(s *Spec, key string, arm *Arm, label string) (segJobs, fu
 				sink(&sr.Windows[i])
 			}
 		}
-		return Result{Stats: sr.Stats, Beacon: sr.Beacon(), Shard: sr}, nil
+		return Result{Stats: sr.Stats, Beacon: sr.Beacon(), Split: sr, Plan: plan}, nil
 	}, err
 }

@@ -109,19 +109,19 @@ func TestExecuteSplitModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Beacon == nil || res[0].Shard != nil || res[0].Sample != nil {
-		t.Fatalf("whole run: beacon %v, shard %v, sample %v", res[0].Beacon, res[0].Shard, res[0].Sample)
+	if res[0].Beacon == nil || res[0].Split != nil || res[0].Plan != nil {
+		t.Fatalf("whole run: beacon %v, split %v, plan %v", res[0].Beacon, res[0].Split, res[0].Plan)
 	}
-	if res[1].Sample == nil || !reflect.DeepEqual(res[1].Beacon, res[0].Beacon) || !reflect.DeepEqual(res[1].Stats, res[0].Stats) {
+	if res[1].Plan == nil || !reflect.DeepEqual(res[1].Beacon, res[0].Beacon) || !reflect.DeepEqual(res[1].Stats, res[0].Stats) {
 		t.Error("the 1-phase plan must reproduce the whole run exactly")
 	}
-	if res[2].Shard == nil || len(res[2].Shard.Shards) != 2 || res[2].Beacon != nil {
+	if res[2].Split == nil || res[2].Plan != nil || len(res[2].Split.Segments) != 2 || res[2].Beacon != nil {
 		t.Error("a 2-shard run reports its shards and no serial-comparable beacon")
 	}
-	if res[3].Sample == nil || len(res[3].Sample.Reps) == 0 {
-		t.Error("a sampled run reports its representatives")
+	if res[3].Plan == nil || len(res[3].Split.Segments) != len(res[3].Plan.Reps) || len(res[3].Plan.Reps) == 0 {
+		t.Error("a sampled run reports one segment per representative")
 	}
-	if res[4].Shard == nil || len(res[4].Shard.Shards) != 1 || res[4].Beacon != nil {
+	if res[4].Split == nil || len(res[4].Split.Segments) != 1 || res[4].Beacon != nil {
 		t.Error("functional warmup alone runs one warmed shard, which is not serial-exact")
 	}
 	for i, r := range res {

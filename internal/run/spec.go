@@ -101,7 +101,7 @@ func (s Spec) Validate() error {
 	case s.Phases > 0:
 		return s.sampleConfig().Validate()
 	}
-	return s.shardConfig(0).Plan.Validate()
+	return s.shardPlan().Validate()
 }
 
 // Key is the run's checkpoint and memo identity: a readable
@@ -142,16 +142,15 @@ func (s Spec) name() string {
 	return s.Tenants[0]
 }
 
-// shardConfig maps a sharded or functionally warmed spec onto the shard
-// engine; window > 0 also samples each segment's metrics window series.
-func (s Spec) shardConfig(window uint64) shard.Config {
-	return shard.Config{
-		System:         s.System,
-		Plan:           shard.Plan{Shards: max(s.Shards, 1), Warmup: s.Warmup, Measure: s.Measure, FuncWarmup: s.FuncWarmup},
-		BeaconInterval: s.BeaconInterval,
-		Audit:          s.Audit,
-		MetricsWindow:  window,
-	}
+// shardPlan is the tiling of a sharded or functionally warmed spec.
+func (s Spec) shardPlan() shard.Plan {
+	return shard.Plan{Shards: max(s.Shards, 1), Warmup: s.Warmup, Measure: s.Measure, FuncWarmup: s.FuncWarmup}
+}
+
+// segmentConfig is the machine every segment of a split spec runs;
+// window > 0 also samples each segment's metrics window series.
+func (s Spec) segmentConfig(window uint64) shard.Config {
+	return shard.Config{System: s.System, BeaconInterval: s.BeaconInterval, Audit: s.Audit, MetricsWindow: window}
 }
 
 // sampleConfig maps a phase-sampled spec onto the sampling engine.

@@ -227,19 +227,3 @@ func TestOnePhaseExact(t *testing.T) {
 		})
 	}
 }
-
-// TestMultiPhaseNoBeacon: a K>1 result has no serial-comparable beacon,
-// nor does a K=1 plan whose warmup is partly functional.
-func TestMultiPhaseNoBeacon(t *testing.T) {
-	multi := &Result{Plan: &Plan{Config: Config{Phases: 4}}, Reps: make([]RepResult, 4)}
-	if multi.Beacon() != nil {
-		t.Error("multi-phase result claimed a serial-comparable beacon")
-	}
-	funcWarm := &Result{
-		Plan: &Plan{Config: Config{Phases: 1}},
-		Reps: []RepResult{{Segment: shard.Segment{FuncWarmup: 100}}},
-	}
-	if funcWarm.Beacon() != nil {
-		t.Error("functionally warmed result claimed a serial-comparable beacon")
-	}
-}

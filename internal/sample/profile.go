@@ -65,6 +65,22 @@ type profileEntry struct {
 // NewProfiles returns an empty profile cache.
 func NewProfiles() *Profiles { return &Profiles{m: make(map[string]*profileEntry)} }
 
+// Plan validates cfg and builds its plan for src. The K=1 plan needs no
+// profile; a K>1 plan classifies the profile cached for (cfg, src).
+func (p *Profiles) Plan(cfg Config, src shard.Source) (*Plan, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	var prof []metrics.WindowRecord
+	if cfg.Phases > 1 {
+		var err error
+		if prof, err = p.Get(cfg, src, nil); err != nil {
+			return nil, err
+		}
+	}
+	return BuildPlan(cfg, prof)
+}
+
 // key identifies one profile. The full baseline config is serialised in:
 // geometry fields (cache sizes, TLB shapes, huge-page fraction, ...) all
 // shift the profile's metric series.

@@ -1,11 +1,12 @@
-// Package sample implements SimPoint-style representative sampling: a
-// cheap profiling pre-pass splits a long run into fixed-length intervals
-// of retired instructions, clusters the intervals' architecture-metric
-// vectors into K phases with a deterministic seeded k-means, and then
-// simulates ONE representative interval per phase in detail — each as a
-// supervised internal/shard segment, in parallel, with most of its
-// warmup replayed functionally — reconstructing the full-run statistics
-// as the phase-occupancy-weighted sum of the representatives.
+// Package sample plans SimPoint-style representative sampling: a cheap
+// profiling pre-pass splits a long run into fixed-length intervals of
+// retired instructions, clusters the intervals' architecture-metric
+// vectors into K phases with a deterministic seeded k-means, and picks
+// ONE representative interval per phase, weighted by its phase's
+// occupancy. internal/shard executes the plan: each representative runs
+// in detail as a supervised segment, in parallel, with most of its
+// warmup replayed functionally, and shard.Stitch reconstructs the
+// full-run statistics as the occupancy-weighted sum.
 //
 // The profile is taken once per workload at a fixed baseline
 // configuration (all replacement policies forced to LRU) so one profile
@@ -13,8 +14,8 @@
 // the workload, not of the policy under study. Accuracy bounds per
 // geometry are declared by the differential battery (TestSampledEquivalence,
 // DESIGN.md §14). The degenerate K=1 plan runs the whole measured region
-// as one fully detailed segment and is bit-exact with the serial run,
-// beacon chain included.
+// as one segment of weight 1; with fully detailed warmup it is bit-exact
+// with the serial run, beacon chain included.
 package sample
 
 import (
@@ -62,11 +63,14 @@ type Config struct {
 	// structural invariant auditor, as in shard.Config.
 	BeaconInterval uint64
 	Audit          bool
-	// Seed seeds the k-means initialisation (0 is a valid seed).
-	Seed uint64
-	// Iters bounds the k-means Lloyd iterations (0 selects 32).
-	Iters int
 }
+
+// The classifier's fixed k-means seed and Lloyd iteration cap: a plan is
+// a pure function of (config, profile).
+const (
+	kmeansSeed  = 0
+	kmeansIters = 32
+)
 
 func (c Config) detailWarmup() uint64 {
 	if c.DetailWarmup == 0 || c.DetailWarmup > c.Warmup {
@@ -76,13 +80,6 @@ func (c Config) detailWarmup() uint64 {
 }
 
 func (c Config) funcWarmup() uint64 { return c.Warmup - c.detailWarmup() }
-
-func (c Config) iters() int {
-	if c.Iters <= 0 {
-		return 32
-	}
-	return c.Iters
-}
 
 // Validate rejects nonsensical sampling configurations.
 func (c Config) Validate() error {
@@ -121,8 +118,8 @@ type Rep struct {
 	// w covers serial instructions [Warmup+w·Window, Warmup+(w+1)·Window)).
 	Window uint64 `json:"window"`
 	// Weight is the phase occupancy: how many measured intervals the
-	// cluster holds. Weighted stitching multiplies this representative's
-	// counters by Weight, and the weights sum to Measure/Window.
+	// cluster holds. The stitch multiplies this representative's counters
+	// by Weight, and the weights sum to Measure/Window.
 	Weight uint64 `json:"weight"`
 }
 
@@ -162,6 +159,16 @@ func (p *Plan) Segments() []shard.Segment {
 	return segs
 }
 
+// Weights are the representatives' stitch weights, indexed like
+// Segments.
+func (p *Plan) Weights() []uint64 {
+	w := make([]uint64, len(p.Reps))
+	for i, rep := range p.Reps {
+		w[i] = rep.Weight
+	}
+	return w
+}
+
 // BuildPlan classifies a profile's measured intervals into phases and
 // picks one representative per phase. recs is the profiling pre-pass's
 // window series (window size Config.Window, from instruction 0); only
@@ -182,7 +189,7 @@ func BuildPlan(cfg Config, recs []metrics.WindowRecord) (*Plan, error) {
 	if k > len(vecs) {
 		k = len(vecs)
 	}
-	assign := kmeans(vecs, k, cfg.Seed, cfg.iters())
+	assign := kmeans(vecs, k, kmeansSeed, kmeansIters)
 	reps, counts := medoids(vecs, assign, k)
 
 	plan := &Plan{Config: cfg}

@@ -150,8 +150,8 @@ func TestDifferentialEquivalence(t *testing.T) {
 			sys := quadrantConfig(q)
 			serial, _, _ := serialRun(t, sys, src, sc.warmup, sc.measure, 0)
 
-			cfg := Config{System: sys, Plan: Plan{Shards: sc.shards, Warmup: sc.warmup, Measure: sc.measure}}
-			res, err := Run(cfg, "equiv|"+q.name, src, ix, harness.Options{})
+			plan := Plan{Shards: sc.shards, Warmup: sc.warmup, Measure: sc.measure}
+			res, err := Run(Config{System: sys}, plan, "equiv|"+q.name, src, ix, harness.Options{})
 			if err != nil {
 				t.Fatalf("sharded run: %v", err)
 			}
@@ -200,12 +200,9 @@ func TestOneShardExact(t *testing.T) {
 			sys := quadrantConfig(q)
 			serial, chain, count := serialRun(t, sys, src, warmup, measure, beacon)
 
-			cfg := Config{
-				System:         sys,
-				Plan:           Plan{Shards: 1, Warmup: warmup, Measure: measure},
-				BeaconInterval: beacon,
-			}
-			res, err := Run(cfg, "exact|"+q.name, src, ix, harness.Options{})
+			cfg := Config{System: sys, BeaconInterval: beacon}
+			plan := Plan{Shards: 1, Warmup: warmup, Measure: measure}
+			res, err := Run(cfg, plan, "exact|"+q.name, src, ix, harness.Options{})
 			if err != nil {
 				t.Fatalf("1-shard run: %v", err)
 			}
@@ -221,13 +218,5 @@ func TestOneShardExact(t *testing.T) {
 					stamp.Chain, stamp.Count, chain, count)
 			}
 		})
-	}
-}
-
-// TestMultiShardNoBeacon: a K>1 result has no serial-comparable beacon.
-func TestMultiShardNoBeacon(t *testing.T) {
-	r := &Result{Shards: make([]ShardResult, 3)}
-	if r.Beacon() != nil {
-		t.Fatal("multi-shard result claimed a serial-comparable beacon")
 	}
 }

@@ -45,16 +45,17 @@ func TestSegmentsFuncWarmupSplit(t *testing.T) {
 // distinguishing |f suffix so a resume cannot mix the two shapes.
 func TestJobsKeyFuncWarmupSuffix(t *testing.T) {
 	src := testSource(t, workload.NewCatalog(120, 20).SpecNames()[0])
-	cfg := Config{System: config.Default(), Plan: Plan{Shards: 2, Warmup: 100, Measure: 200}}
-	jobs, err := Jobs(cfg, "base", src, nil)
+	cfg := Config{System: config.Default()}
+	plan := Plan{Shards: 2, Warmup: 100, Measure: 200}
+	jobs, err := SegmentJobs(cfg, plan.Segments(), "base", src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := jobs[0].Key, "base|shard0/2|o0|w100|m100"; got != want {
 		t.Errorf("plain key %q, want %q (checkpoint keys must stay stable)", got, want)
 	}
-	cfg.Plan.FuncWarmup = 60
-	jobs, err = Jobs(cfg, "base", src, nil)
+	plan.FuncWarmup = 60
+	jobs, err = SegmentJobs(cfg, plan.Segments(), "base", src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +108,9 @@ func TestFuncWarmupStitchedWindows(t *testing.T) {
 		window  = 10_000
 	)
 	src := testSource(t, workload.NewCatalog(120, 20).SpecNames()[0])
-	cfg := Config{
-		System:        config.Default(),
-		Plan:          Plan{Shards: k, Warmup: warmup, FuncWarmup: fw, Measure: measure},
-		MetricsWindow: window,
-	}
-	res, err := Run(cfg, "fw-windows", src, nil, harness.Options{})
+	cfg := Config{System: config.Default(), MetricsWindow: window}
+	plan := Plan{Shards: k, Warmup: warmup, FuncWarmup: fw, Measure: measure}
+	res, err := Run(cfg, plan, "fw-windows", src, nil, harness.Options{})
 	if err != nil {
 		t.Fatalf("sharded run: %v", err)
 	}
@@ -147,14 +145,14 @@ func TestFuncWarmupNearDetailed(t *testing.T) {
 	)
 	src := testSource(t, workload.NewCatalog(120, 20).ServerNames()[0])
 	ix := NewIndex()
-	base := Config{System: config.Default(), Plan: Plan{Shards: k, Warmup: warmup, Measure: measure}}
-	detailed, err := Run(base, "fw-ref", src, ix, harness.Options{})
+	cfg := Config{System: config.Default()}
+	plan := Plan{Shards: k, Warmup: warmup, Measure: measure}
+	detailed, err := Run(cfg, plan, "fw-ref", src, ix, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwCfg := base
-	fwCfg.Plan.FuncWarmup = 30_000
-	fw, err := Run(fwCfg, "fw-run", src, ix, harness.Options{})
+	plan.FuncWarmup = 30_000
+	fw, err := Run(cfg, plan, "fw-run", src, ix, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

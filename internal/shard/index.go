@@ -7,17 +7,18 @@ import (
 	"itpsim/internal/workload"
 )
 
-// Source names a deterministic stream factory. New must return a fresh
-// stream producing the identical sequence on every call (the catalogue
-// generators do); Name must uniquely identify that sequence — it is the
-// split-index cache key and part of every shard's checkpoint key.
+// Source names a deterministic stream factory. New must return a fresh,
+// clonable stream (workload.Cloner) that produces the identical sequence
+// on every call, as the catalogue generators do. Name must uniquely
+// identify that sequence: it is the split-index cache key and part of
+// every segment's checkpoint key.
 type Source struct {
 	Name string
 	New  func() workload.Stream
 }
 
 // Index caches positioned generator snapshots per (source, offsets), so
-// repeated sharded runs over the same workload — a policy sweep's whole
+// repeated split runs over the same workload — a policy sweep's whole
 // column — pay the serial positioning pass once. Snapshots are pristine:
 // every retrieval clones them again, never consumes them. Safe for
 // concurrent use.
@@ -32,25 +33,18 @@ func NewIndex() *Index {
 }
 
 // Streams returns one stream per offset, each positioned at its offset of
-// src's serial sequence, cloned from cached snapshots when present. The
-// returned streams are the caller's to consume (and are themselves
-// clonable when the source is).
+// src's serial sequence and cloned from the cached snapshots. The
+// returned streams are the caller's to consume, and are themselves
+// clonable.
 func (ix *Index) Streams(src Source, offsets []uint64) ([]workload.Stream, error) {
 	key := fmt.Sprintf("%s|%v", src.Name, offsets)
 	ix.mu.Lock()
 	snaps, ok := ix.m[key]
 	ix.mu.Unlock()
 	if !ok {
-		var cacheable bool
 		var err error
-		snaps, cacheable, err = position(src, offsets)
-		if err != nil {
+		if snaps, err = position(src, offsets); err != nil {
 			return nil, err
-		}
-		if !cacheable {
-			// Non-clonable source: the positioned streams are single-use,
-			// so hand them over without caching.
-			return snaps, nil
 		}
 		ix.mu.Lock()
 		if prev, raced := ix.m[key]; raced {
@@ -71,46 +65,35 @@ func (ix *Index) Streams(src Source, offsets []uint64) ([]workload.Stream, error
 	return out, nil
 }
 
-// position builds one pristine stream per offset. For clonable sources a
-// single forward pass over the serial stream snapshots the generator at
-// each offset (O(max offset) total); otherwise each offset costs its own
-// fresh stream skipped from zero (O(sum of offsets), correct but slow).
-// cacheable reports whether the returned streams are clonable snapshots.
-func position(src Source, offsets []uint64) (streams []workload.Stream, cacheable bool, err error) {
-	out := make([]workload.Stream, len(offsets))
+// position snapshots the generator at every offset in one forward pass
+// over the serial stream (O(max offset) total). Split runs start from
+// catalogue generators, which are clonable; a source that is not is
+// rejected by name.
+func position(src Source, offsets []uint64) ([]workload.Stream, error) {
 	s := src.New()
 	if s == nil {
-		return nil, false, fmt.Errorf("shard: source %s returned a nil stream", src.Name)
+		return nil, fmt.Errorf("shard: source %s returned a nil stream", src.Name)
 	}
 	if _, ok := workload.CloneStream(s); !ok {
-		for i, off := range offsets {
-			fresh := s // reuse the probe stream for the first offset
-			if i > 0 {
-				fresh = src.New()
-			}
-			if got := workload.Skip(fresh, off); got != off {
-				return nil, false, fmt.Errorf("shard: source %s ended after %d instructions, need offset %d", src.Name, got, off)
-			}
-			out[i] = fresh
-		}
-		return out, false, nil
+		return nil, fmt.Errorf("shard: source %s is not clonable; split runs position segments by snapshotting the stream", src.Name)
 	}
+	out := make([]workload.Stream, len(offsets))
 	var pos uint64
 	for i, off := range offsets {
 		if off < pos {
-			return nil, false, fmt.Errorf("shard: offsets not ascending (%d after %d)", off, pos)
+			return nil, fmt.Errorf("shard: offsets not ascending (%d after %d)", off, pos)
 		}
 		if want := off - pos; want > 0 {
 			if got := workload.Skip(s, want); got != want {
-				return nil, false, fmt.Errorf("shard: source %s ended after %d instructions, need offset %d", src.Name, pos+got, off)
+				return nil, fmt.Errorf("shard: source %s ended after %d instructions, need offset %d", src.Name, pos+got, off)
 			}
 			pos = off
 		}
 		c, ok := workload.CloneStream(s)
 		if !ok {
-			return nil, false, fmt.Errorf("shard: source %s stopped being clonable at offset %d", src.Name, off)
+			return nil, fmt.Errorf("shard: source %s stopped being clonable at offset %d", src.Name, off)
 		}
 		out[i] = c
 	}
-	return out, true, nil
+	return out, nil
 }

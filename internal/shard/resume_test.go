@@ -18,24 +18,21 @@ import (
 
 // resumeConfig is a small 4-shard run with beacons armed so stamps are
 // journaled alongside each payload.
-func resumeConfig() Config {
-	return Config{
-		System:         config.Default(),
-		Plan:           Plan{Shards: 4, Warmup: 10_000, Measure: 60_000},
-		BeaconInterval: 5_000,
-	}
+func resumeConfig() (Config, Plan) {
+	return Config{System: config.Default(), BeaconInterval: 5_000},
+		Plan{Shards: 4, Warmup: 10_000, Measure: 60_000}
 }
 
 func TestResumePartialShardSets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates hundreds of thousands of instructions")
 	}
-	cfg := resumeConfig()
+	cfg, plan := resumeConfig()
 	src := testSource(t, workload.NewCatalog(120, 20).ServerNames()[3])
 	ix := NewIndex()
 
 	// The uninterrupted reference: no checkpoint at all.
-	ref, err := Run(cfg, "resume", src, ix, harness.Options{})
+	ref, err := Run(cfg, plan, "resume", src, ix, harness.Options{})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -47,7 +44,7 @@ func TestResumePartialShardSets(t *testing.T) {
 		// Phase 1: the "interrupted campaign" — only the shards in done
 		// complete and reach the journal.
 		if len(done) > 0 {
-			jobs, err := Jobs(cfg, "resume", src, ix)
+			jobs, err := SegmentJobs(cfg, plan.Segments(), "resume", src, ix)
 			if err != nil {
 				t.Fatalf("jobs: %v", err)
 			}
@@ -61,7 +58,7 @@ func TestResumePartialShardSets(t *testing.T) {
 		}
 
 		// Phase 2: the full resumed run against the same journal.
-		res, err := Run(cfg, "resume", src, ix, harness.Options{Checkpoint: ckpt})
+		res, err := Run(cfg, plan, "resume", src, ix, harness.Options{Checkpoint: ckpt})
 		if err != nil {
 			t.Fatalf("resumed run %v: %v", done, err)
 		}
@@ -70,7 +67,7 @@ func TestResumePartialShardSets(t *testing.T) {
 		for _, i := range done {
 			cached[i] = true
 		}
-		for i, sh := range res.Shards {
+		for i, sh := range res.Segments {
 			if sh.Cached != cached[i] {
 				t.Errorf("subset %v: shard %d cached=%v, want %v — resume must skip exactly the journaled shards",
 					done, i, sh.Cached, cached[i])
@@ -79,7 +76,7 @@ func TestResumePartialShardSets(t *testing.T) {
 				t.Errorf("subset %v: shard %d has no beacon stamp", done, i)
 				continue
 			}
-			want := ref.Shards[i].Beacon
+			want := ref.Segments[i].Beacon
 			if want == nil {
 				t.Fatalf("reference shard %d has no beacon stamp", i)
 			}
@@ -105,22 +102,22 @@ func TestResumeStalePlanRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates hundreds of thousands of instructions")
 	}
-	cfg := resumeConfig()
+	cfg, plan := resumeConfig()
 	src := testSource(t, workload.NewCatalog(120, 20).ServerNames()[3])
 	ix := NewIndex()
 	ckpt := filepath.Join(t.TempDir(), "shards.ckpt")
 
-	if _, err := Run(cfg, "stale", src, ix, harness.Options{Checkpoint: ckpt}); err != nil {
+	if _, err := Run(cfg, plan, "stale", src, ix, harness.Options{Checkpoint: ckpt}); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
 
-	reshaped := cfg
-	reshaped.Plan.Shards = 2
-	res, err := Run(reshaped, "stale", src, ix, harness.Options{Checkpoint: ckpt})
+	reshaped := plan
+	reshaped.Shards = 2
+	res, err := Run(cfg, reshaped, "stale", src, ix, harness.Options{Checkpoint: ckpt})
 	if err != nil {
 		t.Fatalf("reshaped run: %v", err)
 	}
-	for i, sh := range res.Shards {
+	for i, sh := range res.Segments {
 		if sh.Cached {
 			t.Errorf("reshaped shard %d recalled a 4-shard journal entry", i)
 		}

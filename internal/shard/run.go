@@ -11,55 +11,29 @@ import (
 	"itpsim/internal/workload"
 )
 
-// Config describes one sharded simulation.
+// Config describes the machine every segment of a split run simulates.
 type Config struct {
-	// System is the machine configuration every shard runs.
+	// System is the machine configuration every segment runs.
 	System config.SystemConfig
-	// Plan is the shard layout.
-	Plan Plan
-	// BeaconInterval arms per-shard deterministic state beacons every N
-	// retired instructions (0 = off). Each shard's final chain is sampled
-	// by the harness and journaled with its checkpoint record; in the
-	// 1-shard plan the single chain is bit-identical to the serial run's.
+	// BeaconInterval arms per-segment deterministic state beacons every N
+	// retired instructions (0 = off). Each segment's final chain is
+	// sampled by the harness and journaled with its checkpoint record;
+	// Result.Beacon says when a chain is comparable with the serial run's.
 	BeaconInterval uint64
-	// Audit arms the periodic structural invariant auditor on every shard
-	// machine (at its default interval).
+	// Audit arms the periodic structural invariant auditor on every
+	// segment machine (at its default interval).
 	Audit bool
-	// MetricsWindow sizes the per-shard window series in retired
-	// instructions (0 = no window series). When set, the per-shard warmup
-	// and every segment length must be window multiples so the stitched
-	// series stays gap-free across shard boundaries; Jobs rejects
-	// misaligned plans.
+	// MetricsWindow sizes the per-segment window series in retired
+	// instructions (0 = no window series). When set, every segment's
+	// warmup and measured length must be window multiples so the stitched
+	// series stays gap-free across segment boundaries; SegmentJobs
+	// rejects misaligned segments.
 	MetricsWindow uint64
 }
 
-// validate extends Plan validation with the window-alignment rule.
-func (c Config) validate() error {
-	if err := c.Plan.Validate(); err != nil {
-		return err
-	}
-	if c.System.Cores > 1 {
-		// A sharded run splits ONE stream's measured region; a CMP run
-		// interleaves N streams whose interference must be simulated
-		// whole (like SMT pairs, which the callers also run unsharded).
-		return fmt.Errorf("shard: multi-core runs (Cores=%d) must run whole; sharding splits a single stream", c.System.Cores)
-	}
-	if w := c.MetricsWindow; w > 0 {
-		if c.Plan.Warmup%w != 0 {
-			return fmt.Errorf("shard: warmup %d is not a multiple of the %d-instruction metrics window", c.Plan.Warmup, w)
-		}
-		for _, seg := range c.Plan.Segments() {
-			if seg.Measure%w != 0 {
-				return fmt.Errorf("shard: segment %d measures %d instructions, not a multiple of the %d-instruction metrics window", seg.Index, seg.Measure, w)
-			}
-		}
-	}
-	return nil
-}
-
-// Payload is the journaled result of one shard job: the segment it
-// simulated (stitching re-verifies it against the plan, so a checkpoint
-// from a different plan cannot be stitched silently), the measured
+// Payload is the journaled result of one segment job: the segment it
+// simulated (stitching re-verifies it against the split, so a checkpoint
+// from a different split cannot be stitched silently), the measured
 // statistics, and the window series when sampling was armed.
 type Payload struct {
 	Segment Segment                `json:"segment"`
@@ -67,28 +41,21 @@ type Payload struct {
 	Windows []metrics.WindowRecord `json:"windows,omitempty"`
 }
 
-// Jobs builds one supervised harness job per segment of cfg.Plan, in
-// segment order. Job keys are baseKey|shard i/K|o…w…m…, stable across
-// processes for checkpoint resume. Positioning happens eagerly here (one
-// serial pass, through ix when non-nil so repeated runs reuse snapshots);
-// each job re-clones its pristine stream per attempt, so retries replay
-// the identical segment.
-func Jobs(cfg Config, baseKey string, src Source, ix *Index) ([]harness.Job[*Payload], error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return SegmentJobs(cfg, cfg.Plan.Segments(), baseKey, src, ix)
-}
-
-// SegmentJobs builds one supervised job per segment — the job engine
-// behind Jobs (plan tilings) and internal/sample (representative
-// intervals, which are arbitrary window slices rather than a uniform
-// tiling). Segments must be offset-ascending; each is validated for
-// window alignment and functional-warmup shape independently of any
-// Plan. Keys append |f<n> only for segments with functional warmup, so
-// pre-existing checkpoint keys stay stable.
+// SegmentJobs builds one supervised harness job per segment, in segment
+// order: the job engine behind every split run, whether the segments
+// tile a Plan or are internal/sample's representative intervals.
+// Segments must be offset-ascending; each is checked for window
+// alignment and functional-warmup shape. Job keys are
+// baseKey|shard i/K|o…|w…|m…, plus |f<n> for segments with functional
+// warmup, stable across processes for checkpoint resume. Positioning
+// happens eagerly here, in one serial pass through ix (a throwaway index
+// when nil, else shared so repeated runs reuse snapshots); each job
+// re-clones its pristine stream per attempt, so retries replay the
+// identical segment.
 func SegmentJobs(cfg Config, segs []Segment, baseKey string, src Source, ix *Index) ([]harness.Job[*Payload], error) {
 	if cfg.System.Cores > 1 {
+		// A split run divides ONE stream; a CMP run interleaves N streams
+		// whose interference must be simulated whole.
 		return nil, fmt.Errorf("shard: multi-core runs (Cores=%d) must run whole; segment jobs split a single stream", cfg.System.Cores)
 	}
 	offsets := make([]uint64, len(segs))
@@ -109,13 +76,10 @@ func SegmentJobs(cfg Config, segs []Segment, baseKey string, src Source, ix *Ind
 		}
 		offsets[i] = seg.Offset
 	}
-	var pristine []workload.Stream
-	var err error
-	if ix != nil {
-		pristine, err = ix.Streams(src, offsets)
-	} else {
-		pristine, _, err = position(src, offsets)
+	if ix == nil {
+		ix = NewIndex()
 	}
+	pristine, err := ix.Streams(src, offsets)
 	if err != nil {
 		return nil, err
 	}
@@ -132,32 +96,15 @@ func SegmentJobs(cfg Config, segs []Segment, baseKey string, src Source, ix *Ind
 		jobs[i] = harness.Job[*Payload]{
 			Key: key,
 			Run: func(jc *harness.JobContext) (*Payload, error) {
-				s, err := segmentStream(base, src, seg, jc.Attempt())
-				if err != nil {
-					return nil, err
+				s, ok := workload.CloneStream(base)
+				if !ok {
+					return nil, harness.Permanent(fmt.Errorf("shard: segment %d of source %s stopped being clonable", seg.Index, src.Name))
 				}
 				return runSegment(cfg, seg, s, jc)
 			},
 		}
 	}
 	return jobs, nil
-}
-
-// segmentStream yields the stream one attempt consumes. Clonable bases
-// are re-cloned per attempt; a non-clonable base is single-use, so
-// retries reposition a fresh stream from the source.
-func segmentStream(base workload.Stream, src Source, seg Segment, attempt int) (workload.Stream, error) {
-	if c, ok := workload.CloneStream(base); ok {
-		return c, nil
-	}
-	if attempt == 0 {
-		return base, nil
-	}
-	fresh := src.New()
-	if got := workload.Skip(fresh, seg.Offset); got != seg.Offset {
-		return nil, harness.Permanent(fmt.Errorf("shard: source %s ended after %d instructions repositioning for retry, need offset %d", src.Name, got, seg.Offset))
-	}
-	return fresh, nil
 }
 
 // runSegment simulates one positioned segment on a fresh machine under
@@ -200,12 +147,17 @@ func runSegment(cfg Config, seg Segment, s workload.Stream, jc *harness.JobConte
 	return pl, nil
 }
 
-// Run executes the whole plan under the harness supervisor and stitches
-// the outcome: Jobs + harness.RunAll + Stitch. opts.Parallelism defaults
-// to the shard count (the scheduler caps real parallelism at GOMAXPROCS);
-// any failed shard fails the run with the harness's joined error.
-func Run(cfg Config, baseKey string, src Source, ix *Index, opts harness.Options) (*Result, error) {
-	jobs, err := Jobs(cfg, baseKey, src, ix)
+// Run executes plan on cfg's machine under the harness supervisor and
+// stitches the outcome: SegmentJobs + harness.RunAll + Stitch, every
+// shard weighted 1. opts.Parallelism defaults to the shard count (the
+// scheduler caps real parallelism at GOMAXPROCS); any failed shard fails
+// the run with the harness's joined error.
+func Run(cfg Config, plan Plan, baseKey string, src Source, ix *Index, opts harness.Options) (*Result, error) {
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	segs := plan.Segments()
+	jobs, err := SegmentJobs(cfg, segs, baseKey, src, ix)
 	if err != nil {
 		return nil, err
 	}
@@ -216,5 +168,5 @@ func Run(cfg Config, baseKey string, src Source, ix *Index, opts harness.Options
 	if err != nil {
 		return nil, err
 	}
-	return Stitch(cfg, outs)
+	return Stitch(segs, plan.Weights(), outs)
 }

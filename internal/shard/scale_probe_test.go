@@ -31,8 +31,8 @@ func TestScaleProbe(t *testing.T) {
 		for _, q := range quadrants {
 			sys := quadrantConfig(q)
 			serial, _, _ := serialRun(t, sys, src, g.warmup, g.measure, 0)
-			cfg := Config{System: sys, Plan: Plan{Shards: g.k, Warmup: g.warmup, Measure: g.measure}}
-			res, err := Run(cfg, "probe", src, ix, harness.Options{})
+			plan := Plan{Shards: g.k, Warmup: g.warmup, Measure: g.measure}
+			res, err := Run(Config{System: sys}, plan, "probe", src, ix, harness.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,10 +23,14 @@
 // every run that shares the workload, so a policy sweep pays the
 // positioning pass once per workload, not once per cell.
 //
-// Each shard runs as one job under the internal/harness supervisor:
-// per-shard retries, forward-progress watchdog, and checkpoint/resume of
-// completed shards through the v2 journal (keyed baseKey|shard i/K, with
-// the shard's beacon stamp journaled alongside its payload).
+// The package is the one executor of split runs. A split run is a list
+// of Segments with one weight each: a Plan's tiling weighs every shard 1,
+// and internal/sample's representatives weigh their phase occupancy.
+// SegmentJobs runs each segment as one job under the internal/harness
+// supervisor: per-segment retries, forward-progress watchdog, and
+// checkpoint/resume of completed segments through the v2 journal (keyed
+// baseKey|shard i/K, with the segment's beacon stamp journaled alongside
+// its payload). Stitch sums the weighted outcomes back into one Result.
 package shard
 
 import "fmt"
@@ -104,4 +108,14 @@ func (p Plan) Segments() []Segment {
 		}
 	}
 	return segs
+}
+
+// Weights are the plan's stitch weights, indexed like Segments: a tiling
+// counts every shard once.
+func (p Plan) Weights() []uint64 {
+	w := make([]uint64, p.Shards)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
 }

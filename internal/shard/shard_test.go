@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,6 +54,9 @@ func TestSegmentsTile(t *testing.T) {
 			if k == 1 && (segs[0].Offset != 0 || segs[0].Measure != n) {
 				t.Fatalf("1-shard plan is not the serial run: %+v", segs[0])
 			}
+			if ws := p.Weights(); len(ws) != k || slices.Min(ws) != 1 || slices.Max(ws) != 1 {
+				t.Fatalf("plan %+v: weights %v, want %d ones", p, ws, k)
+			}
 		}
 	}
 }
@@ -65,33 +70,12 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
-func TestConfigWindowAlignment(t *testing.T) {
-	base := Config{Plan: Plan{Shards: 4, Warmup: 1000, Measure: 4000}, MetricsWindow: 500}
-	if err := base.validate(); err != nil {
-		t.Errorf("aligned config rejected: %v", err)
-	}
-	bad := base
-	bad.Plan.Warmup = 1100
-	if err := bad.validate(); err == nil || !strings.Contains(err.Error(), "warmup") {
-		t.Errorf("misaligned warmup accepted: %v", err)
-	}
-	bad = base
-	bad.Plan.Measure = 4500 // segments of 1125 are not window multiples
-	if err := bad.validate(); err == nil || !strings.Contains(err.Error(), "segment") {
-		t.Errorf("misaligned segment accepted: %v", err)
-	}
-}
-
 // windowedRun runs a small sharded simulation with window sampling on.
 func windowedRun(t *testing.T, k int, warmup, measure, window uint64) *Result {
 	t.Helper()
 	src := testSource(t, workload.NewCatalog(120, 20).SpecNames()[0])
-	cfg := Config{
-		System:        config.Default(),
-		Plan:          Plan{Shards: k, Warmup: warmup, Measure: measure},
-		MetricsWindow: window,
-	}
-	res, err := Run(cfg, "windows", src, nil, harness.Options{})
+	cfg := Config{System: config.Default(), MetricsWindow: window}
+	res, err := Run(cfg, Plan{Shards: k, Warmup: warmup, Measure: measure}, "windows", src, nil, harness.Options{})
 	if err != nil {
 		t.Fatalf("sharded run: %v", err)
 	}
@@ -134,43 +118,46 @@ func TestStitchedWindowProperties(t *testing.T) {
 	}
 }
 
-// TestStitchRejects: stitching must reject outcome sets that do not match
-// the plan instead of summing garbage.
-func TestStitchRejects(t *testing.T) {
-	cfg := Config{Plan: Plan{Shards: 2, Warmup: 10, Measure: 100}}
-	segs := cfg.Plan.Segments()
-	good := func() []harness.Outcome[*Payload] {
-		outs := make([]harness.Outcome[*Payload], len(segs))
-		for i, seg := range segs {
-			outs[i] = harness.Outcome[*Payload]{
-				Key:    "k",
-				Result: &Payload{Segment: seg, Stats: statsFor(seg)},
-			}
+type outcomeSet = []harness.Outcome[*Payload]
+
+// outcomesFor fabricates one successful outcome per segment.
+func outcomesFor(segs []Segment) outcomeSet {
+	outs := make(outcomeSet, len(segs))
+	for i, seg := range segs {
+		outs[i] = harness.Outcome[*Payload]{
+			Key:    "k",
+			Result: &Payload{Segment: seg, Stats: statsFor(seg)},
 		}
-		return outs
 	}
-	if _, err := Stitch(cfg, good()); err != nil {
+	return outs
+}
+
+// TestStitchRejects: stitching must reject outcome sets that do not match
+// the segments and weights instead of summing garbage.
+func TestStitchRejects(t *testing.T) {
+	segs := Plan{Shards: 2, Warmup: 10, Measure: 100}.Segments()
+	weights := []uint64{3, 1}
+	if _, err := Stitch(segs, weights, outcomesFor(segs)); err != nil {
 		t.Fatalf("valid outcomes rejected: %v", err)
 	}
-
-	short := good()[:1]
-	if _, err := Stitch(cfg, short); err == nil {
-		t.Error("short outcome set accepted")
-	}
-	failed := good()
-	failed[1].Err = errTest
-	if _, err := Stitch(cfg, failed); err == nil {
-		t.Error("failed shard accepted")
-	}
-	empty := good()
-	empty[0].Result = nil
-	if _, err := Stitch(cfg, empty); err == nil {
-		t.Error("nil payload accepted")
-	}
-	stale := good()
-	stale[1].Result.Segment.Offset++ // a checkpoint from a different plan
-	if _, err := Stitch(cfg, stale); err == nil || !strings.Contains(err.Error(), "stale") {
-		t.Errorf("stale-plan payload accepted: %v", err)
+	same := func(o outcomeSet) outcomeSet { return o }
+	for _, c := range []struct {
+		name    string
+		weights []uint64
+		mut     func(outcomeSet) outcomeSet
+		want    string
+	}{
+		{"short outcome set", weights, func(o outcomeSet) outcomeSet { return o[:1] }, "outcomes"},
+		{"short weights", weights[:1], same, "weights"},
+		{"no weights", nil, same, "weights"},
+		{"failed segment", weights, func(o outcomeSet) outcomeSet { o[1].Err = errTest; return o }, "test error"},
+		{"nil payload", weights, func(o outcomeSet) outcomeSet { o[0].Result = nil; return o }, "empty payload"},
+		// A checkpoint from a different split.
+		{"stale payload", weights, func(o outcomeSet) outcomeSet { o[1].Result.Segment.Offset++; return o }, "stale"},
+	} {
+		if _, err := Stitch(segs, c.weights, c.mut(outcomesFor(segs))); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -190,30 +177,87 @@ func statsFor(seg Segment) *stats.Sim {
 }
 
 // TestStitchSums: summation is exact — the stitched counters are the
-// field-wise sums of the shard counters and ratio metrics recompute from
-// them.
+// weighted field-wise sums of the segment counters and ratio metrics
+// recompute from them.
 func TestStitchSums(t *testing.T) {
-	cfg := Config{Plan: Plan{Shards: 3, Warmup: 5, Measure: 300}}
-	segs := cfg.Plan.Segments()
-	outs := make([]harness.Outcome[*Payload], len(segs))
-	for i, seg := range segs {
-		outs[i] = harness.Outcome[*Payload]{Result: &Payload{Segment: seg, Stats: statsFor(seg)}}
+	plan := Plan{Shards: 3, Warmup: 5, Measure: 300} // 100 instructions each
+	segs := plan.Segments()
+	for _, c := range []struct {
+		weights []uint64
+		scale   uint64 // total weight
+	}{
+		{plan.Weights(), 3},
+		{[]uint64{3, 3, 3}, 9},
+		{[]uint64{1, 2, 3}, 6},
+	} {
+		res, err := Stitch(segs, c.weights, outcomesFor(segs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Stats.TotalInstructions(), 100*c.scale; got != want {
+			t.Errorf("weights %v: instructions %d, want %d", c.weights, got, want)
+		}
+		if got, want := uint64(res.Stats.Cycles), 200*c.scale; got != want {
+			t.Errorf("weights %v: cycles %d, want %d", c.weights, got, want)
+		}
+		if res.IPC != 0.5 {
+			t.Errorf("weights %v: IPC %f, want 0.5", c.weights, res.IPC)
+		}
+		if got, want := res.Stats.STLB.Misses[0], 10*c.scale; got != want {
+			t.Errorf("weights %v: summed STLB misses %d, want %d", c.weights, got, want)
+		}
+		for i, sr := range res.Segments {
+			if sr.Weight != c.weights[i] {
+				t.Errorf("weights %v: segment %d reports weight %d", c.weights, i, sr.Weight)
+			}
+		}
 	}
-	res, err := Stitch(cfg, outs)
+
+	// Weight 3 on every segment is exactly 3× the unweighted stitch, in
+	// every field: the same as adding the unweighted totals three times.
+	once, err := Stitch(segs, plan.Weights(), outcomesFor(segs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.TotalInstructions() != 300 {
-		t.Errorf("instructions %d, want 300", res.Stats.TotalInstructions())
+	thrice, err := Stitch(segs, []uint64{3, 3, 3}, outcomesFor(segs))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.Cycles != 600 {
-		t.Errorf("cycles %d, want 600", res.Stats.Cycles)
+	want := stats.NewSim()
+	for i := 0; i < 3; i++ {
+		want.AddScaled(once.Stats, 1)
 	}
-	if res.IPC != 0.5 {
-		t.Errorf("IPC %f, want 0.5", res.IPC)
+	if !reflect.DeepEqual(thrice.Stats, want) {
+		t.Errorf("weight-3 stitch is not 3× the unweighted one:\n%v\nwant\n%v", thrice.Stats, want)
 	}
-	if got := res.Stats.STLB.Misses[0]; got != 30 {
-		t.Errorf("summed STLB misses %d, want 30", got)
+}
+
+// TestBeaconRule: only a single segment of weight 1 with fully detailed
+// warmup simulates the serial machine, so only it reports a
+// serial-comparable beacon — whether it came from a 1-shard or a 1-phase
+// plan.
+func TestBeaconRule(t *testing.T) {
+	stamp := &harness.BeaconStamp{Chain: 0xbeac0, Count: 7}
+	seg := func(weight, funcWarmup uint64) SegmentResult {
+		return SegmentResult{Segment: Segment{Warmup: 10, FuncWarmup: funcWarmup, Measure: 100}, Weight: weight, Beacon: stamp}
+	}
+	for _, c := range []struct {
+		name   string
+		segs   []SegmentResult
+		serial bool
+	}{
+		{"1 shard / 1 phase, detailed warmup", []SegmentResult{seg(1, 0)}, true},
+		{"1 shard, functional warmup", []SegmentResult{seg(1, 5)}, false},
+		{"1 phase, functional warmup", []SegmentResult{seg(1, 100)}, false},
+		{"1 representative standing for 3 intervals", []SegmentResult{seg(3, 0)}, false},
+		{"3 shards", []SegmentResult{seg(1, 0), seg(1, 0), seg(1, 0)}, false},
+		{"4 phases", []SegmentResult{seg(2, 0), seg(1, 0), seg(4, 0), seg(1, 0)}, false},
+		{"no segments", nil, false},
+	} {
+		got := (&Result{Segments: c.segs}).Beacon()
+		if (got != nil) != c.serial {
+			t.Errorf("%s: beacon %v, serial-comparable %v", c.name, got, c.serial)
+		}
 	}
 }
 
@@ -251,51 +295,41 @@ func TestIndexReuse(t *testing.T) {
 	}
 }
 
-// opaque hides a stream's Cloner so the non-clonable fallback is
-// exercised with a real deterministic generator underneath.
+// opaque hides a stream's Cloner, like a streaming trace decoder, with a
+// real deterministic generator underneath.
 type opaque struct{ inner workload.Stream }
 
 func (o *opaque) Next(in *workload.Instr) bool { return o.inner.Next(in) }
 
-// TestIndexNonClonable: a non-clonable source still positions correctly
-// via the per-offset skip fallback, and is handed over uncached.
+// TestIndexNonClonable: segments are positioned by snapshotting the
+// stream, so a non-clonable source is rejected with its name — by the
+// index and by the job builder — rather than run some slower way.
 func TestIndexNonClonable(t *testing.T) {
 	base := testSource(t, workload.NewCatalog(120, 20).SpecNames()[1])
-	src := Source{Name: "opaque", New: func() workload.Stream { return &opaque{inner: base.New()} }}
-	ix := NewIndex()
-	offsets := []uint64{100, 4_000}
-
-	streams, err := ix.Streams(src, offsets)
-	if err != nil {
-		t.Fatal(err)
+	src := Source{Name: "opaque-src", New: func() workload.Stream { return &opaque{inner: base.New()} }}
+	if _, err := NewIndex().Streams(src, []uint64{0, 4_000}); err == nil || !strings.Contains(err.Error(), "source opaque-src is not clonable") {
+		t.Errorf("index: got %v, want the source named as not clonable", err)
 	}
-	for i, off := range offsets {
-		want := make([]workload.Instr, int(off)+256)
-		workload.FillBatch(base.New(), want)
-		got := make([]workload.Instr, 256)
-		workload.FillBatch(streams[i], got)
-		for j := range got {
-			if got[j] != want[off:][j] {
-				t.Fatalf("offset %d: fallback positioning diverged at instr %d", off, j)
-			}
-		}
+	segs := Plan{Shards: 2, Warmup: 100, Measure: 200}.Segments()
+	if _, err := SegmentJobs(Config{System: config.Default()}, segs, "k", src, nil); err == nil || !strings.Contains(err.Error(), "opaque-src") {
+		t.Errorf("segment jobs: got %v, want the source named", err)
 	}
 }
 
 // TestPositionRejects: positioning errors are reported, not mangled.
 func TestPositionRejects(t *testing.T) {
 	src := testSource(t, workload.NewCatalog(120, 20).ServerNames()[0])
-	if _, _, err := position(src, []uint64{100, 50}); err == nil {
+	if _, err := position(src, []uint64{100, 50}); err == nil {
 		t.Error("descending offsets accepted")
 	}
 	nilSrc := Source{Name: "nil", New: func() workload.Stream { return nil }}
-	if _, _, err := position(nilSrc, []uint64{0}); err == nil {
+	if _, err := position(nilSrc, []uint64{0}); err == nil {
 		t.Error("nil stream accepted")
 	}
 	short := Source{Name: "short", New: func() workload.Stream {
 		return workload.Limit(src.New(), 10)
 	}}
-	if _, _, err := position(short, []uint64{100}); err == nil {
+	if _, err := position(short, []uint64{100}); err == nil {
 		t.Error("offset past stream end accepted")
 	}
 }

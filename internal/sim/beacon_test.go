@@ -155,7 +155,7 @@ const goldenBeaconPath = "testdata/beacons.json"
 
 // TestGoldenBeacons locks the beacon chains of the four policy quadrants
 // to a golden file. Because this test runs both with and without -race in
-// CI (make check vs cover-check), a fixed golden chain is also the
+// CI (make race vs cover-check), a fixed golden chain is also the
 // race-vs-norace equivalence proof: both build modes must drive the
 // machine through identical states at every boundary.
 func TestGoldenBeacons(t *testing.T) {

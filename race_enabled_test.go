@@ -12,7 +12,7 @@ const raceEnabled = true
 // is only compiled under -race, so if the test runs at all the constant
 // must say so. Together with its !race twin it catches a mis-edited
 // constant or a broken //go:build line in either file — `go test -race`
-// exercises this arm (make check in CI's check job, and CI's
+// exercises this arm (make race in CI's check job, and CI's
 // race-matrix job), plain `go test` the other.
 func TestRaceTagPlumbing(t *testing.T) {
 	if !raceEnabled {
