@@ -227,3 +227,21 @@ func TestOnePhaseExact(t *testing.T) {
 		})
 	}
 }
+
+// TestMultiPhaseNoBeacon: a K>1 result has no serial-comparable beacon,
+// nor does a K=1 plan whose warmup is partly functional.
+func TestMultiPhaseNoBeacon(t *testing.T) {
+	stamp := &harness.BeaconStamp{Chain: 0xbeac0, Count: 7}
+	rep := func(weight, funcWarmup uint64) shard.SegmentResult {
+		return shard.SegmentResult{Segment: shard.Segment{Warmup: 10, FuncWarmup: funcWarmup, Measure: 100}, Weight: weight, Beacon: stamp}
+	}
+	result := func(phases int, reps ...shard.SegmentResult) *Result {
+		return &Result{Result: &shard.Result{Segments: reps}, Plan: &Plan{Config: Config{Phases: phases}}, Reps: reps}
+	}
+	if multi := result(4, rep(1, 0), rep(2, 0), rep(1, 0), rep(4, 0)); multi.Beacon() != nil {
+		t.Error("multi-phase result claimed a serial-comparable beacon")
+	}
+	if funcWarm := result(1, rep(1, 100)); funcWarm.Beacon() != nil {
+		t.Error("functionally warmed result claimed a serial-comparable beacon")
+	}
+}

@@ -220,3 +220,17 @@ func TestOneShardExact(t *testing.T) {
 		})
 	}
 }
+
+// TestMultiShardNoBeacon: a K>1 result has no serial-comparable beacon,
+// even when every shard carries a stamp of its own.
+func TestMultiShardNoBeacon(t *testing.T) {
+	stamp := &harness.BeaconStamp{Chain: 0xbeac0, Count: 7}
+	plan := Plan{Shards: 3, Warmup: 100, Measure: 300}
+	r := &Result{}
+	for i, seg := range plan.Segments() {
+		r.Segments = append(r.Segments, SegmentResult{Segment: seg, Weight: plan.Weights()[i], Beacon: stamp})
+	}
+	if r.Beacon() != nil {
+		t.Fatal("multi-shard result claimed a serial-comparable beacon")
+	}
+}
