@@ -153,32 +153,71 @@ type goldenBeacon struct {
 
 const goldenBeaconPath = "testdata/beacons.json"
 
-// TestGoldenBeacons locks the beacon chains of the four policy quadrants
-// to a golden file. Because this test runs both with and without -race in
-// CI (make race vs cover-check), a fixed golden chain is also the
-// race-vs-norace equivalence proof: both build modes must drive the
-// machine through identical states at every boundary.
-func TestGoldenBeacons(t *testing.T) {
+// beaconShapeCases pin the chains of state shapes the four golden
+// quadrants never reach: multi-byte Mockingjay ETAs, SHiP and Hawkeye
+// signatures, perceptron weights, the split STLB, a 2-core CMP and an
+// SMT pair. They run shorter than the quadrants and keep a table of
+// their own because golden_mc_test.go shares goldenCases.
+var beaconShapeCases = []struct {
+	name    string
+	tenants int // streams srv_000, srv_001, ... (one per core, or an SMT pair)
+	config  func(*config.SystemConfig)
+}{
+	{"llc-mockingjay", 1, func(c *config.SystemConfig) { c.LLCPolicy = "mockingjay" }},
+	{"l2c-ship", 1, func(c *config.SystemConfig) { c.L2CPolicy = "ship" }},
+	{"llc-hawkeye", 1, func(c *config.SystemConfig) { c.LLCPolicy = "hawkeye" }},
+	{"perceptron", 1, func(c *config.SystemConfig) { c.BranchPredictor = "perceptron" }},
+	{"split-stlb", 1, func(c *config.SystemConfig) { c.SplitSTLB = true }},
+	{"cmp2-itp-xptp", 2, func(c *config.SystemConfig) {
+		c.Cores = 2
+		c.STLBPolicy = "itp"
+		c.L2CPolicy = "xptp"
+	}},
+	{"smt-pair", 2, func(c *config.SystemConfig) { c.SMT = true }},
+}
+
+// goldenChain runs tenants catalogue servers on a machine built from cfg
+// with beacons at the default interval and returns its final chain.
+func goldenChain(t *testing.T, cfg config.SystemConfig, tenants int, warmup, measure uint64) goldenBeacon {
+	t.Helper()
 	cat := workload.NewCatalog(4, 2)
-	spec, err := cat.Get("srv_000")
+	streams := make([]workload.Stream, tenants)
+	for i := range streams {
+		spec, err := cat.Get(cat.ServerNames()[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[i] = spec.NewStream()
+	}
+	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(map[string]goldenBeacon, len(goldenCases))
+	m.EnableBeacons(0)
+	if _, err := m.RunWarmup(streams, warmup, measure); err != nil {
+		t.Fatal(err)
+	}
+	chain, count := m.BeaconChain()
+	return goldenBeacon{Chain: hex16(chain), Count: count}
+}
+
+// TestGoldenBeacons locks the beacon chains of the four policy quadrants
+// and of beaconShapeCases to a golden file. Because this test runs both
+// with and without -race in CI (make race vs cover-check), a fixed golden
+// chain is also the race-vs-norace equivalence proof: both build modes
+// must drive the machine through identical states at every boundary.
+func TestGoldenBeacons(t *testing.T) {
+	got := make(map[string]goldenBeacon, len(goldenCases)+len(beaconShapeCases))
 	for _, tc := range goldenCases {
 		cfg := config.Default()
 		cfg.STLBPolicy = tc.stlb
 		cfg.L2CPolicy = tc.l2c
-		m, err := NewMachine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.EnableBeacons(0)
-		if _, err := m.RunWarmup([]workload.Stream{spec.NewStream()}, 50_000, 100_000); err != nil {
-			t.Fatal(err)
-		}
-		chain, count := m.BeaconChain()
-		got[tc.name] = goldenBeacon{Chain: hex16(chain), Count: count}
+		got[tc.name] = goldenChain(t, cfg, 1, 50_000, 100_000)
+	}
+	for _, tc := range beaconShapeCases {
+		cfg := config.Default()
+		tc.config(&cfg)
+		got[tc.name] = goldenChain(t, cfg, tc.tenants, 20_000, 40_000)
 	}
 
 	if *updateGolden {
@@ -204,15 +243,15 @@ func TestGoldenBeacons(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range goldenCases {
-		w, ok := want[tc.name]
+	for name, g := range got {
+		w, ok := want[name]
 		if !ok {
-			t.Errorf("%s: missing from golden beacon file (rerun with -update)", tc.name)
+			t.Errorf("%s: missing from golden beacon file (rerun with -update)", name)
 			continue
 		}
-		if got[tc.name] != w {
+		if g != w {
 			t.Errorf("%s: beacon chain %+v, golden %+v — the simulator's state evolution changed (rerun with -update if deliberate)",
-				tc.name, got[tc.name], w)
+				name, g, w)
 		}
 	}
 }
