@@ -14,33 +14,50 @@ const (
 	fnvPrime64  StateHash = 1099511628211
 )
 
+// primePow[k] is fnvPrime64^k. FNV-1a folds a zero byte as a bare
+// multiply by the prime (x ^ 0 == x), so k zero bytes in a row fold as
+// one multiply by primePow[k].
+var primePow = func() (p [9]StateHash) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
 // NewStateHash returns the canonical initial value.
 //
 //itp:hotpath
 func NewStateHash() StateHash { return fnvOffset64 }
 
-// Word folds one 64-bit value, byte by byte (FNV-1a ordering).
+// Word folds one 64-bit value as its eight little-endian bytes, exactly
+// as byte-wise FNV-1a would. Only the significant low bytes take the
+// xor-multiply step; the zero high bytes above them fold as one multiply
+// by a prime power, so a value below 256 costs a single multiply.
 //
 //itp:hotpath
 func (h *StateHash) Word(v uint64) {
-	x := *h
-	for i := 0; i < 8; i++ {
-		x ^= StateHash(v & 0xff)
-		x *= fnvPrime64
-		v >>= 8
+	if v < 0x100 {
+		*h = (*h ^ StateHash(v)) * primePow[8]
+		return
 	}
-	*h = x
+	x, k := *h, 8 // k counts the zero high bytes
+	for ; v != 0; v >>= 8 {
+		x = (x ^ StateHash(v&0xff)) * fnvPrime64
+		k--
+	}
+	*h = x * primePow[k]
 }
 
 // Bool folds one boolean as a 0/1 word.
 //
 //itp:hotpath
 func (h *StateHash) Bool(b bool) {
+	x := *h
 	if b {
-		h.Word(1)
-	} else {
-		h.Word(0)
+		x ^= 1
 	}
+	*h = x * primePow[8]
 }
 
 // Sum returns the current fold.
