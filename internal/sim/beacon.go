@@ -28,19 +28,14 @@ func (b Beacon) String() string {
 	return fmt.Sprintf("beacon{seq=%d retired=%d hash=%016x chain=%016x}", b.Seq, b.Retired, b.Hash, b.Chain)
 }
 
-// beaconRingSize bounds the recent-beacon history kept for diagnostics.
-const beaconRingSize = 64
-
 // beaconLog is the machine's beacon emission state: the boundary
-// schedule, the running chain, a fixed recent-history ring (zero
-// allocations at steady state), and an optional sink for callers that
+// schedule, the running chain, and an optional sink for callers that
 // want the full stream.
 type beaconLog struct {
 	interval arch.Instr
 	next     arch.Instr
 	seq      uint64
 	chain    arch.StateHash
-	ring     [beaconRingSize]Beacon
 	sink     func(Beacon)
 }
 
@@ -89,30 +84,9 @@ func (m *Machine) BeaconChain() (chain uint64, count uint64) {
 	return m.beacons.chain.Sum(), m.beacons.seq
 }
 
-// RecentBeacons returns up to n of the most recently emitted beacons,
-// oldest first (diagnostic aid; the full stream goes to the sink).
-func (m *Machine) RecentBeacons(n int) []Beacon {
-	if m.beacons == nil || m.beacons.seq == 0 {
-		return nil
-	}
-	have := m.beacons.seq
-	if uint64(n) > have {
-		n = int(have)
-	}
-	if n > beaconRingSize {
-		n = beaconRingSize
-	}
-	out := make([]Beacon, n)
-	for i := range out {
-		seq := have - uint64(n-i)
-		out[i] = m.beacons.ring[seq%beaconRingSize]
-	}
-	return out
-}
-
 // emitBeacon folds the machine's architectural state into one beacon at
 // the current retire boundary. Runs on the simulation goroutine only; it
-// allocates nothing (fixed ring, in-place fold).
+// allocates nothing (in-place fold).
 func (m *Machine) emitBeacon(retired arch.Instr) {
 	bl := m.beacons
 	h := arch.NewStateHash()
@@ -126,7 +100,6 @@ func (m *Machine) emitBeacon(retired arch.Instr) {
 		Hash:    h.Sum(),
 		Chain:   bl.chain.Sum(),
 	}
-	bl.ring[bl.seq%beaconRingSize] = b
 	bl.seq++
 	bl.next += bl.interval
 	if bl.sink != nil {

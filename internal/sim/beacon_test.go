@@ -266,32 +266,6 @@ func hex16(v uint64) string {
 	return string(b[:])
 }
 
-func TestRecentBeaconsRing(t *testing.T) {
-	m, err := NewMachine(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.RecentBeacons(4); got != nil {
-		t.Fatalf("no beacons yet, got %v", got)
-	}
-	m.EnableBeacons(100)
-	if _, err := m.Run([]workload.Stream{&endless{}}, 10_000); err != nil {
-		t.Fatal(err)
-	}
-	recent := m.RecentBeacons(4)
-	if len(recent) != 4 {
-		t.Fatalf("RecentBeacons(4) returned %d", len(recent))
-	}
-	for i, b := range recent {
-		if want := uint64(100 - 4 + i); b.Seq != want {
-			t.Errorf("recent[%d].Seq = %d, want %d (oldest first)", i, b.Seq, want)
-		}
-	}
-	if got := m.RecentBeacons(1000); len(got) != beaconRingSize {
-		t.Errorf("RecentBeacons beyond ring returned %d, want %d", len(got), beaconRingSize)
-	}
-}
-
 func TestAuditCleanRun(t *testing.T) {
 	m, err := NewMachine(testConfig())
 	if err != nil {
