@@ -181,9 +181,10 @@ var beaconShapeCases = []struct {
 func goldenChain(t *testing.T, cfg config.SystemConfig, tenants int, warmup, measure uint64) goldenBeacon {
 	t.Helper()
 	cat := workload.NewCatalog(4, 2)
+	names := cat.ServerNames()
 	streams := make([]workload.Stream, tenants)
 	for i := range streams {
-		spec, err := cat.Get(cat.ServerNames()[i])
+		spec, err := cat.Get(names[i])
 		if err != nil {
 			t.Fatal(err)
 		}
