@@ -16,18 +16,12 @@ vet:
 test:
 	$(GO) test ./...
 
-# itpvet: the repo's own analysis suite (internal/lint). Runs both drive
-# paths so neither rots: the standalone loader and the `go vet -vettool`
-# unitchecker protocol. The standalone pass prints per-analyzer wall time
-# and fails over LINT_BUDGET, so the interprocedural passes (call graph,
-# fact propagation) cannot silently bloat `make check`; CI pins the same
-# budget.
-LINT_BUDGET ?= 10s
-
+# itpvet: the repo's own analysis suite (internal/lint), checking
+# determinism, hot-path allocation, cycle/instruction units and dropped
+# errors. TestItpvetCleanTree runs the same suite inside `go test`.
 lint:
 	$(GO) build -o bin/itpvet ./cmd/itpvet
-	./bin/itpvet -timing -budget $(LINT_BUDGET) ./...
-	$(GO) vet -vettool=$(CURDIR)/bin/itpvet ./...
+	./bin/itpvet ./...
 
 # Pinned third-party analyzer versions; CI installs these exact versions.
 # Locally the targets are no-ops when the tool is not on PATH (this repo
@@ -67,13 +61,15 @@ check: lint staticcheck govulncheck race
 cover-check:
 	sh scripts/check_coverage.sh
 
-# Race-detector matrix over the concurrent surface the machineown/
-# goroutinelife/lockscope analyzers guard statically: sharded runs, the
-# sampling pre-pass, the supervisor, the decode-ahead ring, and the
-# metrics window sampler. -count=2 reruns each test so per-run state (pools,
-# rings, checkpoints) is exercised twice under the detector.
+# Race-detector matrix: the concurrency gate. No static check guards
+# goroutines, channels or locks (DESIGN.md §15), so this target is where
+# the concurrent surface is exercised: sharded runs, the sampling
+# pre-pass, the supervisor, the decode-ahead ring, the metrics window
+# sampler, and the run dispatcher with its memo lock. -count=2 reruns
+# each test so per-run state (pools, rings, checkpoints) is exercised
+# twice under the detector.
 race-matrix:
-	$(GO) test -race -count=2 ./internal/shard ./internal/sample ./internal/harness ./internal/workload ./internal/metrics
+	$(GO) test -race -count=2 ./internal/shard ./internal/sample ./internal/harness ./internal/workload ./internal/metrics ./internal/run
 
 # Short fuzz pass (CI smoke) over the parsers that read untrusted bytes —
 # the trace decoder and the checkpoint-journal recovery path — and over

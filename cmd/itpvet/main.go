@@ -1,183 +1,35 @@
-// Command itpvet runs the itpsim static-analysis suite (internal/lint).
+// Command itpvet runs the itpsim static-analysis suite (internal/lint):
 //
-// It works two ways:
+//	itpvet [packages]   # defaults to ./...
 //
-//	itpvet [-timing] [-budget <dur>] [packages]   # standalone: defaults to ./...
-//	go vet -vettool=$(which itpvet) ./...         # unitchecker mode
-//
-// In standalone mode it loads the named packages (plus in-module
-// dependencies for facts) with `go list -export` and prints diagnostics,
-// exiting 1 if there are any. -timing prints per-analyzer wall time to
-// stderr; -budget fails the run (exit 1) when the analyzers' combined
-// wall time exceeds the duration, so interprocedural passes cannot
-// silently bloat `make check`. In vettool mode the go command drives it
-// per package through the unitchecker protocol (-V=full, -flags, then a
-// single *.cfg argument); diagnostics go to stderr and findings exit 2,
-// matching `go vet` conventions.
+// It loads the named packages (plus in-module dependencies for facts)
+// with `go list -export`, prints one line per diagnostic, and exits 1 if
+// there are any or if loading fails.
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
-	"strings"
-	"time"
 
 	"itpsim/internal/lint"
 	"itpsim/internal/lint/lintcore"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
-}
-
-func run(args []string) int {
-	analyzers := lint.All()
-
-	if len(args) == 1 {
-		switch {
-		case strings.HasPrefix(args[0], "-V="):
-			// The go command fingerprints vet tools for its build cache.
-			return printVersion()
-		case args[0] == "-flags":
-			// No tool-specific flags are exposed to `go vet`.
-			fmt.Println("[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			diags, err := lintcore.RunUnitchecker(args[0], analyzers)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "itpvet:", err)
-				return 1
-			}
-			for _, d := range diags {
-				fmt.Fprintf(os.Stderr, "%s:%d:%d: %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
-			}
-			if len(diags) > 0 {
-				return 2
-			}
-			return 0
-		}
-	}
-
-	var timing bool
-	var budget time.Duration
-	for len(args) > 0 && strings.HasPrefix(args[0], "-") {
-		arg := args[0]
-		args = args[1:]
-		switch {
-		case arg == "-help" || arg == "--help" || arg == "-h":
-			usage(analyzers)
-			return 0
-		case arg == "-timing":
-			timing = true
-		case arg == "-budget" && len(args) > 0:
-			arg, args = "-budget="+args[0], args[1:]
-			fallthrough
-		case strings.HasPrefix(arg, "-budget="):
-			d, err := time.ParseDuration(strings.TrimPrefix(arg, "-budget="))
-			if err != nil || d <= 0 {
-				fmt.Fprintf(os.Stderr, "itpvet: bad -budget %q (want a positive duration like 120s)\n", strings.TrimPrefix(arg, "-budget="))
-				return 1
-			}
-			budget = d
-		default:
-			fmt.Fprintf(os.Stderr, "itpvet: unknown flag %s\n", arg)
-			usage(analyzers)
-			return 1
-		}
-	}
-
-	// Loading (go list -export + parse + type-check) dominates the wall
-	// time, so the budget covers it too.
-	//itp:wallclock analyzer timing guard: measures the linter itself, not simulated time
-	loadStart := time.Now()
-	pkgs, err := lintcore.Load("", args...)
-	//itp:wallclock analyzer timing guard: measures the linter itself, not simulated time
-	total := time.Since(loadStart)
+	pkgs, err := lintcore.Load("", os.Args[1:]...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "itpvet:", err)
-		return 1
+		os.Exit(1)
 	}
-	if timing {
-		fmt.Fprintf(os.Stderr, "itpvet: timing %-16s %8.0fms\n", "load", float64(total.Milliseconds()))
+	diags, err := lintcore.Run(pkgs, lint.All())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "itpvet:", err)
+		os.Exit(1)
 	}
-
-	// With a timing guard the analyzers run one at a time so each gets
-	// its own wall-time attribution. Facts are namespaced per analyzer,
-	// so split runs see exactly the facts a combined run would; the
-	// per-package directive and call-graph caches are shared across runs
-	// through the loaded packages.
-	var found []lintcore.Diagnostic
-	if timing || budget > 0 {
-		for _, a := range analyzers {
-			//itp:wallclock analyzer timing guard: measures the linter itself, not simulated time
-			t0 := time.Now()
-			diags, err := lintcore.Run(pkgs, []*lintcore.Analyzer{a})
-			//itp:wallclock analyzer timing guard: measures the linter itself, not simulated time
-			elapsed := time.Since(t0)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "itpvet:", err)
-				return 1
-			}
-			total += elapsed
-			if timing {
-				fmt.Fprintf(os.Stderr, "itpvet: timing %-16s %8.0fms\n", a.Name, float64(elapsed.Milliseconds()))
-			}
-			found = append(found, diags...)
-		}
-		lintcore.SortDiagnostics(found)
-		if timing {
-			fmt.Fprintf(os.Stderr, "itpvet: timing %-16s %8.0fms\n", "total", float64(total.Milliseconds()))
-		}
-	} else {
-		found, err = lintcore.Run(pkgs, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "itpvet:", err)
-			return 1
-		}
-	}
-
-	for _, d := range found {
+	for _, d := range diags {
 		fmt.Println(d)
 	}
-	if budget > 0 && total > budget {
-		fmt.Fprintf(os.Stderr, "itpvet: analyzers took %v, over the %v budget — profile the offender (-timing) or raise the budget deliberately\n", total.Round(time.Millisecond), budget)
-		return 1
-	}
-	if len(found) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// printVersion implements `itpvet -V=full`: a name, version, and a
-// buildID that changes whenever the binary does, so `go vet` invalidates
-// its cache when the tool is rebuilt.
-func printVersion() int {
-	h := sha256.New()
-	exe, err := os.Executable()
-	if err == nil {
-		if f, ferr := os.Open(exe); ferr == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("itpvet version devel buildID=%x\n", h.Sum(nil))
-	return 0
-}
-
-func usage(analyzers []*lintcore.Analyzer) {
-	fmt.Fprintln(os.Stderr, "usage: itpvet [-timing] [-budget <dur>] [packages]   (default ./...)")
-	fmt.Fprintln(os.Stderr, "   or: go vet -vettool=$(command -v itpvet) ./...")
-	fmt.Fprintln(os.Stderr, "\n  -timing        print per-analyzer wall time to stderr")
-	fmt.Fprintln(os.Stderr, "  -budget <dur>  exit 1 if combined analyzer time exceeds <dur>")
-	fmt.Fprintln(os.Stderr, "\nanalyzers:")
-	for _, a := range analyzers {
-		doc := a.Doc
-		if i := strings.IndexByte(doc, '\n'); i >= 0 {
-			doc = doc[:i]
-		}
-		fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, doc)
+	if len(diags) > 0 {
+		os.Exit(1)
 	}
 }

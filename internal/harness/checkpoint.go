@@ -218,11 +218,9 @@ func (c *checkpoint) record(key string, result any, beacon *BeaconStamp) error {
 	// c.mu exists precisely to serialise writers of the shared journal
 	// stream AND keep the done map in sync with what reached the file;
 	// the write must happen inside the same section as the map insert.
-	//itp:lock-io c.mu serialises the checkpoint journal; entry map and file line must commit together
 	if _, err := c.w.Write(append(line, '\n')); err != nil {
 		return err
 	}
-	//itp:lock-io c.mu serialises the checkpoint journal; flush is part of the committed write
 	return c.w.Flush()
 }
 
@@ -231,7 +229,6 @@ func (c *checkpoint) close() error {
 	defer c.mu.Unlock()
 	// Holding c.mu across the final flush keeps a concurrent record()
 	// from interleaving a write with teardown.
-	//itp:lock-io c.mu serialises the checkpoint journal through teardown
 	if err := c.w.Flush(); err != nil {
 		c.f.Close()
 		return err

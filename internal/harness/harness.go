@@ -346,7 +346,6 @@ func runAttempt[R any](o Options, job Job[R], attempt int) (R, *BeaconStamp, err
 	// The attempt goroutine cannot be force-killed: after KillGrace the
 	// supervisor abandons it by design (a wedged Run must not wedge the
 	// whole harness), so there is deliberately no join path.
-	//itp:daemon attempt body; abandoned after KillGrace by design, supervisor stops waiting and moves on
 	go func() {
 		defer func() {
 			if v := recover(); v != nil {

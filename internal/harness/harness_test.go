@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -320,5 +321,48 @@ func TestStreamErrorSurfaces(t *testing.T) {
 	_, err := harness.RunAll(fastOpts(), []harness.Job[*stats.Sim]{job})
 	if err == nil || !errors.Is(err, workload.ErrInjected) {
 		t.Fatalf("stream error should surface through the batch, got: %v", err)
+	}
+}
+
+// attemptGoroutines counts the live goroutines an attempt spawned.
+func attemptGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by itpsim/internal/harness.runAttempt[")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestAbandonedAttemptExits checks that an attempt the supervisor gave
+// up on after KillGrace still exits once its job finally returns: the
+// result channel must take the late send without a receiver. A leaked
+// attempt would keep its machine alive for the rest of the campaign.
+func TestAbandonedAttemptExits(t *testing.T) {
+	before := attemptGoroutines()
+	o := fastOpts()
+	o.JobTimeout = 10 * time.Millisecond
+	o.KillGrace = 10 * time.Millisecond
+	release := make(chan struct{})
+	job := harness.Job[int]{Key: "wedged", Run: func(*harness.JobContext) (int, error) {
+		<-release // ignores cancellation, like a wedged Run
+		return 1, nil
+	}}
+	if _, err := harness.RunAll(o, []harness.Job[int]{job}); err == nil {
+		t.Fatal("wedged job must fail its deadline")
+	}
+	close(release)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := attemptGoroutines()
+		if n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d attempt goroutines 2s after the job returned, want %d", n, before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

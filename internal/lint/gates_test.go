@@ -73,11 +73,10 @@ func TestItpvetCleanTree(t *testing.T) {
 // wallClockGolden is the exact per-package census of //itp:wallclock
 // sites. The simulator core must have none: the only permitted wall-clock
 // reads are the export-manifest timestamp (internal/run's shared CLI
-// helpers) and the tools' progress timers. Adding a site anywhere means updating this table — and
-// justifying it in review.
+// helpers) and itpbench's progress timer. Adding a site anywhere means
+// updating this table — and justifying it in review.
 var wallClockGolden = map[string]int{
 	"itpsim/cmd/itpbench": 2, // per-figure progress timer (start + elapsed)
-	"itpsim/cmd/itpvet":   4, // -timing/-budget guard: load + per-analyzer (start + elapsed each)
 	"itpsim/internal/run": 1, // itpsim/itpsweep export manifest Time field
 }
 
@@ -265,65 +264,5 @@ func TestHotpathGateCoverage(t *testing.T) {
 	}
 	for _, pkg := range stale {
 		t.Error(fmt.Errorf("steadyStateCases claims %s, which has no //itp:hotpath annotations", pkg))
-	}
-}
-
-// ownershipManifest is the exact census of concurrency escape hatches:
-// every //itp:owner (machineown) and //itp:daemon (goroutinelife) site in
-// non-test files, per package. These directives suppress an analyzer, so
-// each one is a reviewed claim about the code — adding or removing a site
-// means updating this table, visibly.
-var ownershipManifest = map[string]map[string]int{
-	"itpsim/internal/workload": {
-		lintcore.DirOwner: 3, // decode-ahead ring: producer spawn + batches send + free send
-	},
-	"itpsim/internal/harness": {
-		lintcore.DirDaemon: 1, // attempt body abandoned after KillGrace by design
-	},
-	"itpsim/internal/run": {
-		lintcore.DirDaemon: 1, // itpsim/itpsweep pprof/expvar debug server
-	},
-}
-
-// TestOwnershipAnnotationAudit keeps the concurrency escape hatches
-// reviewed: every //itp:owner and //itp:daemon directive must carry a
-// justification (the directive argument) and must be accounted for in
-// ownershipManifest; stale manifest rows fail too.
-func TestOwnershipAnnotationAudit(t *testing.T) {
-	audited := map[string]bool{lintcore.DirOwner: true, lintcore.DirDaemon: true}
-
-	got := map[string]map[string]int{}
-	for _, p := range loadTree(t) {
-		if !p.Target || strings.HasPrefix(p.ImportPath, "itpsim/internal/lint") {
-			continue
-		}
-		for _, d := range p.Directives().All() {
-			if !audited[d.Name] || p.IsTestFile(d.Pos) {
-				continue
-			}
-			if strings.TrimSpace(d.Arg) == "" {
-				pos := p.Fset.Position(d.Pos)
-				t.Errorf("%s:%d: //itp:%s without a justification; say why the analyzer is wrong here", pos.Filename, pos.Line, d.Name)
-			}
-			if got[p.ImportPath] == nil {
-				got[p.ImportPath] = map[string]int{}
-			}
-			got[p.ImportPath][d.Name]++
-		}
-	}
-
-	for pkg, wantDirs := range ownershipManifest {
-		for dir, want := range wantDirs {
-			if got[pkg][dir] != want {
-				t.Errorf("%s: %d //itp:%s sites, manifest says %d", pkg, got[pkg][dir], dir, want)
-			}
-		}
-	}
-	for pkg, gotDirs := range got {
-		for dir, n := range gotDirs {
-			if ownershipManifest[pkg][dir] == 0 {
-				t.Errorf("%s: %d //itp:%s sites outside ownershipManifest; escape hatches must be enumerated there", pkg, n, dir)
-			}
-		}
 	}
 }

@@ -2,16 +2,12 @@
 // golang.org/x/tools/go/analysis model, built only on the standard
 // library's go/ast, go/types, and go/importer. The repo's toolchain has
 // no module cache, so the x/tools framework cannot be vendored; this
-// package provides the same three capabilities the itpvet analyzers
-// need:
+// package provides the two capabilities the itpvet analyzers need:
 //
 //   - type-checked packages loaded through `go list -export` (load.go),
+//     and
 //   - per-package analyzer passes with cross-package string facts
-//     (run.go), and
-//   - the `go vet -vettool` unitchecker driver protocol (unitchecker.go),
-//
-// so every analyzer runs identically standalone (`go run ./cmd/itpvet
-// ./...`) and under `go vet -vettool`.
+//     (run.go).
 package lintcore
 
 import (
@@ -19,7 +15,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -27,10 +22,10 @@ import (
 // Pass and reports diagnostics; it may export facts about the package
 // that later passes (on packages that import it) can read.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and fact files. It
-	// must be a valid identifier.
+	// Name identifies the analyzer in diagnostics and namespaces its
+	// facts. It must be a valid identifier.
 	Name string
-	// Doc is the one-paragraph description shown by `itpvet -help`.
+	// Doc is the one-paragraph description of the check.
 	Doc string
 	// Run performs the check.
 	Run func(*Pass) error
@@ -50,7 +45,6 @@ func (d Diagnostic) String() string {
 // Package is one loaded, type-checked package.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -60,7 +54,6 @@ type Package struct {
 	Target bool
 
 	directives *Directives
-	callgraph  *CallGraph
 }
 
 // Directives returns the package's //itp: directive index, built lazily.
@@ -108,15 +101,6 @@ func (f *Facts) get(pkg, analyzer, key string) (string, bool) {
 	return v, ok
 }
 
-// PackageFacts returns analyzer->key->value for one package (may be nil).
-func (f *Facts) PackageFacts(pkg string) map[string]map[string]string { return f.m[pkg] }
-
-// ImportPackageFacts installs previously exported facts for a dependency
-// (unitchecker mode reads them from vetx files).
-func (f *Facts) ImportPackageFacts(pkg string, facts map[string]map[string]string) {
-	f.m[pkg] = facts
-}
-
 // Pass carries one analyzer's view of one package.
 type Pass struct {
 	Analyzer *Analyzer
@@ -145,29 +129,6 @@ func (p *Pass) ExportFact(key, value string) {
 // (which may be the current package or any analyzed dependency).
 func (p *Pass) Fact(pkgPath, key string) (string, bool) {
 	return p.facts.get(pkgPath, p.Analyzer.Name, key)
-}
-
-// FactPackages returns the sorted package paths that carry at least one
-// fact from this analyzer.
-func (p *Pass) FactPackages() []string {
-	var out []string
-	for pkg, byA := range p.facts.m {
-		if len(byA[p.Analyzer.Name]) > 0 {
-			out = append(out, pkg)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FactKeys returns the sorted fact keys this analyzer exported for pkg.
-func (p *Pass) FactKeys(pkgPath string) []string {
-	var out []string
-	for k := range p.facts.m[pkgPath][p.Analyzer.Name] {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FuncFullName returns the gc-style full name of fn, e.g.

@@ -41,18 +41,6 @@ const (
 	DirUnitcast = "unitcast"
 	// DirIgnoreErr permits a discarded error (errpropagation).
 	DirIgnoreErr = "ignore-err"
-	// DirOwner marks a reviewed ownership-transfer point: a go statement,
-	// channel send, or package-level variable through which machine-owned
-	// state legally changes its owning goroutine (machineown). The
-	// justification must name the handoff protocol.
-	DirOwner = "owner"
-	// DirDaemon marks a reviewed process-lifetime goroutine that is
-	// deliberately never joined or cancelled (goroutinelife).
-	DirDaemon = "daemon"
-	// DirLockIO marks a reviewed blocking operation performed while a
-	// mutex is held — e.g. a lock whose purpose is to serialise writers of
-	// a shared stream (lockscope).
-	DirLockIO = "lock-io"
 )
 
 // Directive is one //itp: comment occurrence.

@@ -3,8 +3,6 @@ package lintcore
 import (
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -19,14 +17,10 @@ func TestFactsAccessors(t *testing.T) {
 		Pkg:      &Package{ImportPath: "pkg/c"},
 		facts:    facts,
 	}
-	if got := pass.FactPackages(); len(got) != 1 || got[0] != "pkg/a" {
-		t.Errorf("FactPackages = %v", got)
-	}
-	if got := pass.FactKeys("pkg/a"); len(got) != 2 || got[0] != "k1" || got[1] != "k2" {
-		t.Errorf("FactKeys = %v", got)
-	}
-	if v, ok := pass.Fact("pkg/a", "k1"); !ok || v != "v1" {
-		t.Errorf("Fact = %q, %v", v, ok)
+	for k, want := range map[string]string{"k1": "v1", "k2": "v2"} {
+		if v, ok := pass.Fact("pkg/a", k); !ok || v != want {
+			t.Errorf("Fact(%s) = %q, %v", k, v, ok)
+		}
 	}
 	if _, ok := pass.Fact("pkg/b", "k"); ok {
 		t.Error("Fact crossed analyzer namespaces")
@@ -71,40 +65,6 @@ func TestSortDiagnostics(t *testing.T) {
 		if order(i) != w {
 			t.Fatalf("order[%d] = %v, want %v (all: %v)", i, order(i), w, diags)
 		}
-	}
-}
-
-func TestVetxRoundTrip(t *testing.T) {
-	// Empty path: silently skipped.
-	if err := writeVetx("", map[string]map[string]string{"a": {"k": "v"}}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "x.vetx")
-	if err := writeVetx(path, map[string]map[string]string{"a": {"k": "v"}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readVetx(path)
-	if err != nil || got["a"]["k"] != "v" {
-		t.Fatalf("round trip = %v, %v", got, err)
-	}
-	// Missing and empty files read as no facts.
-	if got, err := readVetx(filepath.Join(t.TempDir(), "enoent")); err != nil || got != nil {
-		t.Fatalf("missing vetx = %v, %v", got, err)
-	}
-	empty := filepath.Join(t.TempDir(), "empty.vetx")
-	if err := os.WriteFile(empty, nil, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := readVetx(empty); err != nil || got != nil {
-		t.Fatalf("empty vetx = %v, %v", got, err)
-	}
-	// Corrupt files are errors.
-	bad := filepath.Join(t.TempDir(), "bad.vetx")
-	if err := os.WriteFile(bad, []byte("{"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readVetx(bad); err == nil {
-		t.Error("corrupt vetx not rejected")
 	}
 }
 

@@ -1,12 +1,9 @@
 package lintcore
 
 import (
-	"bytes"
-	"encoding/json"
 	"go/ast"
-	"io"
-	"os"
-	"path/filepath"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 )
@@ -128,140 +125,37 @@ func TestDirectives(t *testing.T) {
 	}
 }
 
-// listForUnitchecker gathers export data for the fixture closure.
-func listForUnitchecker(t *testing.T) (pkgByPath map[string]listPkg, exports map[string]string) {
-	t.Helper()
-	out, err := runGoList("", []string{"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,Standard,Error", "./testdata/src/mainpkg"})
+// TestFieldAnnotated checks the three placements an interface-method
+// directive may take: doc comment, trailing comment, and a covering line.
+func TestFieldAnnotated(t *testing.T) {
+	const src = `package p
+
+type I interface {
+	//itp:hotpath
+	Doc()
+	Trailing() //itp:nonalloc
+
+	Plain()
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgByPath = map[string]listPkg{}
-	exports = map[string]string{}
-	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
+	dirs := CollectDirectives(fset, []*ast.File{f})
+	iface := f.Decls[0].(*ast.GenDecl).Specs[0].(*ast.TypeSpec).Type.(*ast.InterfaceType)
+	want := map[string][2]bool{ // {hotpath, nonalloc}
+		"Doc":      {true, false},
+		"Trailing": {false, true},
+		"Plain":    {false, false},
+	}
+	for _, field := range iface.Methods.List {
+		name := field.Names[0].Name
+		got := [2]bool{FieldAnnotated(dirs, field, DirHotpath), FieldAnnotated(dirs, field, DirNonalloc)}
+		if got != want[name] {
+			t.Errorf("%s: {hotpath, nonalloc} = %v, want %v", name, got, want[name])
 		}
-		pkgByPath[p.ImportPath] = p
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return pkgByPath, exports
-}
-
-func writeCfg(t *testing.T, cfg vetConfig) string {
-	t.Helper()
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "unit.cfg")
-	if err := os.WriteFile(path, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func absFiles(p listPkg) []string {
-	files := make([]string, len(p.GoFiles))
-	for i, f := range p.GoFiles {
-		files[i] = filepath.Join(p.Dir, f)
-	}
-	return files
-}
-
-func TestUnitchecker(t *testing.T) {
-	pkgs, exports := listForUnitchecker(t)
-	tmp := t.TempDir()
-	depVetx := filepath.Join(tmp, "dep.vetx")
-	mainVetx := filepath.Join(tmp, "main.vetx")
-
-	var sawDepFact bool
-	analyzers := []*Analyzer{badFuncAnalyzer(&sawDepFact)}
-
-	// Facts-only pass over the dependency.
-	dep := pkgs[depPath]
-	diags, err := RunUnitchecker(writeCfg(t, vetConfig{
-		ID: depPath, Compiler: "gc", Dir: dep.Dir, ImportPath: depPath,
-		GoFiles: absFiles(dep), ModulePath: "itpsim",
-		ImportMap:   map[string]string{},
-		PackageFile: exports,
-		VetxOnly:    true, VetxOutput: depVetx,
-	}), analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("VetxOnly pass returned diagnostics: %v", diags)
-	}
-	depFacts, err := readVetx(depVetx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if depFacts["badfunc"]["BadThing"] != "seen" {
-		t.Fatalf("dep vetx facts = %v", depFacts)
-	}
-
-	// Checked pass over the target, importing the dependency's facts.
-	main := pkgs[mainPath]
-	diags, err = RunUnitchecker(writeCfg(t, vetConfig{
-		ID: mainPath, Compiler: "gc", Dir: main.Dir, ImportPath: mainPath,
-		GoFiles: absFiles(main), ModulePath: "itpsim",
-		ImportMap:   map[string]string{},
-		PackageFile: exports,
-		PackageVetx: map[string]string{depPath: depVetx},
-		VetxOutput:  mainVetx,
-	}), analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sawDepFact {
-		t.Error("dep facts not visible through PackageVetx")
-	}
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "BadLocal") {
-		t.Fatalf("diagnostics = %v, want exactly BadLocal", diags)
-	}
-
-	// Out-of-module (stdlib) config: skip, but write an empty vetx.
-	stdVetx := filepath.Join(tmp, "std.vetx")
-	diags, err = RunUnitchecker(writeCfg(t, vetConfig{
-		ID: "fmt", ImportPath: "fmt", VetxOutput: stdVetx,
-	}), analyzers)
-	if err != nil || len(diags) != 0 {
-		t.Fatalf("stdlib cfg: diags=%v err=%v", diags, err)
-	}
-	if facts, err := readVetx(stdVetx); err != nil || len(facts) != 0 {
-		t.Fatalf("stdlib vetx = %v, %v", facts, err)
-	}
-}
-
-func TestUnitcheckerTypecheckFailure(t *testing.T) {
-	brokenDir, err := filepath.Abs("testdata/src/broken")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := vetConfig{
-		ID: "broken", Compiler: "gc", Dir: brokenDir, ImportPath: "broken",
-		GoFiles:    []string{filepath.Join(brokenDir, "broken.go")},
-		ModulePath: "itpsim",
-	}
-
-	var saw bool
-	analyzers := []*Analyzer{badFuncAnalyzer(&saw)}
-
-	if _, err := RunUnitchecker(writeCfg(t, base), analyzers); err == nil {
-		t.Error("type-check failure not reported")
-	}
-
-	tolerant := base
-	tolerant.SucceedOnTypecheckFailure = true
-	tolerant.VetxOutput = filepath.Join(t.TempDir(), "broken.vetx")
-	if _, err := RunUnitchecker(writeCfg(t, tolerant), analyzers); err != nil {
-		t.Errorf("SucceedOnTypecheckFailure still failed: %v", err)
 	}
 }
 

@@ -79,12 +79,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, func(path string) (string, error) {
+	// One importer serves the whole load, so dependency type identities
+	// agree across packages.
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
-			return "", fmt.Errorf("no export data for %q", path)
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
-		return f, nil
+		return os.Open(f)
 	})
 
 	var pkgs []*Package
@@ -105,7 +107,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		for i, f := range p.GoFiles {
 			files[i] = filepath.Join(p.Dir, f)
 		}
-		pkg, err := TypecheckPackage(fset, p.ImportPath, p.Dir, files, imp)
+		pkg, err := typecheckPackage(fset, p.ImportPath, files, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -127,23 +129,9 @@ func runGoList(dir string, args []string) ([]byte, error) {
 	return out, nil
 }
 
-// exportImporter returns a gc-export-data importer whose lookup resolves
-// import paths to export files via resolve. A single importer instance
-// is shared across all packages of a load so dependency type identities
-// agree.
-func exportImporter(fset *token.FileSet, resolve func(path string) (string, error)) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, err := resolve(path)
-		if err != nil {
-			return nil, err
-		}
-		return os.Open(f)
-	})
-}
-
-// TypecheckPackage parses and type-checks one package from source,
+// typecheckPackage parses and type-checks one package from source,
 // importing dependencies through imp.
-func TypecheckPackage(fset *token.FileSet, importPath, dir string, files []string, imp types.Importer) (*Package, error) {
+func typecheckPackage(fset *token.FileSet, importPath string, files []string, imp types.Importer) (*Package, error) {
 	var syntax []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -177,7 +165,6 @@ func TypecheckPackage(fset *token.FileSet, importPath, dir string, files []strin
 	}
 	return &Package{
 		ImportPath: importPath,
-		Dir:        dir,
 		Fset:       fset,
 		Files:      syntax,
 		Types:      tpkg,

@@ -19,31 +19,18 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				diags = append(diags, d)
 			}
 		}
-		if err := runPackage(pkg, analyzers, facts, report); err != nil {
-			return nil, err
+		for _, a := range analyzers {
+			pass := &Pass{Analyzer: a, Pkg: pkg, facts: facts, report: report}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("lintcore: %s on %s: %w", a.Name, pkg.ImportPath, err)
+			}
 		}
 	}
 	sortDiagnostics(diags)
 	return diags, nil
 }
 
-// runPackage runs the analyzers over one package with the given fact
-// store, routing diagnostics through report.
-func runPackage(pkg *Package, analyzers []*Analyzer, facts *Facts, report func(Diagnostic)) error {
-	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Pkg: pkg, facts: facts, report: report}
-		if err := a.Run(pass); err != nil {
-			return fmt.Errorf("lintcore: %s on %s: %w", a.Name, pkg.ImportPath, err)
-		}
-	}
-	return nil
-}
-
-// SortDiagnostics orders diags by position then message — the order Run
-// emits. Drivers that run analyzers one at a time (itpvet -timing) use
-// it to restore the global order before printing.
-func SortDiagnostics(diags []Diagnostic) { sortDiagnostics(diags) }
-
+// sortDiagnostics orders diags by position then message.
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -65,7 +65,6 @@ func (j *JSONL) Manifest(m Manifest) error {
 	m.Type = "manifest"
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	//itp:lock-io j.mu exists to serialise writers of the shared JSONL stream; whole lines must not interleave
 	return j.enc.Encode(m)
 }
 
@@ -73,7 +72,6 @@ func (j *JSONL) Manifest(m Manifest) error {
 func (j *JSONL) Window(job string, rec *WindowRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	//itp:lock-io j.mu exists to serialise writers of the shared JSONL stream; whole lines must not interleave
 	return j.enc.Encode(windowLine{Type: "window", Job: job, WindowRecord: rec})
 }
 

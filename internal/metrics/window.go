@@ -269,7 +269,6 @@ func (w *Windows) Close(retired arch.Instr, cycles arch.Cycle, annotate func(*Wi
 		// The annotation must land in the stored record before any
 		// reader can observe the closed window, so it runs under the
 		// lock; it is an in-memory decoration, not I/O.
-		//itp:lock-io annotate decorates the ring slot before publication; sinks, which do I/O, run below after Unlock
 		annotate(rec)
 	}
 	w.index++

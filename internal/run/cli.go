@@ -123,7 +123,7 @@ func (f *Flags) Check(tool string, specs []Spec) {
 func (f *Flags) Observe(tool string, sys config.SystemConfig, workloads []string, extra map[string]string, wrap func(io.Writer) io.Writer) (*Arm, io.Closer, error) {
 	arm := &Arm{Tool: tool, Window: f.MetricsWindow, Expvar: f.Pprof != ""}
 	if f.Pprof != "" {
-		//itp:daemon pprof/expvar debug server lives for the whole process by design
+		// The debug server lives for the whole process by design.
 		go func() {
 			if err := http.ListenAndServe(f.Pprof, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: pprof server: %v\n", tool, err)

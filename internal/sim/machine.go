@@ -149,9 +149,6 @@ type Machine struct {
 	auditVerdict atomic.Pointer[string]
 }
 
-// BoundSplit reports the fraction of dispatches limited by the front end.
-func (m *Machine) BoundSplit() (front, back uint64) { return m.frontBound, m.backBound }
-
 // stlbMSHREntry is one in-flight STLB miss.
 type stlbMSHREntry struct {
 	vpn     uint64 // 4KB-granular VPN (2MB walks merge via their first 4KB probe)
@@ -435,18 +432,12 @@ func physFrom(ppn uint64, bits uint8, va arch.Addr) arch.Addr {
 	return arch.Addr(ppn)<<bits | (va & mask)
 }
 
-// debugIfetchPenalty inflates instruction-translation latency (test hook).
-var debugIfetchPenalty uint64 = 1
-
 // ifetch performs the translation + L1I access for one instruction block
 // and charges instruction-translation stall cycles (the Figure 1 metric).
 //
 //itp:hotpath
 func (m *Machine) ifetch(c *coreState, now uint64, pc arch.Addr, thread uint8) uint64 {
 	pa, tdone, stlbMiss := m.translate(c, now, pc, arch.InstrClass, pc, thread)
-	if debugIfetchPenalty > 1 {
-		tdone = now + (tdone-now)*debugIfetchPenalty
-	}
 	m.Stats.Cores[thread].InstrTransCycles += arch.Cycle(tdone - now)
 	acc := &m.acc
 	*acc = arch.Access{Addr: pa, PC: pc, Kind: arch.IFetch, STLBMiss: stlbMiss, Thread: thread}
@@ -740,9 +731,6 @@ func (m *Machine) Snapshot() string {
 	}
 	return s
 }
-
-// SetDebugIfetchPenalty scales instruction-translation latency (test hook).
-func SetDebugIfetchPenalty(x uint64) { debugIfetchPenalty = x }
 
 // STLBPolicyName reports the STLB replacement policy in use (debug aid).
 func (m *Machine) STLBPolicyName() string {

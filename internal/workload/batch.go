@@ -102,7 +102,6 @@ func Prefetch(s Stream) *Prefetched {
 	// Ownership handoff: p's source and ring buffers transfer to the
 	// decode goroutine here; the constructor's caller only ever touches
 	// them again through Next/Stop, which synchronise on the channels.
-	//itp:owner decode-ahead ring: src+buffers pass to the producer goroutine; consumer side only via batches/free channels
 	go p.decode()
 	return p
 }
@@ -122,7 +121,6 @@ func (p *Prefetched) decode() {
 		}
 		if b.n > 0 {
 			select {
-			//itp:owner decode-ahead ring: a filled batch transfers to the consumer; the producer never touches b again
 			case p.batches <- b:
 			case <-p.stop:
 				return
@@ -178,7 +176,6 @@ func (p *Prefetched) getBatch() *instrBatch {
 func (p *Prefetched) putBatch(b *instrBatch) {
 	b.n = 0
 	select {
-	//itp:owner decode-ahead ring: a drained batch recycles to the producer; the consumer has zeroed and dropped it
 	case p.free <- b:
 	default:
 		p.pool.Put(b)

@@ -2,7 +2,10 @@ package workload
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"itpsim/internal/arch"
 )
@@ -186,5 +189,50 @@ func TestPrefetchedCloseIdempotent(t *testing.T) {
 		if err := p.Close(); err != nil {
 			t.Fatalf("Close #%d: %v", i+1, err)
 		}
+	}
+}
+
+// decoderGoroutines counts the live goroutines running a decode-ahead
+// producer loop.
+func decoderGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "workload.(*Prefetched).decode(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestPrefetchedCloseStopsDecoder checks that Close releases the decoder
+// of an endless stream the consumer abandoned mid-flight: with the ring
+// full, the producer is parked on a send, and only its select on the stop
+// channel lets it exit. A leaked decoder would pin its source and buffers
+// for the rest of the process.
+func TestPrefetchedCloseStopsDecoder(t *testing.T) {
+	before := decoderGoroutines()
+	spec, err := NewCatalog(1, 0).Get("srv_000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Prefetch(spec.NewStream())
+	var in Instr
+	if !p.Next(&in) {
+		t.Fatal("endless stream ended")
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := decoderGoroutines()
+		if n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d decoder goroutines 2s after Close, want %d", n, before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
