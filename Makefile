@@ -72,15 +72,17 @@ race-matrix:
 	$(GO) test -race -count=2 ./internal/shard ./internal/sample ./internal/harness ./internal/workload ./internal/metrics ./internal/run
 
 # Short fuzz pass (CI smoke) over the parsers that read untrusted bytes —
-# the trace decoder and the checkpoint-journal recovery path — and over
-# two properties the equivalence oracles rest on: stream split/clone
+# the trace decoder and the checkpoint-journal recovery path — over two
+# properties the equivalence oracles rest on: stream split/clone
 # equivalence for sharding, and the beacon state fold against the
-# standard library's FNV-1a.
+# standard library's FNV-1a — and over the word-at-a-time recency move
+# against the byte loop it replaces.
 fuzz-smoke:
 	$(GO) test -run FuzzReader -fuzz FuzzReader -fuzztime 10s ./internal/trace
 	$(GO) test -run FuzzCheckpointReader -fuzz FuzzCheckpointReader -fuzztime 10s ./internal/harness
 	$(GO) test -run FuzzSplitEquivalence -fuzz FuzzSplitEquivalence -fuzztime 10s ./internal/workload
 	$(GO) test -run FuzzStateHashWord -fuzz FuzzStateHashWord -fuzztime 10s ./internal/arch
+	$(GO) test -run FuzzMoveToStackPos -fuzz FuzzMoveToStackPos -fuzztime 10s ./internal/replacement
 
 # Fault-injection battery: every chaos fault class driven through the real
 # simulator and supervision stack under the race detector. Each scenario

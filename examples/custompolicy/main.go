@@ -21,30 +21,30 @@ type fifoPTE struct{}
 
 func (*fifoPTE) Name() string { return "fifo-pte" }
 
-func (*fifoPTE) Victim(_ int, set []replacement.Line, _ *arch.Access) int {
+func (*fifoPTE) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 	if w := replacement.InvalidWay(set); w >= 0 {
 		return w
 	}
 	// Oldest = deepest stack position (we reuse the recency stack as a
 	// FIFO queue by never promoting on hits).
 	victim := replacement.StackLRUVictim(set)
-	if set[victim].IsPTE && !set[victim].Reused {
+	if l := &set.Lines[victim]; l.IsPTE && !l.Reused {
 		// Second chance: recycle to the tail once.
-		set[victim].Reused = true
+		l.Reused = true
 		replacement.MoveToStackPos(set, victim, 0)
 		return replacement.StackLRUVictim(set)
 	}
 	return victim
 }
 
-func (*fifoPTE) OnFill(_ int, set []replacement.Line, way int, _ *arch.Access) {
-	set[way].Reused = false
+func (*fifoPTE) OnFill(_ int, set *replacement.Set, way int, _ *arch.Access) {
+	set.Lines[way].Reused = false
 	replacement.MoveToStackPos(set, way, 0) // enqueue at tail of FIFO
 }
 
-func (*fifoPTE) OnHit(int, []replacement.Line, int, *arch.Access) {} // FIFO: hits don't promote
+func (*fifoPTE) OnHit(int, *replacement.Set, int, *arch.Access) {} // FIFO: hits don't promote
 
-func (*fifoPTE) OnEvict(int, []replacement.Line, int) {}
+func (*fifoPTE) OnEvict(int, *replacement.Set, int) {}
 
 // fixedMemory is a 200-cycle constant-latency backing store.
 type fixedMemory struct{ accesses int }

@@ -35,12 +35,26 @@ type mshrEntry struct {
 type Cache struct {
 	name    string
 	cfg     config.CacheConfig
-	sets    [][]replacement.Line
+	ways    int
 	setMask uint64
-	policy  replacement.Policy
-	next    Level
-	stats   *stats.Level
-	mshrs   []mshrEntry
+	// Every way of every set, flat: set si owns [si*ways, (si+1)*ways) of
+	// each array. tags holds the block number (replacement.NoTag when
+	// the way is empty), stack its recency-stack position, lines the
+	// rest of its metadata.
+	tags  []uint64
+	stack []uint8
+	lines []replacement.Line
+	// view is the replacement.Set handed to the policy, re-pointed at
+	// one set per access by viewSet. Reusing it keeps the interface
+	// call from allocating a Set per access; like pfAcc below it is safe
+	// across the recursive prefetch Access, which re-points it only
+	// after the outer access's policy calls are done.
+	view replacement.Set
+
+	policy replacement.Policy
+	next   Level
+	stats  *stats.Level
+	mshrs  []mshrEntry
 
 	prefetcher prefetch.Prefetcher
 	// writebackFn lets dirty evictions consume downstream bandwidth
@@ -69,19 +83,25 @@ func New(name string, cfg config.CacheConfig, pol replacement.Policy, next Level
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: sets must be a positive power of two, got %d", name, cfg.Sets))
 	}
+	if cfg.Ways <= 0 || cfg.Ways > config.MaxCacheWays {
+		panic(fmt.Sprintf("cache %s: ways must be in [1, %d], got %d", name, config.MaxCacheWays, cfg.Ways))
+	}
+	n := cfg.Sets * cfg.Ways
 	c := &Cache{
 		name:    name,
 		cfg:     cfg,
-		sets:    make([][]replacement.Line, cfg.Sets),
+		ways:    cfg.Ways,
 		setMask: uint64(cfg.Sets - 1),
+		tags:    make([]uint64, n),
+		stack:   make([]uint8, n),
+		lines:   make([]replacement.Line, n),
 		policy:  pol,
 		next:    next,
 		stats:   st,
 		mshrs:   make([]mshrEntry, cfg.MSHRs),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]replacement.Line, cfg.Ways)
-		replacement.InitSet(c.sets[i])
+	for si := 0; si < cfg.Sets; si++ {
+		replacement.InitSet(c.viewSet(si))
 	}
 	return c
 }
@@ -101,16 +121,32 @@ func (c *Cache) SetWriteback(fn func(now uint64, addr arch.Addr)) { c.writebackF
 //itp:hotpath
 func (c *Cache) setFor(block uint64) int { return int(block & c.setMask) }
 
-// lookup returns (setIdx, way) with way == -1 on miss.
+// setAt returns a view of set si's ways.
+//
+//itp:hotpath
+func (c *Cache) setAt(si int) replacement.Set {
+	lo, hi := si*c.ways, (si+1)*c.ways
+	return replacement.Set{Tags: c.tags[lo:hi], Stack: c.stack[lo:hi], Lines: c.lines[lo:hi]}
+}
+
+// viewSet points the scratch view at set si and returns it.
+//
+//itp:hotpath
+func (c *Cache) viewSet(si int) *replacement.Set {
+	c.view = c.setAt(si)
+	return &c.view
+}
+
+// lookup returns (setIdx, way) with way == -1 on miss. It scans only the
+// set's tags; no block number equals NoTag, so a matching tag is a valid
+// way, and the thread is checked only then.
 //
 //itp:hotpath
 func (c *Cache) lookup(block uint64, thread uint8) (int, int) {
 	si := c.setFor(block)
-	set := c.sets[si]
-	for w := range set {
-		// Tag first: it is the most discriminating field, so the common
-		// non-matching way falls out after one compare.
-		if set[w].Tag == block && set[w].Valid && set[w].Thread == thread {
+	base := si * c.ways
+	for w, tag := range c.tags[base : base+c.ways] {
+		if tag == block && c.lines[base+w].Thread == thread {
 			return si, w
 		}
 	}
@@ -170,29 +206,29 @@ func (c *Cache) mshrAllocate(now uint64) (*mshrEntry, uint64) {
 //
 //itp:hotpath
 func (c *Cache) fill(si int, acc *arch.Access) int {
-	set := c.sets[si]
+	set := c.viewSet(si)
 	way := c.policy.Victim(si, set, acc)
-	if set[way].Valid {
+	line := &set.Lines[way]
+	if set.Valid(way) {
 		c.policy.OnEvict(si, set, way)
-		if set[way].IsPTE {
+		if line.IsPTE {
 			c.EvictPTE++
 		}
-		if set[way].IsDataPTE {
+		if line.IsDataPTE {
 			c.EvictDataPTE++
 		}
-		if set[way].Dirty {
+		if line.Dirty {
 			c.Writebacks++
 			if c.writebackFn != nil {
 				//itp:nonalloc — bound at construction to DRAM.Writeback, which is allocation-free
-				c.writebackFn(0, arch.Addr(set[way].Tag)<<arch.BlockBits)
+				c.writebackFn(0, arch.Addr(set.Tags[way])<<arch.BlockBits)
 			}
 		}
 	}
-	line := &set[way]
-	stack := line.Stack // preserve the permutation invariant
+	// The stack position stays: the way keeps its place in the
+	// permutation until the policy's OnFill moves it.
+	set.Tags[way] = acc.Addr >> arch.BlockBits
 	*line = replacement.Line{
-		Valid:      true,
-		Tag:        acc.Addr >> arch.BlockBits,
 		PC:         acc.PC,
 		Kind:       acc.Kind,
 		IsPTE:      acc.IsPTE,
@@ -200,7 +236,6 @@ func (c *Cache) fill(si int, acc *arch.Access) int {
 		STLBMiss:   acc.STLBMiss && !acc.IsPTE,
 		Thread:     acc.Thread,
 		Prefetched: acc.Kind == arch.Prefetch,
-		Stack:      stack,
 		Dirty:      acc.Kind == arch.Store,
 	}
 	c.policy.OnFill(si, set, way, acc)
@@ -218,11 +253,12 @@ func (c *Cache) Access(now uint64, acc *arch.Access) uint64 {
 	hitTime := now + c.cfg.Latency
 
 	if way >= 0 {
-		set := c.sets[si]
 		if acc.Kind == arch.Prefetch {
 			// Prefetch into a resident block: nothing to do.
 			return hitTime
 		}
+		set := c.viewSet(si)
+		line := &set.Lines[way]
 		// The block may be resident but still in flight (fills are
 		// installed eagerly; the MSHR tracks when data actually
 		// arrives). Such an access is a merged miss.
@@ -231,12 +267,12 @@ func (c *Cache) Access(now uint64, acc *arch.Access) uint64 {
 			if c.stats != nil && acc.Kind.IsDemand() {
 				c.stats.RecordMissLatency(e.readyAt - now)
 			}
-			if set[way].Prefetched {
-				set[way].Prefetched = false
+			if line.Prefetched {
+				line.Prefetched = false
 				c.PrefetchUseful++
 			}
 			if acc.Kind == arch.Store {
-				set[way].Dirty = true
+				line.Dirty = true
 			}
 			c.policy.OnHit(si, set, way, acc)
 			if e.readyAt > hitTime {
@@ -245,12 +281,12 @@ func (c *Cache) Access(now uint64, acc *arch.Access) uint64 {
 			return hitTime
 		}
 		c.record(acc, true)
-		if set[way].Prefetched {
-			set[way].Prefetched = false
+		if line.Prefetched {
+			line.Prefetched = false
 			c.PrefetchUseful++
 		}
 		if acc.Kind == arch.Store {
-			set[way].Dirty = true
+			line.Dirty = true
 		}
 		c.policy.OnHit(si, set, way, acc)
 		c.train(now, acc)
@@ -313,19 +349,16 @@ func (c *Cache) train(now uint64, acc *arch.Access) {
 // Occupancy returns how many valid blocks currently hold PTE payload and
 // how many of those serve data translations (debug/analysis aid).
 func (c *Cache) Occupancy() (blocks, pte, dataPTE int) {
-	for si := range c.sets {
-		for w := range c.sets[si] {
-			l := &c.sets[si][w]
-			if !l.Valid {
-				continue
-			}
-			blocks++
-			if l.IsPTE {
-				pte++
-			}
-			if l.IsDataPTE {
-				dataPTE++
-			}
+	for i, tag := range c.tags {
+		if tag == replacement.NoTag {
+			continue
+		}
+		blocks++
+		if c.lines[i].IsPTE {
+			pte++
+		}
+		if c.lines[i].IsDataPTE {
+			dataPTE++
 		}
 	}
 	return

@@ -166,7 +166,7 @@ func TestSTLBMissBitNotOnPTE(t *testing.T) {
 	acc := &arch.Access{Addr: 0x2000, Kind: arch.PTW, IsPTE: true, STLBMiss: true}
 	c.Access(0, acc)
 	si, w := c.lookup(arch.BlockNumber(0x2000), 0)
-	if c.sets[si][w].STLBMiss {
+	if c.setAt(si).Lines[w].STLBMiss {
 		t.Error("PTE blocks must not carry the STLBMiss demand bit")
 	}
 }
@@ -252,12 +252,19 @@ func TestXPTPInsideCache(t *testing.T) {
 }
 
 func TestPanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	New("bad", config.CacheConfig{Sets: 3, Ways: 2, Latency: 1, MSHRs: 1}, replacement.NewLRU(), &fixedLevel{}, nil)
+	for _, cfg := range []config.CacheConfig{
+		{Sets: 3, Ways: 2, Latency: 1, MSHRs: 1},
+		{Sets: 4, Ways: config.MaxCacheWays + 1, Latency: 1, MSHRs: 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d sets x %d ways: expected panic", cfg.Sets, cfg.Ways)
+				}
+			}()
+			New("bad", cfg, replacement.NewLRU(), &fixedLevel{}, nil)
+		}()
+	}
 }
 
 func TestStackInvariantAfterTraffic(t *testing.T) {
@@ -266,8 +273,8 @@ func TestStackInvariantAfterTraffic(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Access(uint64(i), load(arch.Addr(i%37)<<6))
 	}
-	for si := range c.sets {
-		if !replacement.CheckStackInvariant(c.sets[si]) {
+	for si := 0; si < c.cfg.Sets; si++ {
+		if set := c.setAt(si); !replacement.CheckStackInvariant(&set) {
 			t.Fatalf("set %d stack invariant broken", si)
 		}
 	}

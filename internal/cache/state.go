@@ -8,27 +8,32 @@ import (
 
 // HashState implements arch.StateHasher: the full tag/metadata array in
 // set/way order plus the MSHR file, so two caches hash equal iff their
-// contents, replacement state, and in-flight misses are identical.
+// contents, replacement state, and in-flight misses are identical. An
+// empty way folds tag 0: a way is never emptied after its first fill,
+// so an empty way has never held a block, and the empty-way audit rule
+// holds the rest of its line at zero.
 func (c *Cache) HashState(h *arch.StateHash) {
-	for si := range c.sets {
-		for w := range c.sets[si] {
-			l := &c.sets[si][w]
-			h.Bool(l.Valid)
-			h.Bool(l.Dirty)
-			h.Word(l.Tag)
-			h.Word(l.PC)
-			h.Word(uint64(l.Kind))
-			h.Bool(l.IsPTE)
-			h.Bool(l.IsDataPTE)
-			h.Bool(l.STLBMiss)
-			h.Word(uint64(l.Thread))
-			h.Bool(l.Prefetched)
-			h.Word(uint64(l.Stack))
-			h.Word(uint64(l.RRPV))
-			h.Word(uint64(l.Sig))
-			h.Bool(l.Reused)
-			h.Word(l.ETA)
+	for i, tag := range c.tags {
+		valid := tag != replacement.NoTag
+		if !valid {
+			tag = 0
 		}
+		l := &c.lines[i]
+		h.Bool(valid)
+		h.Bool(l.Dirty)
+		h.Word(tag)
+		h.Word(l.PC)
+		h.Word(uint64(l.Kind))
+		h.Bool(l.IsPTE)
+		h.Bool(l.IsDataPTE)
+		h.Bool(l.STLBMiss)
+		h.Word(uint64(l.Thread))
+		h.Bool(l.Prefetched)
+		h.Word(uint64(c.stack[i]))
+		h.Word(uint64(l.RRPV))
+		h.Word(uint64(l.Sig))
+		h.Bool(l.Reused)
+		h.Word(l.ETA)
 	}
 	for i := range c.mshrs {
 		e := &c.mshrs[i]
@@ -48,9 +53,12 @@ const mshrLeakHorizon = 100_000_000
 
 // AuditState implements audit.Checkable. Invariants:
 //
-//   - stack-permutation: each set's Stack fields form a permutation;
+//   - stack-permutation: each set's stack positions form a permutation;
+//   - empty-way: a way whose tag is NoTag holds a zero Line, which is
+//     what HashState folds for it (a policy must not age or annotate
+//     empty ways);
 //   - duplicate-block: no two valid ways of a set hold the same
-//     (Tag, Thread);
+//     (tag, Thread);
 //   - pte-bits: IsDataPTE implies IsPTE (xPTP's Type bit qualifies a PTE
 //     block, it cannot exist without one), and PTE blocks never carry the
 //     STLBMiss demand bit (the fill path strips it);
@@ -58,25 +66,29 @@ const mshrLeakHorizon = 100_000_000
 //     and no two live entries track the same (block, thread) — a
 //     duplicate would double-fill.
 func (c *Cache) AuditState(r *audit.Report) {
-	for si := range c.sets {
-		set := c.sets[si]
-		if !replacement.CheckStackInvariant(set) {
+	for si := 0; si < c.cfg.Sets; si++ {
+		set := c.setAt(si)
+		if !replacement.CheckStackInvariant(&set) {
 			r.Violatef("stack-permutation", "%s set %d: stack positions are not a permutation", c.name, si)
 		}
-		for a := range set {
-			if !set[a].Valid {
+		for a, tag := range set.Tags {
+			l := &set.Lines[a]
+			if tag == replacement.NoTag {
+				if *l != (replacement.Line{}) {
+					r.Violatef("empty-way", "%s set %d way %d: empty way carries line state", c.name, si, a)
+				}
 				continue
 			}
-			if set[a].IsDataPTE && !set[a].IsPTE {
+			if l.IsDataPTE && !l.IsPTE {
 				r.Violatef("pte-bits", "%s set %d way %d: IsDataPTE without IsPTE", c.name, si, a)
 			}
-			if set[a].IsPTE && set[a].STLBMiss {
+			if l.IsPTE && l.STLBMiss {
 				r.Violatef("pte-bits", "%s set %d way %d: PTE block carries the STLBMiss demand bit", c.name, si, a)
 			}
-			for b := a + 1; b < len(set); b++ {
-				if set[b].Valid && set[a].Tag == set[b].Tag && set[a].Thread == set[b].Thread {
+			for b := a + 1; b < len(set.Tags); b++ {
+				if set.Tags[b] == tag && set.Lines[b].Thread == l.Thread {
 					r.Violatef("duplicate-block", "%s set %d: ways %d and %d both hold block %#x",
-						c.name, si, a, b, set[a].Tag)
+						c.name, si, a, b, tag)
 				}
 			}
 		}

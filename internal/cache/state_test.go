@@ -6,6 +6,7 @@ import (
 
 	"itpsim/internal/arch"
 	"itpsim/internal/audit"
+	"itpsim/internal/config"
 	"itpsim/internal/replacement"
 )
 
@@ -72,7 +73,7 @@ func TestCacheAuditCleanAfterTraffic(t *testing.T) {
 
 func TestCacheAuditDetectsStackCorruption(t *testing.T) {
 	c := trafficCache()
-	c.sets[0][0].Stack = 99
+	c.setAt(0).Stack[0] = 99
 	found := false
 	for _, v := range auditCache(t, c, 100_000) {
 		if v.Rule == "stack-permutation" {
@@ -87,10 +88,9 @@ func TestCacheAuditDetectsStackCorruption(t *testing.T) {
 func TestCacheAuditDetectsDuplicateBlock(t *testing.T) {
 	c := trafficCache()
 	// Force two valid ways of set 0 to the same (tag, thread).
-	set := c.sets[0]
-	set[0].Valid, set[1].Valid = true, true
-	set[0].Tag, set[1].Tag = 0xabc, 0xabc
-	set[0].Thread, set[1].Thread = 0, 0
+	set := c.setAt(0)
+	set.Tags[0], set.Tags[1] = 0xabc, 0xabc
+	set.Lines[0].Thread, set.Lines[1].Thread = 0, 0
 	found := false
 	for _, v := range auditCache(t, c, 100_000) {
 		if v.Rule == "duplicate-block" {
@@ -104,14 +104,13 @@ func TestCacheAuditDetectsDuplicateBlock(t *testing.T) {
 
 func TestCacheAuditDetectsPTEBitViolations(t *testing.T) {
 	c := trafficCache()
-	set := c.sets[1]
-	set[0].Valid = true
-	set[0].IsDataPTE = true
-	set[0].IsPTE = false
-	set[1].Valid = true
-	set[1].Tag = set[0].Tag + 1
-	set[1].IsPTE = true
-	set[1].STLBMiss = true
+	// The traffic filled both ways of set 1, so they are valid.
+	set := c.setAt(1)
+	set.Lines[0].IsDataPTE = true
+	set.Lines[0].IsPTE = false
+	set.Tags[1] = set.Tags[0] + 1
+	set.Lines[1].IsPTE = true
+	set.Lines[1].STLBMiss = true
 	rules := map[string]int{}
 	for _, v := range auditCache(t, c, 100_000) {
 		rules[v.Rule]++
@@ -161,5 +160,49 @@ func TestCacheAuditIgnoresRetiredMSHRs(t *testing.T) {
 	c.mshrs[1] = mshrEntry{valid: true, block: 0x99, thread: 0, readyAt: now - 5}
 	if v := auditCache(t, c, now); v != nil {
 		t.Fatalf("retired MSHR entries reported as violations: %v", v)
+	}
+}
+
+func TestCacheAuditDetectsEmptyWayState(t *testing.T) {
+	c := New("l2c", smallCfg(), replacement.NewLRU(), &fixedLevel{latency: 100}, nil)
+	c.Access(0, load(0x1000)) // one of set 0's two ways
+	if v := auditCache(t, c, 100_000); v != nil {
+		t.Fatalf("half-filled cache reported violations: %v", v)
+	}
+	set := c.setAt(0)
+	set.Lines[replacement.InvalidWay(&set)].RRPV = 1
+	found := false
+	for _, v := range auditCache(t, c, 100_000) {
+		if v.Rule == "empty-way" {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("line state on an empty way must be reported")
+	}
+}
+
+// TestCacheAuditCleanUnderEveryPolicy drives every named policy through
+// sets the traffic never fills, auditing after each access: a policy
+// must leave empty ways untouched (HashState folds them as zero lines).
+func TestCacheAuditCleanUnderEveryPolicy(t *testing.T) {
+	for _, name := range []string{"lru", "random", "srrip", "brrip", "drrip", "ship",
+		"mockingjay", "hawkeye", "ptp", "tdrrip", "tship", "emissary"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := config.CacheConfig{Sets: 4, Ways: 4, Latency: 5, MSHRs: 4}
+			pol, err := replacement.FromName(name, cfg.Sets, cfg.Ways, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := New("l2c", cfg, pol, &fixedLevel{latency: 100}, nil)
+			for i := 0; i < 200; i++ {
+				// Three blocks per set: one way of each stays empty.
+				block := uint64(i%3)*4 + uint64(i/3%4)
+				c.Access(uint64(i)*200, &arch.Access{Addr: block << arch.BlockBits, PC: uint64(i%5) * 4, Kind: arch.Load})
+				if v := auditCache(t, c, uint64(i)*200+1_000); v != nil {
+					t.Fatalf("access %d: %v", i, v)
+				}
+			}
+		})
 	}
 }

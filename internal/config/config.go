@@ -19,6 +19,11 @@ type CacheConfig struct {
 // Entries returns the total block capacity of the cache.
 func (c CacheConfig) Entries() int { return c.Sets * c.Ways }
 
+// MaxCacheWays bounds cache associativity: recency-stack positions are
+// bytes updated eight per word, and the update needs every position
+// below 128 (replacement.MoveToStackPos).
+const MaxCacheWays = 128
+
 // TLBConfig sizes one TLB level.
 type TLBConfig struct {
 	Sets    int    `json:"sets"`
@@ -212,6 +217,9 @@ func (c *SystemConfig) Validate() error {
 	checkCache := func(name string, cc CacheConfig) error {
 		if cc.Sets <= 0 || cc.Ways <= 0 {
 			return fmt.Errorf("config: %s must have positive sets/ways (got %d/%d)", name, cc.Sets, cc.Ways)
+		}
+		if cc.Ways > MaxCacheWays {
+			return fmt.Errorf("config: %s ways must be at most %d (got %d)", name, MaxCacheWays, cc.Ways)
 		}
 		if cc.Sets&(cc.Sets-1) != 0 {
 			return fmt.Errorf("config: %s sets must be a power of two (got %d)", name, cc.Sets)

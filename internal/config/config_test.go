@@ -67,6 +67,7 @@ func TestValidateRejections(t *testing.T) {
 		{"zero sets", func(c *SystemConfig) { c.L2C.Sets = 0 }, "L2C"},
 		{"non-pow2 sets", func(c *SystemConfig) { c.LLC.Sets = 1000 }, "power of two"},
 		{"no mshrs", func(c *SystemConfig) { c.L1I.MSHRs = 0 }, "MSHR"},
+		{"too many ways", func(c *SystemConfig) { c.LLC.Ways = MaxCacheWays + 1 }, "LLC ways"},
 		{"tlb zero ways", func(c *SystemConfig) { c.STLB.Ways = 0 }, "STLB"},
 		{"bad rob", func(c *SystemConfig) { c.ROBSize = 0 }, "ROB"},
 		{"no walkers", func(c *SystemConfig) { c.PageWalkers = 0 }, "walker"},

@@ -12,16 +12,13 @@ import (
 
 // randomSet builds a full cache set with a random recency permutation and
 // random data-PTE marking.
-func randomSet(rng *rand.Rand, ways int, pteProb float64) []replacement.Line {
-	set := make([]replacement.Line, ways)
+func randomSet(rng *rand.Rand, ways int, pteProb float64) *replacement.Set {
+	set := &replacement.Set{Tags: make([]uint64, ways), Stack: make([]uint8, ways), Lines: make([]replacement.Line, ways)}
 	perm := rng.Perm(ways)
-	for i := range set {
-		set[i] = replacement.Line{
-			Valid:     true,
-			Tag:       uint64(i),
-			Stack:     uint8(perm[i]),
-			IsDataPTE: rng.Float64() < pteProb,
-		}
+	for i := range set.Tags {
+		set.Tags[i] = uint64(i)
+		set.Stack[i] = uint8(perm[i])
+		set.Lines[i] = replacement.Line{IsDataPTE: rng.Float64() < pteProb}
 	}
 	return set
 }
@@ -49,12 +46,12 @@ func TestXPTPVictimProperties(t *testing.T) {
 
 			lru, lruDepth := -1, -1
 			alt, altDepth := -1, -1
-			for i := range set {
-				pos := int(set[i].Stack)
+			for i := range set.Lines {
+				pos := int(set.Stack[i])
 				if pos > lruDepth {
 					lru, lruDepth = i, pos
 				}
-				if !set[i].IsDataPTE && pos > altDepth {
+				if !set.Lines[i].IsDataPTE && pos > altDepth {
 					alt, altDepth = i, pos
 				}
 			}
@@ -65,10 +62,10 @@ func TestXPTPVictimProperties(t *testing.T) {
 				// exists or the alternative is too recent (>= K up).
 				if alt >= 0 && alt != lru && altFromBottom < k {
 					t.Fatalf("K=%d ways=%d: evicted LRU (data-PTE=%v) though alt at %d positions up",
-						k, ways, set[lru].IsDataPTE, altFromBottom)
+						k, ways, set.Lines[lru].IsDataPTE, altFromBottom)
 				}
 			default:
-				if set[v].IsDataPTE {
+				if set.Lines[v].IsDataPTE {
 					t.Fatalf("K=%d: alternative victim holds a data PTE", k)
 				}
 				if v != alt {
@@ -88,8 +85,8 @@ func TestXPTPPrefersInvalidWay(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		set := randomSet(rng, 8, 0.5)
 		dead := rng.Intn(8)
-		set[dead].Valid = false
-		if v := pol.Victim(0, set, nil); set[v].Valid {
+		set.Tags[dead] = replacement.NoTag
+		if v := pol.Victim(0, set, nil); set.Valid(v) {
 			t.Fatalf("victim %d is valid though way %d was free", v, dead)
 		}
 	}

@@ -47,18 +47,18 @@ func (x *XPTP) Name() string { return "xptp" }
 // Victim implements replacement.Policy.
 //
 //itp:hotpath
-func (x *XPTP) Victim(_ int, set []replacement.Line, _ *arch.Access) int {
+func (x *XPTP) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 	if w := replacement.InvalidWay(set); w >= 0 {
 		return w
 	}
 	lruVictim, lruDepth := 0, -1
 	altVictim, altDepth := -1, -1
-	for i := range set {
-		pos := int(set[i].Stack)
+	for i := range set.Lines {
+		pos := int(set.Stack[i])
 		if pos > lruDepth {
 			lruVictim, lruDepth = i, pos
 		}
-		if !set[i].IsDataPTE && pos > altDepth {
+		if !set.Lines[i].IsDataPTE && pos > altDepth {
 			altVictim, altDepth = i, pos
 		}
 	}
@@ -73,7 +73,7 @@ func (x *XPTP) Victim(_ int, set []replacement.Line, _ *arch.Access) int {
 	// Positions from the bottom of the stack: LRU victim is at distance
 	// 0; the inequality ALT_LRUpos >= LRUpos + K asks whether the
 	// alternative is at least K recency positions above the bottom.
-	altFromBottom := (len(set) - 1) - altDepth
+	altFromBottom := (len(set.Lines) - 1) - altDepth
 	if altFromBottom >= x.k {
 		return lruVictim
 	}
@@ -85,21 +85,21 @@ func (x *XPTP) Victim(_ int, set []replacement.Line, _ *arch.Access) int {
 // Figure 7).
 //
 //itp:hotpath
-func (*XPTP) OnFill(_ int, set []replacement.Line, way int, _ *arch.Access) {
+func (*XPTP) OnFill(_ int, set *replacement.Set, way int, _ *arch.Access) {
 	replacement.MoveToStackPos(set, way, 0)
 }
 
 // OnHit implements replacement.Policy: LRU promotion.
 //
 //itp:hotpath
-func (*XPTP) OnHit(_ int, set []replacement.Line, way int, _ *arch.Access) {
+func (*XPTP) OnHit(_ int, set *replacement.Set, way int, _ *arch.Access) {
 	replacement.MoveToStackPos(set, way, 0)
 }
 
 // OnEvict implements replacement.Policy.
 //
 //itp:hotpath
-func (*XPTP) OnEvict(int, []replacement.Line, int) {}
+func (*XPTP) OnEvict(int, *replacement.Set, int) {}
 
 // Controller is the phase-adaptive mechanism of Section 4.3.1: a
 // retired-instruction counter, an STLB-miss counter, and a 1-bit status

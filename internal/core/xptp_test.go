@@ -12,12 +12,12 @@ func xptpParams() config.XPTPParams {
 	return config.XPTPParams{K: 8, T1: 1, WindowInstr: 1000}
 }
 
-func cacheSet(ways int) []replacement.Line {
-	set := make([]replacement.Line, ways)
+// cacheSet returns a full set whose way i holds block i at stack position i.
+func cacheSet(ways int) *replacement.Set {
+	set := &replacement.Set{Tags: make([]uint64, ways), Stack: make([]uint8, ways), Lines: make([]replacement.Line, ways)}
 	replacement.InitSet(set)
-	for i := range set {
-		set[i].Valid = true
-		set[i].Tag = uint64(i)
+	for i := range set.Tags {
+		set.Tags[i] = uint64(i)
 	}
 	return set
 }
@@ -27,15 +27,15 @@ func TestXPTPProtectsDataPTEs(t *testing.T) {
 	set := cacheSet(8)
 	// The LRU block (deepest stack) holds a data PTE.
 	lruWay := replacement.StackPosOf(set, 7)
-	set[lruWay].IsPTE = true
-	set[lruWay].IsDataPTE = true
+	set.Lines[lruWay].IsPTE = true
+	set.Lines[lruWay].IsDataPTE = true
 	v := x.Victim(0, set, &arch.Access{})
 	if v == lruWay {
 		t.Error("xPTP evicted the data-PTE LRU block")
 	}
 	// Victim should be the deepest non-data-PTE block (stack 6).
-	if int(set[v].Stack) != 6 {
-		t.Errorf("victim at stack %d, want 6", set[v].Stack)
+	if int(set.Stack[v]) != 6 {
+		t.Errorf("victim at stack %d, want 6", set.Stack[v])
 	}
 }
 
@@ -48,41 +48,41 @@ func TestXPTPInequalityEvictsPTEWhenAltTooRecent(t *testing.T) {
 	// is at stack 4 → 3 positions above bottom ≥ K → evict the LRU PTE.
 	for _, pos := range []int{7, 6, 5} {
 		w := replacement.StackPosOf(set, pos)
-		set[w].IsDataPTE = true
-		set[w].IsPTE = true
+		set.Lines[w].IsDataPTE = true
+		set.Lines[w].IsPTE = true
 	}
 	v := x.Victim(0, set, &arch.Access{})
-	if int(set[v].Stack) != 7 || !set[v].IsDataPTE {
-		t.Errorf("expected LRU data-PTE eviction, got stack %d (pte=%v)", set[v].Stack, set[v].IsDataPTE)
+	if int(set.Stack[v]) != 7 || !set.Lines[v].IsDataPTE {
+		t.Errorf("expected LRU data-PTE eviction, got stack %d (pte=%v)", set.Stack[v], set.Lines[v].IsDataPTE)
 	}
 
 	// Now only the bottom one is a PTE; alternative at stack 6 is 1
 	// position above bottom < K → evict the alternative.
 	set2 := cacheSet(8)
 	w := replacement.StackPosOf(set2, 7)
-	set2[w].IsDataPTE = true
+	set2.Lines[w].IsDataPTE = true
 	v2 := x.Victim(0, set2, &arch.Access{})
-	if int(set2[v2].Stack) != 6 {
-		t.Errorf("expected alternative eviction at stack 6, got %d", set2[v2].Stack)
+	if int(set2.Stack[v2]) != 6 {
+		t.Errorf("expected alternative eviction at stack 6, got %d", set2.Stack[v2])
 	}
 }
 
 func TestXPTPAllDataPTEsFallsBack(t *testing.T) {
 	x := NewXPTP(xptpParams())
 	set := cacheSet(8)
-	for i := range set {
-		set[i].IsDataPTE = true
+	for i := range set.Lines {
+		set.Lines[i].IsDataPTE = true
 	}
 	v := x.Victim(0, set, &arch.Access{})
-	if int(set[v].Stack) != 7 {
-		t.Errorf("all-PTE set should evict LRU, got stack %d", set[v].Stack)
+	if int(set.Stack[v]) != 7 {
+		t.Errorf("all-PTE set should evict LRU, got stack %d", set.Stack[v])
 	}
 }
 
 func TestXPTPPrefersInvalid(t *testing.T) {
 	x := NewXPTP(xptpParams())
 	set := cacheSet(8)
-	set[3].Valid = false
+	set.Tags[3] = replacement.NoTag
 	if v := x.Victim(0, set, &arch.Access{}); v != 3 {
 		t.Errorf("victim = %d, want invalid way 3", v)
 	}
@@ -93,7 +93,7 @@ func TestXPTPDisabledIsLRU(t *testing.T) {
 	x := NewAdaptiveXPTP(xptpParams(), func() bool { return enabled })
 	set := cacheSet(8)
 	lruWay := replacement.StackPosOf(set, 7)
-	set[lruWay].IsDataPTE = true
+	set.Lines[lruWay].IsDataPTE = true
 	if v := x.Victim(0, set, &arch.Access{}); v != lruWay {
 		t.Error("disabled xPTP should behave as plain LRU")
 	}
@@ -107,11 +107,11 @@ func TestXPTPFillAndHitAreLRU(t *testing.T) {
 	x := NewXPTP(xptpParams())
 	set := cacheSet(8)
 	x.OnFill(0, set, 5, &arch.Access{})
-	if set[5].Stack != 0 {
+	if set.Stack[5] != 0 {
 		t.Error("fill should insert at MRU")
 	}
 	x.OnHit(0, set, 2, &arch.Access{})
-	if set[2].Stack != 0 {
+	if set.Stack[2] != 0 {
 		t.Error("hit should promote to MRU")
 	}
 	if !replacement.CheckStackInvariant(set) {
@@ -219,7 +219,7 @@ func TestXPTPEquivalentToLRUWithoutPTEs(t *testing.T) {
 			if vx != vl {
 				t.Fatalf("op %d: victims diverged (%d vs %d)", op, vx, vl)
 			}
-			setX[vx].Valid, setL[vl].Valid = true, true
+			setX.Tags[vx], setL.Tags[vl] = acc.Addr>>arch.BlockBits, acc.Addr>>arch.BlockBits
 			x.OnFill(0, setX, vx, acc)
 			l.OnFill(0, setL, vl, acc)
 		case 1:
@@ -231,8 +231,8 @@ func TestXPTPEquivalentToLRUWithoutPTEs(t *testing.T) {
 			x.OnEvict(0, setX, w)
 			l.OnEvict(0, setL, w)
 		}
-		for i := range setX {
-			if setX[i].Stack != setL[i].Stack {
+		for i := range setX.Stack {
+			if setX.Stack[i] != setL.Stack[i] {
 				t.Fatalf("op %d: stacks diverged at way %d", op, i)
 			}
 		}

@@ -1,7 +1,7 @@
 // Package hotpathalloc statically enforces the simulator's
 // allocation-free steady state. Functions annotated //itp:hotpath (the
-// per-step path TestSteadyStateAllocFree holds at 0 allocs/op) must
-// not:
+// per-step path TestSteadyStateAllocFree holds to its allocation
+// budget) must not:
 //
 //   - take the address of a composite literal (&T{...}) or build a
 //     slice/map literal — both heap-allocate;

@@ -71,17 +71,17 @@ func (e *Emissary) decay(pc uint64) {
 
 // Victim implements Policy: LRU among blocks that are neither critical
 // code nor (to stay composable) currently protected; plain LRU fallback.
-func (e *Emissary) Victim(_ int, set []Line, _ *arch.Access) int {
+func (e *Emissary) Victim(_ int, set *Set, _ *arch.Access) int {
 	if w := InvalidWay(set); w >= 0 {
 		return w
 	}
 	victim, deepest := -1, -1
-	for i := range set {
-		if set[i].Kind == arch.IFetch && e.critical(set[i].PC) {
+	for i := range set.Lines {
+		if l := &set.Lines[i]; l.Kind == arch.IFetch && e.critical(l.PC) {
 			continue
 		}
-		if int(set[i].Stack) > deepest {
-			victim, deepest = i, int(set[i].Stack)
+		if int(set.Stack[i]) > deepest {
+			victim, deepest = i, int(set.Stack[i])
 		}
 	}
 	if victim >= 0 {
@@ -92,7 +92,7 @@ func (e *Emissary) Victim(_ int, set []Line, _ *arch.Access) int {
 
 // OnFill implements Policy: LRU insertion; instruction misses train the
 // criticality table.
-func (e *Emissary) OnFill(_ int, set []Line, way int, in *arch.Access) {
+func (e *Emissary) OnFill(_ int, set *Set, way int, in *arch.Access) {
 	if in.Kind == arch.IFetch {
 		e.train(in.PC)
 	}
@@ -100,8 +100,8 @@ func (e *Emissary) OnFill(_ int, set []Line, way int, in *arch.Access) {
 }
 
 // OnHit implements Policy.
-func (*Emissary) OnHit(_ int, set []Line, way int, _ *arch.Access) {
-	set[way].Reused = true
+func (*Emissary) OnHit(_ int, set *Set, way int, _ *arch.Access) {
+	set.Lines[way].Reused = true
 	MoveToStackPos(set, way, 0)
 }
 
@@ -110,9 +110,9 @@ func (*Emissary) OnHit(_ int, set []Line, way int, _ *arch.Access) {
 // withdrawn. Evictions of unprotected or reused code blocks must not
 // decay, or the training from repeated misses would cancel itself and no
 // region could ever become critical.
-func (e *Emissary) OnEvict(_ int, set []Line, way int) {
-	l := &set[way]
-	if l.Valid && l.Kind == arch.IFetch && !l.Reused && e.critical(l.PC) {
+func (e *Emissary) OnEvict(_ int, set *Set, way int) {
+	l := &set.Lines[way]
+	if set.Valid(way) && l.Kind == arch.IFetch && !l.Reused && e.critical(l.PC) {
 		e.decay(l.PC)
 	}
 }
@@ -139,21 +139,22 @@ func NewXPTPEmissary(k int) *XPTPEmissary {
 func (*XPTPEmissary) Name() string { return "xptp-emissary" }
 
 // Victim implements Policy.
-func (x *XPTPEmissary) Victim(_ int, set []Line, _ *arch.Access) int {
+func (x *XPTPEmissary) Victim(_ int, set *Set, _ *arch.Access) int {
 	if w := InvalidWay(set); w >= 0 {
 		return w
 	}
 	lruVictim, lruDepth := 0, -1
 	altVictim, altDepth := -1, -1
-	for i := range set {
-		pos := int(set[i].Stack)
+	for i := range set.Lines {
+		pos := int(set.Stack[i])
 		if pos > lruDepth {
 			lruVictim, lruDepth = i, pos
 		}
-		if set[i].IsDataPTE {
+		l := &set.Lines[i]
+		if l.IsDataPTE {
 			continue
 		}
-		if set[i].Kind == arch.IFetch && x.em.critical(set[i].PC) {
+		if l.Kind == arch.IFetch && x.em.critical(l.PC) {
 			continue
 		}
 		if pos > altDepth {
@@ -163,23 +164,23 @@ func (x *XPTPEmissary) Victim(_ int, set []Line, _ *arch.Access) int {
 	if altVictim < 0 {
 		return lruVictim
 	}
-	if (len(set)-1)-altDepth >= x.k {
+	if (len(set.Lines)-1)-altDepth >= x.k {
 		return lruVictim
 	}
 	return altVictim
 }
 
 // OnFill implements Policy.
-func (x *XPTPEmissary) OnFill(si int, set []Line, way int, in *arch.Access) {
+func (x *XPTPEmissary) OnFill(si int, set *Set, way int, in *arch.Access) {
 	x.em.OnFill(si, set, way, in)
 }
 
 // OnHit implements Policy.
-func (x *XPTPEmissary) OnHit(si int, set []Line, way int, in *arch.Access) {
+func (x *XPTPEmissary) OnHit(si int, set *Set, way int, in *arch.Access) {
 	x.em.OnHit(si, set, way, in)
 }
 
 // OnEvict implements Policy.
-func (x *XPTPEmissary) OnEvict(si int, set []Line, way int) {
+func (x *XPTPEmissary) OnEvict(si int, set *Set, way int) {
 	x.em.OnEvict(si, set, way)
 }

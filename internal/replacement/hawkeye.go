@@ -125,44 +125,46 @@ func (h *Hawkeye) observe(setIdx int, block uint64, pc uint64) {
 // Victim implements Policy: evict the first cache-averse (distant RRPV)
 // block; if all are friendly, evict the oldest (highest RRPV after
 // aging) and detrain its PC, as Hawkeye prescribes.
-func (h *Hawkeye) Victim(_ int, set []Line, _ *arch.Access) int {
+func (h *Hawkeye) Victim(_ int, set *Set, _ *arch.Access) int {
 	if w := InvalidWay(set); w >= 0 {
 		return w
 	}
-	for i := range set {
-		if set[i].RRPV >= rrpvMax {
+	for i := range set.Lines {
+		if set.Lines[i].RRPV >= rrpvMax {
 			return i
 		}
 	}
 	// All friendly: evict the least recent (deepest stack) and detrain.
 	victim := StackLRUVictim(set)
-	h.train(uint32(set[victim].Sig)&uint32(h.predMask), false)
+	h.train(uint32(set.Lines[victim].Sig)&uint32(h.predMask), false)
 	return victim
 }
 
 // OnFill implements Policy.
-func (h *Hawkeye) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
-	h.observe(setIdx, set[way].Tag, in.PC)
-	set[way].Sig = uint16(h.sig(in.PC))
+func (h *Hawkeye) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
+	h.observe(setIdx, set.Tags[way], in.PC)
+	l := &set.Lines[way]
+	l.Sig = uint16(h.sig(in.PC))
 	if h.friendly(in.PC) {
-		set[way].RRPV = rrpvNear
+		l.RRPV = rrpvNear
 	} else {
-		set[way].RRPV = rrpvMax
+		l.RRPV = rrpvMax
 	}
 	MoveToStackPos(set, way, 0)
 }
 
 // OnHit implements Policy.
-func (h *Hawkeye) OnHit(setIdx int, set []Line, way int, in *arch.Access) {
-	h.observe(setIdx, set[way].Tag, in.PC)
-	set[way].Sig = uint16(h.sig(in.PC))
+func (h *Hawkeye) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
+	h.observe(setIdx, set.Tags[way], in.PC)
+	l := &set.Lines[way]
+	l.Sig = uint16(h.sig(in.PC))
 	if h.friendly(in.PC) {
-		set[way].RRPV = rrpvNear
+		l.RRPV = rrpvNear
 	} else {
-		set[way].RRPV = rrpvMax
+		l.RRPV = rrpvMax
 	}
 	MoveToStackPos(set, way, 0)
 }
 
 // OnEvict implements Policy.
-func (*Hawkeye) OnEvict(int, []Line, int) {}
+func (*Hawkeye) OnEvict(int, *Set, int) {}

@@ -15,28 +15,28 @@ func (*LRU) Name() string { return "lru" }
 // Victim implements Policy: the bottom of the recency stack.
 //
 //itp:hotpath
-func (*LRU) Victim(_ int, set []Line, _ *arch.Access) int {
+func (*LRU) Victim(_ int, set *Set, _ *arch.Access) int {
 	return StackLRUVictim(set)
 }
 
 // OnFill implements Policy: insert at MRU.
 //
 //itp:hotpath
-func (*LRU) OnFill(_ int, set []Line, way int, _ *arch.Access) {
+func (*LRU) OnFill(_ int, set *Set, way int, _ *arch.Access) {
 	MoveToStackPos(set, way, 0)
 }
 
 // OnHit implements Policy: promote to MRU.
 //
 //itp:hotpath
-func (*LRU) OnHit(_ int, set []Line, way int, _ *arch.Access) {
+func (*LRU) OnHit(_ int, set *Set, way int, _ *arch.Access) {
 	MoveToStackPos(set, way, 0)
 }
 
 // OnEvict implements Policy.
 //
 //itp:hotpath
-func (*LRU) OnEvict(int, []Line, int) {}
+func (*LRU) OnEvict(int, *Set, int) {}
 
 // Random evicts a uniformly random valid way (invalid ways first). It
 // models the first-level-TLB policy vendors commonly use and serves as a
@@ -52,23 +52,23 @@ func NewRandom(seed uint64) *Random { return &Random{rng: newXorshift(seed)} }
 func (*Random) Name() string { return "random" }
 
 // Victim implements Policy.
-func (r *Random) Victim(_ int, set []Line, _ *arch.Access) int {
+func (r *Random) Victim(_ int, set *Set, _ *arch.Access) int {
 	if w := InvalidWay(set); w >= 0 {
 		return w
 	}
-	return int(r.rng.next() % uint64(len(set)))
+	return int(r.rng.next() % uint64(len(set.Tags)))
 }
 
 // OnFill implements Policy (random keeps the stack fresh anyway so other
 // metadata stays meaningful for mixed configurations).
-func (*Random) OnFill(_ int, set []Line, way int, _ *arch.Access) {
+func (*Random) OnFill(_ int, set *Set, way int, _ *arch.Access) {
 	MoveToStackPos(set, way, 0)
 }
 
 // OnHit implements Policy.
-func (*Random) OnHit(_ int, set []Line, way int, _ *arch.Access) {
+func (*Random) OnHit(_ int, set *Set, way int, _ *arch.Access) {
 	MoveToStackPos(set, way, 0)
 }
 
 // OnEvict implements Policy.
-func (*Random) OnEvict(int, []Line, int) {}
+func (*Random) OnEvict(int, *Set, int) {}

@@ -104,16 +104,16 @@ func (m *Mockingjay) sample(setIdx int, blockAddr, pc uint64) {
 // Victim implements Policy: evict the line whose estimated next access is
 // farthest in the future; expired predictions (ETA already passed) lose
 // ties to live ones so provably-stale lines go first.
-func (m *Mockingjay) Victim(_ int, set []Line, _ *arch.Access) int {
+func (m *Mockingjay) Victim(_ int, set *Set, _ *arch.Access) int {
 	if w := InvalidWay(set); w >= 0 {
 		return w
 	}
 	victim, worst := 0, int64(-1<<62)
-	for i := range set {
+	for i := range set.Lines {
 		// Score: how far in the future we expect the next access;
 		// overdue lines score by how overdue they are plus a large
 		// bias so they are preferred.
-		score := int64(set[i].ETA) - int64(m.clock)
+		score := int64(set.Lines[i].ETA) - int64(m.clock)
 		if score < 0 {
 			score = -score + int64(m.maxRD)
 		}
@@ -125,22 +125,24 @@ func (m *Mockingjay) Victim(_ int, set []Line, _ *arch.Access) int {
 }
 
 // OnFill implements Policy.
-func (m *Mockingjay) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
+func (m *Mockingjay) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 	m.clock++
-	m.sample(setIdx, set[way].Tag, in.PC)
+	m.sample(setIdx, set.Tags[way], in.PC)
 	sig := m.signature(in.PC)
-	set[way].Sig = sig
-	set[way].ETA = m.clock + uint64(m.pred[sig])
+	l := &set.Lines[way]
+	l.Sig = sig
+	l.ETA = m.clock + uint64(m.pred[sig])
 }
 
 // OnHit implements Policy: re-predict from the hitting PC.
-func (m *Mockingjay) OnHit(setIdx int, set []Line, way int, in *arch.Access) {
+func (m *Mockingjay) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
 	m.clock++
-	m.sample(setIdx, set[way].Tag, in.PC)
+	m.sample(setIdx, set.Tags[way], in.PC)
 	sig := m.signature(in.PC)
-	set[way].Sig = sig
-	set[way].ETA = m.clock + uint64(m.pred[sig])
+	l := &set.Lines[way]
+	l.Sig = sig
+	l.ETA = m.clock + uint64(m.pred[sig])
 }
 
 // OnEvict implements Policy.
-func (*Mockingjay) OnEvict(int, []Line, int) {}
+func (*Mockingjay) OnEvict(int, *Set, int) {}

@@ -11,13 +11,20 @@ import (
 	"itpsim/internal/arch"
 )
 
-// Line is the per-block metadata a policy can observe and annotate. The
-// cache owns []Line per set; policies mutate only the policy-state fields.
+// NoTag marks an empty way in Set.Tags. Tags are block numbers (an
+// address shifted right by arch.BlockBits), so no block can equal it.
+const NoTag = ^uint64(0)
+
+// Line is the per-block metadata a policy can observe and annotate. A
+// block's tag and recency position live in the Set's own arrays; policies
+// mutate only the policy-state fields. Fields run widest first, so a Line
+// packs into 32 bytes.
 type Line struct {
-	Valid bool
+	PC  uint64 // program counter of the filling access
+	ETA uint64 // estimated time of next access (Mockingjay, policy-owned)
+	Sig uint16 // PC signature (SHiP, Mockingjay, policy-owned)
+
 	Dirty bool
-	Tag   uint64 // block number
-	PC    uint64 // program counter of the filling access
 	Kind  arch.Kind
 	// IsPTE marks blocks holding page-table payload; IsDataPTE
 	// additionally marks PTEs serving data translations (the xPTP Type
@@ -33,116 +40,99 @@ type Line struct {
 	Prefetched bool
 
 	// Policy-owned state.
-	Stack  uint8  // exact recency-stack position, 0 = MRU
-	RRPV   uint8  // re-reference prediction value (RRIP family)
-	Sig    uint16 // PC signature (SHiP, Mockingjay)
-	Reused bool   // block was hit since fill (SHiP training)
-	ETA    uint64 // estimated time of next access (Mockingjay)
+	RRPV   uint8 // re-reference prediction value (RRIP family)
+	Reused bool  // block was hit since fill (SHiP training)
 }
+
+// Set is a policy's view of one cache set. Way w holds block Tags[w]
+// (NoTag when the way is empty) at exact recency-stack position Stack[w]
+// (0 = MRU), with metadata Lines[w]; the three slices have one entry per
+// way. A cache keeps every set's entries in three flat arrays and points
+// one Set at whichever set an access touches, so these slices are the
+// only copy of the set's state.
+type Set struct {
+	Tags  []uint64
+	Stack []uint8
+	Lines []Line
+}
+
+// Valid reports whether way w holds a block.
+//
+//itp:hotpath
+func (s *Set) Valid(w int) bool { return s.Tags[w] != NoTag }
 
 // Policy decides victims and maintains per-line replacement state.
 // Victim returns the way to evict (the caller guarantees the set is full
 // of valid lines when no invalid way exists). OnFill runs after the new
-// line's identity fields are written; OnHit runs on every demand hit;
-// OnEvict runs just before a valid line is overwritten, so policies can
-// train on dead blocks.
+// block's tag and line fields are written; OnHit runs on every demand
+// hit; OnEvict runs just before a valid line is overwritten, so policies
+// can train on dead blocks. The Set is valid only for the duration of
+// the call: policies must not retain it.
 type Policy interface {
 	Name() string
 	//itp:hotpath
-	Victim(setIdx int, set []Line, in *arch.Access) int
+	Victim(setIdx int, set *Set, in *arch.Access) int
 	//itp:hotpath
-	OnFill(setIdx int, set []Line, way int, in *arch.Access)
+	OnFill(setIdx int, set *Set, way int, in *arch.Access)
 	//itp:hotpath
-	OnHit(setIdx int, set []Line, way int, in *arch.Access)
+	OnHit(setIdx int, set *Set, way int, in *arch.Access)
 	//itp:hotpath
-	OnEvict(setIdx int, set []Line, way int)
+	OnEvict(setIdx int, set *Set, way int)
 }
 
-// InitSet establishes the stack-position permutation invariant for a
-// freshly created set: positions are a permutation of 0..len(set)-1.
-//
-//itp:hotpath
-func InitSet(set []Line) {
-	for i := range set {
-		set[i].Stack = uint8(i)
+// InitSet empties a set: every tag becomes NoTag and the stack positions
+// become the identity permutation 0..ways-1.
+func InitSet(s *Set) {
+	for w := range s.Tags {
+		s.Tags[w] = NoTag
+		s.Stack[w] = uint8(w)
 	}
 }
 
-// InvalidWay returns the index of an invalid line with the deepest stack
+// InvalidWay returns the index of an empty way with the deepest stack
 // position, or -1 if the set is full.
 //
 //itp:hotpath
-func InvalidWay(set []Line) int {
+func InvalidWay(s *Set) int {
 	best, bestStack := -1, -1
-	for i := range set {
-		if !set[i].Valid && int(set[i].Stack) > bestStack {
-			best, bestStack = i, int(set[i].Stack)
+	for w, tag := range s.Tags {
+		if tag == NoTag && int(s.Stack[w]) > bestStack {
+			best, bestStack = w, int(s.Stack[w])
 		}
 	}
 	return best
 }
 
-// StackLRUVictim returns the way at the bottom of the recency stack,
-// preferring invalid ways.
+// StackLRUVictim returns the way at the bottom of the recency stack
+// (position ways-1), preferring invalid ways.
 //
 //itp:hotpath
-func StackLRUVictim(set []Line) int {
-	if w := InvalidWay(set); w >= 0 {
+func StackLRUVictim(s *Set) int {
+	if w := InvalidWay(s); w >= 0 {
 		return w
 	}
-	victim, deepest := 0, -1
-	for i := range set {
-		if int(set[i].Stack) > deepest {
-			victim, deepest = i, int(set[i].Stack)
-		}
-	}
-	return victim
-}
-
-// MoveToStackPos repositions way to stack position pos, shifting the
-// intervening lines by one; the permutation invariant is preserved.
-//
-//itp:hotpath
-func MoveToStackPos(set []Line, way, pos int) {
-	old := int(set[way].Stack)
-	switch {
-	case pos < old:
-		for i := range set {
-			if p := int(set[i].Stack); p >= pos && p < old {
-				set[i].Stack++
-			}
-		}
-	case pos > old:
-		for i := range set {
-			if p := int(set[i].Stack); p > old && p <= pos {
-				set[i].Stack--
-			}
-		}
-	default:
-		return
-	}
-	set[way].Stack = uint8(pos)
+	return StackPosOf(s, len(s.Stack)-1)
 }
 
 // StackPosOf returns the way currently at stack position pos, or -1.
 //
 //itp:hotpath
-func StackPosOf(set []Line, pos int) int {
-	for i := range set {
-		if int(set[i].Stack) == pos {
-			return i
+func StackPosOf(s *Set, pos int) int {
+	for w, p := range s.Stack {
+		if int(p) == pos {
+			return w
 		}
 	}
 	return -1
 }
 
 // CheckStackInvariant reports whether the set's stack positions form a
-// permutation of 0..len(set)-1 (test helper).
-func CheckStackInvariant(set []Line) bool {
-	seen := make([]bool, len(set))
-	for i := range set {
-		p := int(set[i].Stack)
-		if p < 0 || p >= len(set) || seen[p] {
+// permutation of 0..ways-1. The cache auditor's stack-permutation rule
+// and the policy tests call it.
+func CheckStackInvariant(s *Set) bool {
+	seen := make([]bool, len(s.Stack))
+	for _, p := range s.Stack {
+		if int(p) >= len(seen) || seen[p] {
 			return false
 		}
 		seen[p] = true

@@ -8,16 +8,16 @@ import (
 	"itpsim/internal/arch"
 )
 
-func newSet(ways int) []Line {
-	set := make([]Line, ways)
-	InitSet(set)
-	return set
+// newSet returns an empty standalone set of the given associativity.
+func newSet(ways int) *Set {
+	s := &Set{Tags: make([]uint64, ways), Stack: make([]uint8, ways), Lines: make([]Line, ways)}
+	InitSet(s)
+	return s
 }
 
-func fillAll(set []Line) {
-	for i := range set {
-		set[i].Valid = true
-		set[i].Tag = uint64(1000 + i)
+func fillAll(set *Set) {
+	for i := range set.Tags {
+		set.Tags[i] = uint64(1000 + i)
 	}
 }
 
@@ -34,14 +34,14 @@ func TestInvalidWayPrefersDeepest(t *testing.T) {
 	set := newSet(4)
 	// all invalid: deepest stack position is way with Stack==3.
 	w := InvalidWay(set)
-	if set[w].Stack != 3 {
-		t.Errorf("InvalidWay picked stack pos %d, want 3", set[w].Stack)
+	if set.Stack[w] != 3 {
+		t.Errorf("InvalidWay picked stack pos %d, want 3", set.Stack[w])
 	}
 	fillAll(set)
 	if InvalidWay(set) != -1 {
 		t.Error("full set should report no invalid way")
 	}
-	set[1].Valid = false
+	set.Tags[1] = NoTag
 	if got := InvalidWay(set); got != 1 {
 		t.Errorf("InvalidWay = %d, want 1", got)
 	}
@@ -50,24 +50,24 @@ func TestInvalidWayPrefersDeepest(t *testing.T) {
 func TestMoveToStackPos(t *testing.T) {
 	set := newSet(4) // stacks: 0,1,2,3
 	MoveToStackPos(set, 3, 0)
-	if set[3].Stack != 0 {
-		t.Errorf("way3 stack = %d, want 0", set[3].Stack)
+	if set.Stack[3] != 0 {
+		t.Errorf("way3 stack = %d, want 0", set.Stack[3])
 	}
 	// others shifted down: way0→1, way1→2, way2→3
-	if set[0].Stack != 1 || set[1].Stack != 2 || set[2].Stack != 3 {
-		t.Errorf("shift wrong: %v %v %v", set[0].Stack, set[1].Stack, set[2].Stack)
+	if set.Stack[0] != 1 || set.Stack[1] != 2 || set.Stack[2] != 3 {
+		t.Errorf("shift wrong: %v %v %v", set.Stack[0], set.Stack[1], set.Stack[2])
 	}
 	if !CheckStackInvariant(set) {
 		t.Error("invariant broken")
 	}
 	// Move down: way3 (pos 0) to pos 2.
 	MoveToStackPos(set, 3, 2)
-	if set[3].Stack != 2 || !CheckStackInvariant(set) {
+	if set.Stack[3] != 2 || !CheckStackInvariant(set) {
 		t.Errorf("downward move wrong: %+v", set)
 	}
 	// No-op move.
 	MoveToStackPos(set, 3, 2)
-	if set[3].Stack != 2 || !CheckStackInvariant(set) {
+	if set.Stack[3] != 2 || !CheckStackInvariant(set) {
 		t.Error("no-op move broke invariant")
 	}
 }
@@ -95,7 +95,7 @@ func TestStackPosOf(t *testing.T) {
 	set := newSet(4)
 	for pos := 0; pos < 4; pos++ {
 		w := StackPosOf(set, pos)
-		if w < 0 || int(set[w].Stack) != pos {
+		if w < 0 || int(set.Stack[w]) != pos {
 			t.Errorf("StackPosOf(%d) wrong", pos)
 		}
 	}
@@ -117,7 +117,7 @@ func TestLRUBehaviour(t *testing.T) {
 		t.Errorf("LRU victim = %d, want 0", v)
 	}
 	p.OnFill(0, set, 0, acc)
-	if set[0].Stack != 0 {
+	if set.Stack[0] != 0 {
 		t.Error("fill should move to MRU")
 	}
 	if v := p.Victim(0, set, acc); v != 1 {
@@ -129,7 +129,7 @@ func TestLRUPrefersInvalid(t *testing.T) {
 	p := NewLRU()
 	set := newSet(4)
 	fillAll(set)
-	set[2].Valid = false
+	set.Tags[2] = NoTag
 	if v := p.Victim(0, set, nil); v != 2 {
 		t.Errorf("victim = %d, want invalid way 2", v)
 	}
@@ -165,18 +165,18 @@ func TestSRRIP(t *testing.T) {
 	set := newSet(4)
 	fillAll(set)
 	acc := &arch.Access{Kind: arch.Load, PC: 100}
-	for w := range set {
+	for w := range set.Lines {
 		p.OnFill(0, set, w, acc)
 	}
 	// All at long (2); victim search ages everyone to 3 and picks way 0.
 	if v := p.Victim(0, set, acc); v != 0 {
 		t.Errorf("victim = %d, want 0", v)
 	}
-	if set[1].RRPV != rrpvMax {
-		t.Errorf("aging did not raise RRPVs: %d", set[1].RRPV)
+	if set.Lines[1].RRPV != rrpvMax {
+		t.Errorf("aging did not raise RRPVs: %d", set.Lines[1].RRPV)
 	}
 	p.OnHit(0, set, 2, acc)
-	if set[2].RRPV != rrpvNear {
+	if set.Lines[2].RRPV != rrpvNear {
 		t.Error("hit should reset RRPV")
 	}
 	// Now way 2 is protected; victim must not be 2.
@@ -193,7 +193,7 @@ func TestBRRIPMostlyDistant(t *testing.T) {
 	distant := 0
 	for i := 0; i < 1000; i++ {
 		p.OnFill(0, set, 0, acc)
-		if set[0].RRPV == rrpvMax {
+		if set.Lines[0].RRPV == rrpvMax {
 			distant++
 		}
 	}
@@ -278,8 +278,8 @@ func TestDRRIPFollowsWinner(t *testing.T) {
 		t.Fatal("no follower set found")
 	}
 	p.OnFill(follower, set, 0, acc)
-	if set[0].RRPV != rrpvLong {
-		t.Errorf("follower should use SRRIP insertion, got RRPV %d", set[0].RRPV)
+	if set.Lines[0].RRPV != rrpvLong {
+		t.Errorf("follower should use SRRIP insertion, got RRPV %d", set.Lines[0].RRPV)
 	}
 }
 
@@ -288,17 +288,17 @@ func TestTDRRIPProtectsPTEs(t *testing.T) {
 	set := newSet(4)
 	fillAll(set)
 	acc := &arch.Access{Kind: arch.PTW}
-	set[1].IsPTE = true
+	set.Lines[1].IsPTE = true
 	p.OnFill(0, set, 1, acc)
-	if set[1].RRPV != rrpvNear {
-		t.Errorf("PTE insertion RRPV = %d, want %d", set[1].RRPV, rrpvNear)
+	if set.Lines[1].RRPV != rrpvNear {
+		t.Errorf("PTE insertion RRPV = %d, want %d", set.Lines[1].RRPV, rrpvNear)
 	}
 	// Demand block that missed the STLB inserts distant.
-	set[2].STLBMiss = true
-	set[2].IsPTE = false
+	set.Lines[2].STLBMiss = true
+	set.Lines[2].IsPTE = false
 	p.OnFill(0, set, 2, &arch.Access{Kind: arch.Load})
-	if set[2].RRPV != rrpvMax {
-		t.Errorf("STLB-miss insertion RRPV = %d, want %d", set[2].RRPV, rrpvMax)
+	if set.Lines[2].RRPV != rrpvMax {
+		t.Errorf("STLB-miss insertion RRPV = %d, want %d", set.Lines[2].RRPV, rrpvMax)
 	}
 	// Victim prefers the STLB-miss block over the PTE block.
 	if v := p.Victim(0, set, &arch.Access{}); v != 2 {
@@ -310,9 +310,9 @@ func TestTDRRIPAllPTEsStillEvicts(t *testing.T) {
 	p := NewTDRRIP(64, 9)
 	set := newSet(4)
 	fillAll(set)
-	for i := range set {
-		set[i].IsPTE = true
-		set[i].RRPV = rrpvNear
+	for i := range set.Lines {
+		set.Lines[i].IsPTE = true
+		set.Lines[i].RRPV = rrpvNear
 	}
 	v := p.Victim(0, set, &arch.Access{})
 	if v < 0 || v >= 4 {
@@ -332,8 +332,8 @@ func TestSHiPLearnsDeadSignatures(t *testing.T) {
 		p.OnEvict(0, set, 0)
 	}
 	p.OnFill(0, set, 0, acc)
-	if set[0].RRPV != rrpvMax {
-		t.Errorf("dead signature should insert distant, got RRPV %d", set[0].RRPV)
+	if set.Lines[0].RRPV != rrpvMax {
+		t.Errorf("dead signature should insert distant, got RRPV %d", set.Lines[0].RRPV)
 	}
 	// Now train reuse: hit after fill.
 	for i := 0; i < 10; i++ {
@@ -341,8 +341,8 @@ func TestSHiPLearnsDeadSignatures(t *testing.T) {
 		p.OnHit(0, set, 0, acc)
 	}
 	p.OnFill(0, set, 0, acc)
-	if set[0].RRPV != rrpvLong {
-		t.Errorf("reused signature should insert long, got RRPV %d", set[0].RRPV)
+	if set.Lines[0].RRPV != rrpvLong {
+		t.Errorf("reused signature should insert long, got RRPV %d", set.Lines[0].RRPV)
 	}
 }
 
@@ -352,7 +352,7 @@ func TestSHiPHitTrainsOnce(t *testing.T) {
 	fillAll(set)
 	acc := &arch.Access{PC: 0x1234}
 	p.OnFill(0, set, 0, acc)
-	sig := set[0].Sig
+	sig := set.Lines[0].Sig
 	before := p.shct[sig]
 	p.OnHit(0, set, 0, acc)
 	p.OnHit(0, set, 0, acc)
@@ -367,10 +367,10 @@ func TestMockingjayVictimIsFarthest(t *testing.T) {
 	set := newSet(4)
 	fillAll(set)
 	p.clock = 100
-	set[0].ETA = 110
-	set[1].ETA = 500 // farthest future
-	set[2].ETA = 120
-	set[3].ETA = 105
+	set.Lines[0].ETA = 110
+	set.Lines[1].ETA = 500 // farthest future
+	set.Lines[2].ETA = 120
+	set.Lines[3].ETA = 105
 	if v := p.Victim(0, set, nil); v != 1 {
 		t.Errorf("victim = %d, want 1 (farthest ETA)", v)
 	}
@@ -382,10 +382,10 @@ func TestMockingjayPrefersOverdue(t *testing.T) {
 	fillAll(set)
 	p.clock = 10000
 	// Way 2 is long overdue (predicted reuse never happened).
-	set[0].ETA = 10010
-	set[1].ETA = 10020
-	set[2].ETA = 100
-	set[3].ETA = 10005
+	set.Lines[0].ETA = 10010
+	set.Lines[1].ETA = 10020
+	set.Lines[2].ETA = 100
+	set.Lines[3].ETA = 10005
 	if v := p.Victim(0, set, nil); v != 2 {
 		t.Errorf("victim = %d, want overdue way 2", v)
 	}
@@ -439,15 +439,15 @@ func TestPTPProtectsAllPTEs(t *testing.T) {
 	p := NewPTP()
 	set := newSet(4)
 	fillAll(set)
-	set[0].IsPTE = true
-	set[0].IsDataPTE = true
-	set[3].IsPTE = true
+	set.Lines[0].IsPTE = true
+	set.Lines[0].IsDataPTE = true
+	set.Lines[3].IsPTE = true
 	// Recency order: touch 1 then 2 → way at stack bottom among non-PTE.
 	acc := &arch.Access{}
 	p.OnHit(0, set, 2, acc)
 	p.OnHit(0, set, 1, acc)
 	v := p.Victim(0, set, acc)
-	if set[v].IsPTE {
+	if set.Lines[v].IsPTE {
 		t.Errorf("PTP evicted a PTE block (way %d)", v)
 	}
 	if v != 2 {
@@ -459,12 +459,12 @@ func TestPTPAllPTEFallsBackToLRU(t *testing.T) {
 	p := NewPTP()
 	set := newSet(4)
 	fillAll(set)
-	for i := range set {
-		set[i].IsPTE = true
+	for i := range set.Lines {
+		set.Lines[i].IsPTE = true
 	}
 	v := p.Victim(0, set, nil)
-	if int(set[v].Stack) != 3 {
-		t.Errorf("all-PTE set should evict LRU, got stack %d", set[v].Stack)
+	if int(set.Stack[v]) != 3 {
+		t.Errorf("all-PTE set should evict LRU, got stack %d", set.Stack[v])
 	}
 }
 
@@ -495,7 +495,7 @@ func TestPoliciesRobustUnderRandomOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(99))
-		sets := make([][]Line, 64)
+		sets := make([]*Set, 64)
 		for i := range sets {
 			sets[i] = newSet(8)
 		}
@@ -514,12 +514,11 @@ func TestPoliciesRobustUnderRandomOps(t *testing.T) {
 				t.Fatalf("%s: victim %d out of range", n, v)
 			}
 			p.OnEvict(si, set, v)
-			set[v].Valid = true
-			set[v].Tag = uint64(rng.Intn(500))
-			set[v].IsPTE = acc.IsPTE
-			set[v].IsDataPTE = acc.IsPTE && acc.Class == arch.DataClass
-			set[v].STLBMiss = acc.STLBMiss
-			set[v].Reused = false
+			set.Tags[v] = uint64(rng.Intn(500))
+			set.Lines[v].IsPTE = acc.IsPTE
+			set.Lines[v].IsDataPTE = acc.IsPTE && acc.Class == arch.DataClass
+			set.Lines[v].STLBMiss = acc.STLBMiss
+			set.Lines[v].Reused = false
 			p.OnFill(si, set, v, acc)
 			if rng.Intn(2) == 0 {
 				p.OnHit(si, set, rng.Intn(8), acc)

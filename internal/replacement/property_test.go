@@ -12,35 +12,34 @@ import (
 // against, independent of the cache machinery.
 type setModel struct {
 	p   Policy
-	set []Line
+	set *Set
 }
 
 func newSetModel(p Policy, ways int) *setModel {
-	m := &setModel{p: p, set: make([]Line, ways)}
-	InitSet(m.set)
-	return m
+	return &setModel{p: p, set: newSet(ways)}
 }
 
 // access touches tag, filling on miss exactly like cache.Cache does.
 func (m *setModel) access(tag uint64) {
 	acc := &arch.Access{Addr: arch.Addr(tag << 6)}
-	for i := range m.set {
-		if m.set[i].Valid && m.set[i].Tag == tag {
+	for i := range m.set.Tags {
+		if m.set.Valid(i) && m.set.Tags[i] == tag {
 			m.p.OnHit(0, m.set, i, acc)
 			return
 		}
 	}
 	way := m.p.Victim(0, m.set, acc)
-	if m.set[way].Valid {
+	if m.set.Valid(way) {
 		m.p.OnEvict(0, m.set, way)
 	}
-	m.set[way] = Line{Valid: true, Tag: tag, Stack: m.set[way].Stack}
+	m.set.Tags[way] = tag
+	m.set.Lines[way] = Line{}
 	m.p.OnFill(0, m.set, way, acc)
 }
 
 func (m *setModel) contains(tag uint64) bool {
-	for i := range m.set {
-		if m.set[i].Valid && m.set[i].Tag == tag {
+	for i := range m.set.Tags {
+		if m.set.Valid(i) && m.set.Tags[i] == tag {
 			return true
 		}
 	}
@@ -63,10 +62,10 @@ func TestLRUStackInclusion(t *testing.T) {
 			if !CheckStackInvariant(small.set) || !CheckStackInvariant(large.set) {
 				t.Fatalf("trial %d step %d: stack invariant broken", trial, step)
 			}
-			for i := range small.set {
-				if small.set[i].Valid && !large.contains(small.set[i].Tag) {
+			for i := range small.set.Tags {
+				if small.set.Valid(i) && !large.contains(small.set.Tags[i]) {
 					t.Fatalf("trial %d step %d: tag %d in 4-way but not 8-way LRU (inclusion violated)",
-						trial, step, small.set[i].Tag)
+						trial, step, small.set.Tags[i])
 				}
 			}
 		}
@@ -110,15 +109,14 @@ func TestVictimAlwaysInRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			set := make([]Line, ways)
-			InitSet(set)
+			set := newSet(ways)
 			rng := rand.New(rand.NewSource(3))
 			for step := 0; step < 3000; step++ {
 				tag := uint64(rng.Intn(32))
 				acc := &arch.Access{Addr: arch.Addr(tag << 6), PC: uint64(rng.Intn(8) * 4)}
 				hit := -1
-				for i := range set {
-					if set[i].Valid && set[i].Tag == tag {
+				for i := range set.Tags {
+					if set.Valid(i) && set.Tags[i] == tag {
 						hit = i
 						break
 					}
@@ -131,12 +129,13 @@ func TestVictimAlwaysInRange(t *testing.T) {
 				if way < 0 || way >= ways {
 					t.Fatalf("step %d: victim %d out of range [0,%d)", step, way, ways)
 				}
-				if set[way].Valid {
+				if set.Valid(way) {
 					p.OnEvict(0, set, way)
 				}
-				set[way] = Line{
-					Valid: true, Tag: tag, Stack: set[way].Stack,
-					RRPV: set[way].RRPV, Sig: set[way].Sig, ETA: set[way].ETA,
+				set.Tags[way] = tag
+				l := &set.Lines[way]
+				*l = Line{
+					RRPV: l.RRPV, Sig: l.Sig, ETA: l.ETA,
 					IsPTE:     rng.Intn(8) == 0,
 					IsDataPTE: rng.Intn(16) == 0,
 					STLBMiss:  rng.Intn(4) == 0,

@@ -18,17 +18,17 @@ func (*PTP) Name() string { return "ptp" }
 
 // Victim implements Policy: the LRU block among non-PTE blocks; if the
 // whole set holds PTEs, plain LRU.
-func (*PTP) Victim(_ int, set []Line, _ *arch.Access) int {
+func (*PTP) Victim(_ int, set *Set, _ *arch.Access) int {
 	if w := InvalidWay(set); w >= 0 {
 		return w
 	}
 	victim, deepest := -1, -1
-	for i := range set {
-		if set[i].IsPTE {
+	for i := range set.Lines {
+		if set.Lines[i].IsPTE {
 			continue
 		}
-		if int(set[i].Stack) > deepest {
-			victim, deepest = i, int(set[i].Stack)
+		if int(set.Stack[i]) > deepest {
+			victim, deepest = i, int(set.Stack[i])
 		}
 	}
 	if victim >= 0 {
@@ -38,14 +38,14 @@ func (*PTP) Victim(_ int, set []Line, _ *arch.Access) int {
 }
 
 // OnFill implements Policy: LRU insertion, with PTE blocks inserted at MRU.
-func (*PTP) OnFill(_ int, set []Line, way int, _ *arch.Access) {
+func (*PTP) OnFill(_ int, set *Set, way int, _ *arch.Access) {
 	MoveToStackPos(set, way, 0)
 }
 
 // OnHit implements Policy.
-func (*PTP) OnHit(_ int, set []Line, way int, _ *arch.Access) {
+func (*PTP) OnHit(_ int, set *Set, way int, _ *arch.Access) {
 	MoveToStackPos(set, way, 0)
 }
 
 // OnEvict implements Policy.
-func (*PTP) OnEvict(int, []Line, int) {}
+func (*PTP) OnEvict(int, *Set, int) {}

@@ -12,18 +12,19 @@ const (
 )
 
 // rripVictim finds a way with RRPV==max, aging the set until one exists.
-func rripVictim(set []Line) int {
+func rripVictim(set *Set) int {
 	if w := InvalidWay(set); w >= 0 {
 		return w
 	}
+	lines := set.Lines
 	for {
-		for i := range set {
-			if set[i].RRPV >= rrpvMax {
+		for i := range lines {
+			if lines[i].RRPV >= rrpvMax {
 				return i
 			}
 		}
-		for i := range set {
-			set[i].RRPV++
+		for i := range lines {
+			lines[i].RRPV++
 		}
 	}
 }
@@ -38,16 +39,16 @@ func NewSRRIP() *SRRIP { return &SRRIP{} }
 func (*SRRIP) Name() string { return "srrip" }
 
 // Victim implements Policy.
-func (*SRRIP) Victim(_ int, set []Line, _ *arch.Access) int { return rripVictim(set) }
+func (*SRRIP) Victim(_ int, set *Set, _ *arch.Access) int { return rripVictim(set) }
 
 // OnFill implements Policy.
-func (*SRRIP) OnFill(_ int, set []Line, way int, _ *arch.Access) { set[way].RRPV = rrpvLong }
+func (*SRRIP) OnFill(_ int, set *Set, way int, _ *arch.Access) { set.Lines[way].RRPV = rrpvLong }
 
 // OnHit implements Policy.
-func (*SRRIP) OnHit(_ int, set []Line, way int, _ *arch.Access) { set[way].RRPV = rrpvNear }
+func (*SRRIP) OnHit(_ int, set *Set, way int, _ *arch.Access) { set.Lines[way].RRPV = rrpvNear }
 
 // OnEvict implements Policy.
-func (*SRRIP) OnEvict(int, []Line, int) {}
+func (*SRRIP) OnEvict(int, *Set, int) {}
 
 // BRRIP is bimodal RRIP: insert at distant except with probability
 // 1/brripEpsilon at long.
@@ -62,22 +63,22 @@ func NewBRRIP(seed uint64) *BRRIP { return &BRRIP{rng: newXorshift(seed)} }
 func (*BRRIP) Name() string { return "brrip" }
 
 // Victim implements Policy.
-func (*BRRIP) Victim(_ int, set []Line, _ *arch.Access) int { return rripVictim(set) }
+func (*BRRIP) Victim(_ int, set *Set, _ *arch.Access) int { return rripVictim(set) }
 
 // OnFill implements Policy.
-func (b *BRRIP) OnFill(_ int, set []Line, way int, _ *arch.Access) {
+func (b *BRRIP) OnFill(_ int, set *Set, way int, _ *arch.Access) {
 	if b.rng.next()%brripEpsilon == 0 {
-		set[way].RRPV = rrpvLong
+		set.Lines[way].RRPV = rrpvLong
 	} else {
-		set[way].RRPV = rrpvMax
+		set.Lines[way].RRPV = rrpvMax
 	}
 }
 
 // OnHit implements Policy.
-func (*BRRIP) OnHit(_ int, set []Line, way int, _ *arch.Access) { set[way].RRPV = rrpvNear }
+func (*BRRIP) OnHit(_ int, set *Set, way int, _ *arch.Access) { set.Lines[way].RRPV = rrpvNear }
 
 // OnEvict implements Policy.
-func (*BRRIP) OnEvict(int, []Line, int) {}
+func (*BRRIP) OnEvict(int, *Set, int) {}
 
 // duel implements set dueling (Qureshi et al., ISCA'07): a handful of
 // leader sets are dedicated to each competing insertion policy; follower
@@ -158,13 +159,13 @@ func NewDRRIP(sets int, seed uint64) *DRRIP {
 func (*DRRIP) Name() string { return "drrip" }
 
 // Victim implements Policy.
-func (d *DRRIP) Victim(setIdx int, set []Line, in *arch.Access) int {
+func (d *DRRIP) Victim(setIdx int, set *Set, in *arch.Access) int {
 	d.duel.onMiss(setIdx)
 	return rripVictim(set)
 }
 
 // OnFill implements Policy.
-func (d *DRRIP) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
+func (d *DRRIP) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 	if d.duel.useA(setIdx) {
 		d.s.OnFill(setIdx, set, way, in)
 	} else {
@@ -173,10 +174,10 @@ func (d *DRRIP) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
 }
 
 // OnHit implements Policy.
-func (*DRRIP) OnHit(_ int, set []Line, way int, _ *arch.Access) { set[way].RRPV = rrpvNear }
+func (*DRRIP) OnHit(_ int, set *Set, way int, _ *arch.Access) { set.Lines[way].RRPV = rrpvNear }
 
 // OnEvict implements Policy.
-func (*DRRIP) OnEvict(int, []Line, int) {}
+func (*DRRIP) OnEvict(int, *Set, int) {}
 
 // TDRRIP is the translation-aware DRRIP of Vasudha & Panda (ISPASS'22):
 // blocks holding PTEs are inserted with near-immediate re-reference
@@ -197,12 +198,13 @@ func NewTDRRIP(sets int, seed uint64) *TDRRIP {
 func (*TDRRIP) Name() string { return "tdrrip" }
 
 // OnFill implements Policy.
-func (t *TDRRIP) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
+func (t *TDRRIP) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
+	l := &set.Lines[way]
 	switch {
-	case set[way].IsPTE:
-		set[way].RRPV = rrpvNear
-	case set[way].STLBMiss:
-		set[way].RRPV = rrpvMax
+	case l.IsPTE:
+		l.RRPV = rrpvNear
+	case l.STLBMiss:
+		l.RRPV = rrpvMax
 	default:
 		t.DRRIP.OnFill(setIdx, set, way, in)
 	}
@@ -210,32 +212,33 @@ func (t *TDRRIP) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
 
 // Victim implements Policy: T-DRRIP prefers victims among blocks brought
 // in by STLB-missing demand loads when one is available at distant RRPV.
-func (t *TDRRIP) Victim(setIdx int, set []Line, in *arch.Access) int {
+func (t *TDRRIP) Victim(setIdx int, set *Set, in *arch.Access) int {
 	t.duel.onMiss(setIdx)
 	if w := InvalidWay(set); w >= 0 {
 		return w
 	}
+	lines := set.Lines
 	for {
 		// First preference: distant blocks from STLB-missing loads.
-		for i := range set {
-			if set[i].RRPV >= rrpvMax && set[i].STLBMiss && !set[i].IsPTE {
+		for i := range lines {
+			if lines[i].RRPV >= rrpvMax && lines[i].STLBMiss && !lines[i].IsPTE {
 				return i
 			}
 		}
 		// Then any distant non-PTE block.
-		for i := range set {
-			if set[i].RRPV >= rrpvMax && !set[i].IsPTE {
+		for i := range lines {
+			if lines[i].RRPV >= rrpvMax && !lines[i].IsPTE {
 				return i
 			}
 		}
 		// Then any distant block.
-		for i := range set {
-			if set[i].RRPV >= rrpvMax {
+		for i := range lines {
+			if lines[i].RRPV >= rrpvMax {
 				return i
 			}
 		}
-		for i := range set {
-			set[i].RRPV++
+		for i := range lines {
+			lines[i].RRPV++
 		}
 	}
 }

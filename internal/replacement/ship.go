@@ -43,38 +43,41 @@ func (s *SHiP) signature(pc uint64) uint16 {
 }
 
 // Victim implements Policy (SRRIP-style aging victim search).
-func (*SHiP) Victim(_ int, set []Line, _ *arch.Access) int { return rripVictim(set) }
+func (*SHiP) Victim(_ int, set *Set, _ *arch.Access) int { return rripVictim(set) }
 
 // OnFill implements Policy: insertion RRPV depends on the signature's
 // learned reuse behaviour.
-func (s *SHiP) OnFill(_ int, set []Line, way int, in *arch.Access) {
+func (s *SHiP) OnFill(_ int, set *Set, way int, in *arch.Access) {
 	sig := s.signature(in.PC)
-	set[way].Sig = sig
-	set[way].Reused = false
+	l := &set.Lines[way]
+	l.Sig = sig
+	l.Reused = false
 	if s.shct[sig] == 0 {
-		set[way].RRPV = rrpvMax
+		l.RRPV = rrpvMax
 	} else {
-		set[way].RRPV = rrpvLong
+		l.RRPV = rrpvLong
 	}
 }
 
 // OnHit implements Policy: promote and train the signature as reused.
-func (s *SHiP) OnHit(_ int, set []Line, way int, _ *arch.Access) {
-	set[way].RRPV = rrpvNear
-	if !set[way].Reused {
-		set[way].Reused = true
-		if s.shct[set[way].Sig] < shipCtrMax {
-			s.shct[set[way].Sig]++
+func (s *SHiP) OnHit(_ int, set *Set, way int, _ *arch.Access) {
+	l := &set.Lines[way]
+	l.RRPV = rrpvNear
+	if !l.Reused {
+		l.Reused = true
+		if s.shct[l.Sig] < shipCtrMax {
+			s.shct[l.Sig]++
 		}
 	}
 }
 
 // OnEvict implements Policy: a dead block (never reused) trains its
 // signature downward.
-func (s *SHiP) OnEvict(_ int, set []Line, way int) {
-	if set[way].Valid && !set[way].Reused {
-		if s.shct[set[way].Sig] > 0 {
-			s.shct[set[way].Sig]--
+func (s *SHiP) OnEvict(_ int, set *Set, way int) {
+	l := &set.Lines[way]
+	if set.Valid(way) && !l.Reused {
+		if s.shct[l.Sig] > 0 {
+			s.shct[l.Sig]--
 		}
 	}
 }

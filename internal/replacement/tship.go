@@ -21,18 +21,17 @@ func NewTSHiP(sets int, seed uint64) *TSHiP {
 func (*TSHiP) Name() string { return "tship" }
 
 // OnFill implements Policy.
-func (t *TSHiP) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
+func (t *TSHiP) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
+	l := &set.Lines[way]
 	switch {
-	case set[way].IsPTE:
-		sig := t.signature(in.PC)
-		set[way].Sig = sig
-		set[way].Reused = false
-		set[way].RRPV = rrpvNear
-	case set[way].STLBMiss:
-		sig := t.signature(in.PC)
-		set[way].Sig = sig
-		set[way].Reused = false
-		set[way].RRPV = rrpvMax
+	case l.IsPTE:
+		l.Sig = t.signature(in.PC)
+		l.Reused = false
+		l.RRPV = rrpvNear
+	case l.STLBMiss:
+		l.Sig = t.signature(in.PC)
+		l.Reused = false
+		l.RRPV = rrpvMax
 	default:
 		t.SHiP.OnFill(setIdx, set, way, in)
 	}
@@ -41,28 +40,29 @@ func (t *TSHiP) OnFill(setIdx int, set []Line, way int, in *arch.Access) {
 // Victim implements Policy: like T-DRRIP, prefer distant blocks from
 // STLB-missing demand accesses and avoid PTE blocks while any
 // alternative exists.
-func (t *TSHiP) Victim(setIdx int, set []Line, in *arch.Access) int {
+func (t *TSHiP) Victim(setIdx int, set *Set, in *arch.Access) int {
 	if w := InvalidWay(set); w >= 0 {
 		return w
 	}
+	lines := set.Lines
 	for {
-		for i := range set {
-			if set[i].RRPV >= rrpvMax && set[i].STLBMiss && !set[i].IsPTE {
+		for i := range lines {
+			if lines[i].RRPV >= rrpvMax && lines[i].STLBMiss && !lines[i].IsPTE {
 				return i
 			}
 		}
-		for i := range set {
-			if set[i].RRPV >= rrpvMax && !set[i].IsPTE {
+		for i := range lines {
+			if lines[i].RRPV >= rrpvMax && !lines[i].IsPTE {
 				return i
 			}
 		}
-		for i := range set {
-			if set[i].RRPV >= rrpvMax {
+		for i := range lines {
+			if lines[i].RRPV >= rrpvMax {
 				return i
 			}
 		}
-		for i := range set {
-			set[i].RRPV++
+		for i := range lines {
+			lines[i].RRPV++
 		}
 	}
 }

@@ -10,15 +10,15 @@ func TestTSHiPPTEProtection(t *testing.T) {
 	p := NewTSHiP(64, 5)
 	set := newSet(4)
 	fillAll(set)
-	set[1].IsPTE = true
+	set.Lines[1].IsPTE = true
 	p.OnFill(0, set, 1, &arch.Access{Kind: arch.PTW, PC: 0x10})
-	if set[1].RRPV != rrpvNear {
-		t.Errorf("PTE insertion RRPV = %d, want %d", set[1].RRPV, rrpvNear)
+	if set.Lines[1].RRPV != rrpvNear {
+		t.Errorf("PTE insertion RRPV = %d, want %d", set.Lines[1].RRPV, rrpvNear)
 	}
-	set[2].STLBMiss = true
+	set.Lines[2].STLBMiss = true
 	p.OnFill(0, set, 2, &arch.Access{Kind: arch.Load, PC: 0x20})
-	if set[2].RRPV != rrpvMax {
-		t.Errorf("STLB-miss insertion RRPV = %d, want %d", set[2].RRPV, rrpvMax)
+	if set.Lines[2].RRPV != rrpvMax {
+		t.Errorf("STLB-miss insertion RRPV = %d, want %d", set.Lines[2].RRPV, rrpvMax)
 	}
 	if v := p.Victim(0, set, &arch.Access{}); v != 2 {
 		t.Errorf("victim = %d, want STLB-miss block 2", v)
@@ -31,8 +31,8 @@ func TestTSHiPFallsBackToSHiP(t *testing.T) {
 	fillAll(set)
 	// Plain demand block: SHiP insertion applies (long by default).
 	p.OnFill(0, set, 0, &arch.Access{Kind: arch.Load, PC: 0x30})
-	if set[0].RRPV != rrpvLong {
-		t.Errorf("default insertion RRPV = %d, want %d", set[0].RRPV, rrpvLong)
+	if set.Lines[0].RRPV != rrpvLong {
+		t.Errorf("default insertion RRPV = %d, want %d", set.Lines[0].RRPV, rrpvLong)
 	}
 }
 
@@ -40,9 +40,9 @@ func TestTSHiPAllPTEsStillEvicts(t *testing.T) {
 	p := NewTSHiP(64, 5)
 	set := newSet(4)
 	fillAll(set)
-	for i := range set {
-		set[i].IsPTE = true
-		set[i].RRPV = rrpvNear
+	for i := range set.Lines {
+		set.Lines[i].IsPTE = true
+		set.Lines[i].RRPV = rrpvNear
 	}
 	if v := p.Victim(0, set, &arch.Access{}); v < 0 || v >= 4 {
 		t.Fatalf("victim out of range: %d", v)
@@ -56,8 +56,8 @@ func TestEmissaryProtectsCriticalCode(t *testing.T) {
 	hotPC := uint64(0x400100)
 	// Train the region critical by repeated instruction misses.
 	for i := 0; i < emissaryThresh+1; i++ {
-		set[0].Kind = arch.IFetch
-		set[0].PC = hotPC
+		set.Lines[0].Kind = arch.IFetch
+		set.Lines[0].PC = hotPC
 		e.OnFill(0, set, 0, &arch.Access{Kind: arch.IFetch, PC: hotPC})
 	}
 	if !e.critical(hotPC) {
@@ -80,17 +80,17 @@ func TestEmissaryDecaysOnlyUnreusedProtected(t *testing.T) {
 		e.train(pc)
 	}
 	before := e.critTable[e.sig(pc)]
-	set[0].Kind = arch.IFetch
-	set[0].PC = pc
+	set.Lines[0].Kind = arch.IFetch
+	set.Lines[0].PC = pc
 
 	// Reused protected block: no decay.
-	set[0].Reused = true
+	set.Lines[0].Reused = true
 	e.OnEvict(0, set, 0)
 	if e.critTable[e.sig(pc)] != before {
 		t.Error("reused protected block must not decay")
 	}
 	// Unreused protected block: decays.
-	set[0].Reused = false
+	set.Lines[0].Reused = false
 	e.OnEvict(0, set, 0)
 	if e.critTable[e.sig(pc)] != before-1 {
 		t.Error("unreused protected eviction should decay criticality")
@@ -98,7 +98,7 @@ func TestEmissaryDecaysOnlyUnreusedProtected(t *testing.T) {
 	// Sub-threshold regions never decay (training must be able to climb).
 	cold := uint64(0x990000)
 	e.train(cold)
-	set[0].PC = cold
+	set.Lines[0].PC = cold
 	e.OnEvict(0, set, 0)
 	if e.critTable[e.sig(cold)] != 1 {
 		t.Error("sub-threshold region must not decay")
@@ -113,9 +113,9 @@ func TestEmissaryAllProtectedFallsBack(t *testing.T) {
 	for i := 0; i < emissaryCtrMax; i++ {
 		e.train(pc)
 	}
-	for i := range set {
-		set[i].Kind = arch.IFetch
-		set[i].PC = pc
+	for i := range set.Lines {
+		set.Lines[i].Kind = arch.IFetch
+		set.Lines[i].PC = pc
 	}
 	if v := e.Victim(0, set, &arch.Access{}); v < 0 || v >= 4 {
 		t.Fatalf("victim out of range: %d", v)
@@ -128,19 +128,19 @@ func TestXPTPEmissaryProtectsBoth(t *testing.T) {
 	fillAll(set)
 	// Way at LRU holds a data PTE; way above it holds critical code.
 	pteWay := StackPosOf(set, 3)
-	set[pteWay].IsDataPTE = true
+	set.Lines[pteWay].IsDataPTE = true
 	codeWay := StackPosOf(set, 2)
-	set[codeWay].Kind = arch.IFetch
-	set[codeWay].PC = 0x400400
+	set.Lines[codeWay].Kind = arch.IFetch
+	set.Lines[codeWay].PC = 0x400400
 	for i := 0; i < emissaryThresh+1; i++ {
-		x.em.train(set[codeWay].PC)
+		x.em.train(set.Lines[codeWay].PC)
 	}
 	v := x.Victim(0, set, &arch.Access{})
 	if v == pteWay || v == codeWay {
 		t.Errorf("combined policy evicted a protected block (way %d)", v)
 	}
-	if int(set[v].Stack) != 1 {
-		t.Errorf("victim should be the deepest unprotected block, got stack %d", set[v].Stack)
+	if int(set.Stack[v]) != 1 {
+		t.Errorf("victim should be the deepest unprotected block, got stack %d", set.Stack[v])
 	}
 }
 
@@ -152,11 +152,11 @@ func TestXPTPEmissaryKInequality(t *testing.T) {
 	fillAll(set)
 	for _, pos := range []int{3, 2} {
 		w := StackPosOf(set, pos)
-		set[w].IsDataPTE = true
+		set.Lines[w].IsDataPTE = true
 	}
 	v := x.Victim(0, set, &arch.Access{})
-	if int(set[v].Stack) != 3 {
-		t.Errorf("K inequality should fall back to LRU PTE, got stack %d", set[v].Stack)
+	if int(set.Stack[v]) != 3 {
+		t.Errorf("K inequality should fall back to LRU PTE, got stack %d", set.Stack[v])
 	}
 }
 
@@ -198,15 +198,15 @@ func TestHawkeyeInsertionByPrediction(t *testing.T) {
 		h.train(h.sig(pc), false)
 	}
 	h.OnFill(1, set, 0, &arch.Access{PC: pc, Kind: arch.Load}) // unsampled set
-	if set[0].RRPV != rrpvMax {
-		t.Errorf("averse insertion RRPV = %d, want %d", set[0].RRPV, rrpvMax)
+	if set.Lines[0].RRPV != rrpvMax {
+		t.Errorf("averse insertion RRPV = %d, want %d", set.Lines[0].RRPV, rrpvMax)
 	}
 	for i := 0; i < 16; i++ {
 		h.train(h.sig(pc), true)
 	}
 	h.OnFill(1, set, 0, &arch.Access{PC: pc, Kind: arch.Load})
-	if set[0].RRPV != rrpvNear {
-		t.Errorf("friendly insertion RRPV = %d, want %d", set[0].RRPV, rrpvNear)
+	if set.Lines[0].RRPV != rrpvNear {
+		t.Errorf("friendly insertion RRPV = %d, want %d", set.Lines[0].RRPV, rrpvNear)
 	}
 }
 
@@ -214,15 +214,15 @@ func TestHawkeyeVictimPrefersAverse(t *testing.T) {
 	h := NewHawkeye(64, 4)
 	set := newSet(4)
 	fillAll(set)
-	for i := range set {
-		set[i].RRPV = rrpvNear
+	for i := range set.Lines {
+		set.Lines[i].RRPV = rrpvNear
 	}
-	set[2].RRPV = rrpvMax
+	set.Lines[2].RRPV = rrpvMax
 	if v := h.Victim(1, set, &arch.Access{}); v != 2 {
 		t.Errorf("victim = %d, want averse way 2", v)
 	}
 	// All friendly: falls back to LRU without panicking.
-	set[2].RRPV = rrpvNear
+	set.Lines[2].RRPV = rrpvNear
 	if v := h.Victim(1, set, &arch.Access{}); v < 0 || v >= 4 {
 		t.Fatalf("victim out of range: %d", v)
 	}
