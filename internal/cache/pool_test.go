@@ -1,0 +1,154 @@
+package cache
+
+import (
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+
+	"itpsim/internal/arch"
+	"itpsim/internal/config"
+	"itpsim/internal/replacement"
+)
+
+// newPolicyCache builds a cache of cfg under the named policy.
+func newPolicyCache(cfg config.CacheConfig, policy string) *Cache {
+	pol, err := replacement.FromName(policy, cfg.Sets, cfg.Ways, 1)
+	if err != nil {
+		panic(err)
+	}
+	return New("l2c", cfg, pol, &fixedLevel{latency: 100}, nil)
+}
+
+// poolTraffic touches blocks 0..n-1 (n at most half the cache's capacity,
+// so each set keeps empty ways) twice: loads, stores and PTE accesses
+// from varying PCs, so lines carry Dirty, IsPTE, PC and whatever state
+// the policy keeps (SHiP's Sig, RRPV and Reused, Mockingjay's ETA).
+func poolTraffic(c *Cache, n int) {
+	for i := 0; i < 2*n; i++ {
+		b := uint64(i % n)
+		acc := &arch.Access{Addr: b << arch.BlockBits, PC: uint64(i%7) * 0x40, Kind: arch.Load}
+		switch i % 5 {
+		case 1:
+			acc.Kind = arch.Store
+		case 3:
+			acc.IsPTE, acc.Class = true, arch.DataClass
+		}
+		c.Access(uint64(i)*200, acc)
+	}
+}
+
+// drainPool empties the storage pool for n ways, so the next New of that
+// size allocates new arrays.
+func drainPool(n int) {
+	for storagePool(n).Get() != nil {
+	}
+}
+
+// TestRecycledStorageStartsFresh: New after Release takes the released
+// arrays, and a cache built on them, after a Mockingjay run filled every
+// line, hashes and audits exactly like one built on new arrays, before
+// and after the same traffic. Without the line clear in New, the stale
+// lines show in both the state fold and the empty-way audit rule.
+func TestRecycledStorageStartsFresh(t *testing.T) {
+	// No collection and one processor: a released array stays in this
+	// processor's pool slot until the next New takes it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := config.CacheConfig{Sets: 64, Ways: 12, Latency: 5, MSHRs: 8}
+	half := cfg.Sets * cfg.Ways / 2
+	drainPool(cfg.Sets * cfg.Ways)
+	fresh := newPolicyCache(cfg, "lru")
+	wantNew := cacheHash(fresh)
+	poolTraffic(fresh, half)
+	wantRun := cacheHash(fresh)
+
+	reused := false
+	// The race detector's sync.Pool drops a quarter of its Puts, so
+	// retry until one release comes back.
+	for try := 0; try < 20 && !reused; try++ {
+		dirty := newPolicyCache(cfg, "mockingjay")
+		poolTraffic(dirty, 2*cfg.Sets*cfg.Ways)
+		tags, stack, lines := &dirty.tags[0], &dirty.stack[0], &dirty.lines[0]
+		dirty.Release()
+		dirty.Release() // idempotent
+
+		c := newPolicyCache(cfg, "lru")
+		reused = &c.tags[0] == tags && &c.stack[0] == stack && &c.lines[0] == lines
+		if h := cacheHash(c); h != wantNew {
+			t.Fatalf("new cache on recycled storage hashes %#x, on new storage %#x", h, wantNew)
+		}
+		if v := auditCache(t, c, 0); v != nil {
+			t.Fatalf("new cache on recycled storage: %v", v)
+		}
+		poolTraffic(c, half)
+		if h := cacheHash(c); h != wantRun {
+			t.Fatalf("after traffic, recycled storage hashes %#x, new storage %#x", h, wantRun)
+		}
+		if v := auditCache(t, c, 1<<20); v != nil {
+			t.Fatalf("after traffic on recycled storage: %v", v)
+		}
+		c.Release()
+	}
+	if !reused {
+		t.Fatal("New never reused a released cache's arrays")
+	}
+}
+
+// TestReleasedCachePanics: a released cache has no arrays left, so using
+// it fails loudly instead of reading storage another cache now owns.
+func TestReleasedCachePanics(t *testing.T) {
+	c := New("l1d", smallCfg(), replacement.NewLRU(), &fixedLevel{latency: 10}, nil)
+	c.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("access to a released cache did not panic")
+		}
+	}()
+	c.Access(0, load(0x1000))
+}
+
+// TestStoragePoolConcurrent: goroutines build, fill, hash and release
+// caches of two geometries with the same sets×ways, so storage crosses
+// both goroutines and geometries. After the fixed traffic every cache
+// must hash like a cache of its geometry built on new arrays. make
+// race-matrix runs it under the race detector.
+func TestStoragePoolConcurrent(t *testing.T) {
+	geoms := []config.CacheConfig{
+		{Sets: 32, Ways: 16, Latency: 5, MSHRs: 8},
+		{Sets: 64, Ways: 8, Latency: 5, MSHRs: 8},
+	}
+	half := geoms[0].Sets * geoms[0].Ways / 2
+	drainPool(2 * half)
+	want := make([]uint64, len(geoms))
+	for g, cfg := range geoms {
+		c := newPolicyCache(cfg, "ship")
+		poolTraffic(c, half)
+		want[g] = cacheHash(c)
+	}
+
+	const workers, rounds = 4, 25
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				g := (w + i) % len(geoms)
+				c := newPolicyCache(geoms[g], "ship")
+				poolTraffic(c, half)
+				if h := cacheHash(c); h != want[g] {
+					errs <- "worker state differs from a cache on new storage"
+					return
+				}
+				c.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}

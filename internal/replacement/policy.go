@@ -128,14 +128,16 @@ func StackPosOf(s *Set, pos int) int {
 
 // CheckStackInvariant reports whether the set's stack positions form a
 // permutation of 0..ways-1. The cache auditor's stack-permutation rule
-// and the policy tests call it.
+// and the policy tests call it. The seen positions fit one fixed bitmask
+// (a position is a byte), so an audit pass allocates nothing.
 func CheckStackInvariant(s *Set) bool {
-	seen := make([]bool, len(s.Stack))
+	var seen [4]uint64
 	for _, p := range s.Stack {
-		if int(p) >= len(seen) || seen[p] {
+		bit := uint64(1) << (p & 63)
+		if int(p) >= len(s.Stack) || seen[p>>6]&bit != 0 {
 			return false
 		}
-		seen[p] = true
+		seen[p>>6] |= bit
 	}
 	return true
 }

@@ -30,6 +30,37 @@ func TestInitSetInvariant(t *testing.T) {
 	}
 }
 
+// TestCheckStackInvariantRejectsAndAllocatesNothing covers a duplicate
+// position and positions past the set, up to the largest byte, and holds
+// the check at zero allocations: the auditor runs it on every set of
+// every cache on every pass.
+func TestCheckStackInvariantRejectsAndAllocatesNothing(t *testing.T) {
+	for _, ways := range []int{1, 12, 16, 128} {
+		set := newSet(ways)
+		MoveToStackPos(set, ways-1, 0)
+		if !CheckStackInvariant(set) {
+			t.Errorf("ways=%d: permutation rejected", ways)
+		}
+		if n := testing.AllocsPerRun(100, func() { CheckStackInvariant(set) }); n != 0 {
+			t.Errorf("ways=%d: %v allocations per check, want 0", ways, n)
+		}
+		for _, bad := range []int{ways, 128, 200, 255} {
+			if bad >= ways {
+				set.Stack[0] = uint8(bad)
+				if CheckStackInvariant(set) {
+					t.Errorf("ways=%d: out-of-range position %d accepted", ways, bad)
+				}
+			}
+		}
+		if ways > 1 {
+			set.Stack[0] = set.Stack[1]
+			if CheckStackInvariant(set) {
+				t.Errorf("ways=%d: duplicate position accepted", ways)
+			}
+		}
+	}
+}
+
 func TestInvalidWayPrefersDeepest(t *testing.T) {
 	set := newSet(4)
 	// all invalid: deepest stack position is way with Stack==3.

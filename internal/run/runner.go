@@ -228,6 +228,7 @@ func (r *Runner) whole(s *Spec, key string, arm *Arm, label string) harness.Job[
 		if err != nil {
 			return nil, harness.Permanent(err)
 		}
+		defer m.Release()
 		jc.Attach(m)
 		if s.BeaconInterval > 0 {
 			m.EnableBeacons(s.BeaconInterval)

@@ -34,6 +34,7 @@ func Profile(cfg Config, src shard.Source, attach func(*sim.Machine)) ([]metrics
 	if err != nil {
 		return nil, err
 	}
+	defer m.Release()
 	w := m.InstrumentMetrics(cfg.Window)
 	if attach != nil {
 		attach(m)

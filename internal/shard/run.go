@@ -110,12 +110,14 @@ func SegmentJobs(cfg Config, segs []Segment, baseKey string, src Source, ix *Ind
 // runSegment simulates one positioned segment on a fresh machine under
 // the supervisor: the machine is attached for watchdog sampling and
 // cooperative kills, and fed through decode-ahead ingestion like every
-// other run path.
+// other run path. The payload holds only what the run produced, so the
+// machine's cache storage goes back to the pool before it returns.
 func runSegment(cfg Config, seg Segment, s workload.Stream, jc *harness.JobContext) (*Payload, error) {
 	m, err := sim.NewMachine(cfg.System)
 	if err != nil {
 		return nil, harness.Permanent(err)
 	}
+	defer m.Release()
 	var w *metrics.Windows
 	if cfg.MetricsWindow > 0 {
 		w = m.InstrumentMetrics(cfg.MetricsWindow)

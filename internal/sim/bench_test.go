@@ -207,6 +207,17 @@ var steadyStateCases = []steadyStateCase{
 		cfg.L2CPolicy = "tdrrip"
 		cfg.LLCPolicy = "ship"
 	}), hotpath: hotpathCommon, budget: 180},
+	// Mockingjay at the LLC: the sampled reuse-distance predictor and
+	// its ETA-based victim search. Measured 341–349: its sampler still
+	// allocates an entry per sampled fill.
+	{name: "StepMockingjay", setup: steadyStep(false, false, func(cfg *config.SystemConfig) {
+		cfg.LLCPolicy = "mockingjay"
+	}), hotpath: hotpathCommon, budget: 700},
+	// Hawkeye at the LLC: the OPTgen occupancy vectors and the PC
+	// predictor that classifies each fill. Measured 125–138.
+	{name: "StepHawkeye", setup: steadyStep(false, false, func(cfg *config.SystemConfig) {
+		cfg.LLCPolicy = "hawkeye"
+	}), hotpath: hotpathCommon, budget: 280},
 	// The CHiRP STLB baseline with the real hashed-perceptron branch
 	// predictor: the control-flow-history and perceptron hot paths.
 	// Measured 82–96.

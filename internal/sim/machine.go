@@ -309,6 +309,21 @@ func bpSeed(i int) uint64 {
 	return 0xabcdef12345 + uint64(i)*0x9e3779b97f4a7c15
 }
 
+// Release hands the arrays of the machine's caches (every core's L1I and
+// L1D, the L2C and the LLC) back to the cache storage pool, so the next
+// machine built with the same geometry reuses them instead of allocating.
+// The owner calls it once it has read the results it needs; Stats, the
+// metric windows, the beacon chain and Snapshot stay readable, but the
+// machine must not run again. Release is idempotent.
+func (m *Machine) Release() {
+	for _, c := range m.cores {
+		c.l1i.Release()
+		c.l1d.Release()
+	}
+	m.l2c.Release()
+	m.llc.Release()
+}
+
 // Cores reports the machine's configured core count.
 func (m *Machine) Cores() int { return len(m.cores) }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"itpsim/internal/arch"
 	"itpsim/internal/workload"
@@ -10,6 +11,10 @@ import (
 // warmBatch is the bulk-ingestion granularity of the functional-warmup
 // loop (one interrupt/progress check per batch).
 const warmBatch = 4096
+
+// warmBufs recycles WarmFunctional's instruction buffers across machines:
+// a sampled run warms every representative functionally.
+var warmBufs = sync.Pool{New: func() any { return new([warmBatch]workload.Instr) }}
 
 // WarmFunctional consumes n instructions from s at generator speed,
 // updating every state-holding structure the instructions touch — TLBs,
@@ -45,7 +50,9 @@ func (m *Machine) WarmFunctional(s workload.Stream, n uint64) error {
 	m.interrupted.Store(false)
 	c := m.cores[0]
 	m.warmHasBlock = false
-	buf := make([]workload.Instr, warmBatch)
+	arr := warmBufs.Get().(*[warmBatch]workload.Instr)
+	defer warmBufs.Put(arr)
+	buf := arr[:]
 	bulk, _ := s.(workload.NextBatcher)
 	var done uint64
 	for done < n {

@@ -114,16 +114,19 @@ func MoveToStackPos(set []Entry, way, pos int) {
 	set[way].Stack = uint8(pos)
 }
 
-// CheckStackInvariant reports whether stack positions form a permutation
-// (test helper).
+// CheckStackInvariant reports whether stack positions form a
+// permutation of 0..ways-1. (*TLB).AuditState's stack-permutation rule
+// and the TLB tests call it. The seen positions fit one fixed bitmask
+// (a position is a uint8), so an audit pass allocates nothing.
 func CheckStackInvariant(set []Entry) bool {
-	seen := make([]bool, len(set))
+	var seen [4]uint64
 	for i := range set {
-		p := int(set[i].Stack)
-		if p < 0 || p >= len(set) || seen[p] {
+		p := set[i].Stack
+		bit := uint64(1) << (p & 63)
+		if int(p) >= len(set) || seen[p>>6]&bit != 0 {
 			return false
 		}
-		seen[p] = true
+		seen[p>>6] |= bit
 	}
 	return true
 }

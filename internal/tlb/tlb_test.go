@@ -172,6 +172,38 @@ func TestStackHelpersProperty(t *testing.T) {
 	}
 }
 
+// TestCheckStackInvariantRejectsAndAllocatesNothing covers a duplicate
+// position and positions past the set, up to the largest uint8, and
+// holds the check at zero allocations: (*TLB).AuditState runs it on
+// every set of every TLB on every audit pass.
+func TestCheckStackInvariantRejectsAndAllocatesNothing(t *testing.T) {
+	for _, ways := range []int{1, 4, 12, 255} {
+		set := make([]Entry, ways)
+		InitSet(set)
+		MoveToStackPos(set, ways-1, 0)
+		if !CheckStackInvariant(set) {
+			t.Errorf("ways=%d: permutation rejected", ways)
+		}
+		if n := testing.AllocsPerRun(100, func() { CheckStackInvariant(set) }); n != 0 {
+			t.Errorf("ways=%d: %v allocations per check, want 0", ways, n)
+		}
+		for _, bad := range []int{ways, 64, 128, 255} {
+			if bad >= ways {
+				set[0].Stack = uint8(bad)
+				if CheckStackInvariant(set) {
+					t.Errorf("ways=%d: out-of-range position %d accepted", ways, bad)
+				}
+			}
+		}
+		if ways > 1 {
+			set[0].Stack = set[1].Stack
+			if CheckStackInvariant(set) {
+				t.Errorf("ways=%d: duplicate position accepted", ways)
+			}
+		}
+	}
+}
+
 // Property: under random insert/lookup traffic the TLB never stores two
 // entries for the same (vpn,size,thread) and stacks stay permutations.
 func TestTLBConsistencyUnderTraffic(t *testing.T) {

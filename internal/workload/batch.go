@@ -63,7 +63,6 @@ type Prefetched struct {
 
 	batches chan *instrBatch
 	free    chan *instrBatch
-	pool    sync.Pool
 	stop    chan struct{}
 
 	// Decoder-side state, published to the consumer by the close of
@@ -83,6 +82,13 @@ type instrBatch struct {
 	n   int
 }
 
+// batchPool is the one batch pool every decode-ahead ring draws from, so
+// a ring started after another closed reuses its batches. Only the
+// consumer side puts batches back, on its own goroutine (putBatch and
+// Close): the decoder may outlive Close, and a batch it returned late
+// could land after the caller's run has finished.
+var batchPool = sync.Pool{New: func() any { return &instrBatch{buf: make([]Instr, BatchSize)} }}
+
 // Prefetch wraps s in a decode-ahead pipeline and starts its background
 // decoder. The caller owns the result and should Close it when the run is
 // over (Close is cheap and idempotent); an already-prefetched stream is
@@ -97,7 +103,6 @@ func Prefetch(s Stream) *Prefetched {
 		free:    make(chan *instrBatch, PrefetchDepth+1),
 		stop:    make(chan struct{}),
 	}
-	p.pool.New = func() any { return &instrBatch{buf: make([]Instr, BatchSize)} }
 	p.bulk, _ = s.(NextBatcher)
 	// Ownership handoff: p's source and ring buffers transfer to the
 	// decode goroutine here; the constructor's caller only ever touches
@@ -110,6 +115,13 @@ func Prefetch(s Stream) *Prefetched {
 func (p *Prefetched) decode() {
 	defer close(p.batches)
 	for {
+		// Close drains the queue, which may free a parked send; stop
+		// here rather than decode into batches nobody will read.
+		select {
+		case <-p.stop:
+			return
+		default:
+		}
 		b := p.getBatch()
 		ended := p.fillBatch(b)
 		if ended && p.panicVal == nil {
@@ -126,7 +138,13 @@ func (p *Prefetched) decode() {
 				return
 			}
 		} else {
-			p.putBatch(b)
+			// Back to the ring only: an empty batch at the end of the
+			// stream is left for Close (or the collector), never put in
+			// the pool from here.
+			select {
+			case p.free <- b:
+			default:
+			}
 		}
 		if ended {
 			return
@@ -167,18 +185,20 @@ func (p *Prefetched) getBatch() *instrBatch {
 	case b := <-p.free:
 		return b
 	default:
-		return p.pool.Get().(*instrBatch)
+		b := batchPool.Get().(*instrBatch)
+		b.n = 0
+		return b
 	}
 }
 
-// putBatch returns a chunk to the recycle ring (pool when the ring is
-// momentarily full).
+// putBatch returns a consumed chunk to the recycle ring (the pool when
+// the ring is momentarily full). Consumer side only.
 func (p *Prefetched) putBatch(b *instrBatch) {
 	b.n = 0
 	select {
 	case p.free <- b:
 	default:
-		p.pool.Put(b)
+		batchPool.Put(b)
 	}
 }
 
@@ -239,8 +259,32 @@ func (p *Prefetched) Err() error { return p.err }
 // blocked inside the source's Next (a hung pipe keeps its goroutine, just
 // as it would keep a direct consumer); in every other state the decoder
 // exits promptly. Close is idempotent and safe after the consumer stops
-// pulling.
+// pulling, and must be called from the consumer's goroutine: it returns
+// the current batch, the recycle ring and the decoded batches still
+// queued to the shared pool, so nothing may be read from p afterwards.
 func (p *Prefetched) Close() error {
 	p.stopOnce.Do(func() { close(p.stop) })
-	return nil
+	if p.cur != nil {
+		batchPool.Put(p.cur)
+		p.cur, p.pos = nil, 0
+	}
+	for drained := false; !drained; {
+		select {
+		case b := <-p.free:
+			batchPool.Put(b)
+		default:
+			drained = true
+		}
+	}
+	for {
+		select {
+		case b, ok := <-p.batches:
+			if !ok {
+				return nil
+			}
+			batchPool.Put(b)
+		default:
+			return nil
+		}
+	}
 }
