@@ -5,49 +5,39 @@ import (
 	"testing"
 )
 
-// checkScaled walks v like checkZero and reports every numeric field
-// that does not hold want — AddScaled must have multiplied it.
-func checkScaled(t *testing.T, v reflect.Value, path string, want uint64) {
-	switch v.Kind() {
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		if v.Uint() != want {
-			t.Errorf("%s = %d after AddScaled, want %d (field missing from AddScaled?)", path, v.Uint(), want)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if v.Int() != int64(want) {
-			t.Errorf("%s = %d after AddScaled, want %d (field missing from AddScaled?)", path, v.Int(), want)
-		}
-	case reflect.Float32, reflect.Float64:
-		if v.Float() != float64(want) {
-			t.Errorf("%s = %g after AddScaled, want %d (field missing from AddScaled?)", path, v.Float(), want)
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			checkScaled(t, v.Field(i), path+"."+v.Type().Field(i).Name, want)
-		}
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			checkScaled(t, v.Index(i), path+"[]", want)
-		}
-	}
-}
-
 // TestAddScaledCoversEveryField is the weighted twin of
-// TestResetMeasuredCoversEveryField: filling every numeric field of the
-// source by reflection and asserting the destination holds exactly k
-// times each value makes it impossible for a newly added counter to be
-// silently dropped from stitched (k=1) or sampled (k=weight) results.
+// TestResetMeasuredCoversEveryField. Source and destination hold
+// distinct values in every counter, and the destination starts with
+// fewer tenants than the source, so each destination counter must end
+// at its old value (0 for a grown tenant) plus k times the source
+// counter on the same path: a newly added counter cannot silently drop
+// out of stitched (k=1) or sampled (k=weight) results, and no counter
+// can be summed into its neighbour.
 func TestAddScaledCoversEveryField(t *testing.T) {
+	const k = 3
 	src := NewSim()
 	src.EnsureTenants(4)
-	n := fillNonZero(reflect.ValueOf(src).Elem())
-	if n == 0 {
-		t.Fatal("fillNonZero set nothing; the walker is broken")
-	}
-	t.Logf("filled %d numeric fields", n)
+	fillDistinct(t, src, 1)
 	dst := NewSim()
-	dst.AddScaled(src, 3)
-	checkScaled(t, reflect.ValueOf(dst).Elem(), "Sim", 3*7)
+	fillDistinct(t, dst, 1<<20)
+	before := values(t, dst)
+
+	dst.AddScaled(src, k)
+	want := values(t, src)
+	got := counters(t, dst)
+	if len(got) != len(want) {
+		t.Fatalf("destination has %d counters after AddScaled, source %d", len(got), len(want))
+	}
+	for _, c := range got {
+		s, ok := want[c.path]
+		if !ok {
+			t.Errorf("%s is not a source counter", c.path)
+			continue
+		}
+		if v := c.v.Uint(); v != before[c.path]+k*s {
+			t.Errorf("%s = %d after AddScaled, want %d + %d×%d", c.path, v, before[c.path], k, s)
+		}
+	}
 }
 
 // TestAddScaledMatchesRepeatedAdd: the weighted sum must equal the same
@@ -56,7 +46,7 @@ func TestAddScaledCoversEveryField(t *testing.T) {
 func TestAddScaledMatchesRepeatedAdd(t *testing.T) {
 	src := NewSim()
 	src.EnsureTenants(3)
-	fillNonZero(reflect.ValueOf(src).Elem())
+	fillDistinct(t, src, 1)
 
 	scaled := NewSim()
 	scaled.AddScaled(src, 5)

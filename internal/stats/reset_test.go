@@ -3,91 +3,86 @@ package stats
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// resetAllowlist names the field paths (relative to Sim, slice indices
-// elided) that ResetMeasured may legitimately leave non-zero. Every
-// other numeric field must be zeroed — a counter that survives the
-// warmup→measure boundary leaks warmup events into the measured phase.
-// Nothing is currently exempt; a future config-like field must be
-// listed here explicitly, with a comment saying why it survives.
-var resetAllowlist = map[string]bool{}
+// counter is one numeric leaf of a Sim: its path, such as
+// Sim.Cores[2].ITLB.Hits[1], and its settable value.
+type counter struct {
+	path string
+	v    reflect.Value
+}
 
-// fillNonZero sets every numeric field reachable from v to a non-zero
-// value and returns how many it set. Strings (level names) are left
-// alone: they are identity, not measurement.
-func fillNonZero(v reflect.Value) int {
-	switch v.Kind() {
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(7)
-		return 1
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(7)
-		return 1
-	case reflect.Float32, reflect.Float64:
-		v.SetFloat(7)
-		return 1
-	case reflect.Struct:
-		n := 0
-		for i := 0; i < v.NumField(); i++ {
-			n += fillNonZero(v.Field(i))
+// counters lists every counter reachable from s, in field order. It is
+// the coverage tests' own walker, written apart from the one the stats
+// operations use, so a fault in that walk cannot hide from them. A leaf
+// of a kind other than uint64 (arch.Cycle included) or string fails the
+// test: the stats operations sum only uint64 counters.
+func counters(t *testing.T, s *Sim) []counter {
+	t.Helper()
+	var out []counter
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Uint64:
+			out = append(out, counter{path, v})
+		case reflect.String: // level names are identity, not measurement
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Array, reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		default:
+			t.Fatalf("%s has kind %s; stats counters must be uint64", path, v.Kind())
 		}
-		return n
-	case reflect.Slice, reflect.Array:
-		n := 0
-		for i := 0; i < v.Len(); i++ {
-			n += fillNonZero(v.Index(i))
-		}
-		return n
-	default:
-		return 0
+	}
+	walk(reflect.ValueOf(s).Elem(), "Sim")
+	return out
+}
+
+// fillDistinct sets counter i of s to base+i, so no two counters hold
+// the same value and an operation that pairs the wrong fields shows.
+func fillDistinct(t *testing.T, s *Sim, base uint64) {
+	t.Helper()
+	cs := counters(t, s)
+	if len(cs) == 0 {
+		t.Fatal("no counters found; the walker is broken")
+	}
+	for i, c := range cs {
+		c.v.SetUint(base + uint64(i))
 	}
 }
 
-// checkZero walks v like fillNonZero and reports every non-zero numeric
-// field not covered by the allowlist.
-func checkZero(t *testing.T, v reflect.Value, path string) {
-	switch v.Kind() {
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		if v.Uint() != 0 && !resetAllowlist[path] {
-			t.Errorf("%s = %d survived ResetMeasured (zero it there, or allowlist it with a reason)", path, v.Uint())
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if v.Int() != 0 && !resetAllowlist[path] {
-			t.Errorf("%s = %d survived ResetMeasured (zero it there, or allowlist it with a reason)", path, v.Int())
-		}
-	case reflect.Float32, reflect.Float64:
-		if v.Float() != 0 && !resetAllowlist[path] {
-			t.Errorf("%s = %g survived ResetMeasured (zero it there, or allowlist it with a reason)", path, v.Float())
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			checkZero(t, v.Field(i), path+"."+v.Type().Field(i).Name)
-		}
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			checkZero(t, v.Index(i), path+"[]")
-		}
+// values maps every counter path of s to its value.
+func values(t *testing.T, s *Sim) map[string]uint64 {
+	t.Helper()
+	out := make(map[string]uint64)
+	for _, c := range counters(t, s) {
+		out[c.path] = c.v.Uint()
 	}
+	return out
 }
 
 // TestResetMeasuredCoversEveryField is the regression test for the
 // hand-enumerated reset bug: ResetMeasured used to list fields one by
 // one, so newly added counters (STLBPrefetches was the last victim)
-// silently survived the warmup→measure boundary. Filling every numeric
-// field by reflection and asserting all of them return to zero makes
+// silently survived the warmup→measure boundary. Filling every counter
+// by reflection and asserting all of them return to zero makes
 // forgetting a field impossible.
 func TestResetMeasuredCoversEveryField(t *testing.T) {
 	s := NewSim()
 	s.EnsureTenants(4) // cover the per-tenant views beyond the SMT pair
-	n := fillNonZero(reflect.ValueOf(s).Elem())
-	if n == 0 {
-		t.Fatal("fillNonZero set nothing; the walker is broken")
-	}
-	t.Logf("filled %d numeric fields", n)
+	fillDistinct(t, s, 1)
 	s.ResetMeasured()
-	checkZero(t, reflect.ValueOf(s).Elem(), "Sim")
+	for _, c := range counters(t, s) {
+		if v := c.v.Uint(); v != 0 {
+			t.Errorf("%s = %d survived ResetMeasured", c.path, v)
+		}
+	}
 }
 
 // TestResetMeasuredKeepsIdentity: the reset must preserve structure —
@@ -137,5 +132,45 @@ func TestAggregateTenantsIdempotent(t *testing.T) {
 	}
 	if s.InstrTransCycles != 15 {
 		t.Errorf("InstrTransCycles = %d, want 15", s.InstrTransCycles)
+	}
+}
+
+// tenantViews names the Sim fields AggregateTenants rebuilds as sums of
+// the same-named Core fields. Instructions and Cycles are left out:
+// they are whole-run totals, not sums of the tenant views.
+var tenantViews = map[string]bool{
+	"ITLB": true, "DTLB": true, "STLB": true, "L1I": true, "L1D": true,
+	"InstrTransCycles": true, "DataTransCycles": true,
+}
+
+// TestAggregateTenantsCoversEveryField: with every counter distinct,
+// each tenant-view aggregate must become the exact sum of the four
+// tenants' views, leaf by leaf, and every other counter — Cycles,
+// Instructions, the shared levels, the walk counters and every Core
+// leaf — must keep its value.
+func TestAggregateTenantsCoversEveryField(t *testing.T) {
+	s := NewSim()
+	s.EnsureTenants(4)
+	fillDistinct(t, s, 1)
+	before := values(t, s)
+	s.AggregateTenants()
+	for _, c := range counters(t, s) {
+		rest := strings.TrimPrefix(c.path, "Sim.")
+		want := before[c.path]
+		field := strings.FieldsFunc(rest, func(r rune) bool { return r == '.' || r == '[' })[0]
+		if tenantViews[field] {
+			want = 0
+			for i := range s.Cores {
+				key := fmt.Sprintf("Sim.Cores[%d].%s", i, rest)
+				v, ok := before[key]
+				if !ok {
+					t.Fatalf("%s has no tenant view %s", c.path, key)
+				}
+				want += v
+			}
+		}
+		if got := c.v.Uint(); got != want {
+			t.Errorf("%s = %d after AggregateTenants, want %d (was %d)", c.path, got, want, before[c.path])
+		}
 	}
 }
