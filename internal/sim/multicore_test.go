@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"itpsim/internal/arch"
 	"itpsim/internal/config"
 	"itpsim/internal/stats"
 	"itpsim/internal/workload"
@@ -151,25 +152,36 @@ func TestMultiCorePerTenantAttribution(t *testing.T) {
 	if instr != s.TotalInstructions() {
 		t.Errorf("per-tenant instructions sum %d != total %d", instr, s.TotalInstructions())
 	}
-	sum := stats.NewSim()
-	sum.EnsureTenants(len(s.Cores))
+	// The per-tenant sums are written out here rather than taken from
+	// the stats package, so they check AggregateTenants independently.
+	var sum [5]stats.Level
+	var instrTrans, dataTrans arch.Cycle
 	for i := range s.Cores {
 		c := &s.Cores[i]
 		if c.ITLB.TotalHits()+c.ITLB.TotalMisses() == 0 {
 			t.Errorf("tenant %d recorded no ITLB traffic", i)
 		}
-		sl, cl := sum.Levels(), c.Levels()
-		for j := range cl {
-			sl[j].Add(cl[j])
+		for j, l := range c.Levels() {
+			for b := range l.Hits {
+				sum[j].Hits[b] += l.Hits[b]
+				sum[j].Misses[b] += l.Misses[b]
+			}
+			sum[j].MissLatSum += l.MissLatSum
+			sum[j].MissLatCnt += l.MissLatCnt
 		}
+		instrTrans += c.InstrTransCycles
+		dataTrans += c.DataTransCycles
 	}
 	for i, name := range []string{"ITLB", "DTLB", "STLB", "L1I", "L1D"} {
-		got := *sum.Levels()[i]
 		want := *s.Levels()[i]
-		got.Name, want.Name = "", ""
-		if got != want {
-			t.Errorf("%s: per-tenant sum %+v != aggregate %+v", name, got, want)
+		want.Name = ""
+		if sum[i] != want {
+			t.Errorf("%s: per-tenant sum %+v != aggregate %+v", name, sum[i], want)
 		}
+	}
+	if instrTrans != s.InstrTransCycles || dataTrans != s.DataTransCycles {
+		t.Errorf("per-tenant translation cycles %d/%d != aggregate %d/%d",
+			instrTrans, dataTrans, s.InstrTransCycles, s.DataTransCycles)
 	}
 }
 

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -149,30 +150,6 @@ func (l *Level) HitRate() float64 {
 	return float64(l.TotalHits()) / float64(total)
 }
 
-// Reset zeroes the level's counters, keeping the name.
-func (l *Level) Reset() {
-	name := l.Name
-	*l = Level{Name: name}
-}
-
-// Add accumulates src's counters into l. Every Level field is a sum over
-// observed events, so addition composes exactly.
-func (l *Level) Add(src *Level) {
-	l.AddScaled(src, 1)
-}
-
-// AddScaled accumulates k copies of src's counters into l. Occupancy
-// weights in a sampled-run reconstruction are integer window counts, so
-// the multiply is exact in uint64.
-func (l *Level) AddScaled(src *Level, k uint64) {
-	for b := range l.Hits {
-		l.Hits[b] += k * src.Hits[b]
-		l.Misses[b] += k * src.Misses[b]
-	}
-	l.MissLatSum += k * src.MissLatSum
-	l.MissLatCnt += k * src.MissLatCnt
-}
-
 // Core is the per-tenant statistics view of one CMP run. One tenant is
 // one hardware thread with its own workload stream: tenant i runs on
 // core i, except in the single-core SMT mode where tenants 0 and 1
@@ -290,113 +267,93 @@ func (s *Sim) EnsureTenants(n int) {
 }
 
 // ResetMeasured zeroes every measured counter — the warmup→measure
-// boundary reset. It intentionally walks *all* measurement state
-// (aggregate and per-tenant) rather than a hand-kept field list, so a
-// newly added counter cannot silently survive the reset and corrupt the
-// measured phase; TestResetMeasuredCoversEveryField enforces this by
-// reflection. Slice headers and level names are preserved in place
-// because the simulator holds pointers into them.
+// boundary reset. It walks *all* measurement state (aggregate and
+// per-tenant) by reflection rather than a hand-kept field list, so a
+// newly added counter cannot survive the reset and corrupt the measured
+// phase. Slice headers and level names are preserved in place because
+// the simulator holds pointers into them.
 func (s *Sim) ResetMeasured() {
-	s.Cycles = 0
-	for i := range s.Instructions {
-		s.Instructions[i] = 0
-	}
-	for i := range s.Cores {
-		c := &s.Cores[i]
-		c.Instructions = 0
-		c.Cycles = 0
-		for _, l := range c.Levels() {
-			l.Reset()
-		}
-		c.InstrTransCycles = 0
-		c.DataTransCycles = 0
-	}
-	for _, l := range s.Levels() {
-		l.Reset()
-	}
-	s.InstrTransCycles = 0
-	s.DataTransCycles = 0
-	s.PageWalks = [2]uint64{}
-	s.WalkLatSum = [2]arch.Cycle{}
-	s.PSCHits = [4]uint64{}
-	s.XPTPEnabledWindows = 0
-	s.XPTPDisabledWindows = 0
-	s.DRAMAccesses = 0
-	s.STLBPrefetches = 0
+	eachCounter(reflect.ValueOf(s).Elem(), reflect.Value{}, setZero)
 }
 
 // AggregateTenants recomputes the aggregate views that are recorded
-// per tenant during a run — first-level TLBs, the STLB, the private L1s,
-// and the translation-cycle accounting — as exact sums of the per-tenant
-// views. Idempotent: it rebuilds those aggregates from scratch, so the
-// simulator may call it at every run end.
+// per tenant during a run as exact sums of the per-tenant views: every
+// Sim field named like a Core field — the first-level TLBs, the STLB,
+// the private L1s and the translation-cycle accounting — except
+// Instructions and Cycles, which are whole-run totals. Idempotent: it
+// rebuilds those aggregates from scratch, so the simulator may call it
+// at every run end.
 func (s *Sim) AggregateTenants() {
-	s.ITLB.Reset()
-	s.DTLB.Reset()
-	s.STLB.Reset()
-	s.L1I.Reset()
-	s.L1D.Reset()
-	s.InstrTransCycles = 0
-	s.DataTransCycles = 0
-	for i := range s.Cores {
-		c := &s.Cores[i]
-		s.ITLB.Add(&c.ITLB)
-		s.DTLB.Add(&c.DTLB)
-		s.STLB.Add(&c.STLB)
-		s.L1I.Add(&c.L1I)
-		s.L1D.Add(&c.L1D)
-		s.InstrTransCycles += c.InstrTransCycles
-		s.DataTransCycles += c.DataTransCycles
+	sv, cores := reflect.ValueOf(s).Elem(), reflect.ValueOf(s.Cores)
+	ct := cores.Type().Elem()
+	for i := 0; i < ct.NumField(); i++ {
+		name := ct.Field(i).Name
+		if name == "Instructions" || name == "Cycles" {
+			// Sim.Cycles is the run's elapsed time, which the tenants
+			// share, and Sim.Instructions is already per tenant.
+			continue
+		}
+		agg := sv.FieldByName(name)
+		eachCounter(agg, reflect.Value{}, setZero)
+		for c := 0; c < cores.Len(); c++ {
+			eachCounter(agg, cores.Index(c).Field(i), addScaled(1))
+		}
 	}
 }
 
-// AddScaled accumulates k copies of src's counters into s. Every counter
-// in Sim is a sum over measured events, so k-fold summation is exact; it
-// is both the shard-stitch accumulation (k=1) and the occupancy-weighted
-// sum a sampled-run reconstruction needs (k = windows represented).
-// Derived ratios (IPC, MPKI, hit rates) recompute correctly from the
-// weighted counters because they are pure quotients of sums. Like
-// ResetMeasured, correctness rests on covering *every* measured field;
-// TestAddScaledCoversEveryField enforces by reflection that a newly
-// added counter cannot silently vanish from stitched or sampled results.
+// AddScaled accumulates k copies of src's counters into s, growing s's
+// tenants to src's first. Every counter in Sim is a sum over measured
+// events, so k-fold summation is exact; it is both the shard-stitch
+// accumulation (k=1) and the occupancy-weighted sum a sampled-run
+// reconstruction needs (k = windows represented). Derived ratios (IPC,
+// MPKI, hit rates) recompute correctly from the weighted counters
+// because they are pure quotients of sums. Occupancy weights are
+// integer window counts, so the multiply is exact in uint64.
 func (s *Sim) AddScaled(src *Sim, k uint64) {
-	s.Cycles += arch.Cycle(k) * src.Cycles
-	if n := len(src.Instructions); n > len(src.Cores) {
-		s.EnsureTenants(n)
-	} else {
-		s.EnsureTenants(len(src.Cores))
-	}
-	for i := range src.Instructions {
-		s.Instructions[i] += k * src.Instructions[i]
-	}
-	for i := range src.Cores {
-		sc, dc := &src.Cores[i], &s.Cores[i]
-		dc.Instructions += k * sc.Instructions
-		dc.Cycles += arch.Cycle(k) * sc.Cycles
-		dcl, scl := dc.Levels(), sc.Levels()
-		for j := range dcl {
-			dcl[j].AddScaled(scl[j], k)
+	s.EnsureTenants(max(len(src.Instructions), len(src.Cores)))
+	eachCounter(reflect.ValueOf(s).Elem(), reflect.ValueOf(src).Elem(), addScaled(k))
+}
+
+// setZero is the counter operation dst = 0.
+func setZero(d reflect.Value, _ uint64) { d.SetUint(0) }
+
+// addScaled returns the counter operation dst += k·src.
+func addScaled(k uint64) func(d reflect.Value, src uint64) {
+	return func(d reflect.Value, src uint64) { d.SetUint(d.Uint() + k*src) }
+}
+
+// eachCounter calls fn on every counter of dst — each uint64-kind leaf,
+// arch.Cycle included, of its structs, arrays and slices — with the
+// value of the same leaf in src, or 0 where src is absent (the zero
+// Value) or its slice is shorter. Strings are identity, not counters,
+// and are skipped. It is the one field list of the stats operations:
+// it runs at run ends and per stitched segment, never per step, so a
+// plain reflection walk costs nothing that shows.
+func eachCounter(dst, src reflect.Value, fn func(d reflect.Value, src uint64)) {
+	switch dst.Kind() {
+	case reflect.Uint64:
+		var v uint64
+		if src.IsValid() {
+			v = src.Uint()
 		}
-		dc.InstrTransCycles += arch.Cycle(k) * sc.InstrTransCycles
-		dc.DataTransCycles += arch.Cycle(k) * sc.DataTransCycles
+		fn(dst, v)
+	case reflect.Struct:
+		for i := 0; i < dst.NumField(); i++ {
+			var sf reflect.Value
+			if src.IsValid() {
+				sf = src.Field(i)
+			}
+			eachCounter(dst.Field(i), sf, fn)
+		}
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < dst.Len(); i++ {
+			var si reflect.Value
+			if src.IsValid() && i < src.Len() {
+				si = src.Index(i)
+			}
+			eachCounter(dst.Index(i), si, fn)
+		}
 	}
-	dl, sl := s.Levels(), src.Levels()
-	for i := range dl {
-		dl[i].AddScaled(sl[i], k)
-	}
-	s.InstrTransCycles += arch.Cycle(k) * src.InstrTransCycles
-	s.DataTransCycles += arch.Cycle(k) * src.DataTransCycles
-	for i := range s.PageWalks {
-		s.PageWalks[i] += k * src.PageWalks[i]
-		s.WalkLatSum[i] += arch.Cycle(k) * src.WalkLatSum[i]
-	}
-	for i := range s.PSCHits {
-		s.PSCHits[i] += k * src.PSCHits[i]
-	}
-	s.XPTPEnabledWindows += k * src.XPTPEnabledWindows
-	s.XPTPDisabledWindows += k * src.XPTPDisabledWindows
-	s.DRAMAccesses += k * src.DRAMAccesses
-	s.STLBPrefetches += k * src.STLBPrefetches
 }
 
 // TotalInstructions returns instructions retired across all threads.

@@ -78,16 +78,6 @@ func TestLevelMissLatency(t *testing.T) {
 	}
 }
 
-func TestLevelReset(t *testing.T) {
-	l := Level{Name: "X"}
-	l.Record(BData, false)
-	l.RecordMissLatency(5)
-	l.Reset()
-	if l.Name != "X" || l.TotalMisses() != 0 || l.MissLatSum != 0 {
-		t.Errorf("Reset did not preserve name / clear counters: %+v", l)
-	}
-}
-
 func TestZeroInstructionsMPKI(t *testing.T) {
 	var l Level
 	l.Record(BData, false)
