@@ -92,10 +92,9 @@ type Windows struct {
 	// oldest slot in place — recycling its Counters map — instead of
 	// allocating a record plus map per window and memmoving the history.
 	records []WindowRecord
-	start   int    // ring read position (always 0 in unbounded mode)
-	count   int    // live records
-	dropped uint64 // records discarded by the retention cap
-	retain  int    // max records kept; <= 0 means unbounded
+	start   int // ring read position (always 0 in unbounded mode)
+	count   int // live records
+	retain  int // max records kept; <= 0 means unbounded
 	sink    func(*WindowRecord)
 
 	index       uint64
@@ -136,16 +135,13 @@ func (w *Windows) Rebase(reset func()) {
 	}
 }
 
-// SetSink streams every closed window to fn (e.g. a JSONL writer) and
-// caps in-memory retention at a small recent-history ring; without a sink
-// the full series is retained for the caller to read back.
+// SetSink streams every closed window to fn (e.g. a JSONL writer).
+// Retention is SetRetain's alone: a caller that streams the series and
+// reads back only recent history bounds it there.
 func (w *Windows) SetSink(fn func(*WindowRecord)) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.sink = fn
-	if w.retain == 0 {
-		w.retain = 64
-	}
 }
 
 // SetRetain bounds the in-memory record history to n entries (<= 0 means
@@ -199,11 +195,7 @@ func (w *Windows) slotLocked() *WindowRecord {
 		// final size once.
 		w.linearizeLocked()
 		ring := make([]WindowRecord, w.retain)
-		keep := w.count
-		if keep > w.retain {
-			w.dropped += uint64(keep - w.retain)
-			keep = w.retain
-		}
+		keep := min(w.count, w.retain)
 		copy(ring, w.records[w.count-keep:])
 		w.records = ring
 		w.start, w.count = 0, keep
@@ -213,7 +205,6 @@ func (w *Windows) slotLocked() *WindowRecord {
 		if w.start++; w.start == w.retain {
 			w.start = 0
 		}
-		w.dropped++
 		return rec
 	}
 	rec := w.atLocked(w.count)

@@ -15,6 +15,7 @@ import (
 	"itpsim/internal/config"
 	"itpsim/internal/harness"
 	"itpsim/internal/metrics"
+	"itpsim/internal/sim"
 	"itpsim/internal/trace"
 	"itpsim/internal/workload"
 )
@@ -218,6 +219,33 @@ func TestExecuteArm(t *testing.T) {
 	arm = &Arm{Export: metrics.NewJSONL(&buf), Window: 7_000}
 	if _, err := newTestRunner().Execute(opts(), []Spec{sharded}, arm); err == nil {
 		t.Error("misaligned export window accepted for a sharded run")
+	}
+}
+
+// TestArmBoundsRetention: a whole run armed for /debug/vars alone keeps a
+// bounded recent history however many windows it closes. Only an export
+// sink used to bound it, so an expvar-only run kept every window.
+func TestArmBoundsRetention(t *testing.T) {
+	s := base()
+	m, err := sim.NewMachine(s.System)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	(&Arm{Tool: "test", Expvar: true, Window: 100}).machine(m, &s, "retention")
+	spec, err := workload.NewCatalog(120, 20).Get(s.Tenants[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run([]workload.Stream{spec.NewStream()}, 30_000); err != nil {
+		t.Fatal(err)
+	}
+	w := m.Metrics()
+	if w.Closed() < 200 {
+		t.Fatalf("closed %d windows, want at least 200", w.Closed())
+	}
+	if n := len(w.Records()); n > 64 {
+		t.Errorf("retained %d of %d windows, want at most 64", n, w.Closed())
 	}
 }
 
