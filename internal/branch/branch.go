@@ -1,65 +1,12 @@
-// Package branch implements branch direction predictors. Table 1's
-// machine uses a hashed perceptron predictor (Tarjan & Skadron, TACO'05);
-// the simulator can run either that model or a fixed-accuracy coin flip
-// (the default, which keeps runs comparable across workloads whose branch
-// behaviour differs).
+// Package branch implements Table 1's hashed perceptron branch
+// direction predictor (Tarjan & Skadron, TACO'05), which the simulator
+// runs when config.SystemConfig.BranchPredictor is "perceptron". The
+// default, a fixed-accuracy coin flip that keeps runs comparable across
+// workloads whose branch behaviour differs, lives in the simulator
+// (sim.Machine.predictBranch).
 package branch
 
 import "itpsim/internal/arch"
-
-// Predictor predicts conditional branch directions and learns from
-// outcomes.
-type Predictor interface {
-	Name() string
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc arch.Addr) bool
-	// Update trains the predictor with the actual outcome.
-	Update(pc arch.Addr, taken bool)
-}
-
-// Fixed is a deterministic fixed-accuracy predictor: it is "correct" with
-// the configured probability, independent of the branch. It never needs
-// the actual outcome at prediction time; callers compare Predict against
-// the real direction.
-type Fixed struct {
-	accuracy float64
-	rng      uint64
-	// pending holds the outcome Predict committed to emit next.
-	correct bool
-}
-
-// NewFixed returns a predictor with the given accuracy in [0,1].
-func NewFixed(accuracy float64, seed uint64) *Fixed {
-	if seed == 0 {
-		seed = 0x2545f4914f6cdd1d
-	}
-	return &Fixed{accuracy: accuracy, rng: seed}
-}
-
-// Name implements Predictor.
-func (*Fixed) Name() string { return "fixed" }
-
-// Correct draws whether this prediction is correct (helper used by the
-// simulator, which knows the true outcome).
-//
-//itp:hotpath
-func (f *Fixed) Correct() bool {
-	f.rng ^= f.rng << 13
-	f.rng ^= f.rng >> 7
-	f.rng ^= f.rng << 17
-	return float64(f.rng>>11)/float64(1<<53) < f.accuracy
-}
-
-// Predict implements Predictor; with a known outcome unavailable it
-// predicts taken and lets Correct() drive the simulator's decision.
-//
-//itp:hotpath
-func (f *Fixed) Predict(arch.Addr) bool { return f.Correct() }
-
-// Update implements Predictor (no state).
-//
-//itp:hotpath
-func (*Fixed) Update(arch.Addr, bool) {}
 
 // Perceptron is a hashed perceptron predictor: several weight tables
 // indexed by hashes of the PC and different-length slices of the global
@@ -93,9 +40,6 @@ func NewPerceptron() *Perceptron {
 	return p
 }
 
-// Name implements Predictor.
-func (*Perceptron) Name() string { return "hashed-perceptron" }
-
 //itp:hotpath
 func (p *Perceptron) index(table int, pc arch.Addr) int {
 	hlen := p.hashLens[table]
@@ -119,13 +63,14 @@ func (p *Perceptron) sum(pc arch.Addr) int {
 	return s
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 //
 //itp:hotpath
 func (p *Perceptron) Predict(pc arch.Addr) bool { return p.sum(pc) >= 0 }
 
-// Update implements Predictor: train on mispredictions and low-confidence
-// correct predictions, then shift the outcome into the history.
+// Update trains the predictor with the actual outcome: it trains on
+// mispredictions and low-confidence correct predictions, then shifts the
+// outcome into the history.
 //
 //itp:hotpath
 func (p *Perceptron) Update(pc arch.Addr, taken bool) {

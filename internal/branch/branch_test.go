@@ -4,30 +4,6 @@ import (
 	"testing"
 )
 
-func TestFixedAccuracy(t *testing.T) {
-	f := NewFixed(0.9, 42)
-	correct := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if f.Correct() {
-			correct++
-		}
-	}
-	acc := float64(correct) / n
-	if acc < 0.88 || acc > 0.92 {
-		t.Errorf("fixed accuracy = %.3f, want ~0.90", acc)
-	}
-}
-
-func TestFixedDeterministic(t *testing.T) {
-	a, b := NewFixed(0.9, 7), NewFixed(0.9, 7)
-	for i := 0; i < 1000; i++ {
-		if a.Correct() != b.Correct() {
-			t.Fatal("same seed diverged")
-		}
-	}
-}
-
 func TestPerceptronLearnsBias(t *testing.T) {
 	p := NewPerceptron()
 	pc := uint64(0x400100)
@@ -120,14 +96,5 @@ func TestPerceptronWeightSaturation(t *testing.T) {
 				t.Fatalf("weight %d out of range", w)
 			}
 		}
-	}
-}
-
-func TestPredictorNames(t *testing.T) {
-	if NewFixed(0.9, 1).Name() != "fixed" {
-		t.Error("fixed name")
-	}
-	if NewPerceptron().Name() != "hashed-perceptron" {
-		t.Error("perceptron name")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"strings"
 
 	"itpsim/internal/arch"
@@ -430,25 +429,4 @@ func Geomean(xs []float64) float64 {
 		logSum += math.Log(x)
 	}
 	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Percentiles returns the p-quantiles (0..1) of xs using nearest-rank.
-func Percentiles(xs []float64, ps ...float64) []float64 {
-	if len(xs) == 0 {
-		return make([]float64, len(ps))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		idx := int(p * float64(len(sorted)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		out[i] = sorted[idx]
-	}
-	return out
 }

@@ -180,17 +180,3 @@ func TestGeomeanBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPercentiles(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	got := Percentiles(xs, 0, 0.5, 1)
-	want := []float64{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("percentile %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if out := Percentiles(nil, 0.5); len(out) != 1 || out[0] != 0 {
-		t.Error("empty input percentile should be 0")
-	}
-}
