@@ -45,9 +45,8 @@ govulncheck:
 
 # Vet + the whole suite under the race detector. The race suite already
 # runs the chaos battery and the equiv and sample-equiv batteries at CI
-# scale, so CI has no separate job for them; the targets below are local
-# shortcuts (equiv and sample-equiv at full scale, which CI's equiv job
-# also runs for the sharding battery).
+# scale, so CI has no separate chaos job; CI's equiv job runs the equiv
+# and sample-equiv targets below at full scale.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
