@@ -135,9 +135,8 @@ func (w *Windows) Rebase(reset func()) {
 	}
 }
 
-// SetSink streams every closed window to fn (e.g. a JSONL writer).
-// Retention is SetRetain's alone: a caller that streams the series and
-// reads back only recent history bounds it there.
+// SetSink streams every closed window to fn (e.g. a JSONL writer). It
+// leaves the retained series as it is; SetRetain bounds it.
 func (w *Windows) SetSink(fn func(*WindowRecord)) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
