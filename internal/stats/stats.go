@@ -266,11 +266,10 @@ func (s *Sim) EnsureTenants(n int) {
 }
 
 // ResetMeasured zeroes every measured counter — the warmup→measure
-// boundary reset. It walks *all* measurement state (aggregate and
-// per-tenant) by reflection rather than a hand-kept field list, so a
-// newly added counter cannot survive the reset and corrupt the measured
-// phase. Slice headers and level names are preserved in place because
-// the simulator holds pointers into them.
+// boundary reset. It walks every counter, aggregate and per-tenant, so
+// a newly added counter cannot survive the reset and corrupt the
+// measured phase. Slice headers and level names are preserved in place
+// because the simulator holds pointers into them.
 func (s *Sim) ResetMeasured() {
 	eachCounter(reflect.ValueOf(s).Elem(), reflect.Value{}, setZero)
 }
@@ -279,9 +278,8 @@ func (s *Sim) ResetMeasured() {
 // per tenant during a run as exact sums of the per-tenant views: every
 // Sim field named like a Core field — the first-level TLBs, the STLB,
 // the private L1s and the translation-cycle accounting — except
-// Instructions and Cycles, which are whole-run totals. Idempotent: it
-// rebuilds those aggregates from scratch, so the simulator may call it
-// at every run end.
+// Instructions and Cycles. Idempotent: it rebuilds those aggregates
+// from scratch, so the simulator may call it at every run end.
 func (s *Sim) AggregateTenants() {
 	sv, cores := reflect.ValueOf(s).Elem(), reflect.ValueOf(s.Cores)
 	ct := cores.Type().Elem()
