@@ -64,12 +64,13 @@ cover-check:
 # goroutines, channels or locks (DESIGN.md §15), so this target is where
 # the concurrent surface is exercised: sharded runs, the sampling
 # pre-pass, the supervisor, the decode-ahead ring, the metrics window
-# sampler, the run dispatcher with its memo lock, and the cache storage
-# pool shared by concurrent machines. -count=2 reruns each test so
-# per-run state (pools, rings, checkpoints) is exercised twice under the
+# sampler, the run dispatcher with its memo lock, and the storage pools
+# concurrent machines share: the keyed pool itself and the cache, TLB and
+# page-table pools built on it. -count=2 reruns each test so per-run
+# state (pools, rings, checkpoints) is exercised twice under the
 # detector.
 race-matrix:
-	$(GO) test -race -count=2 ./internal/shard ./internal/sample ./internal/harness ./internal/workload ./internal/metrics ./internal/run ./internal/cache
+	$(GO) test -race -count=2 ./internal/shard ./internal/sample ./internal/harness ./internal/workload ./internal/metrics ./internal/run ./internal/pool ./internal/cache ./internal/tlb ./internal/vm
 
 # Short fuzz pass (CI smoke) over the parsers that read untrusted bytes —
 # the trace decoder and the checkpoint-journal recovery path — over two

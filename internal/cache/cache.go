@@ -8,10 +8,10 @@ package cache
 
 import (
 	"fmt"
-	"sync"
 
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
+	"itpsim/internal/pool"
 	"itpsim/internal/prefetch"
 	"itpsim/internal/replacement"
 	"itpsim/internal/stats"
@@ -77,14 +77,13 @@ type Cache struct {
 	// never re-enter train, and no level retains the pointer.
 	pfAcc arch.Access
 
-	// store owns tags, stack and lines; Release hands it back to the
-	// storage pool. Last, so the fields every access reads keep their
-	// offsets.
+	// store owns tags, stack and lines; Release hands it back to
+	// stores. Last, so the fields every access reads keep their offsets.
 	store *storage
 }
 
 // storage is the flat per-way state of one cache, sized sets×ways. It
-// outlives its cache: Release returns it to the pool for its size, and
+// outlives its cache: Release returns it to stores under its size, and
 // the next New of that size takes it from there.
 type storage struct {
 	tags  []uint64
@@ -92,31 +91,15 @@ type storage struct {
 	lines []replacement.Line
 }
 
-// storagePools holds one sync.Pool per sets×ways. The pools are shared by
-// every machine in the process: a sampled sweep's profiling machine and
-// its representatives never meet in one owner, and a sync.Pool is emptied
-// by the garbage collector, so nothing outlives a run.
-var (
-	storageMu    sync.Mutex
-	storagePools = map[int]*sync.Pool{}
-)
-
-// storagePool returns the pool for n ways.
-func storagePool(n int) *sync.Pool {
-	storageMu.Lock()
-	defer storageMu.Unlock()
-	p := storagePools[n]
-	if p == nil {
-		p = new(sync.Pool)
-		storagePools[n] = p
-	}
-	return p
-}
+// stores recycles released caches' storage, keyed by sets×ways. A sampled
+// sweep's profiling machine and its representatives never meet in one
+// owner, so the pool is shared by every machine in the process.
+var stores pool.Keyed[*storage]
 
 // New creates a cache level. next is the level misses go to; st is the
 // statistics sink (may be nil for throwaway caches in tests). Its arrays
-// come from the storage pool when a released cache of the same size left
-// some there; New clears recycled lines and runs InitSet on every set, so
+// come from the pool when a released cache of the same size left some
+// there; New clears recycled lines and runs InitSet on every set, so
 // recycled arrays start exactly as new ones.
 func New(name string, cfg config.CacheConfig, pol replacement.Policy, next Level, st *stats.Level) *Cache {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
@@ -126,8 +109,8 @@ func New(name string, cfg config.CacheConfig, pol replacement.Policy, next Level
 		panic(fmt.Sprintf("cache %s: ways must be in [1, %d], got %d", name, config.MaxCacheWays, cfg.Ways))
 	}
 	n := cfg.Sets * cfg.Ways
-	sto, _ := storagePool(n).Get().(*storage)
-	if sto == nil {
+	sto, ok := stores.Get(n)
+	if !ok {
 		sto = &storage{tags: make([]uint64, n), stack: make([]uint8, n), lines: make([]replacement.Line, n)}
 	} else {
 		clear(sto.lines)
@@ -152,15 +135,15 @@ func New(name string, cfg config.CacheConfig, pol replacement.Policy, next Level
 	return c
 }
 
-// Release returns the cache's arrays to the storage pool. The owner calls
-// it once it has read everything it needs from the cache; the cache must
-// not be used afterwards, and panics if it is rather than reading another
+// Release returns the cache's arrays to the pool. The owner calls it
+// once it has read everything it needs from the cache; the cache must not
+// be used afterwards, and panics if it is rather than reading another
 // cache's state. Release is idempotent.
 func (c *Cache) Release() {
 	if c.store == nil {
 		return
 	}
-	storagePool(len(c.store.tags)).Put(c.store)
+	stores.Put(len(c.store.tags), c.store)
 	c.store, c.tags, c.stack, c.lines, c.view = nil, nil, nil, nil, replacement.Set{}
 }
 

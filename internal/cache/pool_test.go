@@ -38,10 +38,10 @@ func poolTraffic(c *Cache, n int) {
 	}
 }
 
-// drainPool empties the storage pool for n ways, so the next New of that
-// size allocates new arrays.
+// drainPool empties the pool for n ways, so the next New of that size
+// allocates new arrays.
 func drainPool(n int) {
-	for storagePool(n).Get() != nil {
+	for _, ok := stores.Get(n); ok; _, ok = stores.Get(n) {
 	}
 }
 

@@ -5,7 +5,10 @@
 // than off cache accesses.
 package prefetch
 
-import "itpsim/internal/arch"
+import (
+	"itpsim/internal/arch"
+	"itpsim/internal/pool"
+)
 
 // Prefetcher observes demand accesses and proposes block-aligned
 // prefetch addresses.
@@ -54,21 +57,49 @@ type Stride struct {
 	mask   uint64
 	degree int
 	buf    []arch.Addr
+	// store owns table; Release hands it back to tables.
+	store *strideTable
 }
 
+// strideTable is the storage of one stride table. It outlives its
+// prefetcher: Release returns it to tables under its row count.
+type strideTable struct{ rows []strideEntry }
+
+// tables recycles released stride tables, keyed by row count.
+var tables pool.Keyed[*strideTable]
+
 // NewStride returns a stride prefetcher with the given table size
-// (rounded up to a power of two) and prefetch degree.
+// (rounded up to a power of two) and prefetch degree. Its table comes
+// from the pool when a released prefetcher of that size left one there,
+// and is cleared either way.
 func NewStride(tableSize, degree int) *Stride {
 	size := 1
 	for size < tableSize {
 		size <<= 1
 	}
+	st, ok := tables.Get(size)
+	if !ok {
+		st = &strideTable{rows: make([]strideEntry, size)}
+	} else {
+		clear(st.rows)
+	}
 	return &Stride{
-		table:  make([]strideEntry, size),
+		table:  st.rows,
 		mask:   uint64(size - 1),
 		degree: degree,
 		buf:    make([]arch.Addr, 0, degree),
+		store:  st,
 	}
+}
+
+// Release returns the table to the pool. The prefetcher must not be
+// trained afterwards, and panics if it is. Release is idempotent.
+func (s *Stride) Release() {
+	if s.store == nil {
+		return
+	}
+	tables.Put(len(s.store.rows), s.store)
+	s.store, s.table = nil, nil
 }
 
 // Name implements Prefetcher.

@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"itpsim/internal/arch"
@@ -98,4 +100,49 @@ func TestStrideNegativeGuards(t *testing.T) {
 			t.Errorf("negative-stride prefetch went forward/wrapped: %#x", a)
 		}
 	}
+}
+
+// TestRecycledStrideStartsFresh: a prefetcher built on a released
+// prefetcher's table trains like a new one. The released one was armed
+// on a unit stride; had its row survived, the first access from the same
+// PC one block further on would prefetch at once.
+func TestRecycledStrideStartsFresh(t *testing.T) {
+	// No collection and one processor: a released table stays in this
+	// processor's pool slot until the next NewStride takes it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pc := uint64(0x400100)
+	reused := false
+	// The race detector's sync.Pool drops a quarter of its Puts, so
+	// retry until one release comes back.
+	for try := 0; try < 20 && !reused; try++ {
+		old := NewStride(64, 2)
+		for i := 0; i < 4; i++ {
+			old.Train(&arch.Access{PC: pc, Addr: arch.Addr(i) * arch.BlockSize})
+		}
+		row := &old.table[0]
+		old.Release()
+		old.Release() // idempotent
+
+		p := NewStride(64, 2)
+		reused = &p.table[0] == row
+		if out := p.Train(&arch.Access{PC: pc, Addr: 4 * arch.BlockSize}); len(out) != 0 {
+			t.Fatalf("first access on a recycled table prefetched %v", out)
+		}
+	}
+	if !reused {
+		t.Fatal("NewStride never reused a released table")
+	}
+}
+
+// TestReleasedStridePanics: a released prefetcher has no table left.
+func TestReleasedStridePanics(t *testing.T) {
+	p := NewStride(64, 2)
+	p.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("training a released prefetcher did not panic")
+		}
+	}()
+	p.Train(&arch.Access{PC: 0x100, Addr: 0x1000})
 }

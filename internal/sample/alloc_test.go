@@ -12,21 +12,24 @@ import (
 )
 
 // splitRunAllocBudget is the most heap TestSplitRunAllocation accepts
-// for one sampled run, in bytes: about 1.5× the measured total of
-// 6.97–7.01 MB (2-vCPU host). Built without releasing machine storage,
-// the same run allocates 21.6 MB.
-const splitRunAllocBudget = 10_500_000
+// for one sampled run, in bytes: about 1.2× its measured 5.25–5.57 MB. It
+// sits below the 6.7–7.1 MB the run takes when machines recycle only
+// their cache arrays. Without Machine.Release the run allocates 18.6 MB.
+const splitRunAllocBudget = 6_500_000
 
 // TestSplitRunAllocation is the allocation gate for split runs. A K=8
 // sampled run with beacons and audits on two workers builds nine
 // machines: the profiling pass and eight representatives. Each machine
-// releases its cache arrays, decode batches go back to the shared batch
-// pool and functional warmup borrows its buffer, so the run allocates
-// little beyond the machines that are live at once. The pools are
-// emptied first, so the run starts cold; collection stays off while it
-// is measured, so nothing it released is lost to a collection. Two
-// processors, as on the host the budget was measured on: a pool serves
-// each processor from its own slot first.
+// releases its cache arrays, TLB entries, stride table and page-table
+// nodes, and each run its lookahead ring; decode batches go back to the
+// shared batch pool and functional warmup borrows its buffer, so the run
+// allocates little beyond the machines that are live at once. The pools
+// are emptied first, so the run starts cold; collection stays off while
+// it is measured, so nothing it released is lost to a collection. One
+// processor, so every released item is in reach: a sync.Pool serves each
+// processor from a slot of its own first, and with two, a machine now
+// and then missed the storage in the other processor's slot and
+// allocated up to 1.8 MB more.
 func TestSplitRunAllocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates about a million instructions")
@@ -46,7 +49,7 @@ func TestSplitRunAllocation(t *testing.T) {
 		BeaconInterval: 10_000, Audit: true,
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
 	runtime.GC() // a sync.Pool is empty after two collections
 	var before, after runtime.MemStats

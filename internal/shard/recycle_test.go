@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"itpsim/internal/config"
 	"itpsim/internal/harness"
 	"itpsim/internal/workload"
 )
@@ -45,18 +46,23 @@ func runOneSegment(t *testing.T, cfg Config, seg Segment, key string, src Source
 	return r
 }
 
-// TestRecycledStorageIsInvisible: segment B run on a machine whose caches
-// come from a released machine that ran segment A under other policies
-// (a SHiP L2C and a Mockingjay LLC, which leave Sig, RRPV, Reused and ETA
-// in the lines) matches B run on new storage: statistics JSON, beacon
-// chain and count, and audit verdict, in every fig8a quadrant. The pools
-// are emptied first, so the reference machine's storage is new; with
-// collection off and one processor, A takes the reference's released
-// storage and B takes A's. internal/cache's TestRecycledStorageStartsFresh
-// shows that New does take released arrays.
+// TestRecycledStorageIsInvisible: segment B run on a machine whose
+// storage comes from a released machine that ran segment A under other
+// policies matches B run on new storage: statistics JSON, beacon chain
+// and count, and audit verdict, in every fig8a quadrant and on a split
+// STLB. A's SHiP L2C and Mockingjay LLC leave Sig, RRPV, Reused and ETA
+// in the cache lines, its CHiRP STLB leaves Sig and Reused in the TLB
+// entries, and its 2 MB pages leave leaf entries in level-2 page-table
+// nodes; on the split STLB, split halves reuse split halves. The pools
+// are emptied before the reference run and again before A, so the
+// reference machine's storage and A's are new; with collection off and
+// one processor, B takes A's released storage. (Were A to take the
+// reference's page-table nodes, stale nodes would hand B the reference's
+// own translations back.) The cache, tlb and vm tests of recycled storage
+// show that constructors do take released storage.
 func TestRecycledStorageIsInvisible(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates a few hundred thousand instructions per quadrant")
+		t.Skip("simulates a few hundred thousand instructions per configuration")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -66,17 +72,32 @@ func TestRecycledStorageIsInvisible(t *testing.T) {
 	// Past two audit passes (every 64K retired), with functional warmup
 	// so WarmFunctional's pooled buffer is in play too.
 	segB := Segment{Index: 1, Offset: 100_000, FuncWarmup: 50_000, Warmup: 30_000, Measure: 100_000}
+	type system struct {
+		name string
+		cfg  config.SystemConfig
+	}
+	var systems []system
 	for _, q := range quadrants {
-		t.Run(q.name, func(t *testing.T) {
-			cfg := Config{System: quadrantConfig(q), BeaconInterval: 20_000, Audit: true}
+		systems = append(systems, system{q.name, quadrantConfig(q)})
+	}
+	split := quadrantConfig(quadrants[len(quadrants)-1])
+	split.SplitSTLB = true
+	systems = append(systems, system{"split-itp-xptp", split})
+	for _, sys := range systems {
+		name := sys.name
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{System: sys.cfg, BeaconInterval: 20_000, Audit: true}
 			other := cfg
 			other.System.L2CPolicy, other.System.LLCPolicy = "ship", "mockingjay"
+			other.System.STLBPolicy, other.System.HugePageFraction = "chirp", 0.5
 
 			runtime.GC()
 			runtime.GC() // a sync.Pool is empty after two collections
-			want := runOneSegment(t, cfg, segB, "recycle|fresh|"+q.name, src, ix)
-			runOneSegment(t, other, segA, "recycle|other|"+q.name, src, ix)
-			got := runOneSegment(t, cfg, segB, "recycle|reused|"+q.name, src, ix)
+			want := runOneSegment(t, cfg, segB, "recycle|fresh|"+name, src, ix)
+			runtime.GC()
+			runtime.GC()
+			runOneSegment(t, other, segA, "recycle|other|"+name, src, ix)
+			got := runOneSegment(t, cfg, segB, "recycle|reused|"+name, src, ix)
 
 			if want.verdict != "<nil>" || want.count == 0 {
 				t.Fatalf("reference run: error %s, %d beacons", want.verdict, want.count)

@@ -71,8 +71,13 @@ type Machine struct {
 	// in — physical memory exactly as co-located processes do.
 	pts []*vm.PageTable
 
-	ctrl  *core.Controller
-	chirp *tlb.CHiRP
+	ctrl *core.Controller
+	// chirps are the STLB's CHiRP policies, one per half of a split
+	// STLB; every one of them observes the control flow.
+	chirps []*tlb.CHiRP
+	// l2cStride is the L2C's stride prefetcher, kept so Release can
+	// return its table.
+	l2cStride *prefetch.Stride
 
 	// stlbMSHRs track in-flight page walks so concurrent misses to the
 	// same page merge instead of walking twice; each entry carries the
@@ -236,7 +241,8 @@ func NewMachine(cfg config.SystemConfig) (*Machine, error) {
 	m.l2c = cache.New("L2C", cfg.L2C, l2cPol, m.llc, &m.Stats.L2C)
 	m.l2c.SetWriteback(m.mem.Writeback)
 	if cfg.L2CStride {
-		m.l2c.SetPrefetcher(prefetch.NewStride(1024, 2))
+		m.l2cStride = prefetch.NewStride(1024, 2)
+		m.l2c.SetPrefetcher(m.l2cStride)
 	}
 
 	newSTLBPolicy := func() (tlb.Policy, error) {
@@ -247,7 +253,7 @@ func NewMachine(cfg config.SystemConfig) (*Machine, error) {
 			return core.NewITP(cfg.ITP), nil
 		case "chirp":
 			c := tlb.NewCHiRP(cfg.STLB.Ways)
-			m.chirp = c
+			m.chirps = append(m.chirps, c)
 			return c, nil
 		case "problru":
 			return core.NewProbLRU(cfg.ProbKeepInstr, 0x5117), nil
@@ -309,19 +315,30 @@ func bpSeed(i int) uint64 {
 	return 0xabcdef12345 + uint64(i)*0x9e3779b97f4a7c15
 }
 
-// Release hands the arrays of the machine's caches (every core's L1I and
-// L1D, the L2C and the LLC) back to the cache storage pool, so the next
-// machine built with the same geometry reuses them instead of allocating.
-// The owner calls it once it has read the results it needs; Stats, the
-// metric windows, the beacon chain and Snapshot stay readable, but the
-// machine must not run again. Release is idempotent.
+// Release hands the machine's large storage back to the pools, so the
+// next machine built with the same geometry reuses it instead of
+// allocating: the arrays of every cache (each core's L1I and L1D, the
+// L2C and the LLC), the entries of every TLB (each core's ITLB and DTLB,
+// the STLB or both its halves), the L2C stride table and every tenant's
+// page-table nodes. The owner calls it once it has read the results it
+// needs; Stats, the metric windows, the beacon chain and Snapshot stay
+// readable, but the machine must not run again. Release is idempotent.
 func (m *Machine) Release() {
 	for _, c := range m.cores {
 		c.l1i.Release()
 		c.l1d.Release()
+		c.itlb.Release()
+		c.dtlb.Release()
 	}
 	m.l2c.Release()
 	m.llc.Release()
+	m.stlb.Release()
+	if m.l2cStride != nil {
+		m.l2cStride.Release()
+	}
+	for _, pt := range m.pts {
+		pt.Release()
+	}
 }
 
 // Cores reports the machine's configured core count.
@@ -552,6 +569,10 @@ func (m *Machine) RunWarmup(streams []workload.Stream, warmup, measure uint64) (
 		m.threads = nil
 		for _, c := range m.cores {
 			c.threads = nil
+		}
+		for _, th := range threads {
+			th.la.release()
+			th.la = nil
 		}
 	}()
 	m.publishDiag()

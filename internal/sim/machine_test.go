@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
 	"itpsim/internal/stats"
+	"itpsim/internal/tlb"
 	"itpsim/internal/workload"
 )
 
@@ -251,6 +253,101 @@ func TestXPTPIncreasesL2CPTEOccupancy(t *testing.T) {
 	}
 	if lru, xptp := occupancy("lru"), occupancy("xptp-static"); xptp <= lru {
 		t.Errorf("xPTP data-PTE occupancy %d <= LRU %d", xptp, lru)
+	}
+}
+
+// TestSplitCHiRPHalvesObserveControlFlow: with a split STLB under CHiRP,
+// both halves fold the taken-branch history into the signature they
+// stamp on a fill. A half that never observes control flow signs every
+// fill as a fresh CHiRP would, from the VPN alone; after 50k instructions
+// of a server workload each half must hold entries signed otherwise.
+func TestSplitCHiRPHalvesObserveControlFlow(t *testing.T) {
+	cat := workload.NewCatalog(4, 2)
+	spec, err := cat.Get("srv_000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.SplitSTLB = true
+	cfg.STLBPolicy = "chirp"
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run([]workload.Stream{spec.NewStream()}, 50_000); err != nil {
+		t.Fatal(err)
+	}
+	// noHistory signs e's fill the way a CHiRP that never observed a
+	// branch would.
+	noHistory := func(e *tlb.Entry) uint16 {
+		set := make([]tlb.Entry, cfg.STLB.Ways)
+		tlb.InitSet(set)
+		tlb.NewCHiRP(cfg.STLB.Ways).OnFill(0, set, 0, &tlb.Request{VPN: e.VPN, Thread: e.Thread})
+		return set[0].Sig
+	}
+	var entries, signed [2]int
+	m.stlb.(*tlb.Split).VisitEntries(func(e *tlb.Entry) {
+		entries[e.Class]++
+		if e.Sig != noHistory(e) {
+			signed[e.Class]++
+		}
+	})
+	for c, name := range []string{"instruction", "data"} {
+		if entries[c] == 0 || signed[c] == 0 {
+			t.Errorf("%s half: %d of %d entries signed with control-flow history", name, signed[c], entries[c])
+		}
+	}
+}
+
+// TestReleaseReturnsEveryStructure: Machine.Release hands back the
+// storage of everything the machine built, so afterwards every cache,
+// every TLB (both halves of a split STLB), the stride prefetcher and
+// every tenant's page table panics on use.
+func TestReleaseReturnsEveryStructure(t *testing.T) {
+	for _, split := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.SplitSTLB = split
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run([]workload.Stream{loopStream(64, 4)}, 1000); err != nil {
+			t.Fatal(err)
+		}
+		m.Release()
+		m.Release() // idempotent
+		c := m.cores[0]
+		acc := &arch.Access{Addr: 0x1000, Kind: arch.Load}
+		uses := []struct {
+			name string
+			use  func()
+		}{
+			{"L1I", func() { c.l1i.Access(0, acc) }},
+			{"L1D", func() { c.l1d.Access(0, acc) }},
+			{"L2C", func() { m.l2c.Access(0, acc) }},
+			{"LLC", func() { m.llc.Access(0, acc) }},
+			{"ITLB", func() { c.itlb.Lookup(0x1000, 0, arch.InstrClass, 0) }},
+			{"DTLB", func() { c.dtlb.Lookup(0x1000, 0, arch.DataClass, 0) }},
+			{"STLB instruction side", func() { m.stlb.Lookup(0x1000, 0, arch.InstrClass, 0) }},
+			{"STLB data side", func() { m.stlb.Lookup(0x1000, 0, arch.DataClass, 0) }},
+			{"stride prefetcher", func() { m.l2cStride.Train(acc) }},
+		}
+		for i, pt := range m.pts {
+			uses = append(uses, struct {
+				name string
+				use  func()
+			}{fmt.Sprintf("tenant %d page table", i), func() { pt.Translate(0x1000) }})
+		}
+		for _, u := range uses {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("split STLB %v: %s still usable after Release", split, u.name)
+					}
+				}()
+				u.use()
+			}()
+		}
 	}
 }
 

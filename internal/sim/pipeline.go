@@ -5,6 +5,7 @@ import (
 
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
+	"itpsim/internal/pool"
 	"itpsim/internal/workload"
 )
 
@@ -24,14 +25,35 @@ type lookahead struct {
 	ended bool
 }
 
+// rings recycles the lookahead rings RunWarmup returns, keyed by
+// capacity.
+var rings pool.Keyed[*lookahead]
+
+// newLookahead returns an empty ring over s of at least capacity slots
+// (at least 64, a power of two). A recycled ring is cleared first.
 func newLookahead(s workload.Stream, capacity int) *lookahead {
 	cap2 := 64
 	for cap2 < capacity {
 		cap2 <<= 1
 	}
-	l := &lookahead{s: s, buf: make([]workload.Instr, cap2), mask: cap2 - 1}
+	l, ok := rings.Get(cap2)
+	if ok {
+		clear(l.buf)
+		*l = lookahead{buf: l.buf}
+	} else {
+		l = &lookahead{buf: make([]workload.Instr, cap2)}
+	}
+	l.s, l.mask = s, cap2-1
 	l.bulk, _ = s.(workload.NextBatcher)
 	return l
+}
+
+// release drops the ring's stream and returns the ring to the pool; the
+// instructions still buffered are discarded. The ring must not be used
+// afterwards.
+func (l *lookahead) release() {
+	l.s, l.bulk = nil, nil
+	rings.Put(len(l.buf), l)
 }
 
 // fill tops the buffer up to capacity, one contiguous free segment at a
@@ -253,8 +275,10 @@ func (m *Machine) step(t *threadCtx) {
 	}
 
 	if in.IsBranch {
-		if m.chirp != nil && in.Taken {
-			m.chirp.Observe(t.id, uint64(in.PC))
+		if in.Taken {
+			for _, ch := range m.chirps {
+				ch.Observe(t.id, uint64(in.PC))
+			}
 		}
 		predictedRight := false
 		if c.perceptron != nil {

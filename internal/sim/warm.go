@@ -110,8 +110,10 @@ func (m *Machine) warmStep(c *coreState, in *workload.Instr) {
 		m.dataAccess(c, now, in.StoreAddr, in.PC, true, 0)
 	}
 	if in.IsBranch {
-		if m.chirp != nil && in.Taken {
-			m.chirp.Observe(0, uint64(in.PC))
+		if in.Taken {
+			for _, ch := range m.chirps {
+				ch.Observe(0, uint64(in.PC))
+			}
 		}
 		if c.perceptron != nil {
 			c.perceptron.Update(in.PC, in.Taken)

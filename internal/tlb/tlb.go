@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"itpsim/internal/arch"
+	"itpsim/internal/pool"
 )
 
 // Entry is one TLB entry plus the metadata iTP adds: the Type bit
@@ -143,6 +144,9 @@ type Store interface {
 	Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Class, pc uint64, thread uint8)
 	// Entries returns total capacity.
 	Entries() int
+	// Release returns the entries to the pool; the store must not be
+	// used afterwards. Release is idempotent.
+	Release()
 }
 
 // TLB is a set-associative translation lookaside buffer supporting mixed
@@ -159,24 +163,64 @@ type TLB struct {
 	// it past the call, so one per-TLB scratch makes the hot path
 	// allocation-free.
 	req Request
+
+	// store owns sets; Release hands it back to stores.
+	store *storage
 }
 
-// New creates a TLB with the given geometry and replacement policy.
+// storage is one TLB's entries: one backing array, sliced into its sets.
+// It outlives its TLB: Release returns it to stores under its entry
+// count, and the next New of that many entries takes it from there.
+type storage struct {
+	entries []Entry
+	sets    [][]Entry
+}
+
+// stores recycles released TLBs' storage, keyed by sets×ways.
+var stores pool.Keyed[*storage]
+
+// New creates a TLB with the given geometry and replacement policy. Its
+// entries come from the pool when a released TLB with as many left some
+// there; New clears recycled entries and runs InitSet on every set, so
+// recycled entries start exactly as new ones.
 func New(name string, nsets, ways int, policy Policy) *TLB {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("tlb %s: sets must be a positive power of two, got %d", name, nsets))
 	}
-	t := &TLB{
+	n := nsets * ways
+	sto, ok := stores.Get(n)
+	if !ok {
+		sto = &storage{entries: make([]Entry, n)}
+	} else {
+		clear(sto.entries)
+	}
+	if cap(sto.sets) < nsets {
+		sto.sets = make([][]Entry, nsets)
+	}
+	sto.sets = sto.sets[:nsets]
+	for i := range sto.sets {
+		sto.sets[i] = sto.entries[i*ways : (i+1)*ways : (i+1)*ways]
+		InitSet(sto.sets[i])
+	}
+	return &TLB{
 		name:    name,
-		sets:    make([][]Entry, nsets),
+		sets:    sto.sets,
 		setMask: uint64(nsets - 1),
 		policy:  policy,
+		store:   sto,
 	}
-	for i := range t.sets {
-		t.sets[i] = make([]Entry, ways)
-		InitSet(t.sets[i])
+}
+
+// Release implements Store: it returns the TLB's entries to the pool.
+// The owner calls it once it has read everything it needs from the TLB;
+// the TLB must not be used afterwards, and panics if it is rather than
+// reading another TLB's state.
+func (t *TLB) Release() {
+	if t.store == nil {
+		return
 	}
-	return t
+	stores.Put(len(t.store.entries), t.store)
+	t.store, t.sets = nil, nil
 }
 
 // Name returns the TLB's name.
@@ -340,6 +384,12 @@ func (s *Split) Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.C
 
 // Entries implements Store.
 func (s *Split) Entries() int { return s.instr.Entries() + s.data.Entries() }
+
+// Release implements Store, releasing both halves.
+func (s *Split) Release() {
+	s.instr.Release()
+	s.data.Release()
+}
 
 //itp:hotpath
 func (s *Split) side(class arch.Class) *TLB {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"itpsim/internal/arch"
+	"itpsim/internal/pool"
 )
 
 // Levels of the radix tree, leaf-most last. Level numbering follows x86:
@@ -68,9 +69,6 @@ func (a *PhysAlloc) Alloc(bits uint8) arch.Addr {
 	return base
 }
 
-// Allocated reports how many bytes have been handed out.
-func (a *PhysAlloc) Allocated() uint64 { return uint64(a.next) }
-
 // WalkStep is one memory reference of a page walk: the physical address
 // of the PTE consulted at the given level.
 type WalkStep struct {
@@ -96,7 +94,10 @@ func (t Translation) PhysAddr(va arch.Addr) arch.Addr {
 	return t.PPN<<t.PageBits | (va & mask)
 }
 
-// node is one radix-tree node (a 4KB physical page of 512 PTEs).
+// node is one radix-tree node (a 4KB physical page of 512 PTEs). Its
+// maps stay compact for the sparse upper levels, and each is made on its
+// first insert: a level-1 node never has children, and an interior node
+// has leaf entries only at level 2, for 2MB pages.
 type node struct {
 	phys     arch.Addr
 	children map[int]*node
@@ -105,12 +106,19 @@ type node struct {
 	leafPPN map[int]uint64
 }
 
-func (pt *PageTable) newNode() *node {
-	return &node{
-		phys:     pt.alloc.Alloc(arch.PageBits4K),
-		children: make(map[int]*node),
-		leafPPN:  make(map[int]uint64),
+// nodes recycles the nodes of released tables, one pool per level. A
+// node goes back with its maps emptied, so it differs from a new node
+// only in the map capacity it keeps.
+var nodes pool.Keyed[*node]
+
+// newNode returns an empty level node backed by a newly allocated frame.
+func (pt *PageTable) newNode(level int) *node {
+	n, ok := nodes.Get(level)
+	if !ok {
+		n = new(node)
 	}
+	n.phys = pt.alloc.Alloc(arch.PageBits4K)
+	return n
 }
 
 // PageTable is one address space's 5-level radix page table. Pages are
@@ -122,8 +130,6 @@ type PageTable struct {
 	// is backed by a 2MB page.
 	hugeFraction float64
 	seed         uint64
-	pages4K      uint64
-	pages2M      uint64
 }
 
 // NewPageTable creates an address space over the shared allocator.
@@ -131,8 +137,30 @@ type PageTable struct {
 // huge-page layout deterministic per address space.
 func NewPageTable(alloc *PhysAlloc, hugeFraction float64, seed uint64) *PageTable {
 	pt := &PageTable{alloc: alloc, hugeFraction: hugeFraction, seed: seed}
-	pt.root = pt.newNode()
+	pt.root = pt.newNode(NumLevels)
 	return pt
+}
+
+// Release returns every node of the table to the pools. The owner calls
+// it once it is done translating; the table must not be used afterwards,
+// and panics if it is. Release is idempotent.
+func (pt *PageTable) Release() {
+	if pt.root != nil {
+		releaseNode(pt.root, NumLevels)
+		pt.root = nil
+	}
+}
+
+// releaseNode empties n and its subtree and puts each node back under its
+// level.
+func releaseNode(n *node, level int) {
+	//itp:deterministic — the order only decides which emptied node a later Get returns
+	for _, c := range n.children {
+		releaseNode(c, level-1)
+	}
+	clear(n.children)
+	clear(n.leafPPN)
+	nodes.Put(level, n)
 }
 
 // isHuge decides deterministically whether va's 2MB region uses a 2MB page.
@@ -178,13 +206,7 @@ func (pt *PageTable) Translate(va arch.Addr) Translation {
 			ppn, ok := n.leafPPN[idx]
 			if !ok {
 				//itp:cold — first touch of a page; allocation is off the steady-state path
-				ppn = uint64(pt.alloc.Alloc(pageBits) >> pageBits)
-				n.leafPPN[idx] = ppn
-				if huge {
-					pt.pages2M++
-				} else {
-					pt.pages4K++
-				}
+				ppn = pt.mapPage(n, idx, pageBits)
 			}
 			tr.PPN = ppn
 			return tr
@@ -192,16 +214,30 @@ func (pt *PageTable) Translate(va arch.Addr) Translation {
 		child, ok := n.children[idx]
 		if !ok {
 			//itp:cold — first touch of a table node; allocation is off the steady-state path
-			child = pt.newNode()
-			n.children[idx] = child
+			child = pt.addChild(n, idx, level-1)
 		}
 		n = child
 	}
 	panic("vm: unreachable walk termination")
 }
 
-// Pages returns how many 4KB and 2MB pages this address space has mapped.
-func (pt *PageTable) Pages() (p4k, p2m uint64) { return pt.pages4K, pt.pages2M }
+// mapPage backs leaf slot idx of n with a page of 2^bits bytes, whose
+// frame is allocated here, on first touch.
+func (pt *PageTable) mapPage(n *node, idx int, bits uint8) uint64 {
+	if n.leafPPN == nil {
+		n.leafPPN = make(map[int]uint64)
+	}
+	ppn := uint64(pt.alloc.Alloc(bits) >> bits)
+	n.leafPPN[idx] = ppn
+	return ppn
+}
 
-// HugeFraction returns the configured 2MB-page fraction.
-func (pt *PageTable) HugeFraction() float64 { return pt.hugeFraction }
+// addChild links a new level node under slot idx of n.
+func (pt *PageTable) addChild(n *node, idx, level int) *node {
+	if n.children == nil {
+		n.children = make(map[int]*node)
+	}
+	child := pt.newNode(level)
+	n.children[idx] = child
+	return child
+}

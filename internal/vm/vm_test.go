@@ -75,9 +75,10 @@ func TestDistinctPagesGetDistinctFrames(t *testing.T) {
 	if a.PPN == b.PPN {
 		t.Error("distinct virtual pages mapped to same frame")
 	}
-	p4k, p2m := pt.Pages()
-	if p4k != 2 || p2m != 0 {
-		t.Errorf("pages = (%d,%d), want (2,0)", p4k, p2m)
+	for _, tr := range []Translation{a, b} {
+		if tr.PageBits != arch.PageBits4K || tr.NumSteps != NumLevels {
+			t.Errorf("translation is a %d-bit page in %d steps, want a 4KB page in %d", tr.PageBits, tr.NumSteps, NumLevels)
+		}
 	}
 }
 
@@ -118,14 +119,16 @@ func TestHugePages(t *testing.T) {
 	if tr.NumSteps != 4 {
 		t.Errorf("2MB walk has %d steps, want 4", tr.NumSteps)
 	}
-	// Whole 2MB region shares the translation.
+	// Whole 2MB region shares the translation: one 2MB page, reached
+	// through the same PTEs.
 	tr2 := pt.Translate(0x40000000 + 1<<20)
-	if tr2.PPN != tr.PPN {
-		t.Error("2MB region not shared")
+	if tr2 != tr {
+		t.Errorf("2MB region not shared: %+v against %+v", tr2, tr)
 	}
-	_, p2m := pt.Pages()
-	if p2m != 1 {
-		t.Errorf("p2m = %d, want 1", p2m)
+	// The next region is another 2MB page.
+	tr3 := pt.Translate(0x40000000 + arch.PageSize2M)
+	if tr3.PageBits != arch.PageBits2M || tr3.PPN == tr.PPN {
+		t.Errorf("next 2MB region: %d-bit page %#x, first region's %#x", tr3.PageBits, tr3.PPN, tr.PPN)
 	}
 }
 
@@ -193,12 +196,22 @@ func TestTranslationFunctionalProperty(t *testing.T) {
 	}
 }
 
+// TestPageTableNodesConsumePhysicalMemory: every node a walk steps
+// through is a 4KB frame of its own, taken from the same allocator as the
+// data pages and before the page it maps.
 func TestPageTableNodesConsumePhysicalMemory(t *testing.T) {
-	alloc := NewPhysAlloc(8 << 30)
-	before := alloc.Allocated()
-	pt := NewPageTable(alloc, 0, 1)
-	pt.Translate(0x1000)
-	if alloc.Allocated() <= before {
-		t.Error("page-table nodes should consume physical memory")
+	pt := newPT(0)
+	tr := pt.Translate(0x1000)
+	page := tr.PPN << tr.PageBits
+	seen := map[arch.Addr]bool{}
+	for _, st := range tr.Steps[:tr.NumSteps] {
+		frame := st.PTEAddr &^ (arch.PageSize4K - 1)
+		if frame == page || seen[frame] {
+			t.Errorf("level-%d node frame %#x is the data page or another level's node", st.Level, frame)
+		}
+		if frame > page {
+			t.Errorf("level-%d node frame %#x allocated after the page it maps (%#x)", st.Level, frame, page)
+		}
+		seen[frame] = true
 	}
 }

@@ -83,10 +83,11 @@ type instrBatch struct {
 }
 
 // batchPool is the one batch pool every decode-ahead ring draws from, so
-// a ring started after another closed reuses its batches. Only the
-// consumer side puts batches back, on its own goroutine (putBatch and
-// Close): the decoder may outlive Close, and a batch it returned late
-// could land after the caller's run has finished.
+// a ring started after another closed reuses its batches; Skip borrows
+// its buffer from it too. Only the consumer side puts batches back, on
+// its own goroutine (putBatch and Close): the decoder may outlive Close,
+// and a batch it returned late could land after the caller's run has
+// finished.
 var batchPool = sync.Pool{New: func() any { return &instrBatch{buf: make([]Instr, BatchSize)} }}
 
 // Prefetch wraps s in a decode-ahead pipeline and starts its background

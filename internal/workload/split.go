@@ -32,12 +32,15 @@ func CloneStream(s Stream) (Stream, bool) {
 // Skip advances s by n instructions, discarding them, and returns how
 // many were actually consumed (short only when the stream ended). It uses
 // the stream's bulk path when available, so skipping runs at generator
-// speed, not at interface-call speed.
+// speed, not at interface-call speed. Its buffer is a batch borrowed from
+// the decode-ahead rings' pool.
 func Skip(s Stream, n uint64) uint64 {
 	if n == 0 {
 		return 0
 	}
-	buf := make([]Instr, BatchSize)
+	b := batchPool.Get().(*instrBatch)
+	defer batchPool.Put(b)
+	buf := b.buf
 	bulk, hasBulk := s.(NextBatcher)
 	var skipped uint64
 	for skipped < n {
