@@ -155,9 +155,9 @@ const goldenBeaconPath = "testdata/beacons.json"
 
 // beaconShapeCases pin the chains of state shapes the four golden
 // quadrants never reach: multi-byte Mockingjay ETAs, SHiP and Hawkeye
-// signatures, perceptron weights, the split STLB, a 2-core CMP and an
-// SMT pair. They run shorter than the quadrants and keep a table of
-// their own because golden_mc_test.go shares goldenCases.
+// signatures, perceptron weights, the split STLB, 2MB pages, a 2-core
+// CMP and an SMT pair. They run shorter than the quadrants and keep a
+// table of their own because golden_mc_test.go shares goldenCases.
 var beaconShapeCases = []struct {
 	name    string
 	tenants int // streams srv_000, srv_001, ... (one per core, or an SMT pair)
@@ -168,6 +168,7 @@ var beaconShapeCases = []struct {
 	{"llc-hawkeye", 1, func(c *config.SystemConfig) { c.LLCPolicy = "hawkeye" }},
 	{"perceptron", 1, func(c *config.SystemConfig) { c.BranchPredictor = "perceptron" }},
 	{"split-stlb", 1, func(c *config.SystemConfig) { c.SplitSTLB = true }},
+	{"huge-pages", 1, func(c *config.SystemConfig) { c.HugePageFraction = 0.5 }},
 	{"cmp2-itp-xptp", 2, func(c *config.SystemConfig) {
 		c.Cores = 2
 		c.STLBPolicy = "itp"
