@@ -65,10 +65,10 @@ cover-check:
 # the concurrent surface is exercised: sharded runs, the sampling
 # pre-pass, the supervisor, the decode-ahead ring, the metrics window
 # sampler, the run dispatcher with its memo lock, and the storage pools
-# concurrent machines share: the keyed pool itself and the cache, TLB and
-# page-table pools built on it. -count=2 reruns each test so per-run
-# state (pools, rings, checkpoints) is exercised twice under the
-# detector.
+# concurrent machines share: the keyed pool itself, the cache and TLB
+# pools built on it, and vm's shared frame-map pool. -count=2 reruns
+# each test so per-run state (pools, rings, checkpoints) is exercised
+# twice under the detector.
 race-matrix:
 	$(GO) test -race -count=2 ./internal/shard ./internal/sample ./internal/harness ./internal/workload ./internal/metrics ./internal/run ./internal/pool ./internal/cache ./internal/tlb ./internal/vm
 
@@ -76,14 +76,16 @@ race-matrix:
 # the trace decoder and the checkpoint-journal recovery path — over two
 # properties the equivalence oracles rest on: stream split/clone
 # equivalence for sharding, and the beacon state fold against the
-# standard library's FNV-1a — and over the word-at-a-time recency move
-# against the byte loop it replaces.
+# standard library's FNV-1a — over the word-at-a-time recency move
+# against the byte loop it replaces, and over the page table's frame map
+# against the radix tree it stands for.
 fuzz-smoke:
 	$(GO) test -run FuzzReader -fuzz FuzzReader -fuzztime 10s ./internal/trace
 	$(GO) test -run FuzzCheckpointReader -fuzz FuzzCheckpointReader -fuzztime 10s ./internal/harness
 	$(GO) test -run FuzzSplitEquivalence -fuzz FuzzSplitEquivalence -fuzztime 10s ./internal/workload
 	$(GO) test -run FuzzStateHashWord -fuzz FuzzStateHashWord -fuzztime 10s ./internal/arch
 	$(GO) test -run FuzzMoveToStackPos -fuzz FuzzMoveToStackPos -fuzztime 10s ./internal/replacement
+	$(GO) test -run FuzzTranslate -fuzz FuzzTranslate -fuzztime 10s ./internal/vm
 
 # Fault-injection battery: every chaos fault class driven through the real
 # simulator and supervision stack under the race detector. Each scenario

@@ -150,9 +150,6 @@ func (c *Cache) Release() {
 // Name returns the cache's name.
 func (c *Cache) Name() string { return c.name }
 
-// Policy returns the replacement policy in use.
-func (c *Cache) Policy() replacement.Policy { return c.policy }
-
 // SetPrefetcher attaches a prefetcher trained by demand accesses.
 func (c *Cache) SetPrefetcher(p prefetch.Prefetcher) { c.prefetcher = p }
 

@@ -1,14 +1,13 @@
 // Package pool recycles the large storage a simulated machine builds —
-// cache arrays, TLB entries, page-table nodes, the L2C stride table and
-// the lookahead rings — from machines that are done to the machines
-// built after them.
+// cache arrays, TLB entries, the L2C stride table and the lookahead
+// rings — from machines that are done to the machines built after them.
 //
-// A Keyed pool holds one sync.Pool per int key (a size or a tree
-// level), so a constructor only ever takes storage put back under its
-// own key. The pools are shared by every machine in the process. A
-// sync.Pool is emptied by the garbage collector (an item survives at
-// most two collections), so nothing recycled outlives a run, and a
-// live-heap reading taken after two collections sees none of it.
+// A Keyed pool holds one sync.Pool per int key (a size), so a
+// constructor only ever takes storage put back under its own key. The
+// pools are shared by every machine in the process. A sync.Pool is
+// emptied by the garbage collector (an item survives at most two
+// collections), so nothing recycled outlives a run, and a live-heap
+// reading taken after two collections sees none of it.
 package pool
 
 import "sync"

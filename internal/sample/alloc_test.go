@@ -21,7 +21,7 @@ const splitRunAllocBudget = 6_500_000
 // sampled run with beacons and audits on two workers builds nine
 // machines: the profiling pass and eight representatives. Each machine
 // releases its cache arrays, TLB entries, stride table and page-table
-// nodes, and each run its lookahead ring; decode batches go back to the
+// frame maps, and each run its lookahead ring; decode batches go back to the
 // shared batch pool and functional warmup borrows its buffer, so the run
 // allocates little beyond the machines that are live at once. The pools
 // are emptied first, so the run starts cold; collection stays off while

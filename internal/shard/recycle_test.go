@@ -52,14 +52,14 @@ func runOneSegment(t *testing.T, cfg Config, seg Segment, key string, src Source
 // and count, and audit verdict, in every fig8a quadrant and on a split
 // STLB. A's SHiP L2C and Mockingjay LLC leave Sig, RRPV, Reused and ETA
 // in the cache lines, its CHiRP STLB leaves Sig and Reused in the TLB
-// entries, and its 2 MB pages leave leaf entries in level-2 page-table
-// nodes; on the split STLB, split halves reuse split halves. The pools
-// are emptied before the reference run and again before A, so the
+// entries, and its 2 MB pages leave 2 MB frames in the page table's
+// frame map; on the split STLB, split halves reuse split halves. The
+// pools are emptied before the reference run and again before A, so the
 // reference machine's storage and A's are new; with collection off and
 // one processor, B takes A's released storage. (Were A to take the
-// reference's page-table nodes, stale nodes would hand B the reference's
-// own translations back.) The cache, tlb and vm tests of recycled storage
-// show that constructors do take released storage.
+// reference's frame map, stale frames would hand B the reference's own
+// translations back.) The cache, tlb and vm tests of recycled storage
+// show that constructors and page tables do take released storage.
 func TestRecycledStorageIsInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a few hundred thousand instructions per configuration")

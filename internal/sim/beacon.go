@@ -160,8 +160,8 @@ func (m *Machine) hashState(h *arch.StateHash) {
 		c.itlb.HashState(h)
 		c.dtlb.HashState(h)
 	}
-	if sh, ok := m.stlb.(arch.StateHasher); ok {
-		sh.HashState(h)
+	for _, t := range m.stlbHalves() {
+		t.HashState(h)
 	}
 	for _, c := range m.cores {
 		c.l1i.HashState(h)
@@ -192,8 +192,8 @@ func (m *Machine) EnableAudit(interval uint64) {
 		a.Register(m.coreComponent(c.id, "itlb"), c.itlb)
 		a.Register(m.coreComponent(c.id, "dtlb"), c.dtlb)
 	}
-	if c, ok := m.stlb.(audit.Checkable); ok {
-		a.Register("stlb", c)
+	for _, t := range m.stlbHalves() {
+		a.Register("stlb", t)
 	}
 	for _, c := range m.cores {
 		a.Register(m.coreComponent(c.id, "l1i"), c.l1i)
@@ -314,8 +314,7 @@ func (m *Machine) visitTLBs(fn func(name string, e *tlb.Entry)) {
 		c.itlb.VisitEntries(func(e *tlb.Entry) { fn(in, e) })
 		c.dtlb.VisitEntries(func(e *tlb.Entry) { fn(dn, e) })
 	}
-	type visitor interface{ VisitEntries(func(e *tlb.Entry)) }
-	if v, ok := m.stlb.(visitor); ok {
-		v.VisitEntries(func(e *tlb.Entry) { fn("stlb", e) })
+	for _, t := range m.stlbHalves() {
+		t.VisitEntries(func(e *tlb.Entry) { fn("stlb", e) })
 	}
 }

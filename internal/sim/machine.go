@@ -15,7 +15,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 	"sync/atomic"
 
 	"itpsim/internal/arch"
@@ -62,7 +62,10 @@ type Machine struct {
 	// conflicts, DRAM bank state).
 	cores []*coreState
 
-	stlb     tlb.Store
+	// stlb is the STLB indexed by translation class. A unified STLB sits
+	// in both slots; a split one (Section 6.6) holds its STLB-I and
+	// STLB-D halves.
+	stlb     [2]*tlb.TLB
 	l2c, llc *cache.Cache
 	mem      *dram.DRAM
 	walker   *ptw.Walker
@@ -102,8 +105,10 @@ type Machine struct {
 	// boundary; set asynchronously via Interrupt.
 	interrupted atomic.Bool
 	// diag holds the last diagnostic snapshot published by the run loop
-	// itself (so readers never race with the simulation's own structures).
-	diag atomic.Pointer[string]
+	// itself (so readers never race with the simulation's own structures);
+	// diagBuf is the run loop's scratch for building it.
+	diag    atomic.Pointer[string]
+	diagBuf []byte
 	// threads is the per-run pipeline state, only touched by the run loop.
 	threads []*threadCtx
 
@@ -263,21 +268,20 @@ func NewMachine(cfg config.SystemConfig) (*Machine, error) {
 	}
 	if cfg.SplitSTLB {
 		sets := cfg.STLB.Sets / 2
-		pi, err := newSTLBPolicy()
-		if err != nil {
-			return nil, err
+		for class, name := range [2]string{"STLB-I", "STLB-D"} {
+			p, err := newSTLBPolicy()
+			if err != nil {
+				return nil, err
+			}
+			m.stlb[class] = tlb.New(name, sets, cfg.STLB.Ways, p)
 		}
-		pd, err := newSTLBPolicy()
-		if err != nil {
-			return nil, err
-		}
-		m.stlb = tlb.NewSplit(sets, cfg.STLB.Ways, pi, pd)
 	} else {
 		p, err := newSTLBPolicy()
 		if err != nil {
 			return nil, err
 		}
-		m.stlb = tlb.New("STLB", cfg.STLB.Sets, cfg.STLB.Ways, p)
+		t := tlb.New("STLB", cfg.STLB.Sets, cfg.STLB.Ways, p)
+		m.stlb = [2]*tlb.TLB{t, t}
 	}
 
 	// Page walks enter the hierarchy at the L2C.
@@ -320,7 +324,7 @@ func bpSeed(i int) uint64 {
 // allocating: the arrays of every cache (each core's L1I and L1D, the
 // L2C and the LLC), the entries of every TLB (each core's ITLB and DTLB,
 // the STLB or both its halves), the L2C stride table and every tenant's
-// page-table nodes. The owner calls it once it has read the results it
+// page-table frame map. The owner calls it once it has read the results it
 // needs; Stats, the metric windows, the beacon chain and Snapshot stay
 // readable, but the machine must not run again. Release is idempotent.
 func (m *Machine) Release() {
@@ -332,13 +336,26 @@ func (m *Machine) Release() {
 	}
 	m.l2c.Release()
 	m.llc.Release()
-	m.stlb.Release()
+	for _, t := range m.stlbHalves() {
+		t.Release()
+	}
 	if m.l2cStride != nil {
 		m.l2cStride.Release()
 	}
 	for _, pt := range m.pts {
 		pt.Release()
 	}
+}
+
+// stlbHalves returns the distinct STLB structures, the instruction half
+// first: one for a unified STLB, both halves of a split one. Every walk
+// over the STLB (state fold, audit, entry visit, release, occupancy)
+// takes them in this order.
+func (m *Machine) stlbHalves() []*tlb.TLB {
+	if m.stlb[arch.InstrClass] == m.stlb[arch.DataClass] {
+		return m.stlb[:1]
+	}
+	return m.stlb[:]
 }
 
 // Cores reports the machine's configured core count.
@@ -389,8 +406,9 @@ func (m *Machine) translate(c *coreState, now uint64, va arch.Addr, class arch.C
 	firstStats.Record(bucket, false)
 
 	// STLB access.
+	stlb := m.stlb[class]
 	stlbDone := now + m.cfg.STLB.Latency
-	if ppn, bits, hit := m.stlb.Lookup(va, pc, class, thread); hit {
+	if ppn, bits, hit := stlb.Lookup(va, pc, class, thread); hit {
 		ten.STLB.Record(bucket, true)
 		first.Insert(va, ppn, bits, class, pc, thread)
 		return physFrom(ppn, bits, va), stlbDone, false
@@ -439,7 +457,7 @@ func (m *Machine) translate(c *coreState, now uint64, va arch.Addr, class arch.C
 		readyAt: done, ppn: tr.PPN, bits: tr.PageBits,
 	}
 	ten.STLB.RecordMissLatency(done - now)
-	m.stlb.Insert(va, tr.PPN, tr.PageBits, class, pc, thread)
+	stlb.Insert(va, tr.PPN, tr.PageBits, class, pc, thread)
 	first.Insert(va, tr.PPN, tr.PageBits, class, pc, thread)
 
 	// Future-work extension (Section 7): sequential instruction
@@ -448,10 +466,10 @@ func (m *Machine) translate(c *coreState, now uint64, va arch.Addr, class arch.C
 	// prefetched entry like any other instruction translation.
 	if m.cfg.STLBPrefetch && class == arch.InstrClass && tr.PageBits == arch.PageBits4K {
 		nextVA := (va + arch.PageSize4K) &^ (arch.PageSize4K - 1)
-		if _, _, hit := m.stlb.Lookup(nextVA, pc, class, thread); !hit {
+		if _, _, hit := stlb.Lookup(nextVA, pc, class, thread); !hit {
 			ptr := m.pts[thread].Translate(nextVA)
 			m.walker.Walk(done, nextVA, &ptr, class, pc, thread)
-			m.stlb.Insert(nextVA, ptr.PPN, ptr.PageBits, class, pc, thread)
+			stlb.Insert(nextVA, ptr.PPN, ptr.PageBits, class, pc, thread)
 			m.Stats.STLBPrefetches++
 		}
 	}
@@ -718,29 +736,46 @@ const diagPublishMask = 1<<16 - 1
 // state and publishes it for Snapshot readers. It must only be called
 // from the simulation goroutine: it reads cache/TLB internals directly,
 // and the atomic pointer store is what makes the result safe to read
-// from a supervisor thread.
+// from a supervisor thread. The text is built in diagBuf, so a publish
+// allocates only the published string.
 func (m *Machine) publishDiag() {
 	m.retiredTotal.Store(m.retiredLocal)
-	var b strings.Builder
-	fmt.Fprintf(&b, "retired=%d", m.retiredLocal)
+	b := appendField(m.diagBuf[:0], "retired=", m.retiredLocal)
 	for _, th := range m.threads {
-		fmt.Fprintf(&b, " t%d{retired=%d fetchCycle=%d lastRetire=%d done=%v}",
-			th.id, th.retired, th.fetchCycle, th.lastRetire, th.done)
+		b = appendField(b, " t", uint64(th.id))
+		b = appendField(b, "{retired=", th.retired)
+		b = appendField(b, " fetchCycle=", th.fetchCycle)
+		b = appendField(b, " lastRetire=", th.lastRetire)
+		b = strconv.AppendBool(append(b, " done="...), th.done)
+		b = append(b, '}')
 	}
-	mshrs := 0
+	// A walk is in flight while its MSHR completes after the last retire
+	// cycle, the auditor's mshr-leak rule; an entry stays valid forever.
+	walks := 0
 	for i := range m.stlbMSHRs {
-		if m.stlbMSHRs[i].valid {
-			mshrs++
+		if e := &m.stlbMSHRs[i]; e.valid && e.readyAt > uint64(m.maxRetireCycle) {
+			walks++
 		}
 	}
-	fmt.Fprintf(&b, " stlb-mshrs=%d/%d", mshrs, len(m.stlbMSHRs))
+	b = appendField(b, " stlb-mshrs=", uint64(walks))
+	b = appendField(b, "/", uint64(len(m.stlbMSHRs)))
 	si, sd := m.STLBOccupancy()
-	fmt.Fprintf(&b, " stlb-occ{instr=%d data=%d}", si, sd)
+	b = appendField(b, " stlb-occ{instr=", uint64(si))
+	b = appendField(b, " data=", uint64(sd))
 	blocks, pte, dataPTE := m.L2COccupancy()
-	fmt.Fprintf(&b, " l2c-occ{blocks=%d pte=%d data-pte=%d}", blocks, pte, dataPTE)
-	fmt.Fprintf(&b, " dispatch-bound{front=%d back=%d}", m.frontBound, m.backBound)
-	s := b.String()
+	b = appendField(b, "} l2c-occ{blocks=", uint64(blocks))
+	b = appendField(b, " pte=", uint64(pte))
+	b = appendField(b, " data-pte=", uint64(dataPTE))
+	b = appendField(b, "} dispatch-bound{front=", m.frontBound)
+	b = appendField(b, " back=", m.backBound)
+	m.diagBuf = append(b, '}')
+	s := string(m.diagBuf)
 	m.diag.Store(&s)
+}
+
+// appendField appends label and then v in decimal to b.
+func appendField(b []byte, label string, v uint64) []byte {
+	return strconv.AppendUint(append(b, label...), v, 10)
 }
 
 // Snapshot returns the most recently published diagnostic snapshot —
@@ -768,20 +803,15 @@ func (m *Machine) Snapshot() string {
 	return s
 }
 
-// STLBPolicyName reports the STLB replacement policy in use (debug aid).
-func (m *Machine) STLBPolicyName() string {
-	if t, ok := m.stlb.(*tlb.TLB); ok {
-		return t.Policy().Name()
-	}
-	return "split"
-}
-
-// STLBOccupancy reports valid STLB entries by class (debug aid).
+// STLBOccupancy reports valid STLB entries by class, summed over both
+// halves of a split STLB (debug aid).
 func (m *Machine) STLBOccupancy() (instr, data int) {
-	if t, ok := m.stlb.(*tlb.TLB); ok {
-		return t.Occupancy()
+	for _, t := range m.stlbHalves() {
+		i, d := t.Occupancy()
+		instr += i
+		data += d
 	}
-	return 0, 0
+	return instr, data
 }
 
 // L2COccupancy reports L2C blocks: total valid, PTE, data-PTE (debug aid).

@@ -286,12 +286,14 @@ func TestSplitCHiRPHalvesObserveControlFlow(t *testing.T) {
 		return set[0].Sig
 	}
 	var entries, signed [2]int
-	m.stlb.(*tlb.Split).VisitEntries(func(e *tlb.Entry) {
-		entries[e.Class]++
-		if e.Sig != noHistory(e) {
-			signed[e.Class]++
-		}
-	})
+	for _, half := range m.stlbHalves() {
+		half.VisitEntries(func(e *tlb.Entry) {
+			entries[e.Class]++
+			if e.Sig != noHistory(e) {
+				signed[e.Class]++
+			}
+		})
+	}
 	for c, name := range []string{"instruction", "data"} {
 		if entries[c] == 0 || signed[c] == 0 {
 			t.Errorf("%s half: %d of %d entries signed with control-flow history", name, signed[c], entries[c])
@@ -328,8 +330,8 @@ func TestReleaseReturnsEveryStructure(t *testing.T) {
 			{"LLC", func() { m.llc.Access(0, acc) }},
 			{"ITLB", func() { c.itlb.Lookup(0x1000, 0, arch.InstrClass, 0) }},
 			{"DTLB", func() { c.dtlb.Lookup(0x1000, 0, arch.DataClass, 0) }},
-			{"STLB instruction side", func() { m.stlb.Lookup(0x1000, 0, arch.InstrClass, 0) }},
-			{"STLB data side", func() { m.stlb.Lookup(0x1000, 0, arch.DataClass, 0) }},
+			{"STLB instruction side", func() { m.stlb[arch.InstrClass].Lookup(0x1000, 0, arch.InstrClass, 0) }},
+			{"STLB data side", func() { m.stlb[arch.DataClass].Lookup(0x1000, 0, arch.DataClass, 0) }},
 			{"stride prefetcher", func() { m.l2cStride.Train(acc) }},
 		}
 		for i, pt := range m.pts {
@@ -360,12 +362,42 @@ func TestSplitSTLBRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.STLBPolicyName() != "split" {
-		t.Error("split STLB not constructed")
+	if halves := m.stlbHalves(); len(halves) != 2 {
+		t.Errorf("split STLB built as %d structure(s)", len(halves))
 	}
 	res, _ := m.Run([]workload.Stream{spec.NewStream()}, 30000)
 	if res.IPC <= 0 {
 		t.Error("split STLB run failed")
+	}
+}
+
+// TestSplitSTLBHalvesHoldTheirClass: after a run of a server workload on
+// a split STLB, each half holds entries, every one of its own
+// translation class.
+func TestSplitSTLBHalvesHoldTheirClass(t *testing.T) {
+	cat := workload.NewCatalog(4, 2)
+	spec, _ := cat.Get("srv_000")
+	cfg := testConfig()
+	cfg.SplitSTLB = true
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run([]workload.Stream{spec.NewStream()}, 30_000); err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range []arch.Class{arch.InstrClass, arch.DataClass} {
+		half := m.stlb[class]
+		entries := 0
+		half.VisitEntries(func(e *tlb.Entry) {
+			entries++
+			if e.Class != class {
+				t.Errorf("%s holds a %s entry for vpn %#x", half.Name(), e.Class, e.VPN)
+			}
+		})
+		if entries == 0 {
+			t.Errorf("%s holds no entries", half.Name())
+		}
 	}
 }
 

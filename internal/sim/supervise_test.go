@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -87,6 +88,112 @@ func TestSnapshotDescribesMachineState(t *testing.T) {
 		if !strings.Contains(snap, frag) {
 			t.Errorf("snapshot missing %q: %q", frag, snap)
 		}
+	}
+}
+
+// diagRef formats publishDiag's text with fmt: the reference the
+// appended text must match byte for byte.
+func diagRef(m *Machine) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "retired=%d", m.retiredLocal)
+	for _, th := range m.threads {
+		fmt.Fprintf(&b, " t%d{retired=%d fetchCycle=%d lastRetire=%d done=%v}",
+			th.id, th.retired, th.fetchCycle, th.lastRetire, th.done)
+	}
+	walks := 0
+	for _, e := range m.stlbMSHRs {
+		if e.valid && e.readyAt > uint64(m.maxRetireCycle) {
+			walks++
+		}
+	}
+	fmt.Fprintf(&b, " stlb-mshrs=%d/%d", walks, len(m.stlbMSHRs))
+	si, sd := m.STLBOccupancy()
+	fmt.Fprintf(&b, " stlb-occ{instr=%d data=%d}", si, sd)
+	blocks, pte, dataPTE := m.L2COccupancy()
+	fmt.Fprintf(&b, " l2c-occ{blocks=%d pte=%d data-pte=%d}", blocks, pte, dataPTE)
+	fmt.Fprintf(&b, " dispatch-bound{front=%d back=%d}", m.frontBound, m.backBound)
+	return b.String()
+}
+
+// TestPublishDiagText: mid-run, with an SMT pair's two threads in the
+// text, a publish writes exactly the fmt reference and allocates at most
+// the published string and its pointer.
+func TestPublishDiagText(t *testing.T) {
+	cat := workload.NewCatalog(4, 2)
+	a, _ := cat.Get("srv_000")
+	b, _ := cat.Get("srv_001")
+	m, err := NewMachine(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := false
+	check := func() {
+		checked = true
+		m.publishDiag()
+		if got, want := *m.diag.Load(), diagRef(m); got != want {
+			t.Errorf("snapshot text\n got %q\nwant %q", got, want)
+		}
+		if n := testing.AllocsPerRun(100, m.publishDiag); n > 2 {
+			t.Errorf("publishDiag allocates %.0f times, want at most 2", n)
+		}
+	}
+	streams := []workload.Stream{&hookStream{s: a.NewStream(), at: 20_000, hook: check}, b.NewStream()}
+	if _, err := m.Run(streams, 30_000); err != nil {
+		t.Fatal(err)
+	}
+	if !checked {
+		t.Fatal("the run ended before the check")
+	}
+}
+
+// TestSnapshotSumsSplitSTLB: a split STLB's snapshot counts the valid
+// entries of both halves by class.
+func TestSnapshotSumsSplitSTLB(t *testing.T) {
+	cat := workload.NewCatalog(4, 2)
+	spec, _ := cat.Get("srv_000")
+	cfg := testConfig()
+	cfg.SplitSTLB = true
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run([]workload.Stream{spec.NewStream()}, 30_000); err != nil {
+		t.Fatal(err)
+	}
+	var instr, data int
+	for _, half := range m.stlbHalves() {
+		i, d := half.Occupancy()
+		instr += i
+		data += d
+	}
+	want := fmt.Sprintf(" stlb-occ{instr=%d data=%d}", instr, data)
+	if snap := m.Snapshot(); instr == 0 || data == 0 || !strings.Contains(snap, want) {
+		t.Errorf("split STLB holds %d instruction and %d data entries; snapshot: %q", instr, data, snap)
+	}
+}
+
+// TestSnapshotCountsWalksInFlight: the snapshot counts the STLB MSHRs
+// whose walk completes after the last retire cycle. A finished run has
+// none in flight, although every MSHR it used stays valid.
+func TestSnapshotCountsWalksInFlight(t *testing.T) {
+	cat := workload.NewCatalog(4, 2)
+	spec, _ := cat.Get("srv_000")
+	m, err := NewMachine(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run([]workload.Stream{spec.NewStream()}, 30_000); err != nil {
+		t.Fatal(err)
+	}
+	n := len(m.stlbMSHRs)
+	if snap := m.Snapshot(); !strings.Contains(snap, fmt.Sprintf(" stlb-mshrs=0/%d ", n)) {
+		t.Errorf("finished run: %q", snap)
+	}
+	m.stlbMSHRs[0].valid = true
+	m.stlbMSHRs[0].readyAt = uint64(m.maxRetireCycle) + 1
+	m.publishDiag()
+	if snap := m.Snapshot(); !strings.Contains(snap, fmt.Sprintf(" stlb-mshrs=1/%d ", n)) {
+		t.Errorf("one walk in flight: %q", snap)
 	}
 }
 

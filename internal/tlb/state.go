@@ -26,12 +26,6 @@ func (t *TLB) HashState(h *arch.StateHash) {
 	}
 }
 
-// HashState implements arch.StateHasher for the split organisation.
-func (s *Split) HashState(h *arch.StateHash) {
-	s.instr.HashState(h)
-	s.data.HashState(h)
-}
-
 // AuditState implements audit.Checkable. Invariants:
 //
 //   - stack-permutation: each set's Stack fields form a permutation of
@@ -68,12 +62,6 @@ func (t *TLB) AuditState(r *audit.Report) {
 	}
 }
 
-// AuditState implements audit.Checkable for the split organisation.
-func (s *Split) AuditState(r *audit.Report) {
-	s.instr.AuditState(r)
-	s.data.AuditState(r)
-}
-
 // VisitEntries calls fn for every valid entry, in set/way order — the
 // read-only traversal TLB↔page-table coherence audits are built on.
 func (t *TLB) VisitEntries(fn func(e *Entry)) {
@@ -84,10 +72,4 @@ func (t *TLB) VisitEntries(fn func(e *Entry)) {
 			}
 		}
 	}
-}
-
-// VisitEntries calls fn for every valid entry of both halves.
-func (s *Split) VisitEntries(fn func(e *Entry)) {
-	s.instr.VisitEntries(fn)
-	s.data.VisitEntries(fn)
 }

@@ -1,8 +1,8 @@
 // Package tlb implements the TLB hierarchy structures: set-associative
 // TLBs with exact recency stacks (the substrate iTP's insertion and
-// promotion rules are defined on), multi-page-size lookup, the unified
-// and split STLB organisations of Section 6.6, and the TLB-side baseline
-// policies LRU and CHiRP.
+// promotion rules are defined on), multi-page-size lookup, and the
+// TLB-side baseline policies LRU and CHiRP. A split STLB (Section 6.6)
+// is two TLBs, one per translation class.
 package tlb
 
 import (
@@ -132,23 +132,6 @@ func CheckStackInvariant(set []Entry) bool {
 	return true
 }
 
-// Store is the lookup/insert interface shared by unified and split STLBs
-// (and the first-level TLBs).
-type Store interface {
-	// Lookup searches for the translation of vaddr. On a hit it returns
-	// the physical page number and the entry's page size.
-	//itp:hotpath
-	Lookup(vaddr arch.Addr, pc uint64, class arch.Class, thread uint8) (ppn uint64, pageBits uint8, hit bool)
-	// Insert installs a translation after a fill.
-	//itp:hotpath
-	Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Class, pc uint64, thread uint8)
-	// Entries returns total capacity.
-	Entries() int
-	// Release returns the entries to the pool; the store must not be
-	// used afterwards. Release is idempotent.
-	Release()
-}
-
 // TLB is a set-associative translation lookaside buffer supporting mixed
 // 4KB and 2MB entries (both sizes index with their own VPN bits).
 type TLB struct {
@@ -211,8 +194,7 @@ func New(name string, nsets, ways int, policy Policy) *TLB {
 	}
 }
 
-// Release implements Store: it returns the TLB's entries to the pool.
-// The owner calls it once it has read everything it needs from the TLB;
+// Release returns the TLB's entries to the pool. The owner calls it once it has read everything it needs from the TLB;
 // the TLB must not be used afterwards, and panics if it is rather than
 // reading another TLB's state.
 func (t *TLB) Release() {
@@ -225,12 +207,6 @@ func (t *TLB) Release() {
 
 // Name returns the TLB's name.
 func (t *TLB) Name() string { return t.name }
-
-// Entries implements Store.
-func (t *TLB) Entries() int { return len(t.sets) * len(t.sets[0]) }
-
-// Policy returns the replacement policy in use.
-func (t *TLB) Policy() Policy { return t.policy }
 
 // setFor returns the set index for a VPN.
 //
@@ -254,7 +230,9 @@ func (t *TLB) lookupSize(vaddr arch.Addr, pageBits uint8, thread uint8) (int, in
 	return si, -1
 }
 
-// Lookup implements Store. A hit triggers the policy's promotion rule.
+// Lookup searches for the translation of vaddr. On a hit it returns the
+// physical page number and the entry's page size, and the policy's
+// promotion rule runs.
 //
 //itp:hotpath
 func (t *TLB) Lookup(vaddr arch.Addr, pc uint64, class arch.Class, thread uint8) (uint64, uint8, bool) {
@@ -294,8 +272,8 @@ func (t *TLB) Peek(vaddr arch.Addr, thread uint8) (ppn uint64, pageBits uint8, c
 	return 0, 0, 0, false
 }
 
-// Insert implements Store: victimise per policy, write the entry, then
-// apply the policy's insertion rule.
+// Insert installs a translation after a fill: victimise per policy,
+// write the entry, then apply the policy's insertion rule.
 //
 //itp:hotpath
 func (t *TLB) Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Class, pc uint64, thread uint8) {
@@ -326,15 +304,6 @@ func (t *TLB) Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Cla
 	t.policy.OnFill(si, set, w, req)
 }
 
-// Flush invalidates all entries (keeps stack permutation).
-func (t *TLB) Flush() {
-	for si := range t.sets {
-		for w := range t.sets[si] {
-			t.sets[si][w].Valid = false
-		}
-	}
-}
-
 // Occupancy returns how many valid entries hold each class (test/debug aid).
 func (t *TLB) Occupancy() (instr, data int) {
 	for si := range t.sets {
@@ -350,51 +319,4 @@ func (t *TLB) Occupancy() (instr, data int) {
 		}
 	}
 	return
-}
-
-// Split is the split-STLB organisation of Section 6.6: separate
-// structures for instruction and data translations, each half-sized.
-type Split struct {
-	instr *TLB
-	data  *TLB
-}
-
-// NewSplit builds a split STLB; each side gets nsets sets of the given
-// associativity.
-func NewSplit(nsets, ways int, instrPolicy, dataPolicy Policy) *Split {
-	return &Split{
-		instr: New("STLB-I", nsets, ways, instrPolicy),
-		data:  New("STLB-D", nsets, ways, dataPolicy),
-	}
-}
-
-// Lookup implements Store, routing by class.
-//
-//itp:hotpath
-func (s *Split) Lookup(vaddr arch.Addr, pc uint64, class arch.Class, thread uint8) (uint64, uint8, bool) {
-	return s.side(class).Lookup(vaddr, pc, class, thread)
-}
-
-// Insert implements Store.
-//
-//itp:hotpath
-func (s *Split) Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Class, pc uint64, thread uint8) {
-	s.side(class).Insert(vaddr, ppn, pageBits, class, pc, thread)
-}
-
-// Entries implements Store.
-func (s *Split) Entries() int { return s.instr.Entries() + s.data.Entries() }
-
-// Release implements Store, releasing both halves.
-func (s *Split) Release() {
-	s.instr.Release()
-	s.data.Release()
-}
-
-//itp:hotpath
-func (s *Split) side(class arch.Class) *TLB {
-	if class == arch.InstrClass {
-		return s.instr
-	}
-	return s.data
 }

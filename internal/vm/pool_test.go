@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -9,13 +10,19 @@ import (
 	"itpsim/internal/arch"
 )
 
-// drainNodes empties every level's node pool, so the next table builds
-// new nodes.
-func drainNodes() {
-	for level := 1; level <= NumLevels; level++ {
-		for _, ok := nodes.Get(level); ok; _, ok = nodes.Get(level) {
-		}
+// drainFrameMaps empties the frame-map pool, so the next table makes a
+// new map.
+func drainFrameMaps() {
+	for frameMaps.Get() != nil {
 	}
+}
+
+// mapID identifies pt's frame map, 0 while it has none.
+func mapID(pt *PageTable) uintptr {
+	if pt.frames == nil {
+		return 0
+	}
+	return reflect.ValueOf(pt.frames).Pointer()
 }
 
 // clusteredVAs returns n virtual addresses in runs of 16 neighbouring
@@ -45,74 +52,87 @@ func translateAll(pt *PageTable, vas []arch.Addr) []Translation {
 	return out
 }
 
-// levelNodes lists the nodes of pt's tree by level.
-func levelNodes(pt *PageTable) map[int]map[*node]bool {
-	out := map[int]map[*node]bool{}
-	var walk func(n *node, level int)
-	walk = func(n *node, level int) {
-		if out[level] == nil {
-			out[level] = map[*node]bool{}
-		}
-		out[level][n] = true
-		for _, c := range n.children {
-			walk(c, level-1)
-		}
-	}
-	walk(pt.root, NumLevels)
-	return out
-}
-
-// TestRecycledTableTranslatesLikeFresh: a table built on the nodes of a
-// released table, which mapped other addresses under another huge-page
-// layout, resolves a new address sequence exactly like a table built on
-// new nodes: the same PPN, page size and PTE address at every step. Half
-// the 2MB regions are huge, so level-2 nodes hold both 2MB leaves and
-// level-1 children when they are released. Without the map clear in
-// Release the recycled nodes still hold the old mappings, and the
-// translations differ.
+// TestRecycledTableTranslatesLikeFresh: a table built on the frame map of
+// a released table, which mapped other addresses under another huge-page
+// layout, resolves a new address sequence exactly like a table on a new
+// map: the same PPN, page size and PTE address at every step. Half the
+// 2MB regions are huge, so the released map holds 2MB pages and level-1
+// nodes under the same level's keys. Without the clear in Release the
+// recycled map still holds the old frames, and the translations differ.
 func TestRecycledTableTranslatesLikeFresh(t *testing.T) {
-	// No collection and one processor: released nodes stay in this
-	// processor's pool slots until the next table takes them.
+	// No collection and one processor: a released map stays in this
+	// processor's pool slot until the next table takes it.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dirtyVAs := clusteredVAs(0x9e3779b97f4a7c15, 2048)
 	vas := append(clusteredVAs(0xdeadbeefcafe, 1024), dirtyVAs[:512]...)
-	drainNodes()
+	drainFrameMaps()
 	want := translateAll(NewPageTable(NewPhysAlloc(64<<30), 0.5, 3), vas)
 
 	reused := false
 	// The race detector's sync.Pool drops a quarter of its Puts, so
-	// retry until nodes of every level come back.
+	// retry until the map comes back.
 	for try := 0; try < 20 && !reused; try++ {
 		dirty := NewPageTable(NewPhysAlloc(64<<30), 0.5, 11)
 		translateAll(dirty, dirtyVAs)
-		old := levelNodes(dirty)
+		old := mapID(dirty)
 		dirty.Release()
 		dirty.Release() // idempotent
 
 		pt := NewPageTable(NewPhysAlloc(64<<30), 0.5, 3)
 		for i, tr := range translateAll(pt, vas) {
 			if tr != want[i] {
-				t.Fatalf("va %#x on recycled nodes: %+v, on new nodes: %+v", vas[i], tr, want[i])
+				t.Fatalf("va %#x on a recycled map: %+v, on a new map: %+v", vas[i], tr, want[i])
 			}
 		}
-		reused = true
-		for level, ns := range levelNodes(pt) {
-			hit := false
-			for n := range ns {
-				hit = hit || old[level][n]
-			}
-			reused = reused && hit
-		}
+		reused = mapID(pt) == old
 		pt.Release()
 	}
 	if !reused {
-		t.Fatal("a new table never reused a released table's nodes at every level")
+		t.Fatal("a new table never reused a released table's frame map")
 	}
 }
 
-// TestReleasedTablePanics: a released table has no tree left, so using
-// it fails loudly instead of walking nodes another table now owns.
+// TestRecycledMapDoesNotGrow: a table on a recycled frame map that maps
+// no more frames than the map held allocates nothing while it
+// translates.
+func TestRecycledMapDoesNotGrow(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	vas := clusteredVAs(0x2545f4914f6cdd1d, 8192)
+	var mallocs uint64
+	// The race detector's sync.Pool drops a quarter of its Puts, so
+	// retry until the map comes back.
+	for try := 0; try < 20; try++ {
+		dirty := NewPageTable(NewPhysAlloc(64<<30), 0, 11)
+		translateAll(dirty, vas)
+		old := mapID(dirty)
+		dirty.Release()
+
+		pt := NewPageTable(NewPhysAlloc(64<<30), 0, 3)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, va := range vas {
+			pt.Translate(va)
+		}
+		runtime.ReadMemStats(&after)
+		reused := mapID(pt) == old
+		pt.Release()
+		if reused {
+			mallocs = after.Mallocs - before.Mallocs
+			if mallocs != 0 {
+				t.Fatalf("%d VAs on a recycled map made %d allocations (%d bytes)",
+					len(vas), mallocs, after.TotalAlloc-before.TotalAlloc)
+			}
+			return
+		}
+	}
+	t.Fatal("a new table never reused a released table's frame map")
+}
+
+// TestReleasedTablePanics: a released table has no frame map or
+// allocator left, so using it fails loudly instead of reading frames
+// another table now owns.
 func TestReleasedTablePanics(t *testing.T) {
 	pt := newPT(0)
 	pt.Translate(0x1000)
@@ -126,8 +146,8 @@ func TestReleasedTablePanics(t *testing.T) {
 }
 
 // TestNodePoolConcurrent: goroutines build, fill and release tables of
-// two sizes, so nodes cross goroutines and tables of other shapes. Every
-// table must translate like one built on new nodes. make race-matrix
+// two sizes, so frame maps cross goroutines and tables of other shapes.
+// Every table must translate like one on a new map. make race-matrix
 // runs it under the race detector.
 func TestNodePoolConcurrent(t *testing.T) {
 	shapes := []struct {
@@ -154,7 +174,7 @@ func TestNodePoolConcurrent(t *testing.T) {
 				pt := NewPageTable(NewPhysAlloc(64<<30), shapes[s].huge, 7)
 				for j, tr := range translateAll(pt, shapes[s].vas) {
 					if tr != want[s][j] {
-						errs <- "a table on recycled nodes translates unlike one on new nodes"
+						errs <- "a table on a recycled map translates unlike one on a new map"
 						return
 					}
 				}

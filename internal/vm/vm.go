@@ -13,9 +13,9 @@ package vm
 
 import (
 	"fmt"
+	"sync"
 
 	"itpsim/internal/arch"
-	"itpsim/internal/pool"
 )
 
 // Levels of the radix tree, leaf-most last. Level numbering follows x86:
@@ -94,73 +94,62 @@ func (t Translation) PhysAddr(va arch.Addr) arch.Addr {
 	return t.PPN<<t.PageBits | (va & mask)
 }
 
-// node is one radix-tree node (a 4KB physical page of 512 PTEs). Its
-// maps stay compact for the sparse upper levels, and each is made on its
-// first insert: a level-1 node never has children, and an interior node
-// has leaf entries only at level 2, for 2MB pages.
-type node struct {
-	phys     arch.Addr
-	children map[int]*node
-	// leafPPN holds translations at leaf level (level 1 for 4KB pages,
-	// level 2 for 2MB pages).
-	leafPPN map[int]uint64
-}
-
-// nodes recycles the nodes of released tables, one pool per level. A
-// node goes back with its maps emptied, so it differs from a new node
-// only in the map capacity it keeps.
-var nodes pool.Keyed[*node]
-
-// newNode returns an empty level node backed by a newly allocated frame.
-func (pt *PageTable) newNode(level int) *node {
-	n, ok := nodes.Get(level)
-	if !ok {
-		n = new(node)
-	}
-	n.phys = pt.alloc.Alloc(arch.PageBits4K)
-	return n
-}
-
-// PageTable is one address space's 5-level radix page table. Pages are
-// allocated lazily on first touch.
+// PageTable is one address space's 5-level radix page table. Its nodes
+// and pages are physical frames taken from the shared allocator on first
+// touch; frames maps each frame's position to it. The root is a field,
+// taken when the table is built.
 type PageTable struct {
-	alloc *PhysAlloc
-	root  *node
+	alloc  *PhysAlloc
+	root   arch.Addr
+	frames map[uint64]arch.Addr
 	// hugeFraction is the probability that a 2MB-aligned virtual region
 	// is backed by a 2MB page.
 	hugeFraction float64
 	seed         uint64
 }
 
-// NewPageTable creates an address space over the shared allocator.
-// hugeFraction ∈ [0,1] selects Section 6.5's scenario; seed makes the
-// huge-page layout deterministic per address space.
-func NewPageTable(alloc *PhysAlloc, hugeFraction float64, seed uint64) *PageTable {
-	pt := &PageTable{alloc: alloc, hugeFraction: hugeFraction, seed: seed}
-	pt.root = pt.newNode(NumLevels)
-	return pt
+// frameMaps recycles the frame maps of released tables. A map goes back
+// emptied with its capacity, so a table that maps no more than the last
+// one did inserts without growing it.
+var frameMaps sync.Pool
+
+// vaBits is the VA width the five levels index. Translate ignores the
+// bits above it, so an address and its low vaBits bits alias.
+const vaBits = arch.PageBits4K + 9*NumLevels
+
+// frameKey names the frame of the given level that a walk of va reaches:
+// the level-4..1 node covering va, or at level 0 its 4KB page. A 2MB page
+// takes its region's level-1 key, which isHuge leaves free. The level
+// sits above the VA bits that select the frame, so frames of different
+// levels never share a key.
+//
+//itp:hotpath
+func frameKey(va arch.Addr, level int) uint64 {
+	return uint64(level)<<60 | uint64(va>>LevelShift(level+1))
 }
 
-// Release returns every node of the table to the pools. The owner calls
-// it once it is done translating; the table must not be used afterwards,
+// NewPageTable creates an address space over the shared allocator and
+// takes its root frame. hugeFraction ∈ [0,1] selects Section 6.5's
+// scenario; seed makes the huge-page layout deterministic per address
+// space.
+func NewPageTable(alloc *PhysAlloc, hugeFraction float64, seed uint64) *PageTable {
+	return &PageTable{
+		alloc:        alloc,
+		root:         alloc.Alloc(arch.PageBits4K),
+		hugeFraction: hugeFraction,
+		seed:         seed,
+	}
+}
+
+// Release returns the table's frame map to the pool. The owner calls it
+// once it is done translating; the table must not be used afterwards,
 // and panics if it is. Release is idempotent.
 func (pt *PageTable) Release() {
-	if pt.root != nil {
-		releaseNode(pt.root, NumLevels)
-		pt.root = nil
+	if pt.frames != nil {
+		clear(pt.frames)
+		frameMaps.Put(pt.frames)
 	}
-}
-
-// releaseNode empties n and its subtree and puts each node back under its
-// level.
-func releaseNode(n *node, level int) {
-	//itp:deterministic — the order only decides which emptied node a later Get returns
-	for _, c := range n.children {
-		releaseNode(c, level-1)
-	}
-	clear(n.children)
-	clear(n.leafPPN)
-	nodes.Put(level, n)
+	pt.frames, pt.alloc = nil, nil
 }
 
 // isHuge decides deterministically whether va's 2MB region uses a 2MB page.
@@ -181,63 +170,50 @@ func (pt *PageTable) isHuge(va arch.Addr) bool {
 	return float64(h>>11)/float64(1<<53) < pt.hugeFraction
 }
 
-// Translate resolves va, building page-table nodes and allocating the
-// backing physical page on first touch. The returned Steps list the PTE
+// Translate resolves va, taking the frames of missing nodes top-down and
+// then the page's frame on first touch. The returned Steps list the PTE
 // references of a full walk.
 //
 //itp:hotpath
 func (pt *PageTable) Translate(va arch.Addr) Translation {
-	huge := pt.isHuge(va)
+	va &= 1<<vaBits - 1
 	leafLevel := 1
-	pageBits := uint8(arch.PageBits4K)
-	if huge {
-		leafLevel = 2
-		pageBits = arch.PageBits2M
-	}
-
 	var tr Translation
-	tr.PageBits = pageBits
-	n := pt.root
+	tr.PageBits = arch.PageBits4K
+	if pt.isHuge(va) {
+		leafLevel = 2
+		tr.PageBits = arch.PageBits2M
+	}
+	frame := pt.root
 	for level := NumLevels; level >= leafLevel; level-- {
-		idx := levelIndex(va, level)
-		tr.Steps[tr.NumSteps] = WalkStep{Level: level, PTEAddr: n.phys + arch.Addr(idx*pteSize)}
+		tr.Steps[tr.NumSteps] = WalkStep{Level: level, PTEAddr: frame + arch.Addr(levelIndex(va, level)*pteSize)}
 		tr.NumSteps++
-		if level == leafLevel {
-			ppn, ok := n.leafPPN[idx]
-			if !ok {
-				//itp:cold — first touch of a page; allocation is off the steady-state path
-				ppn = pt.mapPage(n, idx, pageBits)
-			}
-			tr.PPN = ppn
-			return tr
-		}
-		child, ok := n.children[idx]
+		key := frameKey(va, level-1)
+		next, ok := pt.frames[key]
 		if !ok {
-			//itp:cold — first touch of a table node; allocation is off the steady-state path
-			child = pt.addChild(n, idx, level-1)
+			//itp:cold — first touch of a node or page; allocation is off the steady-state path
+			next = pt.mapFrame(key, level == leafLevel, tr.PageBits)
 		}
-		n = child
+		frame = next
 	}
-	panic("vm: unreachable walk termination")
+	tr.PPN = uint64(frame >> tr.PageBits)
+	return tr
 }
 
-// mapPage backs leaf slot idx of n with a page of 2^bits bytes, whose
-// frame is allocated here, on first touch.
-func (pt *PageTable) mapPage(n *node, idx int, bits uint8) uint64 {
-	if n.leafPPN == nil {
-		n.leafPPN = make(map[int]uint64)
+// mapFrame takes the frame for key: the page of 2^bits bytes at the leaf,
+// a 4KB node above it. The table's first miss takes its map from the
+// pool.
+func (pt *PageTable) mapFrame(key uint64, leaf bool, bits uint8) arch.Addr {
+	if !leaf {
+		bits = arch.PageBits4K
 	}
-	ppn := uint64(pt.alloc.Alloc(bits) >> bits)
-	n.leafPPN[idx] = ppn
-	return ppn
-}
-
-// addChild links a new level node under slot idx of n.
-func (pt *PageTable) addChild(n *node, idx, level int) *node {
-	if n.children == nil {
-		n.children = make(map[int]*node)
+	frame := pt.alloc.Alloc(bits)
+	if pt.frames == nil {
+		pt.frames, _ = frameMaps.Get().(map[uint64]arch.Addr)
+		if pt.frames == nil {
+			pt.frames = make(map[uint64]arch.Addr)
+		}
 	}
-	child := pt.newNode(level)
-	n.children[idx] = child
-	return child
+	pt.frames[key] = frame
+	return frame
 }
