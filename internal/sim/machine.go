@@ -324,8 +324,8 @@ func bpSeed(i int) uint64 {
 // allocating: the arrays of every cache (each core's L1I and L1D, the
 // L2C and the LLC), the entries of every TLB (each core's ITLB and DTLB,
 // the STLB or both its halves), the L2C stride table and every tenant's
-// page-table frame map. The owner calls it once it has read the results it
-// needs; Stats, the metric windows, the beacon chain and Snapshot stay
+// page-table frame map. The owner calls it once it has read the results
+// it needs; Stats, the metric windows, the beacon chain and Snapshot stay
 // readable, but the machine must not run again. Release is idempotent.
 func (m *Machine) Release() {
 	for _, c := range m.cores {
@@ -737,7 +737,7 @@ const diagPublishMask = 1<<16 - 1
 // from the simulation goroutine: it reads cache/TLB internals directly,
 // and the atomic pointer store is what makes the result safe to read
 // from a supervisor thread. The text is built in diagBuf, so a publish
-// allocates only the published string.
+// allocates only the published string and the pointer to it.
 func (m *Machine) publishDiag() {
 	m.retiredTotal.Store(m.retiredLocal)
 	b := appendField(m.diagBuf[:0], "retired=", m.retiredLocal)

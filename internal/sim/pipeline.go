@@ -333,7 +333,7 @@ func (m *Machine) step(t *threadCtx) {
 	if rtot&retirePublishMask == 0 {
 		m.retiredTotal.Store(rtot)
 		if rtot&diagPublishMask == 0 {
-			//itp:cold — diagnostic snapshot every 2^20 retires
+			//itp:cold — diagnostic snapshot every 2^16 retires
 			m.publishDiag()
 		}
 	}

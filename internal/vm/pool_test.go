@@ -100,7 +100,6 @@ func TestRecycledMapDoesNotGrow(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	vas := clusteredVAs(0x2545f4914f6cdd1d, 8192)
-	var mallocs uint64
 	// The race detector's sync.Pool drops a quarter of its Puts, so
 	// retry until the map comes back.
 	for try := 0; try < 20; try++ {
@@ -119,10 +118,9 @@ func TestRecycledMapDoesNotGrow(t *testing.T) {
 		reused := mapID(pt) == old
 		pt.Release()
 		if reused {
-			mallocs = after.Mallocs - before.Mallocs
-			if mallocs != 0 {
+			if n := after.Mallocs - before.Mallocs; n != 0 {
 				t.Fatalf("%d VAs on a recycled map made %d allocations (%d bytes)",
-					len(vas), mallocs, after.TotalAlloc-before.TotalAlloc)
+					len(vas), n, after.TotalAlloc-before.TotalAlloc)
 			}
 			return
 		}
