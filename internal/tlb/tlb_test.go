@@ -118,6 +118,102 @@ func TestOccupancyByClass(t *testing.T) {
 	}
 }
 
+// splitSTLB builds a split STLB as the machine holds one: an STLB-I and
+// an STLB-D half of equal geometry, each with its own policy, indexed by
+// translation class. Both halves take their entries from one pool key.
+func splitSTLB(sets, ways int, pi, pd Policy) [2]*TLB {
+	var s [2]*TLB
+	s[arch.InstrClass] = New("STLB-I", sets, ways, pi)
+	s[arch.DataClass] = New("STLB-D", sets, ways, pd)
+	return s
+}
+
+// TestSplitRouting: the halves of a split STLB hold separate entries,
+// even when one of them takes a released TLB's array. A translation
+// inserted through the instruction half is invisible to the data half,
+// and with both halves full of the same pages each returns its own
+// class's frames.
+func TestSplitRouting(t *testing.T) {
+	const sets, ways = 8, 4
+	dirty := New("dirty", sets, ways, NewLRU())
+	tlbTraffic(dirty, sets*ways)
+	dirty.Release()
+
+	s := splitSTLB(sets, ways, NewLRU(), NewLRU())
+	defer s[arch.InstrClass].Release()
+	defer s[arch.DataClass].Release()
+	if &s[arch.InstrClass].sets[0][0] == &s[arch.DataClass].sets[0][0] {
+		t.Fatal("both halves share one entry array")
+	}
+	frame := [2]uint64{arch.InstrClass: 0x1000, arch.DataClass: 0x2000}
+	va := arch.Addr(0x5000)
+	s[arch.InstrClass].Insert(va, frame[arch.InstrClass]+5, arch.PageBits4K, arch.InstrClass, 0, 0)
+	if _, _, hit := s[arch.DataClass].Lookup(va, 0, arch.DataClass, 0); hit {
+		t.Error("data lookup should not see instruction-side entry")
+	}
+	if _, _, hit := s[arch.InstrClass].Lookup(va, 0, arch.InstrClass, 0); !hit {
+		t.Error("instruction lookup should hit")
+	}
+
+	for _, class := range []arch.Class{arch.InstrClass, arch.DataClass} {
+		for page := uint64(0); page < sets*ways; page++ {
+			s[class].Insert(arch.Addr(page)<<arch.PageBits4K, frame[class]+page, arch.PageBits4K, class, 0, 0)
+		}
+	}
+	for _, class := range []arch.Class{arch.InstrClass, arch.DataClass} {
+		var occ [2]int
+		occ[arch.InstrClass], occ[arch.DataClass] = s[class].Occupancy()
+		if occ[class] != sets*ways || occ[1-class] != 0 {
+			t.Errorf("%s occupancy (instr,data) = %v, want %d entries of its own class only", s[class].Name(), occ, sets*ways)
+		}
+		for page := uint64(0); page < sets*ways; page++ {
+			ppn, _, hit := s[class].Lookup(arch.Addr(page)<<arch.PageBits4K, 0, class, 0)
+			if !hit || ppn != frame[class]+page {
+				t.Fatalf("%s page %d = (%#x,%v), want (%#x,true)", s[class].Name(), page, ppn, hit, frame[class]+page)
+			}
+		}
+	}
+}
+
+// TestSplitWithDistinctPolicies: each half of a split STLB runs its own
+// policy, as the machine gives each half its own CHiRP. Fills and hits
+// through the instruction half train only the instruction half's
+// policy and leave the data half empty.
+func TestSplitWithDistinctPolicies(t *testing.T) {
+	const sets, ways = 4, 4
+	pi, pd := NewCHiRP(ways), NewCHiRP(ways)
+	s := splitSTLB(sets, ways, pi, pd)
+	defer s[arch.InstrClass].Release()
+	defer s[arch.DataClass].Release()
+	for i := 0; i < 8; i++ {
+		va := arch.Addr(i) << arch.PageBits4K
+		s[arch.InstrClass].Insert(va, uint64(i), arch.PageBits4K, arch.InstrClass, 0, 0)
+		if _, _, hit := s[arch.InstrClass].Lookup(va, 0, arch.InstrClass, 0); !hit {
+			t.Fatalf("instruction half misses page %d just inserted", i)
+		}
+	}
+	ii, id := s[arch.InstrClass].Occupancy()
+	di, dd := s[arch.DataClass].Occupancy()
+	if ii+id != 8 || di+dd != 0 {
+		t.Errorf("instruction inserts leaked: instr side %d/%d, data side %d/%d", ii, id, di, dd)
+	}
+	trained := func(c *CHiRP) int {
+		n := 0
+		for _, ctr := range c.table {
+			if ctr != chirpCtrInit {
+				n++
+			}
+		}
+		return n
+	}
+	if trained(pi) == 0 {
+		t.Error("instruction half's CHiRP was not trained by its hits")
+	}
+	if n := trained(pd); n != 0 {
+		t.Errorf("data half's CHiRP has %d trained counters, want 0", n)
+	}
+}
+
 // TestEntriesCount: a 128×12 TLB holds 1536 translations. Pages
 // 0..1535 fill every way of every set, and one more evicts rather than
 // growing the TLB.
