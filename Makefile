@@ -76,7 +76,8 @@ race-matrix:
 # the trace decoder and the checkpoint-journal recovery path — over two
 # properties the equivalence oracles rest on: stream split/clone
 # equivalence for sharding, and the beacon state fold against the
-# standard library's FNV-1a — over the word-at-a-time recency move
+# standard library's FNV-1a — over a cache's fold, empty ways included,
+# against the per-field fold, over the word-at-a-time recency move
 # against the byte loop it replaces, and over the page table's frame map
 # against the radix tree it stands for.
 fuzz-smoke:
@@ -84,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzCheckpointReader -fuzz FuzzCheckpointReader -fuzztime 10s ./internal/harness
 	$(GO) test -run FuzzSplitEquivalence -fuzz FuzzSplitEquivalence -fuzztime 10s ./internal/workload
 	$(GO) test -run FuzzStateHashWord -fuzz FuzzStateHashWord -fuzztime 10s ./internal/arch
+	$(GO) test -run FuzzCacheFold -fuzz FuzzCacheFold -fuzztime 10s ./internal/cache
 	$(GO) test -run FuzzMoveToStackPos -fuzz FuzzMoveToStackPos -fuzztime 10s ./internal/replacement
 	$(GO) test -run FuzzTranslate -fuzz FuzzTranslate -fuzztime 10s ./internal/vm
 

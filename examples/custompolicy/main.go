@@ -28,7 +28,7 @@ func (*fifoPTE) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 	// Oldest = deepest stack position (we reuse the recency stack as a
 	// FIFO queue by never promoting on hits).
 	victim := replacement.StackLRUVictim(set)
-	if l := &set.Lines[victim]; l.IsPTE && !l.Reused {
+	if l := &set.Lines[victim]; l.IsPTE() && !l.Reused {
 		// Second chance: recycle to the tail once.
 		l.Reused = true
 		replacement.MoveToStackPos(set, victim, 0)

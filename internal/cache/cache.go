@@ -249,13 +249,13 @@ func (c *Cache) fill(si int, acc *arch.Access) int {
 	line := &set.Lines[way]
 	if set.Valid(way) {
 		c.policy.OnEvict(si, set, way)
-		if line.IsPTE {
+		if line.IsPTE() {
 			c.EvictPTE++
 		}
-		if line.IsDataPTE {
+		if line.IsDataPTE() {
 			c.EvictDataPTE++
 		}
-		if line.Dirty {
+		if line.Dirty() {
 			c.Writebacks++
 			if c.writebackFn != nil {
 				//itp:nonalloc — bound at construction to DRAM.Writeback, which is allocation-free
@@ -266,16 +266,12 @@ func (c *Cache) fill(si int, acc *arch.Access) int {
 	// The stack position stays: the way keeps its place in the
 	// permutation until the policy's OnFill moves it.
 	set.Tags[way] = acc.Addr >> arch.BlockBits
-	*line = replacement.Line{
-		PC:         acc.PC,
-		Kind:       acc.Kind,
-		IsPTE:      acc.IsPTE,
-		IsDataPTE:  acc.IsPTE && acc.Class == arch.DataClass,
-		STLBMiss:   acc.STLBMiss && !acc.IsPTE,
-		Thread:     acc.Thread,
-		Prefetched: acc.Kind == arch.Prefetch,
-		Dirty:      acc.Kind == arch.Store,
-	}
+	*line = replacement.Line{PC: acc.PC, Kind: acc.Kind, Thread: acc.Thread}
+	line.SetPTE(acc.IsPTE)
+	line.SetDataPTE(acc.IsPTE && acc.Class == arch.DataClass)
+	line.SetSTLBMiss(acc.STLBMiss && !acc.IsPTE)
+	line.SetPrefetched(acc.Kind == arch.Prefetch)
+	line.SetDirty(acc.Kind == arch.Store)
 	c.policy.OnFill(si, set, way, acc)
 	return way
 }
@@ -305,12 +301,12 @@ func (c *Cache) Access(now uint64, acc *arch.Access) uint64 {
 			if c.stats != nil && acc.Kind.IsDemand() {
 				c.stats.RecordMissLatency(e.readyAt - now)
 			}
-			if line.Prefetched {
-				line.Prefetched = false
+			if line.Prefetched() {
+				line.SetPrefetched(false)
 				c.PrefetchUseful++
 			}
 			if acc.Kind == arch.Store {
-				line.Dirty = true
+				line.SetDirty(true)
 			}
 			c.policy.OnHit(si, set, way, acc)
 			if e.readyAt > hitTime {
@@ -319,12 +315,12 @@ func (c *Cache) Access(now uint64, acc *arch.Access) uint64 {
 			return hitTime
 		}
 		c.record(acc, true)
-		if line.Prefetched {
-			line.Prefetched = false
+		if line.Prefetched() {
+			line.SetPrefetched(false)
 			c.PrefetchUseful++
 		}
 		if acc.Kind == arch.Store {
-			line.Dirty = true
+			line.SetDirty(true)
 		}
 		c.policy.OnHit(si, set, way, acc)
 		c.train(now, acc)
@@ -392,10 +388,10 @@ func (c *Cache) Occupancy() (blocks, pte, dataPTE int) {
 			continue
 		}
 		blocks++
-		if c.lines[i].IsPTE {
+		if c.lines[i].IsPTE() {
 			pte++
 		}
-		if c.lines[i].IsDataPTE {
+		if c.lines[i].IsDataPTE() {
 			dataPTE++
 		}
 	}

@@ -166,7 +166,7 @@ func TestSTLBMissBitNotOnPTE(t *testing.T) {
 	acc := &arch.Access{Addr: 0x2000, Kind: arch.PTW, IsPTE: true, STLBMiss: true}
 	c.Access(0, acc)
 	si, w := c.lookup(arch.BlockNumber(0x2000), 0)
-	if c.setAt(si).Lines[w].STLBMiss {
+	if c.setAt(si).Lines[w].STLBMiss() {
 		t.Error("PTE blocks must not carry the STLBMiss demand bit")
 	}
 }

@@ -23,7 +23,7 @@ func newPolicyCache(cfg config.CacheConfig, policy string) *Cache {
 // poolTraffic touches blocks 0..n-1 (n at most half the cache's capacity,
 // so each set keeps empty ways) twice: loads, stores and PTE accesses
 // from varying PCs, so lines carry Dirty, IsPTE, PC and whatever state
-// the policy keeps (SHiP's Sig, RRPV and Reused, Mockingjay's ETA).
+// the policy keeps in them (SHiP's Sig, RRPV and Reused, Mockingjay's Sig).
 func poolTraffic(c *Cache, n int) {
 	for i := 0; i < 2*n; i++ {
 		b := uint64(i % n)

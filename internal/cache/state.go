@@ -8,32 +8,46 @@ import (
 
 // HashState implements arch.StateHasher: the full tag/metadata array in
 // set/way order plus the MSHR file, so two caches hash equal iff their
-// contents, replacement state, and in-flight misses are identical. An
-// empty way folds tag 0: a way is never emptied after its first fill,
-// so an empty way has never held a block, and the empty-way audit rule
-// holds the rest of its line at zero.
+// contents, replacement state, and in-flight misses are identical. Each
+// way folds fifteen words, ETA last (Mockingjay's, 0 under any other
+// policy). An empty way folds tag 0: a way is never emptied after its
+// first fill, so an empty way has never held a block, and the empty-way
+// audit rule holds the rest of its line and its ETA at zero. Such a way
+// folds as ten zero words, its stack position and four zero words;
+// only a way that breaks that rule takes the per-field path.
 func (c *Cache) HashState(h *arch.StateHash) {
+	etas := c.etas()
 	for i, tag := range c.tags {
+		l := &c.lines[i]
+		var eta uint64
+		if etas != nil {
+			eta = etas[i]
+		}
 		valid := tag != replacement.NoTag
 		if !valid {
+			if *l == (replacement.Line{}) && eta == 0 {
+				h.Zeros(10)
+				h.Word(uint64(c.stack[i]))
+				h.Zeros(4)
+				continue
+			}
 			tag = 0
 		}
-		l := &c.lines[i]
 		h.Bool(valid)
-		h.Bool(l.Dirty)
+		h.Bool(l.Dirty())
 		h.Word(tag)
 		h.Word(l.PC)
 		h.Word(uint64(l.Kind))
-		h.Bool(l.IsPTE)
-		h.Bool(l.IsDataPTE)
-		h.Bool(l.STLBMiss)
+		h.Bool(l.IsPTE())
+		h.Bool(l.IsDataPTE())
+		h.Bool(l.STLBMiss())
 		h.Word(uint64(l.Thread))
-		h.Bool(l.Prefetched)
+		h.Bool(l.Prefetched())
 		h.Word(uint64(c.stack[i]))
 		h.Word(uint64(l.RRPV))
 		h.Word(uint64(l.Sig))
 		h.Bool(l.Reused)
-		h.Word(l.ETA)
+		h.Word(eta)
 	}
 	for i := range c.mshrs {
 		e := &c.mshrs[i]
@@ -42,6 +56,15 @@ func (c *Cache) HashState(h *arch.StateHash) {
 		h.Word(uint64(e.thread))
 		h.Word(e.readyAt)
 	}
+}
+
+// etas returns the per-way ETAs Mockingjay keeps outside the lines,
+// indexed like the cache's flat arrays, or nil under any other policy.
+func (c *Cache) etas() []uint64 {
+	if mj, ok := c.policy.(*replacement.Mockingjay); ok {
+		return mj.ETAs()
+	}
+	return nil
 }
 
 // mshrLeakHorizon is how far past the audit clock an in-flight MSHR's
@@ -54,9 +77,9 @@ const mshrLeakHorizon = 100_000_000
 // AuditState implements audit.Checkable. Invariants:
 //
 //   - stack-permutation: each set's stack positions form a permutation;
-//   - empty-way: a way whose tag is NoTag holds a zero Line, which is
-//     what HashState folds for it (a policy must not age or annotate
-//     empty ways);
+//   - empty-way: a way whose tag is NoTag holds a zero Line and, under
+//     Mockingjay, a zero ETA, which is what HashState folds for it (a
+//     policy must not age or annotate empty ways);
 //   - duplicate-block: no two valid ways of a set hold the same
 //     (tag, Thread);
 //   - pte-bits: IsDataPTE implies IsPTE (xPTP's Type bit qualifies a PTE
@@ -66,6 +89,7 @@ const mshrLeakHorizon = 100_000_000
 //     and no two live entries track the same (block, thread) — a
 //     duplicate would double-fill.
 func (c *Cache) AuditState(r *audit.Report) {
+	etas := c.etas()
 	for si := 0; si < c.cfg.Sets; si++ {
 		set := c.setAt(si)
 		if !replacement.CheckStackInvariant(&set) {
@@ -74,15 +98,15 @@ func (c *Cache) AuditState(r *audit.Report) {
 		for a, tag := range set.Tags {
 			l := &set.Lines[a]
 			if tag == replacement.NoTag {
-				if *l != (replacement.Line{}) {
+				if *l != (replacement.Line{}) || etas != nil && etas[si*c.ways+a] != 0 {
 					r.Violatef("empty-way", "%s set %d way %d: empty way carries line state", c.name, si, a)
 				}
 				continue
 			}
-			if l.IsDataPTE && !l.IsPTE {
+			if l.IsDataPTE() && !l.IsPTE() {
 				r.Violatef("pte-bits", "%s set %d way %d: IsDataPTE without IsPTE", c.name, si, a)
 			}
-			if l.IsPTE && l.STLBMiss {
+			if l.IsPTE() && l.STLBMiss() {
 				r.Violatef("pte-bits", "%s set %d way %d: PTE block carries the STLBMiss demand bit", c.name, si, a)
 			}
 			for b := a + 1; b < len(set.Tags); b++ {

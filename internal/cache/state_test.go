@@ -106,11 +106,11 @@ func TestCacheAuditDetectsPTEBitViolations(t *testing.T) {
 	c := trafficCache()
 	// The traffic filled both ways of set 1, so they are valid.
 	set := c.setAt(1)
-	set.Lines[0].IsDataPTE = true
-	set.Lines[0].IsPTE = false
+	set.Lines[0].SetDataPTE(true)
+	set.Lines[0].SetPTE(false)
 	set.Tags[1] = set.Tags[0] + 1
-	set.Lines[1].IsPTE = true
-	set.Lines[1].STLBMiss = true
+	set.Lines[1].SetPTE(true)
+	set.Lines[1].SetSTLBMiss(true)
 	rules := map[string]int{}
 	for _, v := range auditCache(t, c, 100_000) {
 		rules[v.Rule]++
@@ -163,22 +163,31 @@ func TestCacheAuditIgnoresRetiredMSHRs(t *testing.T) {
 	}
 }
 
+// TestCacheAuditDetectsEmptyWayState: an empty way carrying line state,
+// or under Mockingjay a non-zero ETA, breaks the empty-way rule.
 func TestCacheAuditDetectsEmptyWayState(t *testing.T) {
-	c := New("l2c", smallCfg(), replacement.NewLRU(), &fixedLevel{latency: 100}, nil)
-	c.Access(0, load(0x1000)) // one of set 0's two ways
-	if v := auditCache(t, c, 100_000); v != nil {
-		t.Fatalf("half-filled cache reported violations: %v", v)
-	}
-	set := c.setAt(0)
-	set.Lines[replacement.InvalidWay(&set)].RRPV = 1
-	found := false
-	for _, v := range auditCache(t, c, 100_000) {
-		if v.Rule == "empty-way" {
-			found = true
+	cfg := smallCfg()
+	for _, name := range []string{"lru", "mockingjay"} {
+		c := newPolicyCache(cfg, name)
+		c.Access(0, load(0x1000)) // one of set 0's two ways
+		if v := auditCache(t, c, 100_000); v != nil {
+			t.Fatalf("%s: half-filled cache reported violations: %v", name, v)
 		}
-	}
-	if !found {
-		t.Fatal("line state on an empty way must be reported")
+		set := c.setAt(0)
+		if etas := c.etas(); etas != nil {
+			etas[replacement.InvalidWay(&set)] = 1
+		} else {
+			set.Lines[replacement.InvalidWay(&set)].RRPV = 1
+		}
+		found := false
+		for _, v := range auditCache(t, c, 100_000) {
+			if v.Rule == "empty-way" {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("%s: state on an empty way must be reported", name)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ func randomSet(rng *rand.Rand, ways int, pteProb float64) *replacement.Set {
 	for i := range set.Tags {
 		set.Tags[i] = uint64(i)
 		set.Stack[i] = uint8(perm[i])
-		set.Lines[i] = replacement.Line{IsDataPTE: rng.Float64() < pteProb}
+		set.Lines[i].SetDataPTE(rng.Float64() < pteProb)
 	}
 	return set
 }
@@ -51,7 +51,7 @@ func TestXPTPVictimProperties(t *testing.T) {
 				if pos > lruDepth {
 					lru, lruDepth = i, pos
 				}
-				if !set.Lines[i].IsDataPTE && pos > altDepth {
+				if !set.Lines[i].IsDataPTE() && pos > altDepth {
 					alt, altDepth = i, pos
 				}
 			}
@@ -62,10 +62,10 @@ func TestXPTPVictimProperties(t *testing.T) {
 				// exists or the alternative is too recent (>= K up).
 				if alt >= 0 && alt != lru && altFromBottom < k {
 					t.Fatalf("K=%d ways=%d: evicted LRU (data-PTE=%v) though alt at %d positions up",
-						k, ways, set.Lines[lru].IsDataPTE, altFromBottom)
+						k, ways, set.Lines[lru].IsDataPTE(), altFromBottom)
 				}
 			default:
-				if set.Lines[v].IsDataPTE {
+				if set.Lines[v].IsDataPTE() {
 					t.Fatalf("K=%d: alternative victim holds a data PTE", k)
 				}
 				if v != alt {

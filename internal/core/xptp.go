@@ -58,7 +58,7 @@ func (x *XPTP) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 		if pos > lruDepth {
 			lruVictim, lruDepth = i, pos
 		}
-		if !set.Lines[i].IsDataPTE && pos > altDepth {
+		if !set.Lines[i].IsDataPTE() && pos > altDepth {
 			altVictim, altDepth = i, pos
 		}
 	}

@@ -27,8 +27,8 @@ func TestXPTPProtectsDataPTEs(t *testing.T) {
 	set := cacheSet(8)
 	// The LRU block (deepest stack) holds a data PTE.
 	lruWay := replacement.StackPosOf(set, 7)
-	set.Lines[lruWay].IsPTE = true
-	set.Lines[lruWay].IsDataPTE = true
+	set.Lines[lruWay].SetPTE(true)
+	set.Lines[lruWay].SetDataPTE(true)
 	v := x.Victim(0, set, &arch.Access{})
 	if v == lruWay {
 		t.Error("xPTP evicted the data-PTE LRU block")
@@ -48,19 +48,19 @@ func TestXPTPInequalityEvictsPTEWhenAltTooRecent(t *testing.T) {
 	// is at stack 4 → 3 positions above bottom ≥ K → evict the LRU PTE.
 	for _, pos := range []int{7, 6, 5} {
 		w := replacement.StackPosOf(set, pos)
-		set.Lines[w].IsDataPTE = true
-		set.Lines[w].IsPTE = true
+		set.Lines[w].SetDataPTE(true)
+		set.Lines[w].SetPTE(true)
 	}
 	v := x.Victim(0, set, &arch.Access{})
-	if int(set.Stack[v]) != 7 || !set.Lines[v].IsDataPTE {
-		t.Errorf("expected LRU data-PTE eviction, got stack %d (pte=%v)", set.Stack[v], set.Lines[v].IsDataPTE)
+	if int(set.Stack[v]) != 7 || !set.Lines[v].IsDataPTE() {
+		t.Errorf("expected LRU data-PTE eviction, got stack %d (pte=%v)", set.Stack[v], set.Lines[v].IsDataPTE())
 	}
 
 	// Now only the bottom one is a PTE; alternative at stack 6 is 1
 	// position above bottom < K → evict the alternative.
 	set2 := cacheSet(8)
 	w := replacement.StackPosOf(set2, 7)
-	set2.Lines[w].IsDataPTE = true
+	set2.Lines[w].SetDataPTE(true)
 	v2 := x.Victim(0, set2, &arch.Access{})
 	if int(set2.Stack[v2]) != 6 {
 		t.Errorf("expected alternative eviction at stack 6, got %d", set2.Stack[v2])
@@ -71,7 +71,7 @@ func TestXPTPAllDataPTEsFallsBack(t *testing.T) {
 	x := NewXPTP(xptpParams())
 	set := cacheSet(8)
 	for i := range set.Lines {
-		set.Lines[i].IsDataPTE = true
+		set.Lines[i].SetDataPTE(true)
 	}
 	v := x.Victim(0, set, &arch.Access{})
 	if int(set.Stack[v]) != 7 {
@@ -93,7 +93,7 @@ func TestXPTPDisabledIsLRU(t *testing.T) {
 	x := NewAdaptiveXPTP(xptpParams(), func() bool { return enabled })
 	set := cacheSet(8)
 	lruWay := replacement.StackPosOf(set, 7)
-	set.Lines[lruWay].IsDataPTE = true
+	set.Lines[lruWay].SetDataPTE(true)
 	if v := x.Victim(0, set, &arch.Access{}); v != lruWay {
 		t.Error("disabled xPTP should behave as plain LRU")
 	}

@@ -1,6 +1,7 @@
 // Package pool recycles the large storage a simulated machine builds —
-// cache arrays, TLB entries, the L2C stride table and the lookahead
-// rings — from machines that are done to the machines built after them.
+// cache arrays, TLB entries, the L2C stride table and each thread's
+// lookahead, ROB and FTQ rings — from machines that are done to the
+// machines built after them.
 //
 // A Keyed pool holds one sync.Pool per int key (a size), so a
 // constructor only ever takes storage put back under its own key. The
@@ -13,8 +14,9 @@ package pool
 import "sync"
 
 // Keyed is a set of sync.Pools of T, one per key. T should be a pointer
-// type, so Put stores it without allocating. The zero value is empty
-// and ready to use; Keyed is safe for concurrent use.
+// type, so Put stores it without allocating. Any processor can take a
+// value another processor put (see placeholder). The zero value is
+// empty and ready to use; Keyed is safe for concurrent use.
 type Keyed[T any] struct {
 	mu    sync.Mutex
 	pools map[int]*sync.Pool
@@ -39,11 +41,31 @@ func (k *Keyed[T]) pool(key int) *sync.Pool {
 // the caller allocates a new one instead. A value comes back as it was
 // put: the caller initialises what it takes.
 func (k *Keyed[T]) Get(key int) (v T, ok bool) {
-	v, ok = k.pool(key).Get().(T)
+	p := k.pool(key)
+	x := p.Get()
+	for x == placeholder {
+		x = p.Get()
+	}
+	v, ok = x.(T)
 	return v, ok
 }
 
 // Put hands v back under key. The caller must not use v afterwards.
 func (k *Keyed[T]) Put(key int, v T) {
-	k.pool(key).Put(v)
+	p := k.pool(key)
+	p.Put(placeholder)
+	p.Put(v)
 }
+
+// placeholder keeps the values a Keyed holds where every processor can
+// take them. A sync.Pool puts a value in the putting processor's
+// private slot when that slot is free, and serves that slot to no other
+// processor; a collection moves it to a victim slot only the same
+// processor reads, and the next collection drops it. So storage a
+// machine released on one processor missed the next machine built on
+// the other, and a collection between the two lost it: one cold
+// sampled sweep in three allocated a whole machine's storage more.
+// Put parks the placeholder first, which takes the private slot when
+// it is free, so values go to the shared queues other processors
+// steal from; Get skips placeholders.
+var placeholder any = new(byte)

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -64,5 +65,36 @@ func TestKeyedConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+}
+
+// TestKeyedServesEveryProcessor: a value put on one processor is taken
+// by a Get on the other, also after a collection has moved it to the
+// victim cache. The put runs on a goroutine while the test goroutine
+// spins on its processor, so the put lands on the other one; a plain
+// sync.Pool keeps the value in that processor's private slot and the
+// Get misses.
+func TestKeyedServesEveryProcessor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var k Keyed[*int]
+	for i := 0; i < 20; i++ {
+		v := new(int)
+		var put atomic.Bool
+		go func() {
+			k.Put(1, v)
+			put.Store(true)
+		}()
+		for !put.Load() {
+		}
+		if i%2 == 1 {
+			runtime.GC()
+		}
+		if got, ok := k.Get(1); !ok || got != v {
+			t.Fatalf("round %d: Get returned %p, %v; put %p", i, got, ok, v)
+		}
 	}
 }

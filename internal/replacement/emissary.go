@@ -151,7 +151,7 @@ func (x *XPTPEmissary) Victim(_ int, set *Set, _ *arch.Access) int {
 			lruVictim, lruDepth = i, pos
 		}
 		l := &set.Lines[i]
-		if l.IsDataPTE {
+		if l.IsDataPTE() {
 			continue
 		}
 		if l.Kind == arch.IFetch && x.em.critical(l.PC) {

@@ -16,32 +16,101 @@ import (
 const NoTag = ^uint64(0)
 
 // Line is the per-block metadata a policy can observe and annotate. A
-// block's tag and recency position live in the Set's own arrays; policies
-// mutate only the policy-state fields. Fields run widest first, so a Line
-// packs into 32 bytes.
+// block's tag and recency position live in the Set's own arrays, and
+// per-line state only one policy reads (Mockingjay's ETA) lives in that
+// policy; policies mutate only the policy-state fields. The five
+// booleans the cache owns pack into one flags byte behind accessors, so
+// a Line is 16 bytes.
 type Line struct {
 	PC  uint64 // program counter of the filling access
-	ETA uint64 // estimated time of next access (Mockingjay, policy-owned)
 	Sig uint16 // PC signature (SHiP, Mockingjay, policy-owned)
 
-	Dirty bool
-	Kind  arch.Kind
-	// IsPTE marks blocks holding page-table payload; IsDataPTE
-	// additionally marks PTEs serving data translations (the xPTP Type
-	// bit, propagated through the MSHR as in Figure 7).
-	IsPTE     bool
-	IsDataPTE bool
-	// STLBMiss marks demand blocks whose triggering access missed the
-	// STLB (T-DRRIP's eviction bias).
-	STLBMiss bool
-	Thread   uint8
-	// Prefetched marks blocks filled by a prefetcher and not yet
-	// demanded.
-	Prefetched bool
+	Kind   arch.Kind
+	Thread uint8
 
 	// Policy-owned state.
 	RRPV   uint8 // re-reference prediction value (RRIP family)
 	Reused bool  // block was hit since fill (SHiP training)
+
+	flags uint8 // flagDirty | flagPTE | ..., set by the cache
+}
+
+// Bits of Line.flags.
+const (
+	flagDirty uint8 = 1 << iota
+	// flagPTE marks blocks holding page-table payload; flagDataPTE
+	// additionally marks PTEs serving data translations (the xPTP Type
+	// bit, propagated through the MSHR as in Figure 7).
+	flagPTE
+	flagDataPTE
+	// flagSTLBMiss marks demand blocks whose triggering access missed the
+	// STLB (T-DRRIP's eviction bias).
+	flagSTLBMiss
+	// flagPrefetched marks blocks filled by a prefetcher and not yet
+	// demanded.
+	flagPrefetched
+)
+
+// Dirty reports whether the block was written since its fill.
+//
+//itp:hotpath
+func (l *Line) Dirty() bool { return l.flags&flagDirty != 0 }
+
+// IsPTE reports whether the block holds page-table payload.
+//
+//itp:hotpath
+func (l *Line) IsPTE() bool { return l.flags&flagPTE != 0 }
+
+// IsDataPTE reports whether the block holds a PTE serving a data
+// translation: xPTP's Type bit.
+//
+//itp:hotpath
+func (l *Line) IsDataPTE() bool { return l.flags&flagDataPTE != 0 }
+
+// STLBMiss reports whether the demand access that filled the block
+// missed the STLB.
+//
+//itp:hotpath
+func (l *Line) STLBMiss() bool { return l.flags&flagSTLBMiss != 0 }
+
+// Prefetched reports whether a prefetcher filled the block and no demand
+// access has touched it since.
+//
+//itp:hotpath
+func (l *Line) Prefetched() bool { return l.flags&flagPrefetched != 0 }
+
+// SetDirty sets or clears the Dirty flag.
+//
+//itp:hotpath
+func (l *Line) SetDirty(v bool) { l.setFlag(flagDirty, v) }
+
+// SetPTE sets or clears the IsPTE flag.
+//
+//itp:hotpath
+func (l *Line) SetPTE(v bool) { l.setFlag(flagPTE, v) }
+
+// SetDataPTE sets or clears the IsDataPTE flag.
+//
+//itp:hotpath
+func (l *Line) SetDataPTE(v bool) { l.setFlag(flagDataPTE, v) }
+
+// SetSTLBMiss sets or clears the STLBMiss flag.
+//
+//itp:hotpath
+func (l *Line) SetSTLBMiss(v bool) { l.setFlag(flagSTLBMiss, v) }
+
+// SetPrefetched sets or clears the Prefetched flag.
+//
+//itp:hotpath
+func (l *Line) SetPrefetched(v bool) { l.setFlag(flagPrefetched, v) }
+
+//itp:hotpath
+func (l *Line) setFlag(bit uint8, v bool) {
+	if v {
+		l.flags |= bit
+	} else {
+		l.flags &^= bit
+	}
 }
 
 // Set is a policy's view of one cache set. Way w holds block Tags[w]

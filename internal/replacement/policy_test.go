@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"itpsim/internal/arch"
 )
@@ -18,6 +19,45 @@ func newSet(ways int) *Set {
 func fillAll(set *Set) {
 	for i := range set.Tags {
 		set.Tags[i] = uint64(1000 + i)
+	}
+}
+
+// TestLineSize pins a cache way's metadata at 16 bytes: with its 8-byte
+// tag and 1-byte stack position a way costs 25 bytes, and every cache
+// of every machine holds sets×ways of them.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 16 {
+		t.Fatalf("replacement.Line is %d bytes, want 16", n)
+	}
+}
+
+// TestLineFlags: each of the five packed flags sets and clears only its
+// own bit.
+func TestLineFlags(t *testing.T) {
+	flags := []struct {
+		name string
+		get  func(*Line) bool
+		set  func(*Line, bool)
+	}{
+		{"Dirty", (*Line).Dirty, (*Line).SetDirty},
+		{"IsPTE", (*Line).IsPTE, (*Line).SetPTE},
+		{"IsDataPTE", (*Line).IsDataPTE, (*Line).SetDataPTE},
+		{"STLBMiss", (*Line).STLBMiss, (*Line).SetSTLBMiss},
+		{"Prefetched", (*Line).Prefetched, (*Line).SetPrefetched},
+	}
+	for _, base := range []bool{false, true} {
+		for i, f := range flags {
+			var l Line
+			for _, g := range flags {
+				g.set(&l, base)
+			}
+			f.set(&l, !base)
+			for j, g := range flags {
+				if want := base != (i == j); g.get(&l) != want {
+					t.Errorf("others %v, %s set to %v: %s reads %v", base, f.name, !base, g.name, !want)
+				}
+			}
+		}
 	}
 }
 
@@ -319,14 +359,14 @@ func TestTDRRIPProtectsPTEs(t *testing.T) {
 	set := newSet(4)
 	fillAll(set)
 	acc := &arch.Access{Kind: arch.PTW}
-	set.Lines[1].IsPTE = true
+	set.Lines[1].SetPTE(true)
 	p.OnFill(0, set, 1, acc)
 	if set.Lines[1].RRPV != rrpvNear {
 		t.Errorf("PTE insertion RRPV = %d, want %d", set.Lines[1].RRPV, rrpvNear)
 	}
 	// Demand block that missed the STLB inserts distant.
-	set.Lines[2].STLBMiss = true
-	set.Lines[2].IsPTE = false
+	set.Lines[2].SetSTLBMiss(true)
+	set.Lines[2].SetPTE(false)
 	p.OnFill(0, set, 2, &arch.Access{Kind: arch.Load})
 	if set.Lines[2].RRPV != rrpvMax {
 		t.Errorf("STLB-miss insertion RRPV = %d, want %d", set.Lines[2].RRPV, rrpvMax)
@@ -342,7 +382,7 @@ func TestTDRRIPAllPTEsStillEvicts(t *testing.T) {
 	set := newSet(4)
 	fillAll(set)
 	for i := range set.Lines {
-		set.Lines[i].IsPTE = true
+		set.Lines[i].SetPTE(true)
 		set.Lines[i].RRPV = rrpvNear
 	}
 	v := p.Victim(0, set, &arch.Access{})
@@ -393,16 +433,22 @@ func TestSHiPHitTrainsOnce(t *testing.T) {
 	}
 }
 
+// mjSet is the set the Mockingjay victim tests use: not set 0, so the
+// victim search must read the ETAs of the set it is given.
+const mjSet = 5
+
+// setETAs writes the ETAs of set mjSet of a 4-way Mockingjay.
+func setETAs(p *Mockingjay, etas ...uint64) {
+	copy(p.ETAs()[mjSet*4:], etas)
+}
+
 func TestMockingjayVictimIsFarthest(t *testing.T) {
 	p := NewMockingjay(64, 4)
 	set := newSet(4)
 	fillAll(set)
 	p.clock = 100
-	set.Lines[0].ETA = 110
-	set.Lines[1].ETA = 500 // farthest future
-	set.Lines[2].ETA = 120
-	set.Lines[3].ETA = 105
-	if v := p.Victim(0, set, nil); v != 1 {
+	setETAs(p, 110, 500, 120, 105) // way 1 is farthest in the future
+	if v := p.Victim(mjSet, set, nil); v != 1 {
 		t.Errorf("victim = %d, want 1 (farthest ETA)", v)
 	}
 }
@@ -413,12 +459,33 @@ func TestMockingjayPrefersOverdue(t *testing.T) {
 	fillAll(set)
 	p.clock = 10000
 	// Way 2 is long overdue (predicted reuse never happened).
-	set.Lines[0].ETA = 10010
-	set.Lines[1].ETA = 10020
-	set.Lines[2].ETA = 100
-	set.Lines[3].ETA = 10005
-	if v := p.Victim(0, set, nil); v != 2 {
+	setETAs(p, 10010, 10020, 100, 10005)
+	if v := p.Victim(mjSet, set, nil); v != 2 {
 		t.Errorf("victim = %d, want overdue way 2", v)
+	}
+}
+
+// TestMockingjayETAIndexedByWay: a fill and a hit write the ETA of
+// exactly the way they touch, at set*ways+way, and nothing else.
+func TestMockingjayETAIndexedByWay(t *testing.T) {
+	p := NewMockingjay(64, 4)
+	set := newSet(4)
+	fillAll(set)
+	acc := &arch.Access{PC: 0x4040}
+	p.OnFill(mjSet, set, 2, acc)
+	p.OnHit(mjSet, set, 3, acc)
+	pred := uint64(p.pred[p.signature(acc.PC)])
+	for i, eta := range p.ETAs() {
+		want := uint64(0)
+		switch i {
+		case mjSet*4 + 2:
+			want = 1 + pred
+		case mjSet*4 + 3:
+			want = 2 + pred
+		}
+		if eta != want {
+			t.Errorf("ETA %d = %d, want %d", i, eta, want)
+		}
 	}
 }
 
@@ -470,15 +537,15 @@ func TestPTPProtectsAllPTEs(t *testing.T) {
 	p := NewPTP()
 	set := newSet(4)
 	fillAll(set)
-	set.Lines[0].IsPTE = true
-	set.Lines[0].IsDataPTE = true
-	set.Lines[3].IsPTE = true
+	set.Lines[0].SetPTE(true)
+	set.Lines[0].SetDataPTE(true)
+	set.Lines[3].SetPTE(true)
 	// Recency order: touch 1 then 2 → way at stack bottom among non-PTE.
 	acc := &arch.Access{}
 	p.OnHit(0, set, 2, acc)
 	p.OnHit(0, set, 1, acc)
 	v := p.Victim(0, set, acc)
-	if set.Lines[v].IsPTE {
+	if set.Lines[v].IsPTE() {
 		t.Errorf("PTP evicted a PTE block (way %d)", v)
 	}
 	if v != 2 {
@@ -491,7 +558,7 @@ func TestPTPAllPTEFallsBackToLRU(t *testing.T) {
 	set := newSet(4)
 	fillAll(set)
 	for i := range set.Lines {
-		set.Lines[i].IsPTE = true
+		set.Lines[i].SetPTE(true)
 	}
 	v := p.Victim(0, set, nil)
 	if int(set.Stack[v]) != 3 {
@@ -546,9 +613,9 @@ func TestPoliciesRobustUnderRandomOps(t *testing.T) {
 			}
 			p.OnEvict(si, set, v)
 			set.Tags[v] = uint64(rng.Intn(500))
-			set.Lines[v].IsPTE = acc.IsPTE
-			set.Lines[v].IsDataPTE = acc.IsPTE && acc.Class == arch.DataClass
-			set.Lines[v].STLBMiss = acc.STLBMiss
+			set.Lines[v].SetPTE(acc.IsPTE)
+			set.Lines[v].SetDataPTE(acc.IsPTE && acc.Class == arch.DataClass)
+			set.Lines[v].SetSTLBMiss(acc.STLBMiss)
 			set.Lines[v].Reused = false
 			p.OnFill(si, set, v, acc)
 			if rng.Intn(2) == 0 {

@@ -134,12 +134,10 @@ func TestVictimAlwaysInRange(t *testing.T) {
 				}
 				set.Tags[way] = tag
 				l := &set.Lines[way]
-				*l = Line{
-					RRPV: l.RRPV, Sig: l.Sig, ETA: l.ETA,
-					IsPTE:     rng.Intn(8) == 0,
-					IsDataPTE: rng.Intn(16) == 0,
-					STLBMiss:  rng.Intn(4) == 0,
-				}
+				*l = Line{RRPV: l.RRPV, Sig: l.Sig}
+				l.SetPTE(rng.Intn(8) == 0)
+				l.SetDataPTE(rng.Intn(16) == 0)
+				l.SetSTLBMiss(rng.Intn(4) == 0)
 				p.OnFill(0, set, way, acc)
 			}
 		})

@@ -24,7 +24,7 @@ func (*PTP) Victim(_ int, set *Set, _ *arch.Access) int {
 	}
 	victim, deepest := -1, -1
 	for i := range set.Lines {
-		if set.Lines[i].IsPTE {
+		if set.Lines[i].IsPTE() {
 			continue
 		}
 		if int(set.Stack[i]) > deepest {

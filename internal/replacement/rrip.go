@@ -201,9 +201,9 @@ func (*TDRRIP) Name() string { return "tdrrip" }
 func (t *TDRRIP) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 	l := &set.Lines[way]
 	switch {
-	case l.IsPTE:
+	case l.IsPTE():
 		l.RRPV = rrpvNear
-	case l.STLBMiss:
+	case l.STLBMiss():
 		l.RRPV = rrpvMax
 	default:
 		t.DRRIP.OnFill(setIdx, set, way, in)
@@ -221,13 +221,13 @@ func (t *TDRRIP) Victim(setIdx int, set *Set, in *arch.Access) int {
 	for {
 		// First preference: distant blocks from STLB-missing loads.
 		for i := range lines {
-			if lines[i].RRPV >= rrpvMax && lines[i].STLBMiss && !lines[i].IsPTE {
+			if lines[i].RRPV >= rrpvMax && lines[i].STLBMiss() && !lines[i].IsPTE() {
 				return i
 			}
 		}
 		// Then any distant non-PTE block.
 		for i := range lines {
-			if lines[i].RRPV >= rrpvMax && !lines[i].IsPTE {
+			if lines[i].RRPV >= rrpvMax && !lines[i].IsPTE() {
 				return i
 			}
 		}

@@ -24,11 +24,11 @@ func (*TSHiP) Name() string { return "tship" }
 func (t *TSHiP) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 	l := &set.Lines[way]
 	switch {
-	case l.IsPTE:
+	case l.IsPTE():
 		l.Sig = t.signature(in.PC)
 		l.Reused = false
 		l.RRPV = rrpvNear
-	case l.STLBMiss:
+	case l.STLBMiss():
 		l.Sig = t.signature(in.PC)
 		l.Reused = false
 		l.RRPV = rrpvMax
@@ -47,12 +47,12 @@ func (t *TSHiP) Victim(setIdx int, set *Set, in *arch.Access) int {
 	lines := set.Lines
 	for {
 		for i := range lines {
-			if lines[i].RRPV >= rrpvMax && lines[i].STLBMiss && !lines[i].IsPTE {
+			if lines[i].RRPV >= rrpvMax && lines[i].STLBMiss() && !lines[i].IsPTE() {
 				return i
 			}
 		}
 		for i := range lines {
-			if lines[i].RRPV >= rrpvMax && !lines[i].IsPTE {
+			if lines[i].RRPV >= rrpvMax && !lines[i].IsPTE() {
 				return i
 			}
 		}

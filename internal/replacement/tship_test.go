@@ -10,12 +10,12 @@ func TestTSHiPPTEProtection(t *testing.T) {
 	p := NewTSHiP(64, 5)
 	set := newSet(4)
 	fillAll(set)
-	set.Lines[1].IsPTE = true
+	set.Lines[1].SetPTE(true)
 	p.OnFill(0, set, 1, &arch.Access{Kind: arch.PTW, PC: 0x10})
 	if set.Lines[1].RRPV != rrpvNear {
 		t.Errorf("PTE insertion RRPV = %d, want %d", set.Lines[1].RRPV, rrpvNear)
 	}
-	set.Lines[2].STLBMiss = true
+	set.Lines[2].SetSTLBMiss(true)
 	p.OnFill(0, set, 2, &arch.Access{Kind: arch.Load, PC: 0x20})
 	if set.Lines[2].RRPV != rrpvMax {
 		t.Errorf("STLB-miss insertion RRPV = %d, want %d", set.Lines[2].RRPV, rrpvMax)
@@ -41,7 +41,7 @@ func TestTSHiPAllPTEsStillEvicts(t *testing.T) {
 	set := newSet(4)
 	fillAll(set)
 	for i := range set.Lines {
-		set.Lines[i].IsPTE = true
+		set.Lines[i].SetPTE(true)
 		set.Lines[i].RRPV = rrpvNear
 	}
 	if v := p.Victim(0, set, &arch.Access{}); v < 0 || v >= 4 {
@@ -128,7 +128,7 @@ func TestXPTPEmissaryProtectsBoth(t *testing.T) {
 	fillAll(set)
 	// Way at LRU holds a data PTE; way above it holds critical code.
 	pteWay := StackPosOf(set, 3)
-	set.Lines[pteWay].IsDataPTE = true
+	set.Lines[pteWay].SetDataPTE(true)
 	codeWay := StackPosOf(set, 2)
 	set.Lines[codeWay].Kind = arch.IFetch
 	set.Lines[codeWay].PC = 0x400400
@@ -152,7 +152,7 @@ func TestXPTPEmissaryKInequality(t *testing.T) {
 	fillAll(set)
 	for _, pos := range []int{3, 2} {
 		w := StackPosOf(set, pos)
-		set.Lines[w].IsDataPTE = true
+		set.Lines[w].SetDataPTE(true)
 	}
 	v := x.Victim(0, set, &arch.Access{})
 	if int(set.Stack[v]) != 3 {

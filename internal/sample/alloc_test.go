@@ -12,18 +12,21 @@ import (
 )
 
 // splitRunAllocBudget is the most heap TestSplitRunAllocation accepts
-// for one sampled run, in bytes: about 1.2× its measured 5.25–5.57 MB. It
-// sits below the 6.7–7.1 MB the run takes when machines recycle only
-// their cache arrays. Without Machine.Release the run allocates 18.6 MB.
-const splitRunAllocBudget = 6_500_000
+// for one sampled run, in bytes: about 1.2× its measured 3.87–3.91 MB
+// (Go 1.24). It sits below the 5.24–5.28 MB the run takes with 32-byte
+// cache lines and ROB and FTQ rings made per run, and far below the
+// 6.7–7.1 MB it takes when machines recycle only their cache arrays.
+// Without Machine.Release the run allocates 18.6 MB.
+const splitRunAllocBudget = 4_700_000
 
 // TestSplitRunAllocation is the allocation gate for split runs. A K=8
 // sampled run with beacons and audits on two workers builds nine
 // machines: the profiling pass and eight representatives. Each machine
 // releases its cache arrays, TLB entries, stride table and page-table
-// frame maps, and each run its lookahead ring; decode batches go back to the
-// shared batch pool and functional warmup borrows its buffer, so the run
-// allocates little beyond the machines that are live at once. The pools
+// frame maps, and each run its lookahead, ROB and FTQ rings; decode
+// batches go back to the shared batch pool and functional warmup borrows
+// its buffer, so the run allocates little beyond the machines that are
+// live at once. The pools
 // are emptied first, so the run starts cold; collection stays off while
 // it is measured, so nothing it released is lost to a collection. One
 // processor, so every released item is in reach: a sync.Pool serves each

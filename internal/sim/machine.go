@@ -589,8 +589,7 @@ func (m *Machine) RunWarmup(streams []workload.Stream, warmup, measure uint64) (
 			c.threads = nil
 		}
 		for _, th := range threads {
-			th.la.release()
-			th.la = nil
+			th.release()
 		}
 	}()
 	m.publishDiag()

@@ -149,6 +149,9 @@ type threadCtx struct {
 	robPos  int
 	ftqRing []uint64 // dispatch times for FTQ backpressure
 	ftqPos  int
+	// times is the pooled array robRing and ftqRing slice, in that
+	// order; release hands it back.
+	times *[]uint64
 
 	lastRetire   uint64
 	retireSub    int
@@ -168,6 +171,7 @@ func newThreadCtx(c *coreState, id uint8, s workload.Stream, cfg *config.SystemC
 	// blockInstrs instructions, so the scan needs at most this many
 	// lookahead slots.
 	scanBudget := cfg.FDIPDistance * blockInstrs
+	times := takeTimes(cfg.ROBSize + ftqCap)
 	t := &threadCtx{
 		id:   id,
 		core: c,
@@ -178,8 +182,9 @@ func newThreadCtx(c *coreState, id uint8, s workload.Stream, cfg *config.SystemC
 		budget:     budget,
 		fetchStep:  fetchStep,
 		scanBudget: scanBudget,
-		robRing:    make([]uint64, cfg.ROBSize),
-		ftqRing:    make([]uint64, ftqCap),
+		robRing:    (*times)[:cfg.ROBSize:cfg.ROBSize],
+		ftqRing:    (*times)[cfg.ROBSize:],
+		times:      times,
 		// start is the cycle the thread begins at: 0 on a fresh machine,
 		// the functional clock after WarmFunctional, so detailed timing
 		// never runs behind hierarchy state warmed at a later cycle.
@@ -192,6 +197,31 @@ func newThreadCtx(c *coreState, id uint8, s workload.Stream, cfg *config.SystemC
 		panic(fmt.Sprintf("sim: lookahead capacity %d < FDIP scan budget %d", len(t.la.buf), scanBudget))
 	}
 	return t
+}
+
+// timeRings recycles the threads' ROB and FTQ rings between runs: one
+// array per thread holds both, keyed by its length.
+var timeRings pool.Keyed[*[]uint64]
+
+// takeTimes returns n zeroed cycle stamps, in an array a released thread
+// left when one of length n is in the pool. Zero is the rings' initial
+// state, and the beacon fold reads them.
+func takeTimes(n int) *[]uint64 {
+	p, ok := timeRings.Get(n)
+	if !ok {
+		s := make([]uint64, n)
+		return &s
+	}
+	clear(*p)
+	return p
+}
+
+// release returns the thread's lookahead ring and its ROB and FTQ rings
+// to their pools. The thread must not step afterwards.
+func (t *threadCtx) release() {
+	t.la.release()
+	timeRings.Put(len(*t.times), t.times)
+	t.la, t.times, t.robRing, t.ftqRing = nil, nil, nil, nil
 }
 
 // pipelineFillLatency is the constant decode/rename depth between fetch

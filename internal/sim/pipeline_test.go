@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"itpsim/internal/arch"
@@ -209,6 +211,45 @@ func TestFDIPScanBudgetSizesLookahead(t *testing.T) {
 			t.Errorf("FDIPDistance=%d: lookahead capacity %d < scan budget %d",
 				dist, len(tc.la.buf), tc.scanBudget)
 		}
+	}
+}
+
+// TestRecycledTimeRingsStartZeroed: a thread built after another
+// thread's release takes that thread's ROB and FTQ array, and finds both
+// rings zeroed at their configured lengths, as a new array would be.
+func TestRecycledTimeRingsStartZeroed(t *testing.T) {
+	// No collection and one processor: a released array stays in this
+	// processor's pool slot until the next thread takes it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := config.Default()
+	reused := false
+	// The race detector's sync.Pool drops a quarter of its Puts, so
+	// retry until one release comes back.
+	for try := 0; try < 20 && !reused; try++ {
+		a := newThreadCtx(nil, 0, &workload.Replay{}, &cfg, 1, 100, 0)
+		for i := range *a.times {
+			(*a.times)[i] = uint64(i) + 1
+		}
+		times := a.times
+		a.release()
+		b := newThreadCtx(nil, 0, &workload.Replay{}, &cfg, 1, 100, 0)
+		reused = b.times == times
+		if len(b.robRing) != cfg.ROBSize || len(b.ftqRing) != cfg.FTQDepth {
+			t.Fatalf("rings of %d and %d, want ROBSize %d and FTQDepth %d",
+				len(b.robRing), len(b.ftqRing), cfg.ROBSize, cfg.FTQDepth)
+		}
+		for _, ring := range [][]uint64{b.robRing, b.ftqRing} {
+			for i, v := range ring {
+				if v != 0 {
+					t.Fatalf("recycled ring slot %d holds %d", i, v)
+				}
+			}
+		}
+		b.release()
+	}
+	if !reused {
+		t.Fatal("newThreadCtx never reused a released thread's rings")
 	}
 }
 
