@@ -154,9 +154,9 @@ type goldenBeacon struct {
 const goldenBeaconPath = "testdata/beacons.json"
 
 // beaconShapeCases pin the chains of state shapes the four golden
-// quadrants never reach: multi-byte Mockingjay ETAs, SHiP and Hawkeye
-// signatures, perceptron weights, the split STLB, 2MB pages, a 2-core
-// CMP and an SMT pair. They run shorter than the quadrants and keep a
+// quadrants never reach: multi-byte Mockingjay ETAs, Mockingjay's victim
+// search on full L2C sets, SHiP and Hawkeye signatures, perceptron
+// weights, the split STLB, 2MB pages, a 2-core CMP and an SMT pair. They run shorter than the quadrants and keep a
 // table of their own because golden_mc_test.go shares goldenCases.
 var beaconShapeCases = []struct {
 	name    string
@@ -164,6 +164,7 @@ var beaconShapeCases = []struct {
 	config  func(*config.SystemConfig)
 }{
 	{"llc-mockingjay", 1, func(c *config.SystemConfig) { c.LLCPolicy = "mockingjay" }},
+	{"l2c-mockingjay", 1, func(c *config.SystemConfig) { c.L2CPolicy = "mockingjay" }},
 	{"l2c-ship", 1, func(c *config.SystemConfig) { c.L2CPolicy = "ship" }},
 	{"llc-hawkeye", 1, func(c *config.SystemConfig) { c.LLCPolicy = "hawkeye" }},
 	{"perceptron", 1, func(c *config.SystemConfig) { c.BranchPredictor = "perceptron" }},
