@@ -20,6 +20,13 @@ const (
 
 	PageBits2M = 21
 	PageSize2M = 1 << PageBits2M
+
+	// PhysMemBytes is the simulated machine's physical memory, 64 GB.
+	// Its 4KB frame numbers fit 24 bits and its block numbers 30, so
+	// page tables hold frame numbers and cache tag arrays hold block
+	// numbers in 32 bits; vm.NewPhysAlloc rejects a size whose numbers
+	// would not fit.
+	PhysMemBytes = 64 << 30
 )
 
 // Kind classifies a memory-hierarchy access by what issued it.

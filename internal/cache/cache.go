@@ -39,10 +39,11 @@ type Cache struct {
 	ways    int
 	setMask uint64
 	// Every way of every set, flat: set si owns [si*ways, (si+1)*ways) of
-	// each array. tags holds the block number (replacement.NoTag when
-	// the way is empty), stack its recency-stack position, lines the
-	// rest of its metadata.
-	tags  []uint64
+	// each array. tags holds the block number in 32 bits, which every
+	// block of arch.PhysMemBytes fits (replacement.NoTag when the way is
+	// empty), stack its recency-stack position, lines the rest of its
+	// metadata.
+	tags  []uint32
 	stack []uint8
 	lines []replacement.Line
 	// view is the replacement.Set handed to the policy, re-pointed at
@@ -86,7 +87,7 @@ type Cache struct {
 // outlives its cache: Release returns it to stores under its size, and
 // the next New of that size takes it from there.
 type storage struct {
-	tags  []uint64
+	tags  []uint32
 	stack []uint8
 	lines []replacement.Line
 }
@@ -111,7 +112,7 @@ func New(name string, cfg config.CacheConfig, pol replacement.Policy, next Level
 	n := cfg.Sets * cfg.Ways
 	sto, ok := stores.Get(n)
 	if !ok {
-		sto = &storage{tags: make([]uint64, n), stack: make([]uint8, n), lines: make([]replacement.Line, n)}
+		sto = &storage{tags: make([]uint32, n), stack: make([]uint8, n), lines: make([]replacement.Line, n)}
 	} else {
 		clear(sto.lines)
 	}
@@ -184,7 +185,7 @@ func (c *Cache) lookup(block uint64, thread uint8) (int, int) {
 	si := c.setFor(block)
 	base := si * c.ways
 	for w, tag := range c.tags[base : base+c.ways] {
-		if tag == block && c.lines[base+w].Thread == thread {
+		if uint64(tag) == block && c.lines[base+w].Thread == thread {
 			return si, w
 		}
 	}
@@ -265,7 +266,11 @@ func (c *Cache) fill(si int, acc *arch.Access) int {
 	}
 	// The stack position stays: the way keeps its place in the
 	// permutation until the policy's OnFill moves it.
-	set.Tags[way] = acc.Addr >> arch.BlockBits
+	block := acc.Addr >> arch.BlockBits
+	if block >= uint64(replacement.NoTag) {
+		panic("cache: block number does not fit a 32-bit tag; physical memory is arch.PhysMemBytes")
+	}
+	set.Tags[way] = uint32(block)
 	*line = replacement.Line{PC: acc.PC, Kind: acc.Kind, Thread: acc.Thread}
 	line.SetPTE(acc.IsPTE)
 	line.SetDataPTE(acc.IsPTE && acc.Class == arch.DataClass)

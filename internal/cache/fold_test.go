@@ -29,7 +29,7 @@ func referenceFold(c *Cache) uint64 {
 		l := &c.lines[i]
 		h.Bool(valid)
 		h.Bool(l.Dirty())
-		h.Word(tag)
+		h.Word(uint64(tag))
 		h.Word(l.PC)
 		h.Word(uint64(l.Kind))
 		h.Bool(l.IsPTE())
@@ -167,7 +167,8 @@ func emptyWay(c *Cache) int {
 // foldWayBytes is how many input bytes FuzzCacheFold spends on one way:
 // a control byte (bit 0 valid; bits 1–5 Dirty, IsPTE, IsDataPTE,
 // STLBMiss, Prefetched; bit 6 Reused), the stack position, Kind, Thread,
-// RRPV, a 2-byte Sig, one spare byte, then 8-byte tag, PC and ETA.
+// RRPV, a 2-byte Sig, one spare byte, a 4-byte tag, four spare bytes,
+// then 8-byte PC and ETA.
 const foldWayBytes = 32
 
 // setWay overwrites way i of c, and its ETA when etas is non-nil, from w.
@@ -175,7 +176,7 @@ func setWay(c *Cache, etas []uint64, i int, w *[foldWayBytes]byte) {
 	ctl := w[0]
 	tag := replacement.NoTag
 	if ctl&1 != 0 {
-		if tag = binary.LittleEndian.Uint64(w[8:]); tag == replacement.NoTag {
+		if tag = binary.LittleEndian.Uint32(w[8:]); tag == replacement.NoTag {
 			tag = 0
 		}
 	}

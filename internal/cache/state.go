@@ -35,7 +35,7 @@ func (c *Cache) HashState(h *arch.StateHash) {
 		}
 		h.Bool(valid)
 		h.Bool(l.Dirty())
-		h.Word(tag)
+		h.Word(uint64(tag))
 		h.Word(l.PC)
 		h.Word(uint64(l.Kind))
 		h.Bool(l.IsPTE())

@@ -13,10 +13,10 @@ import (
 // randomSet builds a full cache set with a random recency permutation and
 // random data-PTE marking.
 func randomSet(rng *rand.Rand, ways int, pteProb float64) *replacement.Set {
-	set := &replacement.Set{Tags: make([]uint64, ways), Stack: make([]uint8, ways), Lines: make([]replacement.Line, ways)}
+	set := &replacement.Set{Tags: make([]uint32, ways), Stack: make([]uint8, ways), Lines: make([]replacement.Line, ways)}
 	perm := rng.Perm(ways)
 	for i := range set.Tags {
-		set.Tags[i] = uint64(i)
+		set.Tags[i] = uint32(i)
 		set.Stack[i] = uint8(perm[i])
 		set.Lines[i].SetDataPTE(rng.Float64() < pteProb)
 	}

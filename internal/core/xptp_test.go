@@ -14,10 +14,10 @@ func xptpParams() config.XPTPParams {
 
 // cacheSet returns a full set whose way i holds block i at stack position i.
 func cacheSet(ways int) *replacement.Set {
-	set := &replacement.Set{Tags: make([]uint64, ways), Stack: make([]uint8, ways), Lines: make([]replacement.Line, ways)}
+	set := &replacement.Set{Tags: make([]uint32, ways), Stack: make([]uint8, ways), Lines: make([]replacement.Line, ways)}
 	replacement.InitSet(set)
 	for i := range set.Tags {
-		set.Tags[i] = uint64(i)
+		set.Tags[i] = uint32(i)
 	}
 	return set
 }
@@ -219,7 +219,7 @@ func TestXPTPEquivalentToLRUWithoutPTEs(t *testing.T) {
 			if vx != vl {
 				t.Fatalf("op %d: victims diverged (%d vs %d)", op, vx, vl)
 			}
-			setX.Tags[vx], setL.Tags[vl] = acc.Addr>>arch.BlockBits, acc.Addr>>arch.BlockBits
+			setX.Tags[vx], setL.Tags[vl] = uint32(acc.Addr>>arch.BlockBits), uint32(acc.Addr>>arch.BlockBits)
 			x.OnFill(0, setX, vx, acc)
 			l.OnFill(0, setL, vl, acc)
 		case 1:

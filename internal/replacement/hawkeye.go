@@ -142,7 +142,7 @@ func (h *Hawkeye) Victim(_ int, set *Set, _ *arch.Access) int {
 
 // OnFill implements Policy.
 func (h *Hawkeye) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
-	h.observe(setIdx, set.Tags[way], in.PC)
+	h.observe(setIdx, uint64(set.Tags[way]), in.PC)
 	l := &set.Lines[way]
 	l.Sig = uint16(h.sig(in.PC))
 	if h.friendly(in.PC) {
@@ -155,7 +155,7 @@ func (h *Hawkeye) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 
 // OnHit implements Policy.
 func (h *Hawkeye) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
-	h.observe(setIdx, set.Tags[way], in.PC)
+	h.observe(setIdx, uint64(set.Tags[way]), in.PC)
 	l := &set.Lines[way]
 	l.Sig = uint16(h.sig(in.PC))
 	if h.friendly(in.PC) {

@@ -139,7 +139,7 @@ func (m *Mockingjay) Victim(setIdx int, set *Set, _ *arch.Access) int {
 // OnFill implements Policy.
 func (m *Mockingjay) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 	m.clock++
-	m.sample(setIdx, set.Tags[way], in.PC)
+	m.sample(setIdx, uint64(set.Tags[way]), in.PC)
 	sig := m.signature(in.PC)
 	set.Lines[way].Sig = sig
 	m.eta[setIdx*m.ways+way] = m.clock + uint64(m.pred[sig])
@@ -148,7 +148,7 @@ func (m *Mockingjay) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 // OnHit implements Policy: re-predict from the hitting PC.
 func (m *Mockingjay) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
 	m.clock++
-	m.sample(setIdx, set.Tags[way], in.PC)
+	m.sample(setIdx, uint64(set.Tags[way]), in.PC)
 	sig := m.signature(in.PC)
 	set.Lines[way].Sig = sig
 	m.eta[setIdx*m.ways+way] = m.clock + uint64(m.pred[sig])

@@ -12,8 +12,9 @@ import (
 )
 
 // NoTag marks an empty way in Set.Tags. Tags are block numbers (an
-// address shifted right by arch.BlockBits), so no block can equal it.
-const NoTag = ^uint64(0)
+// address shifted right by arch.BlockBits) held in 32 bits: every block
+// of arch.PhysMemBytes of physical memory numbers below NoTag.
+const NoTag = ^uint32(0)
 
 // Line is the per-block metadata a policy can observe and annotate. A
 // block's tag and recency position live in the Set's own arrays, and
@@ -120,7 +121,7 @@ func (l *Line) setFlag(bit uint8, v bool) {
 // one Set at whichever set an access touches, so these slices are the
 // only copy of the set's state.
 type Set struct {
-	Tags  []uint64
+	Tags  []uint32
 	Stack []uint8
 	Lines []Line
 }

@@ -11,19 +11,19 @@ import (
 
 // newSet returns an empty standalone set of the given associativity.
 func newSet(ways int) *Set {
-	s := &Set{Tags: make([]uint64, ways), Stack: make([]uint8, ways), Lines: make([]Line, ways)}
+	s := &Set{Tags: make([]uint32, ways), Stack: make([]uint8, ways), Lines: make([]Line, ways)}
 	InitSet(s)
 	return s
 }
 
 func fillAll(set *Set) {
 	for i := range set.Tags {
-		set.Tags[i] = uint64(1000 + i)
+		set.Tags[i] = uint32(1000 + i)
 	}
 }
 
-// TestLineSize pins a cache way's metadata at 16 bytes: with its 8-byte
-// tag and 1-byte stack position a way costs 25 bytes, and every cache
+// TestLineSize pins a cache way's metadata at 16 bytes: with its 4-byte
+// tag and 1-byte stack position a way costs 21 bytes, and every cache
 // of every machine holds sets×ways of them.
 func TestLineSize(t *testing.T) {
 	if n := unsafe.Sizeof(Line{}); n != 16 {
@@ -612,7 +612,7 @@ func TestPoliciesRobustUnderRandomOps(t *testing.T) {
 				t.Fatalf("%s: victim %d out of range", n, v)
 			}
 			p.OnEvict(si, set, v)
-			set.Tags[v] = uint64(rng.Intn(500))
+			set.Tags[v] = uint32(rng.Intn(500))
 			set.Lines[v].SetPTE(acc.IsPTE)
 			set.Lines[v].SetDataPTE(acc.IsPTE && acc.Class == arch.DataClass)
 			set.Lines[v].SetSTLBMiss(acc.STLBMiss)

@@ -20,8 +20,8 @@ func newSetModel(p Policy, ways int) *setModel {
 }
 
 // access touches tag, filling on miss exactly like cache.Cache does.
-func (m *setModel) access(tag uint64) {
-	acc := &arch.Access{Addr: arch.Addr(tag << 6)}
+func (m *setModel) access(tag uint32) {
+	acc := &arch.Access{Addr: arch.Addr(tag) << 6}
 	for i := range m.set.Tags {
 		if m.set.Valid(i) && m.set.Tags[i] == tag {
 			m.p.OnHit(0, m.set, i, acc)
@@ -37,7 +37,7 @@ func (m *setModel) access(tag uint64) {
 	m.p.OnFill(0, m.set, way, acc)
 }
 
-func (m *setModel) contains(tag uint64) bool {
+func (m *setModel) contains(tag uint32) bool {
 	for i := range m.set.Tags {
 		if m.set.Valid(i) && m.set.Tags[i] == tag {
 			return true
@@ -56,7 +56,7 @@ func TestLRUStackInclusion(t *testing.T) {
 		small := newSetModel(NewLRU(), 4)
 		large := newSetModel(NewLRU(), 8)
 		for step := 0; step < 2000; step++ {
-			tag := uint64(rng.Intn(24)) // working set ~3x the small cache
+			tag := uint32(rng.Intn(24)) // working set ~3x the small cache
 			small.access(tag)
 			large.access(tag)
 			if !CheckStackInvariant(small.set) || !CheckStackInvariant(large.set) {
@@ -86,7 +86,7 @@ func TestPoliciesPreserveStackInvariant(t *testing.T) {
 			m := newSetModel(p, 8)
 			rng := rand.New(rand.NewSource(7))
 			for step := 0; step < 5000; step++ {
-				m.access(uint64(rng.Intn(20)))
+				m.access(uint32(rng.Intn(20)))
 				if !CheckStackInvariant(m.set) {
 					t.Fatalf("step %d: stack invariant broken", step)
 				}
@@ -112,8 +112,8 @@ func TestVictimAlwaysInRange(t *testing.T) {
 			set := newSet(ways)
 			rng := rand.New(rand.NewSource(3))
 			for step := 0; step < 3000; step++ {
-				tag := uint64(rng.Intn(32))
-				acc := &arch.Access{Addr: arch.Addr(tag << 6), PC: uint64(rng.Intn(8) * 4)}
+				tag := uint32(rng.Intn(32))
+				acc := &arch.Access{Addr: arch.Addr(tag) << 6, PC: uint64(rng.Intn(8) * 4)}
 				hit := -1
 				for i := range set.Tags {
 					if set.Valid(i) && set.Tags[i] == tag {

@@ -209,7 +209,7 @@ func NewMachine(cfg config.SystemConfig) (*Machine, error) {
 	// Physical memory: sized generously for the workload footprints. The
 	// allocator is shared, so page-table creation order is part of the
 	// deterministic contract: tenant i's table is always built i-th.
-	alloc := vm.NewPhysAlloc(64 << 30)
+	alloc := vm.NewPhysAlloc(arch.PhysMemBytes)
 	m.pts = make([]*vm.PageTable, nTenants)
 	for i := range m.pts {
 		m.pts[i] = vm.NewPageTable(alloc, cfg.HugePageFraction, uint64(i+1))

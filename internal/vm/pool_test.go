@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"maps"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -10,19 +11,27 @@ import (
 	"itpsim/internal/arch"
 )
 
-// drainFrameMaps empties the frame-map pool, so the next table makes a
-// new map.
-func drainFrameMaps() {
-	for frameMaps.Get() != nil {
+// drainFrameMaps empties the frame-map pool of every class vas reach, so
+// the next table translating them makes new maps.
+func drainFrameMaps(vas []arch.Addr) {
+	for _, va := range vas {
+		for level := 0; level < NumLevels; level++ {
+			for {
+				if _, ok := frameMaps.Get(int(frameKey(va&(1<<vaBits-1), level) >> 32)); !ok {
+					break
+				}
+			}
+		}
 	}
 }
 
-// mapID identifies pt's frame map, 0 while it has none.
-func mapID(pt *PageTable) uintptr {
-	if pt.frames == nil {
-		return 0
+// mapIDs identifies pt's class maps by class.
+func mapIDs(pt *PageTable) map[uint32]uintptr {
+	ids := make(map[uint32]uintptr, len(pt.classes))
+	for _, c := range pt.classes {
+		ids[c.hi] = reflect.ValueOf(c.frames).Pointer()
 	}
-	return reflect.ValueOf(pt.frames).Pointer()
+	return ids
 }
 
 // clusteredVAs returns n virtual addresses in runs of 16 neighbouring
@@ -52,80 +61,101 @@ func translateAll(pt *PageTable, vas []arch.Addr) []Translation {
 	return out
 }
 
-// TestRecycledTableTranslatesLikeFresh: a table built on the frame map of
-// a released table, which mapped other addresses under another huge-page
-// layout, resolves a new address sequence exactly like a table on a new
-// map: the same PPN, page size and PTE address at every step. Half the
-// 2MB regions are huge, so the released map holds 2MB pages and level-1
-// nodes under the same level's keys. Without the clear in Release the
-// recycled map still holds the old frames, and the translations differ.
+// TestRecycledTableTranslatesLikeFresh: a table built on the class maps
+// of a released table, which mapped other addresses under another
+// huge-page layout, resolves a new address sequence exactly like a table
+// on new maps: the same PPN, page size and PTE address at every step.
+// Half the 2MB regions are huge, so the released maps hold 2MB pages and
+// level-1 nodes under the same class's keys. Without the clear in
+// Release the recycled maps still hold the old frames, and the
+// translations differ.
 func TestRecycledTableTranslatesLikeFresh(t *testing.T) {
 	// No collection and one processor: a released map stays in this
-	// processor's pool slot until the next table takes it.
+	// processor's pool until the next table takes it.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dirtyVAs := clusteredVAs(0x9e3779b97f4a7c15, 2048)
 	vas := append(clusteredVAs(0xdeadbeefcafe, 1024), dirtyVAs[:512]...)
-	drainFrameMaps()
-	want := translateAll(NewPageTable(NewPhysAlloc(64<<30), 0.5, 3), vas)
+	drainFrameMaps(vas)
+	want := translateAll(NewPageTable(NewPhysAlloc(arch.PhysMemBytes), 0.5, 3), vas)
 
 	reused := false
 	// The race detector's sync.Pool drops a quarter of its Puts, so
-	// retry until the map comes back.
+	// retry until every map comes back.
 	for try := 0; try < 20 && !reused; try++ {
-		dirty := NewPageTable(NewPhysAlloc(64<<30), 0.5, 11)
+		dirty := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), 0.5, 11)
 		translateAll(dirty, dirtyVAs)
-		old := mapID(dirty)
+		old := mapIDs(dirty)
 		dirty.Release()
 		dirty.Release() // idempotent
 
-		pt := NewPageTable(NewPhysAlloc(64<<30), 0.5, 3)
+		pt := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), 0.5, 3)
 		for i, tr := range translateAll(pt, vas) {
 			if tr != want[i] {
-				t.Fatalf("va %#x on a recycled map: %+v, on a new map: %+v", vas[i], tr, want[i])
+				t.Fatalf("va %#x on recycled maps: %+v, on new maps: %+v", vas[i], tr, want[i])
 			}
 		}
-		reused = mapID(pt) == old
+		reused = maps.Equal(mapIDs(pt), old)
 		pt.Release()
 	}
 	if !reused {
-		t.Fatal("a new table never reused a released table's frame map")
+		t.Fatal("a new table never reused a released table's class maps")
 	}
 }
 
-// TestRecycledMapDoesNotGrow: a table on a recycled frame map that maps
-// no more frames than the map held allocates nothing while it
-// translates.
+// TestRecycledMapDoesNotGrow: a table on recycled class maps that maps
+// no more frames per class than a released table allocates nothing while
+// it translates, even when a smaller table of other classes released its
+// maps first. That table's level-0 and level-1 frames lie in classes
+// the big table never reaches, and it maps more level-2 nodes than the
+// big table, so every map a class holds is large enough for it.
 func TestRecycledMapDoesNotGrow(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	vas := clusteredVAs(0x2545f4914f6cdd1d, 8192)
+	// One page in each of 1024 1GB regions at 2^54, above the big
+	// table's 2^40 bytes.
+	far := make([]arch.Addr, 1024)
+	for i := range far {
+		far[i] = 1<<54 | arch.Addr(i)<<30
+	}
 	// The race detector's sync.Pool drops a quarter of its Puts, so
-	// retry until the map comes back.
+	// retry until the maps come back.
 	for try := 0; try < 20; try++ {
-		dirty := NewPageTable(NewPhysAlloc(64<<30), 0, 11)
-		translateAll(dirty, vas)
-		old := mapID(dirty)
-		dirty.Release()
+		big := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), 0, 11)
+		translateAll(big, vas)
+		small := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), 0, 13)
+		translateAll(small, far)
+		released := map[uintptr]bool{}
+		for _, tbl := range []*PageTable{big, small} {
+			for _, id := range mapIDs(tbl) {
+				released[id] = true
+			}
+		}
+		small.Release()
+		big.Release()
 
-		pt := NewPageTable(NewPhysAlloc(64<<30), 0, 3)
+		pt := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), 0, 3)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, va := range vas {
 			pt.Translate(va)
 		}
 		runtime.ReadMemStats(&after)
-		reused := mapID(pt) == old
+		reused := true
+		for _, id := range mapIDs(pt) {
+			reused = reused && released[id]
+		}
 		pt.Release()
 		if reused {
 			if n := after.Mallocs - before.Mallocs; n != 0 {
-				t.Fatalf("%d VAs on a recycled map made %d allocations (%d bytes)",
+				t.Fatalf("%d VAs on recycled maps made %d allocations (%d bytes)",
 					len(vas), n, after.TotalAlloc-before.TotalAlloc)
 			}
 			return
 		}
 	}
-	t.Fatal("a new table never reused a released table's frame map")
+	t.Fatal("a new table never reused released tables' class maps")
 }
 
 // TestReleasedTablePanics: a released table has no frame map or
@@ -157,7 +187,7 @@ func TestNodePoolConcurrent(t *testing.T) {
 	}
 	want := make([][]Translation, len(shapes))
 	for i, sh := range shapes {
-		want[i] = translateAll(NewPageTable(NewPhysAlloc(64<<30), sh.huge, 7), sh.vas)
+		want[i] = translateAll(NewPageTable(NewPhysAlloc(arch.PhysMemBytes), sh.huge, 7), sh.vas)
 	}
 
 	const workers, rounds = 4, 10
@@ -169,7 +199,7 @@ func TestNodePoolConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				s := (w + i) % len(shapes)
-				pt := NewPageTable(NewPhysAlloc(64<<30), shapes[s].huge, 7)
+				pt := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), shapes[s].huge, 7)
 				for j, tr := range translateAll(pt, shapes[s].vas) {
 					if tr != want[s][j] {
 						errs <- "a table on a recycled map translates unlike one on a new map"

@@ -102,13 +102,20 @@ func levelVAs(seed uint64, n int) []arch.Addr {
 
 // TestTranslateMatchesReference: at huge-page fractions 0, 0.5 and 1, a
 // table resolves addresses at every level's position, clustered runs of
-// pages and revisits of both exactly like the reference tree.
+// pages and revisits of both exactly like the reference tree. Below
+// fraction 1 the addresses at every level's position put the table's
+// pages in hundreds of key classes, far past the eight a generator's
+// address space has; at fraction 1 there are no 4KB pages, and the
+// level-1 and upper classes alone number 19.
 func TestTranslateMatchesReference(t *testing.T) {
 	vas := append(levelVAs(0x9e3779b97f4a7c15, 1000), clusteredVAs(0xdeadbeefcafe, 2048)...)
 	vas = append(vas, vas[:3000]...)
 	for _, huge := range []float64{0, 0.5, 1} {
-		pt := NewPageTable(NewPhysAlloc(64<<30), huge, 5)
-		matchRef(t, pt, newRefTable(NewPhysAlloc(64<<30), huge, 5), vas)
+		pt := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), huge, 5)
+		matchRef(t, pt, newRefTable(NewPhysAlloc(arch.PhysMemBytes), huge, 5), vas)
+		if n := len(pt.classes); huge < 1 && n < 32 {
+			t.Fatalf("huge-page fraction %v: the table spans %d key classes, want at least 32", huge, n)
+		}
 		pt.Release()
 	}
 }
@@ -139,8 +146,8 @@ func FuzzTranslate(f *testing.F) {
 			vas = append(vas, arch.Addr(binary.LittleEndian.Uint64(raw)))
 		}
 		huge := [3]float64{0, 0.5, 1}[frac%3]
-		pt := NewPageTable(NewPhysAlloc(64<<30), huge, seed)
-		matchRef(t, pt, newRefTable(NewPhysAlloc(64<<30), huge, seed), vas)
+		pt := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), huge, seed)
+		matchRef(t, pt, newRefTable(NewPhysAlloc(arch.PhysMemBytes), huge, seed), vas)
 		pt.Release()
 	})
 }

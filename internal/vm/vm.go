@@ -13,9 +13,10 @@ package vm
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"itpsim/internal/arch"
+	"itpsim/internal/pool"
 )
 
 // Levels of the radix tree, leaf-most last. Level numbering follows x86:
@@ -50,8 +51,15 @@ type PhysAlloc struct {
 }
 
 // NewPhysAlloc creates an allocator over size bytes of physical memory,
-// starting above a small reserved region.
+// starting above a small reserved region. Page tables hold 4KB frame
+// numbers and caches hold block numbers in 32 bits, the all-ones block
+// number marking an empty way, so NewPhysAlloc panics on a size whose
+// last block number would reach it; the frame numbers of any smaller
+// size fit 26 bits. arch.PhysMemBytes fits.
 func NewPhysAlloc(size uint64) *PhysAlloc {
+	if (size-1)>>arch.BlockBits >= math.MaxUint32 {
+		panic(fmt.Sprintf("vm: %d bytes of physical memory do not fit 32-bit block numbers", size))
+	}
 	return &PhysAlloc{next: 1 << 20, size: arch.Addr(size)}
 }
 
@@ -96,22 +104,42 @@ func (t Translation) PhysAddr(va arch.Addr) arch.Addr {
 
 // PageTable is one address space's 5-level radix page table. Its nodes
 // and pages are physical frames taken from the shared allocator on first
-// touch; frames maps each frame's position to it. The root is a field,
-// taken when the table is built.
+// touch; classes map each frame's key to its 4KB frame number. The root
+// is a field, taken when the table is built.
 type PageTable struct {
-	alloc  *PhysAlloc
-	root   arch.Addr
-	frames map[uint64]arch.Addr
+	alloc   *PhysAlloc
+	root    arch.Addr
+	classes []frameClass
 	// hugeFraction is the probability that a 2MB-aligned virtual region
 	// is backed by a 2MB page.
 	hugeFraction float64
 	seed         uint64
 }
 
-// frameMaps recycles the frame maps of released tables. A map goes back
-// emptied with its capacity, so a table that maps no more than the last
-// one did inserts without growing it.
-var frameMaps sync.Pool
+// frameClass holds a table's frames whose keys share their top 32 bits,
+// hi: the level and the VA bits above bit 44 (level 0) or 53 (level 1).
+// frames maps a key's low 32 bits to its 4KB frame number, which fits
+// 32 bits because physical memory is arch.PhysMemBytes. A generator's
+// address space has eight classes, one per level above 0 and one per
+// region its pages lie in, so Translate finds a class by a linear scan
+// and a table makes room for eight up front.
+type frameClass struct {
+	hi     uint32
+	frames map[uint32]uint32
+}
+
+// classFrames sizes a class map the pool has none for: 224 frames fill
+// a 256-slot table. A map started at 8 slots regrows at its 9th, 15th,
+// 29th, 57th and 113th frame on the way there; a server tenant's code
+// and level-1 classes pass 80 frames within its first 50,000
+// instructions, and a class that stays small costs 2.3 KB.
+const classFrames = 224
+
+// frameMaps recycles the class maps of released tables, keyed by class.
+// A map goes back emptied with its capacity, so a table that maps no
+// more frames per class than a released one did inserts without
+// growing its maps.
+var frameMaps pool.Keyed[map[uint32]uint32]
 
 // vaBits is the VA width the five levels index. Translate ignores the
 // bits above it, so an address and its low vaBits bits alias.
@@ -136,20 +164,21 @@ func NewPageTable(alloc *PhysAlloc, hugeFraction float64, seed uint64) *PageTabl
 	return &PageTable{
 		alloc:        alloc,
 		root:         alloc.Alloc(arch.PageBits4K),
+		classes:      make([]frameClass, 0, 8),
 		hugeFraction: hugeFraction,
 		seed:         seed,
 	}
 }
 
-// Release returns the table's frame map to the pool. The owner calls it
-// once it is done translating; the table must not be used afterwards,
-// and panics if it is. Release is idempotent.
+// Release returns the table's class maps to the pool. The owner calls
+// it once it is done translating; the table must not be used
+// afterwards, and panics if it is. Release is idempotent.
 func (pt *PageTable) Release() {
-	if pt.frames != nil {
-		clear(pt.frames)
-		frameMaps.Put(pt.frames)
+	for _, c := range pt.classes {
+		clear(c.frames)
+		frameMaps.Put(int(c.hi), c.frames)
 	}
-	pt.frames, pt.alloc = nil, nil
+	pt.classes, pt.alloc = nil, nil
 }
 
 // isHuge decides deterministically whether va's 2MB region uses a 2MB page.
@@ -189,31 +218,47 @@ func (pt *PageTable) Translate(va arch.Addr) Translation {
 		tr.Steps[tr.NumSteps] = WalkStep{Level: level, PTEAddr: frame + arch.Addr(levelIndex(va, level)*pteSize)}
 		tr.NumSteps++
 		key := frameKey(va, level-1)
-		next, ok := pt.frames[key]
+		hi, lo := uint32(key>>32), uint32(key)
+		frames := pt.class(hi)
+		next, ok := frames[lo]
 		if !ok {
-			//itp:cold — first touch of a node or page; allocation is off the steady-state path
-			next = pt.mapFrame(key, level == leafLevel, tr.PageBits)
+			//itp:cold — first touch of a node, page or class; allocation is off the steady-state path
+			next = pt.mapFrame(frames, hi, lo, level == leafLevel, tr.PageBits)
 		}
-		frame = next
+		frame = arch.Addr(next) << arch.PageBits4K
 	}
 	tr.PPN = uint64(frame >> tr.PageBits)
 	return tr
 }
 
-// mapFrame takes the frame for key: the page of 2^bits bytes at the leaf,
-// a 4KB node above it. The table's first miss takes its map from the
-// pool.
-func (pt *PageTable) mapFrame(key uint64, leaf bool, bits uint8) arch.Addr {
+// class returns the frame map of class hi, nil while the table has none.
+//
+//itp:hotpath
+func (pt *PageTable) class(hi uint32) map[uint32]uint32 {
+	for i := range pt.classes {
+		if pt.classes[i].hi == hi {
+			return pt.classes[i].frames
+		}
+	}
+	return nil
+}
+
+// mapFrame takes the frame for the key hi<<32|lo, returning its 4KB frame
+// number: the page of 2^bits bytes at the leaf, a 4KB node above it.
+// frames is the class's map; when it is nil the class is new, and its map
+// comes from the pool.
+func (pt *PageTable) mapFrame(frames map[uint32]uint32, hi, lo uint32, leaf bool, bits uint8) uint32 {
 	if !leaf {
 		bits = arch.PageBits4K
 	}
-	frame := pt.alloc.Alloc(bits)
-	if pt.frames == nil {
-		pt.frames, _ = frameMaps.Get().(map[uint64]arch.Addr)
-		if pt.frames == nil {
-			pt.frames = make(map[uint64]arch.Addr)
+	frame := uint32(pt.alloc.Alloc(bits) >> arch.PageBits4K)
+	if frames == nil {
+		var ok bool
+		if frames, ok = frameMaps.Get(int(hi)); !ok {
+			frames = make(map[uint32]uint32, classFrames)
 		}
+		pt.classes = append(pt.classes, frameClass{hi: hi, frames: frames})
 	}
-	pt.frames[key] = frame
+	frames[lo] = frame
 	return frame
 }

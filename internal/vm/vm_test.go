@@ -38,6 +38,26 @@ func TestAllocExhaustionPanics(t *testing.T) {
 	}
 }
 
+// TestPhysAllocFitsThirtyTwoBits: the machine's memory, and the largest
+// size whose last block number stays below the cache's empty-way tag,
+// are accepted; one byte more, or a size whose 4KB frame numbers pass
+// 32 bits, panics.
+func TestPhysAllocFitsThirtyTwoBits(t *testing.T) {
+	const maxSize = (1<<32 - 1) << arch.BlockBits
+	NewPhysAlloc(arch.PhysMemBytes)
+	NewPhysAlloc(maxSize)
+	for _, size := range []uint64{maxSize + 1, 1<<44 + arch.PageSize4K} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewPhysAlloc(%#x) did not panic", size)
+				}
+			}()
+			NewPhysAlloc(size)
+		}()
+	}
+}
+
 func TestTranslateStable(t *testing.T) {
 	pt := newPT(0)
 	va := arch.Addr(0x7f0012345678)
