@@ -1,21 +1,24 @@
 // Package pool recycles the large storage a simulated machine builds —
-// cache arrays, TLB entries, the L2C stride table and each thread's
-// lookahead, ROB and FTQ rings — from machines that are done to the
-// machines built after them.
+// cache arrays, TLB entries, the L2C stride table, page tables' frame
+// maps and each thread's lookahead, ROB and FTQ rings — and the buffers
+// runs ingest instructions through — decode batches and functional
+// warmup buffers — from machines and runs that are done to those that
+// start after them. Every pool outside tests is a Keyed pool.
 //
-// A Keyed pool holds one sync.Pool per int key (a size), so a
-// constructor only ever takes storage put back under its own key. The
-// pools are shared by every machine in the process. A sync.Pool is
-// emptied by the garbage collector (an item survives at most two
-// collections), so nothing recycled outlives a run, and a live-heap
-// reading taken after two collections sees none of it.
+// A Keyed pool holds one sync.Pool per int key (a size, or a page
+// table's frame class), so a constructor only ever takes storage put
+// back under its own key. The pools are shared by every machine in the
+// process. A sync.Pool is emptied by the garbage collector (an item
+// survives at most two collections), so nothing recycled outlives a
+// run, and a live-heap reading taken after two collections sees none of
+// it.
 package pool
 
 import "sync"
 
 // Keyed is a set of sync.Pools of T, one per key. T should be a pointer
-// type, so Put stores it without allocating. Any processor can take a
-// value another processor put (see placeholder). The zero value is
+// or a map, so Put stores it without allocating. Any processor can take
+// a value another processor put (see placeholder). The zero value is
 // empty and ready to use; Keyed is safe for concurrent use.
 type Keyed[T any] struct {
 	mu    sync.Mutex

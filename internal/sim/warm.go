@@ -2,9 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"itpsim/internal/arch"
+	"itpsim/internal/pool"
 	"itpsim/internal/workload"
 )
 
@@ -12,9 +12,10 @@ import (
 // loop (one interrupt/progress check per batch).
 const warmBatch = 4096
 
-// warmBufs recycles WarmFunctional's instruction buffers across machines:
-// a sampled run warms every representative functionally.
-var warmBufs = sync.Pool{New: func() any { return new([warmBatch]workload.Instr) }}
+// warmBufs recycles WarmFunctional's instruction buffers across machines,
+// all under the key warmBatch: a sampled run warms every representative
+// functionally.
+var warmBufs pool.Keyed[*[warmBatch]workload.Instr]
 
 // WarmFunctional consumes n instructions from s at generator speed,
 // updating every state-holding structure the instructions touch — TLBs,
@@ -50,8 +51,11 @@ func (m *Machine) WarmFunctional(s workload.Stream, n uint64) error {
 	m.interrupted.Store(false)
 	c := m.cores[0]
 	m.warmHasBlock = false
-	arr := warmBufs.Get().(*[warmBatch]workload.Instr)
-	defer warmBufs.Put(arr)
+	arr, ok := warmBufs.Get(warmBatch)
+	if !ok {
+		arr = new([warmBatch]workload.Instr)
+	}
+	defer warmBufs.Put(warmBatch, arr)
 	buf := arr[:]
 	bulk, _ := s.(workload.NextBatcher)
 	var done uint64

@@ -7,6 +7,8 @@ package workload
 
 import (
 	"sync"
+
+	"itpsim/internal/pool"
 )
 
 // NextBatcher is the bulk-pull fast path next to Stream: NextBatch fills
@@ -84,11 +86,19 @@ type instrBatch struct {
 
 // batchPool is the one batch pool every decode-ahead ring draws from, so
 // a ring started after another closed reuses its batches; Skip borrows
-// its buffer from it too. Only the consumer side puts batches back, on
-// its own goroutine (putBatch and Close): the decoder may outlive Close,
-// and a batch it returned late could land after the caller's run has
-// finished.
-var batchPool = sync.Pool{New: func() any { return &instrBatch{buf: make([]Instr, BatchSize)} }}
+// its buffer from it too. Every batch is BatchSize long and goes under
+// that key. Only the consumer side puts batches back, on its own
+// goroutine (putBatch and Close): the decoder may outlive Close, and a
+// batch it returned late could land after the caller's run has finished.
+var batchPool pool.Keyed[*instrBatch]
+
+// takeBatch takes a batch from batchPool, or makes one when it is empty.
+func takeBatch() *instrBatch {
+	if b, ok := batchPool.Get(BatchSize); ok {
+		return b
+	}
+	return &instrBatch{buf: make([]Instr, BatchSize)}
+}
 
 // Prefetch wraps s in a decode-ahead pipeline and starts its background
 // decoder. The caller owns the result and should Close it when the run is
@@ -186,7 +196,7 @@ func (p *Prefetched) getBatch() *instrBatch {
 	case b := <-p.free:
 		return b
 	default:
-		b := batchPool.Get().(*instrBatch)
+		b := takeBatch()
 		b.n = 0
 		return b
 	}
@@ -199,7 +209,7 @@ func (p *Prefetched) putBatch(b *instrBatch) {
 	select {
 	case p.free <- b:
 	default:
-		batchPool.Put(b)
+		batchPool.Put(BatchSize, b)
 	}
 }
 
@@ -266,13 +276,13 @@ func (p *Prefetched) Err() error { return p.err }
 func (p *Prefetched) Close() error {
 	p.stopOnce.Do(func() { close(p.stop) })
 	if p.cur != nil {
-		batchPool.Put(p.cur)
+		batchPool.Put(BatchSize, p.cur)
 		p.cur, p.pos = nil, 0
 	}
 	for drained := false; !drained; {
 		select {
 		case b := <-p.free:
-			batchPool.Put(b)
+			batchPool.Put(BatchSize, b)
 		default:
 			drained = true
 		}
@@ -283,7 +293,7 @@ func (p *Prefetched) Close() error {
 			if !ok {
 				return nil
 			}
-			batchPool.Put(b)
+			batchPool.Put(BatchSize, b)
 		default:
 			return nil
 		}

@@ -38,8 +38,8 @@ func Skip(s Stream, n uint64) uint64 {
 	if n == 0 {
 		return 0
 	}
-	b := batchPool.Get().(*instrBatch)
-	defer batchPool.Put(b)
+	b := takeBatch()
+	defer batchPool.Put(BatchSize, b)
 	buf := b.buf
 	bulk, hasBulk := s.(NextBatcher)
 	var skipped uint64

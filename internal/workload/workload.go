@@ -27,10 +27,10 @@ import (
 // reserved and never generated).
 type Instr struct {
 	PC        arch.Addr
-	IsBranch  bool
-	Taken     bool
 	LoadAddr  arch.Addr
 	StoreAddr arch.Addr
+	IsBranch  bool
+	Taken     bool
 	// DepLoad marks a load whose address depends on the previous load's
 	// result (pointer chasing); the core cannot issue it until that load
 	// completes, which is what exposes memory and page-walk latency in

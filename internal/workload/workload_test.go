@@ -2,9 +2,19 @@ package workload
 
 import (
 	"testing"
+	"unsafe"
 
 	"itpsim/internal/arch"
 )
+
+// TestInstrSize pins an instruction at 32 bytes: three addresses, then
+// the three flags in the padding after them. Decode batches, lookahead
+// rings and functional-warmup buffers hold thousands of them.
+func TestInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n != 32 {
+		t.Fatalf("workload.Instr is %d bytes, want 32", n)
+	}
+}
 
 func defaultServer() ServerParams {
 	return ServerParams{
