@@ -51,11 +51,11 @@ type PhysAlloc struct {
 }
 
 // NewPhysAlloc creates an allocator over size bytes of physical memory,
-// starting above a small reserved region. Page tables hold 4KB frame
-// numbers and caches hold block numbers in 32 bits, the all-ones block
-// number marking an empty way, so NewPhysAlloc panics on a size whose
-// last block number would reach it; the frame numbers of any smaller
-// size fit 26 bits. arch.PhysMemBytes fits.
+// starting above a small reserved region. Caches hold block numbers and
+// page tables 4KB frame numbers in 32 bits, the all-ones block number
+// marking an empty way, so NewPhysAlloc panics on a size whose last
+// block number would be all ones; the frame numbers of a size it accepts
+// fit 26 bits. It accepts arch.PhysMemBytes.
 func NewPhysAlloc(size uint64) *PhysAlloc {
 	if (size-1)>>arch.BlockBits >= math.MaxUint32 {
 		panic(fmt.Sprintf("vm: %d bytes of physical memory do not fit 32-bit block numbers", size))
