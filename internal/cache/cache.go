@@ -266,11 +266,7 @@ func (c *Cache) fill(si int, acc *arch.Access) int {
 	}
 	// The stack position stays: the way keeps its place in the
 	// permutation until the policy's OnFill moves it.
-	block := acc.Addr >> arch.BlockBits
-	if block >= uint64(replacement.NoTag) {
-		panic("cache: block number does not fit a 32-bit tag; physical memory is arch.PhysMemBytes")
-	}
-	set.Tags[way] = uint32(block)
+	set.Tags[way] = uint32(acc.Addr >> arch.BlockBits)
 	*line = replacement.Line{PC: acc.PC, Kind: acc.Kind, Thread: acc.Thread}
 	line.SetPTE(acc.IsPTE)
 	line.SetDataPTE(acc.IsPTE && acc.Class == arch.DataClass)

@@ -267,6 +267,30 @@ func TestPanicsOnBadGeometry(t *testing.T) {
 	}
 }
 
+// TestTagsHoldThirtyTwoBits: the largest block number a 32-bit tag
+// holds, one below NoTag, fills, hits and is written back at its own
+// address, and stays apart from block 0.
+func TestTagsHoldThirtyTwoBits(t *testing.T) {
+	next := &fixedLevel{latency: 10}
+	c := New("test", smallCfg(), replacement.NewLRU(), next, nil)
+	var wb []arch.Addr
+	c.SetWriteback(func(_ uint64, addr arch.Addr) { wb = append(wb, addr) })
+	last := arch.Addr(replacement.NoTag-1) << arch.BlockBits
+	c.Access(0, &arch.Access{Addr: last, Kind: arch.Store})
+	c.Access(20, load(0))
+	if !c.Contains(last, 0) || !c.Contains(0, 0) || next.accesses != 2 {
+		t.Fatalf("blocks %#x and 0: resident %v and %v after %d misses",
+			last>>arch.BlockBits, c.Contains(last, 0), c.Contains(0, 0), next.accesses)
+	}
+	// Two more blocks of the same set evict the dirty one.
+	for i := arch.Addr(1); i <= 2; i++ {
+		c.Access(40*uint64(i), load(last-i*arch.Addr(c.cfg.Sets)*arch.BlockSize))
+	}
+	if len(wb) != 1 || wb[0] != last {
+		t.Fatalf("writebacks %#x, want [%#x]", wb, last)
+	}
+}
+
 func TestStackInvariantAfterTraffic(t *testing.T) {
 	next := &fixedLevel{latency: 10}
 	c := New("test", smallCfg(), replacement.NewLRU(), next, nil)
