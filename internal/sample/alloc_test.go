@@ -12,10 +12,11 @@ import (
 )
 
 // splitRunAllocBudget is the most heap TestSplitRunAllocation accepts
-// for one sampled run, in bytes: about 1.2× its measured 3.87–3.91 MB
-// (Go 1.24). It sits below the 5.24–5.28 MB the run takes with 32-byte
-// cache lines and ROB and FTQ rings made per run, and far below the
-// 6.7–7.1 MB it takes when machines recycle only their cache arrays.
+// for one sampled run, in bytes: about 1.2× the 3.87–3.91 MB it took
+// with 64-bit frame numbers and tags (Go 1.24); with 32-bit ones it
+// takes 3.03–3.30 MB. It sits below the 5.24–5.28 MB the run takes with
+// 32-byte cache lines and ROB and FTQ rings made per run, and far below
+// the 6.7–7.1 MB it takes when machines recycle only their cache arrays.
 // Without Machine.Release the run allocates 18.6 MB.
 const splitRunAllocBudget = 4_700_000
 

@@ -182,60 +182,63 @@ const steadyAllocSteps = 20_000
 // Each budget is about twice the case's measured total over
 // steadyAllocSteps steps (2-vCPU host, with and without -race; the counts
 // repeat exactly). The totals are one-off growth, not per-step
-// allocation: a memory profile of Step puts all 8 of its allocations in
+// allocation: a memory profile of Step puts 8 of its 13 allocations in
 // the diagnostic publish that falls in its window, whose text buffer
-// grows on first use. The page walks' first touches (265 in Step) land in
-// frame-map capacity the warmup already grew. One allocation per hundred
+// grows on first use, and 5 in one split of the heap class's full frame
+// map. The page walks' other first touches (265 in all in Step) land in
+// class-map capacity the warmup already grew. One allocation per hundred
 // steps already exceeds every budget.
 var steadyStateCases = []steadyStateCase{
 	// One instruction end to end: lookahead pop, front end, TLBs, page
-	// walks, caches, retire. Measured 8.
+	// walks, caches, retire. Measured 13.
 	{name: "Step", setup: steadyStep(false, false, nil), hotpath: hotpathCommon, budget: 16},
 	// The windowed sampler attached and per-1000-instruction windows
 	// closing into a retained ring: window records recycle in place.
-	// Measured 84, 76 of them in window closes.
+	// Measured 89, 76 of them in window closes.
 	{name: "StepMetrics", setup: steadyStep(true, false, nil), hotpath: hotpathCommon, budget: 170},
 	// The paper's proposal: iTP on the STLB and adaptive xPTP (with its
 	// controller judging every window) on the L2C, instrumented so the
-	// controller's decision hook is live too. Measured 84.
+	// controller's decision hook is live too. Measured 89.
 	{name: "StepITPXPTP", setup: steadyStep(true, false, func(cfg *config.SystemConfig) {
 		cfg.STLBPolicy = "itp"
 		cfg.L2CPolicy = "xptp"
 	}), hotpath: hotpathITPXPTP, budget: 170},
 	// The RRIP family and SHiP: T-DRRIP's aging victim search and
 	// STLB-miss bias at the L2C, SHiP's signature table at the LLC.
-	// Measured 8.
+	// Measured 13.
 	{name: "StepRRIP", setup: steadyStep(false, false, func(cfg *config.SystemConfig) {
 		cfg.L2CPolicy = "tdrrip"
 		cfg.LLCPolicy = "ship"
 	}), hotpath: hotpathCommon, budget: 16},
 	// Mockingjay at the LLC: the sampled reuse-distance predictor and
-	// its ETA-based victim search. Measured 268: its sampler still
+	// its ETA-based victim search. Measured 273: its sampler still
 	// allocates an entry per sampled fill.
 	{name: "StepMockingjay", setup: steadyStep(false, false, func(cfg *config.SystemConfig) {
 		cfg.LLCPolicy = "mockingjay"
 	}), hotpath: hotpathCommon, budget: 540},
 	// Hawkeye at the LLC: the OPTgen occupancy vectors and the PC
-	// predictor that classifies each fill. Measured 52.
+	// predictor that classifies each fill. Measured 57.
 	{name: "StepHawkeye", setup: steadyStep(false, false, func(cfg *config.SystemConfig) {
 		cfg.LLCPolicy = "hawkeye"
 	}), hotpath: hotpathCommon, budget: 110},
 	// The CHiRP STLB baseline with the real hashed-perceptron branch
 	// predictor: the control-flow-history and perceptron hot paths.
-	// Measured 8.
+	// Measured 13.
 	{name: "StepCHiRP", setup: steadyStep(false, false, func(cfg *config.SystemConfig) {
 		cfg.STLBPolicy = "chirp"
 		cfg.BranchPredictor = "perceptron"
 	}), hotpath: hotpathCHiRP, budget: 16},
 	// Metrics windows closing and a full-hierarchy state fingerprint
 	// folding into the beacon chain at every window boundary: the fixed
-	// ring and in-place FNV fold. Measured 84.
+	// ring and in-place FNV fold. Measured 89.
 	{name: "StepBeacons", setup: steadyStep(true, true, nil), hotpath: hotpathBeacons, budget: 170},
 	// Four cores stepped round-robin into the shared STLB/L2C/LLC/walker/
 	// DRAM: per-tenant stats attribution and shared-MSHR contention.
 	// Measured 0: no publish falls in its window, and its 250 first
-	// touches fit the four frame maps the warmup grew to over 1000
-	// frames each.
+	// touches fit the class maps the warmup grew. Two tenants' code
+	// classes pass 112 frames inside the window, where a map that
+	// started at 8 slots regrows (4 allocations); a new class map
+	// starts at 256 slots.
 	{name: "StepMultiCore", setup: steadyMultiCore, hotpath: hotpathCommon, budget: 0},
 	// Functional warmup replays at generator speed, so its loop must be
 	// as allocation-free as the detailed step. Measured 0.

@@ -158,7 +158,7 @@ func TestRecycledMapDoesNotGrow(t *testing.T) {
 	t.Fatal("a new table never reused released tables' class maps")
 }
 
-// TestReleasedTablePanics: a released table has no frame map or
+// TestReleasedTablePanics: a released table has no class maps or
 // allocator left, so using it fails loudly instead of reading frames
 // another table now owns.
 func TestReleasedTablePanics(t *testing.T) {
@@ -174,8 +174,8 @@ func TestReleasedTablePanics(t *testing.T) {
 }
 
 // TestNodePoolConcurrent: goroutines build, fill and release tables of
-// two sizes, so frame maps cross goroutines and tables of other shapes.
-// Every table must translate like one on a new map. make race-matrix
+// two sizes, so class maps cross goroutines and tables of other shapes.
+// Every table must translate like one on new maps. make race-matrix
 // runs it under the race detector.
 func TestNodePoolConcurrent(t *testing.T) {
 	shapes := []struct {
