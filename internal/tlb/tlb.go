@@ -14,18 +14,20 @@ import (
 
 // Entry is one TLB entry plus the metadata iTP adds: the Type bit
 // (Class) and the saturating Freq counter (Section 4.1.3's 4 extra bits).
+// The page numbers come first and the one-byte fields last, so an entry
+// packs into 32 bytes.
 type Entry struct {
-	Valid    bool
 	VPN      uint64 // virtual page number (in units of its own page size)
 	PPN      uint64 // physical page number
-	PageBits uint8  // arch.PageBits4K or arch.PageBits2M
+	Sig      uint16 // CHiRP signature (policy state)
+	Valid    bool
+	PageBits uint8 // arch.PageBits4K or arch.PageBits2M
 	Class    arch.Class
 	Thread   uint8
 
 	// Policy state.
 	Stack  uint8 // recency-stack position, 0 = MRU
 	Freq   uint8 // iTP frequency counter
-	Sig    uint16
 	Reused bool
 }
 

@@ -4,9 +4,18 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"itpsim/internal/arch"
 )
+
+// TestEntrySize pins a TLB entry at 32 bytes: the two page numbers, the
+// signature, then the seven one-byte fields. The STLB alone holds 1,536.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n != 32 {
+		t.Fatalf("tlb.Entry is %d bytes, want 32", n)
+	}
+}
 
 func TestNewPanicsOnBadSets(t *testing.T) {
 	defer func() {
