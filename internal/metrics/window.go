@@ -96,6 +96,10 @@ type Windows struct {
 	count   int // live records
 	retain  int // max records kept; <= 0 means unbounded
 	sink    func(*WindowRecord)
+	// out is the copy of each closed record Close hands the sink. Only
+	// Close touches it, on the run loop, so one record serves every
+	// window.
+	out WindowRecord
 
 	index       uint64
 	lastRetired arch.Instr
@@ -265,17 +269,16 @@ func (w *Windows) Close(retired arch.Instr, cycles arch.Cycle, annotate func(*Wi
 	w.lastRetired = retired
 	w.lastCycles = cycles
 	sink := w.sink
-	var out WindowRecord
 	if sink != nil {
 		// Shallow copy: the sink contract already forbids retaining the
 		// record (its Counters map is ring-recycled), and the slot
 		// itself cannot be rewritten before the sink returns — only a
 		// later Close recycles slots, and Close is run-loop-only.
-		out = *rec
+		w.out = *rec
 	}
 	w.mu.Unlock()
 	if sink != nil {
-		sink(&out)
+		sink(&w.out)
 	}
 }
 

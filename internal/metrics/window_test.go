@@ -139,6 +139,38 @@ func TestWindowsRetentionAndSink(t *testing.T) {
 	}
 }
 
+// TestWindowsCloseAllocFree: once a retained ring is full, closing a
+// window allocates nothing, whether or not a sink streams the records.
+// Close used to hand the sink a record of its own that escaped to the
+// heap on every window.
+func TestWindowsCloseAllocFree(t *testing.T) {
+	for _, withSink := range []bool{false, true} {
+		w := NewWindows(10)
+		var events uint64
+		w.Track("events", func() uint64 { return events })
+		w.SetRetain(4)
+		var streamed int
+		if withSink {
+			w.SetSink(func(*WindowRecord) { streamed++ })
+		}
+		var retired arch.Instr
+		closeOne := func() {
+			events += 3
+			retired += 10
+			w.Close(retired, arch.Cycle(retired), nil)
+		}
+		for i := 0; i < 8; i++ { // fill the ring and its counter maps
+			closeOne()
+		}
+		if n := testing.AllocsPerRun(100, closeOne); n != 0 {
+			t.Errorf("sink %v: %v allocations per Close, want 0", withSink, n)
+		}
+		if withSink && streamed == 0 {
+			t.Error("sink never ran")
+		}
+	}
+}
+
 func TestWindowsRecent(t *testing.T) {
 	w := NewWindows(10)
 	if got := w.RecentString(3); !strings.Contains(got, "no windows") {

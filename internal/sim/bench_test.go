@@ -194,15 +194,17 @@ var steadyStateCases = []steadyStateCase{
 	{name: "Step", setup: steadyStep(false, false, nil), hotpath: hotpathCommon, budget: 16},
 	// The windowed sampler attached and per-1000-instruction windows
 	// closing into a retained ring: window records recycle in place.
-	// Measured 89, 76 of them in window closes.
-	{name: "StepMetrics", setup: steadyStep(true, false, nil), hotpath: hotpathCommon, budget: 170},
+	// Measured 69: 56 make the counter maps of the 14 ring slots first
+	// filled in the counted span (windows 51–64 of its 64), and a full
+	// ring closes windows without allocating (TestWindowsCloseAllocFree).
+	{name: "StepMetrics", setup: steadyStep(true, false, nil), hotpath: hotpathCommon, budget: 140},
 	// The paper's proposal: iTP on the STLB and adaptive xPTP (with its
 	// controller judging every window) on the L2C, instrumented so the
-	// controller's decision hook is live too. Measured 89.
+	// controller's decision hook is live too. Measured 69.
 	{name: "StepITPXPTP", setup: steadyStep(true, false, func(cfg *config.SystemConfig) {
 		cfg.STLBPolicy = "itp"
 		cfg.L2CPolicy = "xptp"
-	}), hotpath: hotpathITPXPTP, budget: 170},
+	}), hotpath: hotpathITPXPTP, budget: 140},
 	// The RRIP family and SHiP: T-DRRIP's aging victim search and
 	// STLB-miss bias at the L2C, SHiP's signature table at the LLC.
 	// Measured 13.
@@ -230,8 +232,8 @@ var steadyStateCases = []steadyStateCase{
 	}), hotpath: hotpathCHiRP, budget: 16},
 	// Metrics windows closing and a full-hierarchy state fingerprint
 	// folding into the beacon chain at every window boundary: the fixed
-	// ring and in-place FNV fold. Measured 89.
-	{name: "StepBeacons", setup: steadyStep(true, true, nil), hotpath: hotpathBeacons, budget: 170},
+	// ring and in-place FNV fold. Measured 69.
+	{name: "StepBeacons", setup: steadyStep(true, true, nil), hotpath: hotpathBeacons, budget: 140},
 	// Four cores stepped round-robin into the shared STLB/L2C/LLC/walker/
 	// DRAM: per-tenant stats attribution and shared-MSHR contention.
 	// Measured 0: no publish falls in its window, and its 250 first
@@ -265,6 +267,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			n := after.Mallocs - before.Mallocs
+			t.Logf("%d allocations over %d steps, budget %d", n, steadyAllocSteps, c.budget)
 			if n > c.budget {
 				t.Errorf("%d allocations over %d steps, budget %d", n, steadyAllocSteps, c.budget)
 			}
