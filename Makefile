@@ -68,9 +68,12 @@ cover-check:
 # concurrent machines share: the keyed pool itself, the cache and TLB
 # pools built on it, and vm's shared frame-map pool. -count=2 reruns
 # each test so per-run state (pools, rings, checkpoints) is exercised
-# twice under the detector.
+# twice under the detector. The decode-ahead ring's Close tests run ten
+# times: Close and the decoder reach the same ring state from two
+# goroutines, and one pass need not interleave them every way.
 race-matrix:
 	$(GO) test -race -count=2 ./internal/shard ./internal/sample ./internal/harness ./internal/workload ./internal/metrics ./internal/run ./internal/pool ./internal/cache ./internal/tlb ./internal/vm
+	$(GO) test -race -count=10 -run 'TestPrefetchedClose' ./internal/workload
 
 # Short fuzz pass (CI smoke) over the parsers that read untrusted bytes —
 # the trace decoder and the checkpoint-journal recovery path — over two

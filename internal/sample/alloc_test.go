@@ -12,22 +12,24 @@ import (
 )
 
 // splitRunAllocBudget is the most heap TestSplitRunAllocation accepts
-// for one sampled run, in bytes: about 1.2× the 3.87–3.91 MB it took
-// with 64-bit frame numbers and tags (Go 1.24); with 32-bit ones it
-// takes 3.03–3.30 MB. It sits below the 5.24–5.28 MB the run takes with
-// 32-byte cache lines and ROB and FTQ rings made per run, and far below
-// the 6.7–7.1 MB it takes when machines recycle only their cache arrays.
+// for one sampled run, in bytes: about 1.2× the 2.94 MB it takes (Go
+// 1.24). It sits below the 3.17 MB the run takes when a closed ring
+// leaves the batch its decoder holds to the collector, functional warmup
+// keeps buffers of its own and TLB entries are 40 bytes, the 3.87–3.91
+// MB it took with 64-bit frame numbers and tags, and far below the
+// 6.7–7.1 MB it takes when machines recycle only their cache arrays.
 // Without Machine.Release the run allocates 18.6 MB.
-const splitRunAllocBudget = 4_700_000
+const splitRunAllocBudget = 3_600_000
 
 // TestSplitRunAllocation is the allocation gate for split runs. A K=8
 // sampled run with beacons and audits on two workers builds nine
 // machines: the profiling pass and eight representatives. Each machine
 // releases its cache arrays, TLB entries, stride table and page-table
-// frame maps, and each run its lookahead, ROB and FTQ rings; decode
-// batches go back to the shared batch pool and functional warmup borrows
-// its buffer, so the run allocates little beyond the machines that are
-// live at once. The pools
+// frame maps, and each run its lookahead, ROB and FTQ rings; each
+// decode-ahead ring returns every batch it took to the shared batch pool
+// when it closes, and functional warmup borrows its buffer from that
+// pool, so the run allocates little beyond the machines that are live
+// at once. The pools
 // are emptied first, so the run starts cold; collection stays off while
 // it is measured, so nothing it released is lost to a collection. One
 // processor, so every released item is in reach: a sync.Pool serves each

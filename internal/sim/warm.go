@@ -4,18 +4,8 @@ import (
 	"fmt"
 
 	"itpsim/internal/arch"
-	"itpsim/internal/pool"
 	"itpsim/internal/workload"
 )
-
-// warmBatch is the bulk-ingestion granularity of the functional-warmup
-// loop (one interrupt/progress check per batch).
-const warmBatch = 4096
-
-// warmBufs recycles WarmFunctional's instruction buffers across machines,
-// all under the key warmBatch: a sampled run warms every representative
-// functionally.
-var warmBufs pool.Keyed[*[warmBatch]workload.Instr]
 
 // WarmFunctional consumes n instructions from s at generator speed,
 // updating every state-holding structure the instructions touch — TLBs,
@@ -51,46 +41,29 @@ func (m *Machine) WarmFunctional(s workload.Stream, n uint64) error {
 	m.interrupted.Store(false)
 	c := m.cores[0]
 	m.warmHasBlock = false
-	arr, ok := warmBufs.Get(warmBatch)
-	if !ok {
-		arr = new([warmBatch]workload.Instr)
-	}
-	defer warmBufs.Put(warmBatch, arr)
-	buf := arr[:]
-	bulk, _ := s.(workload.NextBatcher)
-	var done uint64
-	for done < n {
-		if m.interrupted.Load() {
-			m.finishFunctionalWarmup()
-			return fmt.Errorf("sim: functional warmup at %d/%d: %w", done, n, ErrInterrupted)
-		}
-		seg := buf
-		if want := n - done; want < uint64(len(seg)) {
-			seg = seg[:want]
-		}
-		var got int
-		if bulk != nil {
-			got = bulk.NextBatch(seg)
-		} else {
-			got = workload.FillBatch(s, seg)
-		}
-		if got == 0 {
-			m.finishFunctionalWarmup()
-			if es, ok := s.(errStream); ok {
-				if err := es.Err(); err != nil {
-					return fmt.Errorf("sim: functional warmup stream failed at %d/%d: %w", done, n, err)
-				}
-			}
-			return fmt.Errorf("sim: stream ended %d instructions into a %d-instruction functional warmup", done, n)
-		}
-		for i := range seg[:got] {
+	// One interrupt check and progress publish per segment pulled.
+	interrupted := false
+	done := workload.Pull(s, n, func(seg []workload.Instr) bool {
+		for i := range seg {
 			m.warmStep(c, &seg[i])
 		}
-		done += uint64(got)
 		m.retiredTotal.Store(m.retiredLocal)
-	}
+		interrupted = m.interrupted.Load()
+		return !interrupted
+	})
 	m.finishFunctionalWarmup()
-	return nil
+	switch {
+	case done == n:
+		return nil
+	case interrupted:
+		return fmt.Errorf("sim: functional warmup at %d/%d: %w", done, n, ErrInterrupted)
+	}
+	if es, ok := s.(errStream); ok {
+		if err := es.Err(); err != nil {
+			return fmt.Errorf("sim: functional warmup stream failed at %d/%d: %w", done, n, err)
+		}
+	}
+	return fmt.Errorf("sim: stream ended %d instructions into a %d-instruction functional warmup", done, n)
 }
 
 // warmStep replays one instruction functionally: a block-change ifetch

@@ -7,6 +7,7 @@ package workload
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"itpsim/internal/pool"
 )
@@ -44,6 +45,12 @@ const (
 	PrefetchDepth = 4
 )
 
+// ringBatches is the most batches one ring owns: PrefetchDepth queued,
+// one the consumer reads and one the decoder fills. The decoder takes a
+// batch from batchPool only while none waits in its free ring, and then
+// every other batch it owns is queued or read, so it never takes more.
+const ringBatches = PrefetchDepth + 2
+
 // Prefetched runs its source stream on a background goroutine, feeding
 // the consumer through a ring of recycled instruction batches. It
 // implements Stream and NextBatcher; the consumer side is single-threaded
@@ -62,10 +69,28 @@ const (
 type Prefetched struct {
 	src  Stream
 	bulk NextBatcher // non-nil when src has a native bulk path
+	// inMemory: no call into src can hang, so Close waits out a fill.
+	inMemory bool
 
 	batches chan *instrBatch
-	free    chan *instrBatch
-	stop    chan struct{}
+	// free holds the batches the consumer has read, for the decoder to
+	// refill. Its capacity is ringBatches, every batch the ring can own,
+	// so a send to it never blocks.
+	free chan *instrBatch
+	stop chan struct{}
+	done chan struct{} // closed when the decoder exits
+
+	// state tells Close whether it may wait for the decoder: decoderIn
+	// while the decoder fills a batch from a source that may block. Close
+	// swaps in decoderStopped, and the decoder changes state only by
+	// compare-and-swap, so either Close reads decoderIn and does not wait,
+	// or the decoder's next swap fails and it stops.
+	state atomic.Int32
+	// owned counts the batches the ring took from batchPool and has not
+	// put back: the decoder adds each it takes, Close subtracts each it
+	// returns. After Close it is 0, or 1 when the decoder was inside a
+	// source that may block.
+	owned int
 
 	// Decoder-side state, published to the consumer by the close of
 	// batches (channel close is the happens-before edge).
@@ -73,10 +98,26 @@ type Prefetched struct {
 	panicVal any
 
 	// Consumer-side state.
-	cur      *instrBatch
-	pos      int
-	err      error
-	stopOnce sync.Once
+	cur       *instrBatch
+	pos       int
+	err       error
+	closeOnce sync.Once
+}
+
+// Decoder states (Prefetched.state).
+const (
+	decoderOut     int32 = iota // outside the source: parked or between fills
+	decoderIn                   // filling from a source that may block
+	decoderStopped              // Close has run
+)
+
+// inMemory reports whether every call into s computes from state s holds,
+// so that it returns without waiting on anything outside the process:
+// true for the package's generators and Replay, and for Limit over one of
+// them. Any other source, such as a trace read from a pipe, may hang.
+func inMemory(s Stream) bool {
+	m, ok := s.(interface{ inMemory() bool })
+	return ok && m.inMemory()
 }
 
 type instrBatch struct {
@@ -85,11 +126,11 @@ type instrBatch struct {
 }
 
 // batchPool is the one batch pool every decode-ahead ring draws from, so
-// a ring started after another closed reuses its batches; Skip borrows
+// a ring started after another closed reuses its batches; Pull borrows
 // its buffer from it too. Every batch is BatchSize long and goes under
-// that key. Only the consumer side puts batches back, on its own
-// goroutine (putBatch and Close): the decoder may outlive Close, and a
-// batch it returned late could land after the caller's run has finished.
+// that key. Only Close puts a ring's batches back, before it returns: a
+// decoder that outlived Close and put its batch back itself would land
+// it in the pool after the caller's run had finished and been measured.
 var batchPool pool.Keyed[*instrBatch]
 
 // takeBatch takes a batch from batchPool, or makes one when it is empty.
@@ -102,39 +143,46 @@ func takeBatch() *instrBatch {
 
 // Prefetch wraps s in a decode-ahead pipeline and starts its background
 // decoder. The caller owns the result and should Close it when the run is
-// over (Close is cheap and idempotent); an already-prefetched stream is
-// returned unchanged.
+// over (Close is idempotent); an already-prefetched stream is returned
+// unchanged.
 func Prefetch(s Stream) *Prefetched {
 	if p, ok := s.(*Prefetched); ok {
 		return p
 	}
 	p := &Prefetched{
-		src:     s,
-		batches: make(chan *instrBatch, PrefetchDepth),
-		free:    make(chan *instrBatch, PrefetchDepth+1),
-		stop:    make(chan struct{}),
+		src:      s,
+		inMemory: inMemory(s),
+		batches:  make(chan *instrBatch, PrefetchDepth),
+		free:     make(chan *instrBatch, ringBatches),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	p.bulk, _ = s.(NextBatcher)
 	// Ownership handoff: p's source and ring buffers transfer to the
 	// decode goroutine here; the constructor's caller only ever touches
-	// them again through Next/Stop, which synchronise on the channels.
+	// them again through Next/Close, which synchronise on the channels.
 	go p.decode()
 	return p
 }
 
-// decode is the background producer loop.
+// decode is the background producer loop. Every batch it holds when it
+// stops goes back through free, for Close to return to the pool, except
+// one filled from a source Close did not wait for.
 func (p *Prefetched) decode() {
+	defer close(p.done)
 	defer close(p.batches)
 	for {
-		// Close drains the queue, which may free a parked send; stop
-		// here rather than decode into batches nobody will read.
-		select {
-		case <-p.stop:
-			return
-		default:
-		}
 		b := p.getBatch()
+		if !p.enter() {
+			p.free <- b
+			return
+		}
 		ended := p.fillBatch(b)
+		if !p.leave() {
+			// Close returned without waiting: the batch goes with the
+			// decoder.
+			return
+		}
 		if ended && p.panicVal == nil {
 			// Record the source's terminal error before the channel close
 			// publishes it to the consumer.
@@ -142,25 +190,37 @@ func (p *Prefetched) decode() {
 				p.srcErr = es.Err()
 			}
 		}
-		if b.n > 0 {
-			select {
-			case p.batches <- b:
-			case <-p.stop:
-				return
-			}
-		} else {
-			// Back to the ring only: an empty batch at the end of the
-			// stream is left for Close (or the collector), never put in
-			// the pool from here.
-			select {
-			case p.free <- b:
-			default:
-			}
+		if b.n == 0 {
+			// The stream ended on a batch boundary.
+			p.free <- b
+			return
+		}
+		select {
+		case p.batches <- b:
+		case <-p.stop:
+			p.free <- b
+			return
 		}
 		if ended {
 			return
 		}
 	}
+}
+
+// enter reports whether the decoder may fill another batch: false once
+// Close has begun. For a source that may block it also marks the decoder
+// as inside the source, so Close does not wait on a call that may hang.
+func (p *Prefetched) enter() bool {
+	if p.inMemory {
+		return p.state.Load() != decoderStopped
+	}
+	return p.state.CompareAndSwap(decoderOut, decoderIn)
+}
+
+// leave marks the decoder outside the source again. It reports false when
+// Close ran while the decoder was inside and so did not wait for it.
+func (p *Prefetched) leave() bool {
+	return p.inMemory || p.state.CompareAndSwap(decoderIn, decoderOut)
 }
 
 // fillBatch decodes one batch, reporting whether the stream ended. The
@@ -169,6 +229,7 @@ func (p *Prefetched) decode() {
 // decoded before it; a panic inside a bulk NextBatch can lose at most its
 // own partial batch.
 func (p *Prefetched) fillBatch(b *instrBatch) (ended bool) {
+	b.n = 0
 	defer func() {
 		if r := recover(); r != nil {
 			p.panicVal = r
@@ -190,26 +251,15 @@ func (p *Prefetched) fillBatch(b *instrBatch) (ended bool) {
 	return false
 }
 
-// getBatch recycles a consumed chunk or falls back to the pool.
+// getBatch takes back a batch the consumer has read, or a new one from
+// batchPool when none is waiting.
 func (p *Prefetched) getBatch() *instrBatch {
 	select {
 	case b := <-p.free:
 		return b
 	default:
-		b := takeBatch()
-		b.n = 0
-		return b
-	}
-}
-
-// putBatch returns a consumed chunk to the recycle ring (the pool when
-// the ring is momentarily full). Consumer side only.
-func (p *Prefetched) putBatch(b *instrBatch) {
-	b.n = 0
-	select {
-	case p.free <- b:
-	default:
-		batchPool.Put(BatchSize, b)
+		p.owned++
+		return takeBatch()
 	}
 }
 
@@ -217,7 +267,7 @@ func (p *Prefetched) putBatch(b *instrBatch) {
 // end of the stream (after re-raising a captured source panic, if any).
 func (p *Prefetched) advance() bool {
 	if p.cur != nil {
-		p.putBatch(p.cur)
+		p.free <- p.cur
 		p.cur = nil
 		p.pos = 0
 	}
@@ -266,23 +316,35 @@ func (p *Prefetched) NextBatch(buf []Instr) int {
 // direct Stream use.
 func (p *Prefetched) Err() error { return p.err }
 
-// Close stops the background decoder. It does not wait for a decoder
-// blocked inside the source's Next (a hung pipe keeps its goroutine, just
-// as it would keep a direct consumer); in every other state the decoder
-// exits promptly. Close is idempotent and safe after the consumer stops
-// pulling, and must be called from the consumer's goroutine: it returns
-// the current batch, the recycle ring and the decoded batches still
-// queued to the shared pool, so nothing may be read from p afterwards.
+// Close stops the background decoder and puts every batch the ring owns
+// back in the shared pool before it returns. It waits for the decoder to
+// exit, which takes at most the rest of one batch fill, unless the decoder
+// is inside a fill from a source that may block (see inMemory): a hung
+// pipe keeps its goroutine and the one batch it fills, just as it would
+// keep a direct consumer, and the decoder exits once the source returns.
+// Close is idempotent and safe after the consumer stops pulling, and must
+// be called from the consumer's goroutine; nothing may be read from p
+// afterwards.
 func (p *Prefetched) Close() error {
-	p.stopOnce.Do(func() { close(p.stop) })
+	p.closeOnce.Do(p.shutdown)
+	return nil
+}
+
+// shutdown is Close's body.
+func (p *Prefetched) shutdown() {
+	filling := p.state.Swap(decoderStopped) == decoderIn
+	close(p.stop)
+	if !filling {
+		<-p.done
+	}
 	if p.cur != nil {
-		batchPool.Put(BatchSize, p.cur)
+		p.release(p.cur)
 		p.cur, p.pos = nil, 0
 	}
 	for drained := false; !drained; {
 		select {
 		case b := <-p.free:
-			batchPool.Put(BatchSize, b)
+			p.release(b)
 		default:
 			drained = true
 		}
@@ -291,11 +353,17 @@ func (p *Prefetched) Close() error {
 		select {
 		case b, ok := <-p.batches:
 			if !ok {
-				return nil
+				return
 			}
-			batchPool.Put(BatchSize, b)
+			p.release(b)
 		default:
-			return nil
+			return
 		}
 	}
+}
+
+// release puts one of the ring's batches back in batchPool.
+func (p *Prefetched) release(b *instrBatch) {
+	p.owned--
+	batchPool.Put(BatchSize, b)
 }

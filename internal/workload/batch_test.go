@@ -2,8 +2,6 @@ package workload
 
 import (
 	"errors"
-	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -192,26 +190,11 @@ func TestPrefetchedCloseIdempotent(t *testing.T) {
 	}
 }
 
-// decoderGoroutines counts the live goroutines running a decode-ahead
-// producer loop.
-func decoderGoroutines() int {
-	buf := make([]byte, 1<<16)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "workload.(*Prefetched).decode(")
-		}
-		buf = make([]byte, 2*len(buf))
-	}
-}
-
-// TestPrefetchedCloseStopsDecoder checks that Close releases the decoder
-// of an endless stream the consumer abandoned mid-flight: with the ring
-// full, the producer is parked on a send, and only its select on the stop
-// channel lets it exit. A leaked decoder would pin its source and buffers
-// for the rest of the process.
+// TestPrefetchedCloseStopsDecoder checks that Close stops the decoder of
+// an endless stream the consumer abandoned mid-flight before it returns,
+// whether the decoder is filling a batch or parked on a send to the full
+// ring. A leaked decoder would pin its source for the rest of the process.
 func TestPrefetchedCloseStopsDecoder(t *testing.T) {
-	before := decoderGoroutines()
 	spec, err := NewCatalog(1, 0).Get("srv_000")
 	if err != nil {
 		t.Fatal(err)
@@ -224,15 +207,139 @@ func TestPrefetchedCloseStopsDecoder(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		n := decoderGoroutines()
-		if n <= before {
-			return
+	// done is closed by the decoder's last statement.
+	select {
+	case <-p.done:
+	default:
+		t.Fatal("the decoder was still running when Close returned")
+	}
+}
+
+// ringSource is an endless in-memory source that reports the fill of the
+// last batch a ring can take: started closes when it begins, the fill
+// waits for hold, and filled closes when it is done.
+type ringSource struct {
+	calls                 int
+	started, hold, filled chan struct{}
+}
+
+func newRingSource() *ringSource {
+	return &ringSource{started: make(chan struct{}), hold: make(chan struct{}), filled: make(chan struct{})}
+}
+
+func (r *ringSource) Next(in *Instr) bool {
+	*in = Instr{PC: 0x400000}
+	return true
+}
+
+func (r *ringSource) NextBatch(buf []Instr) int {
+	r.calls++
+	if r.calls == ringBatches {
+		close(r.started)
+		<-r.hold
+	}
+	for i := range buf {
+		buf[i] = Instr{PC: 0x400000 + arch.Addr(i)*4}
+	}
+	if r.calls == ringBatches {
+		close(r.filled)
+	}
+	return len(buf)
+}
+
+func (*ringSource) inMemory() bool { return true }
+
+// TestPrefetchedCloseReturnsEveryBatch: a ring closed mid-stream has put
+// every batch it took back in the pool by the time Close returns. The
+// consumer holds one batch and PrefetchDepth are queued, so the decoder
+// takes its last batch; Close finds it parked on the send of that batch,
+// or still filling it. Before rings owned their batches, the decoder
+// dropped the batch in hand when it saw Close.
+func TestPrefetchedCloseReturnsEveryBatch(t *testing.T) {
+	for _, midFill := range []bool{false, true} {
+		name := "parked on a send"
+		if midFill {
+			name = "mid-fill"
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d decoder goroutines 2s after Close, want %d", n, before)
-		}
-		time.Sleep(10 * time.Millisecond)
+		t.Run(name, func(t *testing.T) {
+			src := newRingSource()
+			if !midFill {
+				close(src.hold)
+			}
+			p := Prefetch(src)
+			var in Instr
+			if !p.Next(&in) {
+				t.Fatal("endless stream ended")
+			}
+			if midFill {
+				<-src.started
+				// Release the fill only once Close has begun.
+				go func() {
+					<-p.stop
+					close(src.hold)
+				}()
+			} else {
+				<-src.filled
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if src.calls != ringBatches {
+				t.Errorf("decoder filled %d batches, want %d", src.calls, ringBatches)
+			}
+			if p.owned != 0 {
+				t.Errorf("%d of the ring's %d batches not back in the pool after Close", p.owned, src.calls)
+			}
+		})
+	}
+}
+
+// signalAfter is an endless source that closes reached when it yields its
+// n-th instruction.
+type signalAfter struct {
+	n       int
+	reached chan struct{}
+}
+
+func (s *signalAfter) Next(in *Instr) bool {
+	if s.n--; s.n == 0 {
+		close(s.reached)
+	}
+	*in = Instr{PC: 0x400000}
+	return true
+}
+
+// TestPrefetchedCloseDoesNotWaitForStall: Close on a ring whose decoder is
+// blocked inside a stalled source returns without waiting for it, and
+// returns every batch but the one the decoder fills. The decoder exits
+// once the stall is released.
+func TestPrefetchedCloseDoesNotWaitForStall(t *testing.T) {
+	const after = 2*BatchSize + 100 // inside the third batch
+	reached := make(chan struct{})
+	stall := NewStallStream(&signalAfter{n: after, reached: reached}, after, 5*time.Second)
+	p := Prefetch(stall)
+	var in Instr
+	if !p.Next(&in) {
+		t.Fatal("stream ended before its stall")
+	}
+	// The decoder is filling the third batch, and its next call into the
+	// source stalls.
+	<-reached
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-p.done:
+		t.Fatal("Close waited for a decoder blocked inside its source")
+	default:
+	}
+	if p.owned != 1 {
+		t.Errorf("ring still owns %d batches after Close, want the 1 its stalled decoder fills", p.owned)
+	}
+	stall.Release()
+	select {
+	case <-p.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("decoder still running 5s after its stall was released")
 	}
 }

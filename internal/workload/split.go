@@ -30,23 +30,29 @@ func CloneStream(s Stream) (Stream, bool) {
 }
 
 // Skip advances s by n instructions, discarding them, and returns how
-// many were actually consumed (short only when the stream ended). It uses
-// the stream's bulk path when available, so skipping runs at generator
-// speed, not at interface-call speed. Its buffer is a batch borrowed from
-// the decode-ahead rings' pool.
+// many were actually consumed (short only when the stream ended).
 func Skip(s Stream, n uint64) uint64 {
+	return Pull(s, n, func([]Instr) bool { return true })
+}
+
+// Pull draws up to n instructions from s and hands them to f one segment
+// at a time, in a batch borrowed from the decode-ahead rings' pool. It
+// uses the stream's bulk path when available, so it runs at generator
+// speed, not at interface-call speed. It stops early when the stream ends
+// or f returns false, and returns how many instructions f was handed. A
+// segment is valid only until f returns.
+func Pull(s Stream, n uint64, f func([]Instr) bool) uint64 {
 	if n == 0 {
 		return 0
 	}
 	b := takeBatch()
 	defer batchPool.Put(BatchSize, b)
-	buf := b.buf
 	bulk, hasBulk := s.(NextBatcher)
-	var skipped uint64
-	for skipped < n {
-		seg := buf
-		if want := n - skipped; want < uint64(len(buf)) {
-			seg = buf[:want]
+	var done uint64
+	for done < n {
+		seg := b.buf
+		if want := n - done; want < uint64(len(seg)) {
+			seg = seg[:want]
 		}
 		var got int
 		if hasBulk {
@@ -54,12 +60,15 @@ func Skip(s Stream, n uint64) uint64 {
 		} else {
 			got = FillBatch(s, seg)
 		}
-		skipped += uint64(got)
-		if got < len(seg) {
+		if got == 0 {
+			break
+		}
+		done += uint64(got)
+		if !f(seg[:got]) {
 			break
 		}
 	}
-	return skipped
+	return done
 }
 
 // Clone implements Cloner. The rng and the call stack are the only

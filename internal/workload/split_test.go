@@ -1,6 +1,10 @@
 package workload
 
-import "testing"
+import (
+	"testing"
+
+	"itpsim/internal/arch"
+)
 
 // collect drains n instructions from s.
 func collect(s Stream, n int) []Instr {
@@ -138,6 +142,40 @@ func TestSkipShortStream(t *testing.T) {
 	var in Instr
 	if s.Next(&in) {
 		t.Fatal("stream still produced after exhaustion")
+	}
+}
+
+// TestPull: Pull hands over n instructions in order, pulling past the
+// short batches a decode-ahead source returns mid-stream, and stops at
+// the segment on which f declines.
+func TestPull(t *testing.T) {
+	p := Prefetch(&Replay{Instrs: replayN(5000)})
+	defer p.Close()
+	var in Instr
+	for i := 0; i < 100; i++ { // leave the current batch part-read
+		p.Next(&in)
+	}
+	next := 100
+	got := Pull(p, 3000, func(seg []Instr) bool {
+		for _, in := range seg {
+			if want := 0x400000 + arch.Addr(next)*4; in.PC != want {
+				t.Fatalf("instr %d: PC %#x, want %#x", next, in.PC, want)
+			}
+			next++
+		}
+		return true
+	})
+	if got != 3000 || next != 3100 {
+		t.Fatalf("Pull handed over %d instructions (%d checked), want 3000", got, next-100)
+	}
+
+	segs := 0
+	got = Pull(NewSpec(defaultSpec()), 5000, func([]Instr) bool {
+		segs++
+		return false
+	})
+	if segs != 1 || got != BatchSize {
+		t.Fatalf("Pull after a declined segment: %d segments, %d instructions, want 1 and %d", segs, got, BatchSize)
 	}
 }
 

@@ -477,6 +477,8 @@ func (s *server) NextBatch(buf []Instr) int {
 	return len(buf)
 }
 
+func (s *server) inMemory() bool { return true }
+
 // SpecParams shape one synthetic SPEC-like workload.
 type SpecParams struct {
 	Seed uint64
@@ -597,6 +599,8 @@ func (s *spec) NextBatch(buf []Instr) int {
 	return len(buf)
 }
 
+func (s *spec) inMemory() bool { return true }
+
 // Limit wraps a stream, ending it after n instructions; useful for
 // examples and the trace writer.
 func Limit(s Stream, n uint64) Stream { return &limited{s: s, left: n} }
@@ -636,6 +640,8 @@ func (l *limited) NextBatch(buf []Instr) int {
 	return n
 }
 
+func (l *limited) inMemory() bool { return inMemory(l.s) }
+
 // Replay replays a pre-recorded slice of instructions (tests, traces).
 type Replay struct {
 	Instrs []Instr
@@ -662,6 +668,8 @@ func (r *Replay) NextBatch(buf []Instr) int {
 	r.pos += n
 	return n
 }
+
+func (r *Replay) inMemory() bool { return true }
 
 // validate panics early on nonsensical parameters so misconfigured
 // experiments fail loudly.
