@@ -17,8 +17,9 @@ test:
 	$(GO) test ./...
 
 # itpvet: the repo's own analysis suite (internal/lint), checking
-# determinism, hot-path allocation, cycle/instruction units and dropped
-# errors. TestItpvetCleanTree runs the same suite inside `go test`.
+# determinism, cycle/instruction unit conversions and dropped errors.
+# TestItpvetCleanTree runs the same suite inside `go test`. Hot-path
+# allocation is gated by internal/sim's TestSteadyStateAllocFree.
 lint:
 	$(GO) build -o bin/itpvet ./cmd/itpvet
 	./bin/itpvet ./...
@@ -81,8 +82,9 @@ race-matrix:
 # equivalence for sharding, and the beacon state fold against the
 # standard library's FNV-1a — over a cache's fold, empty ways included,
 # against the per-field fold, over the word-at-a-time recency move
-# against the byte loop it replaces, and over the page table's frame map
-# against the radix tree it stands for.
+# against the byte loop it replaces, over the page table's frame map
+# against the radix tree it stands for, and over Mockingjay's and
+# Hawkeye's fixed sampler storage against the maps it replaced.
 fuzz-smoke:
 	$(GO) test -run FuzzReader -fuzz FuzzReader -fuzztime 10s ./internal/trace
 	$(GO) test -run FuzzCheckpointReader -fuzz FuzzCheckpointReader -fuzztime 10s ./internal/harness
@@ -91,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzCacheFold -fuzz FuzzCacheFold -fuzztime 10s ./internal/cache
 	$(GO) test -run FuzzMoveToStackPos -fuzz FuzzMoveToStackPos -fuzztime 10s ./internal/replacement
 	$(GO) test -run FuzzTranslate -fuzz FuzzTranslate -fuzztime 10s ./internal/vm
+	$(GO) test -run FuzzSamplersMatchReference -fuzz FuzzSamplersMatchReference -fuzztime 10s ./internal/replacement
 
 # Fault-injection battery: every chaos fault class driven through the real
 # simulator and supervision stack under the race detector. Each scenario

@@ -2,9 +2,8 @@
 //
 //	itpvet [packages]   # defaults to ./...
 //
-// It loads the named packages (plus in-module dependencies for facts)
-// with `go list -export`, prints one line per diagnostic, and exits 1 if
-// there are any or if loading fails.
+// It loads the named packages with `go list -export`, prints one line
+// per diagnostic, and exits 1 if there are any or if loading fails.
 package main
 
 import (

@@ -69,8 +69,6 @@ func (k Kind) String() string {
 
 // IsDemand reports whether the access is on the demand path (counts toward
 // demand MPKI, as opposed to prefetch or writeback traffic).
-//
-//itp:hotpath
 func (k Kind) IsDemand() bool {
 	return k == IFetch || k == Load || k == Store || k == PTW
 }
@@ -119,31 +117,13 @@ type Access struct {
 }
 
 // BlockAddr returns the 64B-block-aligned address of a.
-//
-//itp:hotpath
 func BlockAddr(a Addr) Addr { return a &^ (BlockSize - 1) }
 
 // BlockNumber returns the block number (address >> BlockBits).
-//
-//itp:hotpath
 func BlockNumber(a Addr) Addr { return a >> BlockBits }
 
 // PageNumber4K returns the 4KB virtual/physical page number of a.
-//
-//itp:hotpath
 func PageNumber4K(a Addr) Addr { return a >> PageBits4K }
 
 // PageNumber2M returns the 2MB page number of a.
-//
-//itp:hotpath
 func PageNumber2M(a Addr) Addr { return a >> PageBits2M }
-
-// PageOffset4K returns the offset of a within its 4KB page.
-//
-//itp:hotpath
-func PageOffset4K(a Addr) Addr { return a & (PageSize4K - 1) }
-
-// PageOffset2M returns the offset of a within its 2MB page.
-//
-//itp:hotpath
-func PageOffset2M(a Addr) Addr { return a & (PageSize2M - 1) }

@@ -57,14 +57,8 @@ func TestPageHelpers(t *testing.T) {
 	if PageNumber4K(a) != a>>12 {
 		t.Errorf("PageNumber4K wrong")
 	}
-	if PageOffset4K(a) != 0x234 {
-		t.Errorf("PageOffset4K = %#x, want 0x234", PageOffset4K(a))
-	}
 	if PageNumber2M(a) != a>>21 {
 		t.Errorf("PageNumber2M wrong")
-	}
-	if PageOffset2M(a) != a&(PageSize2M-1) {
-		t.Errorf("PageOffset2M wrong")
 	}
 }
 
@@ -79,11 +73,12 @@ func TestBlockAddrProperties(t *testing.T) {
 	}
 }
 
-// Property: page number/offset decompose the address exactly.
+// Property: a page number and the offset below the page size decompose
+// the address exactly.
 func TestPageDecomposition(t *testing.T) {
 	f := func(a Addr) bool {
-		return PageNumber4K(a)<<PageBits4K+PageOffset4K(a) == a &&
-			PageNumber2M(a)<<PageBits2M+PageOffset2M(a) == a
+		return PageNumber4K(a)<<PageBits4K+a&(PageSize4K-1) == a &&
+			PageNumber2M(a)<<PageBits2M+a&(PageSize2M-1) == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

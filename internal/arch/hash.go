@@ -36,16 +36,12 @@ var zeroWords = func() (p [16]StateHash) {
 }()
 
 // NewStateHash returns the canonical initial value.
-//
-//itp:hotpath
 func NewStateHash() StateHash { return fnvOffset64 }
 
 // Word folds one 64-bit value as its eight little-endian bytes, exactly
 // as byte-wise FNV-1a would. Only the significant low bytes take the
 // xor-multiply step; the zero high bytes above them fold as one multiply
 // by a prime power, so a value below 256 costs a single multiply.
-//
-//itp:hotpath
 func (h *StateHash) Word(v uint64) {
 	if v < 0x100 {
 		*h = (*h ^ StateHash(v)) * primePow[8]
@@ -60,8 +56,6 @@ func (h *StateHash) Word(v uint64) {
 }
 
 // Bool folds one boolean as a 0/1 word.
-//
-//itp:hotpath
 func (h *StateHash) Bool(b bool) {
 	x := *h
 	if b {
@@ -72,13 +66,9 @@ func (h *StateHash) Bool(b bool) {
 
 // Zeros folds n zero words (n below 16) in one multiply, exactly as n
 // calls of Word(0) would.
-//
-//itp:hotpath
 func (h *StateHash) Zeros(n int) { *h *= zeroWords[n] }
 
 // Sum returns the current fold.
-//
-//itp:hotpath
 func (h *StateHash) Sum() uint64 { return uint64(*h) }
 
 // StateHasher is implemented by components that can fold their complete

@@ -40,7 +40,6 @@ func NewPerceptron() *Perceptron {
 	return p
 }
 
-//itp:hotpath
 func (p *Perceptron) index(table int, pc arch.Addr) int {
 	hlen := p.hashLens[table]
 	var hist uint64
@@ -53,8 +52,6 @@ func (p *Perceptron) index(table int, pc arch.Addr) int {
 }
 
 // sum computes the perceptron output for pc.
-//
-//itp:hotpath
 func (p *Perceptron) sum(pc arch.Addr) int {
 	s := 0
 	for t := range p.tables {
@@ -64,15 +61,11 @@ func (p *Perceptron) sum(pc arch.Addr) int {
 }
 
 // Predict returns the predicted direction for the branch at pc.
-//
-//itp:hotpath
 func (p *Perceptron) Predict(pc arch.Addr) bool { return p.sum(pc) >= 0 }
 
 // Update trains the predictor with the actual outcome: it trains on
 // mispredictions and low-confidence correct predictions, then shifts the
 // outcome into the history.
-//
-//itp:hotpath
 func (p *Perceptron) Update(pc arch.Addr, taken bool) {
 	s := p.sum(pc)
 	predicted := s >= 0
@@ -91,7 +84,6 @@ func (p *Perceptron) Update(pc arch.Addr, taken bool) {
 	p.history = p.history<<1 | b2u(taken)
 }
 
-//itp:hotpath
 func abs(x int) int {
 	if x < 0 {
 		return -x
@@ -99,7 +91,6 @@ func abs(x int) int {
 	return x
 }
 
-//itp:hotpath
 func b2u(b bool) uint64 {
 	if b {
 		return 1

@@ -20,7 +20,6 @@ import (
 // Level is anything that can serve a block request and report when the
 // data is available: a Cache or the DRAM terminal.
 type Level interface {
-	//itp:hotpath
 	Access(now uint64, acc *arch.Access) (done uint64)
 }
 
@@ -157,20 +156,15 @@ func (c *Cache) SetPrefetcher(p prefetch.Prefetcher) { c.prefetcher = p }
 // SetWriteback attaches the dirty-eviction sink (normally DRAM bandwidth).
 func (c *Cache) SetWriteback(fn func(now uint64, addr arch.Addr)) { c.writebackFn = fn }
 
-//itp:hotpath
 func (c *Cache) setFor(block uint64) int { return int(block & c.setMask) }
 
 // setAt returns a view of set si's ways.
-//
-//itp:hotpath
 func (c *Cache) setAt(si int) replacement.Set {
 	lo, hi := si*c.ways, (si+1)*c.ways
 	return replacement.Set{Tags: c.tags[lo:hi], Stack: c.stack[lo:hi], Lines: c.lines[lo:hi]}
 }
 
 // viewSet points the scratch view at set si and returns it.
-//
-//itp:hotpath
 func (c *Cache) viewSet(si int) *replacement.Set {
 	c.view = c.setAt(si)
 	return &c.view
@@ -179,8 +173,6 @@ func (c *Cache) viewSet(si int) *replacement.Set {
 // lookup returns (setIdx, way) with way == -1 on miss. It scans only the
 // set's tags; no block number equals NoTag, so a matching tag is a valid
 // way, and the thread is checked only then.
-//
-//itp:hotpath
 func (c *Cache) lookup(block uint64, thread uint8) (int, int) {
 	si := c.setFor(block)
 	base := si * c.ways
@@ -193,16 +185,12 @@ func (c *Cache) lookup(block uint64, thread uint8) (int, int) {
 }
 
 // Contains reports block residency without touching replacement state.
-//
-//itp:hotpath
 func (c *Cache) Contains(addr arch.Addr, thread uint8) bool {
 	_, w := c.lookup(arch.BlockNumber(addr), thread)
 	return w >= 0
 }
 
 // record notes an access outcome in the statistics sink.
-//
-//itp:hotpath
 func (c *Cache) record(acc *arch.Access, hit bool) {
 	if c.stats != nil {
 		c.stats.Record(stats.BucketFor(acc), hit)
@@ -210,8 +198,6 @@ func (c *Cache) record(acc *arch.Access, hit bool) {
 }
 
 // mshrLookup returns an in-flight entry for block, or nil.
-//
-//itp:hotpath
 func (c *Cache) mshrLookup(now uint64, block uint64, thread uint8) *mshrEntry {
 	for i := range c.mshrs {
 		e := &c.mshrs[i]
@@ -224,8 +210,6 @@ func (c *Cache) mshrLookup(now uint64, block uint64, thread uint8) *mshrEntry {
 
 // mshrAllocate finds a free MSHR; if all are busy the miss must wait
 // until the earliest completes (the returned start time).
-//
-//itp:hotpath
 func (c *Cache) mshrAllocate(now uint64) (*mshrEntry, uint64) {
 	var victim *mshrEntry
 	earliest := ^uint64(0)
@@ -242,8 +226,6 @@ func (c *Cache) mshrAllocate(now uint64) (*mshrEntry, uint64) {
 }
 
 // fill installs a block, evicting a victim per policy; returns the way.
-//
-//itp:hotpath
 func (c *Cache) fill(si int, acc *arch.Access) int {
 	set := c.viewSet(si)
 	way := c.policy.Victim(si, set, acc)
@@ -259,7 +241,6 @@ func (c *Cache) fill(si int, acc *arch.Access) int {
 		if line.Dirty() {
 			c.Writebacks++
 			if c.writebackFn != nil {
-				//itp:nonalloc — bound at construction to DRAM.Writeback, which is allocation-free
 				c.writebackFn(0, arch.Addr(set.Tags[way])<<arch.BlockBits)
 			}
 		}
@@ -280,8 +261,6 @@ func (c *Cache) fill(si int, acc *arch.Access) int {
 // Access implements Level. It returns the cycle at which the block is
 // available to the requester; demand misses are recorded with their
 // observed latency.
-//
-//itp:hotpath
 func (c *Cache) Access(now uint64, acc *arch.Access) uint64 {
 	block := acc.Addr >> arch.BlockBits
 	si, way := c.lookup(block, acc.Thread)
@@ -364,8 +343,6 @@ func (c *Cache) Access(now uint64, acc *arch.Access) uint64 {
 
 // train feeds the prefetcher and issues its suggestions as Prefetch
 // accesses into this cache (fills propagate from the next level).
-//
-//itp:hotpath
 func (c *Cache) train(now uint64, acc *arch.Access) {
 	if c.prefetcher == nil || acc.Kind == arch.Prefetch || acc.Kind == arch.PTW {
 		return

@@ -45,8 +45,6 @@ func (*ITP) Name() string { return "itp" }
 
 // Victim implements tlb.Policy: the entry at LRUpos, like LRU-based
 // policies (Section 4.1).
-//
-//itp:hotpath
 func (*ITP) Victim(_ int, set []tlb.Entry, _ *tlb.Request) int {
 	return tlb.StackLRUVictim(set)
 }
@@ -54,8 +52,6 @@ func (*ITP) Victim(_ int, set []tlb.Entry, _ *tlb.Request) int {
 // insertionPos returns the stack position iTP assigns to a new or
 // re-promoted non-saturated instruction entry: MRUpos−N, clamped to the
 // set size.
-//
-//itp:hotpath
 func (p *ITP) insertionPos(set []tlb.Entry) int {
 	pos := p.n
 	if pos >= len(set) {
@@ -66,8 +62,6 @@ func (p *ITP) insertionPos(set []tlb.Entry) int {
 
 // dataPromotionPos returns LRUpos+M as a stack index: M positions above
 // the bottom of the stack.
-//
-//itp:hotpath
 func (p *ITP) dataPromotionPos(set []tlb.Entry) int {
 	pos := len(set) - 1 - p.m
 	if pos < 0 {
@@ -77,8 +71,6 @@ func (p *ITP) dataPromotionPos(set []tlb.Entry) int {
 }
 
 // OnFill implements tlb.Policy (iTP's insertion policy).
-//
-//itp:hotpath
 func (p *ITP) OnFill(_ int, set []tlb.Entry, way int, req *tlb.Request) {
 	if req.Class == arch.InstrClass {
 		set[way].Freq = 0
@@ -89,8 +81,6 @@ func (p *ITP) OnFill(_ int, set []tlb.Entry, way int, req *tlb.Request) {
 }
 
 // OnHit implements tlb.Policy (iTP's promotion policy).
-//
-//itp:hotpath
 func (p *ITP) OnHit(_ int, set []tlb.Entry, way int, _ *tlb.Request) {
 	e := &set[way]
 	if e.Class == arch.InstrClass {
@@ -106,8 +96,6 @@ func (p *ITP) OnHit(_ int, set []tlb.Entry, way int, _ *tlb.Request) {
 }
 
 // OnEvict implements tlb.Policy.
-//
-//itp:hotpath
 func (*ITP) OnEvict(int, []tlb.Entry, int) {}
 
 // ProbLRU is the motivation study's modified LRU (Section 3.2): on each
@@ -132,7 +120,6 @@ func NewProbLRU(p float64, seed uint64) *ProbLRU {
 // Name implements tlb.Policy.
 func (*ProbLRU) Name() string { return "problru" }
 
-//itp:hotpath
 func (p *ProbLRU) nextFloat() float64 {
 	p.rng ^= p.rng << 13
 	p.rng ^= p.rng >> 7
@@ -141,8 +128,6 @@ func (p *ProbLRU) nextFloat() float64 {
 }
 
 // lruOfClass returns the deepest-stacked valid entry of class c, or -1.
-//
-//itp:hotpath
 func lruOfClass(set []tlb.Entry, c arch.Class) int {
 	victim, deepest := -1, -1
 	for i := range set {
@@ -154,8 +139,6 @@ func lruOfClass(set []tlb.Entry, c arch.Class) int {
 }
 
 // Victim implements tlb.Policy.
-//
-//itp:hotpath
 func (p *ProbLRU) Victim(_ int, set []tlb.Entry, _ *tlb.Request) int {
 	if w := tlb.InvalidWay(set); w >= 0 {
 		return w
@@ -171,20 +154,14 @@ func (p *ProbLRU) Victim(_ int, set []tlb.Entry, _ *tlb.Request) int {
 }
 
 // OnFill implements tlb.Policy.
-//
-//itp:hotpath
 func (*ProbLRU) OnFill(_ int, set []tlb.Entry, way int, _ *tlb.Request) {
 	tlb.MoveToStackPos(set, way, 0)
 }
 
 // OnHit implements tlb.Policy.
-//
-//itp:hotpath
 func (*ProbLRU) OnHit(_ int, set []tlb.Entry, way int, _ *tlb.Request) {
 	tlb.MoveToStackPos(set, way, 0)
 }
 
 // OnEvict implements tlb.Policy.
-//
-//itp:hotpath
 func (*ProbLRU) OnEvict(int, []tlb.Entry, int) {}

@@ -45,8 +45,6 @@ func NewAdaptiveXPTP(p config.XPTPParams, enabled func() bool) *XPTP {
 func (x *XPTP) Name() string { return "xptp" }
 
 // Victim implements replacement.Policy.
-//
-//itp:hotpath
 func (x *XPTP) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 	if w := replacement.InvalidWay(set); w >= 0 {
 		return w
@@ -62,7 +60,6 @@ func (x *XPTP) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 			altVictim, altDepth = i, pos
 		}
 	}
-	//itp:nonalloc — bound at construction to Controller.Enabled, a field read
 	if x.enabled != nil && !x.enabled() {
 		return lruVictim // adaptive fallback: plain LRU
 	}
@@ -83,22 +80,16 @@ func (x *XPTP) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 // OnFill implements replacement.Policy: LRU insertion at MRU (the Type
 // bit is written by the cache when the fill completes, step 3.1 of
 // Figure 7).
-//
-//itp:hotpath
 func (*XPTP) OnFill(_ int, set *replacement.Set, way int, _ *arch.Access) {
 	replacement.MoveToStackPos(set, way, 0)
 }
 
 // OnHit implements replacement.Policy: LRU promotion.
-//
-//itp:hotpath
 func (*XPTP) OnHit(_ int, set *replacement.Set, way int, _ *arch.Access) {
 	replacement.MoveToStackPos(set, way, 0)
 }
 
 // OnEvict implements replacement.Policy.
-//
-//itp:hotpath
 func (*XPTP) OnEvict(int, *replacement.Set, int) {}
 
 // Controller is the phase-adaptive mechanism of Section 4.3.1: a
@@ -134,14 +125,10 @@ func NewController(p config.XPTPParams) *Controller {
 }
 
 // OnSTLBMiss records one STLB miss.
-//
-//itp:hotpath
 func (c *Controller) OnSTLBMiss() { c.missCount++ }
 
 // OnRetire records n retired instructions and closes windows as they
 // complete.
-//
-//itp:hotpath
 func (c *Controller) OnRetire(n arch.Instr) {
 	c.instrCount += n
 	for c.instrCount >= c.windowInstr {
@@ -157,7 +144,6 @@ func (c *Controller) OnRetire(n arch.Instr) {
 			c.DisabledWindows++
 		}
 		if c.decisionHook != nil {
-			//itp:nonalloc — observability hook; nil in bare runs, counter bump under metrics
 			c.decisionHook(c.useXPTP, c.missCount)
 		}
 		c.missCount = 0
@@ -176,6 +162,4 @@ func (c *Controller) WindowInstr() arch.Instr { return c.windowInstr }
 func (c *Controller) T1() int { return c.t1 }
 
 // Enabled reports whether xPTP's protecting eviction is active.
-//
-//itp:hotpath
 func (c *Controller) Enabled() bool { return c.useXPTP }

@@ -37,7 +37,6 @@ func New(cfg config.DRAMConfig) *DRAM {
 	return &DRAM{cfg: cfg, openRows: rows}
 }
 
-//itp:hotpath
 func (d *DRAM) rowHit(row uint64) bool {
 	for _, r := range d.openRows {
 		if r == row {
@@ -47,7 +46,6 @@ func (d *DRAM) rowHit(row uint64) bool {
 	return false
 }
 
-//itp:hotpath
 func (d *DRAM) openRow(row uint64) {
 	if d.rowHit(row) {
 		return
@@ -59,8 +57,6 @@ func (d *DRAM) openRow(row uint64) {
 // Access implements the memory-level interface used by the cache
 // hierarchy: it returns the cycle at which the requested block is
 // available. The access occupies the channel for TransferCycles.
-//
-//itp:hotpath
 func (d *DRAM) Access(now uint64, acc *arch.Access) uint64 {
 	d.Accesses++
 	start := now
@@ -82,8 +78,6 @@ func (d *DRAM) Access(now uint64, acc *arch.Access) uint64 {
 
 // Writeback models a dirty eviction draining to memory: it consumes
 // channel bandwidth but nothing waits for it.
-//
-//itp:hotpath
 func (d *DRAM) Writeback(now uint64, addr arch.Addr) {
 	d.Accesses++
 	start := now

@@ -1,15 +1,8 @@
 package lint
 
 import (
-	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -57,8 +50,8 @@ func loadTree(t *testing.T) []*lintcore.Package {
 
 // TestItpvetCleanTree pins the invariant the whole suite exists to hold:
 // the shipped tree produces zero diagnostics from every analyzer. A
-// regression here means a hot-path, determinism, unit, error, or stat
-// violation landed without its justifying directive.
+// regression here means a determinism, unit or dropped-error violation
+// landed without its justifying directive.
 func TestItpvetCleanTree(t *testing.T) {
 	pkgs := loadTree(t)
 	diags, err := lintcore.Run(pkgs, All())
@@ -83,9 +76,6 @@ var wallClockGolden = map[string]int{
 func TestWallClockAllowlist(t *testing.T) {
 	got := map[string]int{}
 	for _, p := range loadTree(t) {
-		if !p.Target {
-			continue
-		}
 		for _, d := range p.Directives().All() {
 			if d.Name != lintcore.DirWallclock || p.IsTestFile(d.Pos) {
 				continue
@@ -102,167 +92,5 @@ func TestWallClockAllowlist(t *testing.T) {
 		if _, ok := wallClockGolden[pkg]; !ok {
 			t.Errorf("%s: %d //itp:wallclock sites outside the allowlist; the simulator core must not read the wall clock", pkg, n)
 		}
-	}
-}
-
-// benchGateFile is where the steady-state case table lives, relative to
-// the module root.
-const benchGateFile = "internal/sim/bench_test.go"
-
-// parseSteadyStateCases reads steadyStateCases from benchGateFile
-// syntactically and returns each case's hot-path packages by case name.
-// Every element must be a keyed literal whose name is a string literal
-// and whose hotpath is an identifier naming a []string literal declared
-// in the same file.
-func parseSteadyStateCases(t *testing.T, root string) map[string][]string {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filepath.Join(root, benchGateFile), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Collect the []string variables and the case table.
-	lists := map[string][]string{}
-	var table *ast.CompositeLit
-	for _, decl := range f.Decls {
-		d, ok := decl.(*ast.GenDecl)
-		if !ok {
-			continue
-		}
-		for _, spec := range d.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				if i >= len(vs.Values) {
-					continue
-				}
-				cl, ok := vs.Values[i].(*ast.CompositeLit)
-				if !ok {
-					continue
-				}
-				if name.Name == "steadyStateCases" {
-					table = cl
-					continue
-				}
-				var elems []string
-				for _, e := range cl.Elts {
-					lit, ok := e.(*ast.BasicLit)
-					if !ok || lit.Kind != token.STRING {
-						elems = nil
-						break
-					}
-					v, err := strconv.Unquote(lit.Value)
-					if err != nil {
-						t.Fatalf("%s: bad string literal %s", name.Name, lit.Value)
-					}
-					elems = append(elems, v)
-				}
-				if elems != nil {
-					lists[name.Name] = elems
-				}
-			}
-		}
-	}
-	if table == nil {
-		t.Fatalf("%s: steadyStateCases not found", benchGateFile)
-	}
-
-	cases := map[string][]string{}
-	for _, e := range table.Elts {
-		cl, ok := e.(*ast.CompositeLit)
-		if !ok {
-			t.Fatalf("steadyStateCases: element %v is not a composite literal", e)
-		}
-		var name, list string
-		for _, fe := range cl.Elts {
-			kv, ok := fe.(*ast.KeyValueExpr)
-			if !ok {
-				t.Fatalf("steadyStateCases: fields must be keyed, got %v", fe)
-			}
-			key, _ := kv.Key.(*ast.Ident)
-			switch {
-			case key == nil:
-				t.Fatalf("steadyStateCases: field key %v is not an identifier", kv.Key)
-			case key.Name == "name":
-				lit, ok := kv.Value.(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					t.Fatalf("steadyStateCases: name must be a string literal, got %v", kv.Value)
-				}
-				if name, err = strconv.Unquote(lit.Value); err != nil {
-					t.Fatal(err)
-				}
-			case key.Name == "hotpath":
-				ident, ok := kv.Value.(*ast.Ident)
-				if !ok {
-					t.Fatalf("steadyStateCases: hotpath must reference a package-list variable, got %v", kv.Value)
-				}
-				list = ident.Name
-			}
-		}
-		pkgsOf, ok := lists[list]
-		if name == "" || !ok {
-			t.Fatalf("steadyStateCases: case %q needs a name and a hotpath naming a []string literal in %s", name, benchGateFile)
-		}
-		cases[name] = pkgsOf
-	}
-	return cases
-}
-
-// TestHotpathGateCoverage is itpvet's self-check satellite: every package
-// holding an //itp:hotpath annotation must be claimed by at least one
-// steady-state case that TestSteadyStateAllocFree holds at 0 allocs per
-// step, and every claimed package must really carry annotations (no
-// stale rows).
-func TestHotpathGateCoverage(t *testing.T) {
-	root := repoRoot(t)
-	cases := parseSteadyStateCases(t, root)
-	if len(cases) == 0 {
-		t.Fatal("steadyStateCases is empty")
-	}
-
-	covered := map[string]bool{}
-	for _, pkgList := range cases {
-		for _, pkg := range pkgList {
-			covered[pkg] = true
-		}
-	}
-
-	annotated := map[string]bool{}
-	for _, p := range loadTree(t) {
-		if !p.Target || strings.HasPrefix(p.ImportPath, "itpsim/internal/lint") {
-			continue
-		}
-		for _, d := range p.Directives().All() {
-			if d.Name == lintcore.DirHotpath && !p.IsTestFile(d.Pos) {
-				annotated[p.ImportPath] = true
-				break
-			}
-		}
-	}
-	if len(annotated) == 0 {
-		t.Fatal("no //itp:hotpath annotations found in the tree")
-	}
-
-	var missing, stale []string
-	for pkg := range annotated {
-		if !covered[pkg] {
-			missing = append(missing, pkg)
-		}
-	}
-	for pkg := range covered {
-		if !annotated[pkg] {
-			stale = append(stale, pkg)
-		}
-	}
-	sort.Strings(missing)
-	sort.Strings(stale)
-	for _, pkg := range missing {
-		t.Error(fmt.Errorf("package %s has //itp:hotpath functions but no steady-state case in %s claims it", pkg, benchGateFile))
-	}
-	for _, pkg := range stale {
-		t.Error(fmt.Errorf("steadyStateCases claims %s, which has no //itp:hotpath annotations", pkg))
 	}
 }

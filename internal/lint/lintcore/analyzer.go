@@ -6,8 +6,8 @@
 //
 //   - type-checked packages loaded through `go list -export` (load.go),
 //     and
-//   - per-package analyzer passes with cross-package string facts
-//     (run.go).
+//   - per-package analyzer passes (run.go). Every check is local to one
+//     package, so passes share nothing.
 package lintcore
 
 import (
@@ -19,11 +19,10 @@ import (
 )
 
 // Analyzer is one named check. Run inspects a single package through its
-// Pass and reports diagnostics; it may export facts about the package
-// that later passes (on packages that import it) can read.
+// Pass and reports diagnostics.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and namespaces its
-	// facts. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid
+	// identifier.
 	Name string
 	// Doc is the one-paragraph description of the check.
 	Doc string
@@ -49,9 +48,6 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-	// Target marks packages named by the load patterns (as opposed to
-	// dependencies pulled in for facts only).
-	Target bool
 
 	directives *Directives
 }
@@ -65,40 +61,10 @@ func (p *Package) Directives() *Directives {
 }
 
 // IsTestFile reports whether pos lies in a _test.go file. The analyzers
-// exempt test files from the simulator's determinism and hot-path rules:
+// exempt test files from the simulator's determinism and unit rules:
 // tests may time things and iterate maps freely.
 func (p *Package) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// Facts is the cross-package knowledge store: per package and per
-// analyzer, a string key/value map. Values carrying structure are
-// JSON-encoded by convention. Facts flow in dependency order — a pass
-// sees only facts of packages its package imports (transitively).
-type Facts struct {
-	m map[string]map[string]map[string]string // pkg -> analyzer -> key -> value
-}
-
-// NewFacts returns an empty store.
-func NewFacts() *Facts { return &Facts{m: map[string]map[string]map[string]string{}} }
-
-func (f *Facts) set(pkg, analyzer, key, value string) {
-	byA := f.m[pkg]
-	if byA == nil {
-		byA = map[string]map[string]string{}
-		f.m[pkg] = byA
-	}
-	byK := byA[analyzer]
-	if byK == nil {
-		byK = map[string]string{}
-		byA[analyzer] = byK
-	}
-	byK[key] = value
-}
-
-func (f *Facts) get(pkg, analyzer, key string) (string, bool) {
-	v, ok := f.m[pkg][analyzer][key]
-	return v, ok
 }
 
 // Pass carries one analyzer's view of one package.
@@ -106,7 +72,6 @@ type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 
-	facts  *Facts
 	report func(Diagnostic)
 }
 
@@ -119,22 +84,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ExportFact records a fact about the current package, visible to later
-// passes of the same analyzer on importing packages.
-func (p *Pass) ExportFact(key, value string) {
-	p.facts.set(p.Pkg.ImportPath, p.Analyzer.Name, key, value)
-}
-
-// Fact looks up a fact exported by this analyzer for the given package
-// (which may be the current package or any analyzed dependency).
-func (p *Pass) Fact(pkgPath, key string) (string, bool) {
-	return p.facts.get(pkgPath, p.Analyzer.Name, key)
-}
-
 // FuncFullName returns the gc-style full name of fn, e.g.
 // "(*itpsim/internal/sim.Machine).step" for a pointer-receiver method or
-// "(itpsim/internal/tlb.Policy).Victim" for an interface method. This is
-// the identifier convention all itpvet facts use.
+// "(itpsim/internal/tlb.Policy).Victim" for an interface method.
+// errpropagation names its watched functions this way.
 func FuncFullName(fn *types.Func) string { return fn.FullName() }
 
 // TypeIsMap reports whether t's underlying type is a map.

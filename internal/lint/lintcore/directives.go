@@ -9,27 +9,13 @@ import (
 // The //itp: directive vocabulary. A directive comment governs its own
 // source line and the line below it, so both placements work:
 //
-//	//itp:cold — first-touch allocation
-//	n := pt.newNode()
+//	//itp:wallclock — manifest timestamp
+//	now := time.Now()
 //
 // and
 //
-//	m.publishDiag() //itp:cold — 64K-retire diagnostics
-//
-// When a directive's covered line is the first line of a statement, the
-// suppression extends over the whole statement (so one //itp:cold above
-// an if-block covers the block's body).
+//	now := time.Now() //itp:wallclock — manifest timestamp
 const (
-	// DirHotpath marks a function or interface method as part of the
-	// allocation-free hot path; hotpathalloc checks its body and permits
-	// calls to it from other hot-path functions.
-	DirHotpath = "hotpath"
-	// DirCold marks an amortized or terminal region inside a hot-path
-	// function; hotpathalloc skips it entirely.
-	DirCold = "cold"
-	// DirNonalloc marks a reviewed dynamic call or expression that does
-	// not allocate; hotpathalloc skips it.
-	DirNonalloc = "nonalloc"
 	// DirWallclock permits a time.Now/Since/Until call site
 	// (simdeterminism).
 	DirWallclock = "wallclock"
@@ -45,7 +31,7 @@ const (
 
 // Directive is one //itp: comment occurrence.
 type Directive struct {
-	Name string // e.g. "hotpath"
+	Name string // e.g. "wallclock"
 	Arg  string // free text after the name (justification prose)
 	Pos  token.Pos
 }
@@ -99,39 +85,6 @@ func (d *Directives) Covers(pos token.Pos, name string) bool {
 	for _, n := range d.byLine[p.Filename][p.Line] {
 		if n == name {
 			return true
-		}
-	}
-	return false
-}
-
-// FuncAnnotated reports whether decl carries the named directive: either
-// in its doc comment or on/above its declaration line.
-func FuncAnnotated(d *Directives, decl *ast.FuncDecl, name string) bool {
-	if docHasDirective(decl.Doc, name) {
-		return true
-	}
-	return d.Covers(decl.Pos(), name)
-}
-
-// FieldAnnotated reports whether an interface-method field carries the
-// named directive (doc comment, trailing comment, or covering line).
-func FieldAnnotated(d *Directives, field *ast.Field, name string) bool {
-	if docHasDirective(field.Doc, name) || docHasDirective(field.Comment, name) {
-		return true
-	}
-	return d.Covers(field.Pos(), name)
-}
-
-func docHasDirective(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if rest, ok := strings.CutPrefix(c.Text, "//itp:"); ok {
-			n, _, _ := strings.Cut(rest, " ")
-			if strings.TrimSpace(n) == name {
-				return true
-			}
 		}
 	}
 	return false

@@ -6,27 +6,6 @@ import (
 	"testing"
 )
 
-func TestFactsAccessors(t *testing.T) {
-	facts := NewFacts()
-	facts.set("pkg/a", "check", "k1", "v1")
-	facts.set("pkg/a", "check", "k2", "v2")
-	facts.set("pkg/b", "other", "k", "v")
-
-	pass := &Pass{
-		Analyzer: &Analyzer{Name: "check"},
-		Pkg:      &Package{ImportPath: "pkg/c"},
-		facts:    facts,
-	}
-	for k, want := range map[string]string{"k1": "v1", "k2": "v2"} {
-		if v, ok := pass.Fact("pkg/a", k); !ok || v != want {
-			t.Errorf("Fact(%s) = %q, %v", k, v, ok)
-		}
-	}
-	if _, ok := pass.Fact("pkg/b", "k"); ok {
-		t.Error("Fact crossed analyzer namespaces")
-	}
-}
-
 func TestTypeIsMap(t *testing.T) {
 	m := types.NewMap(types.Typ[types.Int], types.Typ[types.Int])
 	if !TypeIsMap(m) {

@@ -21,31 +21,29 @@ type listPkg struct {
 	Dir        string
 	GoFiles    []string
 	Export     string
-	Standard   bool
+	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
-// Load type-checks the packages matched by patterns plus their in-module
-// dependencies, in dependency order (dependencies first). It shells out
-// to `go list -export -deps`, which compiles export data for every
-// package in the closure; module packages are then re-checked from
-// source (so analyzers see syntax), importing their dependencies from
-// the export data. dir is the working directory for pattern resolution
-// ("" = current directory).
-//
-// Packages named by the patterns have Target set; dependency packages are
-// loaded for fact extraction only. Standard-library packages are never
-// analyzed from source.
+// Load type-checks the packages matched by patterns. It shells out to
+// `go list -export -deps`, which compiles export data for every package
+// in the closure; the matched packages are then checked from source (so
+// analyzers see syntax), importing their dependencies from the export
+// data. dir is the working directory for pattern resolution ("" =
+// current directory).
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	targets := map[string]bool{}
-	out, err := runGoList(dir, append([]string{"list", "-e", "-json=ImportPath"}, patterns...))
+	args := append([]string{"list", "-e", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error"}, patterns...)
+	out, err := runGoList(dir, args)
 	if err != nil {
 		return nil, err
 	}
+
+	var targets []listPkg
+	exports := map[string]string{}
 	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 		var p listPkg
 		if err := dec.Decode(&p); err == io.EOF {
@@ -53,29 +51,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("lintcore: parsing go list output: %w", err)
 		}
-		targets[p.ImportPath] = true
-	}
-
-	args := append([]string{"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,Standard,Error"}, patterns...)
-	out, err = runGoList(dir, args)
-	if err != nil {
-		return nil, err
-	}
-
-	var listed []listPkg
-	exports := map[string]string{}
-	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("lintcore: parsing go list -deps output: %w", err)
-		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		listed = append(listed, p)
+		if !p.DepOnly {
+			targets = append(targets, p)
+		}
 	}
 
 	fset := token.NewFileSet()
@@ -90,15 +71,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	})
 
 	var pkgs []*Package
-	for _, p := range listed {
-		if p.Standard {
-			continue
-		}
+	for _, p := range targets {
 		if p.Error != nil {
-			if targets[p.ImportPath] {
-				return nil, fmt.Errorf("lintcore: %s: %s", p.ImportPath, p.Error.Err)
-			}
-			continue
+			return nil, fmt.Errorf("lintcore: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if len(p.GoFiles) == 0 {
 			continue
@@ -111,7 +86,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.Target = targets[p.ImportPath]
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil

@@ -5,22 +5,14 @@ import (
 	"sort"
 )
 
-// Run executes every analyzer over every loaded package in dependency
-// order (Load returns dependencies first, so facts are available when an
-// importing package is analyzed). Diagnostics are collected only for
-// target packages; dependency packages run for fact extraction alone.
-// The returned diagnostics are sorted by position.
+// Run executes every analyzer over every loaded package. The returned
+// diagnostics are sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	facts := NewFacts()
 	var diags []Diagnostic
+	report := func(d Diagnostic) { diags = append(diags, d) }
 	for _, pkg := range pkgs {
-		report := func(d Diagnostic) {
-			if pkg.Target {
-				diags = append(diags, d)
-			}
-		}
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, facts: facts, report: report}
+			pass := &Pass{Analyzer: a, Pkg: pkg, report: report}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lintcore: %s on %s: %w", a.Name, pkg.ImportPath, err)
 			}

@@ -1,14 +1,12 @@
-// Package mainpkg is the lintcore fixture target; it imports deppkg so
-// fact flow across packages can be observed.
+// Package mainpkg is the lintcore fixture target; it imports deppkg, so
+// loading it needs the dependency's export data.
 package mainpkg
 
 import "itpsim/internal/lint/lintcore/testdata/src/deppkg"
 
 // Use consumes the dependency.
-//
-//itp:hotpath
 func Use() int {
-	//itp:cold fixture directive
+	//itp:ignore-err fixture directive
 	return deppkg.Exported()
 }
 

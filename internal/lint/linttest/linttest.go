@@ -91,14 +91,11 @@ type want struct {
 	used bool
 }
 
-// collectWants parses `// want` comments from the target packages.
+// collectWants parses `// want` comments from the loaded packages.
 func collectWants(pkgs []*lintcore.Package) (map[lineKey][]*want, []string) {
 	wants := map[lineKey][]*want{}
 	var problems []string
 	for _, pkg := range pkgs {
-		if !pkg.Target {
-			continue
-		}
 		for _, file := range pkg.Files {
 			for _, cg := range file.Comments {
 				for _, c := range cg.List {

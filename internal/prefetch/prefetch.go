@@ -18,7 +18,6 @@ type Prefetcher interface {
 	// list of block addresses to prefetch. The returned slice is only
 	// valid until the next Train call — implementations reuse it to keep
 	// the access path allocation-free.
-	//itp:hotpath
 	Train(acc *arch.Access) []arch.Addr
 }
 
@@ -34,8 +33,6 @@ func NewNextLine() *NextLine { return &NextLine{} }
 func (*NextLine) Name() string { return "next-line" }
 
 // Train implements Prefetcher.
-//
-//itp:hotpath
 func (n *NextLine) Train(acc *arch.Access) []arch.Addr {
 	n.buf[0] = arch.BlockAddr(acc.Addr) + arch.BlockSize
 	return n.buf[:]
@@ -106,8 +103,6 @@ func (s *Stride) Release() {
 func (*Stride) Name() string { return "stride" }
 
 // Train implements Prefetcher.
-//
-//itp:hotpath
 func (s *Stride) Train(acc *arch.Access) []arch.Addr {
 	idx := ((acc.PC >> 2) ^ (acc.PC >> 10)) & s.mask
 	e := &s.table[idx]
@@ -136,7 +131,7 @@ func (s *Stride) Train(acc *arch.Access) []arch.Addr {
 			if next <= 0 {
 				break
 			}
-			//itp:nonalloc — buf is pre-sized to degree; append never grows it
+			// buf is pre-sized to degree, so append never grows it.
 			s.buf = append(s.buf, arch.Addr(next)<<arch.BlockBits)
 		}
 	}

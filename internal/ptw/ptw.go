@@ -50,13 +50,10 @@ func newPSC(level int, cfg config.PSCConfig) *psc {
 
 // tagFor identifies the radix path down to (and including) this level's
 // index: all VA bits above the level's child region.
-//
-//itp:hotpath
 func (p *psc) tagFor(va arch.Addr) uint64 {
 	return uint64(va >> vm.LevelShift(p.level))
 }
 
-//itp:hotpath
 func (p *psc) lookup(va arch.Addr, thread uint8) bool {
 	tag := p.tagFor(va)
 	set := p.sets[tag&p.setMask]
@@ -74,7 +71,6 @@ func (p *psc) lookup(va arch.Addr, thread uint8) bool {
 	return false
 }
 
-//itp:hotpath
 func (p *psc) insert(va arch.Addr, thread uint8) {
 	tag := p.tagFor(va)
 	set := p.sets[tag&p.setMask]
@@ -131,8 +127,6 @@ func New(cfg *config.SystemConfig, mem cache.Level, sim *stats.Sim) *Walker {
 }
 
 // pscIndex maps radix level (5..2) to the pscs array index.
-//
-//itp:hotpath
 func pscIndex(level int) int { return 5 - level }
 
 // Walk performs a page walk for the translation tr of va. It returns the
@@ -140,8 +134,6 @@ func pscIndex(level int) int { return 5 - level }
 // references issued. Walk serialises the per-level PTE reads and models
 // walker occupancy; PTE reads carry the translation's class so the cache
 // hierarchy tags filled blocks for the translation-aware policies.
-//
-//itp:hotpath
 func (w *Walker) Walk(now uint64, va arch.Addr, tr *vm.Translation, class arch.Class, pc uint64, thread uint8) (done uint64, memRefs int) {
 	// Acquire the least-busy walker.
 	best := 0

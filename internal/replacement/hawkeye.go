@@ -12,9 +12,9 @@ type Hawkeye struct {
 	pred     []int8 // 3-bit saturating: >=0 friendly, <0 averse
 	predMask uint64
 
-	samplers      []*optgenSet
+	samplers      []optgenSet
 	sampleSetMask int
-	sampleShift   uint
+	ways          int
 }
 
 const (
@@ -24,21 +24,22 @@ const (
 	hkSampleEvery   = 16
 	// optgenWindow is the history length (in set accesses) OPTgen sees.
 	optgenWindow = 128
+	// optgenCap bounds a set's history: an access that takes it past
+	// 8*optgenWindow blocks prunes every entry at least optgenWindow
+	// accesses old.
+	optgenCap  = 8*optgenWindow + 1
+	optgenBits = 11 // 2048 buckets over a set's optgenCap slots
 )
 
 // optgenSet is the sampler state for one sampled set.
 type optgenSet struct {
-	ways int
 	// occupancy[i] counts live OPT intervals crossing quantum i.
 	occupancy [optgenWindow]uint8
 	clock     uint64
-	// lastAccess maps block -> (time, pc sig) of its previous access.
-	lastAccess map[uint64]optgenEntry
-}
-
-type optgenEntry struct {
-	time uint64
-	sig  uint32
+	// hist holds the time and PC signature of each block's previous
+	// access in its first n slots.
+	hist history
+	n    int
 }
 
 // NewHawkeye builds the policy for the given geometry.
@@ -46,12 +47,9 @@ func NewHawkeye(sets, ways int) *Hawkeye {
 	h := &Hawkeye{
 		pred:          make([]int8, hawkeyePredSize),
 		predMask:      hawkeyePredSize - 1,
+		samplers:      make([]optgenSet, sets/hkSampleEvery+1),
 		sampleSetMask: hkSampleEvery - 1,
-	}
-	n := sets/hkSampleEvery + 1
-	h.samplers = make([]*optgenSet, n)
-	for i := range h.samplers {
-		h.samplers[i] = &optgenSet{ways: ways, lastAccess: make(map[uint64]optgenEntry)}
+		ways:          ways,
 	}
 	return h
 }
@@ -79,46 +77,76 @@ func (h *Hawkeye) train(sig uint32, hit bool) {
 }
 
 // observe runs one access through OPTgen for sampled sets.
-func (h *Hawkeye) observe(setIdx int, block uint64, pc uint64) {
+func (h *Hawkeye) observe(setIdx int, block uint32, pc uint64) {
 	if setIdx&h.sampleSetMask != 0 {
 		return
 	}
-	s := h.samplers[setIdx/hkSampleEvery]
+	s := &h.samplers[setIdx/hkSampleEvery]
+	if s.hist.slots == nil {
+		// Every sampled set takes its storage at the first sampled
+		// access, which keeps it out of set-up. Taking a set's storage
+		// at that set's own first access would leave first touches
+		// allocating long after warmup.
+		for i := range h.samplers {
+			h.samplers[i].hist = newHistory(optgenCap, optgenBits)
+		}
+	}
 	s.clock++
 	now := s.clock
-	if prev, ok := s.lastAccess[block]; ok && now-prev.time < optgenWindow {
-		// Would OPT have kept the block across [prev, now)? Yes iff the
-		// occupancy never reached associativity in that interval.
-		fits := true
-		for t := prev.time; t < now; t++ {
-			if s.occupancy[t%optgenWindow] >= uint8(s.ways) {
-				fits = false
-				break
-			}
-		}
-		h.train(prev.sig, fits)
-		if fits {
+	i := s.hist.find(block)
+	if i >= 0 {
+		prev := s.hist.slots[i]
+		if now-prev.time < optgenWindow {
+			// Would OPT have kept the block across [prev, now)? Yes iff
+			// the occupancy never reached associativity in that
+			// interval.
+			fits := true
 			for t := prev.time; t < now; t++ {
-				s.occupancy[t%optgenWindow]++
+				if s.occupancy[t%optgenWindow] >= uint8(h.ways) {
+					fits = false
+					break
+				}
 			}
+			h.train(uint32(prev.sig), fits)
+			if fits {
+				for t := prev.time; t < now; t++ {
+					s.occupancy[t%optgenWindow]++
+				}
+			}
+		} else {
+			// Reuse beyond the window: treat as an OPT miss for the old PC.
+			h.train(uint32(prev.sig), false)
 		}
-	} else if ok {
-		// Reuse beyond the window: treat as an OPT miss for the old PC.
-		h.train(prev.sig, false)
 	}
 	// Reset the quantum this access starts (the window slides).
 	s.occupancy[now%optgenWindow] = 0
-	s.lastAccess[block] = optgenEntry{time: now, sig: h.sig(pc)}
-	// Bound the map.
-	if len(s.lastAccess) > 8*optgenWindow {
-		// Deleting every entry matching a pure age predicate leaves the
-		// same surviving map state in any iteration order.
-		//itp:deterministic — predicate prune; order cannot affect the result
-		for k, v := range s.lastAccess {
-			if now-v.time >= optgenWindow {
-				delete(s.lastAccess, k)
-			}
+	if i < 0 {
+		i = s.n
+		s.n++
+		s.hist.slots[i].block = block
+		s.hist.link(i)
+	}
+	s.hist.slots[i].time = now
+	s.hist.slots[i].sig = uint16(h.sig(pc))
+	if s.n == optgenCap {
+		s.prune(now)
+	}
+}
+
+// prune drops every entry at least optgenWindow accesses old and
+// rebuilds the bucket chains over the survivors.
+func (s *optgenSet) prune(now uint64) {
+	n := 0
+	for _, e := range s.hist.slots[:s.n] {
+		if now-e.time < optgenWindow {
+			s.hist.slots[n] = e
+			n++
 		}
+	}
+	s.n = n
+	clear(s.hist.heads)
+	for i := range n {
+		s.hist.link(i)
 	}
 }
 
@@ -142,7 +170,7 @@ func (h *Hawkeye) Victim(_ int, set *Set, _ *arch.Access) int {
 
 // OnFill implements Policy.
 func (h *Hawkeye) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
-	h.observe(setIdx, uint64(set.Tags[way]), in.PC)
+	h.observe(setIdx, set.Tags[way], in.PC)
 	l := &set.Lines[way]
 	l.Sig = uint16(h.sig(in.PC))
 	if h.friendly(in.PC) {
@@ -155,7 +183,7 @@ func (h *Hawkeye) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 
 // OnHit implements Policy.
 func (h *Hawkeye) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
-	h.observe(setIdx, uint64(set.Tags[way]), in.PC)
+	h.observe(setIdx, set.Tags[way], in.PC)
 	l := &set.Lines[way]
 	l.Sig = uint16(h.sig(in.PC))
 	if h.friendly(in.PC) {

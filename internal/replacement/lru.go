@@ -13,29 +13,21 @@ func NewLRU() *LRU { return &LRU{} }
 func (*LRU) Name() string { return "lru" }
 
 // Victim implements Policy: the bottom of the recency stack.
-//
-//itp:hotpath
 func (*LRU) Victim(_ int, set *Set, _ *arch.Access) int {
 	return StackLRUVictim(set)
 }
 
 // OnFill implements Policy: insert at MRU.
-//
-//itp:hotpath
 func (*LRU) OnFill(_ int, set *Set, way int, _ *arch.Access) {
 	MoveToStackPos(set, way, 0)
 }
 
 // OnHit implements Policy: promote to MRU.
-//
-//itp:hotpath
 func (*LRU) OnHit(_ int, set *Set, way int, _ *arch.Access) {
 	MoveToStackPos(set, way, 0)
 }
 
 // OnEvict implements Policy.
-//
-//itp:hotpath
 func (*LRU) OnEvict(int, *Set, int) {}
 
 // Random evicts a uniformly random valid way (invalid ways first). It

@@ -14,10 +14,14 @@ import "itpsim/internal/arch"
 // carries an estimated time of next access (ETA); the victim is the line
 // with the maximum ETA, with lines predicted "scan" evicted first.
 type Mockingjay struct {
-	pred          []int32 // predicted reuse distance per signature, -1 = scan
-	predMask      uint64
-	sampler       map[uint64]*samplerEntry
-	samplerFIFO   []uint64
+	pred     []int32 // predicted reuse distance per signature, -1 = scan
+	predMask uint64
+	// sampler is a FIFO ring of mjSamplerCap slots: a new block takes
+	// slot samplerNext, which holds the oldest entry once samplerLen
+	// reaches the cap. A re-accessed block keeps its slot.
+	sampler       history
+	samplerNext   int
+	samplerLen    int
 	sampleSetMask int
 	clock         uint64 // logical time: one tick per cache access
 	maxRD         int32
@@ -28,15 +32,11 @@ type Mockingjay struct {
 	ways int
 }
 
-type samplerEntry struct {
-	sig  uint16
-	time uint64
-}
-
 const (
 	mjTableSize   = 8192
 	mjSamplerCap  = 4096
-	mjSampleEvery = 8 // sample 1 of every 8 sets
+	mjSamplerBits = 13 // 8192 buckets over the sampler's 4096 slots
+	mjSampleEvery = 8  // sample 1 of every 8 sets
 )
 
 // NewMockingjay returns a Mockingjay policy for the given geometry; maxRD
@@ -46,7 +46,7 @@ func NewMockingjay(sets, ways int) *Mockingjay {
 	m := &Mockingjay{
 		pred:          make([]int32, mjTableSize),
 		predMask:      mjTableSize - 1,
-		sampler:       make(map[uint64]*samplerEntry),
+		sampler:       newHistory(mjSamplerCap, mjSamplerBits),
 		sampleSetMask: mjSampleEvery - 1,
 		maxRD:         int32(4 * sets * ways),
 		eta:           make([]uint64, sets*ways),
@@ -83,34 +83,32 @@ func (m *Mockingjay) train(sig uint16, rd int32) {
 	m.pred[sig] = cur + (rd-cur)/4
 }
 
-// sample records an access to blockAddr in the sampler (for sampled sets)
+// sample records an access to block in the sampler (for sampled sets)
 // and trains on the previously recorded access if present.
-func (m *Mockingjay) sample(setIdx int, blockAddr, pc uint64) {
+func (m *Mockingjay) sample(setIdx int, block uint32, pc uint64) {
 	if setIdx&m.sampleSetMask != 0 {
 		return
 	}
 	sig := m.signature(pc)
-	if prev, ok := m.sampler[blockAddr]; ok {
+	if i := m.sampler.find(block); i >= 0 {
+		prev := &m.sampler.slots[i]
 		m.train(prev.sig, int32(m.clock-prev.time))
 		prev.sig = sig
 		prev.time = m.clock
 		return
 	}
-	// Bound the sampler: age out the oldest entries FIFO-style, training
-	// them as scans (they were not reused while sampled).
-	if len(m.sampler) >= mjSamplerCap {
-		for len(m.samplerFIFO) > 0 {
-			old := m.samplerFIFO[0]
-			m.samplerFIFO = m.samplerFIFO[1:]
-			if e, ok := m.sampler[old]; ok {
-				m.train(e.sig, -1)
-				delete(m.sampler, old)
-				break
-			}
-		}
+	i := m.samplerNext
+	if m.samplerLen == mjSamplerCap {
+		// Bound the sampler: age out the oldest entry FIFO-style,
+		// training it as a scan (it was not reused while sampled).
+		m.train(m.sampler.slots[i].sig, -1)
+		m.sampler.unlink(i)
+	} else {
+		m.samplerLen++
 	}
-	m.sampler[blockAddr] = &samplerEntry{sig: sig, time: m.clock}
-	m.samplerFIFO = append(m.samplerFIFO, blockAddr)
+	m.sampler.slots[i] = histEntry{time: m.clock, block: block, sig: sig}
+	m.sampler.link(i)
+	m.samplerNext = (i + 1) % mjSamplerCap
 }
 
 // Victim implements Policy: evict the line whose estimated next access is
@@ -139,7 +137,7 @@ func (m *Mockingjay) Victim(setIdx int, set *Set, _ *arch.Access) int {
 // OnFill implements Policy.
 func (m *Mockingjay) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 	m.clock++
-	m.sample(setIdx, uint64(set.Tags[way]), in.PC)
+	m.sample(setIdx, set.Tags[way], in.PC)
 	sig := m.signature(in.PC)
 	set.Lines[way].Sig = sig
 	m.eta[setIdx*m.ways+way] = m.clock + uint64(m.pred[sig])
@@ -148,7 +146,7 @@ func (m *Mockingjay) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 // OnHit implements Policy: re-predict from the hitting PC.
 func (m *Mockingjay) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
 	m.clock++
-	m.sample(setIdx, uint64(set.Tags[way]), in.PC)
+	m.sample(setIdx, set.Tags[way], in.PC)
 	sig := m.signature(in.PC)
 	set.Lines[way].Sig = sig
 	m.eta[setIdx*m.ways+way] = m.clock + uint64(m.pred[sig])

@@ -53,59 +53,38 @@ const (
 )
 
 // Dirty reports whether the block was written since its fill.
-//
-//itp:hotpath
 func (l *Line) Dirty() bool { return l.flags&flagDirty != 0 }
 
 // IsPTE reports whether the block holds page-table payload.
-//
-//itp:hotpath
 func (l *Line) IsPTE() bool { return l.flags&flagPTE != 0 }
 
 // IsDataPTE reports whether the block holds a PTE serving a data
 // translation: xPTP's Type bit.
-//
-//itp:hotpath
 func (l *Line) IsDataPTE() bool { return l.flags&flagDataPTE != 0 }
 
 // STLBMiss reports whether the demand access that filled the block
 // missed the STLB.
-//
-//itp:hotpath
 func (l *Line) STLBMiss() bool { return l.flags&flagSTLBMiss != 0 }
 
 // Prefetched reports whether a prefetcher filled the block and no demand
 // access has touched it since.
-//
-//itp:hotpath
 func (l *Line) Prefetched() bool { return l.flags&flagPrefetched != 0 }
 
 // SetDirty sets or clears the Dirty flag.
-//
-//itp:hotpath
 func (l *Line) SetDirty(v bool) { l.setFlag(flagDirty, v) }
 
 // SetPTE sets or clears the IsPTE flag.
-//
-//itp:hotpath
 func (l *Line) SetPTE(v bool) { l.setFlag(flagPTE, v) }
 
 // SetDataPTE sets or clears the IsDataPTE flag.
-//
-//itp:hotpath
 func (l *Line) SetDataPTE(v bool) { l.setFlag(flagDataPTE, v) }
 
 // SetSTLBMiss sets or clears the STLBMiss flag.
-//
-//itp:hotpath
 func (l *Line) SetSTLBMiss(v bool) { l.setFlag(flagSTLBMiss, v) }
 
 // SetPrefetched sets or clears the Prefetched flag.
-//
-//itp:hotpath
 func (l *Line) SetPrefetched(v bool) { l.setFlag(flagPrefetched, v) }
 
-//itp:hotpath
 func (l *Line) setFlag(bit uint8, v bool) {
 	if v {
 		l.flags |= bit
@@ -127,8 +106,6 @@ type Set struct {
 }
 
 // Valid reports whether way w holds a block.
-//
-//itp:hotpath
 func (s *Set) Valid(w int) bool { return s.Tags[w] != NoTag }
 
 // Policy decides victims and maintains per-line replacement state.
@@ -140,13 +117,9 @@ func (s *Set) Valid(w int) bool { return s.Tags[w] != NoTag }
 // the call: policies must not retain it.
 type Policy interface {
 	Name() string
-	//itp:hotpath
 	Victim(setIdx int, set *Set, in *arch.Access) int
-	//itp:hotpath
 	OnFill(setIdx int, set *Set, way int, in *arch.Access)
-	//itp:hotpath
 	OnHit(setIdx int, set *Set, way int, in *arch.Access)
-	//itp:hotpath
 	OnEvict(setIdx int, set *Set, way int)
 }
 
@@ -161,8 +134,6 @@ func InitSet(s *Set) {
 
 // InvalidWay returns the index of an empty way with the deepest stack
 // position, or -1 if the set is full.
-//
-//itp:hotpath
 func InvalidWay(s *Set) int {
 	best, bestStack := -1, -1
 	for w, tag := range s.Tags {
@@ -175,8 +146,6 @@ func InvalidWay(s *Set) int {
 
 // StackLRUVictim returns the way at the bottom of the recency stack
 // (position ways-1), preferring invalid ways.
-//
-//itp:hotpath
 func StackLRUVictim(s *Set) int {
 	if w := InvalidWay(s); w >= 0 {
 		return w
@@ -185,8 +154,6 @@ func StackLRUVictim(s *Set) int {
 }
 
 // StackPosOf returns the way currently at stack position pos, or -1.
-//
-//itp:hotpath
 func StackPosOf(s *Set, pos int) int {
 	for w, p := range s.Stack {
 		if int(p) == pos {
@@ -256,7 +223,6 @@ func newXorshift(seed uint64) xorshift64 {
 	return xorshift64(seed)
 }
 
-//itp:hotpath
 func (x *xorshift64) next() uint64 {
 	v := uint64(*x)
 	v ^= v << 13

@@ -512,10 +512,10 @@ func TestMockingjaySamplerBounded(t *testing.T) {
 	p := NewMockingjay(64, 4)
 	for i := 0; i < 3*mjSamplerCap; i++ {
 		p.clock++
-		p.sample(0, uint64(i)*64, uint64(i))
+		p.sample(0, uint32(i)*64, uint64(i))
 	}
-	if len(p.sampler) > mjSamplerCap {
-		t.Errorf("sampler grew to %d (> %d)", len(p.sampler), mjSamplerCap)
+	if p.samplerLen > mjSamplerCap {
+		t.Errorf("sampler grew to %d (> %d)", p.samplerLen, mjSamplerCap)
 	}
 }
 

@@ -17,8 +17,6 @@ const (
 // promotion (pos below the way's current position old, nearer MRU)
 // pushes every way at a position in [pos, old) one step toward LRU; a
 // demotion (pos > old) pulls every way in (old, pos] one step toward MRU.
-//
-//itp:hotpath
 func MoveToStackPos(s *Set, way, pos int) {
 	stack := s.Stack
 	old := int(stack[way])
@@ -38,8 +36,6 @@ func MoveToStackPos(s *Set, way, pos int) {
 // narrower than a word take the byte loop. A set whose ways are not a
 // multiple of eight (the 12-way L1D) ends on its last eight bytes, with
 // the flags of the bytes the previous word already moved cleared.
-//
-//itp:hotpath
 func shiftStack(stack []uint8, lo, hi int, down bool) {
 	n := len(stack)
 	if n < 8 {
@@ -73,10 +69,7 @@ func shiftStack(stack []uint8, lo, hi int, down bool) {
 // leaves 1 in each byte to move. Adding that mask cannot carry (a moved
 // byte stays below hi <= 128), and subtracting it cannot borrow (a
 // demotion's lo is old+1 >= 1).
-//
-//itp:hotpath
 func shiftWord(w []uint8, geLo, geHi, flags uint64, down bool) {
-	//itp:nonalloc — encoding/binary's fixed-width load compiles to one MOVQ
 	x := binary.LittleEndian.Uint64(w)
 	d := (((x + geLo) &^ (x + geHi)) & flags) >> 7
 	if down {
@@ -84,6 +77,5 @@ func shiftWord(w []uint8, geLo, geHi, flags uint64, down bool) {
 	} else {
 		x -= d
 	}
-	//itp:nonalloc — encoding/binary's fixed-width store compiles to one MOVQ
 	binary.LittleEndian.PutUint64(w, x)
 }

@@ -175,8 +175,8 @@ func TestHawkeyeLearnsFriendlyPCs(t *testing.T) {
 	// should become friendly; one that streams should become averse.
 	friendlyPC, aversePC := uint64(0x1000), uint64(0x2000)
 	for i := 0; i < 200; i++ {
-		h.observe(0, uint64(i%2), friendlyPC)  // two blocks ping-pong: OPT hits
-		h.observe(0, uint64(1000+i), aversePC) // never reused: stays cold
+		h.observe(0, uint32(i%2), friendlyPC)  // two blocks ping-pong: OPT hits
+		h.observe(0, uint32(1000+i), aversePC) // never reused: stays cold
 	}
 	if !h.friendly(friendlyPC) {
 		t.Error("reused PC should be cache-friendly")

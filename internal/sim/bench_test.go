@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"itpsim/internal/config"
@@ -10,17 +12,17 @@ import (
 )
 
 // steadyStep returns a setup that builds a machine plus a warmed thread
-// context stepping the reference workload, so each step call runs exactly
+// context stepping workload wl, so each step call runs exactly
 // one steady-state instruction. Warm steps populate caches, TLBs, page
 // tables, and the allocator-visible buffers (lookahead ring, metrics
 // window ring), leaving the measured loop with the structures the run
 // loop actually touches per instruction. mutate (optional) edits the
 // default configuration before the machine is built, so each case
 // exercises its own policy mix.
-func steadyStep(instrument, beacons bool, mutate func(*config.SystemConfig)) func(testing.TB) func() {
+func steadyStep(wl string, instrument, beacons bool, mutate func(*config.SystemConfig)) func(testing.TB) func() {
 	return func(tb testing.TB) func() {
 		tb.Helper()
-		spec, err := workload.NewCatalog(4, 2).Get("srv_000")
+		spec, err := workload.NewCatalog(4, 2).Get(wl)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -113,165 +115,184 @@ func steadyWarmFunctional(tb testing.TB) func() {
 	}
 }
 
-// Hot-path package lists: which //itp:hotpath functions each steady-state
-// case exercises empirically. itpvet's static hotpathalloc analyzer
-// proves the absence of allocation constructs; TestSteadyStateAllocFree
-// counts every allocation the steps make on real instruction streams; and
-// internal/lint's TestHotpathGateCoverage proves every annotation in the
-// tree is claimed by at least one case. Keep the three in sync.
-var (
-	// hotpathCommon covers the machinery every configuration steps
-	// through: the pipeline, the TLB/cache/DRAM hierarchy, the page
-	// walker, virtual memory, the LRU substrate, and the workload
-	// generators.
-	hotpathCommon = []string{
-		"itpsim/internal/arch",
-		"itpsim/internal/sim",
-		"itpsim/internal/tlb",
-		"itpsim/internal/cache",
-		"itpsim/internal/replacement",
-		"itpsim/internal/ptw",
-		"itpsim/internal/vm",
-		"itpsim/internal/dram",
-		"itpsim/internal/stats",
-		"itpsim/internal/prefetch",
-		"itpsim/internal/workload",
-	}
-	// hotpathITPXPTP adds the paper's proposal policies: iTP on the STLB
-	// and adaptive xPTP (controller included) on the L2C.
-	hotpathITPXPTP = []string{
-		"itpsim/internal/core",
-	}
-	// hotpathCHiRP adds the CHiRP baseline plus the real
-	// hashed-perceptron predictor that drives its control-flow history.
-	hotpathCHiRP = []string{
-		"itpsim/internal/branch",
-	}
-	// hotpathBeacons covers the state-fingerprint fold: the FNV
-	// substrate in arch and the whole-hierarchy hashState walk in sim,
-	// which the beaconed case drives at every window boundary.
-	hotpathBeacons = []string{
-		"itpsim/internal/arch",
-		"itpsim/internal/sim",
-	}
-)
-
 // steadyStateCase is one steady-state configuration of the simulation
-// hot loop. setup builds and warms a machine and returns a step that
-// advances it by one instruction; hotpath names the packages whose
-// //itp:hotpath functions that step exercises; budget is the most heap
-// allocations TestSteadyStateAllocFree accepts over steadyAllocSteps
-// steps.
+// hot loop: setup builds and warms a machine and returns a step that
+// advances it by one instruction.
 type steadyStateCase struct {
-	name    string
-	setup   func(testing.TB) func()
-	hotpath []string
-	budget  uint64
+	name  string
+	setup func(testing.TB) func()
 }
-
-// steadyAllocSteps is how many steps TestSteadyStateAllocFree counts
-// allocations over.
-const steadyAllocSteps = 20_000
 
 // steadyStateCases drives BenchmarkSteadyState and
-// TestSteadyStateAllocFree. internal/lint's TestHotpathGateCoverage
-// parses this table syntactically, so keep the fields keyed, name a
-// string literal, and hotpath an identifier naming one of the lists
-// above.
-//
-// Each budget is about twice the case's measured total over
-// steadyAllocSteps steps (2-vCPU host, with and without -race; the counts
-// repeat exactly). The totals are one-off growth, not per-step
-// allocation: a memory profile of Step puts 8 of its 13 allocations in
-// the diagnostic publish that falls in its window, whose text buffer
-// grows on first use, and 5 in one split of the heap class's full frame
-// map. The page walks' other first touches (265 in all in Step) land in
-// class-map capacity the warmup already grew. One allocation per hundred
-// steps already exceeds every budget.
+// TestSteadyStateAllocFree.
 var steadyStateCases = []steadyStateCase{
 	// One instruction end to end: lookahead pop, front end, TLBs, page
-	// walks, caches, retire. Measured 13.
-	{name: "Step", setup: steadyStep(false, false, nil), hotpath: hotpathCommon, budget: 16},
+	// walks, caches, retire.
+	{name: "Step", setup: steadyStep("srv_000", false, false, nil)},
 	// The windowed sampler attached and per-1000-instruction windows
 	// closing into a retained ring: window records recycle in place.
-	// Measured 69: 56 make the counter maps of the 14 ring slots first
-	// filled in the counted span (windows 51–64 of its 64), and a full
-	// ring closes windows without allocating (TestWindowsCloseAllocFree).
-	{name: "StepMetrics", setup: steadyStep(true, false, nil), hotpath: hotpathCommon, budget: 140},
+	{name: "StepMetrics", setup: steadyStep("srv_000", true, false, nil)},
 	// The paper's proposal: iTP on the STLB and adaptive xPTP (with its
 	// controller judging every window) on the L2C, instrumented so the
-	// controller's decision hook is live too. Measured 69.
-	{name: "StepITPXPTP", setup: steadyStep(true, false, func(cfg *config.SystemConfig) {
+	// controller's decision hook is live too.
+	{name: "StepITPXPTP", setup: steadyStep("srv_000", true, false, func(cfg *config.SystemConfig) {
 		cfg.STLBPolicy = "itp"
 		cfg.L2CPolicy = "xptp"
-	}), hotpath: hotpathITPXPTP, budget: 140},
+	})},
 	// The RRIP family and SHiP: T-DRRIP's aging victim search and
 	// STLB-miss bias at the L2C, SHiP's signature table at the LLC.
-	// Measured 13.
-	{name: "StepRRIP", setup: steadyStep(false, false, func(cfg *config.SystemConfig) {
+	{name: "StepRRIP", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
 		cfg.L2CPolicy = "tdrrip"
 		cfg.LLCPolicy = "ship"
-	}), hotpath: hotpathCommon, budget: 16},
-	// Mockingjay at the LLC: the sampled reuse-distance predictor and
-	// its ETA-based victim search. Measured 273: its sampler still
-	// allocates an entry per sampled fill.
-	{name: "StepMockingjay", setup: steadyStep(false, false, func(cfg *config.SystemConfig) {
+	})},
+	// Mockingjay at the LLC: the sampled reuse-distance predictor with
+	// its FIFO ring, and the ETA-based victim search.
+	{name: "StepMockingjay", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
 		cfg.LLCPolicy = "mockingjay"
-	}), hotpath: hotpathCommon, budget: 540},
-	// Hawkeye at the LLC: the OPTgen occupancy vectors and the PC
-	// predictor that classifies each fill. Measured 57.
-	{name: "StepHawkeye", setup: steadyStep(false, false, func(cfg *config.SystemConfig) {
+	})},
+	// Hawkeye at the LLC: the OPTgen occupancy vectors and history, and
+	// the PC predictor that classifies each fill.
+	{name: "StepHawkeye", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
 		cfg.LLCPolicy = "hawkeye"
-	}), hotpath: hotpathCommon, budget: 110},
+	})},
 	// The CHiRP STLB baseline with the real hashed-perceptron branch
 	// predictor: the control-flow-history and perceptron hot paths.
-	// Measured 13.
-	{name: "StepCHiRP", setup: steadyStep(false, false, func(cfg *config.SystemConfig) {
+	{name: "StepCHiRP", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
 		cfg.STLBPolicy = "chirp"
 		cfg.BranchPredictor = "perceptron"
-	}), hotpath: hotpathCHiRP, budget: 16},
+	})},
+	// The probabilistic-LRU STLB of the paper's Figure 3: its random
+	// draw and per-class victim search.
+	{name: "StepProbLRU", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
+		cfg.STLBPolicy = "problru"
+	})},
+	// Half the footprint on 2 MB pages: the huge-page translation paths
+	// of the TLBs and the page table.
+	{name: "StepHugePages", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
+		cfg.HugePageFraction = 0.5
+	})},
+	// The SPEC-like loop-nest generator, which the other cases' server
+	// stream never runs.
+	{name: "StepSpec", setup: steadyStep("spec_000", false, false, nil)},
 	// Metrics windows closing and a full-hierarchy state fingerprint
 	// folding into the beacon chain at every window boundary: the fixed
-	// ring and in-place FNV fold. Measured 69.
-	{name: "StepBeacons", setup: steadyStep(true, true, nil), hotpath: hotpathBeacons, budget: 140},
+	// ring and in-place FNV fold.
+	{name: "StepBeacons", setup: steadyStep("srv_000", true, true, nil)},
 	// Four cores stepped round-robin into the shared STLB/L2C/LLC/walker/
 	// DRAM: per-tenant stats attribution and shared-MSHR contention.
-	// Measured 0: no publish falls in its window, and its 250 first
-	// touches fit the class maps the warmup grew. Two tenants' code
-	// classes pass 112 frames inside the window, where a map that
-	// started at 8 slots regrows (4 allocations); a new class map
-	// starts at 256 slots.
-	{name: "StepMultiCore", setup: steadyMultiCore, hotpath: hotpathCommon, budget: 0},
+	{name: "StepMultiCore", setup: steadyMultiCore},
 	// Functional warmup replays at generator speed, so its loop must be
-	// as allocation-free as the detailed step. Measured 0.
-	{name: "WarmFunctional", setup: steadyWarmFunctional, hotpath: hotpathCommon, budget: 0},
+	// as allocation-free as the detailed step.
+	{name: "WarmFunctional", setup: steadyWarmFunctional},
 }
 
+const (
+	// steadyWarmSteps is how many steps TestSteadyStateAllocFree runs
+	// after a case's setup before it counts: enough that every window
+	// ring and first-touch table the setup left short is full.
+	steadyWarmSteps = 20_000
+	// steadyCountSteps is how many steps it counts, 2^17, so two of
+	// the 64K-retire diagnostic publishes fall in the span.
+	steadyCountSteps = 1 << 17
+	// frameMapGrowthBound is the most allocations the span may make
+	// under vm.(*PageTable).mapFrame: frame maps growing as a stream
+	// touches pages for the first time. It is one-off growth, not
+	// per-step allocation; the bound is twice the largest count a case
+	// reads (11).
+	frameMapGrowthBound = 22
+)
+
+// Frames that attribute a profiled allocation: the two step functions
+// the cases drive, and the frame-map insert whose growth the gate
+// bounds apart.
+const (
+	stepFrame     = "itpsim/internal/sim.(*Machine).step"
+	warmStepFrame = "itpsim/internal/sim.(*Machine).warmStep"
+	mapFrameFrame = "itpsim/internal/vm.(*PageTable).mapFrame"
+)
+
 // TestSteadyStateAllocFree is the allocation gate for the simulation hot
-// loop. It counts the heap allocations (runtime.MemStats.Mallocs) of
-// steadyAllocSteps steps of each case and fails above the case's
-// budget. The count is exact, unlike testing.AllocsPerRun, whose
-// integer mean per step reads anything rarer than one allocation per
-// step as 0.
+// loop. After each case's setup it runs steadyWarmSteps steps, then
+// counts every heap allocation of steadyCountSteps more. With
+// runtime.MemProfileRate at 1 the memory profile records each
+// allocation with its stack, so the gate counts exactly the allocations
+// made through (*Machine).step or warmStep, whatever else the process
+// (the race runtime, the test framework, the collector) allocates
+// meanwhile. It allows none, except frame-map growth under
+// vm.(*PageTable).mapFrame, held under frameMapGrowthBound.
 func TestSteadyStateAllocFree(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	for _, c := range steadyStateCases {
 		t.Run(c.name, func(t *testing.T) {
 			step := c.setup(t)
-			// One processor, as AllocsPerRun does, so no other goroutine
-			// allocates while the steps are counted.
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < steadyAllocSteps; i++ {
+			runtime.MemProfileRate = 1
+			for range steadyWarmSteps {
 				step()
 			}
-			runtime.ReadMemStats(&after)
-			n := after.Mallocs - before.Mallocs
-			t.Logf("%d allocations over %d steps, budget %d", n, steadyAllocSteps, c.budget)
-			if n > c.budget {
-				t.Errorf("%d allocations over %d steps, budget %d", n, steadyAllocSteps, c.budget)
+			before := profiledAllocs()
+			for range steadyCountSteps {
+				step()
+			}
+			after := profiledAllocs()
+			var growth int64
+			steady := map[string]int64{}
+			for stack, n := range after {
+				if n -= before[stack]; n == 0 {
+					continue
+				}
+				funcs := stackFuncs(stack)
+				switch {
+				case !slices.Contains(funcs, stepFrame) && !slices.Contains(funcs, warmStepFrame):
+				case slices.Contains(funcs, mapFrameFrame):
+					growth += n
+				default:
+					steady[strings.Join(funcs, " < ")] += n
+				}
+			}
+			for at, n := range steady {
+				t.Errorf("%d allocations on the step path at %s", n, at)
+			}
+			t.Logf("%d frame-map growth allocations over %d steps", growth, steadyCountSteps)
+			if growth > frameMapGrowthBound {
+				t.Errorf("%d frame-map growth allocations over %d steps, bound %d", growth, steadyCountSteps, frameMapGrowthBound)
 			}
 		})
+	}
+}
+
+// profiledAllocs returns the memory profile's allocation count per
+// stack, after a collection that publishes every allocation made so
+// far.
+func profiledAllocs() map[[32]uintptr]int64 {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, _ := runtime.MemProfile(nil, true)
+	for {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+	}
+	allocs := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		allocs[r.Stack0] += r.AllocObjects
+	}
+	return allocs
+}
+
+// stackFuncs returns the function names of a profiled stack, innermost
+// first.
+func stackFuncs(stack [32]uintptr) []string {
+	var funcs []string
+	r := runtime.MemProfileRecord{Stack0: stack}
+	frames := runtime.CallersFrames(r.Stack())
+	for {
+		f, more := frames.Next()
+		funcs = append(funcs, f.Function)
+		if !more {
+			return funcs
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"itpsim/internal/arch"
@@ -104,10 +105,11 @@ type Machine struct {
 	// interrupted requests that the run loop stop at the next instruction
 	// boundary; set asynchronously via Interrupt.
 	interrupted atomic.Bool
-	// diag holds the last diagnostic snapshot published by the run loop
-	// itself (so readers never race with the simulation's own structures);
-	// diagBuf is the run loop's scratch for building it.
-	diag    atomic.Pointer[string]
+	// diagBuf holds the last diagnostic snapshot published by the run
+	// loop itself (so readers never race with the simulation's own
+	// structures), empty until the first publish. diagMu guards it:
+	// the run loop rebuilds it in place and Snapshot copies it.
+	diagMu  sync.Mutex
 	diagBuf []byte
 	// threads is the per-run pipeline state, only touched by the run loop.
 	threads []*threadCtx
@@ -176,7 +178,6 @@ type statsDRAM struct {
 	sim *stats.Sim
 }
 
-//itp:hotpath
 func (s *statsDRAM) Access(now uint64, acc *arch.Access) uint64 {
 	s.sim.DRAMAccesses++
 	return s.d.Access(now, acc)
@@ -370,8 +371,6 @@ func (m *Machine) Controller() *core.Controller { return m.ctrl }
 // predictBranch returns true when the branch predictor is correct,
 // approximating the hashed-perceptron predictor with its measured
 // accuracy.
-//
-//itp:hotpath
 func (m *Machine) predictBranch(c *coreState) bool {
 	c.bpRNG ^= c.bpRNG << 13
 	c.bpRNG ^= c.bpRNG >> 7
@@ -383,8 +382,6 @@ func (m *Machine) predictBranch(c *coreState) bool {
 // physical address, the cycle at which the translation is available, and
 // whether the STLB missed (the T-DRRIP demand bit). First-level TLB hits
 // are free (VIPT lookup overlaps the cache index).
-//
-//itp:hotpath
 func (m *Machine) translate(c *coreState, now uint64, va arch.Addr, class arch.Class, pc arch.Addr, thread uint8) (arch.Addr, uint64, bool) {
 	// ten is the per-tenant stats view; TLB traffic is attributed here,
 	// at the one site that knows the requesting thread, and the
@@ -476,7 +473,6 @@ func (m *Machine) translate(c *coreState, now uint64, va arch.Addr, class arch.C
 	return tr.PhysAddr(va), done, true
 }
 
-//itp:hotpath
 func physFrom(ppn uint64, bits uint8, va arch.Addr) arch.Addr {
 	mask := (arch.Addr(1) << bits) - 1
 	return arch.Addr(ppn)<<bits | (va & mask)
@@ -484,8 +480,6 @@ func physFrom(ppn uint64, bits uint8, va arch.Addr) arch.Addr {
 
 // ifetch performs the translation + L1I access for one instruction block
 // and charges instruction-translation stall cycles (the Figure 1 metric).
-//
-//itp:hotpath
 func (m *Machine) ifetch(c *coreState, now uint64, pc arch.Addr, thread uint8) uint64 {
 	pa, tdone, stlbMiss := m.translate(c, now, pc, arch.InstrClass, pc, thread)
 	m.Stats.Cores[thread].InstrTransCycles += arch.Cycle(tdone - now)
@@ -495,8 +489,6 @@ func (m *Machine) ifetch(c *coreState, now uint64, pc arch.Addr, thread uint8) u
 }
 
 // dataAccess performs translation + L1D access for a load or store.
-//
-//itp:hotpath
 func (m *Machine) dataAccess(c *coreState, now uint64, va, pc arch.Addr, isStore bool, thread uint8) uint64 {
 	pa, tdone, stlbMiss := m.translate(c, now, va, arch.DataClass, pc, thread)
 	m.Stats.Cores[thread].DataTransCycles += arch.Cycle(tdone - now)
@@ -513,8 +505,6 @@ func (m *Machine) dataAccess(c *coreState, now uint64, va, pc arch.Addr, isStore
 // is present, prefetches the block into the L1I — the decoupled
 // front-end runs ahead of fetch but cannot run past an unknown
 // translation, which is exactly why instruction STLB misses hurt.
-//
-//itp:hotpath
 func (m *Machine) fdipPrefetch(c *coreState, now uint64, pc arch.Addr, thread uint8) bool {
 	ppn, bits, _, ok := c.itlb.Peek(pc, thread)
 	if !ok {
@@ -734,11 +724,13 @@ const diagPublishMask = 1<<16 - 1
 // publishDiag formats a diagnostic snapshot of the machine's occupancy
 // state and publishes it for Snapshot readers. It must only be called
 // from the simulation goroutine: it reads cache/TLB internals directly,
-// and the atomic pointer store is what makes the result safe to read
-// from a supervisor thread. The text is built in diagBuf, so a publish
-// allocates only the published string and the pointer to it.
+// and diagMu is what makes the result safe to read from a supervisor
+// thread. The text is rebuilt in place in diagBuf, so a publish
+// allocates nothing once the buffer has grown to the snapshot's length.
 func (m *Machine) publishDiag() {
 	m.retiredTotal.Store(m.retiredLocal)
+	m.diagMu.Lock()
+	defer m.diagMu.Unlock()
 	b := appendField(m.diagBuf[:0], "retired=", m.retiredLocal)
 	for _, th := range m.threads {
 		b = appendField(b, " t", uint64(th.id))
@@ -768,8 +760,6 @@ func (m *Machine) publishDiag() {
 	b = appendField(b, "} dispatch-bound{front=", m.frontBound)
 	b = appendField(b, " back=", m.backBound)
 	m.diagBuf = append(b, '}')
-	s := string(m.diagBuf)
-	m.diag.Store(&s)
 }
 
 // appendField appends label and then v in decimal to b.
@@ -785,9 +775,11 @@ func appendField(b []byte, label string, v uint64) []byte {
 // instructions stale.
 func (m *Machine) Snapshot() string {
 	snap := "no snapshot published yet"
-	if p := m.diag.Load(); p != nil {
-		snap = *p
+	m.diagMu.Lock()
+	if len(m.diagBuf) > 0 {
+		snap = string(m.diagBuf)
 	}
+	m.diagMu.Unlock()
 	s := fmt.Sprintf("progress=%d %s", m.retiredTotal.Load(), snap)
 	// Append recent window history when the metrics layer is attached so
 	// a stall dump shows the phase the machine was in, not just its

@@ -58,8 +58,6 @@ func (l *lookahead) release() {
 
 // fill tops the buffer up to capacity, one contiguous free segment at a
 // time (at most two segments when the free space wraps).
-//
-//itp:hotpath
 func (l *lookahead) fill() {
 	for !l.ended && l.size < len(l.buf) {
 		wpos := (l.head + l.size) & l.mask
@@ -87,8 +85,6 @@ func (l *lookahead) fill() {
 }
 
 // peek returns the i-th upcoming instruction (0 = next), or nil.
-//
-//itp:hotpath
 func (l *lookahead) peek(i int) *workload.Instr {
 	if i >= l.size {
 		l.fill()
@@ -100,8 +96,6 @@ func (l *lookahead) peek(i int) *workload.Instr {
 }
 
 // pop consumes the next instruction.
-//
-//itp:hotpath
 func (l *lookahead) pop(in *workload.Instr) bool {
 	if l.size == 0 {
 		l.fill()
@@ -229,8 +223,6 @@ func (t *threadCtx) release() {
 const pipelineFillLatency = 8
 
 // step simulates one instruction of thread t end to end.
-//
-//itp:hotpath
 func (m *Machine) step(t *threadCtx) {
 	c := t.core
 	var in workload.Instr
@@ -363,7 +355,6 @@ func (m *Machine) step(t *threadCtx) {
 	if rtot&retirePublishMask == 0 {
 		m.retiredTotal.Store(rtot)
 		if rtot&diagPublishMask == 0 {
-			//itp:cold — diagnostic snapshot every 2^16 retires
 			m.publishDiag()
 		}
 	}
@@ -374,18 +365,15 @@ func (m *Machine) step(t *threadCtx) {
 	// window, so the record carries the decision that this boundary
 	// produced (the windows are aligned when the sizes match).
 	if m.met != nil && arch.Instr(rtot) >= m.met.next {
-		//itp:cold — window close runs once per thousand retires, not per instruction
 		m.closeMetricsWindow(arch.Instr(rtot))
 	}
 	// Beacon emission follows the window close so the fingerprint covers
 	// the state the window's decision left behind (aligned intervals see
 	// both fire at the same boundary).
 	if m.beacons != nil && arch.Instr(rtot) >= m.beacons.next {
-		//itp:cold — beacon emission runs once per interval, not per instruction
 		m.emitBeacon(arch.Instr(rtot))
 	}
 	if m.auditor != nil && arch.Instr(rtot) >= m.auditNext {
-		//itp:cold — structural audit runs once per interval, not per instruction
 		m.runAudit(arch.Instr(rtot))
 	}
 	if t.retired >= t.budget {
@@ -403,8 +391,6 @@ const retirePublishMask = 1<<10 - 1
 // scanBudget lookahead instructions, the most FDIPDistance blocks can
 // hold — or at the first block whose translation is unknown; the front
 // end cannot prefetch past a pending instruction translation.
-//
-//itp:hotpath
 func (m *Machine) fdipScan(t *threadCtx) {
 	if !m.cfg.L1IFDIP {
 		return

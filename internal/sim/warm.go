@@ -71,8 +71,6 @@ func (m *Machine) WarmFunctional(s workload.Stream, n uint64) error {
 // branch-predictor training, and the controller's retire tick. The
 // predictor-RNG step on non-perceptron configs keeps the RNG advanced by
 // the same branch count a detailed prefix would have consumed.
-//
-//itp:hotpath
 func (m *Machine) warmStep(c *coreState, in *workload.Instr) {
 	now := m.funcClock
 	if blk := arch.BlockAddr(in.PC); blk != m.warmBlock || !m.warmHasBlock {

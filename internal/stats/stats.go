@@ -55,8 +55,6 @@ func (b Bucket) String() string {
 }
 
 // BucketFor maps an access to its MPKI category.
-//
-//itp:hotpath
 func BucketFor(a *arch.Access) Bucket {
 	switch a.Kind {
 	case arch.IFetch:
@@ -88,8 +86,6 @@ type Level struct {
 }
 
 // Record notes one access outcome in bucket b.
-//
-//itp:hotpath
 func (l *Level) Record(b Bucket, hit bool) {
 	if hit {
 		l.Hits[b]++
@@ -99,8 +95,6 @@ func (l *Level) Record(b Bucket, hit bool) {
 }
 
 // RecordMissLatency accumulates the observed latency of one demand miss.
-//
-//itp:hotpath
 func (l *Level) RecordMissLatency(cycles uint64) {
 	l.MissLatSum += cycles
 	l.MissLatCnt++

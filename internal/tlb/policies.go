@@ -14,23 +14,15 @@ func NewLRU() *LRU { return &LRU{} }
 func (*LRU) Name() string { return "lru" }
 
 // Victim implements Policy.
-//
-//itp:hotpath
 func (*LRU) Victim(_ int, set []Entry, _ *Request) int { return StackLRUVictim(set) }
 
 // OnFill implements Policy.
-//
-//itp:hotpath
 func (*LRU) OnFill(_ int, set []Entry, way int, _ *Request) { MoveToStackPos(set, way, 0) }
 
 // OnHit implements Policy.
-//
-//itp:hotpath
 func (*LRU) OnHit(_ int, set []Entry, way int, _ *Request) { MoveToStackPos(set, way, 0) }
 
 // OnEvict implements Policy.
-//
-//itp:hotpath
 func (*LRU) OnEvict(int, []Entry, int) {}
 
 // CHiRP is Control-flow History Reuse Prediction: on every STLB fill a
@@ -81,16 +73,12 @@ func (*CHiRP) Name() string { return "chirp" }
 
 // Observe folds a retired-instruction PC into the control-flow history;
 // the simulator calls this on taken branches.
-//
-//itp:hotpath
 func (c *CHiRP) Observe(thread uint8, pc uint64) {
 	h := c.history[thread&63]
 	c.history[thread&63] = (h << 5) ^ (h >> 59) ^ (pc >> 2)
 }
 
 // signature mixes the history with the missing VPN.
-//
-//itp:hotpath
 func (c *CHiRP) signature(thread uint8, vpn uint64) uint16 {
 	h := c.history[thread&63] ^ (vpn * 0x9e3779b97f4a7c15)
 	h ^= h >> 29
@@ -98,13 +86,9 @@ func (c *CHiRP) signature(thread uint8, vpn uint64) uint16 {
 }
 
 // Victim implements Policy: plain LRU eviction (CHiRP drives insertion).
-//
-//itp:hotpath
 func (*CHiRP) Victim(_ int, set []Entry, _ *Request) int { return StackLRUVictim(set) }
 
 // OnFill implements Policy.
-//
-//itp:hotpath
 func (c *CHiRP) OnFill(_ int, set []Entry, way int, req *Request) {
 	sig := c.signature(req.Thread, req.VPN)
 	set[way].Sig = sig
@@ -117,8 +101,6 @@ func (c *CHiRP) OnFill(_ int, set []Entry, way int, req *Request) {
 }
 
 // OnHit implements Policy: promote to MRU and train the signature.
-//
-//itp:hotpath
 func (c *CHiRP) OnHit(_ int, set []Entry, way int, _ *Request) {
 	MoveToStackPos(set, way, 0)
 	if !set[way].Reused {
@@ -130,8 +112,6 @@ func (c *CHiRP) OnHit(_ int, set []Entry, way int, _ *Request) {
 }
 
 // OnEvict implements Policy: dead entries train their signature down.
-//
-//itp:hotpath
 func (c *CHiRP) OnEvict(_ int, set []Entry, way int) {
 	if set[way].Valid && !set[way].Reused {
 		if c.table[set[way].Sig] > 0 {

@@ -44,19 +44,13 @@ type Request struct {
 // replacement.Policy shape.
 type Policy interface {
 	Name() string
-	//itp:hotpath
 	Victim(setIdx int, set []Entry, req *Request) int
-	//itp:hotpath
 	OnFill(setIdx int, set []Entry, way int, req *Request)
-	//itp:hotpath
 	OnHit(setIdx int, set []Entry, way int, req *Request)
-	//itp:hotpath
 	OnEvict(setIdx int, set []Entry, way int)
 }
 
 // InitSet establishes the stack-position permutation for a fresh set.
-//
-//itp:hotpath
 func InitSet(set []Entry) {
 	for i := range set {
 		set[i].Stack = uint8(i)
@@ -64,8 +58,6 @@ func InitSet(set []Entry) {
 }
 
 // InvalidWay returns an invalid way with the deepest stack position, or -1.
-//
-//itp:hotpath
 func InvalidWay(set []Entry) int {
 	best, bestStack := -1, -1
 	for i := range set {
@@ -77,8 +69,6 @@ func InvalidWay(set []Entry) int {
 }
 
 // StackLRUVictim returns the way at the stack bottom, invalid ways first.
-//
-//itp:hotpath
 func StackLRUVictim(set []Entry) int {
 	if w := InvalidWay(set); w >= 0 {
 		return w
@@ -94,8 +84,6 @@ func StackLRUVictim(set []Entry) int {
 
 // MoveToStackPos repositions way to stack position pos, preserving the
 // permutation invariant.
-//
-//itp:hotpath
 func MoveToStackPos(set []Entry, way, pos int) {
 	old := int(set[way].Stack)
 	switch {
@@ -211,13 +199,9 @@ func (t *TLB) Release() {
 func (t *TLB) Name() string { return t.name }
 
 // setFor returns the set index for a VPN.
-//
-//itp:hotpath
 func (t *TLB) setFor(vpn uint64) int { return int(vpn & t.setMask) }
 
 // lookupSize probes one page size. Returns (way, setIdx, found).
-//
-//itp:hotpath
 func (t *TLB) lookupSize(vaddr arch.Addr, pageBits uint8, thread uint8) (int, int) {
 	vpn := vaddr >> pageBits
 	si := t.setFor(vpn)
@@ -235,8 +219,6 @@ func (t *TLB) lookupSize(vaddr arch.Addr, pageBits uint8, thread uint8) (int, in
 // Lookup searches for the translation of vaddr. On a hit it returns the
 // physical page number and the entry's page size, and the policy's
 // promotion rule runs.
-//
-//itp:hotpath
 func (t *TLB) Lookup(vaddr arch.Addr, pc uint64, class arch.Class, thread uint8) (uint64, uint8, bool) {
 	for _, pageBits := range [2]uint8{arch.PageBits4K, arch.PageBits2M} {
 		si, w := t.lookupSize(vaddr, pageBits, thread)
@@ -252,18 +234,7 @@ func (t *TLB) Lookup(vaddr arch.Addr, pc uint64, class arch.Class, thread uint8)
 	return 0, 0, false
 }
 
-// Contains reports whether the translation is present without touching
-// replacement state (used by tests and the FDIP probe path).
-//
-//itp:hotpath
-func (t *TLB) Contains(vaddr arch.Addr, thread uint8) bool {
-	_, _, _, ok := t.Peek(vaddr, thread)
-	return ok
-}
-
 // Peek returns the translation without updating replacement state.
-//
-//itp:hotpath
 func (t *TLB) Peek(vaddr arch.Addr, thread uint8) (ppn uint64, pageBits uint8, class arch.Class, ok bool) {
 	for _, bits := range [2]uint8{arch.PageBits4K, arch.PageBits2M} {
 		if si, w := t.lookupSize(vaddr, bits, thread); w >= 0 {
@@ -276,8 +247,6 @@ func (t *TLB) Peek(vaddr arch.Addr, thread uint8) (ppn uint64, pageBits uint8, c
 
 // Insert installs a translation after a fill: victimise per policy,
 // write the entry, then apply the policy's insertion rule.
-//
-//itp:hotpath
 func (t *TLB) Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Class, pc uint64, thread uint8) {
 	vpn := vaddr >> pageBits
 	si := t.setFor(vpn)

@@ -102,17 +102,17 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestContainsDoesNotPromote(t *testing.T) {
+func TestPeekDoesNotPromote(t *testing.T) {
 	tl := New("t", 1, 2, NewLRU())
 	tl.Insert(0, 0, arch.PageBits4K, arch.DataClass, 0, 0)
 	tl.Insert(1<<arch.PageBits4K, 1, arch.PageBits4K, arch.DataClass, 0, 0)
-	// Page 0 is LRU; Contains must not promote it.
-	if !tl.Contains(0, 0) {
-		t.Fatal("Contains should find page 0")
+	// Page 0 is LRU; Peek must not promote it.
+	if _, _, _, ok := tl.Peek(0, 0); !ok {
+		t.Fatal("Peek should find page 0")
 	}
 	tl.Insert(2<<arch.PageBits4K, 2, arch.PageBits4K, arch.DataClass, 0, 0)
-	if tl.Contains(0, 0) {
-		t.Error("page 0 should have been evicted despite Contains probe")
+	if _, _, _, ok := tl.Peek(0, 0); ok {
+		t.Error("page 0 should have been evicted despite Peek probe")
 	}
 }
 
@@ -235,7 +235,7 @@ func TestEntriesCount(t *testing.T) {
 			t.Fatalf("after page %d: %d entries, want %d", page, i+d, want)
 		}
 	}
-	if tl.Contains(0, 0) {
+	if _, _, _, ok := tl.Peek(0, 0); ok {
 		t.Error("page 1536 should have evicted page 0, the LRU entry of set 0")
 	}
 }

@@ -29,15 +29,11 @@ const (
 
 // LevelShift returns the VA bit position indexing level l (5..1):
 // L1 indexes bits [20:12], L2 [29:21], ..., L5 [56:48].
-//
-//itp:hotpath
 func LevelShift(level int) uint {
 	return uint(arch.PageBits4K + 9*(level-1))
 }
 
 // levelIndex extracts the 9-bit radix index of va at level l.
-//
-//itp:hotpath
 func levelIndex(va arch.Addr, level int) int {
 	return int((va >> LevelShift(level)) & (ptesPerNode - 1))
 }
@@ -95,8 +91,6 @@ type Translation struct {
 }
 
 // PhysAddr reconstructs the full physical address for va.
-//
-//itp:hotpath
 func (t Translation) PhysAddr(va arch.Addr) arch.Addr {
 	mask := (arch.Addr(1) << t.PageBits) - 1
 	return t.PPN<<t.PageBits | (va & mask)
@@ -150,8 +144,6 @@ const vaBits = arch.PageBits4K + 9*NumLevels
 // takes its region's level-1 key, which isHuge leaves free. The level
 // sits above the VA bits that select the frame, so frames of different
 // levels never share a key.
-//
-//itp:hotpath
 func frameKey(va arch.Addr, level int) uint64 {
 	return uint64(level)<<60 | uint64(va>>LevelShift(level+1))
 }
@@ -182,8 +174,6 @@ func (pt *PageTable) Release() {
 }
 
 // isHuge decides deterministically whether va's 2MB region uses a 2MB page.
-//
-//itp:hotpath
 func (pt *PageTable) isHuge(va arch.Addr) bool {
 	if pt.hugeFraction <= 0 {
 		return false
@@ -202,8 +192,6 @@ func (pt *PageTable) isHuge(va arch.Addr) bool {
 // Translate resolves va, taking the frames of missing nodes top-down and
 // then the page's frame on first touch. The returned Steps list the PTE
 // references of a full walk.
-//
-//itp:hotpath
 func (pt *PageTable) Translate(va arch.Addr) Translation {
 	va &= 1<<vaBits - 1
 	leafLevel := 1
@@ -222,7 +210,7 @@ func (pt *PageTable) Translate(va arch.Addr) Translation {
 		frames := pt.class(hi)
 		next, ok := frames[lo]
 		if !ok {
-			//itp:cold — first touch of a node, page or class; allocation is off the steady-state path
+			// First touch of a node, page or class.
 			next = pt.mapFrame(frames, hi, lo, level == leafLevel, tr.PageBits)
 		}
 		frame = arch.Addr(next) << arch.PageBits4K
@@ -232,8 +220,6 @@ func (pt *PageTable) Translate(va arch.Addr) Translation {
 }
 
 // class returns the frame map of class hi, nil while the table has none.
-//
-//itp:hotpath
 func (pt *PageTable) class(hi uint32) map[uint32]uint32 {
 	for i := range pt.classes {
 		if pt.classes[i].hi == hi {

@@ -18,14 +18,11 @@ import (
 // the end (a batched source returns whatever its current chunk holds).
 // Consumers must keep calling until 0.
 type NextBatcher interface {
-	//itp:hotpath
 	NextBatch(buf []Instr) int
 }
 
 // FillBatch pulls up to len(buf) instructions from s one at a time — the
 // generic NextBatch for sources without a native bulk path.
-//
-//itp:hotpath
 func FillBatch(s Stream, buf []Instr) int {
 	for i := range buf {
 		if !s.Next(&buf[i]) {

@@ -42,7 +42,6 @@ type Instr struct {
 // stream has more instructions; generators are infinite and the simulator
 // enforces the instruction budget.
 type Stream interface {
-	//itp:hotpath
 	Next(*Instr) bool
 }
 
@@ -60,7 +59,6 @@ type rng struct{ state uint64 }
 
 func newRNG(seed uint64) *rng { return &rng{state: seed ^ 0x9e3779b97f4a7c15} }
 
-//itp:hotpath
 func (r *rng) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state
@@ -69,10 +67,8 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-//itp:hotpath
 func (r *rng) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
 
-//itp:hotpath
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // zipf samples ranks 0..n-1 from an approximate power-law distribution
@@ -95,7 +91,6 @@ func newZipf(n int, s float64) *zipf {
 	return z
 }
 
-//itp:hotpath
 func (z *zipf) sample(r *rng) int {
 	u := r.float()
 	x := math.Pow(u*z.scale+1, z.inv) // in [1, n]
@@ -193,7 +188,6 @@ type reuseRing struct {
 	next int
 }
 
-//itp:hotpath
 func (rr *reuseRing) push(a arch.Addr) {
 	rr.buf[rr.next] = a
 	rr.next = (rr.next + 1) % len(rr.buf)
@@ -202,7 +196,6 @@ func (rr *reuseRing) push(a arch.Addr) {
 	}
 }
 
-//itp:hotpath
 func (rr *reuseRing) pick(r *rng) (arch.Addr, bool) {
 	if rr.n == 0 {
 		return 0, false
@@ -283,8 +276,6 @@ func NewServer(p ServerParams) Stream {
 // chaseAddr picks a pointer-chase target: mostly the current request
 // context inside the vast tier (whose page walks miss the caches without
 // xPTP), sometimes the warm tier.
-//
-//itp:hotpath
 func (s *server) chaseAddr() arch.Addr {
 	var page int
 	if s.r.float() < 0.8 {
@@ -293,7 +284,7 @@ func (s *server) chaseAddr() arch.Addr {
 			seg = s.p.ColdDataPages
 		}
 		if s.segZipf == nil {
-			//itp:cold — one-time lazy construction on the first chase
+			// One-time lazy construction on the first chase.
 			s.segZipf = newZipf(seg, 0.8)
 			s.segStart = s.r.intn(s.p.ColdDataPages - seg + 1)
 		}
@@ -315,8 +306,6 @@ func (s *server) chaseAddr() arch.Addr {
 
 // nextFunc picks a call target from the three code tiers. Warm/cold
 // targets come in bursts of consecutive calls.
-//
-//itp:hotpath
 func (s *server) nextFunc() int {
 	if s.codeBurstLeft > 0 {
 		s.codeBurstLeft--
@@ -340,8 +329,6 @@ func (s *server) nextFunc() int {
 }
 
 // burstLen draws the length of a warm/cold call burst.
-//
-//itp:hotpath
 func (s *server) burstLen() int {
 	l := s.p.CodeBurstLen
 	if l < 1 {
@@ -352,13 +339,10 @@ func (s *server) burstLen() int {
 
 // funcPC returns the starting PC of function f. Functions are laid out in
 // popularity order, so the Zipf rank order matches the address order.
-//
-//itp:hotpath
 func (s *server) funcPC(f int) arch.Addr {
 	return codeBase + arch.Addr(f)*arch.Addr(s.p.FuncBytes)
 }
 
-//itp:hotpath
 func (s *server) dataAddr() arch.Addr {
 	u := s.r.float()
 	switch {
@@ -404,8 +388,6 @@ func (s *server) dataAddr() arch.Addr {
 }
 
 // Next implements Stream.
-//
-//itp:hotpath
 func (s *server) Next(in *Instr) bool {
 	*in = Instr{}
 	s.instrCount++
@@ -444,7 +426,8 @@ func (s *server) Next(in *Instr) bool {
 			s.callStack = s.callStack[:len(s.callStack)-1]
 			s.stackPtr += 256
 		} else {
-			//itp:nonalloc — depth capped at 32 by the return branch; cap 64 never grows
+			// The return branch caps the depth at 32, so append never
+			// outgrows the stack's capacity of 64.
 			s.callStack = append(s.callStack, s.curFunc)
 			s.curFunc = s.nextFunc()
 			s.stackPtr -= 256
@@ -468,8 +451,6 @@ func (s *server) Next(in *Instr) bool {
 // NextBatch implements NextBatcher; server streams are infinite, so the
 // batch is always full. The direct method call devirtualizes the
 // per-instruction step relative to FillBatch's Stream.Next.
-//
-//itp:hotpath
 func (s *server) NextBatch(buf []Instr) int {
 	for i := range buf {
 		s.Next(&buf[i])
@@ -529,7 +510,6 @@ func NewSpec(p SpecParams) Stream {
 	return s
 }
 
-//itp:hotpath
 func (s *spec) pickLoop() {
 	codeBytes := s.p.CodePages * arch.PageSize4K
 	maxStart := codeBytes - s.p.LoopLen*4
@@ -541,7 +521,6 @@ func (s *spec) pickLoop() {
 	s.iter = 0
 }
 
-//itp:hotpath
 func (s *spec) dataAddr() arch.Addr {
 	u := s.r.float()
 	switch {
@@ -562,8 +541,6 @@ func (s *spec) dataAddr() arch.Addr {
 }
 
 // Next implements Stream.
-//
-//itp:hotpath
 func (s *spec) Next(in *Instr) bool {
 	*in = Instr{}
 	in.PC = s.loopStart + arch.Addr(s.loopInstr*4)
@@ -590,8 +567,6 @@ func (s *spec) Next(in *Instr) bool {
 
 // NextBatch implements NextBatcher; spec streams are infinite, so the
 // batch is always full.
-//
-//itp:hotpath
 func (s *spec) NextBatch(buf []Instr) int {
 	for i := range buf {
 		s.Next(&buf[i])
@@ -610,7 +585,6 @@ type limited struct {
 	left uint64
 }
 
-//itp:hotpath
 func (l *limited) Next(in *Instr) bool {
 	if l.left == 0 {
 		return false
@@ -621,8 +595,6 @@ func (l *limited) Next(in *Instr) bool {
 
 // NextBatch implements NextBatcher, capping the batch at the remaining
 // budget and delegating to the source's bulk path when it has one.
-//
-//itp:hotpath
 func (l *limited) NextBatch(buf []Instr) int {
 	if l.left == 0 {
 		return 0
@@ -649,8 +621,6 @@ type Replay struct {
 }
 
 // Next implements Stream.
-//
-//itp:hotpath
 func (r *Replay) Next(in *Instr) bool {
 	if r.pos >= len(r.Instrs) {
 		return false
@@ -661,8 +631,6 @@ func (r *Replay) Next(in *Instr) bool {
 }
 
 // NextBatch implements NextBatcher as a bulk copy of the recorded slice.
-//
-//itp:hotpath
 func (r *Replay) NextBatch(buf []Instr) int {
 	n := copy(buf, r.Instrs[r.pos:])
 	r.pos += n
