@@ -276,11 +276,11 @@ func compareHawkeye(t *testing.T, s samplerStream, sets int) (prunes, distinct i
 	return want.prunes, distinct
 }
 
-// TestMockingjaySamplerMatchesReference drives 4.5×mjSamplerCap
-// distinct blocks through the sampled sets of a 64-set Mockingjay, so
-// the ring wraps several times and repeats reach blocks both before and
-// after their entry aged out, and holds it to the map-based reference
-// after every access.
+// TestMockingjaySamplerMatchesReference drives about 18,000 distinct
+// blocks, 4.4×mjSamplerCap, through the sampled sets of a 64-set
+// Mockingjay, so the ring wraps several times and repeats reach blocks
+// both before and after their entry aged out, and holds it to the
+// map-based reference after every access.
 func TestMockingjaySamplerMatchesReference(t *testing.T) {
 	s := samplerStream{seed: 1, n: 36_000, newPct: 50, shortPct: 50, shortDist: 64, longDist: 12_000, stride: mjSampleEvery, pcs: 48}
 	evictions, distinct := compareMockingjay(t, s, 64)
@@ -291,8 +291,9 @@ func TestMockingjaySamplerMatchesReference(t *testing.T) {
 
 // TestHawkeyeHistoryMatchesReference drives about three thousand
 // distinct blocks through one sampled set, so the OPTgen prune runs
-// repeatedly and repeats reach blocks in the window, past it and pruned,
-// and holds Hawkeye to the map-based reference after every access.
+// three times and repeats reach blocks in the window, past it and
+// pruned, and holds Hawkeye to the map-based reference after every
+// access.
 func TestHawkeyeHistoryMatchesReference(t *testing.T) {
 	s := samplerStream{seed: 2, n: 6_000, newPct: 50, shortPct: 50, shortDist: 100, longDist: 2_000, stride: 64, pcs: 48}
 	prunes, distinct := compareHawkeye(t, s, 64)

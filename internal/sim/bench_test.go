@@ -241,8 +241,11 @@ func TestSteadyStateAllocFree(t *testing.T) {
 					continue
 				}
 				funcs := stackFuncs(stack)
+				// A stack the profile cut at its 32 frames may have
+				// lost the step frame, so it counts as the step's.
+				truncated := stack[len(stack)-1] != 0
 				switch {
-				case !slices.Contains(funcs, stepFrame) && !slices.Contains(funcs, warmStepFrame):
+				case !truncated && !slices.Contains(funcs, stepFrame) && !slices.Contains(funcs, warmStepFrame):
 				case slices.Contains(funcs, mapFrameFrame):
 					growth += n
 				default:
