@@ -156,7 +156,9 @@ const goldenBeaconPath = "testdata/beacons.json"
 // beaconShapeCases pin the chains of state shapes the four golden
 // quadrants never reach: multi-byte Mockingjay ETAs, Mockingjay's victim
 // search on full L2C sets, SHiP and Hawkeye signatures, perceptron
-// weights, the split STLB, 2MB pages, a 2-core CMP and an SMT pair. They run shorter than the quadrants and keep a
+// weights, the split STLB under LRU and iTP, the STLB under CHiRP
+// (low-confidence insertion included) and ProbLRU, 2MB pages, a 2-core
+// CMP and an SMT pair. They run shorter than the quadrants and keep a
 // table of their own because golden_mc_test.go shares goldenCases.
 var beaconShapeCases = []struct {
 	name    string
@@ -169,6 +171,15 @@ var beaconShapeCases = []struct {
 	{"llc-hawkeye", 1, func(c *config.SystemConfig) { c.LLCPolicy = "hawkeye" }},
 	{"perceptron", 1, func(c *config.SystemConfig) { c.BranchPredictor = "perceptron" }},
 	{"split-stlb", 1, func(c *config.SystemConfig) { c.SplitSTLB = true }},
+	{"split-itp", 1, func(c *config.SystemConfig) {
+		c.SplitSTLB = true
+		c.STLBPolicy = "itp"
+	}},
+	{"stlb-chirp", 1, func(c *config.SystemConfig) {
+		c.STLBPolicy = "chirp"
+		c.STLB.Sets = 16 // 192 entries: dead evictions train signatures below the threshold
+	}},
+	{"stlb-problru", 1, func(c *config.SystemConfig) { c.STLBPolicy = "problru" }},
 	{"huge-pages", 1, func(c *config.SystemConfig) { c.HugePageFraction = 0.5 }},
 	{"cmp2-itp-xptp", 2, func(c *config.SystemConfig) {
 		c.Cores = 2
