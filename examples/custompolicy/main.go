@@ -31,7 +31,7 @@ func (*fifoPTE) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 	if l := &set.Lines[victim]; l.IsPTE() && !l.Reused {
 		// Second chance: recycle to the tail once.
 		l.Reused = true
-		replacement.MoveToStackPos(set, victim, 0)
+		replacement.MoveToStackPos(set.Stack, victim, 0)
 		return replacement.StackLRUVictim(set)
 	}
 	return victim
@@ -39,7 +39,7 @@ func (*fifoPTE) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 
 func (*fifoPTE) OnFill(_ int, set *replacement.Set, way int, _ *arch.Access) {
 	set.Lines[way].Reused = false
-	replacement.MoveToStackPos(set, way, 0) // enqueue at tail of FIFO
+	replacement.MoveToStackPos(set.Stack, way, 0) // enqueue at tail of FIFO
 }
 
 func (*fifoPTE) OnHit(int, *replacement.Set, int, *arch.Access) {} // FIFO: hits don't promote

@@ -298,7 +298,7 @@ func TestStackInvariantAfterTraffic(t *testing.T) {
 		c.Access(uint64(i), load(arch.Addr(i%37)<<6))
 	}
 	for si := 0; si < c.cfg.Sets; si++ {
-		if set := c.setAt(si); !replacement.CheckStackInvariant(&set) {
+		if set := c.setAt(si); !replacement.CheckStackInvariant(set.Stack) {
 			t.Fatalf("set %d stack invariant broken", si)
 		}
 	}

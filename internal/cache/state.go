@@ -92,7 +92,7 @@ func (c *Cache) AuditState(r *audit.Report) {
 	etas := c.etas()
 	for si := 0; si < c.cfg.Sets; si++ {
 		set := c.setAt(si)
-		if !replacement.CheckStackInvariant(&set) {
+		if !replacement.CheckStackInvariant(set.Stack) {
 			r.Violatef("stack-permutation", "%s set %d: stack positions are not a permutation", c.name, si)
 		}
 		for a, tag := range set.Tags {

@@ -19,9 +19,10 @@ type CacheConfig struct {
 // Entries returns the total block capacity of the cache.
 func (c CacheConfig) Entries() int { return c.Sets * c.Ways }
 
-// MaxCacheWays bounds cache associativity: recency-stack positions are
-// bytes updated eight per word, and the update needs every position
-// below 128 (replacement.MoveToStackPos).
+// MaxCacheWays bounds the associativity of every cache and TLB: both
+// keep recency-stack positions as bytes that one kernel updates eight
+// per word, and the update needs every position below 128
+// (replacement.MoveToStackPos).
 const MaxCacheWays = 128
 
 // TLBConfig sizes one TLB level.
@@ -214,38 +215,41 @@ func Default() SystemConfig {
 // Validate checks structural invariants and returns a descriptive error
 // for the first violation found.
 func (c *SystemConfig) Validate() error {
+	// checkSets bounds the geometry caches and TLBs share: both keep
+	// their sets' recency stacks with one kernel.
+	checkSets := func(name string, sets, ways int) error {
+		if sets <= 0 || ways <= 0 {
+			return fmt.Errorf("config: %s must have positive sets/ways (got %d/%d)", name, sets, ways)
+		}
+		if ways > MaxCacheWays {
+			return fmt.Errorf("config: %s ways must be at most %d (got %d)", name, MaxCacheWays, ways)
+		}
+		if sets&(sets-1) != 0 {
+			return fmt.Errorf("config: %s sets must be a power of two (got %d)", name, sets)
+		}
+		return nil
+	}
 	checkCache := func(name string, cc CacheConfig) error {
-		if cc.Sets <= 0 || cc.Ways <= 0 {
-			return fmt.Errorf("config: %s must have positive sets/ways (got %d/%d)", name, cc.Sets, cc.Ways)
-		}
-		if cc.Ways > MaxCacheWays {
-			return fmt.Errorf("config: %s ways must be at most %d (got %d)", name, MaxCacheWays, cc.Ways)
-		}
-		if cc.Sets&(cc.Sets-1) != 0 {
-			return fmt.Errorf("config: %s sets must be a power of two (got %d)", name, cc.Sets)
-		}
 		if cc.MSHRs <= 0 {
 			return fmt.Errorf("config: %s needs MSHRs", name)
 		}
-		return nil
-	}
-	checkTLB := func(name string, tc TLBConfig) error {
-		if tc.Sets <= 0 || tc.Ways <= 0 {
-			return fmt.Errorf("config: %s must have positive sets/ways", name)
-		}
-		if tc.Sets&(tc.Sets-1) != 0 {
-			return fmt.Errorf("config: %s sets must be a power of two (got %d)", name, tc.Sets)
-		}
-		return nil
+		return checkSets(name, cc.Sets, cc.Ways)
 	}
 	for _, e := range []error{
-		checkTLB("ITLB", c.ITLB), checkTLB("DTLB", c.DTLB), checkTLB("STLB", c.STLB),
+		checkSets("ITLB", c.ITLB.Sets, c.ITLB.Ways), checkSets("DTLB", c.DTLB.Sets, c.DTLB.Ways),
+		checkSets("STLB", c.STLB.Sets, c.STLB.Ways),
 		checkCache("L1I", c.L1I), checkCache("L1D", c.L1D),
 		checkCache("L2C", c.L2C), checkCache("LLC", c.LLC),
 	} {
 		if e != nil {
 			return e
 		}
+	}
+	if c.STLB.MSHRs <= 0 {
+		return fmt.Errorf("config: STLB needs MSHRs")
+	}
+	if c.SplitSTLB && c.STLB.Sets < 2 {
+		return fmt.Errorf("config: a split STLB halves the STLB's sets, so it needs at least 2 (got %d)", c.STLB.Sets)
 	}
 	if c.FetchWidth <= 0 || c.RetireWidth <= 0 || c.ROBSize <= 0 {
 		return fmt.Errorf("config: core widths and ROB must be positive")

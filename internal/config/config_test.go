@@ -69,6 +69,9 @@ func TestValidateRejections(t *testing.T) {
 		{"no mshrs", func(c *SystemConfig) { c.L1I.MSHRs = 0 }, "MSHR"},
 		{"too many ways", func(c *SystemConfig) { c.LLC.Ways = MaxCacheWays + 1 }, "LLC ways"},
 		{"tlb zero ways", func(c *SystemConfig) { c.STLB.Ways = 0 }, "STLB"},
+		{"tlb too many ways", func(c *SystemConfig) { c.ITLB.Ways = MaxCacheWays + 1 }, "ITLB ways"},
+		{"stlb no mshrs", func(c *SystemConfig) { c.STLB.MSHRs = 0 }, "STLB needs MSHRs"},
+		{"split stlb one set", func(c *SystemConfig) { c.SplitSTLB, c.STLB.Sets = true, 1 }, "split STLB"},
 		{"bad rob", func(c *SystemConfig) { c.ROBSize = 0 }, "ROB"},
 		{"no walkers", func(c *SystemConfig) { c.PageWalkers = 0 }, "walker"},
 		{"itp n too big", func(c *SystemConfig) { c.ITP.N = 12 }, "iTP N"},

@@ -3,6 +3,7 @@ package core
 import (
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
+	"itpsim/internal/replacement"
 	"itpsim/internal/tlb"
 )
 
@@ -45,58 +46,46 @@ func (*ITP) Name() string { return "itp" }
 
 // Victim implements tlb.Policy: the entry at LRUpos, like LRU-based
 // policies (Section 4.1).
-func (*ITP) Victim(_ int, set []tlb.Entry, _ *tlb.Request) int {
+func (*ITP) Victim(_ int, set *tlb.Set, _ *tlb.Request) int {
 	return tlb.StackLRUVictim(set)
 }
 
 // insertionPos returns the stack position iTP assigns to a new or
 // re-promoted non-saturated instruction entry: MRUpos−N, clamped to the
 // set size.
-func (p *ITP) insertionPos(set []tlb.Entry) int {
-	pos := p.n
-	if pos >= len(set) {
-		pos = len(set) - 1
-	}
-	return pos
-}
+func (p *ITP) insertionPos(set *tlb.Set) int { return min(p.n, len(set.Stack)-1) }
 
 // dataPromotionPos returns LRUpos+M as a stack index: M positions above
 // the bottom of the stack.
-func (p *ITP) dataPromotionPos(set []tlb.Entry) int {
-	pos := len(set) - 1 - p.m
-	if pos < 0 {
-		pos = 0
-	}
-	return pos
-}
+func (p *ITP) dataPromotionPos(set *tlb.Set) int { return max(len(set.Stack)-1-p.m, 0) }
 
 // OnFill implements tlb.Policy (iTP's insertion policy).
-func (p *ITP) OnFill(_ int, set []tlb.Entry, way int, req *tlb.Request) {
+func (p *ITP) OnFill(_ int, set *tlb.Set, way int, req *tlb.Request) {
 	if req.Class == arch.InstrClass {
-		set[way].Freq = 0
-		tlb.MoveToStackPos(set, way, p.insertionPos(set))
+		set.Entries[way].Freq = 0
+		replacement.MoveToStackPos(set.Stack, way, p.insertionPos(set))
 		return
 	}
-	tlb.MoveToStackPos(set, way, len(set)-1) // LRUpos
+	replacement.MoveToStackPos(set.Stack, way, len(set.Stack)-1) // LRUpos
 }
 
 // OnHit implements tlb.Policy (iTP's promotion policy).
-func (p *ITP) OnHit(_ int, set []tlb.Entry, way int, _ *tlb.Request) {
-	e := &set[way]
+func (p *ITP) OnHit(_ int, set *tlb.Set, way int, _ *tlb.Request) {
+	e := &set.Entries[way]
 	if e.Class == arch.InstrClass {
 		if e.Freq >= p.freqMax {
-			tlb.MoveToStackPos(set, way, 0) // MRUpos
+			replacement.MoveToStackPos(set.Stack, way, 0) // MRUpos
 		} else {
-			tlb.MoveToStackPos(set, way, p.insertionPos(set))
+			replacement.MoveToStackPos(set.Stack, way, p.insertionPos(set))
 			e.Freq++
 		}
 		return
 	}
-	tlb.MoveToStackPos(set, way, p.dataPromotionPos(set))
+	replacement.MoveToStackPos(set.Stack, way, p.dataPromotionPos(set))
 }
 
 // OnEvict implements tlb.Policy.
-func (*ITP) OnEvict(int, []tlb.Entry, int) {}
+func (*ITP) OnEvict(int, *tlb.Set, int) {}
 
 // ProbLRU is the motivation study's modified LRU (Section 3.2): on each
 // eviction it victimises the least-recently-used *data* translation with
@@ -128,18 +117,18 @@ func (p *ProbLRU) nextFloat() float64 {
 }
 
 // lruOfClass returns the deepest-stacked valid entry of class c, or -1.
-func lruOfClass(set []tlb.Entry, c arch.Class) int {
+func lruOfClass(set *tlb.Set, c arch.Class) int {
 	victim, deepest := -1, -1
-	for i := range set {
-		if set[i].Valid && set[i].Class == c && int(set[i].Stack) > deepest {
-			victim, deepest = i, int(set[i].Stack)
+	for i := range set.Entries {
+		if e := &set.Entries[i]; e.Valid && e.Class == c && int(set.Stack[i]) > deepest {
+			victim, deepest = i, int(set.Stack[i])
 		}
 	}
 	return victim
 }
 
 // Victim implements tlb.Policy.
-func (p *ProbLRU) Victim(_ int, set []tlb.Entry, _ *tlb.Request) int {
+func (p *ProbLRU) Victim(_ int, set *tlb.Set, _ *tlb.Request) int {
 	if w := tlb.InvalidWay(set); w >= 0 {
 		return w
 	}
@@ -154,14 +143,14 @@ func (p *ProbLRU) Victim(_ int, set []tlb.Entry, _ *tlb.Request) int {
 }
 
 // OnFill implements tlb.Policy.
-func (*ProbLRU) OnFill(_ int, set []tlb.Entry, way int, _ *tlb.Request) {
-	tlb.MoveToStackPos(set, way, 0)
+func (*ProbLRU) OnFill(_ int, set *tlb.Set, way int, _ *tlb.Request) {
+	replacement.MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnHit implements tlb.Policy.
-func (*ProbLRU) OnHit(_ int, set []tlb.Entry, way int, _ *tlb.Request) {
-	tlb.MoveToStackPos(set, way, 0)
+func (*ProbLRU) OnHit(_ int, set *tlb.Set, way int, _ *tlb.Request) {
+	replacement.MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnEvict implements tlb.Policy.
-func (*ProbLRU) OnEvict(int, []tlb.Entry, int) {}
+func (*ProbLRU) OnEvict(int, *tlb.Set, int) {}

@@ -5,17 +5,25 @@ import (
 
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
+	"itpsim/internal/replacement"
 	"itpsim/internal/tlb"
 )
 
 func itpParams() config.ITPParams { return config.ITPParams{N: 4, M: 8, FreqBits: 3} }
 
-func fullSet(ways int) []tlb.Entry {
-	set := make([]tlb.Entry, ways)
-	tlb.InitSet(set)
-	for i := range set {
-		set[i].Valid = true
-		set[i].VPN = uint64(100 + i)
+// newTLBSet returns a standalone TLB set of the given associativity,
+// every way invalid and the stack in identity order.
+func newTLBSet(ways int) *tlb.Set {
+	set := &tlb.Set{Entries: make([]tlb.Entry, ways), Stack: make([]uint8, ways)}
+	replacement.InitStack(set.Stack)
+	return set
+}
+
+func fullSet(ways int) *tlb.Set {
+	set := newTLBSet(ways)
+	for i := range set.Entries {
+		set.Entries[i].Valid = true
+		set.Entries[i].VPN = uint64(100 + i)
 	}
 	return set
 }
@@ -26,12 +34,12 @@ func dataReq() *tlb.Request  { return &tlb.Request{Class: arch.DataClass} }
 func TestITPInsertData(t *testing.T) {
 	p := NewITP(itpParams())
 	set := fullSet(12)
-	set[5].Class = arch.DataClass
+	set.Entries[5].Class = arch.DataClass
 	p.OnFill(0, set, 5, dataReq())
-	if int(set[5].Stack) != 11 {
-		t.Errorf("data insert at stack %d, want 11 (LRUpos)", set[5].Stack)
+	if int(set.Stack[5]) != 11 {
+		t.Errorf("data insert at stack %d, want 11 (LRUpos)", set.Stack[5])
 	}
-	if !tlb.CheckStackInvariant(set) {
+	if !replacement.CheckStackInvariant(set.Stack) {
 		t.Error("stack invariant broken")
 	}
 }
@@ -39,56 +47,56 @@ func TestITPInsertData(t *testing.T) {
 func TestITPInsertInstruction(t *testing.T) {
 	p := NewITP(itpParams())
 	set := fullSet(12)
-	set[3].Class = arch.InstrClass
-	set[3].Freq = 5 // stale value from previous occupant
+	set.Entries[3].Class = arch.InstrClass
+	set.Entries[3].Freq = 5 // stale value from previous occupant
 	p.OnFill(0, set, 3, instrReq())
-	if int(set[3].Stack) != 4 {
-		t.Errorf("instr insert at stack %d, want 4 (MRUpos-N)", set[3].Stack)
+	if int(set.Stack[3]) != 4 {
+		t.Errorf("instr insert at stack %d, want 4 (MRUpos-N)", set.Stack[3])
 	}
-	if set[3].Freq != 0 {
-		t.Errorf("Freq = %d, want 0 on insertion", set[3].Freq)
+	if set.Entries[3].Freq != 0 {
+		t.Errorf("Freq = %d, want 0 on insertion", set.Entries[3].Freq)
 	}
 }
 
 func TestITPInstructionPromotionLadder(t *testing.T) {
 	p := NewITP(itpParams())
 	set := fullSet(12)
-	set[0].Class = arch.InstrClass
+	set.Entries[0].Class = arch.InstrClass
 	p.OnFill(0, set, 0, instrReq())
 	// Non-saturated hits stay at MRUpos-N and increment Freq.
 	for i := 1; i <= 6; i++ {
 		p.OnHit(0, set, 0, instrReq())
-		if int(set[0].Stack) != 4 {
-			t.Fatalf("hit %d: stack %d, want 4", i, set[0].Stack)
+		if int(set.Stack[0]) != 4 {
+			t.Fatalf("hit %d: stack %d, want 4", i, set.Stack[0])
 		}
-		if set[0].Freq != uint8(i) {
-			t.Fatalf("hit %d: freq %d, want %d", i, set[0].Freq, i)
+		if set.Entries[0].Freq != uint8(i) {
+			t.Fatalf("hit %d: freq %d, want %d", i, set.Entries[0].Freq, i)
 		}
 	}
 	// 7th hit saturates (3-bit max = 7).
 	p.OnHit(0, set, 0, instrReq())
-	if set[0].Freq != 7 {
-		t.Fatalf("freq = %d, want 7", set[0].Freq)
+	if set.Entries[0].Freq != 7 {
+		t.Fatalf("freq = %d, want 7", set.Entries[0].Freq)
 	}
 	// Saturated entry now promotes to MRUpos.
 	p.OnHit(0, set, 0, instrReq())
-	if set[0].Stack != 0 {
-		t.Errorf("saturated hit: stack %d, want 0 (MRUpos)", set[0].Stack)
+	if set.Stack[0] != 0 {
+		t.Errorf("saturated hit: stack %d, want 0 (MRUpos)", set.Stack[0])
 	}
-	if set[0].Freq != 7 {
-		t.Errorf("freq should stay saturated, got %d", set[0].Freq)
+	if set.Entries[0].Freq != 7 {
+		t.Errorf("freq should stay saturated, got %d", set.Entries[0].Freq)
 	}
 }
 
 func TestITPDataPromotion(t *testing.T) {
 	p := NewITP(itpParams())
 	set := fullSet(12)
-	set[2].Class = arch.DataClass
+	set.Entries[2].Class = arch.DataClass
 	p.OnFill(0, set, 2, dataReq())
 	p.OnHit(0, set, 2, dataReq())
 	// LRUpos + M with M=8 and 12 ways: stack position 11-8 = 3.
-	if int(set[2].Stack) != 3 {
-		t.Errorf("data promotion to stack %d, want 3 (LRUpos+M)", set[2].Stack)
+	if int(set.Stack[2]) != 3 {
+		t.Errorf("data promotion to stack %d, want 3 (LRUpos+M)", set.Stack[2])
 	}
 }
 
@@ -96,10 +104,10 @@ func TestITPVictimIsLRU(t *testing.T) {
 	p := NewITP(itpParams())
 	set := fullSet(12)
 	v := p.Victim(0, set, dataReq())
-	if int(set[v].Stack) != 11 {
-		t.Errorf("victim at stack %d, want 11", set[v].Stack)
+	if int(set.Stack[v]) != 11 {
+		t.Errorf("victim at stack %d, want 11", set.Stack[v])
 	}
-	set[7].Valid = false
+	set.Entries[7].Valid = false
 	if v := p.Victim(0, set, dataReq()); v != 7 {
 		t.Errorf("victim = %d, want invalid way 7", v)
 	}
@@ -157,11 +165,11 @@ func TestITPSmallAssociativityClamps(t *testing.T) {
 	p := NewITP(config.ITPParams{N: 4, M: 8, FreqBits: 3})
 	set := fullSet(2)
 	p.OnFill(0, set, 0, instrReq())
-	if int(set[0].Stack) >= len(set) {
+	if int(set.Stack[0]) >= len(set.Stack) {
 		t.Error("insertion position not clamped")
 	}
 	p.OnHit(0, set, 1, dataReq())
-	if !tlb.CheckStackInvariant(set) {
+	if !replacement.CheckStackInvariant(set.Stack) {
 		t.Error("invariant broken on small set")
 	}
 }
@@ -169,13 +177,13 @@ func TestITPSmallAssociativityClamps(t *testing.T) {
 func TestProbLRUAlwaysData(t *testing.T) {
 	p := NewProbLRU(1.0, 42) // always evict data
 	set := fullSet(4)
-	set[0].Class = arch.InstrClass
-	set[1].Class = arch.DataClass
-	set[2].Class = arch.InstrClass
-	set[3].Class = arch.DataClass
+	set.Entries[0].Class = arch.InstrClass
+	set.Entries[1].Class = arch.DataClass
+	set.Entries[2].Class = arch.InstrClass
+	set.Entries[3].Class = arch.DataClass
 	for i := 0; i < 20; i++ {
 		v := p.Victim(0, set, dataReq())
-		if set[v].Class != arch.DataClass {
+		if set.Entries[v].Class != arch.DataClass {
 			t.Fatalf("P=1.0 evicted an instruction entry (way %d)", v)
 		}
 	}
@@ -184,11 +192,11 @@ func TestProbLRUAlwaysData(t *testing.T) {
 func TestProbLRUAlwaysInstr(t *testing.T) {
 	p := NewProbLRU(0.0, 42)
 	set := fullSet(4)
-	set[0].Class = arch.InstrClass
-	set[1].Class = arch.DataClass
+	set.Entries[0].Class = arch.InstrClass
+	set.Entries[1].Class = arch.DataClass
 	for i := 0; i < 20; i++ {
 		v := p.Victim(0, set, dataReq())
-		if set[v].Class != arch.InstrClass {
+		if set.Entries[v].Class != arch.InstrClass {
 			t.Fatalf("P=0 evicted a data entry (way %d)", v)
 		}
 	}
@@ -197,24 +205,24 @@ func TestProbLRUAlwaysInstr(t *testing.T) {
 func TestProbLRUFallsBackWhenClassAbsent(t *testing.T) {
 	p := NewProbLRU(1.0, 42)
 	set := fullSet(4)
-	for i := range set {
-		set[i].Class = arch.InstrClass // no data entries at all
+	for i := range set.Entries {
+		set.Entries[i].Class = arch.InstrClass // no data entries at all
 	}
 	v := p.Victim(0, set, dataReq())
-	if int(set[v].Stack) != 3 {
-		t.Errorf("fallback should evict overall LRU, got stack %d", set[v].Stack)
+	if int(set.Stack[v]) != 3 {
+		t.Errorf("fallback should evict overall LRU, got stack %d", set.Stack[v])
 	}
 }
 
 func TestProbLRUVictimsEvictsLRUOfClass(t *testing.T) {
 	p := NewProbLRU(1.0, 7)
 	set := fullSet(4)
-	set[0].Class = arch.DataClass
-	set[1].Class = arch.DataClass
-	set[2].Class = arch.InstrClass
-	set[3].Class = arch.InstrClass
+	set.Entries[0].Class = arch.DataClass
+	set.Entries[1].Class = arch.DataClass
+	set.Entries[2].Class = arch.InstrClass
+	set.Entries[3].Class = arch.InstrClass
 	// Make way 0 more recent than way 1.
-	tlb.MoveToStackPos(set, 0, 0)
+	replacement.MoveToStackPos(set.Stack, 0, 0)
 	v := p.Victim(0, set, dataReq())
 	if v != 1 {
 		t.Errorf("victim = %d, want LRU data way 1", v)
@@ -224,18 +232,18 @@ func TestProbLRUVictimsEvictsLRUOfClass(t *testing.T) {
 func TestProbLRUSplitRoughlyMatchesP(t *testing.T) {
 	p := NewProbLRU(0.8, 99)
 	set := fullSet(8)
-	for i := range set {
+	for i := range set.Entries {
 		if i%2 == 0 {
-			set[i].Class = arch.DataClass
+			set.Entries[i].Class = arch.DataClass
 		} else {
-			set[i].Class = arch.InstrClass
+			set.Entries[i].Class = arch.InstrClass
 		}
 	}
 	dataEvicts := 0
 	const trials = 5000
 	for i := 0; i < trials; i++ {
 		v := p.Victim(0, set, dataReq())
-		if set[v].Class == arch.DataClass {
+		if set.Entries[v].Class == arch.DataClass {
 			dataEvicts++
 		}
 	}

@@ -125,19 +125,19 @@ func TestAdaptiveXPTPDisabledIsLRU(t *testing.T) {
 // set with the simulator's miss/fill protocol.
 type itpModel struct {
 	p   *ITP
-	set []tlb.Entry
+	set *tlb.Set
 }
 
 func (m *itpModel) touch(vpn uint64, class arch.Class) {
 	req := &tlb.Request{VPN: vpn, Class: class}
-	for i := range m.set {
-		if m.set[i].Valid && m.set[i].VPN == vpn {
+	for i := range m.set.Entries {
+		if m.set.Entries[i].Valid && m.set.Entries[i].VPN == vpn {
 			m.p.OnHit(0, m.set, i, req)
 			return
 		}
 	}
 	way := m.p.Victim(0, m.set, req)
-	m.set[way] = tlb.Entry{Valid: true, VPN: vpn, Class: class, Stack: m.set[way].Stack}
+	m.set.Entries[way] = tlb.Entry{Valid: true, VPN: vpn, Class: class}
 	m.p.OnFill(0, m.set, way, req)
 }
 
@@ -149,8 +149,7 @@ func (m *itpModel) touch(vpn uint64, class arch.Class) {
 func TestITPVictimClassProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	p := NewITP(config.Default().ITP)
-	m := &itpModel{p: p, set: make([]tlb.Entry, 16)}
-	tlb.InitSet(m.set)
+	m := &itpModel{p: p, set: newTLBSet(16)}
 	for step := 0; step < 20000; step++ {
 		vpn := uint64(rng.Intn(48) + 1)
 		class := arch.DataClass
@@ -161,25 +160,25 @@ func TestITPVictimClassProperty(t *testing.T) {
 		req := &tlb.Request{VPN: vpn, Class: class}
 		v := p.Victim(0, m.set, req)
 		deepest := -1
-		for i := range m.set {
-			if deepest < 0 || m.set[i].Stack > m.set[deepest].Stack {
+		for i := range m.set.Entries {
+			if deepest < 0 || m.set.Stack[i] > m.set.Stack[deepest] {
 				deepest = i
 			}
 		}
 		full := true
-		for i := range m.set {
-			if !m.set[i].Valid {
+		for i := range m.set.Entries {
+			if !m.set.Entries[i].Valid {
 				full = false
 			}
 		}
 		if full {
 			if v != deepest {
 				t.Fatalf("step %d: victim %d (stack %d) is not the LRU entry %d (stack %d)",
-					step, v, m.set[v].Stack, deepest, m.set[deepest].Stack)
+					step, v, m.set.Stack[v], deepest, m.set.Stack[deepest])
 			}
-			if m.set[v].Class == arch.InstrClass {
-				for i := range m.set {
-					if m.set[i].Valid && m.set[i].Class == arch.DataClass && m.set[i].Stack > m.set[v].Stack {
+			if m.set.Entries[v].Class == arch.InstrClass {
+				for i := range m.set.Entries {
+					if m.set.Entries[i].Valid && m.set.Entries[i].Class == arch.DataClass && m.set.Stack[i] > m.set.Stack[v] {
 						t.Fatalf("step %d: victimised instruction entry above a data entry", step)
 					}
 				}
@@ -187,7 +186,7 @@ func TestITPVictimClassProperty(t *testing.T) {
 		}
 
 		m.touch(vpn, class)
-		if !tlb.CheckStackInvariant(m.set) {
+		if !replacement.CheckStackInvariant(m.set.Stack) {
 			t.Fatalf("step %d: stack invariant broken", step)
 		}
 	}
@@ -199,46 +198,45 @@ func TestITPInsertionPositions(t *testing.T) {
 	params := config.Default().ITP
 	p := NewITP(params)
 	const ways = 16
-	set := make([]tlb.Entry, ways)
-	tlb.InitSet(set)
-	for i := range set {
-		set[i].Valid = true
-		set[i].VPN = uint64(i + 1)
-		set[i].Class = arch.DataClass
+	set := newTLBSet(ways)
+	for i := range set.Entries {
+		set.Entries[i].Valid = true
+		set.Entries[i].VPN = uint64(i + 1)
+		set.Entries[i].Class = arch.DataClass
 	}
 
 	// Data fill lands at LRUpos.
 	p.OnFill(0, set, 3, &tlb.Request{Class: arch.DataClass})
-	if got := int(set[3].Stack); got != ways-1 {
+	if got := int(set.Stack[3]); got != ways-1 {
 		t.Fatalf("data fill at stack %d, want LRUpos %d", got, ways-1)
 	}
 	// Instruction fill lands N below MRU with Freq reset.
-	set[5].Freq = 3
-	set[5].Class = arch.InstrClass
+	set.Entries[5].Freq = 3
+	set.Entries[5].Class = arch.InstrClass
 	p.OnFill(0, set, 5, &tlb.Request{Class: arch.InstrClass})
-	if got := int(set[5].Stack); got != params.N {
+	if got := int(set.Stack[5]); got != params.N {
 		t.Fatalf("instruction fill at stack %d, want N=%d", got, params.N)
 	}
-	if set[5].Freq != 0 {
-		t.Fatalf("instruction fill kept Freq=%d, want reset", set[5].Freq)
+	if set.Entries[5].Freq != 0 {
+		t.Fatalf("instruction fill kept Freq=%d, want reset", set.Entries[5].Freq)
 	}
 	// Non-saturated instruction hit repromotes to N and increments Freq.
 	p.OnHit(0, set, 5, &tlb.Request{Class: arch.InstrClass})
-	if got := int(set[5].Stack); got != params.N {
+	if got := int(set.Stack[5]); got != params.N {
 		t.Fatalf("instruction hit at stack %d, want N=%d", got, params.N)
 	}
-	if set[5].Freq != 1 {
-		t.Fatalf("instruction hit Freq=%d, want 1", set[5].Freq)
+	if set.Entries[5].Freq != 1 {
+		t.Fatalf("instruction hit Freq=%d, want 1", set.Entries[5].Freq)
 	}
 	// Saturated instruction hit reaches MRU.
-	set[5].Freq = uint8(1<<params.FreqBits - 1)
+	set.Entries[5].Freq = uint8(1<<params.FreqBits - 1)
 	p.OnHit(0, set, 5, &tlb.Request{Class: arch.InstrClass})
-	if got := int(set[5].Stack); got != 0 {
+	if got := int(set.Stack[5]); got != 0 {
 		t.Fatalf("saturated instruction hit at stack %d, want MRU", got)
 	}
 	// Data hit moves to LRUpos+M.
 	p.OnHit(0, set, 7, &tlb.Request{Class: arch.DataClass})
-	if got, want := int(set[7].Stack), ways-1-params.M; got != want {
+	if got, want := int(set.Stack[7]), ways-1-params.M; got != want {
 		t.Fatalf("data hit at stack %d, want LRUpos+M=%d", got, want)
 	}
 }

@@ -81,12 +81,12 @@ func (x *XPTP) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 // bit is written by the cache when the fill completes, step 3.1 of
 // Figure 7).
 func (*XPTP) OnFill(_ int, set *replacement.Set, way int, _ *arch.Access) {
-	replacement.MoveToStackPos(set, way, 0)
+	replacement.MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnHit implements replacement.Policy: LRU promotion.
 func (*XPTP) OnHit(_ int, set *replacement.Set, way int, _ *arch.Access) {
-	replacement.MoveToStackPos(set, way, 0)
+	replacement.MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnEvict implements replacement.Policy.

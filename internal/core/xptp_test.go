@@ -26,7 +26,7 @@ func TestXPTPProtectsDataPTEs(t *testing.T) {
 	x := NewXPTP(xptpParams()) // K=8 on an 8-way set: alternative always wins
 	set := cacheSet(8)
 	// The LRU block (deepest stack) holds a data PTE.
-	lruWay := replacement.StackPosOf(set, 7)
+	lruWay := replacement.StackPosOf(set.Stack, 7)
 	set.Lines[lruWay].SetPTE(true)
 	set.Lines[lruWay].SetDataPTE(true)
 	v := x.Victim(0, set, &arch.Access{})
@@ -47,7 +47,7 @@ func TestXPTPInequalityEvictsPTEWhenAltTooRecent(t *testing.T) {
 	// Bottom three stack positions hold data PTEs; the best alternative
 	// is at stack 4 → 3 positions above bottom ≥ K → evict the LRU PTE.
 	for _, pos := range []int{7, 6, 5} {
-		w := replacement.StackPosOf(set, pos)
+		w := replacement.StackPosOf(set.Stack, pos)
 		set.Lines[w].SetDataPTE(true)
 		set.Lines[w].SetPTE(true)
 	}
@@ -59,7 +59,7 @@ func TestXPTPInequalityEvictsPTEWhenAltTooRecent(t *testing.T) {
 	// Now only the bottom one is a PTE; alternative at stack 6 is 1
 	// position above bottom < K → evict the alternative.
 	set2 := cacheSet(8)
-	w := replacement.StackPosOf(set2, 7)
+	w := replacement.StackPosOf(set2.Stack, 7)
 	set2.Lines[w].SetDataPTE(true)
 	v2 := x.Victim(0, set2, &arch.Access{})
 	if int(set2.Stack[v2]) != 6 {
@@ -92,7 +92,7 @@ func TestXPTPDisabledIsLRU(t *testing.T) {
 	enabled := false
 	x := NewAdaptiveXPTP(xptpParams(), func() bool { return enabled })
 	set := cacheSet(8)
-	lruWay := replacement.StackPosOf(set, 7)
+	lruWay := replacement.StackPosOf(set.Stack, 7)
 	set.Lines[lruWay].SetDataPTE(true)
 	if v := x.Victim(0, set, &arch.Access{}); v != lruWay {
 		t.Error("disabled xPTP should behave as plain LRU")
@@ -114,7 +114,7 @@ func TestXPTPFillAndHitAreLRU(t *testing.T) {
 	if set.Stack[2] != 0 {
 		t.Error("hit should promote to MRU")
 	}
-	if !replacement.CheckStackInvariant(set) {
+	if !replacement.CheckStackInvariant(set.Stack) {
 		t.Error("invariant broken")
 	}
 }

@@ -96,13 +96,13 @@ func (e *Emissary) OnFill(_ int, set *Set, way int, in *arch.Access) {
 	if in.Kind == arch.IFetch {
 		e.train(in.PC)
 	}
-	MoveToStackPos(set, way, 0)
+	MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnHit implements Policy.
 func (*Emissary) OnHit(_ int, set *Set, way int, _ *arch.Access) {
 	set.Lines[way].Reused = true
-	MoveToStackPos(set, way, 0)
+	MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnEvict implements Policy: evicting a *protected* code block that was

@@ -178,7 +178,7 @@ func (h *Hawkeye) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 	} else {
 		l.RRPV = rrpvMax
 	}
-	MoveToStackPos(set, way, 0)
+	MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnHit implements Policy.
@@ -191,7 +191,7 @@ func (h *Hawkeye) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
 	} else {
 		l.RRPV = rrpvMax
 	}
-	MoveToStackPos(set, way, 0)
+	MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnEvict implements Policy.

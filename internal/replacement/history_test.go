@@ -144,7 +144,7 @@ func (h *refHawkeye) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
 	} else {
 		l.RRPV = rrpvMax
 	}
-	MoveToStackPos(set, way, 0)
+	MoveToStackPos(set.Stack, way, 0)
 }
 
 // modelCache is a set-associative cache driven through the Policy

@@ -19,12 +19,12 @@ func (*LRU) Victim(_ int, set *Set, _ *arch.Access) int {
 
 // OnFill implements Policy: insert at MRU.
 func (*LRU) OnFill(_ int, set *Set, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+	MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnHit implements Policy: promote to MRU.
 func (*LRU) OnHit(_ int, set *Set, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+	MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnEvict implements Policy.
@@ -54,12 +54,12 @@ func (r *Random) Victim(_ int, set *Set, _ *arch.Access) int {
 // OnFill implements Policy (random keeps the stack fresh anyway so other
 // metadata stays meaningful for mixed configurations).
 func (*Random) OnFill(_ int, set *Set, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+	MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnHit implements Policy.
 func (*Random) OnHit(_ int, set *Set, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+	MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnEvict implements Policy.

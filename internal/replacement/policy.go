@@ -128,8 +128,8 @@ type Policy interface {
 func InitSet(s *Set) {
 	for w := range s.Tags {
 		s.Tags[w] = NoTag
-		s.Stack[w] = uint8(w)
 	}
+	InitStack(s.Stack)
 }
 
 // InvalidWay returns the index of an empty way with the deepest stack
@@ -150,33 +150,7 @@ func StackLRUVictim(s *Set) int {
 	if w := InvalidWay(s); w >= 0 {
 		return w
 	}
-	return StackPosOf(s, len(s.Stack)-1)
-}
-
-// StackPosOf returns the way currently at stack position pos, or -1.
-func StackPosOf(s *Set, pos int) int {
-	for w, p := range s.Stack {
-		if int(p) == pos {
-			return w
-		}
-	}
-	return -1
-}
-
-// CheckStackInvariant reports whether the set's stack positions form a
-// permutation of 0..ways-1. The cache auditor's stack-permutation rule
-// and the policy tests call it. The seen positions fit one fixed bitmask
-// (a position is a byte), so an audit pass allocates nothing.
-func CheckStackInvariant(s *Set) bool {
-	var seen [4]uint64
-	for _, p := range s.Stack {
-		bit := uint64(1) << (p & 63)
-		if int(p) >= len(s.Stack) || seen[p>>6]&bit != 0 {
-			return false
-		}
-		seen[p>>6] |= bit
-	}
-	return true
+	return StackPosOf(s.Stack, len(s.Stack)-1)
 }
 
 // FromName constructs a named baseline policy sized for a cache with the

@@ -59,7 +59,7 @@ func TestLRUStackInclusion(t *testing.T) {
 			tag := uint32(rng.Intn(24)) // working set ~3x the small cache
 			small.access(tag)
 			large.access(tag)
-			if !CheckStackInvariant(small.set) || !CheckStackInvariant(large.set) {
+			if !CheckStackInvariant(small.set.Stack) || !CheckStackInvariant(large.set.Stack) {
 				t.Fatalf("trial %d step %d: stack invariant broken", trial, step)
 			}
 			for i := range small.set.Tags {
@@ -87,7 +87,7 @@ func TestPoliciesPreserveStackInvariant(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for step := 0; step < 5000; step++ {
 				m.access(uint32(rng.Intn(20)))
-				if !CheckStackInvariant(m.set) {
+				if !CheckStackInvariant(m.set.Stack) {
 					t.Fatalf("step %d: stack invariant broken", step)
 				}
 			}

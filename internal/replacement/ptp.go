@@ -39,12 +39,12 @@ func (*PTP) Victim(_ int, set *Set, _ *arch.Access) int {
 
 // OnFill implements Policy: LRU insertion, with PTE blocks inserted at MRU.
 func (*PTP) OnFill(_ int, set *Set, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+	MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnHit implements Policy.
 func (*PTP) OnHit(_ int, set *Set, way int, _ *arch.Access) {
-	MoveToStackPos(set, way, 0)
+	MoveToStackPos(set.Stack, way, 0)
 }
 
 // OnEvict implements Policy.

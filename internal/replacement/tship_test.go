@@ -64,7 +64,7 @@ func TestEmissaryProtectsCriticalCode(t *testing.T) {
 		t.Fatal("region should be critical after repeated misses")
 	}
 	// Push the code block to the LRU position; Emissary must skip it.
-	MoveToStackPos(set, 0, 3)
+	MoveToStackPos(set.Stack, 0, 3)
 	v := e.Victim(0, set, &arch.Access{})
 	if v == 0 {
 		t.Error("Emissary evicted a critical code block")
@@ -127,9 +127,9 @@ func TestXPTPEmissaryProtectsBoth(t *testing.T) {
 	set := newSet(4)
 	fillAll(set)
 	// Way at LRU holds a data PTE; way above it holds critical code.
-	pteWay := StackPosOf(set, 3)
+	pteWay := StackPosOf(set.Stack, 3)
 	set.Lines[pteWay].SetDataPTE(true)
-	codeWay := StackPosOf(set, 2)
+	codeWay := StackPosOf(set.Stack, 2)
 	set.Lines[codeWay].Kind = arch.IFetch
 	set.Lines[codeWay].PC = 0x400400
 	for i := 0; i < emissaryThresh+1; i++ {
@@ -151,7 +151,7 @@ func TestXPTPEmissaryKInequality(t *testing.T) {
 	set := newSet(4)
 	fillAll(set)
 	for _, pos := range []int{3, 2} {
-		w := StackPosOf(set, pos)
+		w := StackPosOf(set.Stack, pos)
 		set.Lines[w].SetDataPTE(true)
 	}
 	v := x.Victim(0, set, &arch.Access{})

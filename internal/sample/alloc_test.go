@@ -12,12 +12,14 @@ import (
 )
 
 // splitRunAllocBudget is the most heap TestSplitRunAllocation accepts
-// for one sampled run, in bytes: about 1.2× the 2.94 MB it takes (Go
-// 1.24). It sits below the 3.17 MB the run takes when a closed ring
-// leaves the batch its decoder holds to the collector, functional warmup
-// keeps buffers of its own and TLB entries are 40 bytes, the 3.87–3.91
-// MB it took with 64-bit frame numbers and tags, and far below the
-// 6.7–7.1 MB it takes when machines recycle only their cache arrays.
+// for one sampled run, in bytes: about 1.25× the 2.86 MB it takes (Go
+// 1.24; 2.90–2.93 MB while functional warmup copied out of the ring and
+// TLB entries were 32 bytes). It sits below the 3.17 MB the run takes
+// when a closed ring leaves the batch its decoder holds to the
+// collector, functional warmup keeps buffers of its own and TLB entries
+// are 40 bytes, the 3.87–3.91 MB it took with 64-bit frame numbers and
+// tags, and far below the 6.7–7.1 MB it takes when machines recycle
+// only their cache arrays.
 // Without Machine.Release the run allocates 18.6 MB.
 const splitRunAllocBudget = 3_600_000
 
@@ -27,15 +29,14 @@ const splitRunAllocBudget = 3_600_000
 // releases its cache arrays, TLB entries, stride table and page-table
 // frame maps, and each run its lookahead, ROB and FTQ rings; each
 // decode-ahead ring returns every batch it took to the shared batch pool
-// when it closes, and functional warmup borrows its buffer from that
-// pool, so the run allocates little beyond the machines that are live
-// at once. The pools
-// are emptied first, so the run starts cold; collection stays off while
-// it is measured, so nothing it released is lost to a collection. One
-// processor, so every released item is in reach: a sync.Pool serves each
-// processor from a slot of its own first, and with two, a machine now
-// and then missed the storage in the other processor's slot and
-// allocated up to 1.8 MB more.
+// when it closes, and functional warmup steps the ring's own batches,
+// so the run allocates little beyond the machines that are live at
+// once. The pools are emptied first, so the run starts cold; collection
+// stays off while it is measured, so nothing it released is lost to a
+// collection. One processor, so every released item is in reach: a
+// sync.Pool serves each processor from a slot of its own first, and with
+// two, a machine now and then missed the storage in the other
+// processor's slot and allocated up to 1.8 MB more.
 func TestSplitRunAllocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates about a million instructions")

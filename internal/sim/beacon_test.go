@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -280,6 +281,49 @@ func hex16(v uint64) string {
 	return string(b[:])
 }
 
+// auditLog is an audit component that records the retired count at
+// every pass it takes part in.
+type auditLog struct {
+	m       *Machine
+	retired []uint64
+}
+
+// AuditState implements audit.Checkable.
+func (l *auditLog) AuditState(*audit.Report) { l.retired = append(l.retired, l.m.retiredLocal) }
+
+// TestPeriodicAuditSchedule: a detailed run with EnableAudit(n) audits
+// exactly at retired counts n, 2n, …. The schedule counts retired
+// instructions, not cycles; on a server workload the two clocks part
+// within the first interval, so a schedule kept in cycles fails here.
+func TestPeriodicAuditSchedule(t *testing.T) {
+	const every, total = 2_000, 20_000
+	cat := workload.NewCatalog(4, 2)
+	spec, err := cat.Get(cat.ServerNames()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableAudit(every)
+	log := &auditLog{m: m}
+	m.auditor.Register("schedule", log)
+	if _, err := m.Run([]workload.Stream{spec.NewStream()}, total); err != nil {
+		t.Fatal(err)
+	}
+	var want []uint64
+	for r := uint64(every); r <= total; r += every {
+		want = append(want, r)
+	}
+	if !slices.Equal(log.retired, want) {
+		t.Fatalf("audits ran at retired counts %v, want %v", log.retired, want)
+	}
+	if cycles := uint64(m.maxRetireCycle); cycles < total+every {
+		t.Fatalf("the run took %d cycles for %d instructions: too close for the clocks to part", cycles, total)
+	}
+}
+
 func TestAuditCleanRun(t *testing.T) {
 	m, err := NewMachine(testConfig())
 	if err != nil {
@@ -384,26 +428,37 @@ func TestAuditDetectsPageTableIncoherence(t *testing.T) {
 	}
 }
 
+// lastFillLRU is TLB LRU that keeps the view of the set it last filled.
+// A TLB builds its set views once, so the kept view is still that set's
+// own after the call.
+type lastFillLRU struct {
+	tlb.LRU
+	last *tlb.Set
+}
+
+func (p *lastFillLRU) OnFill(si int, set *tlb.Set, way int, req *tlb.Request) {
+	p.LRU.OnFill(si, set, way, req)
+	p.last = set
+}
+
 // TestAuditDetectsStackCorruption breaks a TLB set's recency stack and
 // proves the component-level structural audit reports it.
 func TestAuditDetectsStackCorruption(t *testing.T) {
-	m, err := NewMachine(testConfig())
+	cfg := testConfig()
+	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pol := &lastFillLRU{}
+	m.cores[0].dtlb.Release()
+	m.cores[0].dtlb = tlb.New("DTLB", cfg.DTLB.Sets, cfg.DTLB.Ways, pol)
 	if _, err := m.Run([]workload.Stream{&endless{}}, 20_000); err != nil {
 		t.Fatal(err)
 	}
-	poisoned := false
-	m.cores[0].dtlb.VisitEntries(func(e *tlb.Entry) {
-		if !poisoned {
-			e.Stack = 200 // far outside any associativity
-			poisoned = true
-		}
-	})
-	if !poisoned {
-		t.Fatal("run left no DTLB entries to poison")
+	if pol.last == nil {
+		t.Fatal("run filled no DTLB set to poison")
 	}
+	pol.last.Stack[0] = 200 // far outside any associativity
 	err = m.AuditNow()
 	var ae *audit.Error
 	if !errors.As(err, &ae) {

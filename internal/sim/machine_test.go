@@ -6,6 +6,7 @@ import (
 
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
+	"itpsim/internal/replacement"
 	"itpsim/internal/stats"
 	"itpsim/internal/tlb"
 	"itpsim/internal/workload"
@@ -29,11 +30,39 @@ func testConfig() config.SystemConfig {
 	return config.Default()
 }
 
+// TestNewMachineValidatesConfig: invalid configurations fail NewMachine
+// with an error, not a panic. Past validation, the TLB cases would break
+// the machine: an STLB without MSHRs dereferences a nil MSHR on its
+// first miss, TLB ways past config.MaxCacheWays wrap the byte stack
+// positions, and a split STLB of one set leaves each half zero sets.
 func TestNewMachineValidatesConfig(t *testing.T) {
-	cfg := testConfig()
-	cfg.ROBSize = 0
-	if _, err := NewMachine(cfg); err == nil {
-		t.Error("invalid config should fail")
+	for _, tc := range []struct {
+		name string
+		mut  func(*config.SystemConfig)
+	}{
+		{"rob-zero", func(c *config.SystemConfig) { c.ROBSize = 0 }},
+		{"stlb-no-mshrs", func(c *config.SystemConfig) { c.STLB.MSHRs = 0 }},
+		{"stlb-300-ways", func(c *config.SystemConfig) { c.STLB.Ways = 300 }},
+		{"dtlb-129-ways", func(c *config.SystemConfig) { c.DTLB.Ways = config.MaxCacheWays + 1 }},
+		{"split-stlb-one-set", func(c *config.SystemConfig) {
+			c.SplitSTLB = true
+			c.STLB.Sets = 1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("NewMachine panicked: %v", r)
+				}
+			}()
+			cfg := testConfig()
+			tc.mut(&cfg)
+			m, err := NewMachine(cfg)
+			if err == nil {
+				m.Release()
+				t.Fatal("NewMachine accepted the configuration")
+			}
+		})
 	}
 }
 
@@ -280,10 +309,10 @@ func TestSplitCHiRPHalvesObserveControlFlow(t *testing.T) {
 	// noHistory signs e's fill the way a CHiRP that never observed a
 	// branch would.
 	noHistory := func(e *tlb.Entry) uint16 {
-		set := make([]tlb.Entry, cfg.STLB.Ways)
-		tlb.InitSet(set)
+		set := &tlb.Set{Entries: make([]tlb.Entry, cfg.STLB.Ways), Stack: make([]uint8, cfg.STLB.Ways)}
+		replacement.InitStack(set.Stack)
 		tlb.NewCHiRP(cfg.STLB.Ways).OnFill(0, set, 0, &tlb.Request{VPN: e.VPN, Thread: e.Thread})
-		return set[0].Sig
+		return set.Entries[0].Sig
 	}
 	var entries, signed [2]int
 	for _, half := range m.stlbHalves() {

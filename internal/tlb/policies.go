@@ -4,6 +4,8 @@ package tlb
 // paper's baseline uses) and CHiRP (Mirbagher-Ajorpaz et al., MICRO'20),
 // the state-of-the-art STLB policy iTP is compared against.
 
+import "itpsim/internal/replacement"
+
 // LRU is exact least-recently-used over the per-set recency stack.
 type LRU struct{}
 
@@ -14,16 +16,16 @@ func NewLRU() *LRU { return &LRU{} }
 func (*LRU) Name() string { return "lru" }
 
 // Victim implements Policy.
-func (*LRU) Victim(_ int, set []Entry, _ *Request) int { return StackLRUVictim(set) }
+func (*LRU) Victim(_ int, set *Set, _ *Request) int { return StackLRUVictim(set) }
 
 // OnFill implements Policy.
-func (*LRU) OnFill(_ int, set []Entry, way int, _ *Request) { MoveToStackPos(set, way, 0) }
+func (*LRU) OnFill(_ int, s *Set, w int, _ *Request) { replacement.MoveToStackPos(s.Stack, w, 0) }
 
 // OnHit implements Policy.
-func (*LRU) OnHit(_ int, set []Entry, way int, _ *Request) { MoveToStackPos(set, way, 0) }
+func (*LRU) OnHit(_ int, s *Set, w int, _ *Request) { replacement.MoveToStackPos(s.Stack, w, 0) }
 
 // OnEvict implements Policy.
-func (*LRU) OnEvict(int, []Entry, int) {}
+func (*LRU) OnEvict(int, *Set, int) {}
 
 // CHiRP is Control-flow History Reuse Prediction: on every STLB fill a
 // signature derived from recent control-flow history indexes a table of
@@ -34,11 +36,8 @@ func (*LRU) OnEvict(int, []Entry, int) {}
 // deliberately does not distinguish instruction from data PTEs — the
 // limitation Section 2.3 highlights.
 type CHiRP struct {
-	table     []uint8 // confidence counters
-	tableMask uint64
-	history   [64]uint64 // per-thread control-flow history hash (CMP-wide)
-	threshold uint8
-	ctrMax    uint8
+	table   []uint8    // confidence counters, chirpTableSize of them
+	history [64]uint64 // per-thread control-flow history hash (CMP-wide)
 	// lowInsertPos is where low-confidence entries land (near LRU).
 	lowInsertPos int
 }
@@ -52,16 +51,7 @@ const (
 
 // NewCHiRP returns a CHiRP policy for a TLB with the given associativity.
 func NewCHiRP(ways int) *CHiRP {
-	c := &CHiRP{
-		table:        make([]uint8, chirpTableSize),
-		tableMask:    chirpTableSize - 1,
-		threshold:    chirpThreshold,
-		ctrMax:       chirpCtrMax,
-		lowInsertPos: ways - 2,
-	}
-	if c.lowInsertPos < 0 {
-		c.lowInsertPos = 0
-	}
+	c := &CHiRP{table: make([]uint8, chirpTableSize), lowInsertPos: max(ways-2, 0)}
 	for i := range c.table {
 		c.table[i] = chirpCtrInit
 	}
@@ -82,40 +72,40 @@ func (c *CHiRP) Observe(thread uint8, pc uint64) {
 func (c *CHiRP) signature(thread uint8, vpn uint64) uint16 {
 	h := c.history[thread&63] ^ (vpn * 0x9e3779b97f4a7c15)
 	h ^= h >> 29
-	return uint16(h & c.tableMask)
+	return uint16(h & (chirpTableSize - 1))
 }
 
 // Victim implements Policy: plain LRU eviction (CHiRP drives insertion).
-func (*CHiRP) Victim(_ int, set []Entry, _ *Request) int { return StackLRUVictim(set) }
+func (*CHiRP) Victim(_ int, set *Set, _ *Request) int { return StackLRUVictim(set) }
 
 // OnFill implements Policy.
-func (c *CHiRP) OnFill(_ int, set []Entry, way int, req *Request) {
+func (c *CHiRP) OnFill(_ int, set *Set, way int, req *Request) {
 	sig := c.signature(req.Thread, req.VPN)
-	set[way].Sig = sig
-	set[way].Reused = false
-	if c.table[sig] >= c.threshold {
-		MoveToStackPos(set, way, 0)
+	set.Entries[way].Sig = sig
+	set.Entries[way].Reused = false
+	if c.table[sig] >= chirpThreshold {
+		replacement.MoveToStackPos(set.Stack, way, 0)
 	} else {
-		MoveToStackPos(set, way, c.lowInsertPos)
+		replacement.MoveToStackPos(set.Stack, way, c.lowInsertPos)
 	}
 }
 
 // OnHit implements Policy: promote to MRU and train the signature.
-func (c *CHiRP) OnHit(_ int, set []Entry, way int, _ *Request) {
-	MoveToStackPos(set, way, 0)
-	if !set[way].Reused {
-		set[way].Reused = true
-		if c.table[set[way].Sig] < c.ctrMax {
-			c.table[set[way].Sig]++
+func (c *CHiRP) OnHit(_ int, set *Set, way int, _ *Request) {
+	replacement.MoveToStackPos(set.Stack, way, 0)
+	if e := &set.Entries[way]; !e.Reused {
+		e.Reused = true
+		if c.table[e.Sig] < chirpCtrMax {
+			c.table[e.Sig]++
 		}
 	}
 }
 
 // OnEvict implements Policy: dead entries train their signature down.
-func (c *CHiRP) OnEvict(_ int, set []Entry, way int) {
-	if set[way].Valid && !set[way].Reused {
-		if c.table[set[way].Sig] > 0 {
-			c.table[set[way].Sig]--
+func (c *CHiRP) OnEvict(_ int, set *Set, way int) {
+	if e := &set.Entries[way]; e.Valid && !e.Reused {
+		if c.table[e.Sig] > 0 {
+			c.table[e.Sig]--
 		}
 	}
 }

@@ -54,12 +54,12 @@ func TestRecycledTLBStartsFresh(t *testing.T) {
 	for try := 0; try < 20 && !reused; try++ {
 		dirty := New("stlb", sets, ways, NewCHiRP(ways))
 		tlbTraffic(dirty, 4*sets*ways)
-		first := &dirty.sets[0][0]
+		first := &dirty.store.entries[0]
 		dirty.Release()
 		dirty.Release() // idempotent
 
 		tl := New("stlb", sets, ways, NewLRU())
-		reused = &tl.sets[0][0] == first
+		reused = &tl.store.entries[0] == first
 		if h := tlbHash(tl); h != wantNew {
 			t.Fatalf("new TLB on recycled entries hashes %#x, on new entries %#x", h, wantNew)
 		}

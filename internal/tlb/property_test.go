@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"itpsim/internal/arch"
+	"itpsim/internal/replacement"
 )
 
 // touch performs the simulator's lookup-then-insert-on-miss protocol for
@@ -33,7 +34,7 @@ func TestTLBLRUInclusion(t *testing.T) {
 			}
 			touch(small, vpn, class)
 			touch(large, vpn, class)
-			for _, e := range small.sets[0] {
+			for _, e := range small.sets[0].Entries {
 				if !e.Valid {
 					continue
 				}
@@ -66,7 +67,7 @@ func TestTLBStackInvariantUnderRandomOps(t *testing.T) {
 			tl.Insert(va, vpn, bits, class, 0, thread)
 		}
 		for si, set := range tl.sets {
-			if !CheckStackInvariant(set) {
+			if !replacement.CheckStackInvariant(set.Stack) {
 				t.Fatalf("step %d: set %d stack invariant broken", step, si)
 			}
 		}
@@ -74,7 +75,7 @@ func TestTLBStackInvariantUnderRandomOps(t *testing.T) {
 	instr, data := tl.Occupancy()
 	var wantI, wantD int
 	for _, set := range tl.sets {
-		for _, e := range set {
+		for _, e := range set.Entries {
 			if !e.Valid {
 				continue
 			}

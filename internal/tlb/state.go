@@ -3,33 +3,32 @@ package tlb
 import (
 	"itpsim/internal/arch"
 	"itpsim/internal/audit"
+	"itpsim/internal/replacement"
 )
 
 // HashState implements arch.StateHasher: it folds every entry's identity
 // and policy metadata, in set/way order, so two TLBs hash equal iff they
 // are architecturally identical (including replacement state).
 func (t *TLB) HashState(h *arch.StateHash) {
-	for si := range t.sets {
-		for w := range t.sets[si] {
-			e := &t.sets[si][w]
-			h.Bool(e.Valid)
-			h.Word(e.VPN)
-			h.Word(e.PPN)
-			h.Word(uint64(e.PageBits))
-			h.Word(uint64(e.Class))
-			h.Word(uint64(e.Thread))
-			h.Word(uint64(e.Stack))
-			h.Word(uint64(e.Freq))
-			h.Word(uint64(e.Sig))
-			h.Bool(e.Reused)
-		}
+	for i := range t.store.entries {
+		e := &t.store.entries[i]
+		h.Bool(e.Valid)
+		h.Word(e.VPN)
+		h.Word(e.PPN)
+		h.Word(uint64(e.PageBits))
+		h.Word(uint64(e.Class))
+		h.Word(uint64(e.Thread))
+		h.Word(uint64(t.store.stack[i]))
+		h.Word(uint64(e.Freq))
+		h.Word(uint64(e.Sig))
+		h.Bool(e.Reused)
 	}
 }
 
 // AuditState implements audit.Checkable. Invariants:
 //
-//   - stack-permutation: each set's Stack fields form a permutation of
-//     0..ways-1 (the substrate every stack-based policy assumes);
+//   - stack-permutation: each set's stack positions form a permutation
+//     of 0..ways-1 (the substrate every stack-based policy assumes);
 //   - duplicate-entry: no two valid ways of a set map the same
 //     (VPN, PageBits, Thread) — a duplicate would make lookups
 //     way-order-dependent;
@@ -37,8 +36,8 @@ func (t *TLB) HashState(h *arch.StateHash) {
 //     is a defined translation class (iTP's Type bit must be 0 or 1).
 func (t *TLB) AuditState(r *audit.Report) {
 	for si := range t.sets {
-		set := t.sets[si]
-		if !CheckStackInvariant(set) {
+		set := t.sets[si].Entries
+		if !replacement.CheckStackInvariant(t.sets[si].Stack) {
 			r.Violatef("stack-permutation", "%s set %d: stack positions are not a permutation", t.name, si)
 		}
 		for a := range set {
@@ -65,11 +64,9 @@ func (t *TLB) AuditState(r *audit.Report) {
 // VisitEntries calls fn for every valid entry, in set/way order — the
 // read-only traversal TLB↔page-table coherence audits are built on.
 func (t *TLB) VisitEntries(fn func(e *Entry)) {
-	for si := range t.sets {
-		for w := range t.sets[si] {
-			if t.sets[si][w].Valid {
-				fn(&t.sets[si][w])
-			}
+	for i := range t.store.entries {
+		if e := &t.store.entries[i]; e.Valid {
+			fn(e)
 		}
 	}
 }

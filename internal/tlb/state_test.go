@@ -80,7 +80,13 @@ func TestAuditCleanAfterTraffic(t *testing.T) {
 
 func TestAuditDetectsStackCorruption(t *testing.T) {
 	tl := filledTLB()
-	tl.VisitEntries(func(e *Entry) { e.Stack = 99 })
+	for _, set := range tl.sets {
+		for w := range set.Stack {
+			if set.Entries[w].Valid {
+				set.Stack[w] = 99
+			}
+		}
+	}
 	v := auditOne(t, tl)
 	if len(v) == 0 || v[0].Rule != "stack-permutation" {
 		t.Fatalf("want stack-permutation, got %v", v)

@@ -1,8 +1,9 @@
 // Package tlb implements the TLB hierarchy structures: set-associative
 // TLBs with exact recency stacks (the substrate iTP's insertion and
-// promotion rules are defined on), multi-page-size lookup, and the
-// TLB-side baseline policies LRU and CHiRP. A split STLB (Section 6.6)
-// is two TLBs, one per translation class.
+// promotion rules are defined on, moved by the caches' stack kernel),
+// multi-page-size lookup, and the TLB-side baseline policies LRU and
+// CHiRP. A split STLB (Section 6.6) is two TLBs, one per translation
+// class.
 package tlb
 
 import (
@@ -10,12 +11,14 @@ import (
 
 	"itpsim/internal/arch"
 	"itpsim/internal/pool"
+	"itpsim/internal/replacement"
 )
 
 // Entry is one TLB entry plus the metadata iTP adds: the Type bit
 // (Class) and the saturating Freq counter (Section 4.1.3's 4 extra bits).
 // The page numbers come first and the one-byte fields last, so an entry
-// packs into 32 bytes.
+// packs into 24 bytes. Its recency-stack position lives beside it, in
+// the TLB's stack array.
 type Entry struct {
 	VPN      uint64 // virtual page number (in units of its own page size)
 	PPN      uint64 // physical page number
@@ -26,9 +29,17 @@ type Entry struct {
 	Thread   uint8
 
 	// Policy state.
-	Stack  uint8 // recency-stack position, 0 = MRU
 	Freq   uint8 // iTP frequency counter
 	Reused bool
+}
+
+// Set is a policy's view of one TLB set: way w holds Entries[w] at exact
+// recency-stack position Stack[w] (0 = MRU). Both slices are the set's
+// part of the TLB's flat arrays, so they are the only copy of its state,
+// and the replacement package's stack kernel runs on Stack directly.
+type Set struct {
+	Entries []Entry
+	Stack   []uint8
 }
 
 // Request carries the context a policy sees on insertion/promotion.
@@ -44,89 +55,40 @@ type Request struct {
 // replacement.Policy shape.
 type Policy interface {
 	Name() string
-	Victim(setIdx int, set []Entry, req *Request) int
-	OnFill(setIdx int, set []Entry, way int, req *Request)
-	OnHit(setIdx int, set []Entry, way int, req *Request)
-	OnEvict(setIdx int, set []Entry, way int)
-}
-
-// InitSet establishes the stack-position permutation for a fresh set.
-func InitSet(set []Entry) {
-	for i := range set {
-		set[i].Stack = uint8(i)
-	}
+	Victim(setIdx int, set *Set, req *Request) int
+	OnFill(setIdx int, set *Set, way int, req *Request)
+	OnHit(setIdx int, set *Set, way int, req *Request)
+	OnEvict(setIdx int, set *Set, way int)
 }
 
 // InvalidWay returns an invalid way with the deepest stack position, or -1.
-func InvalidWay(set []Entry) int {
+func InvalidWay(s *Set) int {
 	best, bestStack := -1, -1
-	for i := range set {
-		if !set[i].Valid && int(set[i].Stack) > bestStack {
-			best, bestStack = i, int(set[i].Stack)
+	for w := range s.Entries {
+		if !s.Entries[w].Valid && int(s.Stack[w]) > bestStack {
+			best, bestStack = w, int(s.Stack[w])
 		}
 	}
 	return best
 }
 
 // StackLRUVictim returns the way at the stack bottom, invalid ways first.
-func StackLRUVictim(set []Entry) int {
-	if w := InvalidWay(set); w >= 0 {
+func StackLRUVictim(s *Set) int {
+	if w := InvalidWay(s); w >= 0 {
 		return w
 	}
-	victim, deepest := 0, -1
-	for i := range set {
-		if int(set[i].Stack) > deepest {
-			victim, deepest = i, int(set[i].Stack)
-		}
-	}
-	return victim
-}
-
-// MoveToStackPos repositions way to stack position pos, preserving the
-// permutation invariant.
-func MoveToStackPos(set []Entry, way, pos int) {
-	old := int(set[way].Stack)
-	switch {
-	case pos < old:
-		for i := range set {
-			if p := int(set[i].Stack); p >= pos && p < old {
-				set[i].Stack++
-			}
-		}
-	case pos > old:
-		for i := range set {
-			if p := int(set[i].Stack); p > old && p <= pos {
-				set[i].Stack--
-			}
-		}
-	default:
-		return
-	}
-	set[way].Stack = uint8(pos)
-}
-
-// CheckStackInvariant reports whether stack positions form a
-// permutation of 0..ways-1. (*TLB).AuditState's stack-permutation rule
-// and the TLB tests call it. The seen positions fit one fixed bitmask
-// (a position is a uint8), so an audit pass allocates nothing.
-func CheckStackInvariant(set []Entry) bool {
-	var seen [4]uint64
-	for i := range set {
-		p := set[i].Stack
-		bit := uint64(1) << (p & 63)
-		if int(p) >= len(set) || seen[p>>6]&bit != 0 {
-			return false
-		}
-		seen[p>>6] |= bit
-	}
-	return true
+	return replacement.StackPosOf(s.Stack, len(s.Stack)-1)
 }
 
 // TLB is a set-associative translation lookaside buffer supporting mixed
-// 4KB and 2MB entries (both sizes index with their own VPN bits).
+// 4KB and 2MB entries (both sizes index with their own VPN bits). It
+// keeps its sets the way a cache does: every way of every set in flat
+// arrays, set si owning [si*ways, (si+1)*ways) of each.
 type TLB struct {
-	name    string
-	sets    [][]Entry
+	name string
+	// sets holds one view per set over the flat arrays, built once by
+	// New; policies receive &sets[si].
+	sets    []Set
 	setMask uint64
 	policy  Policy
 
@@ -137,25 +99,28 @@ type TLB struct {
 	// allocation-free.
 	req Request
 
-	// store owns sets; Release hands it back to stores.
+	// store owns the flat arrays and sets; Release hands it back to
+	// stores.
 	store *storage
 }
 
-// storage is one TLB's entries: one backing array, sliced into its sets.
-// It outlives its TLB: Release returns it to stores under its entry
-// count, and the next New of that many entries takes it from there.
+// storage is one TLB's flat arrays and its per-set views over them. It
+// outlives its TLB: Release returns it to stores under its entry count,
+// and the next New of that many entries takes it from there.
 type storage struct {
 	entries []Entry
-	sets    [][]Entry
+	stack   []uint8
+	sets    []Set
 }
 
 // stores recycles released TLBs' storage, keyed by sets×ways.
 var stores pool.Keyed[*storage]
 
 // New creates a TLB with the given geometry and replacement policy. Its
-// entries come from the pool when a released TLB with as many left some
-// there; New clears recycled entries and runs InitSet on every set, so
-// recycled entries start exactly as new ones.
+// arrays come from the pool when a released TLB with as many entries
+// left some there; New clears recycled entries, points the views at the
+// new geometry's sets and resets every stack to the identity, so
+// recycled arrays start exactly as new ones.
 func New(name string, nsets, ways int, policy Policy) *TLB {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("tlb %s: sets must be a positive power of two, got %d", name, nsets))
@@ -163,17 +128,18 @@ func New(name string, nsets, ways int, policy Policy) *TLB {
 	n := nsets * ways
 	sto, ok := stores.Get(n)
 	if !ok {
-		sto = &storage{entries: make([]Entry, n)}
+		sto = &storage{entries: make([]Entry, n), stack: make([]uint8, n)}
 	} else {
 		clear(sto.entries)
 	}
 	if cap(sto.sets) < nsets {
-		sto.sets = make([][]Entry, nsets)
+		sto.sets = make([]Set, nsets)
 	}
 	sto.sets = sto.sets[:nsets]
-	for i := range sto.sets {
-		sto.sets[i] = sto.entries[i*ways : (i+1)*ways : (i+1)*ways]
-		InitSet(sto.sets[i])
+	for si := range sto.sets {
+		lo, hi := si*ways, (si+1)*ways
+		sto.sets[si] = Set{Entries: sto.entries[lo:hi:hi], Stack: sto.stack[lo:hi:hi]}
+		replacement.InitStack(sto.sets[si].Stack)
 	}
 	return &TLB{
 		name:    name,
@@ -201,11 +167,12 @@ func (t *TLB) Name() string { return t.name }
 // setFor returns the set index for a VPN.
 func (t *TLB) setFor(vpn uint64) int { return int(vpn & t.setMask) }
 
-// lookupSize probes one page size. Returns (way, setIdx, found).
+// lookupSize probes one page size and returns the set index and the
+// matching way, or -1.
 func (t *TLB) lookupSize(vaddr arch.Addr, pageBits uint8, thread uint8) (int, int) {
 	vpn := vaddr >> pageBits
 	si := t.setFor(vpn)
-	set := t.sets[si]
+	set := t.sets[si].Entries
 	for w := range set {
 		// VPN first: it is the most discriminating field, so the common
 		// non-matching way falls out after one compare.
@@ -225,11 +192,12 @@ func (t *TLB) Lookup(vaddr arch.Addr, pc uint64, class arch.Class, thread uint8)
 		if w < 0 {
 			continue
 		}
-		set := t.sets[si]
+		set := &t.sets[si]
+		e := &set.Entries[w]
 		req := &t.req
-		*req = Request{VPN: set[w].VPN, PC: pc, Class: class, Thread: thread, PageBits: pageBits}
+		*req = Request{VPN: e.VPN, PC: pc, Class: class, Thread: thread, PageBits: pageBits}
 		t.policy.OnHit(si, set, w, req)
-		return set[w].PPN, pageBits, true
+		return e.PPN, pageBits, true
 	}
 	return 0, 0, false
 }
@@ -238,7 +206,7 @@ func (t *TLB) Lookup(vaddr arch.Addr, pc uint64, class arch.Class, thread uint8)
 func (t *TLB) Peek(vaddr arch.Addr, thread uint8) (ppn uint64, pageBits uint8, class arch.Class, ok bool) {
 	for _, bits := range [2]uint8{arch.PageBits4K, arch.PageBits2M} {
 		if si, w := t.lookupSize(vaddr, bits, thread); w >= 0 {
-			e := &t.sets[si][w]
+			e := &t.sets[si].Entries[w]
 			return e.PPN, e.PageBits, e.Class, true
 		}
 	}
@@ -250,7 +218,7 @@ func (t *TLB) Peek(vaddr arch.Addr, thread uint8) (ppn uint64, pageBits uint8, c
 func (t *TLB) Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Class, pc uint64, thread uint8) {
 	vpn := vaddr >> pageBits
 	si := t.setFor(vpn)
-	set := t.sets[si]
+	set := &t.sets[si]
 	req := &t.req
 	*req = Request{VPN: vpn, PC: pc, Class: class, Thread: thread, PageBits: pageBits}
 	// Refuse duplicate inserts (a second walk for the same page may have
@@ -260,33 +228,30 @@ func (t *TLB) Insert(vaddr arch.Addr, ppn uint64, pageBits uint8, class arch.Cla
 		return
 	}
 	w := t.policy.Victim(si, set, req)
-	if set[w].Valid {
+	if set.Entries[w].Valid {
 		t.policy.OnEvict(si, set, w)
 	}
-	set[w] = Entry{
+	set.Entries[w] = Entry{
 		Valid:    true,
 		VPN:      vpn,
 		PPN:      ppn,
 		PageBits: pageBits,
 		Class:    class,
 		Thread:   thread,
-		Stack:    set[w].Stack, // preserve the permutation invariant
 	}
 	t.policy.OnFill(si, set, w, req)
 }
 
 // Occupancy returns how many valid entries hold each class (test/debug aid).
 func (t *TLB) Occupancy() (instr, data int) {
-	for si := range t.sets {
-		for w := range t.sets[si] {
-			if !t.sets[si][w].Valid {
-				continue
-			}
-			if t.sets[si][w].Class == arch.InstrClass {
-				instr++
-			} else {
-				data++
-			}
+	for _, e := range t.store.entries {
+		if !e.Valid {
+			continue
+		}
+		if e.Class == arch.InstrClass {
+			instr++
+		} else {
+			data++
 		}
 	}
 	return

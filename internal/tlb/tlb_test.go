@@ -3,18 +3,27 @@ package tlb
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"unsafe"
 
 	"itpsim/internal/arch"
+	"itpsim/internal/replacement"
 )
 
-// TestEntrySize pins a TLB entry at 32 bytes: the two page numbers, the
-// signature, then the seven one-byte fields. The STLB alone holds 1,536.
+// TestEntrySize pins a TLB entry at 24 bytes: the two page numbers, the
+// signature, then the six one-byte fields. Its stack position is one
+// more byte in the TLB's stack array. The STLB alone holds 1,536.
 func TestEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(Entry{}); n != 32 {
-		t.Fatalf("tlb.Entry is %d bytes, want 32", n)
+	if n := unsafe.Sizeof(Entry{}); n != 24 {
+		t.Fatalf("tlb.Entry is %d bytes, want 24", n)
 	}
+}
+
+// newSet returns a standalone set of the given associativity, every way
+// invalid and the stack in identity order.
+func newSet(ways int) *Set {
+	s := &Set{Entries: make([]Entry, ways), Stack: make([]uint8, ways)}
+	replacement.InitStack(s.Stack)
+	return s
 }
 
 func TestNewPanicsOnBadSets(t *testing.T) {
@@ -151,7 +160,7 @@ func TestSplitRouting(t *testing.T) {
 	s := splitSTLB(sets, ways, NewLRU(), NewLRU())
 	defer s[arch.InstrClass].Release()
 	defer s[arch.DataClass].Release()
-	if &s[arch.InstrClass].sets[0][0] == &s[arch.DataClass].sets[0][0] {
+	if &s[arch.InstrClass].store.entries[0] == &s[arch.DataClass].store.entries[0] {
 		t.Fatal("both halves share one entry array")
 	}
 	frame := [2]uint64{arch.InstrClass: 0x1000, arch.DataClass: 0x2000}
@@ -240,57 +249,6 @@ func TestEntriesCount(t *testing.T) {
 	}
 }
 
-func TestStackHelpersProperty(t *testing.T) {
-	f := func(ops []uint16) bool {
-		set := make([]Entry, 12)
-		InitSet(set)
-		for _, op := range ops {
-			way := int(op) % 12
-			pos := int(op>>8) % 12
-			MoveToStackPos(set, way, pos)
-			if !CheckStackInvariant(set) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCheckStackInvariantRejectsAndAllocatesNothing covers a duplicate
-// position and positions past the set, up to the largest uint8, and
-// holds the check at zero allocations: (*TLB).AuditState runs it on
-// every set of every TLB on every audit pass.
-func TestCheckStackInvariantRejectsAndAllocatesNothing(t *testing.T) {
-	for _, ways := range []int{1, 4, 12, 255} {
-		set := make([]Entry, ways)
-		InitSet(set)
-		MoveToStackPos(set, ways-1, 0)
-		if !CheckStackInvariant(set) {
-			t.Errorf("ways=%d: permutation rejected", ways)
-		}
-		if n := testing.AllocsPerRun(100, func() { CheckStackInvariant(set) }); n != 0 {
-			t.Errorf("ways=%d: %v allocations per check, want 0", ways, n)
-		}
-		for _, bad := range []int{ways, 64, 128, 255} {
-			if bad >= ways {
-				set[0].Stack = uint8(bad)
-				if CheckStackInvariant(set) {
-					t.Errorf("ways=%d: out-of-range position %d accepted", ways, bad)
-				}
-			}
-		}
-		if ways > 1 {
-			set[0].Stack = set[1].Stack
-			if CheckStackInvariant(set) {
-				t.Errorf("ways=%d: duplicate position accepted", ways)
-			}
-		}
-	}
-}
-
 // Property: under random insert/lookup traffic the TLB never stores two
 // entries for the same (vpn,size,thread) and stacks stay permutations.
 func TestTLBConsistencyUnderTraffic(t *testing.T) {
@@ -312,11 +270,11 @@ func TestTLBConsistencyUnderTraffic(t *testing.T) {
 		thread uint8
 	}
 	seen := map[key]bool{}
-	for si := range tl.sets {
-		if !CheckStackInvariant(tl.sets[si]) {
+	for si, set := range tl.sets {
+		if !replacement.CheckStackInvariant(set.Stack) {
 			t.Fatalf("set %d stack invariant broken", si)
 		}
-		for _, e := range tl.sets[si] {
+		for _, e := range set.Entries {
 			if !e.Valid {
 				continue
 			}
@@ -331,37 +289,35 @@ func TestTLBConsistencyUnderTraffic(t *testing.T) {
 
 func TestCHiRPInsertionDependsOnConfidence(t *testing.T) {
 	c := NewCHiRP(8)
-	set := make([]Entry, 8)
-	InitSet(set)
-	for i := range set {
-		set[i].Valid = true
+	set := newSet(8)
+	for i := range set.Entries {
+		set.Entries[i].Valid = true
 	}
 	req := &Request{VPN: 42, Thread: 0}
 	sig := c.signature(0, 42)
 
 	c.table[sig] = chirpThreshold // confident
 	c.OnFill(0, set, 3, req)
-	if set[3].Stack != 0 {
-		t.Errorf("confident fill at stack %d, want 0", set[3].Stack)
+	if set.Stack[3] != 0 {
+		t.Errorf("confident fill at stack %d, want 0", set.Stack[3])
 	}
 
 	c.table[sig] = 0 // dead signature
 	c.OnFill(0, set, 5, req)
-	if int(set[5].Stack) != c.lowInsertPos {
-		t.Errorf("dead fill at stack %d, want %d", set[5].Stack, c.lowInsertPos)
+	if int(set.Stack[5]) != c.lowInsertPos {
+		t.Errorf("dead fill at stack %d, want %d", set.Stack[5], c.lowInsertPos)
 	}
 }
 
 func TestCHiRPTraining(t *testing.T) {
 	c := NewCHiRP(8)
-	set := make([]Entry, 8)
-	InitSet(set)
-	for i := range set {
-		set[i].Valid = true
+	set := newSet(8)
+	for i := range set.Entries {
+		set.Entries[i].Valid = true
 	}
 	req := &Request{VPN: 7}
 	c.OnFill(0, set, 0, req)
-	sig := set[0].Sig
+	sig := set.Entries[0].Sig
 	before := c.table[sig]
 	c.OnHit(0, set, 0, req)
 	if c.table[sig] != before+1 {
@@ -373,7 +329,7 @@ func TestCHiRPTraining(t *testing.T) {
 	}
 	// Fill-then-evict with no reuse lowers confidence.
 	c.OnFill(0, set, 1, req)
-	sig1 := set[1].Sig
+	sig1 := set.Entries[1].Sig
 	mid := c.table[sig1]
 	c.OnEvict(0, set, 1)
 	if c.table[sig1] != mid-1 {
@@ -394,22 +350,21 @@ func TestCHiRPHistoryChangesSignature(t *testing.T) {
 
 func TestCHiRPCounterSaturation(t *testing.T) {
 	c := NewCHiRP(8)
-	set := make([]Entry, 8)
-	InitSet(set)
-	set[0].Valid = true
+	set := newSet(8)
+	set.Entries[0].Valid = true
 	req := &Request{VPN: 9}
 	for i := 0; i < 20; i++ {
 		c.OnFill(0, set, 0, req)
 		c.OnHit(0, set, 0, req)
 	}
-	if c.table[set[0].Sig] > chirpCtrMax {
+	if c.table[set.Entries[0].Sig] > chirpCtrMax {
 		t.Error("counter exceeded max")
 	}
 	for i := 0; i < 20; i++ {
 		c.OnFill(0, set, 0, req)
 		c.OnEvict(0, set, 0)
 	}
-	if c.table[set[0].Sig] != 0 {
-		t.Errorf("counter should saturate at 0, got %d", c.table[set[0].Sig])
+	if c.table[set.Entries[0].Sig] != 0 {
+		t.Errorf("counter should saturate at 0, got %d", c.table[set.Entries[0].Sig])
 	}
 }

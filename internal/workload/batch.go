@@ -123,11 +123,12 @@ type instrBatch struct {
 }
 
 // batchPool is the one batch pool every decode-ahead ring draws from, so
-// a ring started after another closed reuses its batches; Pull borrows
-// its buffer from it too. Every batch is BatchSize long and goes under
-// that key. Only Close puts a ring's batches back, before it returns: a
-// decoder that outlived Close and put its batch back itself would land
-// it in the pool after the caller's run had finished and been measured.
+// a ring started after another closed reuses its batches; Pull over any
+// other stream borrows its buffer from it too. Every batch is BatchSize
+// long and goes under that key. Only Close puts a ring's batches back,
+// before it returns: a decoder that outlived Close and put its batch
+// back itself would land it in the pool after the caller's run had
+// finished and been measured.
 var batchPool pool.Keyed[*instrBatch]
 
 // takeBatch takes a batch from batchPool, or makes one when it is empty.
@@ -284,27 +285,32 @@ func (p *Prefetched) advance() bool {
 
 // Next implements Stream.
 func (p *Prefetched) Next(in *Instr) bool {
-	for p.cur == nil || p.pos >= p.cur.n {
-		if !p.advance() {
-			return false
-		}
+	seg := p.segment(1)
+	if len(seg) == 0 {
+		return false
 	}
-	*in = p.cur.buf[p.pos]
-	p.pos++
+	*in = seg[0]
 	return true
 }
 
 // NextBatch implements NextBatcher: it copies out of the current decoded
 // chunk (never blocking on more than one chunk boundary).
 func (p *Prefetched) NextBatch(buf []Instr) int {
+	return copy(buf, p.segment(len(buf)))
+}
+
+// segment marks up to limit unread instructions of the current decoded
+// chunk read and returns them in place, valid until the consumer next
+// reads from p. It is empty at the end of the stream.
+func (p *Prefetched) segment(limit int) []Instr {
 	for p.cur == nil || p.pos >= p.cur.n {
 		if !p.advance() {
-			return 0
+			return nil
 		}
 	}
-	n := copy(buf, p.cur.buf[p.pos:p.cur.n])
-	p.pos += n
-	return n
+	seg := p.cur.buf[p.pos:min(p.cur.n, p.pos+limit)]
+	p.pos += len(seg)
+	return seg
 }
 
 // Err reports the source's terminal error once the consumer has drained

@@ -36,35 +36,35 @@ func Skip(s Stream, n uint64) uint64 {
 }
 
 // Pull draws up to n instructions from s and hands them to f one segment
-// at a time, in a batch borrowed from the decode-ahead rings' pool. It
-// uses the stream's bulk path when available, so it runs at generator
-// speed, not at interface-call speed. It stops early when the stream ends
-// or f returns false, and returns how many instructions f was handed. A
-// segment is valid only until f returns.
+// at a time. Over a decode-ahead ring a segment is the unread part of the
+// ring's current batch, in place. Over any other stream it is a batch
+// borrowed from the rings' pool, filled through the stream's bulk path
+// when it has one, so Pull runs at generator speed, not at
+// interface-call speed. It stops early when the stream ends or f returns
+// false, and returns how many instructions f was handed. A segment is
+// valid only until f returns.
 func Pull(s Stream, n uint64, f func([]Instr) bool) uint64 {
-	if n == 0 {
-		return 0
+	ring, isRing := s.(*Prefetched)
+	var b *instrBatch
+	if !isRing && n > 0 {
+		b = takeBatch()
+		defer batchPool.Put(BatchSize, b)
 	}
-	b := takeBatch()
-	defer batchPool.Put(BatchSize, b)
 	bulk, hasBulk := s.(NextBatcher)
 	var done uint64
 	for done < n {
-		seg := b.buf
-		if want := n - done; want < uint64(len(seg)) {
-			seg = seg[:want]
+		want := int(min(n-done, BatchSize))
+		var seg []Instr
+		switch {
+		case isRing:
+			seg = ring.segment(want)
+		case hasBulk:
+			seg = b.buf[:bulk.NextBatch(b.buf[:want])]
+		default:
+			seg = b.buf[:FillBatch(s, b.buf[:want])]
 		}
-		var got int
-		if hasBulk {
-			got = bulk.NextBatch(seg)
-		} else {
-			got = FillBatch(s, seg)
-		}
-		if got == 0 {
-			break
-		}
-		done += uint64(got)
-		if !f(seg[:got]) {
+		done += uint64(len(seg))
+		if len(seg) == 0 || !f(seg) {
 			break
 		}
 	}

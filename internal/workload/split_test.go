@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"itpsim/internal/arch"
@@ -176,6 +177,37 @@ func TestPull(t *testing.T) {
 	})
 	if segs != 1 || got != BatchSize {
 		t.Fatalf("Pull after a declined segment: %d segments, %d instructions, want 1 and %d", segs, got, BatchSize)
+	}
+}
+
+// TestPullOverRingInPlace: Pull over a decode-ahead ring, as a
+// functional warmup over a ring calls it, hands f each segment in place
+// in the ring's current batch, so it borrows no batch of its own. It
+// hands over the same instructions as the bare source yields, from a
+// part-read batch up to exactly n, and the ring resumes right after them.
+func TestPullOverRingInPlace(t *testing.T) {
+	const skip, n = 100, 3*BatchSize + 7
+	want := collect(NewServer(defaultServer()), skip+n+1)
+
+	p := Prefetch(NewServer(defaultServer()))
+	defer p.Close()
+	var in Instr
+	for i := 0; i < skip; i++ { // leave the current batch part-read
+		p.Next(&in)
+	}
+	var got []Instr
+	done := Pull(p, n, func(seg []Instr) bool {
+		if &seg[0] != &p.cur.buf[p.pos-len(seg)] {
+			t.Fatal("Pull over a ring handed f a copy, not the ring's batch")
+		}
+		got = append(got, seg...)
+		return true
+	})
+	if done != n || !slices.Equal(got, want[skip:skip+n]) {
+		t.Fatalf("Pull over a ring handed over %d instructions, want %d matching the bare source", done, n)
+	}
+	if !p.Next(&in) || in != want[skip+n] {
+		t.Fatalf("after Pull the ring reads %+v, want %+v", in, want[skip+n])
 	}
 }
 
