@@ -82,7 +82,8 @@ race-matrix:
 # equivalence for sharding, and the beacon state fold against the
 # standard library's FNV-1a — over a cache's fold, empty ways included,
 # against the per-field fold, over the word-at-a-time recency move
-# against the byte loop it replaces, over the page table's frame map
+# against the byte loop it replaces at every associativity a cache or
+# TLB may have (1–128 ways), over the page table's frame map
 # against the radix tree it stands for, and over Mockingjay's and
 # Hawkeye's fixed sampler storage against the maps it replaced.
 fuzz-smoke:
