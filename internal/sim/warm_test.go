@@ -143,6 +143,43 @@ func TestWarmFunctionalWarmsState(t *testing.T) {
 	}
 }
 
+// TestWarmFunctionalOverRing: functional warmup over a decode-ahead
+// ring, which steps the ring's own batches in place, leaves the machine
+// in exactly the state a warmup over the bare source does, and the ring
+// resumes at the first instruction past the warmed span.
+func TestWarmFunctionalOverRing(t *testing.T) {
+	const n = 5_000
+	cat := workload.NewCatalog(4, 2)
+	spec, err := cat.Get(cat.ServerNames()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmed := func(s workload.Stream) uint64 {
+		m, err := NewMachine(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Release()
+		if err := m.WarmFunctional(s, n); err != nil {
+			t.Fatal(err)
+		}
+		h := arch.NewStateHash()
+		m.hashState(&h)
+		return h.Sum()
+	}
+	ring := workload.Prefetch(spec.NewStream())
+	defer ring.Close()
+	if got, want := warmed(ring), warmed(spec.NewStream()); got != want {
+		t.Fatalf("warmup over a ring left state %#x, over the bare source %#x", got, want)
+	}
+	bare := spec.NewStream()
+	workload.Skip(bare, n)
+	var got, want workload.Instr
+	if !ring.Next(&got) || !bare.Next(&want) || got != want {
+		t.Fatalf("after the warmup the ring reads %+v, want %+v", got, want)
+	}
+}
+
 // TestWarmFunctionalRejects: guard rails — multi-core machines, reuse
 // after a detailed run, and short streams all fail loudly.
 func TestWarmFunctionalRejects(t *testing.T) {

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"slices"
 	"testing"
 
 	"itpsim/internal/arch"
@@ -203,8 +202,13 @@ func TestPullOverRingInPlace(t *testing.T) {
 		got = append(got, seg...)
 		return true
 	})
-	if done != n || !slices.Equal(got, want[skip:skip+n]) {
-		t.Fatalf("Pull over a ring handed over %d instructions, want %d matching the bare source", done, n)
+	if done != n || len(got) != n {
+		t.Fatalf("Pull over a ring handed over %d instructions (%d counted), want %d", len(got), done, n)
+	}
+	for i := range got {
+		if got[i] != want[skip+i] {
+			t.Fatalf("instruction %d over the ring is %+v, the bare source's is %+v", i, got[i], want[skip+i])
+		}
 	}
 	if !p.Next(&in) || in != want[skip+n] {
 		t.Fatalf("after Pull the ring reads %+v, want %+v", in, want[skip+n])
