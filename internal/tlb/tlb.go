@@ -150,9 +150,10 @@ func New(name string, nsets, ways int, policy Policy) *TLB {
 	}
 }
 
-// Release returns the TLB's entries to the pool. The owner calls it once it has read everything it needs from the TLB;
-// the TLB must not be used afterwards, and panics if it is rather than
-// reading another TLB's state.
+// Release returns the TLB's arrays and views to the pool. The owner
+// calls it once it has read everything it needs from the TLB; the TLB
+// must not be used afterwards, and panics if it is rather than reading
+// another TLB's state.
 func (t *TLB) Release() {
 	if t.store == nil {
 		return
