@@ -3,6 +3,7 @@ package tlb
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
 	"unsafe"
 
 	"itpsim/internal/arch"
@@ -246,6 +247,69 @@ func TestEntriesCount(t *testing.T) {
 	}
 	if _, _, _, ok := tl.Peek(0, 0); ok {
 		t.Error("page 1536 should have evicted page 0, the LRU entry of set 0")
+	}
+}
+
+// Property: random moves made by the stack kernel through one set's view
+// of a 2-set, 12-way TLB keep that set's stack a permutation with the
+// moved way at its new position, and leave the other set, whose bytes
+// sit beside it in the same flat array, as it was.
+func TestStackHelpersProperty(t *testing.T) {
+	tl := New("t", 2, 12, NewLRU())
+	defer tl.Release()
+	f := func(ops []uint16) bool {
+		for _, op := range ops {
+			si := int(op & 1)
+			way := int(op>>1) % 12
+			pos := int(op>>8) % 12
+			var other [12]uint8
+			copy(other[:], tl.sets[1-si].Stack)
+			replacement.MoveToStackPos(tl.sets[si].Stack, way, pos)
+			if !replacement.CheckStackInvariant(tl.sets[si].Stack) ||
+				int(tl.sets[si].Stack[way]) != pos ||
+				[12]uint8(tl.sets[1-si].Stack) != other {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckStackInvariantRejectsAndAllocatesNothing runs the stack check
+// on a TLB's own set view, from one way up to the widest associativity
+// config admits (128), over a duplicate position and positions past the
+// set up to the largest uint8, and holds it at zero allocations:
+// (*TLB).AuditState runs it on every set of every TLB on every audit
+// pass.
+func TestCheckStackInvariantRejectsAndAllocatesNothing(t *testing.T) {
+	for _, ways := range []int{1, 4, 12, 128} {
+		tl := New("t", 1, ways, NewLRU())
+		stack := tl.sets[0].Stack
+		replacement.MoveToStackPos(stack, ways-1, 0)
+		if !replacement.CheckStackInvariant(stack) {
+			t.Errorf("ways=%d: permutation rejected", ways)
+		}
+		if n := testing.AllocsPerRun(100, func() { replacement.CheckStackInvariant(stack) }); n != 0 {
+			t.Errorf("ways=%d: %v allocations per check, want 0", ways, n)
+		}
+		for _, bad := range []int{ways, 64, 128, 255} {
+			if bad >= ways {
+				stack[0] = uint8(bad)
+				if replacement.CheckStackInvariant(stack) {
+					t.Errorf("ways=%d: out-of-range position %d accepted", ways, bad)
+				}
+			}
+		}
+		if ways > 1 {
+			stack[0] = stack[1]
+			if replacement.CheckStackInvariant(stack) {
+				t.Errorf("ways=%d: duplicate position accepted", ways)
+			}
+		}
+		tl.Release()
 	}
 }
 
