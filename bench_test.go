@@ -175,8 +175,7 @@ func simRunSeconds(b testing.TB, instrument bool, spec workload.Spec) float64 {
 		b.Fatal(err)
 	}
 	if instrument {
-		w := m.InstrumentMetrics(0)
-		w.SetRetain(64)
+		m.InstrumentMetrics(0)
 	}
 	p := workload.Prefetch(spec.NewStream())
 	defer p.Close()

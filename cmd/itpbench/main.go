@@ -71,12 +71,11 @@ func main() {
 		svgDir  = flag.String("svg", "", "also render <dir>/<fig>.svg bar charts")
 	)
 	var (
-		sup                      run.Supervision
-		shards, phases           int
-		sampleWindow, funcWarmup uint64
+		sup   run.Supervision
+		split run.SplitSpec
 	)
 	sup.Register(flag.CommandLine)
-	run.RegisterSplit(flag.CommandLine, &shards, &phases, &sampleWindow, &funcWarmup)
+	split.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *fig == "" {
@@ -105,12 +104,10 @@ func main() {
 	if *cores > 0 {
 		o.Cores = *cores
 	}
-	o.Shards, o.SamplePhases, o.SampleWindow, o.FuncWarmup = shards, phases, sampleWindow, funcWarmup
-	o.Supervision, o.Logf = sup, run.Stderr
+	o.SplitSpec, o.Supervision, o.Logf = split, sup, run.Stderr
 	// Every single-workload simulation takes the split; reject a bad one
 	// before any experiment starts.
-	probe := run.Spec{Tenants: []string{"srv_000"}, System: config.Default(), Warmup: o.Warmup, Measure: o.Measure,
-		Shards: o.Shards, Phases: o.SamplePhases, Window: o.SampleWindow, FuncWarmup: o.FuncWarmup}
+	probe := run.Spec{Tenants: []string{"srv_000"}, System: config.Default(), Warmup: o.Warmup, Measure: o.Measure, SplitSpec: o.SplitSpec}
 	if err := probe.Validate(); err != nil {
 		run.Exit("itpbench", 2, err)
 	}
@@ -119,13 +116,11 @@ func main() {
 	if *fig == "all" {
 		ids = experiments.All()
 	}
-	for _, id := range ids {
-		//itp:wallclock — progress reporting only; never feeds the simulation
-		start := time.Now()
-		res, err := experiments.Run(id, o)
-		if err != nil {
-			run.Exit("itpbench", 1, fmt.Errorf("%s: %w", id, err))
-		}
+	// One runner serves every figure, so a run several figures share
+	// simulates once.
+	//itp:wallclock — progress reporting only; never feeds the simulation
+	start := time.Now()
+	err := experiments.RunAll(ids, o, func(id string, res experiments.Result) {
 		experiments.Print(os.Stdout, res)
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, id, res); err != nil {
@@ -138,6 +133,11 @@ func main() {
 			}
 		}
 		//itp:wallclock — progress reporting only; never feeds the simulation
-		fmt.Printf("  (%s in %.1fs)\n\n", id, time.Since(start).Seconds())
+		now := time.Now()
+		fmt.Printf("  (%s in %.1fs)\n\n", id, now.Sub(start).Seconds())
+		start = now
+	})
+	if err != nil {
+		run.Exit("itpbench", 1, err)
 	}
 }

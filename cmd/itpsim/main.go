@@ -155,9 +155,13 @@ func main() {
 	}
 
 	outs, err := run.NewRunner(cat).Execute(f.Options(*chaosSeed, run.Stderr), specs, arm)
-	if cerr := export.Close(); cerr != nil {
-		run.Exit("itpsim", 1, fmt.Errorf("metrics export: %w", cerr))
-	}
+	// A failed export fails the run once its results are printed.
+	exportErr := export.Close()
+	defer func() {
+		if exportErr != nil {
+			run.Exit("itpsim", 1, fmt.Errorf("metrics export: %w", exportErr))
+		}
+	}()
 	if outs == nil {
 		run.Exit("itpsim", 1, err)
 	}

@@ -125,6 +125,29 @@ func checkGolden(t *testing.T, tool string, cases [][]string, scale []string) {
 	}
 }
 
+// TestTornMetricsExport: -chaos torn-metrics tears the -metrics-out file
+// mid-series (seed 13 tears it at byte 4429); the run still prints its
+// whole report, then exits 1 naming the export instead of 0 over a
+// truncated series.
+func TestTornMetricsExport(t *testing.T) {
+	args := append([]string{"-workload", "srv_000"}, goldenScale...)
+	want, stderr, status := invoke(t, "itpsim", args...)
+	if status != 0 {
+		t.Fatalf("clean run: exit %d\n%s", status, stderr)
+	}
+	out := filepath.Join(t.TempDir(), "windows.jsonl")
+	got, stderr, status := invoke(t, "itpsim", append(args, "-metrics-out", out, "-chaos", "torn-metrics", "-chaos-seed", "13")...)
+	if status != 1 {
+		t.Errorf("torn export: exit %d, want 1\n%s", status, stderr)
+	}
+	if got != want {
+		t.Errorf("torn export changed the report:\n%s\nwant:\n%s", got, want)
+	}
+	if !strings.Contains(stderr, "itpsim: metrics export: ") {
+		t.Errorf("stderr does not name the export failure:\n%s", stderr)
+	}
+}
+
 // modeCell is one cell of the run-mode matrix. sim and sweep are the
 // cell's flags for each tool (nil: the tool has no such mode); both tools
 // must give the cell the same verdict.

@@ -129,9 +129,8 @@ func main() {
 	}
 	arm.Label = func(i int) string { return labels[i] }
 	outs, runErr := run.NewRunner(workload.NewCatalog(120, 20)).Execute(f.Options(0, run.Stderr), specs, arm)
-	if err := export.Close(); err != nil {
-		run.Exit("itpsweep", 1, fmt.Errorf("metrics export: %w", err))
-	}
+	// A failed export fails the sweep once its table is printed.
+	exportErr := export.Close()
 	if outs == nil {
 		run.Exit("itpsweep", 1, runErr)
 	}
@@ -172,6 +171,9 @@ func main() {
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "itpsweep: %d/%d points failed:\n%v\n", failed, len(specs), runErr)
 		os.Exit(1)
+	}
+	if exportErr != nil {
+		run.Exit("itpsweep", 1, fmt.Errorf("metrics export: %w", exportErr))
 	}
 }
 

@@ -108,11 +108,6 @@ type Controller struct {
 	// Window tallies for reporting.
 	EnabledWindows  uint64
 	DisabledWindows uint64
-
-	// decisionHook, when set, observes every window decision at the
-	// moment it is made (before the miss counter resets) — the metrics
-	// layer uses it to record enable/disable transitions per window.
-	decisionHook func(enabled bool, misses int)
 }
 
 // NewController builds the controller. T1 <= 0 pins xPTP on.
@@ -143,16 +138,9 @@ func (c *Controller) OnRetire(n arch.Instr) {
 		} else {
 			c.DisabledWindows++
 		}
-		if c.decisionHook != nil {
-			c.decisionHook(c.useXPTP, c.missCount)
-		}
 		c.missCount = 0
 	}
 }
-
-// SetDecisionHook registers fn to observe every window decision as it is
-// made; misses is the STLB-miss count of the window just judged.
-func (c *Controller) SetDecisionHook(fn func(enabled bool, misses int)) { c.decisionHook = fn }
 
 // WindowInstr returns the controller's window size in retired
 // instructions.

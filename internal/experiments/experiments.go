@@ -40,32 +40,12 @@ type Options struct {
 	// 0 selects the study's default width (4); the paper-style sweep
 	// runs it at 4, 16, and 64. Other experiments ignore it.
 	Cores int
-	// Shards > 1 splits every single-workload simulation into that many
-	// parallel warmup+measure segments (internal/shard), stitched back
-	// into one stats record per job; SMT pair simulations always run
-	// whole because sharding is defined over a single stream. The
-	// per-shard warmup approximation shifts metrics within the bounds
-	// documented in DESIGN.md §12.
-	Shards int
-	// SamplePhases > 0 phase-samples every single-workload simulation
-	// (internal/sample): an LRU-baseline profiling pre-pass classifies
-	// the measured region into K phases and only one representative
-	// interval per phase simulates in detail, with full-run statistics
-	// reconstructed as the occupancy-weighted sum. One profile serves
-	// every policy combination that shares a (workload, machine
-	// geometry), which is where the speedup over serial sweeping comes
-	// from. SMT pairs and multi-core jobs run whole. Error bounds are in
-	// DESIGN.md §14. Mutually exclusive with Shards > 1.
-	SamplePhases int
-	// SampleWindow is the phase-classification interval in retired
-	// instructions (Defaults and Quick set run.SampleWindow); Warmup and
-	// Measure must be multiples of it when SamplePhases > 1.
-	SampleWindow uint64
-	// FuncWarmup replays this prefix of each segment's warmup
-	// functionally (TLB/cache/predictor state only, no pipeline); it must
-	// leave a detailed warmup suffix. Applies to the Shards and
-	// SamplePhases paths.
-	FuncWarmup uint64
+	// SplitSpec splits every single-workload simulation (SMT pairs and
+	// multi-core jobs run whole). Phase sampling is where a sweep gains
+	// most: one profile serves every policy combination that shares a
+	// (workload, machine geometry). Defaults and Quick set the
+	// classification Window to run.SampleWindow.
+	run.SplitSpec
 
 	// Supervision is the fault tolerance every sweep's jobs run under
 	// (internal/harness): Parallel bounds concurrent simulations
@@ -81,6 +61,10 @@ type Options struct {
 	// Logf receives supervision events (retries, kills, resumes);
 	// nil discards them.
 	Logf func(format string, args ...any)
+
+	// runs, when set, is the runner every experiment run with these
+	// options shares; RunAll sets it.
+	runs *run.Runner
 }
 
 // Defaults returns laptop-scale defaults.
@@ -91,7 +75,7 @@ func Defaults() Options {
 		SMTPairsPerCategory: 2,
 		Warmup:              1_000_000,
 		Measure:             3_000_000,
-		SampleWindow:        run.SampleWindow,
+		SplitSpec:           run.SplitSpec{Window: run.SampleWindow},
 		// A healthy simulation never stops retiring, so a generous
 		// no-progress watchdog (30s of zero retires) is safe to arm by
 		// default and turns a livelocked job into one structured failure
@@ -108,7 +92,7 @@ func Quick() Options {
 		SMTPairsPerCategory: 1,
 		Warmup:              200_000,
 		Measure:             400_000,
-		SampleWindow:        run.SampleWindow,
+		SplitSpec:           run.SplitSpec{Window: run.SampleWindow},
 		Supervision:         run.Supervision{WatchdogInterval: 5 * time.Second, WatchdogSamples: 6},
 	}
 }
@@ -164,14 +148,17 @@ func (c Combo) apply(cfg *config.SystemConfig) {
 
 // runner executes one experiment's simulations: run.Runner supplies the
 // supervision, the split engines and the memo, so shared baselines are
-// only simulated once.
+// only simulated once — across experiments too when RunAll shares it.
 type runner struct {
 	o Options
 	*run.Runner
 }
 
 func newRunner(o Options) *runner {
-	return &runner{o: o, Runner: run.NewRunner(workload.NewCatalog(120, 20))}
+	if o.runs == nil {
+		o.runs = run.NewRunner(workload.NewCatalog(120, 20))
+	}
+	return &runner{o: o, Runner: o.runs}
 }
 
 // serverSet returns the participating server workload names.
@@ -229,7 +216,7 @@ func (r *runner) spec(tenants []string, cfg config.SystemConfig) run.Spec {
 	case len(tenants) == 2:
 		s.System.SMT = true
 	default:
-		s.Shards, s.Phases, s.Window, s.FuncWarmup = r.o.Shards, r.o.SamplePhases, r.o.SampleWindow, r.o.FuncWarmup
+		s.SplitSpec = r.o.SplitSpec
 	}
 	return s
 }
@@ -288,6 +275,21 @@ func All() []string {
 	}
 	sort.Strings(ids)
 	return ids
+}
+
+// RunAll executes the named experiments in order on one shared runner, so
+// a simulation several of them ask for runs once, and hands each result to
+// done as its experiment finishes. It stops at the first that fails.
+func RunAll(ids []string, o Options, done func(id string, res Result)) error {
+	o.runs = newRunner(o).Runner
+	for _, id := range ids {
+		res, err := Run(id, o)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		done(id, res)
+	}
+	return nil
 }
 
 // Run executes the named experiment.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -212,6 +213,54 @@ func TestMemoisationSharesBaselines(t *testing.T) {
 	}
 	if s1[0] != s2[0] {
 		t.Error("memoised run should return the same stats object")
+	}
+}
+
+// TestRunAllSharesRuns: the experiments of one RunAll share one runner,
+// so the LRU baselines that fig3 and fig8a both ask for simulate once.
+// Each figure writes its own checkpoint journal, which records exactly
+// the runs that figure simulated.
+func TestRunAllSharesRuns(t *testing.T) {
+	o := tiny()
+	o.Checkpoint = filepath.Join(t.TempDir(), "exp.ckpt")
+	fig3Journal := o.Checkpoint + ".fig3"
+	var done []string
+	err := RunAll([]string{"fig3", "fig8a"}, o, func(id string, _ Result) {
+		done = append(done, id)
+		if id == "fig3" {
+			if err := os.Rename(o.Checkpoint, fig3Journal); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(done, []string{"fig3", "fig8a"}) {
+		t.Fatalf("results handed over for %v", done)
+	}
+	fig3, err := os.ReadFile(fig3Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig8a, err := os.ReadFile(o.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner(o)
+	for _, name := range r.serverSet() {
+		key := r.spec([]string{name}, config.Default()).Key()
+		if !bytes.Contains(fig3, []byte(key)) {
+			t.Errorf("fig3 did not simulate the baseline %s", key)
+		}
+		if bytes.Contains(fig8a, []byte(key)) {
+			t.Errorf("fig8a simulated the baseline %s again", key)
+		}
+	}
+	itp := config.Default()
+	itp.STLBPolicy, itp.L2CPolicy = "itp", "xptp"
+	if key := r.spec([]string{r.serverSet()[0]}, itp).Key(); !bytes.Contains(fig8a, []byte(key)) {
+		t.Errorf("fig8a's journal lacks its own iTP+xPTP run %s", key)
 	}
 }
 
@@ -463,7 +512,7 @@ func TestShardedFigure(t *testing.T) {
 }
 
 // TestSampledRunAllMatchesSerial routes the same job set through the
-// serial and Options.SamplePhases paths: pair jobs (run whole) and
+// serial and Options.Phases paths: pair jobs (run whole) and
 // duplicate keys must be exact, the reconstructed instruction count must
 // be exact, and IPC must land within the sampling methodology's bounds
 // (DESIGN.md §14 — wider than sharding's because phase sampling
@@ -480,8 +529,8 @@ func TestSampledRunAllMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o.SamplePhases = 2
-	o.SampleWindow = 10_000
+	o.Phases = 2
+	o.Window = 10_000
 	o.FuncWarmup = 10_000
 	sampled := newRunner(o)
 	jobs := sampled.specs(units, cfg)
@@ -517,11 +566,11 @@ func TestSampledRunAllMatchesSerial(t *testing.T) {
 			t.Errorf("job %d: second sampled runAll should hit the memo", i)
 		}
 	}
-	// SamplePhases and Shards together is a configuration error.
+	// Phases and Shards together is a configuration error.
 	o.Shards = 2
 	both := newRunner(o)
 	if _, err := both.runAll(both.specs(units, cfg)); err == nil {
-		t.Error("SamplePhases+Shards accepted; want an error")
+		t.Error("Phases+Shards accepted; want an error")
 	}
 }
 
@@ -551,7 +600,7 @@ func TestFuncWarmupRunAll(t *testing.T) {
 	}
 }
 
-// TestSampledFigure runs one real figure through Options.SamplePhases
+// TestSampledFigure runs one real figure through Options.Phases
 // and checks it produces the same rows as the serial run.
 func TestSampledFigure(t *testing.T) {
 	o := tiny()
@@ -559,8 +608,8 @@ func TestSampledFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.SamplePhases = 2
-	o.SampleWindow = 10_000
+	o.Phases = 2
+	o.Window = 10_000
 	sampled, err := Fig2(o)
 	if err != nil {
 		t.Fatal(err)

@@ -53,6 +53,7 @@ type windowLine struct {
 type JSONL struct {
 	mu  sync.Mutex
 	enc *json.Encoder
+	err error // the first write error
 }
 
 // NewJSONL wraps w in a line-oriented exporter.
@@ -60,24 +61,39 @@ func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{enc: json.NewEncoder(w)}
 }
 
+// encode writes one line, keeping the first write error for Err.
+func (j *JSONL) encode(v any) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	err := j.enc.Encode(v)
+	if j.err == nil {
+		j.err = err
+	}
+	return err
+}
+
 // Manifest writes the run-describing header line.
 func (j *JSONL) Manifest(m Manifest) error {
 	m.Type = "manifest"
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.enc.Encode(m)
+	return j.encode(m)
 }
 
 // Window writes one window record tagged with the job label.
 func (j *JSONL) Window(job string, rec *WindowRecord) error {
+	return j.encode(windowLine{Type: "window", Job: job, WindowRecord: rec})
+}
+
+// Err returns the first error any write to the export hit, so a series
+// that WindowSink stopped writing mid-run still fails the run at its end.
+func (j *JSONL) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.enc.Encode(windowLine{Type: "window", Job: job, WindowRecord: rec})
+	return j.err
 }
 
 // WindowSink adapts Window into the Windows.SetSink callback shape,
 // discarding write errors after the first (the run should not die on a
-// full disk mid-flight; the caller checks the writer on close).
+// full disk mid-flight; the caller checks Err once the batch is done).
 func (j *JSONL) WindowSink(job string, onErr func(error)) func(*WindowRecord) {
 	var failed bool
 	return func(rec *WindowRecord) {

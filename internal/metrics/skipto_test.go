@@ -7,15 +7,11 @@ import "testing"
 // only the post-skip region, and counter deltas exclude everything the
 // skip accumulated.
 func TestSkipTo(t *testing.T) {
-	var c uint64
-	w := NewWindows(1000)
-	w.Track("x", func() uint64 { return c })
-
-	c += 77            // accumulated during the skipped span
-	w.SkipTo(5000, 42) // mid-window positions are rounded down by the caller's schedule, exact here
-
-	c += 5
-	w.Close(6000, 142, nil)
+	w := NewWindows(1000, Counters{})
+	// 77 events accumulated during the skipped span; mid-window positions
+	// are rounded down by the caller's schedule, exact here.
+	w.SkipTo(5000, 42, Counters{PTWWalkData: 77})
+	w.Close(6000, 142, Counters{PTWWalkData: 82}, nil)
 	recs := w.Records()
 	if len(recs) != 1 {
 		t.Fatalf("got %d records, want 1", len(recs))
@@ -30,15 +26,14 @@ func TestSkipTo(t *testing.T) {
 	if rec.Cycles != 100 {
 		t.Errorf("cycles %d, want 100 (skip baseline 42)", rec.Cycles)
 	}
-	if got := rec.Counters["x"]; got != 5 {
+	if got := rec.Counters.PTWWalkData; got != 5 {
 		t.Errorf("counter delta %d, want 5 (77 pre-skip increments must be excluded)", got)
 	}
 
 	// The following window continues normally.
-	c += 3
-	w.Close(7000, 150, nil)
+	w.Close(7000, 150, Counters{PTWWalkData: 85}, nil)
 	recs = w.Records()
-	if got := recs[1]; got.Window != 6 || got.Counters["x"] != 3 || got.Instr != 1000 {
+	if got := recs[1]; got.Window != 6 || got.Counters.PTWWalkData != 3 || got.Instr != 1000 {
 		t.Errorf("post-skip continuation wrong: %+v", got)
 	}
 	if w.Closed() != 7 {

@@ -1,11 +1,10 @@
 // Package metrics is the simulator's windowed observability layer: a
 // time-series sampler keyed to retired instructions (the paper's
-// 1000-instruction adaptive window, Section 4.3.1) that turns the
-// simulator's own event counters into per-window deltas, and a JSONL
-// exporter that makes every emitted series self-describing via a run
-// manifest. The sampler counts nothing itself: each tracked counter is a
-// reader of a count the machine already keeps, so every event is counted
-// once.
+// 1000-instruction adaptive window, Section 4.3.1) that turns snapshots
+// of the simulator's own event counters into per-window deltas, and a
+// JSONL exporter that makes every emitted series self-describing via a
+// run manifest. The sampler counts nothing itself: the machine hands it a
+// snapshot of counts it already keeps, so every event is counted once.
 package metrics
 
 import (
@@ -13,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"itpsim/internal/arch"
 )
@@ -21,10 +21,38 @@ import (
 // instructions — the paper's 1000-instruction adaptive window.
 const DefaultWindow = 1000
 
-// WindowRecord is one closed instruction window of the time series. The
-// generic part (retired/cycles/IPC plus tracked-counter deltas) is filled
-// by Windows.Close; the simulator's annotate callback adds the derived
-// headline series the paper's adaptive mechanism is driven by.
+// Counters is one snapshot of the machine's event counters, or the
+// per-window difference of two. The fields are declared in JSON-name
+// order, so a record encodes exactly like a sorted name→count map.
+type Counters struct {
+	BranchMispredict    uint64 `json:"branch.mispredict"`
+	L1IDemandMiss       uint64 `json:"l1i.demand_miss"`
+	L2CDemandMiss       uint64 `json:"l2c.demand_miss"`
+	L2CEvictDataPTE     uint64 `json:"l2c.evict.data_pte"`
+	L2CEvictPTE         uint64 `json:"l2c.evict.pte"`
+	PTWWalkData         uint64 `json:"ptw.walk.data"`
+	PTWWalkInstr        uint64 `json:"ptw.walk.instr"`
+	STLBDemandMissData  uint64 `json:"stlb.demand_miss.data"`
+	STLBDemandMissInstr uint64 `json:"stlb.demand_miss.instr"`
+}
+
+// sub returns c - o, field by field.
+func (c Counters) sub(o Counters) Counters {
+	return Counters{
+		BranchMispredict:    c.BranchMispredict - o.BranchMispredict,
+		L1IDemandMiss:       c.L1IDemandMiss - o.L1IDemandMiss,
+		L2CDemandMiss:       c.L2CDemandMiss - o.L2CDemandMiss,
+		L2CEvictDataPTE:     c.L2CEvictDataPTE - o.L2CEvictDataPTE,
+		L2CEvictPTE:         c.L2CEvictPTE - o.L2CEvictPTE,
+		PTWWalkData:         c.PTWWalkData - o.PTWWalkData,
+		PTWWalkInstr:        c.PTWWalkInstr - o.PTWWalkInstr,
+		STLBDemandMissData:  c.STLBDemandMissData - o.STLBDemandMissData,
+		STLBDemandMissInstr: c.STLBDemandMissInstr - o.STLBDemandMissInstr,
+	}
+}
+
+// WindowRecord is one closed instruction window of the time series, as
+// Windows.Close builds it.
 type WindowRecord struct {
 	// Window is the zero-based window index.
 	Window uint64 `json:"window"`
@@ -38,17 +66,18 @@ type WindowRecord struct {
 	Cycles arch.Cycle `json:"cycles"`
 	// IPC is Instr/Cycles for this window alone.
 	IPC float64 `json:"ipc"`
-	// Counters holds the per-window delta of every tracked counter.
-	Counters map[string]uint64 `json:"counters,omitempty"`
+	// Counters holds the per-window delta of every counter.
+	Counters Counters `json:"counters"`
 
-	// Derived headline series (set by the simulator's annotate hook).
+	// STLB misses per kilo-instruction by translation class, the series
+	// the paper's adaptive mechanism is driven by.
 	STLBMPKIInstr float64 `json:"stlb_mpki_instr"`
 	STLBMPKIData  float64 `json:"stlb_mpki_data"`
-	// XPTPEnabled mirrors the adaptive controller's status bit for the
-	// window that just closed; nil when no controller is attached. The
-	// pointer is the JSON-facing presence flag; internally the state is a
-	// value+valid pair — set it through SetXPTPEnabled, which points at
-	// shared immutable values instead of boxing a bool per window.
+	// XPTPEnabled is the adaptive controller's status bit at the window's
+	// close; nil when no controller is attached. The pointer is the
+	// JSON-facing presence flag; set it through SetXPTPEnabled, which
+	// points at shared immutable values instead of boxing a bool per
+	// window.
 	XPTPEnabled *bool `json:"xptp_enabled,omitempty"`
 }
 
@@ -66,40 +95,30 @@ func (r *WindowRecord) SetXPTPEnabled(enabled bool) {
 	}
 }
 
-// trackedCounter pairs a counter reader with its last-sampled value and
-// the delta of the window being closed.
-type trackedCounter struct {
-	name        string
-	read        func() uint64
-	last, delta uint64
-}
+// ringSize is how many closed windows a sampler keeps in memory: enough
+// for /debug/vars (16) and a stall snapshot (5). A caller that needs a
+// whole series collects it through the sink.
+const ringSize = 64
 
-// Windows samples tracked counters every Size retired instructions and
-// turns the deltas into a WindowRecord series. Closing is the cold path
-// (once per window). The tracked counters and their baselines belong to
-// the goroutine that drives the run (Track, Close, SkipTo, Rebase); the
-// closed series is mutex-protected so a supervisor thread can read recent
-// history race-free while the simulation runs. The per-retire boundary
-// check stays on the caller's side.
+// Windows turns counter snapshots into a WindowRecord series, one record
+// every Size retired instructions. Closing is the cold path (once per
+// window). The open window's starting snapshot belongs to the goroutine
+// that drives the run (Close, SkipTo, Rebase); the closed series is
+// mutex-protected so a supervisor thread can read recent history
+// race-free while the simulation runs. The per-retire boundary check
+// stays on the caller's side.
 type Windows struct {
-	size    arch.Instr
-	tracked []trackedCounter
+	size arch.Instr
+	// last is the snapshot the open window started from.
+	last Counters
 
 	mu sync.Mutex
-	// records holds the retained series. Unbounded mode appends; with a
-	// retention cap it is a fixed ring of retain slots addressed by
-	// start/count, so closing a window at steady state overwrites the
-	// oldest slot in place — recycling its Counters map — instead of
-	// allocating a record plus map per window and memmoving the history.
-	records []WindowRecord
-	start   int // ring read position (always 0 in unbounded mode)
-	count   int // live records
-	retain  int // max records kept; <= 0 means unbounded
-	sink    func(*WindowRecord)
-	// out is the copy of each closed record Close hands the sink. Only
-	// Close touches it, on the run loop, so one record serves every
-	// window.
-	out WindowRecord
+	// ring holds the most recent closed windows; closed counts every
+	// record ever stored, so the next one goes to ring[closed%ringSize]
+	// and overwrites the oldest in place once the ring is full.
+	ring   [ringSize]WindowRecord
+	closed int
+	sink   func(*WindowRecord)
 
 	index       uint64
 	lastRetired arch.Instr
@@ -107,191 +126,91 @@ type Windows struct {
 }
 
 // NewWindows returns a sampler with the given window size in retired
-// instructions (0 selects DefaultWindow).
-func NewWindows(size arch.Instr) *Windows {
+// instructions (0 selects DefaultWindow) whose first window starts from
+// the snapshot start.
+func NewWindows(size arch.Instr, start Counters) *Windows {
 	if size == 0 {
 		size = DefaultWindow
 	}
-	return &Windows{size: size}
+	return &Windows{size: size, last: start}
 }
 
 // Size returns the window size in retired instructions.
 func (w *Windows) Size() arch.Instr { return w.size }
 
-// Track adds a counter to the per-window delta set: read returns the
-// counter's cumulative value, which only grows between Rebase calls. Call
-// before the run starts.
-func (w *Windows) Track(name string, read func() uint64) {
-	w.tracked = append(w.tracked, trackedCounter{name: name, read: read, last: read()})
+// Rebase carries the open window across a reset of the counters' sources
+// — the warmup→measure statistics reset — given the snapshots just before
+// and just after it: the window's starting snapshot moves by however
+// much each counter changed across the reset, so the window's deltas
+// still count every event on both sides of it.
+func (w *Windows) Rebase(before, after Counters) {
+	w.last = after.sub(before.sub(w.last))
 }
 
-// Rebase runs reset — which may zero the source of any tracked counter,
-// as the warmup→measure statistics reset does — and moves each counter's
-// baseline by however much its value changed across the call, so the open
-// window's deltas still count every event on both sides of the reset.
-func (w *Windows) Rebase(reset func()) {
-	for i := range w.tracked {
-		w.tracked[i].last -= w.tracked[i].read()
-	}
-	reset()
-	for i := range w.tracked {
-		w.tracked[i].last += w.tracked[i].read()
-	}
-}
-
-// SetSink streams every closed window to fn (e.g. a JSONL writer). It
-// leaves the retained series as it is; SetRetain bounds it.
+// SetSink streams every closed window to fn (e.g. a JSONL writer) — the
+// way to collect a series longer than the retained ring.
 func (w *Windows) SetSink(fn func(*WindowRecord)) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.sink = fn
 }
 
-// SetRetain bounds the in-memory record history to n entries (<= 0 means
-// unbounded). Call before the run for an allocation-free steady state;
-// changing the cap mid-run linearizes the retained history once.
-func (w *Windows) SetRetain(n int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if n == w.retain {
-		return
-	}
-	w.linearizeLocked()
-	w.retain = n
-}
-
-// linearizeLocked rewrites the ring into plain append order (start 0), so
-// a retention change can rebuild from a simple prefix.
-func (w *Windows) linearizeLocked() {
-	if w.start == 0 {
-		w.records = w.records[:w.count]
-		return
-	}
-	out := make([]WindowRecord, w.count)
-	for i := 0; i < w.count; i++ {
-		out[i] = *w.atLocked(i)
-	}
-	w.records = out
-	w.start = 0
-}
-
-// atLocked returns the i-th retained record, oldest first.
-func (w *Windows) atLocked(i int) *WindowRecord {
-	idx := w.start + i
-	if idx >= len(w.records) {
-		idx -= len(w.records)
-	}
-	return &w.records[idx]
-}
-
-// slotLocked returns the record slot the closing window should fill,
-// evicting (and recycling) the oldest slot when the ring is at its cap.
-// The returned record's Counters map, if any, may be reused.
-func (w *Windows) slotLocked() *WindowRecord {
-	if w.retain <= 0 {
-		w.records = append(w.records, WindowRecord{})
-		w.count = len(w.records)
-		return &w.records[w.count-1]
-	}
-	if len(w.records) != w.retain {
-		// First closes after the cap was (re)set: grow the ring to its
-		// final size once.
-		w.linearizeLocked()
-		ring := make([]WindowRecord, w.retain)
-		keep := min(w.count, w.retain)
-		copy(ring, w.records[w.count-keep:])
-		w.records = ring
-		w.start, w.count = 0, keep
-	}
-	if w.count == w.retain {
-		rec := &w.records[w.start]
-		if w.start++; w.start == w.retain {
-			w.start = 0
-		}
-		return rec
-	}
-	rec := w.atLocked(w.count)
-	w.count++
-	return rec
-}
-
 // Close ends the current window at the given cumulative retired count and
-// cycle, computing counter deltas; annotate (may be nil) can decorate the
-// record before it is stored and streamed. The sink, when set, must not
-// retain the record past the call: with a retention cap its Counters map
-// is recycled into a future window once the record ages out of the ring.
+// cycle: the counter deltas are now minus the window's starting snapshot,
+// and xptp is the adaptive controller's status bit at close, or nil
+// without a controller. The sink, when set, gets the stored record and
+// must neither change it nor retain it past the call: the ring slot
+// carries a later window once the ring wraps.
 //
 // The sink runs after w.mu is released: sinks do I/O (the JSONL
 // exporter writes a file) and may legitimately re-enter the Windows
 // (Recent, Closed) for context, so streaming under the lock would hold
 // every concurrent stall-diagnostic reader hostage — or deadlock.
 // Windows are closed by the single run-loop goroutine, so the sink
-// still sees records in order, before the next Close can recycle them.
-func (w *Windows) Close(retired arch.Instr, cycles arch.Cycle, annotate func(*WindowRecord)) {
-	// Sample the counters before taking the lock: the readers are the
-	// run loop's own state, not the published series.
-	for i := range w.tracked {
-		t := &w.tracked[i]
-		v := t.read()
-		t.delta = v - t.last
-		t.last = v
-	}
+// still sees records in order, and no Close rewrites the slot while
+// the sink reads it.
+func (w *Windows) Close(retired arch.Instr, cycles arch.Cycle, now Counters, xptp *bool) {
+	delta := now.sub(w.last)
+	w.last = now
 	w.mu.Lock()
-	rec := w.slotLocked()
-	scratch := rec.Counters
+	rec := &w.ring[w.closed%ringSize]
+	w.closed++
 	*rec = WindowRecord{
-		Window:  w.index,
-		Retired: retired,
-		Instr:   retired - w.lastRetired,
-		Cycles:  cycles - w.lastCycles,
+		Window:   w.index,
+		Retired:  retired,
+		Instr:    retired - w.lastRetired,
+		Cycles:   cycles - w.lastCycles,
+		Counters: delta,
 	}
 	if rec.Cycles > 0 {
 		rec.IPC = float64(rec.Instr) / float64(rec.Cycles)
 	}
-	if len(w.tracked) > 0 {
-		if scratch == nil {
-			scratch = make(map[string]uint64, len(w.tracked))
-		} else {
-			clear(scratch)
-		}
-		rec.Counters = scratch
-		for i := range w.tracked {
-			rec.Counters[w.tracked[i].name] = w.tracked[i].delta
-		}
+	if rec.Instr > 0 {
+		k := 1000 / float64(rec.Instr)
+		rec.STLBMPKIInstr = float64(delta.STLBDemandMissInstr) * k
+		rec.STLBMPKIData = float64(delta.STLBDemandMissData) * k
 	}
-	if annotate != nil {
-		// The annotation must land in the stored record before any
-		// reader can observe the closed window, so it runs under the
-		// lock; it is an in-memory decoration, not I/O.
-		annotate(rec)
+	if xptp != nil {
+		rec.SetXPTPEnabled(*xptp)
 	}
 	w.index++
 	w.lastRetired = retired
 	w.lastCycles = cycles
 	sink := w.sink
-	if sink != nil {
-		// Shallow copy: the sink contract already forbids retaining the
-		// record (its Counters map is ring-recycled), and the slot
-		// itself cannot be rewritten before the sink returns — only a
-		// later Close recycles slots, and Close is run-loop-only.
-		w.out = *rec
-	}
 	w.mu.Unlock()
 	if sink != nil {
-		sink(&w.out)
+		sink(rec)
 	}
 }
 
 // SkipTo resynchronises the sampler after a functional fast-forward: the
 // machine consumed instructions up to the cumulative retired count
 // without closing windows, so the next window must start from this
-// position — window index rebased to the serial coordinate, counter
-// baselines re-sampled — instead of reporting the whole skipped span as
-// one giant window. No record is emitted for the skipped region.
-func (w *Windows) SkipTo(retired arch.Instr, cycles arch.Cycle) {
-	for i := range w.tracked {
-		w.tracked[i].last = w.tracked[i].read()
-	}
+// position — window index rebased to the serial coordinate, starting
+// snapshot now — instead of reporting the whole skipped span as one
+// giant window. No record is emitted for the skipped region.
+func (w *Windows) SkipTo(retired arch.Instr, cycles arch.Cycle, now Counters) {
+	w.last = now
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.index = uint64(retired / w.size)
@@ -299,31 +218,9 @@ func (w *Windows) SkipTo(retired arch.Instr, cycles arch.Cycle) {
 	w.lastCycles = cycles
 }
 
-// Records returns a copy of the retained window series. Counters maps are
-// deep-copied: the retained originals are recycled as their records age
-// out of a capped ring, so callers get stable snapshots.
-func (w *Windows) Records() []WindowRecord {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]WindowRecord, w.count)
-	for i := range out {
-		out[i] = *w.atLocked(i)
-		out[i].Counters = cloneCounters(out[i].Counters)
-	}
-	return out
-}
-
-func cloneCounters(m map[string]uint64) map[string]uint64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(m))
-	//itp:deterministic — whole-map copy; order cannot leak
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
+// Records returns a copy of the retained window series: the most recent
+// closed windows, at most 64, oldest first.
+func (w *Windows) Records() []WindowRecord { return w.Recent(ringSize) }
 
 // Closed returns how many windows have been closed so far.
 func (w *Windows) Closed() uint64 {
@@ -338,13 +235,10 @@ func (w *Windows) Closed() uint64 {
 func (w *Windows) Recent(n int) []WindowRecord {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if n > w.count {
-		n = w.count
-	}
+	n = min(n, w.closed, ringSize)
 	out := make([]WindowRecord, n)
 	for i := range out {
-		out[i] = *w.atLocked(w.count - n + i)
-		out[i].Counters = cloneCounters(out[i].Counters)
+		out[i] = w.ring[(w.closed-n+i)%ringSize]
 	}
 	return out
 }
@@ -372,13 +266,20 @@ func (w *Windows) RecentString(n int) string {
 // expvarRecent is how many recent windows the /debug/vars entry shows.
 const expvarRecent = 16
 
+// published maps each expvar name PublishExpvar has used to the sampler
+// its /debug/vars entry shows.
+var published sync.Map // string → *atomic.Pointer[Windows]
+
 // PublishExpvar exposes the most recent closed windows as an expvar
 // variable, so a long campaign can be inspected over -pprof's debug
 // endpoint (/debug/vars); each read takes the series under its mutex.
-// Publishing the same name twice is a no-op rather than the expvar panic.
+// Publishing a name again shows the newest sampler under it — a retried
+// run's, not its failed attempt's — rather than the expvar panic.
 func (w *Windows) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
+	v, loaded := published.LoadOrStore(name, new(atomic.Pointer[Windows]))
+	cur := v.(*atomic.Pointer[Windows])
+	cur.Store(w)
+	if !loaded {
+		expvar.Publish(name, expvar.Func(func() any { return cur.Load().Recent(expvarRecent) }))
 	}
-	expvar.Publish(name, expvar.Func(func() any { return w.Recent(expvarRecent) }))
 }

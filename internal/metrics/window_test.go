@@ -12,24 +12,19 @@ import (
 )
 
 func TestWindowsDefaultSize(t *testing.T) {
-	if got := NewWindows(0).Size(); got != DefaultWindow {
+	if got := NewWindows(0, Counters{}).Size(); got != DefaultWindow {
 		t.Fatalf("default size = %d, want %d", got, DefaultWindow)
 	}
-	if got := NewWindows(500).Size(); got != 500 {
+	if got := NewWindows(500, Counters{}).Size(); got != 500 {
 		t.Fatalf("size = %d, want 500", got)
 	}
 }
 
 func TestWindowsDeltasAndIPC(t *testing.T) {
-	miss := uint64(5) // pre-run value must not leak into the first window
-
-	w := NewWindows(1000)
-	w.Track("miss", func() uint64 { return miss })
-
-	miss += 7
-	w.Close(1000, 2000, nil)
-	miss += 3
-	w.Close(2000, 2500, nil)
+	// The starting snapshot's count must not leak into the first window.
+	w := NewWindows(1000, Counters{L2CDemandMiss: 5})
+	w.Close(1000, 2000, Counters{L2CDemandMiss: 12}, nil)
+	w.Close(2000, 2500, Counters{L2CDemandMiss: 15}, nil)
 
 	recs := w.Records()
 	if len(recs) != 2 {
@@ -42,14 +37,14 @@ func TestWindowsDeltasAndIPC(t *testing.T) {
 	if r0.IPC != 0.5 {
 		t.Fatalf("window 0 IPC = %v, want 0.5", r0.IPC)
 	}
-	if r0.Counters["miss"] != 7 {
-		t.Fatalf("window 0 miss delta = %d, want 7 (pre-run value leaked)", r0.Counters["miss"])
+	if r0.Counters.L2CDemandMiss != 7 {
+		t.Fatalf("window 0 miss delta = %d, want 7 (pre-run value leaked)", r0.Counters.L2CDemandMiss)
 	}
 	if r1.Window != 1 || r1.Instr != 1000 || r1.Cycles != 500 || r1.IPC != 2.0 {
 		t.Fatalf("window 1 = %+v", r1)
 	}
-	if r1.Counters["miss"] != 3 {
-		t.Fatalf("window 1 miss delta = %d, want 3", r1.Counters["miss"])
+	if r1.Counters.L2CDemandMiss != 3 {
+		t.Fatalf("window 1 miss delta = %d, want 3", r1.Counters.L2CDemandMiss)
 	}
 	if w.Closed() != 2 {
 		t.Fatalf("Closed = %d, want 2", w.Closed())
@@ -59,10 +54,10 @@ func TestWindowsDeltasAndIPC(t *testing.T) {
 // TestWindowsSinkRunsOutsideLock is the regression test for streaming
 // under w.mu: a sink that re-enters the Windows (Recent/Closed for
 // context, as a stall diagnostic would) used to deadlock because Close
-// called it with the lock held. It must also still observe the
-// annotated record, and observe it before the next Close.
+// called it with the lock held. It must also still observe the complete
+// record, derived MPKIs included, and observe it before the next Close.
 func TestWindowsSinkRunsOutsideLock(t *testing.T) {
-	w := NewWindows(100)
+	w := NewWindows(1000, Counters{})
 	var got []WindowRecord
 	var closedAt []uint64
 	w.SetSink(func(rec *WindowRecord) {
@@ -74,12 +69,11 @@ func TestWindowsSinkRunsOutsideLock(t *testing.T) {
 		}
 		got = append(got, *rec)
 	})
-	annotate := func(rec *WindowRecord) { rec.STLBMPKIInstr = 7 }
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		w.Close(100, 200, annotate)
-		w.Close(200, 400, annotate)
+		w.Close(1000, 2000, Counters{STLBDemandMissInstr: 7}, nil)
+		w.Close(2000, 4000, Counters{STLBDemandMissInstr: 14}, nil)
 	}()
 	select {
 	case <-done:
@@ -91,7 +85,7 @@ func TestWindowsSinkRunsOutsideLock(t *testing.T) {
 	}
 	for i, rec := range got {
 		if rec.STLBMPKIInstr != 7 {
-			t.Errorf("sink record %d missed the annotation: %+v", i, rec)
+			t.Errorf("sink record %d missed its MPKI: %+v", i, rec)
 		}
 	}
 	if closedAt[0] != 1 || closedAt[1] != 2 {
@@ -99,56 +93,58 @@ func TestWindowsSinkRunsOutsideLock(t *testing.T) {
 	}
 }
 
-func TestWindowsAnnotate(t *testing.T) {
-	w := NewWindows(100)
-	enabled := true
-	w.Close(100, 100, func(rec *WindowRecord) {
-		rec.STLBMPKIInstr = 1.5
-		rec.XPTPEnabled = &enabled
-	})
+// TestWindowsCloseFillsMPKIs: Close derives both STLB MPKIs from the
+// window's own deltas and records the status bit it is handed, or none.
+func TestWindowsCloseFillsMPKIs(t *testing.T) {
+	w := NewWindows(400, Counters{STLBDemandMissInstr: 10, STLBDemandMissData: 20})
+	on := true
+	w.Close(400, 800, Counters{STLBDemandMissInstr: 16, STLBDemandMissData: 21}, &on)
+	w.Close(800, 900, Counters{STLBDemandMissInstr: 16, STLBDemandMissData: 23}, nil)
 	recs := w.Records()
-	if recs[0].STLBMPKIInstr != 1.5 {
-		t.Fatalf("annotate lost MPKI: %+v", recs[0])
+	if r := recs[0]; r.STLBMPKIInstr != 15 || r.STLBMPKIData != 2.5 {
+		t.Errorf("window 0 MPKIs %v/%v, want 15/2.5", r.STLBMPKIInstr, r.STLBMPKIData)
 	}
-	if recs[0].XPTPEnabled == nil || !*recs[0].XPTPEnabled {
-		t.Fatalf("annotate lost xPTP bit: %+v", recs[0])
+	if r := recs[0]; r.XPTPEnabled == nil || !*r.XPTPEnabled {
+		t.Errorf("window 0 lost the xPTP bit: %+v", r)
+	}
+	if r := recs[1]; r.STLBMPKIInstr != 0 || r.STLBMPKIData != 5 || r.XPTPEnabled != nil {
+		t.Errorf("window 1 = %+v, want MPKIs 0/5 and no xPTP bit", r)
 	}
 }
 
+// TestWindowsRetentionAndSink: the sink sees every window while the
+// sampler keeps only the newest 64, in order.
 func TestWindowsRetentionAndSink(t *testing.T) {
-	w := NewWindows(10)
+	w := NewWindows(10, Counters{})
 	var streamed []uint64
 	w.SetSink(func(rec *WindowRecord) { streamed = append(streamed, rec.Window) })
-	w.SetRetain(3)
-	for i := uint64(1); i <= 8; i++ {
-		w.Close(arch.Instr(i*10), arch.Cycle(i*10), nil)
+	for i := uint64(1); i <= 70; i++ {
+		w.Close(arch.Instr(i*10), arch.Cycle(i*10), Counters{}, nil)
 	}
-	if len(streamed) != 8 {
-		t.Fatalf("sink saw %d windows, want all 8", len(streamed))
+	if len(streamed) != 70 {
+		t.Fatalf("sink saw %d windows, want all 70", len(streamed))
 	}
 	recs := w.Records()
-	if len(recs) != 3 {
-		t.Fatalf("retained %d records, want 3", len(recs))
+	if len(recs) != 64 {
+		t.Fatalf("retained %d records, want 64", len(recs))
 	}
-	if recs[0].Window != 5 || recs[2].Window != 7 {
-		t.Fatalf("retained windows %d..%d, want 5..7", recs[0].Window, recs[2].Window)
+	if recs[0].Window != 6 || recs[63].Window != 69 {
+		t.Fatalf("retained windows %d..%d, want 6..69", recs[0].Window, recs[63].Window)
 	}
 	// Deltas must still chain correctly across dropped records.
-	if recs[2].Retired != 80 || recs[2].Instr != 10 {
-		t.Fatalf("window 7 = %+v", recs[2])
+	if recs[63].Retired != 700 || recs[63].Instr != 10 {
+		t.Fatalf("window 69 = %+v", recs[63])
 	}
 }
 
-// TestWindowsCloseAllocFree: once a retained ring is full, closing a
-// window allocates nothing, whether or not a sink streams the records.
-// Close used to hand the sink a record of its own that escaped to the
-// heap on every window.
+// TestWindowsCloseAllocFree: closing a window allocates nothing, whether
+// or not a sink streams the records, and whatever the status bit. Close
+// used to hand the sink a record of its own that escaped to the heap on
+// every window.
 func TestWindowsCloseAllocFree(t *testing.T) {
 	for _, withSink := range []bool{false, true} {
-		w := NewWindows(10)
+		w := NewWindows(10, Counters{})
 		var events uint64
-		w.Track("events", func() uint64 { return events })
-		w.SetRetain(4)
 		var streamed int
 		if withSink {
 			w.SetSink(func(*WindowRecord) { streamed++ })
@@ -157,9 +153,10 @@ func TestWindowsCloseAllocFree(t *testing.T) {
 		closeOne := func() {
 			events += 3
 			retired += 10
-			w.Close(retired, arch.Cycle(retired), nil)
+			on := retired%20 == 0
+			w.Close(retired, arch.Cycle(retired), Counters{BranchMispredict: events}, &on)
 		}
-		for i := 0; i < 8; i++ { // fill the ring and its counter maps
+		for i := 0; i < 2*ringSize; i++ { // wrap the ring
 			closeOne()
 		}
 		if n := testing.AllocsPerRun(100, closeOne); n != 0 {
@@ -172,12 +169,13 @@ func TestWindowsCloseAllocFree(t *testing.T) {
 }
 
 func TestWindowsRecent(t *testing.T) {
-	w := NewWindows(10)
+	w := NewWindows(10, Counters{})
 	if got := w.RecentString(3); !strings.Contains(got, "no windows") {
 		t.Fatalf("empty RecentString = %q", got)
 	}
+	on := false
 	for i := uint64(1); i <= 4; i++ {
-		w.Close(arch.Instr(i*10), arch.Cycle(i*20), nil)
+		w.Close(arch.Instr(i*10), arch.Cycle(i*20), Counters{}, &on)
 	}
 	recent := w.Recent(2)
 	if len(recent) != 2 || recent[0].Window != 2 || recent[1].Window != 3 {
@@ -187,7 +185,7 @@ func TestWindowsRecent(t *testing.T) {
 		t.Fatalf("Recent(100) = %d records, want 4", len(got))
 	}
 	s := w.RecentString(2)
-	if !strings.Contains(s, "w2{") || !strings.Contains(s, "w3{") || !strings.Contains(s, " | ") {
+	if !strings.Contains(s, "w2{") || !strings.Contains(s, "w3{") || !strings.Contains(s, " | ") || !strings.Contains(s, "xptp=false") {
 		t.Fatalf("RecentString = %q", s)
 	}
 }
@@ -197,9 +195,7 @@ func TestWindowsRecent(t *testing.T) {
 // windows. Meaningful under -race.
 func TestWindowsConcurrentReaders(t *testing.T) {
 	var c uint64
-	w := NewWindows(10)
-	w.Track("x", func() uint64 { return c })
-	w.SetRetain(8)
+	w := NewWindows(10, Counters{})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -219,7 +215,7 @@ func TestWindowsConcurrentReaders(t *testing.T) {
 	}()
 	for i := uint64(1); i <= 500; i++ {
 		c += 2
-		w.Close(arch.Instr(i*10), arch.Cycle(i*12), nil)
+		w.Close(arch.Instr(i*10), arch.Cycle(i*12), Counters{L1IDemandMiss: c}, nil)
 	}
 	close(stop)
 	wg.Wait()
@@ -241,9 +237,9 @@ func TestJSONLExport(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	w := NewWindows(1000)
+	w := NewWindows(1000, Counters{})
 	w.SetSink(j.WindowSink("srv_000", nil))
-	w.Close(1000, 4000, nil)
+	w.Close(1000, 4000, Counters{BranchMispredict: 3}, nil)
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -266,6 +262,12 @@ func TestJSONLExport(t *testing.T) {
 	if win["type"] != "window" || win["job"] != "srv_000" || win["retired"] != float64(1000) || win["ipc"] != 0.25 {
 		t.Fatalf("window line = %v", win)
 	}
+	if c, _ := win["counters"].(map[string]any); len(c) != 9 || c["branch.mispredict"] != float64(3) {
+		t.Fatalf("window counters = %v, want all nine by name", win["counters"])
+	}
+	if err := j.Err(); err != nil {
+		t.Fatalf("healthy export reports %v", err)
+	}
 }
 
 // failWriter fails every write after the first n bytes.
@@ -285,6 +287,9 @@ type shortErr struct{}
 
 func (*shortErr) Error() string { return "disk full" }
 
+// TestWindowSinkStopsAfterError: a sink reports its first write error
+// once and then stops writing; the export keeps that error for Err, so
+// the run can still fail once the batch is done.
 func TestWindowSinkStopsAfterError(t *testing.T) {
 	j := NewJSONL(&failWriter{budget: 1})
 	var calls int
@@ -295,6 +300,9 @@ func TestWindowSinkStopsAfterError(t *testing.T) {
 	sink(rec)
 	if calls != 1 {
 		t.Fatalf("onErr called %d times, want exactly once", calls)
+	}
+	if err := j.Err(); err == nil {
+		t.Fatal("Err() = nil after a failed write")
 	}
 }
 
@@ -309,69 +317,59 @@ func TestGitDescribeNeverEmpty(t *testing.T) {
 // counting events on both sides of it, and must not disturb a counter
 // whose source the reset leaves alone.
 func TestRebase(t *testing.T) {
-	var zeroed, kept uint64
-	w := NewWindows(100)
-	w.Track("zeroed", func() uint64 { return zeroed })
-	w.Track("kept", func() uint64 { return kept })
-
-	zeroed, kept = 4, 4
-	w.Close(100, 100, nil)
-	zeroed, kept = 10, 10 // 6 events into window 1
-	w.Rebase(func() { zeroed = 0 })
-	zeroed, kept = 5, 15 // 5 more after the reset
-	w.Close(200, 200, nil)
-	zeroed, kept = 7, 17
-	w.Close(300, 300, nil)
+	// snap builds a snapshot with the zeroed counter in L2CDemandMiss and
+	// the kept one in BranchMispredict.
+	snap := func(zeroed, kept uint64) Counters {
+		return Counters{L2CDemandMiss: zeroed, BranchMispredict: kept}
+	}
+	w := NewWindows(100, snap(0, 0))
+	w.Close(100, 100, snap(4, 4), nil)
+	w.Rebase(snap(10, 10), snap(0, 10)) // 6 events into window 1, then the reset
+	w.Close(200, 200, snap(5, 15), nil) // 5 more after the reset
+	w.Close(300, 300, snap(7, 17), nil)
 
 	recs := w.Records()
 	for i, want := range []uint64{4, 11, 2} {
-		if got := recs[i].Counters["zeroed"]; got != want {
+		if got := recs[i].Counters.L2CDemandMiss; got != want {
 			t.Errorf("window %d: zeroed delta %d, want %d", i, got, want)
 		}
-		if got := recs[i].Counters["kept"]; got != want {
+		if got := recs[i].Counters.BranchMispredict; got != want {
 			t.Errorf("window %d: kept delta %d, want %d", i, got, want)
 		}
 	}
 }
 
+// TestPublishExpvarIdempotent: publishing a name twice does not panic,
+// and /debug/vars reads the sampler published last under it — a retried
+// run's, not its failed first attempt's.
 func TestPublishExpvarIdempotent(t *testing.T) {
-	w := NewWindows(10)
-	w.Close(10, 20, nil)
 	const name = "itpsim.test.windows"
-	w.PublishExpvar(name)
-	w.PublishExpvar(name) // second publish must not panic
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatal("expvar not published")
+	read := func() []WindowRecord {
+		t.Helper()
+		v := expvar.Get(name)
+		if v == nil {
+			t.Fatal("expvar not published")
+		}
+		var recent []WindowRecord
+		if err := json.Unmarshal([]byte(v.String()), &recent); err != nil {
+			t.Fatal(err)
+		}
+		return recent
 	}
-	var recent []WindowRecord
-	if err := json.Unmarshal([]byte(v.String()), &recent); err != nil {
-		t.Fatal(err)
+	first := NewWindows(10, Counters{})
+	first.Close(10, 20, Counters{}, nil)
+	first.PublishExpvar(name)
+	first.PublishExpvar(name) // second publish must not panic
+	if recent := read(); len(recent) != 1 || recent[0].Retired != 10 {
+		t.Fatalf("/debug/vars entry = %+v, want the one closed window", recent)
 	}
-	if len(recent) != 1 || recent[0].Retired != 10 {
-		t.Fatalf("/debug/vars entry = %s, want the one closed window", v.String())
-	}
-}
 
-// TestWindowsRetainChangeMidRun: changing the retention cap after the
-// ring has wrapped keeps the newest records, in order, under the new cap.
-func TestWindowsRetainChangeMidRun(t *testing.T) {
-	w := NewWindows(10)
-	w.SetRetain(3)
-	for i := uint64(1); i <= 5; i++ { // windows 0..4; the ring has wrapped
-		w.Close(arch.Instr(i*10), arch.Cycle(i*10), nil)
-	}
-	w.SetRetain(2)
-	w.Close(60, 60, nil)
-	if recs := w.Records(); len(recs) != 2 || recs[0].Window != 4 || recs[1].Window != 5 {
-		t.Fatalf("after shrinking to 2: %+v", recs)
-	}
-	w.SetRetain(0) // unbounded from here on
-	w.Close(70, 70, nil)
-	w.Close(80, 80, nil)
-	recs := w.Records()
-	if len(recs) != 4 || recs[0].Window != 4 || recs[3].Window != 7 {
-		t.Fatalf("after lifting the cap: %+v", recs)
+	retry := NewWindows(10, Counters{})
+	retry.Close(10, 20, Counters{}, nil)
+	retry.Close(20, 40, Counters{}, nil)
+	retry.PublishExpvar(name)
+	if recent := read(); len(recent) != 2 || recent[1].Retired != 20 {
+		t.Fatalf("/debug/vars entry = %+v, want the retry's two windows", recent)
 	}
 }
 

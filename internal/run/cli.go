@@ -67,8 +67,7 @@ func Stderr(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", ar
 // run split, robustness layers and observability.
 type Flags struct {
 	Supervision
-	Shards, Phases     int
-	Window, FuncWarmup uint64
+	SplitSpec
 
 	BeaconInterval uint64
 	Audit          bool
@@ -80,7 +79,7 @@ type Flags struct {
 // Register binds every shared flag on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	f.Supervision.Register(fs)
-	RegisterSplit(fs, &f.Shards, &f.Phases, &f.Window, &f.FuncWarmup)
+	f.SplitSpec.Register(fs)
 	fs.Uint64Var(&f.BeaconInterval, "beacon-interval", 0, "emit deterministic state beacons every N retired instructions (0 disables); chains print with the report and are journaled with the checkpoint")
 	fs.BoolVar(&f.Audit, "audit", false, "run the structural invariant auditor during simulation; violations fail the run with a diagnosis")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write the per-window metrics series (JSON lines, one file for all runs) to this file")
@@ -88,18 +87,17 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof and /debug/vars on this address (e.g. localhost:6060)")
 }
 
-// RegisterSplit binds -shards -sample-phases -sample-window -func-warmup.
-func RegisterSplit(fs *flag.FlagSet, shards, phases *int, window, funcWarmup *uint64) {
-	fs.IntVar(shards, "shards", 1, "split each single-stream run into this many parallel warmup+measure segments (1 = serial; error bounds in DESIGN.md §12)")
-	fs.IntVar(phases, "sample-phases", 0, "phase-sample each single-stream run: K phases from a shared LRU-baseline profile, one representative interval each (0 = off; error bounds in DESIGN.md §14)")
-	fs.Uint64Var(window, "sample-window", SampleWindow, "phase-classification interval in retired instructions; -warmup and -n must be multiples of it when -sample-phases > 1")
-	fs.Uint64Var(funcWarmup, "func-warmup", 0, "replay this prefix of each segment's warmup functionally (no pipeline); must leave a detailed warmup suffix")
+// Register binds -shards -sample-phases -sample-window -func-warmup.
+func (p *SplitSpec) Register(fs *flag.FlagSet) {
+	fs.IntVar(&p.Shards, "shards", 1, "split each single-stream run into this many parallel warmup+measure segments (1 = serial; error bounds in DESIGN.md §12)")
+	fs.IntVar(&p.Phases, "sample-phases", 0, "phase-sample each single-stream run: K phases from a shared LRU-baseline profile, one representative interval each (0 = off; error bounds in DESIGN.md §14)")
+	fs.Uint64Var(&p.Window, "sample-window", SampleWindow, "phase-classification interval in retired instructions; -warmup and -n must be multiples of it when -sample-phases > 1")
+	fs.Uint64Var(&p.FuncWarmup, "func-warmup", 0, "replay this prefix of each segment's warmup functionally (no pipeline); must leave a detailed warmup suffix")
 }
 
 // Apply copies the split and robustness flags into s.
 func (f *Flags) Apply(s *Spec) {
-	s.Shards, s.Phases, s.Window, s.FuncWarmup = f.Shards, f.Phases, f.Window, f.FuncWarmup
-	s.BeaconInterval, s.Audit = f.BeaconInterval, f.Audit
+	s.SplitSpec, s.BeaconInterval, s.Audit = f.SplitSpec, f.BeaconInterval, f.Audit
 }
 
 // Check validates specs for the command line: the first broken rule
@@ -119,7 +117,8 @@ func (f *Flags) Check(tool string, specs []Spec) {
 // Observe starts the -pprof server and opens the -metrics-out export,
 // writing its run manifest for sys. wrap, when set, wraps the export
 // file (fault drills). Close the returned export after the batch and
-// check its error: window writes are not checked as they happen.
+// check its error: a run does not stop when a window write fails, so
+// Close reports the export's first write error, then the file's own.
 func (f *Flags) Observe(tool string, sys config.SystemConfig, workloads []string, extra map[string]string, wrap func(io.Writer) io.Writer) (*Arm, io.Closer, error) {
 	arm := &Arm{Tool: tool, Window: f.MetricsWindow, Expvar: f.Pprof != ""}
 	if f.Pprof != "" {
@@ -160,8 +159,13 @@ func (f *Flags) Observe(tool string, sys config.SystemConfig, workloads []string
 		file.Close()
 		return nil, nil, err
 	}
-	return arm, file, nil
+	return arm, closer(func() error { return errors.Join(arm.Export.Err(), file.Close()) }), nil
 }
+
+// closer adapts a function to io.Closer.
+type closer func() error
+
+func (c closer) Close() error { return c() }
 
 // Exit prints err as one "<tool>: " line and exits with status code:
 // 2 for a rejected command line, 1 for a failed run.

@@ -70,19 +70,14 @@ func (a *Arm) sink(label string) func(*metrics.WindowRecord) {
 	})
 }
 
-// recentWindows bounds the window history a whole run keeps in memory.
-// Only recent windows are read back — /debug/vars shows 16 and a stall
-// snapshot 5 — and the export streams each window as it closes, so a
-// run of any length holds at most this many records.
-const recentWindows = 64
-
 // machine instruments a whole run's machine for export and /debug/vars.
+// The export streams each window as it closes, so a run of any length
+// keeps only the sampler's fixed ring of recent records in memory.
 func (a *Arm) machine(m *sim.Machine, s *Spec, label string) {
 	if a == nil || (a.Export == nil && !a.Expvar) {
 		return
 	}
 	w := m.InstrumentMetrics(MetricsWindow(s.System, a.Window))
-	w.SetRetain(recentWindows)
 	if a.Export != nil {
 		w.SetSink(a.sink(label))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -285,5 +286,38 @@ func TestFlags(t *testing.T) {
 	f.MetricsOut = filepath.Join(t.TempDir(), "no", "such", "dir")
 	if _, _, err := f.Observe("test", config.Default(), nil, nil, nil); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("unwritable export: %v", err)
+	}
+}
+
+// failAfterFirst passes its first write through and fails every later one.
+type failAfterFirst struct {
+	w     io.Writer
+	wrote bool
+}
+
+func (f *failAfterFirst) Write(p []byte) (int, error) {
+	if f.wrote {
+		return 0, errors.New("disk full")
+	}
+	f.wrote = true
+	return f.w.Write(p)
+}
+
+// TestObserveReportsWriteFailure: window writes that fail after the
+// manifest do not stop the run, but closing the export reports the first
+// of them, so a tool exits 1 instead of 0 over a truncated series.
+func TestObserveReportsWriteFailure(t *testing.T) {
+	f := Flags{MetricsOut: filepath.Join(t.TempDir(), "m.jsonl")}
+	wrap := func(w io.Writer) io.Writer { return &failAfterFirst{w: w} }
+	arm, export, err := f.Observe("test", config.Default(), []string{"srv_000"}, nil, wrap)
+	if err != nil {
+		t.Fatalf("the manifest write must succeed: %v", err)
+	}
+	res, err := newTestRunner().Execute(opts(), []Spec{base()}, arm)
+	if err != nil || res[0].Stats == nil {
+		t.Fatalf("a failing export must not fail the run: %v", err)
+	}
+	if err := export.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("Close = %v, want the first window write's error", err)
 	}
 }

@@ -36,21 +36,29 @@ type Spec struct {
 	// Warmup and Measure are instructions per hardware thread.
 	Warmup, Measure uint64
 
-	// Shards > 1 splits the measured region into that many parallel
-	// segments (internal/shard). Phases > 0 phase-samples the run instead
-	// (internal/sample) with Window-instruction classification intervals.
-	// FuncWarmup replays that prefix of each segment's warmup
-	// functionally; alone it runs the whole region as one such segment.
-	Shards     int
-	Phases     int
-	Window     uint64
-	FuncWarmup uint64
+	// SplitSpec is how the run splits into segment jobs, if at all.
+	SplitSpec
 
 	// BeaconInterval arms state beacons every N retired instructions and
 	// Audit the structural invariant auditor. Neither changes a result,
 	// so neither is part of Key.
 	BeaconInterval uint64
 	Audit          bool
+}
+
+// SplitSpec is how a single-stream run splits; Spec, Flags and
+// experiments.Options embed it. Shards > 1 splits the measured region
+// into that many parallel segments (internal/shard, bounds in DESIGN.md
+// §12). Phases > 0 phase-samples the run instead (internal/sample, §14)
+// with Window-instruction classification intervals. FuncWarmup replays
+// that prefix of each segment's warmup functionally and must leave a
+// detailed suffix; alone it runs the whole region as one such segment.
+// encoding/json flattens it, so Key reads the fields as Spec's own.
+type SplitSpec struct {
+	Shards     int
+	Phases     int
+	Window     uint64
+	FuncWarmup uint64
 }
 
 // Split reports whether the run executes as segment jobs rather than

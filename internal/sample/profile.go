@@ -35,7 +35,8 @@ func Profile(cfg Config, src shard.Source, attach func(*sim.Machine)) ([]metrics
 		return nil, err
 	}
 	defer m.Release()
-	w := m.InstrumentMetrics(cfg.Window)
+	var recs []metrics.WindowRecord
+	m.InstrumentMetrics(cfg.Window).SetSink(func(rec *metrics.WindowRecord) { recs = append(recs, *rec) })
 	if attach != nil {
 		attach(m)
 	}
@@ -44,7 +45,7 @@ func Profile(cfg Config, src shard.Source, attach func(*sim.Machine)) ([]metrics
 	if _, err := m.RunWarmup([]workload.Stream{p}, 0, cfg.Warmup+cfg.Measure); err != nil {
 		return nil, fmt.Errorf("sample: profile of %s: %w", src.Name, err)
 	}
-	return w.Records(), nil
+	return recs, nil
 }
 
 // Profiles caches profiling pre-passes across a sweep, keyed by workload

@@ -27,17 +27,6 @@ import (
 	"itpsim/internal/shard"
 )
 
-// featureCounters are the per-window counter deltas that, with IPC, form
-// the phase-classification feature vector. All are tracked by
-// sim.InstrumentMetrics.
-var featureCounters = []string{
-	"l1i.demand_miss",
-	"stlb.demand_miss.instr",
-	"stlb.demand_miss.data",
-	"l2c.demand_miss",
-	"branch.mispredict",
-}
-
 // Config describes one sampled simulation.
 type Config struct {
 	// System is the machine configuration the representatives run (the
@@ -230,13 +219,18 @@ func features(cfg Config, recs []metrics.WindowRecord) (vecs [][]float64, base [
 		if uint64(rec.Instr) != cfg.Window {
 			return nil, nil, fmt.Errorf("sample: profile window at %d spans %d instructions, want %d (profile taken with a different window?)", rec.Retired, rec.Instr, cfg.Window)
 		}
+		// IPC and five per-window counter deltas, per kilo-instruction,
+		// form the phase-classification feature vector.
 		perKI := 1000 / float64(rec.Instr)
-		v := make([]float64, 1+len(featureCounters))
-		v[0] = rec.IPC
-		for i, name := range featureCounters {
-			v[i+1] = float64(rec.Counters[name]) * perKI
-		}
-		vecs = append(vecs, v)
+		c := &rec.Counters
+		vecs = append(vecs, []float64{
+			rec.IPC,
+			float64(c.L1IDemandMiss) * perKI,
+			float64(c.STLBDemandMissInstr) * perKI,
+			float64(c.STLBDemandMissData) * perKI,
+			float64(c.L2CDemandMiss) * perKI,
+			float64(c.BranchMispredict) * perKI,
+		})
 		base = append(base, w)
 	}
 	if uint64(len(vecs)) != want {

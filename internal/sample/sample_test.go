@@ -60,14 +60,13 @@ func profileFor(cfg Config, ipc []float64) []metrics.WindowRecord {
 	total := cfg.Warmup + cfg.Measure
 	for r, i := cfg.Window, 0; r <= total; r += cfg.Window {
 		rec := metrics.WindowRecord{
-			Retired:  arch.Instr(r),
-			Instr:    arch.Instr(cfg.Window),
-			Counters: map[string]uint64{},
+			Retired: arch.Instr(r),
+			Instr:   arch.Instr(cfg.Window),
 		}
 		if r > cfg.Warmup {
 			rec.IPC = ipc[i]
 			// Give the miss features the same phase structure as the IPC.
-			rec.Counters["l2c.demand_miss"] = uint64(1000 * ipc[i])
+			rec.Counters.L2CDemandMiss = uint64(1000 * ipc[i])
 			i++
 		}
 		recs = append(recs, rec)

@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"itpsim/internal/config"
 	"itpsim/internal/harness"
+	"itpsim/internal/metrics"
 	"itpsim/internal/workload"
 )
 
@@ -121,5 +123,44 @@ func TestResumeStalePlanRejected(t *testing.T) {
 		if sh.Cached {
 			t.Errorf("reshaped shard %d recalled a 4-shard journal entry", i)
 		}
+	}
+}
+
+// mapCountersPayload is a segment payload as journals stored it while a
+// window's counters were a name→count map, which encoding/json writes in
+// sorted key order: two windows of an iTP+xPTP srv_003 run in which all
+// nine counters moved.
+const mapCountersPayload = `{"segment":{"index":1,"offset":300000,"warmup":100000,"measure":1000000},"stats":null,"windows":[` +
+	`{"window":671,"retired":672000,"instr":1000,"cycles":7384,"ipc":0.13542795232936078,"counters":{"branch.mispredict":7,"l1i.demand_miss":29,"l2c.demand_miss":100,"l2c.evict.data_pte":1,"l2c.evict.pte":1,"ptw.walk.data":15,"ptw.walk.instr":15,"stlb.demand_miss.data":15,"stlb.demand_miss.instr":15},"stlb_mpki_instr":15,"stlb_mpki_data":15,"xptp_enabled":true},` +
+	`{"window":694,"retired":695000,"instr":1000,"cycles":6153,"ipc":0.16252234682268812,"counters":{"branch.mispredict":4,"l1i.demand_miss":14,"l2c.demand_miss":80,"l2c.evict.data_pte":1,"l2c.evict.pte":3,"ptw.walk.data":21,"ptw.walk.instr":8,"stlb.demand_miss.data":21,"stlb.demand_miss.instr":8},"stlb_mpki_instr":8,"stlb_mpki_data":21,"xptp_enabled":true}]}`
+
+// TestMapCountersPayloadResumes: a journal written while window counters
+// were a map still resumes — its payload decodes into the typed record
+// with every counter intact and encodes back byte for byte.
+func TestMapCountersPayloadResumes(t *testing.T) {
+	var pl Payload
+	if err := json.Unmarshal([]byte(mapCountersPayload), &pl); err != nil {
+		t.Fatal(err)
+	}
+	want := []metrics.Counters{
+		{BranchMispredict: 7, L1IDemandMiss: 29, L2CDemandMiss: 100, L2CEvictDataPTE: 1, L2CEvictPTE: 1,
+			PTWWalkData: 15, PTWWalkInstr: 15, STLBDemandMissData: 15, STLBDemandMissInstr: 15},
+		{BranchMispredict: 4, L1IDemandMiss: 14, L2CDemandMiss: 80, L2CEvictDataPTE: 1, L2CEvictPTE: 3,
+			PTWWalkData: 21, PTWWalkInstr: 8, STLBDemandMissData: 21, STLBDemandMissInstr: 8},
+	}
+	if len(pl.Windows) != len(want) {
+		t.Fatalf("decoded %d windows, want %d", len(pl.Windows), len(want))
+	}
+	for i, rec := range pl.Windows {
+		if rec.Counters != want[i] {
+			t.Errorf("window %d counters %+v, want %+v", rec.Window, rec.Counters, want[i])
+		}
+	}
+	data, err := json.Marshal(&pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != mapCountersPayload {
+		t.Errorf("re-encoded payload differs:\n got %s\nwant %s", data, mapCountersPayload)
 	}
 }

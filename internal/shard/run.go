@@ -118,9 +118,9 @@ func runSegment(cfg Config, seg Segment, s workload.Stream, jc *harness.JobConte
 		return nil, harness.Permanent(err)
 	}
 	defer m.Release()
-	var w *metrics.Windows
+	pl := &Payload{Segment: seg}
 	if cfg.MetricsWindow > 0 {
-		w = m.InstrumentMetrics(cfg.MetricsWindow)
+		m.InstrumentMetrics(cfg.MetricsWindow).SetSink(func(rec *metrics.WindowRecord) { pl.Windows = append(pl.Windows, *rec) })
 	}
 	if cfg.BeaconInterval > 0 {
 		m.EnableBeacons(cfg.BeaconInterval)
@@ -142,10 +142,7 @@ func runSegment(cfg Config, seg Segment, s workload.Stream, jc *harness.JobConte
 	if err != nil {
 		return nil, err
 	}
-	pl := &Payload{Segment: seg, Stats: res.Stats}
-	if w != nil {
-		pl.Windows = w.Records()
-	}
+	pl.Stats = res.Stats
 	return pl, nil
 }
 

@@ -35,8 +35,7 @@ func steadyStep(wl string, instrument, beacons bool, mutate func(*config.SystemC
 			tb.Fatal(err)
 		}
 		if instrument {
-			w := m.InstrumentMetrics(0)
-			w.SetRetain(64)
+			m.InstrumentMetrics(0)
 		}
 		if beacons {
 			m.EnableBeacons(0)

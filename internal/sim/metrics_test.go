@@ -1,14 +1,24 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
+	"itpsim/internal/metrics"
 	"itpsim/internal/stats"
 	"itpsim/internal/workload"
 )
+
+// seriesOf collects every window w closes from now on, however many:
+// the sampler itself keeps only the most recent ones.
+func seriesOf(w *metrics.Windows) *[]metrics.WindowRecord {
+	recs := new([]metrics.WindowRecord)
+	w.SetSink(func(rec *metrics.WindowRecord) { *recs = append(*recs, *rec) })
+	return recs
+}
 
 // twoPhaseStream builds a synthetic workload with a TLB-thrashing first
 // phase (every load strides to a fresh 4KB page across a range far larger
@@ -57,12 +67,12 @@ func TestPhaseAdaptiveMetricsCorrespondence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := m.InstrumentMetrics(cfg.XPTP.WindowInstr)
+	series := seriesOf(m.InstrumentMetrics(cfg.XPTP.WindowInstr))
 	if _, err := m.Run([]workload.Stream{twoPhaseStream(phase)}, 2*phase); err != nil {
 		t.Fatal(err)
 	}
 
-	recs := w.Records()
+	recs := *series
 	if len(recs) != 2*phase/1000 {
 		t.Fatalf("closed %d windows, want %d", len(recs), 2*phase/1000)
 	}
@@ -77,7 +87,7 @@ func TestPhaseAdaptiveMetricsCorrespondence(t *testing.T) {
 		if i > 0 && *rec.XPTPEnabled != *recs[i-1].XPTPEnabled {
 			transitions++
 		}
-		misses := rec.Counters["stlb.demand_miss.instr"] + rec.Counters["stlb.demand_miss.data"]
+		misses := rec.Counters.STLBDemandMissInstr + rec.Counters.STLBDemandMissData
 		want := misses > uint64(t1)
 		if *rec.XPTPEnabled != want {
 			t.Fatalf("window %d: recorded xptp=%v but window saw %d misses (T1=%d): series and controller disagree",
@@ -143,7 +153,7 @@ func TestMetricsWindowMisalignedSizes(t *testing.T) {
 
 // TestMachineCountersMirrorStats checks the windowed series counts every
 // event exactly once: on a run with no warmup (nothing reset) and a
-// measure that is a whole number of windows, each tracked counter's
+// measure that is a whole number of windows, each of the nine counters'
 // deltas sum to the matching stats.Sim total — or, for the three events
 // stats.Sim does not hold, to the component counter itself.
 func TestMachineCountersMirrorStats(t *testing.T) {
@@ -152,6 +162,7 @@ func TestMachineCountersMirrorStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := m.InstrumentMetrics(0)
+	series := seriesOf(w)
 	spec, err := workload.NewCatalog(4, 2).Get("srv_000")
 	if err != nil {
 		t.Fatal(err)
@@ -160,10 +171,16 @@ func TestMachineCountersMirrorStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(*series) != 100 {
+		t.Fatalf("collected %d windows, want 100", len(*series))
+	}
+	// Sum every field of the record by its JSON name, so a counter the
+	// want table below misses fails the length check.
 	sum := map[string]uint64{}
-	for _, rec := range w.Records() {
-		for name, d := range rec.Counters {
-			sum[name] += d
+	for _, rec := range *series {
+		v := reflect.ValueOf(rec.Counters)
+		for i := 0; i < v.NumField(); i++ {
+			sum[v.Type().Field(i).Tag.Get("json")] += v.Field(i).Uint()
 		}
 	}
 	s := res.Stats
@@ -191,47 +208,6 @@ func TestMachineCountersMirrorStats(t *testing.T) {
 	}
 	if m.Metrics() != w {
 		t.Fatal("Metrics() accessor lost the sampler")
-	}
-}
-
-// TestRequiredStatsRegistered checks InstrumentMetrics tracks exactly the
-// nine counters the JSONL export and the phase features read: every closed
-// window carries each of them, and nothing else.
-func TestRequiredStatsRegistered(t *testing.T) {
-	cfg := config.Default()
-	cfg.L2CPolicy = "xptp"
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := m.InstrumentMetrics(1000)
-	spec, err := workload.NewCatalog(4, 2).Get("srv_000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run([]workload.Stream{spec.NewStream()}, 10_000); err != nil {
-		t.Fatal(err)
-	}
-	required := []string{
-		"stlb.demand_miss.instr", "stlb.demand_miss.data",
-		"l1i.demand_miss", "l2c.demand_miss",
-		"ptw.walk.instr", "ptw.walk.data",
-		"l2c.evict.pte", "l2c.evict.data_pte",
-		"branch.mispredict",
-	}
-	recs := w.Records()
-	if len(recs) == 0 {
-		t.Fatal("no windows closed")
-	}
-	for _, rec := range recs {
-		if len(rec.Counters) != len(required) {
-			t.Fatalf("window %d tracks %d counters, want %d: %v", rec.Window, len(rec.Counters), len(required), rec.Counters)
-		}
-		for _, name := range required {
-			if _, ok := rec.Counters[name]; !ok {
-				t.Errorf("window %d: required stat %q not tracked by InstrumentMetrics", rec.Window, name)
-			}
-		}
 	}
 }
 

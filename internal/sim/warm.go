@@ -104,8 +104,8 @@ func (m *Machine) warmStep(c *coreState, in *workload.Instr) {
 }
 
 // finishFunctionalWarmup resynchronises the boundary schedules to the
-// position the functional skip reached: windows re-baseline their
-// tracked counters at the skipped-to coordinate, and the window, beacon,
+// position the functional skip reached: windows restart from a counter
+// snapshot at the skipped-to coordinate, and the window, beacon,
 // and audit schedules move to the next boundary strictly past it, so the
 // detailed run's emissions land at the same serial coordinates a fully
 // detailed run would have used.
@@ -115,7 +115,7 @@ func (m *Machine) finishFunctionalWarmup() {
 	}
 	r := arch.Instr(m.retiredLocal)
 	if m.met != nil {
-		m.met.windows.SkipTo(r, m.maxRetireCycle)
+		m.met.windows.SkipTo(r, m.maxRetireCycle, m.counters())
 		m.met.next = nextBoundary(r, m.met.windows.Size())
 	}
 	if m.beacons != nil {

@@ -39,7 +39,7 @@ func runWindowSeries(t *testing.T, cores int, funcWarm, warmup, measure uint64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := m.InstrumentMetrics(1000)
+	series := seriesOf(m.InstrumentMetrics(1000))
 	cat := workload.NewCatalog(4, 2)
 	names := cat.ServerNames()
 	streams := make([]workload.Stream, cores)
@@ -58,7 +58,7 @@ func runWindowSeries(t *testing.T, cores int, funcWarm, warmup, measure uint64) 
 	if _, err := m.RunWarmup(streams, warmup, measure); err != nil {
 		t.Fatal(err)
 	}
-	return w.Records()
+	return *series
 }
 
 // TestWindowSeriesGolden pins the exported window series — every
