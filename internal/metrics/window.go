@@ -222,7 +222,8 @@ func (w *Windows) SkipTo(retired arch.Instr, cycles arch.Cycle, now Counters) {
 // closed windows, at most 64, oldest first.
 func (w *Windows) Records() []WindowRecord { return w.Recent(ringSize) }
 
-// Closed returns how many windows have been closed so far.
+// Closed returns how many windows have been closed so far, counted in
+// serial coordinates: after a SkipTo it includes the skipped windows.
 func (w *Windows) Closed() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
