@@ -80,8 +80,9 @@ race-matrix:
 # the trace decoder and the checkpoint-journal recovery path — over two
 # properties the equivalence oracles rest on: stream split/clone
 # equivalence for sharding, and the beacon state fold against the
-# standard library's FNV-1a — over a cache's fold, empty ways included,
-# against the per-field fold, over the word-at-a-time recency move
+# standard library's FNV-1a — over a cache's fold, empty ways and the
+# policy columns (PC signatures, ETAs) included, against the per-field
+# fold, over the word-at-a-time recency move
 # against the byte loop it replaces at every associativity a cache or
 # TLB may have (1–128 ways), over the page table's frame map
 # against the radix tree it stands for, and over Mockingjay's and

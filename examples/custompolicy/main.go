@@ -28,9 +28,9 @@ func (*fifoPTE) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 	// Oldest = deepest stack position (we reuse the recency stack as a
 	// FIFO queue by never promoting on hits).
 	victim := replacement.StackLRUVictim(set)
-	if l := &set.Lines[victim]; l.IsPTE() && !l.Reused {
+	if l := &set.Lines[victim]; l.IsPTE() && !l.Reused() {
 		// Second chance: recycle to the tail once.
-		l.Reused = true
+		l.SetReused(true)
 		replacement.MoveToStackPos(set.Stack, victim, 0)
 		return replacement.StackLRUVictim(set)
 	}
@@ -38,7 +38,7 @@ func (*fifoPTE) Victim(_ int, set *replacement.Set, _ *arch.Access) int {
 }
 
 func (*fifoPTE) OnFill(_ int, set *replacement.Set, way int, _ *arch.Access) {
-	set.Lines[way].Reused = false
+	set.Lines[way].SetReused(false)
 	replacement.MoveToStackPos(set.Stack, way, 0) // enqueue at tail of FIFO
 }
 

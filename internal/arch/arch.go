@@ -27,6 +27,13 @@ const (
 	// numbers in 32 bits; vm.NewPhysAlloc rejects a size whose numbers
 	// would not fit.
 	PhysMemBytes = 64 << 30
+
+	// PCLimit bounds instruction addresses: every PC lies below 4 GB,
+	// so a cache line holds its filling PC in 32 bits. The generators
+	// place code at 4 MB and keep it within tens of MB; trace.Reader
+	// rejects a PC at or above the bound as corrupt, and trace.Writer
+	// refuses to write one.
+	PCLimit = 1 << 32
 )
 
 // Kind classifies a memory-hierarchy access by what issued it.

@@ -41,10 +41,13 @@ type Cache struct {
 	// each array. tags holds the block number in 32 bits, which every
 	// block of arch.PhysMemBytes fits (replacement.NoTag when the way is
 	// empty), stack its recency-stack position, lines the rest of its
-	// metadata.
+	// metadata. sigs and etas are the per-way columns the policy asks
+	// for (replacement.Columnar), nil when it keeps none.
 	tags  []uint32
 	stack []uint8
 	lines []replacement.Line
+	sigs  []uint16
+	etas  []uint64
 	// view is the replacement.Set handed to the policy, re-pointed at
 	// one set per access by viewSet. Reusing it keeps the interface
 	// call from allocating a Set per access; like pfAcc below it is safe
@@ -77,18 +80,23 @@ type Cache struct {
 	// never re-enter train, and no level retains the pointer.
 	pfAcc arch.Access
 
-	// store owns tags, stack and lines; Release hands it back to
-	// stores. Last, so the fields every access reads keep their offsets.
+	// store owns tags, stack, lines and the columns; Release hands it
+	// back to stores. Last, so the fields every access reads keep their
+	// offsets.
 	store *storage
 }
 
 // storage is the flat per-way state of one cache, sized sets×ways. It
 // outlives its cache: Release returns it to stores under its size, and
-// the next New of that size takes it from there.
+// the next New of that size takes it from there. A column is made the
+// first time a cache whose policy keeps it takes the storage, and stays
+// with the storage from then on.
 type storage struct {
 	tags  []uint32
 	stack []uint8
 	lines []replacement.Line
+	sigs  []uint16
+	etas  []uint64
 }
 
 // stores recycles released caches' storage, keyed by sets×ways. A sampled
@@ -99,8 +107,9 @@ var stores pool.Keyed[*storage]
 // New creates a cache level. next is the level misses go to; st is the
 // statistics sink (may be nil for throwaway caches in tests). Its arrays
 // come from the pool when a released cache of the same size left some
-// there; New clears recycled lines and runs InitSet on every set, so
-// recycled arrays start exactly as new ones.
+// there; New clears recycled lines and columns and runs InitSet on every
+// set, so recycled arrays start exactly as new ones. It allocates only
+// the columns pol asks for (replacement.ColumnsOf).
 func New(name string, cfg config.CacheConfig, pol replacement.Policy, next Level, st *stats.Level) *Cache {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: sets must be a positive power of two, got %d", name, cfg.Sets))
@@ -115,6 +124,15 @@ func New(name string, cfg config.CacheConfig, pol replacement.Policy, next Level
 	} else {
 		clear(sto.lines)
 	}
+	cols := replacement.ColumnsOf(pol)
+	var sigs []uint16
+	var etas []uint64
+	if cols&replacement.SigColumn != 0 {
+		sigs = column(&sto.sigs, n)
+	}
+	if cols&replacement.ETAColumn != 0 {
+		etas = column(&sto.etas, n)
+	}
 	c := &Cache{
 		name:    name,
 		cfg:     cfg,
@@ -123,6 +141,8 @@ func New(name string, cfg config.CacheConfig, pol replacement.Policy, next Level
 		tags:    sto.tags,
 		stack:   sto.stack,
 		lines:   sto.lines,
+		sigs:    sigs,
+		etas:    etas,
 		store:   sto,
 		policy:  pol,
 		next:    next,
@@ -135,6 +155,17 @@ func New(name string, cfg config.CacheConfig, pol replacement.Policy, next Level
 	return c
 }
 
+// column returns the storage column *col, cleared, making it with n
+// entries if the storage has none yet.
+func column[T uint16 | uint64](col *[]T, n int) []T {
+	if *col == nil {
+		*col = make([]T, n)
+	} else {
+		clear(*col)
+	}
+	return *col
+}
+
 // Release returns the cache's arrays to the pool. The owner calls it
 // once it has read everything it needs from the cache; the cache must not
 // be used afterwards, and panics if it is rather than reading another
@@ -145,6 +176,7 @@ func (c *Cache) Release() {
 	}
 	stores.Put(len(c.store.tags), c.store)
 	c.store, c.tags, c.stack, c.lines, c.view = nil, nil, nil, nil, replacement.Set{}
+	c.sigs, c.etas = nil, nil
 }
 
 // Name returns the cache's name.
@@ -160,14 +192,28 @@ func (c *Cache) setFor(block uint64) int { return int(block & c.setMask) }
 
 // setAt returns a view of set si's ways.
 func (c *Cache) setAt(si int) replacement.Set {
-	lo, hi := si*c.ways, (si+1)*c.ways
-	return replacement.Set{Tags: c.tags[lo:hi], Stack: c.stack[lo:hi], Lines: c.lines[lo:hi]}
+	var s replacement.Set
+	c.point(&s, si)
+	return s
 }
 
 // viewSet points the scratch view at set si and returns it.
 func (c *Cache) viewSet(si int) *replacement.Set {
-	c.view = c.setAt(si)
+	c.point(&c.view, si)
 	return &c.view
+}
+
+// point points s at set si's ways. A column the cache does not keep
+// stays nil in s.
+func (c *Cache) point(s *replacement.Set, si int) {
+	lo, hi := si*c.ways, (si+1)*c.ways
+	s.Tags, s.Stack, s.Lines = c.tags[lo:hi], c.stack[lo:hi], c.lines[lo:hi]
+	if c.sigs != nil {
+		s.Sigs = c.sigs[lo:hi]
+	}
+	if c.etas != nil {
+		s.ETAs = c.etas[lo:hi]
+	}
 }
 
 // lookup returns (setIdx, way) with way == -1 on miss. It scans only the
@@ -248,7 +294,7 @@ func (c *Cache) fill(si int, acc *arch.Access) int {
 	// The stack position stays: the way keeps its place in the
 	// permutation until the policy's OnFill moves it.
 	set.Tags[way] = uint32(acc.Addr >> arch.BlockBits)
-	*line = replacement.Line{PC: acc.PC, Kind: acc.Kind, Thread: acc.Thread}
+	*line = replacement.Line{PC: uint32(acc.PC), Kind: acc.Kind, Thread: acc.Thread}
 	line.SetPTE(acc.IsPTE)
 	line.SetDataPTE(acc.IsPTE && acc.Class == arch.DataClass)
 	line.SetSTLBMiss(acc.STLBMiss && !acc.IsPTE)

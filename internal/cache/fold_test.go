@@ -12,25 +12,28 @@ import (
 )
 
 // referenceFold is the per-field fold HashState makes of every way, empty
-// or not: fifteen words per way in set/way order, ETA from Mockingjay's
-// array, then the MSHR file. HashState must equal it on every cache.
+// or not: fifteen words per way in set/way order, signature and ETA from
+// the columns (0 when the policy keeps none), then the MSHR file.
+// HashState must equal it on every cache.
 func referenceFold(c *Cache) uint64 {
 	h := arch.NewStateHash()
-	etas := c.etas()
 	for i, tag := range c.tags {
 		valid := tag != replacement.NoTag
 		if !valid {
 			tag = 0
 		}
-		var eta uint64
-		if etas != nil {
-			eta = etas[i]
+		var sig, eta uint64
+		if c.sigs != nil {
+			sig = uint64(c.sigs[i])
+		}
+		if c.etas != nil {
+			eta = c.etas[i]
 		}
 		l := &c.lines[i]
 		h.Bool(valid)
 		h.Bool(l.Dirty())
 		h.Word(uint64(tag))
-		h.Word(l.PC)
+		h.Word(uint64(l.PC))
 		h.Word(uint64(l.Kind))
 		h.Bool(l.IsPTE())
 		h.Bool(l.IsDataPTE())
@@ -39,8 +42,8 @@ func referenceFold(c *Cache) uint64 {
 		h.Bool(l.Prefetched())
 		h.Word(uint64(c.stack[i]))
 		h.Word(uint64(l.RRPV))
-		h.Word(uint64(l.Sig))
-		h.Bool(l.Reused)
+		h.Word(sig)
+		h.Bool(l.Reused())
 		h.Word(eta)
 	}
 	for i := range c.mshrs {
@@ -92,16 +95,17 @@ func foldTraffic(c *Cache, sets, n int, rng *rand.Rand) {
 	}
 }
 
-// TestHashStateMatchesReferenceFold: LRU, xPTP, SHiP and Mockingjay
-// caches under random traffic, with empty ways in many sets, fold exactly
-// like the per-field reference after every burst; between them their
-// lines carry non-zero RRPV, Sig, Reused and ETA. An empty way carrying a
-// non-zero line, or a non-zero ETA, leaves the zero-word path and still
-// folds exactly, and differently from the same cache with that way zero.
+// TestHashStateMatchesReferenceFold: LRU, xPTP, SHiP, Hawkeye and
+// Mockingjay caches under random traffic, with empty ways in many sets,
+// fold exactly like the per-field reference after every burst; between
+// them their lines carry non-zero RRPV and Reused and their columns
+// non-zero signatures and ETAs. An empty way carrying a non-zero line,
+// signature or ETA leaves the zero-word path and still folds exactly,
+// and differently from the same cache with that way zero.
 func TestHashStateMatchesReferenceFold(t *testing.T) {
 	cfg := config.CacheConfig{Sets: 64, Ways: 8, Latency: 5, MSHRs: 8}
 	var rrpv, sig, reused, eta bool
-	for _, name := range []string{"lru", "xptp", "ship", "mockingjay"} {
+	for _, name := range []string{"lru", "xptp", "ship", "hawkeye", "mockingjay"} {
 		c := foldCache(t, name, cfg)
 		rng := rand.New(rand.NewSource(7))
 		for burst := 0; burst < 8; burst++ {
@@ -118,31 +122,39 @@ func TestHashStateMatchesReferenceFold(t *testing.T) {
 			}
 			l := &c.lines[i]
 			rrpv = rrpv || l.RRPV != 0
-			sig = sig || l.Sig != 0
-			reused = reused || l.Reused
+			reused = reused || l.Reused()
 		}
-		for _, e := range c.etas() {
+		for _, s := range c.sigs {
+			sig = sig || s != 0
+		}
+		for _, e := range c.etas {
 			eta = eta || e != 0
 		}
 		if empty == 0 {
 			t.Fatalf("%s: the traffic left no way empty", name)
 		}
 
-		// Annotate one empty way, then the ETA of another (Mockingjay
-		// only): each takes the per-field path.
+		// Annotate one empty way's line, then its signature and ETA
+		// where the policy keeps them: each takes the per-field path.
 		before := cacheHash(c)
 		way := emptyWay(c)
-		c.lines[way].RRPV = 1
-		if got, want := cacheHash(c), referenceFold(c); got != want || got == before {
-			t.Fatalf("%s: empty way with RRPV 1 folds %#x, reference %#x, zero line %#x", name, got, want, before)
+		type annotation struct {
+			state string
+			set   func(v uint8)
 		}
-		c.lines[way] = replacement.Line{}
-		if etas := c.etas(); etas != nil {
-			etas[way] = 1
+		annotate := []annotation{{"RRPV", func(v uint8) { c.lines[way].RRPV = v }}}
+		if c.sigs != nil {
+			annotate = append(annotate, annotation{"signature", func(v uint8) { c.sigs[way] = uint16(v) }})
+		}
+		if c.etas != nil {
+			annotate = append(annotate, annotation{"ETA", func(v uint8) { c.etas[way] = uint64(v) }})
+		}
+		for _, a := range annotate {
+			a.set(1)
 			if got, want := cacheHash(c), referenceFold(c); got != want || got == before {
-				t.Fatalf("%s: empty way with ETA 1 folds %#x, reference %#x, zero ETA %#x", name, got, want, before)
+				t.Fatalf("%s: empty way with %s 1 folds %#x, reference %#x, zero way %#x", name, a.state, got, want, before)
 			}
-			etas[way] = 0
+			a.set(0)
 		}
 		if got := cacheHash(c); got != before {
 			t.Fatalf("%s: restored cache folds %#x, before %#x", name, got, before)
@@ -150,7 +162,7 @@ func TestHashStateMatchesReferenceFold(t *testing.T) {
 		c.Release()
 	}
 	if !rrpv || !sig || !reused || !eta {
-		t.Fatalf("traffic left fields at zero: RRPV set %v, Sig %v, Reused %v, ETA %v", rrpv, sig, reused, eta)
+		t.Fatalf("traffic left fields at zero: RRPV set %v, signature %v, Reused %v, ETA %v", rrpv, sig, reused, eta)
 	}
 }
 
@@ -165,14 +177,20 @@ func emptyWay(c *Cache) int {
 }
 
 // foldWayBytes is how many input bytes FuzzCacheFold spends on one way:
-// a control byte (bit 0 valid; bits 1–5 Dirty, IsPTE, IsDataPTE,
-// STLBMiss, Prefetched; bit 6 Reused), the stack position, Kind, Thread,
-// RRPV, a 2-byte Sig, one spare byte, a 4-byte tag, four spare bytes,
-// then 8-byte PC and ETA.
-const foldWayBytes = 32
+// a control byte (bit 0 valid; bits 1–6 Dirty, IsPTE, IsDataPTE,
+// STLBMiss, Prefetched, Reused), the stack position, Kind, Thread,
+// RRPV, a 2-byte signature, one spare byte, a 4-byte tag, a 4-byte PC,
+// then an 8-byte ETA. The signature and ETA land in their columns when
+// the cache keeps them.
+const foldWayBytes = 24
 
-// setWay overwrites way i of c, and its ETA when etas is non-nil, from w.
-func setWay(c *Cache, etas []uint64, i int, w *[foldWayBytes]byte) {
+// foldPolicies are the policies FuzzCacheFold's first byte picks among:
+// no columns, a signature column, and both columns.
+var foldPolicies = []string{"lru", "ship", "mockingjay"}
+
+// setWay overwrites way i of c, and its column entries where c keeps
+// columns, from w.
+func setWay(c *Cache, i int, w *[foldWayBytes]byte) {
 	ctl := w[0]
 	tag := replacement.NoTag
 	if ctl&1 != 0 {
@@ -183,48 +201,59 @@ func setWay(c *Cache, etas []uint64, i int, w *[foldWayBytes]byte) {
 	c.tags[i], c.stack[i] = tag, w[1]
 	l := &c.lines[i]
 	*l = replacement.Line{
-		PC:     binary.LittleEndian.Uint64(w[16:]),
-		Sig:    binary.LittleEndian.Uint16(w[5:]),
+		PC:     binary.LittleEndian.Uint32(w[12:]),
 		Kind:   arch.Kind(w[2]),
 		Thread: w[3],
 		RRPV:   w[4],
-		Reused: ctl&0x40 != 0,
 	}
 	l.SetDirty(ctl&0x02 != 0)
 	l.SetPTE(ctl&0x04 != 0)
 	l.SetDataPTE(ctl&0x08 != 0)
 	l.SetSTLBMiss(ctl&0x10 != 0)
 	l.SetPrefetched(ctl&0x20 != 0)
-	if etas != nil {
-		etas[i] = binary.LittleEndian.Uint64(w[24:])
+	l.SetReused(ctl&0x40 != 0)
+	if c.sigs != nil {
+		c.sigs[i] = binary.LittleEndian.Uint16(w[5:])
+	}
+	if c.etas != nil {
+		c.etas[i] = binary.LittleEndian.Uint64(w[16:])
 	}
 }
 
-// FuzzCacheFold sets every way of a small Mockingjay cache from arbitrary
-// bytes — valid and empty ways, every flag bit, any stack byte and ETA,
-// empty ways with zero and non-zero state — and checks HashState against
-// the per-field reference fold. Ways past the end of the input are
-// empty and zero.
+// FuzzCacheFold sets every way of a small cache from arbitrary bytes —
+// valid and empty ways, every flag bit, any stack byte, signature and
+// ETA, empty ways with zero and non-zero state — and checks HashState
+// against the per-field reference fold. The first byte picks the policy
+// and so the columns the cache keeps (foldPolicies). Ways past the end
+// of the input are empty and zero.
 func FuzzCacheFold(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0x7f, 3, 1, 1, 2, 0x34, 0x12, 0, 0x40})
+	f.Add([]byte{2, 0x7f, 3, 1, 1, 2, 0x34, 0x12, 0, 0x40})
 	// An empty way with only its ETA set, after a valid way.
-	way := make([]byte, 2*foldWayBytes)
-	way[0], way[8] = 1, 0x10
-	way[foldWayBytes+24] = 9
+	way := make([]byte, 1+2*foldWayBytes)
+	way[0], way[1], way[1+8] = 2, 1, 0x10
+	way[1+foldWayBytes+16] = 9
+	f.Add(way)
+	// The same under SHiP, with the empty way's signature set instead.
+	way = make([]byte, 1+2*foldWayBytes)
+	way[0], way[1], way[1+8] = 1, 1, 0x10
+	way[1+foldWayBytes+5] = 9
 	f.Add(way)
 	cfg := config.CacheConfig{Sets: 4, Ways: 4, Latency: 5, MSHRs: 2}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := New("l2c", cfg, replacement.NewMockingjay(cfg.Sets, cfg.Ways), &fixedLevel{latency: 100}, nil)
+		policy := foldPolicies[0]
+		if len(data) > 0 {
+			policy, data = foldPolicies[int(data[0])%len(foldPolicies)], data[1:]
+		}
+		c := newPolicyCache(cfg, policy)
 		defer c.Release()
-		etas := c.etas()
 		for i := range c.tags {
 			var w [foldWayBytes]byte
 			data = data[copy(w[:], data):]
-			setWay(c, etas, i, &w)
+			setWay(c, i, &w)
 		}
 		if got, want := cacheHash(c), referenceFold(c); got != want {
-			t.Fatalf("HashState %#x, reference fold %#x", got, want)
+			t.Fatalf("%s: HashState %#x, reference fold %#x", policy, got, want)
 		}
 	})
 }

@@ -5,9 +5,11 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"itpsim/internal/arch"
 	"itpsim/internal/config"
+	"itpsim/internal/core"
 	"itpsim/internal/replacement"
 )
 
@@ -47,9 +49,12 @@ func drainPool(n int) {
 
 // TestRecycledStorageStartsFresh: New after Release takes the released
 // arrays, and a cache built on them, after a Mockingjay run filled every
-// line, hashes and audits exactly like one built on new arrays, before
-// and after the same traffic. Without the line clear in New, the stale
-// lines show in both the state fold and the empty-way audit rule.
+// line and column, hashes and audits exactly like one built on new
+// arrays, before and after the same traffic: under LRU, which keeps no
+// columns, and under Mockingjay, which takes the released signature and
+// ETA columns. Without the line clear in New, the stale lines show in
+// both the state fold and the empty-way audit rule; without the column
+// clear, the stale columns do under Mockingjay.
 func TestRecycledStorageStartsFresh(t *testing.T) {
 	// No collection and one processor: a released array stays in this
 	// processor's pool slot until the next New takes it.
@@ -57,41 +62,98 @@ func TestRecycledStorageStartsFresh(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := config.CacheConfig{Sets: 64, Ways: 12, Latency: 5, MSHRs: 8}
 	half := cfg.Sets * cfg.Ways / 2
-	drainPool(cfg.Sets * cfg.Ways)
-	fresh := newPolicyCache(cfg, "lru")
-	wantNew := cacheHash(fresh)
-	poolTraffic(fresh, half)
-	wantRun := cacheHash(fresh)
+	for _, policy := range []string{"lru", "mockingjay"} {
+		drainPool(cfg.Sets * cfg.Ways)
+		fresh := newPolicyCache(cfg, policy)
+		wantNew := cacheHash(fresh)
+		poolTraffic(fresh, half)
+		wantRun := cacheHash(fresh)
 
-	reused := false
-	// The race detector's sync.Pool drops a quarter of its Puts, so
-	// retry until one release comes back.
-	for try := 0; try < 20 && !reused; try++ {
-		dirty := newPolicyCache(cfg, "mockingjay")
-		poolTraffic(dirty, 2*cfg.Sets*cfg.Ways)
-		tags, stack, lines := &dirty.tags[0], &dirty.stack[0], &dirty.lines[0]
-		dirty.Release()
-		dirty.Release() // idempotent
+		reused := false
+		// The race detector's sync.Pool drops a quarter of its Puts, so
+		// retry until one release comes back.
+		for try := 0; try < 20 && !reused; try++ {
+			dirty := newPolicyCache(cfg, "mockingjay")
+			poolTraffic(dirty, 2*cfg.Sets*cfg.Ways)
+			sto := *dirty.store
+			dirty.Release()
+			dirty.Release() // idempotent
 
-		c := newPolicyCache(cfg, "lru")
-		reused = &c.tags[0] == tags && &c.stack[0] == stack && &c.lines[0] == lines
-		if h := cacheHash(c); h != wantNew {
-			t.Fatalf("new cache on recycled storage hashes %#x, on new storage %#x", h, wantNew)
+			c := newPolicyCache(cfg, policy)
+			reused = &c.tags[0] == &sto.tags[0] && &c.stack[0] == &sto.stack[0] && &c.lines[0] == &sto.lines[0]
+			if c.sigs != nil {
+				reused = reused && &c.sigs[0] == &sto.sigs[0] && &c.etas[0] == &sto.etas[0]
+			}
+			if h := cacheHash(c); h != wantNew {
+				t.Fatalf("%s: new cache on recycled storage hashes %#x, on new storage %#x", policy, h, wantNew)
+			}
+			if v := auditCache(t, c, 0); v != nil {
+				t.Fatalf("%s: new cache on recycled storage: %v", policy, v)
+			}
+			poolTraffic(c, half)
+			if h := cacheHash(c); h != wantRun {
+				t.Fatalf("%s: after traffic, recycled storage hashes %#x, new storage %#x", policy, h, wantRun)
+			}
+			if v := auditCache(t, c, 1<<20); v != nil {
+				t.Fatalf("%s: after traffic on recycled storage: %v", policy, v)
+			}
+			c.Release()
 		}
-		if v := auditCache(t, c, 0); v != nil {
-			t.Fatalf("new cache on recycled storage: %v", v)
+		if !reused {
+			t.Fatalf("%s: New never reused a released cache's arrays", policy)
 		}
-		poolTraffic(c, half)
-		if h := cacheHash(c); h != wantRun {
-			t.Fatalf("after traffic, recycled storage hashes %#x, new storage %#x", h, wantRun)
-		}
-		if v := auditCache(t, c, 1<<20); v != nil {
-			t.Fatalf("after traffic on recycled storage: %v", v)
-		}
-		c.Release()
 	}
-	if !reused {
-		t.Fatal("New never reused a released cache's arrays")
+}
+
+// wayBytes returns the bytes of storage c holds per way: tags, stack,
+// lines and whatever columns its storage carries.
+func wayBytes(c *Cache) uintptr {
+	s := c.store
+	total := uintptr(len(s.tags))*unsafe.Sizeof(s.tags[0]) +
+		uintptr(len(s.stack))*unsafe.Sizeof(s.stack[0]) +
+		uintptr(len(s.lines))*unsafe.Sizeof(replacement.Line{}) +
+		uintptr(len(s.sigs))*unsafe.Sizeof(uint16(0)) +
+		uintptr(len(s.etas))*unsafe.Sizeof(uint64(0))
+	return total / uintptr(len(s.tags))
+}
+
+// TestWayStorageBytes reads the storage each cache of a default machine
+// takes per way under every cache policy, on new storage: 13 bytes (a
+// 4-byte tag, a stack byte and an 8-byte Line) under a policy that keeps
+// no columns, as every cache of an LRU, iTP or xPTP machine does; 2
+// more under a policy that keeps signatures; and 8 more again under
+// Mockingjay, which keeps ETAs too.
+func TestWayStorageBytes(t *testing.T) {
+	want := map[string]uintptr{"ship": 15, "tship": 15, "hawkeye": 15, "mockingjay": 23}
+	mcfg := config.Default()
+	for _, cfg := range []config.CacheConfig{mcfg.L1I, mcfg.L1D, mcfg.L2C, mcfg.LLC} {
+		for _, name := range []string{"lru", "xptp", "xptp-adaptive", "xptp-emissary", "random", "srrip",
+			"brrip", "drrip", "ptp", "tdrrip", "emissary", "ship", "tship", "hawkeye", "mockingjay"} {
+			var pol replacement.Policy
+			switch name {
+			case "xptp":
+				pol = core.NewXPTP(mcfg.XPTP)
+			case "xptp-adaptive":
+				pol = core.NewAdaptiveXPTP(mcfg.XPTP, func() bool { return true })
+			case "xptp-emissary":
+				pol = replacement.NewXPTPEmissary(mcfg.XPTP.K)
+			default:
+				var err error
+				if pol, err = replacement.FromName(name, cfg.Sets, cfg.Ways, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			drainPool(cfg.Sets * cfg.Ways)
+			c := New("c", cfg, pol, &fixedLevel{latency: 100}, nil)
+			w, ok := want[name]
+			if !ok {
+				w = 13
+			}
+			if got := wayBytes(c); got != w {
+				t.Errorf("%d×%d cache under %s: %d bytes per way, want %d", cfg.Sets, cfg.Ways, name, got, w)
+			}
+			c.Release()
+		}
 	}
 }
 

@@ -9,23 +9,27 @@ import (
 // HashState implements arch.StateHasher: the full tag/metadata array in
 // set/way order plus the MSHR file, so two caches hash equal iff their
 // contents, replacement state, and in-flight misses are identical. Each
-// way folds fifteen words, ETA last (Mockingjay's, 0 under any other
-// policy). An empty way folds tag 0: a way is never emptied after its
+// way folds fifteen words: the signature from the Sigs column and the
+// ETA, last, from the ETAs column, each 0 when the policy keeps no such
+// column. An empty way folds tag 0: a way is never emptied after its
 // first fill, so an empty way has never held a block, and the empty-way
-// audit rule holds the rest of its line and its ETA at zero. Such a way
-// folds as ten zero words, its stack position and four zero words;
+// audit rule holds the rest of its line and its columns at zero. Such a
+// way folds as ten zero words, its stack position and four zero words;
 // only a way that breaks that rule takes the per-field path.
 func (c *Cache) HashState(h *arch.StateHash) {
-	etas := c.etas()
 	for i, tag := range c.tags {
 		l := &c.lines[i]
+		var sig uint16
 		var eta uint64
-		if etas != nil {
-			eta = etas[i]
+		if c.sigs != nil {
+			sig = c.sigs[i]
+		}
+		if c.etas != nil {
+			eta = c.etas[i]
 		}
 		valid := tag != replacement.NoTag
 		if !valid {
-			if *l == (replacement.Line{}) && eta == 0 {
+			if *l == (replacement.Line{}) && sig == 0 && eta == 0 {
 				h.Zeros(10)
 				h.Word(uint64(c.stack[i]))
 				h.Zeros(4)
@@ -36,7 +40,7 @@ func (c *Cache) HashState(h *arch.StateHash) {
 		h.Bool(valid)
 		h.Bool(l.Dirty())
 		h.Word(uint64(tag))
-		h.Word(l.PC)
+		h.Word(uint64(l.PC))
 		h.Word(uint64(l.Kind))
 		h.Bool(l.IsPTE())
 		h.Bool(l.IsDataPTE())
@@ -45,8 +49,8 @@ func (c *Cache) HashState(h *arch.StateHash) {
 		h.Bool(l.Prefetched())
 		h.Word(uint64(c.stack[i]))
 		h.Word(uint64(l.RRPV))
-		h.Word(uint64(l.Sig))
-		h.Bool(l.Reused)
+		h.Word(uint64(sig))
+		h.Bool(l.Reused())
 		h.Word(eta)
 	}
 	for i := range c.mshrs {
@@ -56,15 +60,6 @@ func (c *Cache) HashState(h *arch.StateHash) {
 		h.Word(uint64(e.thread))
 		h.Word(e.readyAt)
 	}
-}
-
-// etas returns the per-way ETAs Mockingjay keeps outside the lines,
-// indexed like the cache's flat arrays, or nil under any other policy.
-func (c *Cache) etas() []uint64 {
-	if mj, ok := c.policy.(*replacement.Mockingjay); ok {
-		return mj.ETAs()
-	}
-	return nil
 }
 
 // mshrLeakHorizon is how far past the audit clock an in-flight MSHR's
@@ -77,9 +72,9 @@ const mshrLeakHorizon = 100_000_000
 // AuditState implements audit.Checkable. Invariants:
 //
 //   - stack-permutation: each set's stack positions form a permutation;
-//   - empty-way: a way whose tag is NoTag holds a zero Line and, under
-//     Mockingjay, a zero ETA, which is what HashState folds for it (a
-//     policy must not age or annotate empty ways);
+//   - empty-way: a way whose tag is NoTag holds a zero Line and a zero
+//     entry in every column the policy keeps, which is what HashState
+//     folds for it (a policy must not age or annotate empty ways);
 //   - duplicate-block: no two valid ways of a set hold the same
 //     (tag, Thread);
 //   - pte-bits: IsDataPTE implies IsPTE (xPTP's Type bit qualifies a PTE
@@ -89,7 +84,6 @@ const mshrLeakHorizon = 100_000_000
 //     and no two live entries track the same (block, thread) — a
 //     duplicate would double-fill.
 func (c *Cache) AuditState(r *audit.Report) {
-	etas := c.etas()
 	for si := 0; si < c.cfg.Sets; si++ {
 		set := c.setAt(si)
 		if !replacement.CheckStackInvariant(set.Stack) {
@@ -98,7 +92,7 @@ func (c *Cache) AuditState(r *audit.Report) {
 		for a, tag := range set.Tags {
 			l := &set.Lines[a]
 			if tag == replacement.NoTag {
-				if *l != (replacement.Line{}) || etas != nil && etas[si*c.ways+a] != 0 {
+				if *l != (replacement.Line{}) || set.Sigs != nil && set.Sigs[a] != 0 || set.ETAs != nil && set.ETAs[a] != 0 {
 					r.Violatef("empty-way", "%s set %d way %d: empty way carries line state", c.name, si, a)
 				}
 				continue

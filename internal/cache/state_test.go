@@ -164,21 +164,24 @@ func TestCacheAuditIgnoresRetiredMSHRs(t *testing.T) {
 }
 
 // TestCacheAuditDetectsEmptyWayState: an empty way carrying line state,
-// or under Mockingjay a non-zero ETA, breaks the empty-way rule.
+// a non-zero signature or a non-zero ETA breaks the empty-way rule.
 func TestCacheAuditDetectsEmptyWayState(t *testing.T) {
 	cfg := smallCfg()
-	for _, name := range []string{"lru", "mockingjay"} {
-		c := newPolicyCache(cfg, name)
+	for _, tc := range []struct {
+		policy, state string
+		set           func(s *replacement.Set, w int)
+	}{
+		{"lru", "RRPV", func(s *replacement.Set, w int) { s.Lines[w].RRPV = 1 }},
+		{"ship", "signature", func(s *replacement.Set, w int) { s.Sigs[w] = 1 }},
+		{"mockingjay", "ETA", func(s *replacement.Set, w int) { s.ETAs[w] = 1 }},
+	} {
+		c := newPolicyCache(cfg, tc.policy)
 		c.Access(0, load(0x1000)) // one of set 0's two ways
 		if v := auditCache(t, c, 100_000); v != nil {
-			t.Fatalf("%s: half-filled cache reported violations: %v", name, v)
+			t.Fatalf("%s: half-filled cache reported violations: %v", tc.policy, v)
 		}
 		set := c.setAt(0)
-		if etas := c.etas(); etas != nil {
-			etas[replacement.InvalidWay(&set)] = 1
-		} else {
-			set.Lines[replacement.InvalidWay(&set)].RRPV = 1
-		}
+		tc.set(&set, replacement.InvalidWay(&set))
 		found := false
 		for _, v := range auditCache(t, c, 100_000) {
 			if v.Rule == "empty-way" {
@@ -186,7 +189,7 @@ func TestCacheAuditDetectsEmptyWayState(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("%s: state on an empty way must be reported", name)
+			t.Fatalf("%s: an empty way's %s must be reported", tc.policy, tc.state)
 		}
 	}
 }

@@ -89,3 +89,23 @@ func TestGitDescribeReal(t *testing.T) {
 		t.Errorf("GitDescribe() = unknown inside a git worktree with git available")
 	}
 }
+
+// TestRunGitDescribeClearsGitDir exercises the unstubbed cleared-
+// environment retry: with GIT_DIR pointing at an empty directory the
+// plain describe fails, and the retry names the revision a describe
+// without GIT_DIR names. Where git or the repository is missing it
+// still runs both, then skips the comparison.
+func TestRunGitDescribeClearsGitDir(t *testing.T) {
+	want, wantErr := runGitDescribe(false)
+	t.Setenv("GIT_DIR", t.TempDir())
+	if rev, err := runGitDescribe(false); err == nil {
+		t.Errorf("describe against an empty GIT_DIR returned %q, want an error", rev)
+	}
+	got, err := runGitDescribe(true)
+	if wantErr != nil {
+		t.Skipf("git describe unavailable: %v", wantErr)
+	}
+	if err != nil || got != want {
+		t.Errorf("describe with GIT_DIR cleared returned %q, %v; want %q", got, err, want)
+	}
+}

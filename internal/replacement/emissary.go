@@ -77,7 +77,7 @@ func (e *Emissary) Victim(_ int, set *Set, _ *arch.Access) int {
 	}
 	victim, deepest := -1, -1
 	for i := range set.Lines {
-		if l := &set.Lines[i]; l.Kind == arch.IFetch && e.critical(l.PC) {
+		if l := &set.Lines[i]; l.Kind == arch.IFetch && e.critical(uint64(l.PC)) {
 			continue
 		}
 		if int(set.Stack[i]) > deepest {
@@ -101,7 +101,7 @@ func (e *Emissary) OnFill(_ int, set *Set, way int, in *arch.Access) {
 
 // OnHit implements Policy.
 func (*Emissary) OnHit(_ int, set *Set, way int, _ *arch.Access) {
-	set.Lines[way].Reused = true
+	set.Lines[way].SetReused(true)
 	MoveToStackPos(set.Stack, way, 0)
 }
 
@@ -112,8 +112,8 @@ func (*Emissary) OnHit(_ int, set *Set, way int, _ *arch.Access) {
 // region could ever become critical.
 func (e *Emissary) OnEvict(_ int, set *Set, way int) {
 	l := &set.Lines[way]
-	if set.Valid(way) && l.Kind == arch.IFetch && !l.Reused && e.critical(l.PC) {
-		e.decay(l.PC)
+	if set.Valid(way) && l.Kind == arch.IFetch && !l.Reused() && e.critical(uint64(l.PC)) {
+		e.decay(uint64(l.PC))
 	}
 }
 
@@ -154,7 +154,7 @@ func (x *XPTPEmissary) Victim(_ int, set *Set, _ *arch.Access) int {
 		if l.IsDataPTE() {
 			continue
 		}
-		if l.Kind == arch.IFetch && x.em.critical(l.PC) {
+		if l.Kind == arch.IFetch && x.em.critical(uint64(l.PC)) {
 			continue
 		}
 		if pos > altDepth {

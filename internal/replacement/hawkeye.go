@@ -57,6 +57,10 @@ func NewHawkeye(sets, ways int) *Hawkeye {
 // Name implements Policy.
 func (*Hawkeye) Name() string { return "hawkeye" }
 
+// Columns implements Columnar: each way keeps the signature of the PC
+// that last touched it, to detrain when it is evicted while friendly.
+func (*Hawkeye) Columns() Columns { return SigColumn }
+
 func (h *Hawkeye) sig(pc uint64) uint32 {
 	x := pc >> 2
 	x ^= x >> 13
@@ -164,15 +168,15 @@ func (h *Hawkeye) Victim(_ int, set *Set, _ *arch.Access) int {
 	}
 	// All friendly: evict the least recent (deepest stack) and detrain.
 	victim := StackLRUVictim(set)
-	h.train(uint32(set.Lines[victim].Sig)&uint32(h.predMask), false)
+	h.train(uint32(set.Sigs[victim])&uint32(h.predMask), false)
 	return victim
 }
 
 // OnFill implements Policy.
 func (h *Hawkeye) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 	h.observe(setIdx, set.Tags[way], in.PC)
+	set.Sigs[way] = uint16(h.sig(in.PC))
 	l := &set.Lines[way]
-	l.Sig = uint16(h.sig(in.PC))
 	if h.friendly(in.PC) {
 		l.RRPV = rrpvNear
 	} else {
@@ -184,8 +188,8 @@ func (h *Hawkeye) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 // OnHit implements Policy.
 func (h *Hawkeye) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
 	h.observe(setIdx, set.Tags[way], in.PC)
+	set.Sigs[way] = uint16(h.sig(in.PC))
 	l := &set.Lines[way]
-	l.Sig = uint16(h.sig(in.PC))
 	if h.friendly(in.PC) {
 		l.RRPV = rrpvNear
 	} else {

@@ -63,8 +63,8 @@ func (m *refMockingjay) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
 	m.clock++
 	m.sample(setIdx, uint64(set.Tags[way]), in.PC)
 	sig := m.signature(in.PC)
-	set.Lines[way].Sig = sig
-	m.eta[setIdx*m.ways+way] = m.clock + uint64(m.pred[sig])
+	set.Sigs[way] = sig
+	set.ETAs[way] = m.clock + uint64(m.pred[sig])
 }
 
 // refHawkeye is Hawkeye with the OPTgen history it kept before fixed
@@ -137,8 +137,8 @@ func (h *refHawkeye) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 
 func (h *refHawkeye) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
 	h.observe(setIdx, uint64(set.Tags[way]), in.PC)
+	set.Sigs[way] = uint16(h.sig(in.PC))
 	l := &set.Lines[way]
-	l.Sig = uint16(h.sig(in.PC))
 	if h.friendly(in.PC) {
 		l.RRPV = rrpvNear
 	} else {
@@ -158,10 +158,13 @@ type modelCache struct {
 func newModelCache(p Policy, sets, ways int) *modelCache {
 	c := &modelCache{p: p, sets: make([]*Set, sets)}
 	for i := range c.sets {
-		c.sets[i] = newSet(ways)
+		c.sets[i] = newPolicySet(p, ways)
 	}
 	return c
 }
+
+// setOf returns the set block maps to.
+func (c *modelCache) setOf(block uint32) *Set { return c.sets[int(block)&(len(c.sets)-1)] }
 
 // access touches block from pc and returns the way it hit or filled.
 func (c *modelCache) access(block uint32, pc uint64) (way int, hit bool) {
@@ -222,8 +225,8 @@ func (s samplerStream) run(fn func(i int, block uint32, pc uint64)) (distinct in
 
 // compareMockingjay drives the real Mockingjay and the reference through
 // s on a sets×4 model cache and fails at the first access after which a
-// way, a prediction or an ETA differs. It returns the reference's FIFO
-// evictions and the stream's distinct blocks.
+// way, a prediction or the touched set's columns differ. It returns the
+// reference's FIFO evictions and the stream's distinct blocks.
 func compareMockingjay(t *testing.T, s samplerStream, sets int) (evictions, distinct int) {
 	t.Helper()
 	got, want := NewMockingjay(sets, 4), newRefMockingjay(sets, 4)
@@ -240,8 +243,8 @@ func compareMockingjay(t *testing.T, s samplerStream, sets int) (evictions, dist
 			t.Errorf("access %d (block %d): way %d hit %v, reference way %d hit %v", i, block, gw, gh, ww, wh)
 		case !slices.Equal(got.pred, want.pred):
 			t.Errorf("access %d (block %d): predictor differs from the reference", i, block)
-		case !slices.Equal(got.eta, want.eta):
-			t.Errorf("access %d (block %d): ETAs differ from the reference", i, block)
+		case !slices.Equal(gc.setOf(block).ETAs, wc.setOf(block).ETAs) || !slices.Equal(gc.setOf(block).Sigs, wc.setOf(block).Sigs):
+			t.Errorf("access %d (block %d): ETAs or signatures differ from the reference", i, block)
 		default:
 			return
 		}

@@ -11,8 +11,9 @@ import "itpsim/internal/arch"
 // artifact is C++): a sampler records recent block accesses for a subset
 // of sets and trains the reuse-distance predictor on observed distances
 // (or "scan" for blocks that age out of the sampler unreused); every way
-// carries an estimated time of next access (ETA); the victim is the line
-// with the maximum ETA, with lines predicted "scan" evicted first.
+// carries an estimated time of next access (ETA) in its set's ETAs
+// column; the victim is the line with the maximum ETA, with lines
+// predicted "scan" evicted first.
 type Mockingjay struct {
 	pred     []int32 // predicted reuse distance per signature, -1 = scan
 	predMask uint64
@@ -25,11 +26,6 @@ type Mockingjay struct {
 	sampleSetMask int
 	clock         uint64 // logical time: one tick per cache access
 	maxRD         int32
-	// eta is each way's ETA, indexed set*ways+way like the cache's flat
-	// arrays. It lives here rather than in Line because no other policy
-	// reads it; an empty way's entry stays 0.
-	eta  []uint64
-	ways int
 }
 
 const (
@@ -49,8 +45,6 @@ func NewMockingjay(sets, ways int) *Mockingjay {
 		sampler:       newHistory(mjSamplerCap, mjSamplerBits),
 		sampleSetMask: mjSampleEvery - 1,
 		maxRD:         int32(4 * sets * ways),
-		eta:           make([]uint64, sets*ways),
-		ways:          ways,
 	}
 	for i := range m.pred {
 		m.pred[i] = m.maxRD / 2
@@ -61,10 +55,9 @@ func NewMockingjay(sets, ways int) *Mockingjay {
 // Name implements Policy.
 func (*Mockingjay) Name() string { return "mockingjay" }
 
-// ETAs returns every way's estimated time of next access, indexed
-// set*ways+way. The cache folds and audits it with the rest of the way's
-// state; callers must not modify it.
-func (m *Mockingjay) ETAs() []uint64 { return m.eta }
+// Columns implements Columnar: each way keeps its ETA and the signature
+// of the PC that last touched it.
+func (*Mockingjay) Columns() Columns { return SigColumn | ETAColumn }
 
 func (m *Mockingjay) signature(pc uint64) uint16 {
 	h := pc >> 2
@@ -114,12 +107,12 @@ func (m *Mockingjay) sample(setIdx int, block uint32, pc uint64) {
 // Victim implements Policy: evict the line whose estimated next access is
 // farthest in the future; expired predictions (ETA already passed) lose
 // ties to live ones so provably-stale lines go first.
-func (m *Mockingjay) Victim(setIdx int, set *Set, _ *arch.Access) int {
+func (m *Mockingjay) Victim(_ int, set *Set, _ *arch.Access) int {
 	if w := InvalidWay(set); w >= 0 {
 		return w
 	}
 	victim, worst := 0, int64(-1<<62)
-	for i, eta := range m.eta[setIdx*m.ways : (setIdx+1)*m.ways] {
+	for i, eta := range set.ETAs {
 		// Score: how far in the future we expect the next access;
 		// overdue lines score by how overdue they are plus a large
 		// bias so they are preferred.
@@ -139,8 +132,8 @@ func (m *Mockingjay) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 	m.clock++
 	m.sample(setIdx, set.Tags[way], in.PC)
 	sig := m.signature(in.PC)
-	set.Lines[way].Sig = sig
-	m.eta[setIdx*m.ways+way] = m.clock + uint64(m.pred[sig])
+	set.Sigs[way] = sig
+	set.ETAs[way] = m.clock + uint64(m.pred[sig])
 }
 
 // OnHit implements Policy: re-predict from the hitting PC.
@@ -148,8 +141,8 @@ func (m *Mockingjay) OnHit(setIdx int, set *Set, way int, in *arch.Access) {
 	m.clock++
 	m.sample(setIdx, set.Tags[way], in.PC)
 	sig := m.signature(in.PC)
-	set.Lines[way].Sig = sig
-	m.eta[setIdx*m.ways+way] = m.clock + uint64(m.pred[sig])
+	set.Sigs[way] = sig
+	set.ETAs[way] = m.clock + uint64(m.pred[sig])
 }
 
 // OnEvict implements Policy.

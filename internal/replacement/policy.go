@@ -18,22 +18,20 @@ const NoTag = ^uint32(0)
 
 // Line is the per-block metadata a policy can observe and annotate. A
 // block's tag and recency position live in the Set's own arrays, and
-// per-line state only one policy reads (Mockingjay's ETA) lives in that
-// policy; policies mutate only the policy-state fields. The five
-// booleans the cache owns pack into one flags byte behind accessors, so
-// a Line is 16 bytes.
+// per-way state only some policies keep (SHiP's and Hawkeye's PC
+// signature, Mockingjay's ETA) lives in Set columns those policies ask
+// for; policies mutate only the policy-state fields. The booleans pack
+// into one flags byte behind accessors, so a Line is 8 bytes.
 type Line struct {
-	PC  uint64 // program counter of the filling access
-	Sig uint16 // PC signature (SHiP, Mockingjay, policy-owned)
+	PC uint32 // program counter of the filling access, below arch.PCLimit
 
 	Kind   arch.Kind
 	Thread uint8
 
 	// Policy-owned state.
-	RRPV   uint8 // re-reference prediction value (RRIP family)
-	Reused bool  // block was hit since fill (SHiP training)
+	RRPV uint8 // re-reference prediction value (RRIP family)
 
-	flags uint8 // flagDirty | flagPTE | ..., set by the cache
+	flags uint8 // flagDirty | flagPTE | ...; the cache sets all but flagReused
 }
 
 // Bits of Line.flags.
@@ -50,6 +48,9 @@ const (
 	// flagPrefetched marks blocks filled by a prefetcher and not yet
 	// demanded.
 	flagPrefetched
+	// flagReused marks blocks hit since their fill (SHiP training,
+	// Emissary); unlike the others it is policy-owned.
+	flagReused
 )
 
 // Dirty reports whether the block was written since its fill.
@@ -70,6 +71,9 @@ func (l *Line) STLBMiss() bool { return l.flags&flagSTLBMiss != 0 }
 // access has touched it since.
 func (l *Line) Prefetched() bool { return l.flags&flagPrefetched != 0 }
 
+// Reused reports whether the block was hit since its fill.
+func (l *Line) Reused() bool { return l.flags&flagReused != 0 }
+
 // SetDirty sets or clears the Dirty flag.
 func (l *Line) SetDirty(v bool) { l.setFlag(flagDirty, v) }
 
@@ -85,6 +89,9 @@ func (l *Line) SetSTLBMiss(v bool) { l.setFlag(flagSTLBMiss, v) }
 // SetPrefetched sets or clears the Prefetched flag.
 func (l *Line) SetPrefetched(v bool) { l.setFlag(flagPrefetched, v) }
 
+// SetReused sets or clears the Reused flag.
+func (l *Line) SetReused(v bool) { l.setFlag(flagReused, v) }
+
 func (l *Line) setFlag(bit uint8, v bool) {
 	if v {
 		l.flags |= bit
@@ -95,14 +102,48 @@ func (l *Line) setFlag(bit uint8, v bool) {
 
 // Set is a policy's view of one cache set. Way w holds block Tags[w]
 // (NoTag when the way is empty) at exact recency-stack position Stack[w]
-// (0 = MRU), with metadata Lines[w]; the three slices have one entry per
-// way. A cache keeps every set's entries in three flat arrays and points
-// one Set at whichever set an access touches, so these slices are the
-// only copy of the set's state.
+// (0 = MRU), with metadata Lines[w]. Sigs and ETAs are per-way columns
+// a cache allocates only for a policy whose Columns names them, and are
+// nil otherwise. Every non-nil slice has one entry per way. A cache
+// keeps every set's entries in flat arrays and points one Set at
+// whichever set an access touches, so these slices are the only copy of
+// the set's state.
 type Set struct {
 	Tags  []uint32
 	Stack []uint8
 	Lines []Line
+	// Sigs holds each way's PC signature (SHiP, T-SHiP, Hawkeye,
+	// Mockingjay).
+	Sigs []uint16
+	// ETAs holds each way's estimated time of next access (Mockingjay).
+	ETAs []uint64
+}
+
+// Columns is a set of per-way state columns a policy keeps beside the
+// lines.
+type Columns uint8
+
+// The per-way columns of a Set.
+const (
+	SigColumn Columns = 1 << iota // Set.Sigs
+	ETAColumn                     // Set.ETAs
+)
+
+// Columnar is implemented by a policy that keeps per-way state in Set
+// columns. A cache allocates exactly the columns Columns names, and a
+// policy must write a column's entry for every way it fills: the cache
+// does not reset columns on a fill.
+type Columnar interface {
+	Columns() Columns
+}
+
+// ColumnsOf returns the columns policy p keeps: none unless it is
+// Columnar.
+func ColumnsOf(p Policy) Columns {
+	if c, ok := p.(Columnar); ok {
+		return c.Columns()
+	}
+	return 0
 }
 
 // Valid reports whether way w holds a block.

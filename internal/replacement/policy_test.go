@@ -8,10 +8,25 @@ import (
 	"itpsim/internal/arch"
 )
 
-// newSet returns an empty standalone set of the given associativity.
+// newSet returns an empty standalone set of the given associativity,
+// with no columns.
 func newSet(ways int) *Set {
 	s := &Set{Tags: make([]uint32, ways), Stack: make([]uint8, ways), Lines: make([]Line, ways)}
 	InitSet(s)
+	return s
+}
+
+// newPolicySet returns an empty standalone set with the columns p asks
+// for, as a cache under p would hand it.
+func newPolicySet(p Policy, ways int) *Set {
+	s := newSet(ways)
+	cols := ColumnsOf(p)
+	if cols&SigColumn != 0 {
+		s.Sigs = make([]uint16, ways)
+	}
+	if cols&ETAColumn != 0 {
+		s.ETAs = make([]uint64, ways)
+	}
 	return s
 }
 
@@ -21,16 +36,17 @@ func fillAll(set *Set) {
 	}
 }
 
-// TestLineSize pins a cache way's metadata at 16 bytes: with its 4-byte
-// tag and 1-byte stack position a way costs 21 bytes, and every cache
-// of every machine holds sets×ways of them.
+// TestLineSize pins a cache way's metadata at 8 bytes: with its 4-byte
+// tag and 1-byte stack position a way costs 13 bytes under a policy
+// that keeps no columns, and every cache of every machine holds
+// sets×ways of them.
 func TestLineSize(t *testing.T) {
-	if n := unsafe.Sizeof(Line{}); n != 16 {
-		t.Fatalf("replacement.Line is %d bytes, want 16", n)
+	if n := unsafe.Sizeof(Line{}); n != 8 {
+		t.Fatalf("replacement.Line is %d bytes, want 8", n)
 	}
 }
 
-// TestLineFlags: each of the five packed flags sets and clears only its
+// TestLineFlags: each of the six packed flags sets and clears only its
 // own bit.
 func TestLineFlags(t *testing.T) {
 	flags := []struct {
@@ -43,6 +59,7 @@ func TestLineFlags(t *testing.T) {
 		{"IsDataPTE", (*Line).IsDataPTE, (*Line).SetDataPTE},
 		{"STLBMiss", (*Line).STLBMiss, (*Line).SetSTLBMiss},
 		{"Prefetched", (*Line).Prefetched, (*Line).SetPrefetched},
+		{"Reused", (*Line).Reused, (*Line).SetReused},
 	}
 	for _, base := range []bool{false, true} {
 		for i, f := range flags {
@@ -304,7 +321,7 @@ func TestTDRRIPAllPTEsStillEvicts(t *testing.T) {
 
 func TestSHiPLearnsDeadSignatures(t *testing.T) {
 	p := NewSHiP(64, 5)
-	set := newSet(4)
+	set := newPolicySet(p, 4)
 	fillAll(set)
 	deadPC := uint64(0xdead00)
 	acc := &arch.Access{Kind: arch.Load, PC: deadPC}
@@ -330,11 +347,11 @@ func TestSHiPLearnsDeadSignatures(t *testing.T) {
 
 func TestSHiPHitTrainsOnce(t *testing.T) {
 	p := NewSHiP(64, 5)
-	set := newSet(2)
+	set := newPolicySet(p, 2)
 	fillAll(set)
 	acc := &arch.Access{PC: 0x1234}
 	p.OnFill(0, set, 0, acc)
-	sig := set.Lines[0].Sig
+	sig := set.Sigs[0]
 	before := p.shct[sig]
 	p.OnHit(0, set, 0, acc)
 	p.OnHit(0, set, 0, acc)
@@ -344,21 +361,16 @@ func TestSHiPHitTrainsOnce(t *testing.T) {
 	}
 }
 
-// mjSet is the set the Mockingjay victim tests use: not set 0, so the
-// victim search must read the ETAs of the set it is given.
+// mjSet is the set the Mockingjay tests use: not set 0, so a policy
+// that indexed its ETAs by set number would read or write another set's.
 const mjSet = 5
-
-// setETAs writes the ETAs of set mjSet of a 4-way Mockingjay.
-func setETAs(p *Mockingjay, etas ...uint64) {
-	copy(p.ETAs()[mjSet*4:], etas)
-}
 
 func TestMockingjayVictimIsFarthest(t *testing.T) {
 	p := NewMockingjay(64, 4)
-	set := newSet(4)
+	set := newPolicySet(p, 4)
 	fillAll(set)
 	p.clock = 100
-	setETAs(p, 110, 500, 120, 105) // way 1 is farthest in the future
+	copy(set.ETAs, []uint64{110, 500, 120, 105}) // way 1 is farthest in the future
 	if v := p.Victim(mjSet, set, nil); v != 1 {
 		t.Errorf("victim = %d, want 1 (farthest ETA)", v)
 	}
@@ -366,36 +378,38 @@ func TestMockingjayVictimIsFarthest(t *testing.T) {
 
 func TestMockingjayPrefersOverdue(t *testing.T) {
 	p := NewMockingjay(64, 4)
-	set := newSet(4)
+	set := newPolicySet(p, 4)
 	fillAll(set)
 	p.clock = 10000
 	// Way 2 is long overdue (predicted reuse never happened).
-	setETAs(p, 10010, 10020, 100, 10005)
+	copy(set.ETAs, []uint64{10010, 10020, 100, 10005})
 	if v := p.Victim(mjSet, set, nil); v != 2 {
 		t.Errorf("victim = %d, want overdue way 2", v)
 	}
 }
 
-// TestMockingjayETAIndexedByWay: a fill and a hit write the ETA of
-// exactly the way they touch, at set*ways+way, and nothing else.
+// TestMockingjayETAIndexedByWay: a fill and a hit write the ETA and
+// signature of exactly the way they touch in the set's columns, and
+// nothing else.
 func TestMockingjayETAIndexedByWay(t *testing.T) {
 	p := NewMockingjay(64, 4)
-	set := newSet(4)
+	set := newPolicySet(p, 4)
 	fillAll(set)
 	acc := &arch.Access{PC: 0x4040}
 	p.OnFill(mjSet, set, 2, acc)
 	p.OnHit(mjSet, set, 3, acc)
-	pred := uint64(p.pred[p.signature(acc.PC)])
-	for i, eta := range p.ETAs() {
-		want := uint64(0)
-		switch i {
-		case mjSet*4 + 2:
-			want = 1 + pred
-		case mjSet*4 + 3:
-			want = 2 + pred
+	sig := p.signature(acc.PC)
+	pred := uint64(p.pred[sig])
+	for w := range set.ETAs {
+		wantETA, wantSig := uint64(0), uint16(0)
+		switch w {
+		case 2:
+			wantETA, wantSig = 1+pred, sig
+		case 3:
+			wantETA, wantSig = 2+pred, sig
 		}
-		if eta != want {
-			t.Errorf("ETA %d = %d, want %d", i, eta, want)
+		if set.ETAs[w] != wantETA || set.Sigs[w] != wantSig {
+			t.Errorf("way %d: ETA %d, signature %#x; want %d, %#x", w, set.ETAs[w], set.Sigs[w], wantETA, wantSig)
 		}
 	}
 }
@@ -506,7 +520,7 @@ func TestPoliciesRobustUnderRandomOps(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		sets := make([]*Set, 64)
 		for i := range sets {
-			sets[i] = newSet(8)
+			sets[i] = newPolicySet(p, 8)
 		}
 		for op := 0; op < 5000; op++ {
 			si := rng.Intn(64)
@@ -527,7 +541,7 @@ func TestPoliciesRobustUnderRandomOps(t *testing.T) {
 			set.Lines[v].SetPTE(acc.IsPTE)
 			set.Lines[v].SetDataPTE(acc.IsPTE && acc.Class == arch.DataClass)
 			set.Lines[v].SetSTLBMiss(acc.STLBMiss)
-			set.Lines[v].Reused = false
+			set.Lines[v].SetReused(false)
 			p.OnFill(si, set, v, acc)
 			if rng.Intn(2) == 0 {
 				p.OnHit(si, set, rng.Intn(8), acc)

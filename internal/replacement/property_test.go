@@ -16,7 +16,7 @@ type setModel struct {
 }
 
 func newSetModel(p Policy, ways int) *setModel {
-	return &setModel{p: p, set: newSet(ways)}
+	return &setModel{p: p, set: newPolicySet(p, ways)}
 }
 
 // access touches tag, filling on miss exactly like cache.Cache does.
@@ -109,7 +109,7 @@ func TestVictimAlwaysInRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			set := newSet(ways)
+			set := newPolicySet(p, ways)
 			rng := rand.New(rand.NewSource(3))
 			for step := 0; step < 3000; step++ {
 				tag := uint32(rng.Intn(32))
@@ -134,7 +134,7 @@ func TestVictimAlwaysInRange(t *testing.T) {
 				}
 				set.Tags[way] = tag
 				l := &set.Lines[way]
-				*l = Line{RRPV: l.RRPV, Sig: l.Sig}
+				*l = Line{RRPV: l.RRPV}
 				l.SetPTE(rng.Intn(8) == 0)
 				l.SetDataPTE(rng.Intn(16) == 0)
 				l.SetSTLBMiss(rng.Intn(4) == 0)

@@ -34,6 +34,10 @@ func NewSHiP(sets int, seed uint64) *SHiP {
 // Name implements Policy.
 func (*SHiP) Name() string { return "ship" }
 
+// Columns implements Columnar: each way keeps the signature of the PC
+// that filled it, to train on at its hit or eviction.
+func (*SHiP) Columns() Columns { return SigColumn }
+
 // signature hashes a PC into the SHCT index space.
 func (s *SHiP) signature(pc uint64) uint16 {
 	h := pc >> 2
@@ -49,9 +53,9 @@ func (*SHiP) Victim(_ int, set *Set, _ *arch.Access) int { return rripVictim(set
 // learned reuse behaviour.
 func (s *SHiP) OnFill(_ int, set *Set, way int, in *arch.Access) {
 	sig := s.signature(in.PC)
+	set.Sigs[way] = sig
 	l := &set.Lines[way]
-	l.Sig = sig
-	l.Reused = false
+	l.SetReused(false)
 	if s.shct[sig] == 0 {
 		l.RRPV = rrpvMax
 	} else {
@@ -63,10 +67,10 @@ func (s *SHiP) OnFill(_ int, set *Set, way int, in *arch.Access) {
 func (s *SHiP) OnHit(_ int, set *Set, way int, _ *arch.Access) {
 	l := &set.Lines[way]
 	l.RRPV = rrpvNear
-	if !l.Reused {
-		l.Reused = true
-		if s.shct[l.Sig] < shipCtrMax {
-			s.shct[l.Sig]++
+	if !l.Reused() {
+		l.SetReused(true)
+		if sig := set.Sigs[way]; s.shct[sig] < shipCtrMax {
+			s.shct[sig]++
 		}
 	}
 }
@@ -74,10 +78,9 @@ func (s *SHiP) OnHit(_ int, set *Set, way int, _ *arch.Access) {
 // OnEvict implements Policy: a dead block (never reused) trains its
 // signature downward.
 func (s *SHiP) OnEvict(_ int, set *Set, way int) {
-	l := &set.Lines[way]
-	if set.Valid(way) && !l.Reused {
-		if s.shct[l.Sig] > 0 {
-			s.shct[l.Sig]--
+	if set.Valid(way) && !set.Lines[way].Reused() {
+		if sig := set.Sigs[way]; s.shct[sig] > 0 {
+			s.shct[sig]--
 		}
 	}
 }

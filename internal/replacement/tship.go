@@ -25,12 +25,12 @@ func (t *TSHiP) OnFill(setIdx int, set *Set, way int, in *arch.Access) {
 	l := &set.Lines[way]
 	switch {
 	case l.IsPTE():
-		l.Sig = t.signature(in.PC)
-		l.Reused = false
+		set.Sigs[way] = t.signature(in.PC)
+		l.SetReused(false)
 		l.RRPV = rrpvNear
 	case l.STLBMiss():
-		l.Sig = t.signature(in.PC)
-		l.Reused = false
+		set.Sigs[way] = t.signature(in.PC)
+		l.SetReused(false)
 		l.RRPV = rrpvMax
 	default:
 		t.SHiP.OnFill(setIdx, set, way, in)

@@ -8,7 +8,7 @@ import (
 
 func TestTSHiPPTEProtection(t *testing.T) {
 	p := NewTSHiP(64, 5)
-	set := newSet(4)
+	set := newPolicySet(p, 4)
 	fillAll(set)
 	set.Lines[1].SetPTE(true)
 	p.OnFill(0, set, 1, &arch.Access{Kind: arch.PTW, PC: 0x10})
@@ -27,7 +27,7 @@ func TestTSHiPPTEProtection(t *testing.T) {
 
 func TestTSHiPFallsBackToSHiP(t *testing.T) {
 	p := NewTSHiP(64, 5)
-	set := newSet(4)
+	set := newPolicySet(p, 4)
 	fillAll(set)
 	// Plain demand block: SHiP insertion applies (long by default).
 	p.OnFill(0, set, 0, &arch.Access{Kind: arch.Load, PC: 0x30})
@@ -38,7 +38,7 @@ func TestTSHiPFallsBackToSHiP(t *testing.T) {
 
 func TestTSHiPAllPTEsStillEvicts(t *testing.T) {
 	p := NewTSHiP(64, 5)
-	set := newSet(4)
+	set := newPolicySet(p, 4)
 	fillAll(set)
 	for i := range set.Lines {
 		set.Lines[i].SetPTE(true)
@@ -57,7 +57,7 @@ func TestEmissaryProtectsCriticalCode(t *testing.T) {
 	// Train the region critical by repeated instruction misses.
 	for i := 0; i < emissaryThresh+1; i++ {
 		set.Lines[0].Kind = arch.IFetch
-		set.Lines[0].PC = hotPC
+		set.Lines[0].PC = uint32(hotPC)
 		e.OnFill(0, set, 0, &arch.Access{Kind: arch.IFetch, PC: hotPC})
 	}
 	if !e.critical(hotPC) {
@@ -81,16 +81,16 @@ func TestEmissaryDecaysOnlyUnreusedProtected(t *testing.T) {
 	}
 	before := e.critTable[e.sig(pc)]
 	set.Lines[0].Kind = arch.IFetch
-	set.Lines[0].PC = pc
+	set.Lines[0].PC = uint32(pc)
 
 	// Reused protected block: no decay.
-	set.Lines[0].Reused = true
+	set.Lines[0].SetReused(true)
 	e.OnEvict(0, set, 0)
 	if e.critTable[e.sig(pc)] != before {
 		t.Error("reused protected block must not decay")
 	}
 	// Unreused protected block: decays.
-	set.Lines[0].Reused = false
+	set.Lines[0].SetReused(false)
 	e.OnEvict(0, set, 0)
 	if e.critTable[e.sig(pc)] != before-1 {
 		t.Error("unreused protected eviction should decay criticality")
@@ -98,7 +98,7 @@ func TestEmissaryDecaysOnlyUnreusedProtected(t *testing.T) {
 	// Sub-threshold regions never decay (training must be able to climb).
 	cold := uint64(0x990000)
 	e.train(cold)
-	set.Lines[0].PC = cold
+	set.Lines[0].PC = uint32(cold)
 	e.OnEvict(0, set, 0)
 	if e.critTable[e.sig(cold)] != 1 {
 		t.Error("sub-threshold region must not decay")
@@ -115,7 +115,7 @@ func TestEmissaryAllProtectedFallsBack(t *testing.T) {
 	}
 	for i := range set.Lines {
 		set.Lines[i].Kind = arch.IFetch
-		set.Lines[i].PC = pc
+		set.Lines[i].PC = uint32(pc)
 	}
 	if v := e.Victim(0, set, &arch.Access{}); v < 0 || v >= 4 {
 		t.Fatalf("victim out of range: %d", v)
@@ -133,7 +133,7 @@ func TestXPTPEmissaryProtectsBoth(t *testing.T) {
 	set.Lines[codeWay].Kind = arch.IFetch
 	set.Lines[codeWay].PC = 0x400400
 	for i := 0; i < emissaryThresh+1; i++ {
-		x.em.train(set.Lines[codeWay].PC)
+		x.em.train(uint64(set.Lines[codeWay].PC))
 	}
 	v := x.Victim(0, set, &arch.Access{})
 	if v == pteWay || v == codeWay {
@@ -190,7 +190,7 @@ func TestHawkeyeLearnsFriendlyPCs(t *testing.T) {
 
 func TestHawkeyeInsertionByPrediction(t *testing.T) {
 	h := NewHawkeye(64, 4)
-	set := newSet(4)
+	set := newPolicySet(h, 4)
 	fillAll(set)
 	pc := uint64(0x3000)
 	// Force averse.
@@ -212,7 +212,7 @@ func TestHawkeyeInsertionByPrediction(t *testing.T) {
 
 func TestHawkeyeVictimPrefersAverse(t *testing.T) {
 	h := NewHawkeye(64, 4)
-	set := newSet(4)
+	set := newPolicySet(h, 4)
 	fillAll(set)
 	for i := range set.Lines {
 		set.Lines[i].RRPV = rrpvNear

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"itpsim/internal/arch"
 	"itpsim/internal/workload"
 )
 
@@ -119,8 +120,40 @@ func TestNonCanonicalPCRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := drain(r, 100); err == nil || !strings.Contains(err.Error(), "non-canonical PC") {
+	if _, err := drain(r, 100); err == nil || !strings.Contains(err.Error(), "not below the 4 GB code space") {
 		t.Errorf("out-of-range PC should be rejected, got: %v", err)
+	}
+}
+
+// TestPCBound: the last PC below arch.PCLimit round-trips, and the bound
+// itself is refused by the Writer and, reached by a delta from that
+// last PC, rejected by the Reader as a corrupt record.
+func TestPCBound(t *testing.T) {
+	last := workload.Instr{PC: arch.PCLimit - 1, LoadAddr: 0x1000}
+	out := roundTrip(t, []workload.Instr{{PC: 0x400000}, last})
+	if len(out) != 2 || out[1] != last {
+		t.Fatalf("PC %#x did not round-trip: %+v", last.PC, out)
+	}
+
+	w, err := NewWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(&workload.Instr{PC: arch.PCLimit}); err == nil || w.Count() != 0 {
+		t.Errorf("Writer accepted PC %#x (count %d, err %v)", uint64(arch.PCLimit), w.Count(), err)
+	}
+
+	raw := rawTrace(t, []workload.Instr{last})
+	var delta [10]byte
+	n := putUvarintBytes(delta[:], zigzag(1)) // one past the last PC
+	raw = append(raw, 0x00)
+	raw = append(raw, delta[:n]...)
+	r, err := NewRawReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := drain(r, 100); n != 1 || err == nil || !strings.Contains(err.Error(), "not below the 4 GB code space") {
+		t.Errorf("Reader read %d records, error %v; want 1 and PC %#x rejected", n, err, uint64(arch.PCLimit))
 	}
 }
 

@@ -11,6 +11,9 @@
 //	pc     uvarint delta-encoded against the previous PC (zigzag)
 //	load   uvarint present iff bit2 (absolute address)
 //	store  uvarint present iff bit3 (absolute address)
+//
+// Every PC lies below arch.PCLimit (4 GB): the Writer refuses to write
+// any other, and the Reader rejects one as a corrupt record.
 package trace
 
 import (
@@ -21,6 +24,7 @@ import (
 	"fmt"
 	"io"
 
+	"itpsim/internal/arch"
 	"itpsim/internal/workload"
 )
 
@@ -64,8 +68,12 @@ func (w *Writer) uvarint(v uint64) error {
 	return err
 }
 
-// Write appends one instruction.
+// Write appends one instruction. It refuses a PC at or above
+// arch.PCLimit, which no reader would accept.
 func (w *Writer) Write(in *workload.Instr) error {
+	if in.PC >= arch.PCLimit {
+		return fmt.Errorf("trace: PC %#x is not below the 4 GB code space", in.PC)
+	}
 	var flags byte
 	if in.IsBranch {
 		flags |= flagBranch
@@ -133,9 +141,10 @@ func Record(w *Writer, s workload.Stream, n uint64) (uint64, error) {
 
 // Decode hardening bounds. Traces can come from other machines or be
 // damaged in transit, so the reader treats every decoded value as
-// untrusted: unknown flag bits, non-canonical addresses, and a zero
-// memory-operand address (reserved by the format) are all rejected with
-// an error naming the byte offset of the corrupt record. Record decoding
+// untrusted: unknown flag bits, non-canonical addresses, a PC at or
+// above arch.PCLimit, and a zero memory-operand address (reserved by the
+// format) are all rejected with an error naming the byte offset of the
+// corrupt record. Record decoding
 // never allocates based on decoded values — uvarints are bounded by
 // binary.ReadUvarint's 10-byte limit and everything else is fixed-size —
 // so a hostile trace cannot trigger oversized allocations.
@@ -143,7 +152,7 @@ const (
 	// flagsReserved are the flag bits the format does not define; a set
 	// reserved bit means the stream is corrupt or from a newer version.
 	flagsReserved = ^byte(flagBranch | flagTaken | flagLoad | flagStore | flagDepLoad)
-	// maxAddr bounds decoded virtual addresses to the canonical 48-bit
+	// maxAddr bounds decoded data addresses to the canonical 48-bit
 	// space every generator and trace writer stays within.
 	maxAddr = uint64(1) << 48
 )
@@ -236,8 +245,8 @@ func (r *Reader) Next(in *workload.Instr) bool {
 	}
 	*in = workload.Instr{}
 	pc := uint64(int64(r.lastPC) + unzigzag(delta))
-	if pc >= maxAddr {
-		return r.corrupt(off, "non-canonical PC %#x", pc)
+	if pc >= arch.PCLimit {
+		return r.corrupt(off, "PC %#x is not below the 4 GB code space", pc)
 	}
 	r.lastPC = pc
 	in.PC = pc

@@ -318,6 +318,50 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
+// TestCatalogCodeBelowPCLimit: every catalog footprint's code region,
+// from codeBase to the end of its last function (server) or of its
+// highest loop (spec), ends below arch.PCLimit, so every PC a generator
+// emits fits a cache line's 32 bits. 120 workloads of each kind cover
+// every parameter combination of the grid. A short run of each stays
+// inside its region, which ties the computed end to the generator.
+func TestCatalogCodeBelowPCLimit(t *testing.T) {
+	c := NewCatalog(120, 120)
+	var largest arch.Addr
+	for _, name := range c.Names() {
+		sp, err := c.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := sp.NewStream()
+		var end arch.Addr
+		switch g := stream.(type) {
+		case *server:
+			// The last function starts at funcPC(n-1) and runs at most
+			// instrPerF instructions, or 15 as a burst helper.
+			last := g.headFuncs + g.warmFuncs + g.coldFuncs - 1
+			end = g.funcPC(last) + arch.Addr(max(g.instrPerF, 15))*4
+		case *spec:
+			// A loop starts below codeBase+maxStart (pickLoop).
+			loop := g.p.LoopLen * 4
+			end = codeBase + arch.Addr(max(g.p.CodePages*arch.PageSize4K-loop, 1)+loop)
+		default:
+			t.Fatalf("%s: unexpected generator %T", name, stream)
+		}
+		if end > arch.PCLimit {
+			t.Errorf("%s: code ends at %#x, above arch.PCLimit", name, end)
+		}
+		largest = max(largest, end)
+		var in Instr
+		for i := 0; i < 10_000; i++ {
+			stream.Next(&in)
+			if in.PC < codeBase || in.PC >= end {
+				t.Fatalf("%s: instruction %d has PC %#x outside [%#x, %#x)", name, i, in.PC, codeBase, end)
+			}
+		}
+	}
+	t.Logf("the largest code region ends at %#x, %.1f MB", largest, float64(largest)/(1<<20))
+}
+
 func TestCatalogParamsVary(t *testing.T) {
 	c := NewCatalog(12, 0)
 	seen := map[int]bool{}
