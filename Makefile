@@ -67,7 +67,7 @@ cover-check:
 # pre-pass, the supervisor, the decode-ahead ring, the metrics window
 # sampler, the run dispatcher with its memo lock, and the storage pools
 # concurrent machines share: the keyed pool itself, the cache and TLB
-# pools built on it, and vm's shared frame-map pool. -count=2 reruns
+# pools built on it, and vm's shared frame-class pool. -count=2 reruns
 # each test so per-run state (pools, rings, checkpoints) is exercised
 # twice under the detector. The decode-ahead ring's Close tests run ten
 # times: Close and the decoder reach the same ring state from two
@@ -84,8 +84,9 @@ race-matrix:
 # policy columns (PC signatures, ETAs) included, against the per-field
 # fold, over the word-at-a-time recency move
 # against the byte loop it replaces at every associativity a cache or
-# TLB may have (1–128 ways), over the page table's frame map
-# against the radix tree it stands for, and over Mockingjay's and
+# TLB may have (1–128 ways), over the page table's presence-masked
+# nodes (raw addresses, and page indices filling one 2MB region)
+# against the radix tree they stand for, and over Mockingjay's and
 # Hawkeye's fixed sampler storage against the maps it replaced.
 fuzz-smoke:
 	$(GO) test -run FuzzReader -fuzz FuzzReader -fuzztime 10s ./internal/trace

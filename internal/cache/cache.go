@@ -80,6 +80,13 @@ type Cache struct {
 	// never re-enter train, and no level retains the pointer.
 	pfAcc arch.Access
 
+	// mshrReady bounds, per bucket of blocks (mshrBucket), the readyAt of
+	// the MSHRs whose block falls in the bucket: Access raises it as it
+	// sets an entry's readyAt, and mshrLookup scans no entry when it is
+	// not past now. It only summarises mshrs, so HashState and
+	// AuditState do not read it.
+	mshrReady [64]uint64
+
 	// store owns tags, stack, lines and the columns; Release hands it
 	// back to stores. Last, so the fields every access reads keep their
 	// offsets.
@@ -243,8 +250,15 @@ func (c *Cache) record(acc *arch.Access, hit bool) {
 	}
 }
 
+// mshrBucket returns the mshrReady bucket of block: its top 6 bits after
+// a Fibonacci multiply, so blocks of one set spread over the buckets.
+func mshrBucket(block uint64) int { return int(block * 0x9e3779b97f4a7c15 >> 58) }
+
 // mshrLookup returns an in-flight entry for block, or nil.
 func (c *Cache) mshrLookup(now uint64, block uint64, thread uint8) *mshrEntry {
+	if c.mshrReady[mshrBucket(block)] <= now {
+		return nil
+	}
 	for i := range c.mshrs {
 		e := &c.mshrs[i]
 		if e.block == block && e.valid && e.thread == thread && e.readyAt > now {
@@ -378,6 +392,9 @@ func (c *Cache) Access(now uint64, acc *arch.Access) uint64 {
 	entry.block = block
 	entry.thread = acc.Thread
 	entry.readyAt = done
+	if r := &c.mshrReady[mshrBucket(block)]; done > *r {
+		*r = done
+	}
 
 	c.fill(si, acc)
 	if acc.Kind != arch.Prefetch && c.stats != nil && acc.Kind.IsDemand() {

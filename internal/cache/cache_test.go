@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"itpsim/internal/arch"
@@ -110,6 +112,89 @@ func TestMSHROccupancyStalls(t *testing.T) {
 	done := c.Access(0, load(0x2<<6))
 	if done <= 1005 {
 		t.Errorf("third miss done = %d, should stall past 1005", done)
+	}
+}
+
+// scanMSHRs is the reference for mshrLookup: the linear scan over every
+// entry, without the per-bucket bound.
+func scanMSHRs(c *Cache, now, block uint64, thread uint8) *mshrEntry {
+	for i := range c.mshrs {
+		e := &c.mshrs[i]
+		if e.block == block && e.valid && e.thread == thread && e.readyAt > now {
+			return e
+		}
+	}
+	return nil
+}
+
+// TestMSHRLookupMatchesScan: wherever misses are in flight, mshrLookup
+// returns the entry the linear scan returns, for blocks that share a
+// bucket with an in-flight miss and blocks that do not. The scenario
+// puts two misses in one bucket, the later one completing first, and
+// reallocates an expired entry to a block of another bucket; random
+// traffic on six blocks (three sharing a bucket) and two threads then
+// draws each miss's latency and steps time back now and then, checking
+// every block and thread around each access.
+func TestMSHRLookupMatchesScan(t *testing.T) {
+	next := &fixedLevel{}
+	cfg := smallCfg()
+	cfg.MSHRs = 2
+	c := New("test", cfg, replacement.NewLRU(), next, nil)
+	var same, other []uint64
+	for b := uint64(1); len(same) < 3 || len(other) < 3; b++ {
+		switch {
+		case mshrBucket(b) == mshrBucket(1):
+			if len(same) < 3 {
+				same = append(same, b)
+			}
+		case len(other) < 3 && !slices.ContainsFunc(other, func(o uint64) bool { return mshrBucket(o) == mshrBucket(b) }):
+			other = append(other, b)
+		}
+	}
+	blocks := append(slices.Clone(same), other...)
+	check := func(now uint64) {
+		t.Helper()
+		for _, b := range blocks {
+			for th := uint8(0); th < 2; th++ {
+				if got, want := c.mshrLookup(now, b, th), scanMSHRs(c, now, b, th); got != want {
+					t.Fatalf("block %#x thread %d at %d: lookup %p, scan %p", b, th, now, got, want)
+				}
+			}
+		}
+	}
+	access := func(now, block uint64, th uint8, latency uint64) {
+		t.Helper()
+		check(now)
+		next.latency = latency
+		c.Access(now, &arch.Access{Addr: arch.Addr(block) << arch.BlockBits, Kind: arch.Load, Thread: th})
+		check(now)
+	}
+
+	// Two misses in one bucket: the first is in flight until 305, the
+	// second until 56. At 100 only the first is, and the bucket's third
+	// block never was.
+	access(0, same[0], 0, 300)
+	access(1, same[1], 0, 50)
+	check(100)
+	if c.mshrLookup(100, same[0], 0) == nil || c.mshrLookup(100, same[1], 0) != nil || c.mshrLookup(100, same[2], 0) != nil {
+		t.Fatal("in-flight misses sharing a bucket not told apart")
+	}
+	// At 400 both have expired; a miss in another bucket reallocates the
+	// first entry, whose old block is no longer in flight.
+	access(400, other[0], 0, 100)
+	if e := c.mshrLookup(450, other[0], 0); e != &c.mshrs[0] {
+		t.Fatalf("reallocated entry %p not found for its new block (want %p)", e, &c.mshrs[0])
+	}
+	check(450)
+
+	rng := rand.New(rand.NewSource(1))
+	now := uint64(600)
+	for i := 0; i < 5000; i++ {
+		now += uint64(rng.Intn(40))
+		if rng.Intn(8) == 0 {
+			now -= uint64(rng.Intn(150))
+		}
+		access(now, blocks[rng.Intn(len(blocks))], uint8(rng.Intn(2)), 20+uint64(rng.Intn(300)))
 	}
 }
 

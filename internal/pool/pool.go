@@ -1,6 +1,6 @@
 // Package pool recycles the large storage a simulated machine builds —
 // cache arrays, TLB entries, the L2C stride table, page tables' frame
-// maps and each thread's lookahead, ROB and FTQ rings — and the buffers
+// classes and each thread's lookahead, ROB and FTQ rings — and the buffers
 // runs ingest instructions through — decode batches and functional
 // warmup buffers — from machines and runs that are done to those that
 // start after them. Every pool outside tests is a Keyed pool.

@@ -27,7 +27,7 @@ const splitRunAllocBudget = 3_600_000
 // sampled run with beacons and audits on two workers builds nine
 // machines: the profiling pass and eight representatives. Each machine
 // releases its cache arrays, TLB entries, stride table and page-table
-// frame maps, and each run its lookahead, ROB and FTQ rings; each
+// frame classes, and each run its lookahead, ROB and FTQ rings; each
 // decode-ahead ring returns every batch it took to the shared batch pool
 // when it closes, and functional warmup steps the ring's own batches,
 // so the run allocates little beyond the machines that are live at

@@ -53,13 +53,13 @@ func runOneSegment(t *testing.T, cfg Config, seg Segment, key string, src Source
 // STLB. A's SHiP L2C and Mockingjay LLC leave Sig, RRPV and Reused in
 // the cache lines (Mockingjay's ETAs live in the policy, which no machine
 // shares), its CHiRP STLB leaves Sig and Reused in the TLB entries, its
-// 2 MB pages leave 2 MB frames in the page table's frame map, and its
+// 2 MB pages leave 2 MB frames in the page table's frame classes, and its
 // thread leaves retire and dispatch times in the ROB and FTQ rings; on
 // the split STLB, split halves reuse split halves. The pools are
 // emptied before the reference run and again before A, so the
 // reference machine's storage and A's are new; with collection off and
 // one processor, B takes A's released storage. (Were A to take the
-// reference's frame map, stale frames would hand B the reference's own
+// reference's frame classes, stale frames would hand B the reference's own
 // translations back.) The cache, tlb, vm and sim tests of recycled
 // storage show that constructors, page tables and threads do take
 // released storage.

@@ -19,13 +19,19 @@ import (
 // window ring), leaving the measured loop with the structures the run
 // loop actually touches per instruction. mutate (optional) edits the
 // default configuration before the machine is built, so each case
-// exercises its own policy mix.
-func steadyStep(wl string, instrument, beacons bool, mutate func(*config.SystemConfig)) func(testing.TB) func() {
+// exercises its own policy mix; wrap (optional) builds the stream the
+// thread steps over wl's generator. A step past the end of that stream
+// fails the test.
+func steadyStep(wl string, instrument, beacons bool, mutate func(*config.SystemConfig), wrap func(workload.Stream) workload.Stream) func(testing.TB) func() {
 	return func(tb testing.TB) func() {
 		tb.Helper()
 		spec, err := workload.NewCatalog(4, 2).Get(wl)
 		if err != nil {
 			tb.Fatal(err)
+		}
+		stream := spec.NewStream()
+		if wrap != nil {
+			stream = wrap(stream)
 		}
 		cfg := config.Default()
 		if mutate != nil {
@@ -41,14 +47,34 @@ func steadyStep(wl string, instrument, beacons bool, mutate func(*config.SystemC
 		if beacons {
 			m.EnableBeacons(0)
 		}
-		t := newThreadCtx(m.cores[0], 0, spec.NewStream(), &m.cfg, 1, math.MaxUint64, 0)
+		t := newThreadCtx(m.cores[0], 0, stream, &m.cfg, 1, math.MaxUint64, 0)
 		m.threads = []*threadCtx{t}
 		m.cores[0].threads = m.threads
-		for i := 0; i < 50_000; i++ {
+		for i := 0; i < steadySetupSteps; i++ {
 			m.step(t)
 		}
-		return func() { m.step(t) }
+		return func() {
+			m.step(t)
+			if t.done {
+				tb.Fatal("the stream ended")
+			}
+		}
 	}
+}
+
+// steadySetupSteps is how many steps steadyStep's setup warms a machine
+// for.
+const steadySetupSteps = 50_000
+
+// limited puts a stream under workload.Limit, with a budget no run of
+// the table reaches.
+func limited(s workload.Stream) workload.Stream { return workload.Limit(s, 1<<40) }
+
+// recorded replays the first 2^18 instructions of s, more than
+// TestSteadyStateAllocFree steps, its setup included.
+func recorded(s workload.Stream) workload.Stream {
+	buf := make([]workload.Instr, 1<<18)
+	return &workload.Replay{Instrs: buf[:workload.FillBatch(s, buf)]}
 }
 
 // steadyMultiCore builds a 4-core CMP with one warmed thread per core;
@@ -128,56 +154,62 @@ type steadyStateCase struct {
 var steadyStateCases = []steadyStateCase{
 	// One instruction end to end: lookahead pop, front end, TLBs, page
 	// walks, caches, retire.
-	{name: "Step", setup: steadyStep("srv_000", false, false, nil)},
+	{name: "Step", setup: steadyStep("srv_000", false, false, nil, nil)},
 	// The windowed sampler attached and per-1000-instruction windows
 	// closing into a retained ring: window records recycle in place.
-	{name: "StepMetrics", setup: steadyStep("srv_000", true, false, nil)},
+	{name: "StepMetrics", setup: steadyStep("srv_000", true, false, nil, nil)},
 	// The paper's proposal: iTP on the STLB and adaptive xPTP (with its
 	// controller judging every window) on the L2C, instrumented so the
 	// controller's decision hook is live too.
 	{name: "StepITPXPTP", setup: steadyStep("srv_000", true, false, func(cfg *config.SystemConfig) {
 		cfg.STLBPolicy = "itp"
 		cfg.L2CPolicy = "xptp"
-	})},
+	}, nil)},
 	// The RRIP family and SHiP: T-DRRIP's aging victim search and
 	// STLB-miss bias at the L2C, SHiP's signature table at the LLC.
 	{name: "StepRRIP", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
 		cfg.L2CPolicy = "tdrrip"
 		cfg.LLCPolicy = "ship"
-	})},
+	}, nil)},
 	// Mockingjay at the LLC: the sampled reuse-distance predictor with
 	// its FIFO ring, and the ETA-based victim search.
 	{name: "StepMockingjay", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
 		cfg.LLCPolicy = "mockingjay"
-	})},
+	}, nil)},
 	// Hawkeye at the LLC: the OPTgen occupancy vectors and history, and
 	// the PC predictor that classifies each fill.
 	{name: "StepHawkeye", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
 		cfg.LLCPolicy = "hawkeye"
-	})},
+	}, nil)},
 	// The CHiRP STLB baseline with the real hashed-perceptron branch
 	// predictor: the control-flow-history and perceptron hot paths.
 	{name: "StepCHiRP", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
 		cfg.STLBPolicy = "chirp"
 		cfg.BranchPredictor = "perceptron"
-	})},
+	}, nil)},
 	// The probabilistic-LRU STLB of the paper's Figure 3: its random
 	// draw and per-class victim search.
 	{name: "StepProbLRU", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
 		cfg.STLBPolicy = "problru"
-	})},
+	}, nil)},
 	// Half the footprint on 2 MB pages: the huge-page translation paths
 	// of the TLBs and the page table.
 	{name: "StepHugePages", setup: steadyStep("srv_000", false, false, func(cfg *config.SystemConfig) {
 		cfg.HugePageFraction = 0.5
-	})},
+	}, nil)},
 	// The SPEC-like loop-nest generator, which the other cases' server
 	// stream never runs.
-	{name: "StepSpec", setup: steadyStep("spec_000", false, false, nil)},
+	{name: "StepSpec", setup: steadyStep("spec_000", false, false, nil, nil)},
+	// The server stream under workload.Limit, the wrapper examples and
+	// the trace writer use: its batch path over the generator's.
+	{name: "StepLimit", setup: steadyStep("srv_000", false, false, nil, limited)},
+	// A recorded workload.Replay, the in-memory trace: batches copied out
+	// of the recording.
+	{name: "StepReplay", setup: steadyStep("srv_000", false, false, nil, recorded)},
 	// Metrics windows closing and a full-hierarchy state fingerprint
 	// folding into the beacon chain at every window boundary: the fixed
 	// ring and in-place FNV fold.
-	{name: "StepBeacons", setup: steadyStep("srv_000", true, true, nil)},
+	{name: "StepBeacons", setup: steadyStep("srv_000", true, true, nil, nil)},
 	// Four cores stepped round-robin into the shared STLB/L2C/LLC/walker/
 	// DRAM: per-tenant stats attribution and shared-MSHR contention.
 	{name: "StepMultiCore", setup: steadyMultiCore},
@@ -195,15 +227,15 @@ const (
 	// the 64K-retire diagnostic publishes fall in the span.
 	steadyCountSteps = 1 << 17
 	// frameMapGrowthBound is the most allocations the span may make
-	// under vm.(*PageTable).mapFrame: frame maps growing as a stream
-	// touches pages for the first time. It is one-off growth, not
-	// per-step allocation; the bound is twice the largest count a case
-	// reads (11).
-	frameMapGrowthBound = 22
+	// under vm.(*PageTable).mapFrame: a page table's node directories,
+	// nodes and chunk arenas growing as a stream touches pages for the
+	// first time. It is one-off growth, not per-step allocation; the
+	// bound is twice the largest count a case reads (8, StepMultiCore).
+	frameMapGrowthBound = 16
 )
 
 // Frames that attribute a profiled allocation: the two step functions
-// the cases drive, and the frame-map insert whose growth the gate
+// the cases drive, and the page-table insert whose growth the gate
 // bounds apart.
 const (
 	stepFrame     = "itpsim/internal/sim.(*Machine).step"
@@ -218,7 +250,7 @@ const (
 // allocation with its stack, so the gate counts exactly the allocations
 // made through (*Machine).step or warmStep, whatever else the process
 // (the race runtime, the test framework, the collector) allocates
-// meanwhile. It allows none, except frame-map growth under
+// meanwhile. It allows none, except page-table growth under
 // vm.(*PageTable).mapFrame, held under frameMapGrowthBound.
 //
 // The profile misses one kind of allocation: a pointer-free object
@@ -265,9 +297,9 @@ func TestSteadyStateAllocFree(t *testing.T) {
 			for at, n := range steady {
 				t.Errorf("%d allocations on the step path at %s", n, at)
 			}
-			t.Logf("%d frame-map growth allocations over %d steps", growth, steadyCountSteps)
+			t.Logf("%d page-table growth allocations over %d steps", growth, steadyCountSteps)
 			if growth > frameMapGrowthBound {
-				t.Errorf("%d frame-map growth allocations over %d steps, bound %d", growth, steadyCountSteps, frameMapGrowthBound)
+				t.Errorf("%d page-table growth allocations over %d steps, bound %d", growth, steadyCountSteps, frameMapGrowthBound)
 			}
 		})
 	}

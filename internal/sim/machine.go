@@ -325,7 +325,7 @@ func bpSeed(i int) uint64 {
 // allocating: the arrays of every cache (each core's L1I and L1D, the
 // L2C and the LLC), the entries of every TLB (each core's ITLB and DTLB,
 // the STLB or both its halves), the L2C stride table and every tenant's
-// page-table frame map. The owner calls it once it has read the results
+// page-table frame classes. The owner calls it once it has read the results
 // it needs; Stats, the metric windows, the beacon chain and Snapshot stay
 // readable, but the machine must not run again. Release is idempotent.
 func (m *Machine) Release() {

@@ -2,7 +2,7 @@ package vm
 
 import (
 	"maps"
-	"reflect"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -11,8 +11,8 @@ import (
 	"itpsim/internal/arch"
 )
 
-// drainFrameMaps empties the frame-map pool of every class vas reach, so
-// the next table translating them makes new maps.
+// drainFrameMaps empties the class pool of every class vas reach, so the
+// next table translating them makes new classes.
 func drainFrameMaps(vas []arch.Addr) {
 	for _, va := range vas {
 		for level := 0; level < NumLevels; level++ {
@@ -25,11 +25,11 @@ func drainFrameMaps(vas []arch.Addr) {
 	}
 }
 
-// mapIDs identifies pt's class maps by class.
-func mapIDs(pt *PageTable) map[uint32]uintptr {
-	ids := make(map[uint32]uintptr, len(pt.classes))
+// mapIDs identifies pt's classes by class.
+func mapIDs(pt *PageTable) map[uint32]*frameClass {
+	ids := make(map[uint32]*frameClass, len(pt.classes))
 	for _, c := range pt.classes {
-		ids[c.hi] = reflect.ValueOf(c.frames).Pointer()
+		ids[c.hi] = c
 	}
 	return ids
 }
@@ -52,6 +52,25 @@ func clusteredVAs(seed uint64, n int) []arch.Addr {
 	return vas
 }
 
+// denseVAs returns one address in each 2^shift-byte step of n regions
+// of 512 such steps, the regions scattered over 2^40 bytes, in shuffled
+// order. At shift 12 it touches every page of n 2MB regions, at shift
+// 21 every 2MB region of n 1GB regions, so each leaf or level-1 node
+// fills to all 512 entries, its inserts landing before, between and
+// after present entries and across chunk boundaries.
+func denseVAs(seed int64, n int, shift uint) []arch.Addr {
+	rng := rand.New(rand.NewSource(seed))
+	vas := make([]arch.Addr, 0, n*ptesPerNode)
+	for i := 0; i < n; i++ {
+		base := arch.Addr(rng.Int63n(1<<40)) &^ (1<<(shift+9) - 1)
+		for j := 0; j < ptesPerNode; j++ {
+			vas = append(vas, base+arch.Addr(j)<<shift+0x28)
+		}
+	}
+	rng.Shuffle(len(vas), func(i, j int) { vas[i], vas[j] = vas[j], vas[i] })
+	return vas
+}
+
 // translateAll resolves vas in order.
 func translateAll(pt *PageTable, vas []arch.Addr) []Translation {
 	out := make([]Translation, len(vas))
@@ -61,16 +80,16 @@ func translateAll(pt *PageTable, vas []arch.Addr) []Translation {
 	return out
 }
 
-// TestRecycledTableTranslatesLikeFresh: a table built on the class maps
-// of a released table, which mapped other addresses under another
+// TestRecycledTableTranslatesLikeFresh: a table built on the classes of
+// a released table, which mapped other addresses under another
 // huge-page layout, resolves a new address sequence exactly like a table
-// on new maps: the same PPN, page size and PTE address at every step.
-// Half the 2MB regions are huge, so the released maps hold 2MB pages and
-// level-1 nodes under the same class's keys. Without the clear in
-// Release the recycled maps still hold the old frames, and the
-// translations differ.
+// on new classes: the same PPN, page size and PTE address at every step.
+// Half the 2MB regions are huge, so the released classes hold 2MB pages
+// and level-1 nodes under the same class's keys. Without the directory
+// clear in Release the recycled classes still find the old frames, and
+// the translations differ.
 func TestRecycledTableTranslatesLikeFresh(t *testing.T) {
-	// No collection and one processor: a released map stays in this
+	// No collection and one processor: a released class stays in this
 	// processor's pool until the next table takes it.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -81,7 +100,7 @@ func TestRecycledTableTranslatesLikeFresh(t *testing.T) {
 
 	reused := false
 	// The race detector's sync.Pool drops a quarter of its Puts, so
-	// retry until every map comes back.
+	// retry until every class comes back.
 	for try := 0; try < 20 && !reused; try++ {
 		dirty := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), 0.5, 11)
 		translateAll(dirty, dirtyVAs)
@@ -92,23 +111,24 @@ func TestRecycledTableTranslatesLikeFresh(t *testing.T) {
 		pt := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), 0.5, 3)
 		for i, tr := range translateAll(pt, vas) {
 			if tr != want[i] {
-				t.Fatalf("va %#x on recycled maps: %+v, on new maps: %+v", vas[i], tr, want[i])
+				t.Fatalf("va %#x on recycled classes: %+v, on new classes: %+v", vas[i], tr, want[i])
 			}
 		}
 		reused = maps.Equal(mapIDs(pt), old)
 		pt.Release()
 	}
 	if !reused {
-		t.Fatal("a new table never reused a released table's class maps")
+		t.Fatal("a new table never reused a released table's classes")
 	}
 }
 
-// TestRecycledMapDoesNotGrow: a table on recycled class maps that maps
-// no more frames per class than a released table allocates nothing while
-// it translates, even when a smaller table of other classes released its
-// maps first. That table's level-0 and level-1 frames lie in classes
-// the big table never reaches, and it maps more level-2 nodes than the
-// big table, so every map a class holds is large enough for it.
+// TestRecycledMapDoesNotGrow: a table on recycled classes that maps no
+// more nodes and chunks of frames per class than a released table
+// allocates nothing while it translates, even when a smaller table of
+// other classes released its classes first. That table's level-0 and
+// level-1 frames lie in classes the big table never reaches, and it
+// maps more level-2 nodes than the big table, so every class the pool
+// holds under a key is large enough for it.
 func TestRecycledMapDoesNotGrow(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -120,13 +140,13 @@ func TestRecycledMapDoesNotGrow(t *testing.T) {
 		far[i] = 1<<54 | arch.Addr(i)<<30
 	}
 	// The race detector's sync.Pool drops a quarter of its Puts, so
-	// retry until the maps come back.
+	// retry until the classes come back.
 	for try := 0; try < 20; try++ {
 		big := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), 0, 11)
 		translateAll(big, vas)
 		small := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), 0, 13)
 		translateAll(small, far)
-		released := map[uintptr]bool{}
+		released := map[*frameClass]bool{}
 		for _, tbl := range []*PageTable{big, small} {
 			for _, id := range mapIDs(tbl) {
 				released[id] = true
@@ -149,18 +169,18 @@ func TestRecycledMapDoesNotGrow(t *testing.T) {
 		pt.Release()
 		if reused {
 			if n := after.Mallocs - before.Mallocs; n != 0 {
-				t.Fatalf("%d VAs on recycled maps made %d allocations (%d bytes)",
+				t.Fatalf("%d VAs on recycled classes made %d allocations (%d bytes)",
 					len(vas), n, after.TotalAlloc-before.TotalAlloc)
 			}
 			return
 		}
 	}
-	t.Fatal("a new table never reused released tables' class maps")
+	t.Fatal("a new table never reused released tables' classes")
 }
 
-// TestReleasedTablePanics: a released table has no class maps or
-// allocator left, so using it fails loudly instead of reading frames
-// another table now owns.
+// TestReleasedTablePanics: a released table has no classes or allocator
+// left, so using it fails loudly instead of reading frames another table
+// now owns.
 func TestReleasedTablePanics(t *testing.T) {
 	pt := newPT(0)
 	pt.Translate(0x1000)
@@ -174,8 +194,8 @@ func TestReleasedTablePanics(t *testing.T) {
 }
 
 // TestNodePoolConcurrent: goroutines build, fill and release tables of
-// two sizes, so class maps cross goroutines and tables of other shapes.
-// Every table must translate like one on new maps. make race-matrix
+// two sizes, so classes cross goroutines and tables of other shapes.
+// Every table must translate like one on new classes. make race-matrix
 // runs it under the race detector.
 func TestNodePoolConcurrent(t *testing.T) {
 	shapes := []struct {
@@ -202,7 +222,7 @@ func TestNodePoolConcurrent(t *testing.T) {
 				pt := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), shapes[s].huge, 7)
 				for j, tr := range translateAll(pt, shapes[s].vas) {
 					if tr != want[s][j] {
-						errs <- "a table on a recycled map translates unlike one on a new map"
+						errs <- "a table on recycled classes translates unlike one on new classes"
 						return
 					}
 				}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"itpsim/internal/arch"
@@ -102,14 +103,20 @@ func levelVAs(seed uint64, n int) []arch.Addr {
 
 // TestTranslateMatchesReference: at huge-page fractions 0, 0.5 and 1, a
 // table resolves addresses at every level's position, clustered runs of
-// pages and revisits of both exactly like the reference tree. Below
-// fraction 1 the addresses at every level's position put the table's
-// pages in hundreds of key classes, far past the eight a generator's
-// address space has; at fraction 1 there are no 4KB pages, and the
-// level-1 and upper classes alone number 19.
+// pages, every page of three 2MB regions and every 2MB region of one 1GB
+// region in shuffled order, and revisits of all of them, exactly like
+// the reference tree. Below fraction 1 the addresses at every level's position put the
+// table's pages in hundreds of key classes, far past the eight a
+// generator's address space has; at fraction 1 there are no 4KB pages,
+// and the level-1 and upper classes alone number 19. The clustered runs
+// put at most 16 frames in a node, one chunk's worth; the whole regions
+// fill nodes across all 32 chunks.
 func TestTranslateMatchesReference(t *testing.T) {
+	dense := append(denseVAs(3, 3, arch.PageBits4K), denseVAs(4, 1, arch.PageBits2M)...)
 	vas := append(levelVAs(0x9e3779b97f4a7c15, 1000), clusteredVAs(0xdeadbeefcafe, 2048)...)
+	vas = append(vas, dense...)
 	vas = append(vas, vas[:3000]...)
+	vas = append(vas, dense...)
 	for _, huge := range []float64{0, 0.5, 1} {
 		pt := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), huge, 5)
 		matchRef(t, pt, newRefTable(NewPhysAlloc(arch.PhysMemBytes), huge, 5), vas)
@@ -120,9 +127,13 @@ func TestTranslateMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzTranslate reads addresses eight bytes at a time and requires a
-// table to translate each exactly like the reference tree, at huge-page
-// fraction 0, 0.5 or 1 and any huge-page seed.
+// FuzzTranslate requires a table to translate each address of its
+// input exactly like the reference tree, at huge-page fraction 0, 0.5 or
+// 1 and any huge-page seed. The input is raw addresses, eight bytes
+// each, or in dense mode page indices, two bytes each, into the one 2MB
+// region the seed picks, so a leaf node fills in the order the bytes
+// say; raw addresses rarely meet in one node. The dense seeds touch the
+// region's pages in one shuffled order and revisit them in another.
 func FuzzTranslate(f *testing.F) {
 	seedVAs := func(vas ...arch.Addr) []byte {
 		var b []byte
@@ -132,18 +143,31 @@ func FuzzTranslate(f *testing.F) {
 		return b
 	}
 	for frac := uint8(0); frac < 3; frac++ {
-		f.Add(frac, uint64(1), seedVAs(5<<12, 5<<21, 5<<30, 5<<39, 5<<48, 5<<12|0x10))
-		f.Add(frac, uint64(7), seedVAs(levelVAs(uint64(frac)+1, 8)...))
+		f.Add(frac, uint64(1), false, seedVAs(5<<12, 5<<21, 5<<30, 5<<39, 5<<48, 5<<12|0x10))
+		f.Add(frac, uint64(7), false, seedVAs(levelVAs(uint64(frac)+1, 8)...))
 	}
-	f.Add(uint8(0), uint64(3), seedVAs(1<<57|0x1000, 0x1000, 1<<63|0x1000))
-	f.Fuzz(func(t *testing.T, frac uint8, seed uint64, raw []byte) {
-		const maxVAs = 512 // 2MB pages for all of them fit the allocator
-		if len(raw) > 8*maxVAs {
-			raw = raw[:8*maxVAs]
+	f.Add(uint8(0), uint64(3), false, seedVAs(1<<57|0x1000, 0x1000, 1<<63|0x1000))
+	var region []byte
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range append(rng.Perm(ptesPerNode), rng.Perm(ptesPerNode)...) {
+		region = binary.LittleEndian.AppendUint16(region, uint16(p))
+	}
+	f.Add(uint8(0), uint64(0x5eed), true, region)
+	f.Add(uint8(1), uint64(0x5eed), true, region)
+	f.Fuzz(func(t *testing.T, frac uint8, seed uint64, dense bool, raw []byte) {
+		const maxVAs = 1024 // 2MB pages for all of them fit the allocator
+		width := 8
+		if dense {
+			width = 2
 		}
-		vas := make([]arch.Addr, 0, len(raw)/8)
-		for ; len(raw) >= 8; raw = raw[8:] {
-			vas = append(vas, arch.Addr(binary.LittleEndian.Uint64(raw)))
+		vas := make([]arch.Addr, 0, min(len(raw)/width, maxVAs))
+		for ; len(raw) >= width && len(vas) < maxVAs; raw = raw[width:] {
+			if dense {
+				page := arch.Addr(binary.LittleEndian.Uint16(raw) % ptesPerNode)
+				vas = append(vas, arch.Addr(seed)<<arch.PageBits2M|page<<arch.PageBits4K)
+			} else {
+				vas = append(vas, arch.Addr(binary.LittleEndian.Uint64(raw)))
+			}
 		}
 		huge := [3]float64{0, 0.5, 1}[frac%3]
 		pt := NewPageTable(NewPhysAlloc(arch.PhysMemBytes), huge, seed)

@@ -14,6 +14,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"itpsim/internal/arch"
 	"itpsim/internal/pool"
@@ -103,7 +104,7 @@ func (t Translation) PhysAddr(va arch.Addr) arch.Addr {
 type PageTable struct {
 	alloc   *PhysAlloc
 	root    arch.Addr
-	classes []frameClass
+	classes []*frameClass
 	// hugeFraction is the probability that a 2MB-aligned virtual region
 	// is backed by a 2MB page.
 	hugeFraction float64
@@ -112,28 +113,103 @@ type PageTable struct {
 
 // frameClass holds a table's frames whose keys share their top 32 bits,
 // hi: the level and the VA bits above bit 44 (level 0) or 53 (level 1).
-// frames maps a key's low 32 bits to its 4KB frame number, which fits
-// 32 bits because physical memory is arch.PhysMemBytes. A generator's
+// A key's low 32 bits, lo, name an entry of a radix node one level up:
+// lo>>9 the node, lo&511 the entry. dir maps a node to its index in
+// nodes, and a node keeps the 4KB frame numbers of its present entries
+// in entry order, sixteen to a chunk of chunks; a frame number fits 32
+// bits because physical memory is arch.PhysMemBytes. A generator's
 // address space has eight classes, one per level above 0 and one per
 // region its pages lie in, so Translate finds a class by a linear scan
 // and a table makes room for eight up front.
 type frameClass struct {
 	hi     uint32
-	frames map[uint32]uint32
+	dir    map[uint32]uint32
+	nodes  []node
+	chunks [][chunkFrames]uint32
 }
 
-// classFrames sizes a class map the pool has none for: 224 frames fill
-// a 256-slot table. A map started at 8 slots regrows at its 9th, 15th,
-// 29th, 57th and 113th frame on the way there; a server tenant's code
-// and level-1 classes pass 80 frames within its first 50,000
-// instructions, and a class that stays small costs 2.3 KB.
-const classFrames = 224
+// chunkFrames is how many frames a chunk holds.
+const chunkFrames = 16
 
-// frameMaps recycles the class maps of released tables, keyed by class.
-// A map goes back emptied with its capacity, so a table that maps no
-// more frames per class than a released one did inserts without
-// growing its maps.
-var frameMaps pool.Keyed[map[uint32]uint32]
+// node is one radix node's present entries: present marks them, and
+// chunks[k] indexes the class chunk holding the frames of the node's
+// present entries 16k to 16k+15.
+type node struct {
+	present [ptesPerNode / 64]uint64
+	chunks  [ptesPerNode / chunkFrames]uint32
+}
+
+// rank returns how many present entries of n precede entry e, and
+// whether e is present.
+func (n *node) rank(e uint32) (int, bool) {
+	w, bit := e/64, uint64(1)<<(e%64)
+	r := bits.OnesCount64(n.present[w] & (bit - 1))
+	for _, x := range n.present[:w] {
+		r += bits.OnesCount64(x)
+	}
+	return r, n.present[w]&bit != 0
+}
+
+// frame returns the frame number of key lo, and false when the class
+// (which may be nil) has none.
+func (c *frameClass) frame(lo uint32) (uint32, bool) {
+	if c == nil {
+		return 0, false
+	}
+	i, ok := c.dir[lo/ptesPerNode]
+	if !ok {
+		return 0, false
+	}
+	n := &c.nodes[i]
+	r, ok := n.rank(lo % ptesPerNode)
+	if !ok {
+		return 0, false
+	}
+	return c.chunks[n.chunks[r/chunkFrames]][r%chunkFrames], true
+}
+
+// insert records frame as the frame of key lo, which has none. The
+// frames of the node's later entries move up one slot, and the node
+// takes a new chunk when its chunks are full.
+func (c *frameClass) insert(lo, frame uint32) {
+	i, ok := c.dir[lo/ptesPerNode]
+	if !ok {
+		i = uint32(len(c.nodes))
+		c.dir[lo/ptesPerNode] = i
+		c.nodes = append(c.nodes, node{})
+	}
+	n := &c.nodes[i]
+	e := lo % ptesPerNode
+	r, _ := n.rank(e)
+	count := 0
+	for _, x := range n.present {
+		count += bits.OnesCount64(x)
+	}
+	n.present[e/64] |= 1 << (e % 64)
+	if count%chunkFrames == 0 {
+		n.chunks[count/chunkFrames] = uint32(len(c.chunks))
+		c.chunks = append(c.chunks, [chunkFrames]uint32{})
+	}
+	// Each chunk from rank r's to the last shifts its frames from r on
+	// up one slot and passes its last frame on to the next.
+	for k := r / chunkFrames; k <= count/chunkFrames; k++ {
+		ch := &c.chunks[n.chunks[k]]
+		from := 0
+		if k == r/chunkFrames {
+			from = r % chunkFrames
+		}
+		last := ch[chunkFrames-1]
+		copy(ch[from+1:], ch[from:chunkFrames-1])
+		ch[from], frame = frame, last
+	}
+}
+
+// frameMaps recycles the classes of released tables, keyed by class. A
+// class goes back with its directory cleared and its nodes and chunks
+// truncated, keeping their capacity, so a table that maps no more nodes
+// and chunks per class than a released one did inserts without
+// allocating.
+var frameMaps pool.Keyed[*frameClass]
 
 // vaBits is the VA width the five levels index. Translate ignores the
 // bits above it, so an address and its low vaBits bits alias.
@@ -156,19 +232,20 @@ func NewPageTable(alloc *PhysAlloc, hugeFraction float64, seed uint64) *PageTabl
 	return &PageTable{
 		alloc:        alloc,
 		root:         alloc.Alloc(arch.PageBits4K),
-		classes:      make([]frameClass, 0, 8),
+		classes:      make([]*frameClass, 0, 8),
 		hugeFraction: hugeFraction,
 		seed:         seed,
 	}
 }
 
-// Release returns the table's class maps to the pool. The owner calls
-// it once it is done translating; the table must not be used
-// afterwards, and panics if it is. Release is idempotent.
+// Release returns the table's classes to the pool. The owner calls it
+// once it is done translating; the table must not be used afterwards,
+// and panics if it is. Release is idempotent.
 func (pt *PageTable) Release() {
 	for _, c := range pt.classes {
-		clear(c.frames)
-		frameMaps.Put(int(c.hi), c.frames)
+		clear(c.dir)
+		c.nodes, c.chunks = c.nodes[:0], c.chunks[:0]
+		frameMaps.Put(int(c.hi), c)
 	}
 	pt.classes, pt.alloc = nil, nil
 }
@@ -207,11 +284,11 @@ func (pt *PageTable) Translate(va arch.Addr) Translation {
 		tr.NumSteps++
 		key := frameKey(va, level-1)
 		hi, lo := uint32(key>>32), uint32(key)
-		frames := pt.class(hi)
-		next, ok := frames[lo]
+		c := pt.class(hi)
+		next, ok := c.frame(lo)
 		if !ok {
 			// First touch of a node, page or class.
-			next = pt.mapFrame(frames, hi, lo, level == leafLevel, tr.PageBits)
+			next = pt.mapFrame(c, hi, lo, level == leafLevel, tr.PageBits)
 		}
 		frame = arch.Addr(next) << arch.PageBits4K
 	}
@@ -219,32 +296,32 @@ func (pt *PageTable) Translate(va arch.Addr) Translation {
 	return tr
 }
 
-// class returns the frame map of class hi, nil while the table has none.
-func (pt *PageTable) class(hi uint32) map[uint32]uint32 {
-	for i := range pt.classes {
-		if pt.classes[i].hi == hi {
-			return pt.classes[i].frames
+// class returns class hi, nil while the table has none.
+func (pt *PageTable) class(hi uint32) *frameClass {
+	for _, c := range pt.classes {
+		if c.hi == hi {
+			return c
 		}
 	}
 	return nil
 }
 
 // mapFrame takes the frame for the key hi<<32|lo, returning its 4KB frame
-// number: the page of 2^bits bytes at the leaf, a 4KB node above it.
-// frames is the class's map; when it is nil the class is new, and its map
-// comes from the pool.
-func (pt *PageTable) mapFrame(frames map[uint32]uint32, hi, lo uint32, leaf bool, bits uint8) uint32 {
+// number: the page of 2^pageBits bytes at the leaf, a 4KB node above it.
+// c is the key's class; when it is nil the class is new, and comes from
+// the pool.
+func (pt *PageTable) mapFrame(c *frameClass, hi, lo uint32, leaf bool, pageBits uint8) uint32 {
 	if !leaf {
-		bits = arch.PageBits4K
+		pageBits = arch.PageBits4K
 	}
-	frame := uint32(pt.alloc.Alloc(bits) >> arch.PageBits4K)
-	if frames == nil {
+	frame := uint32(pt.alloc.Alloc(pageBits) >> arch.PageBits4K)
+	if c == nil {
 		var ok bool
-		if frames, ok = frameMaps.Get(int(hi)); !ok {
-			frames = make(map[uint32]uint32, classFrames)
+		if c, ok = frameMaps.Get(int(hi)); !ok {
+			c = &frameClass{hi: hi, dir: map[uint32]uint32{}}
 		}
-		pt.classes = append(pt.classes, frameClass{hi: hi, frames: frames})
+		pt.classes = append(pt.classes, c)
 	}
-	frames[lo] = frame
+	c.insert(lo, frame)
 	return frame
 }

@@ -98,7 +98,7 @@ func (l *limited) Clone() Stream {
 	if !ok {
 		return nil
 	}
-	return &limited{s: inner, left: l.left}
+	return Limit(inner, l.left)
 }
 
 // Clone implements Cloner; the recorded instructions are read-only and

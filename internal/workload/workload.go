@@ -578,10 +578,17 @@ func (s *spec) inMemory() bool { return true }
 
 // Limit wraps a stream, ending it after n instructions; useful for
 // examples and the trace writer.
-func Limit(s Stream, n uint64) Stream { return &limited{s: s, left: n} }
+func Limit(s Stream, n uint64) Stream {
+	bulk, _ := s.(NextBatcher)
+	return &limited{s: s, bulk: bulk, left: n}
+}
 
 type limited struct {
-	s    Stream
+	s Stream
+	// bulk is s's batch path, nil when it has none. Limit asserts it
+	// once: an interface assertion per batch now and then allocates in
+	// the runtime's per-call-site type cache.
+	bulk NextBatcher
 	left uint64
 }
 
@@ -603,8 +610,8 @@ func (l *limited) NextBatch(buf []Instr) int {
 		buf = buf[:l.left]
 	}
 	var n int
-	if b, ok := l.s.(NextBatcher); ok {
-		n = b.NextBatch(buf)
+	if l.bulk != nil {
+		n = l.bulk.NextBatch(buf)
 	} else {
 		n = FillBatch(l.s, buf)
 	}
